@@ -7,17 +7,15 @@ processes) at a reduced query count and asserts the tier's health:
 * every worker count stays **bit-identical** to in-process ``execute_batch``
   (the experiment itself raises on any divergence);
 * the batched path actually engaged: micro-batch sizes recorded, requests
-  served through the latency histogram, both shards took traffic;
-* on a multi-core host, 2 workers beat 1 worker by >= 1.5x throughput.
+  served through the latency histogram, both shards took traffic.
 
-The scaling assertion is **skipped on single-core hosts**: two processes
-time-slicing one CPU cannot beat one process, and pretending otherwise
-would make the benchmark red on every 1-core CI runner.
+No wall-clock assertion lives here: a 24-query run finishes in ~0.1 s,
+inside the noise of any shared host.  The tier's throughput is the
+``socket_pool_small`` workload's ``qps`` in the repo benchmark
+(``BENCHMARK.json``).
 """
 
 import math
-
-import pytest
 
 from repro.experiments.serving_scale import available_cores, run_serving_scale
 
@@ -50,15 +48,4 @@ def test_serving_scale_smoke(run_experiment, scale):
     assert len(split) == 2 and all(part > 0 for part in split)
     assert sum(split) >= result.parameters["n_queries"]
 
-    cores = result.parameters["cores"]
-    assert cores == available_cores()
-    if cores < 2:
-        pytest.skip(
-            f"host exposes {cores} CPU core(s): two workers time-slice one "
-            "CPU, so the >= 1.5x multi-worker throughput assertion is "
-            "meaningless here (it runs on multi-core CI)"
-        )
-    assert rows[2]["queries_per_second"] >= 1.5 * rows[1]["queries_per_second"], (
-        "2 workers should serve >= 1.5x the throughput of 1 worker on a "
-        f"{cores}-core host"
-    )
+    assert result.parameters["cores"] == available_cores()

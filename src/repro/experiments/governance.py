@@ -203,7 +203,6 @@ def run_governance(
         n_workers=n_workers,
         latency_budget=0.005,
         dispatch_timeout=30.0,
-        supervised=True,
         max_retries=3,
         fault_injector=injector,
         admission=admission,

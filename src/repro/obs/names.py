@@ -100,7 +100,7 @@ SCALE_REQUESTS = "scale.requests"
 SCALE_OVERLOADS = "scale.overloads"
 #: Micro-batches dispatched to the worker pool.
 SCALE_DISPATCHES = "scale.dispatches"
-#: Pool batches executed (one per ``ShardedWorkerPool.execute_batch``).
+#: Pool batches executed (one per ``execute_batch_outcomes`` call).
 SCALE_POOL_BATCHES = "scale.pool.batches"
 #: Generation broadcasts (refit / add_aggregate fan-outs) to workers.
 SCALE_BROADCASTS = "scale.pool.broadcasts"
@@ -108,7 +108,8 @@ SCALE_BROADCASTS = "scale.pool.broadcasts"
 SCALE_QUEUE_DEPTH = "scale.queue_depth"
 #: Number of worker shards in the pool (gauge).
 SCALE_SHARDS = "scale.shards"
-#: Per-shard plan-occupancy counters are ``scale.shard.<shard-id>.plans``.
+#: Per-shard plan-occupancy counters are ``scale.shard.<shard-id>.plans``
+#: (plans routed to the shard, counted once per dispatch round).
 SCALE_SHARD_PREFIX = "scale.shard."
 #: Power-of-two micro-batch size bucket bounds: 1, 2, 4, ... 1024.
 MICROBATCH_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(11))

@@ -22,10 +22,11 @@ into a reusable query service for high-throughput workloads:
   front-end (:class:`~repro.serving.scale.AsyncServingFrontend` /
   :func:`~repro.serving.scale.serve_async`) that micro-batches concurrent
   arrivals within a latency budget and dispatches them to a
-  :class:`~repro.serving.scale.ShardedWorkerPool` — N worker processes, each
-  owning one ``ServingSession`` and the slice of canonical plan keys a
+  :class:`~repro.serving.scale.SupervisedWorkerPool` — N worker processes,
+  each owning one ``ServingSession`` and the slice of canonical plan keys a
   consistent-hash router assigns it, fed through the versioned plan wire
-  format (:mod:`repro.plan.wire`) with coherent ``refit()`` broadcast;
+  format (:mod:`repro.plan.wire`) with coherent ``refit()`` broadcast, and
+  respawned, retried and failed over when they crash;
 * :mod:`repro.serving.governance` — end-to-end resource governance:
   deadline propagation and cooperative cancellation
   (:class:`~repro.serving.governance.Deadline` /
@@ -68,7 +69,6 @@ from .scale import (
     FaultInjector,
     MicroBatcher,
     ShardRouter,
-    ShardedWorkerPool,
     SupervisedWorkerPool,
     WorkerSpec,
     serve_async,
@@ -92,7 +92,6 @@ __all__ = [
     "measured_bytes",
     "MicroBatcher",
     "ShardRouter",
-    "ShardedWorkerPool",
     "SupervisedWorkerPool",
     "WorkerSpec",
     "serve_async",

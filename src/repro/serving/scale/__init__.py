@@ -8,8 +8,10 @@ Layering, front to back::
                 MicroBatcher                          (queue + flusher task)
                    |  dispatches fused batches off the event loop
                    v
-                ShardedWorkerPool.execute_batch()     (plan wire format)
-                   |  consistent-hashes plan keys to shards
+                SupervisedWorkerPool                  (plan wire format)
+                  .execute_batch_outcomes()
+                   |  consistent-hashes plan keys to live shards; retries,
+                   |  fails over and respawns behind one pipe conversation
                    v
                 worker processes                      (one ServingSession each)
 
@@ -22,22 +24,23 @@ what keeps cross-process caches coherent.  Results are bit-identical to
 in-process ``ServingSession.execute_batch`` (asserted by
 ``tests/test_serving_scale.py`` via the differential-oracle sweep).
 
-Supervision (:mod:`repro.serving.scale.supervisor`) wraps the pool in a
-crash-recovery layer: dead workers are detected (pipe EOF, exit codes,
-missed heartbeats), respawned from the deterministic
-:class:`~repro.serving.scale.worker.WorkerSpec` with the recorded
-``refit``/``add_aggregate`` broadcast log replayed, and affected requests
-retried with backoff — failing over on the consistent-hash ring while a
-shard is down.  :mod:`repro.serving.scale.faults` makes every failure mode
-a seeded, scheduled event so chaos tests are exactly reproducible.
+There is one pool class and one dispatch path
+(:mod:`repro.serving.scale.pool`), and supervision is part of it: dead
+workers are detected (pipe EOF, exit codes, missed heartbeats), respawned
+from the deterministic :class:`~repro.serving.scale.worker.WorkerSpec` with
+the recorded ``refit``/``add_aggregate`` broadcast log replayed, and
+affected requests retried with backoff — failing over on the consistent-hash
+ring while a shard is down.  Retries and deadlines are decided there and
+nowhere else; the micro-batcher only settles each future from its request's
+outcome.  :mod:`repro.serving.scale.faults` makes every failure mode a
+seeded, scheduled event so chaos tests are exactly reproducible.
 """
 
 from .faults import FAULT_EXIT_CODE, FaultEvent, FaultInjector
 from .frontend import AsyncServingFrontend, serve_async
 from .microbatch import MicroBatcher
-from .pool import ShardedWorkerPool
+from .pool import RequestOutcome, SupervisedWorkerPool
 from .shard import ShardRouter, stable_plan_hash
-from .supervisor import RequestOutcome, SupervisedWorkerPool
 from .worker import WorkerSpec
 
 __all__ = [
@@ -48,7 +51,6 @@ __all__ = [
     "MicroBatcher",
     "RequestOutcome",
     "ShardRouter",
-    "ShardedWorkerPool",
     "SupervisedWorkerPool",
     "WorkerSpec",
     "serve_async",

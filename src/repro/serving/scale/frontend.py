@@ -1,4 +1,4 @@
-"""The asyncio front-end: concurrent clients over the sharded pool.
+"""The asyncio front-end: concurrent clients over the worker pool.
 
 :class:`AsyncServingFrontend` bundles the tier — worker pool, micro-batcher,
 shared metrics registry — behind one awaitable ``query()`` call, and
@@ -35,8 +35,7 @@ from ..governance import (
     CircuitBreakerConfig,
 )
 from .microbatch import MicroBatcher
-from .pool import ShardedWorkerPool
-from .supervisor import SupervisedWorkerPool
+from .pool import SupervisedWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...core import Themis
@@ -52,30 +51,30 @@ class AsyncServingFrontend:
         The fitted facade to serve (workers rebuild it deterministically).
     n_workers:
         Worker-process (shard) count.
-    latency_budget, max_batch_size, max_queue, max_inflight, dispatch_timeout:
+    latency_budget, max_batch_size, max_queue, max_inflight:
         Micro-batcher knobs (see :class:`MicroBatcher`).
+    dispatch_timeout:
+        Seconds the pool waits for one shard's reply before the affected
+        requests retry (the pool's ``timeout``); ``None`` waits forever.
     session_options:
         Forwarded to each worker's ``Themis.serve(...)``.
-    supervised:
-        When true (the default) the tier runs on a
-        :class:`SupervisedWorkerPool`: crashed workers are respawned with
-        replayed state, affected requests retry with backoff, and dead
-        shards fail over on the hash ring.  ``False`` gives the bare
-        :class:`ShardedWorkerPool` (a crash fails the batch).
-    max_retries, request_deadline, heartbeat_interval, fallback, fault_injector:
-        Supervision knobs (see :class:`SupervisedWorkerPool`); ignored when
-        ``supervised=False``.  ``request_deadline`` is the default
-        per-request deadline budget: it bounds micro-batch re-enqueues *and*
-        propagates into worker dispatches as a cooperative cancellation
-        deadline (``query(deadline=...)`` overrides it per request).
+    max_retries, heartbeat_interval, fallback, fault_injector:
+        Pool knobs (see :class:`SupervisedWorkerPool`): crashed workers are
+        respawned with replayed state, affected requests retry with backoff
+        up to ``max_retries`` times, and dead shards fail over on the hash
+        ring.
+    request_deadline:
+        The default per-request deadline budget in seconds
+        (``query(deadline=...)`` overrides it per request): it bounds the
+        pool's retries *and* propagates into worker dispatches as a
+        cooperative cancellation deadline.
     admission:
         Optional :class:`~repro.serving.governance.AdmissionController`
         enabling priority-aware load shedding at submission time (see
         :class:`MicroBatcher`).
     circuit_breaker:
-        Per-shard circuit breaking on the supervised pool (``True`` or a
-        :class:`~repro.serving.governance.CircuitBreakerConfig`); ignored
-        when ``supervised=False``.
+        Per-shard circuit breaking on the pool (``True`` or a
+        :class:`~repro.serving.governance.CircuitBreakerConfig`).
     memory_budget_bytes:
         Per-worker cache memory budget in bytes, forwarded into every
         worker's session options so each shard runs a
@@ -93,7 +92,6 @@ class AsyncServingFrontend:
         dispatch_timeout: float | None = None,
         session_options: dict[str, Any] | None = None,
         start_method: str | None = None,
-        supervised: bool = True,
         max_retries: int = 3,
         request_deadline: float | None = None,
         heartbeat_interval: float | None = None,
@@ -107,38 +105,32 @@ class AsyncServingFrontend:
         session_options = dict(session_options or {})
         if memory_budget_bytes is not None:
             session_options.setdefault("memory_budget_bytes", memory_budget_bytes)
-        if supervised:
-            self.pool: ShardedWorkerPool = SupervisedWorkerPool(
-                themis,
-                n_workers=n_workers,
-                timeout=dispatch_timeout,
-                session_options=session_options,
-                metrics=self.metrics,
-                start_method=start_method,
-                fault_injector=fault_injector,
-                max_retries=max_retries,
-                deadline=request_deadline,
-                heartbeat_interval=heartbeat_interval,
-                fallback=fallback,
-                circuit_breaker=circuit_breaker,
-            )
-        else:
-            self.pool = ShardedWorkerPool(
-                themis,
-                n_workers=n_workers,
-                timeout=dispatch_timeout,
-                session_options=session_options,
-                metrics=self.metrics,
-                start_method=start_method,
-            )
+        self.pool = SupervisedWorkerPool(
+            themis,
+            n_workers=n_workers,
+            timeout=dispatch_timeout,
+            session_options=session_options,
+            metrics=self.metrics,
+            start_method=start_method,
+            fault_injector=fault_injector,
+            max_retries=max_retries,
+            heartbeat_interval=heartbeat_interval,
+            fallback=fallback,
+            circuit_breaker=circuit_breaker,
+        )
         self.batcher = MicroBatcher(
             self.pool,
             latency_budget=latency_budget,
             max_batch_size=max_batch_size,
             max_queue=max_queue,
             max_inflight=max_inflight,
-            dispatch_timeout=dispatch_timeout,
-            max_retries=max_retries if supervised else 0,
+            # The batcher's wedged-dispatch guard must outlast the pool's
+            # whole retry loop, not one reply wait.
+            dispatch_timeout=(
+                None
+                if dispatch_timeout is None
+                else dispatch_timeout * (max_retries + 1)
+            ),
             request_deadline=request_deadline,
             admission=admission,
             metrics=self.metrics,
@@ -182,7 +174,7 @@ class AsyncServingFrontend:
         )
 
     def refit(self) -> int:
-        """Coherently refit every shard (see :meth:`ShardedWorkerPool.refit`)."""
+        """Coherently refit every shard (see :meth:`SupervisedWorkerPool.refit`)."""
         return self.pool.refit()
 
     def statistics(self) -> dict[str, Any]:
@@ -217,18 +209,29 @@ async def _handle_client(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
+    async def reply(response: dict[str, Any]) -> None:
+        writer.write(json.dumps(response).encode() + b"\n")
+        await writer.drain()
+
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError as error:
+                # A line past the StreamReader limit: the rest of it is still
+                # in flight, so the stream cannot be resynchronised — answer,
+                # then close cleanly.
+                await reply({"ok": False, "error": str(error)})
+                break
             if not line:
                 break
             try:
+                # ValueError covers JSONDecodeError and the UnicodeDecodeError
+                # json.loads raises on bytes that are not UTF-8/16/32.
                 request = json.loads(line)
                 statement = request["sql"]
-            except (json.JSONDecodeError, KeyError, TypeError) as error:
-                response: dict[str, Any] = {"ok": False, "error": str(error)}
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
+            except (ValueError, KeyError, TypeError) as error:
+                await reply({"ok": False, "error": str(error)})
                 continue
             request_id = request.get("id")
             priority = request.get("priority", PRIORITY_INTERACTIVE)
@@ -277,8 +280,7 @@ async def _handle_client(
                 }
             except Exception as error:  # noqa: BLE001 - reported to the client
                 response = {"id": request_id, "ok": False, "error": str(error)}
-            writer.write(json.dumps(response).encode() + b"\n")
-            await writer.drain()
+            await reply(response)
     finally:
         writer.close()
         try:

@@ -24,29 +24,22 @@ identified one.  Late replies from a timed-out worker are discarded by
 sequence number in the pool, so a slow shard can never corrupt a later
 batch.
 
-Deadlines propagate end to end: each request's remaining budget (from its
-``deadline`` argument or the batcher-wide ``request_deadline`` default)
-rides into the pool dispatch, where workers arm cooperative cancellation
-tokens — an overrunning query dies mid-execution with a typed
+Deadlines propagate end to end: each request's budget (its ``deadline``
+argument or the batcher-wide ``request_deadline`` default) becomes one
+absolute monotonic timestamp at ``submit()`` and rides, unconverted, into
+the pool dispatch, where it bounds the pool's retries and workers arm
+cooperative cancellation tokens from what is left of it — an overrunning
+query dies mid-execution with a typed
 :class:`~repro.exceptions.DeadlineExceededError`, not a socket timeout.
-Requests already expired when their batch forms are failed immediately
-without wasting a dispatch.  When the backlog exceeds one batch, pending
-requests are stable-sorted by priority class so interactive work dispatches
-first (FIFO within a class).
+When the backlog exceeds one batch, pending requests are stable-sorted by
+priority class so interactive work dispatches first (FIFO within a class).
 
-Retry is deadline-aware: with ``max_retries > 0``, a future hit by a
-*retryable* failure (crash, missed deadline — anything deriving from
-:class:`~repro.exceptions.RetryableServingError`) is re-enqueued at the
-back of the queue instead of failed, as long as its deadline budget has
-room; budget exhaustion fails it with
-:class:`~repro.exceptions.RetryExhaustedError` carrying the attempt count
-and last error.  Fatal errors (bad SQL, worker-side query errors,
-cancellations) are never retried — retrying would deterministically
-reproduce them.  When the pool is a
-:class:`~repro.serving.scale.supervisor.SupervisedWorkerPool`, dispatch
-goes through ``execute_batch_outcomes`` so failure is per *request*: one
-crashed shard's sub-batch retries while the rest of the batch's answers
-resolve immediately.
+The batcher never retries: retry, backoff and failover live in the pool,
+the layer that knows which shard failed.  A batch is accumulated,
+dispatched once through ``execute_batch_outcomes``, and each future settles
+from its own :class:`~repro.serving.scale.pool.RequestOutcome` — one bad
+statement or one exhausted shard fails only the requests it touched while
+the rest of the batch's answers resolve.
 
 Everything observable lands in the registry: queue depth gauge, micro-batch
 size histogram (power-of-two buckets), request latency histogram
@@ -63,13 +56,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
-from ...exceptions import (
-    DeadlineExceededError,
-    DispatchTimeoutError,
-    RetryableServingError,
-    RetryExhaustedError,
-    ServingOverloadError,
-)
+from ...exceptions import DispatchTimeoutError, ServingOverloadError
 from ...obs import names
 from ...obs.metrics import MetricsRegistry
 from ...query.ast import Query
@@ -78,7 +65,7 @@ from ..governance import (
     PRIORITY_LEVELS,
     AdmissionController,
 )
-from .pool import ShardedWorkerPool
+from .pool import RequestOutcome, SupervisedWorkerPool
 
 
 @dataclass
@@ -95,13 +82,6 @@ class _PendingRequest:
     submitted_at: float
     priority: str = PRIORITY_INTERACTIVE
     deadline_ts: float | None = None
-    retries: int = 0
-
-    def remaining(self, now: float) -> float | None:
-        """Seconds of deadline budget left at ``now`` (monotonic)."""
-        if self.deadline_ts is None:
-            return None
-        return self.deadline_ts - now
 
 
 class MicroBatcher:
@@ -110,7 +90,8 @@ class MicroBatcher:
     Parameters
     ----------
     pool:
-        The sharded worker pool batches dispatch to.
+        The worker pool batches dispatch to (anything with the pool's
+        ``execute_batch_outcomes`` and a ``metrics`` registry).
     latency_budget:
         Seconds a query may wait for companions before its batch flushes.
         The knob trades tail latency for fusion opportunity: 0 degenerates
@@ -127,19 +108,16 @@ class MicroBatcher:
         Concurrent pool dispatches (each runs on its own executor thread,
         conversing with disjoint or lock-serialized workers).
     dispatch_timeout:
-        Per-batch pool timeout in seconds; a miss fails (or, with retries,
-        re-enqueues) only the affected batch's futures with
-        :class:`DispatchTimeoutError`.  ``None`` waits forever.
-    max_retries:
-        Re-enqueues allowed per query on *retryable* failures before it
-        fails with :class:`RetryExhaustedError`.  0 (the default) preserves
-        fail-fast behavior.
+        Seconds one whole pool dispatch — the pool's retries included — is
+        expected to take at most.  The pool's own reply timeouts and retry
+        budget fire first in the common case; a dispatch still out after
+        twice this long (a wedged executor thread) fails only that batch's
+        futures with :class:`DispatchTimeoutError`.  ``None`` waits forever.
     request_deadline:
         Default wall-clock budget in seconds per query measured from
         submission (overridable per request via ``submit(deadline=...)``).
-        The remaining budget propagates into the pool dispatch so workers
-        cancel cooperatively; expiry also stops retries.  ``None`` = no
-        budget.
+        It propagates into the pool dispatch, where it stops retries and
+        lets workers cancel cooperatively.  ``None`` = no budget.
     admission:
         Optional :class:`~repro.serving.governance.AdmissionController`.
         When given, ``submit`` runs priority-aware admission (queue shares
@@ -153,13 +131,12 @@ class MicroBatcher:
 
     def __init__(
         self,
-        pool: ShardedWorkerPool,
+        pool: SupervisedWorkerPool,
         latency_budget: float = 0.002,
         max_batch_size: int = 64,
         max_queue: int = 1024,
         max_inflight: int = 4,
         dispatch_timeout: float | None = None,
-        max_retries: int = 0,
         request_deadline: float | None = None,
         admission: AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
@@ -168,15 +145,12 @@ class MicroBatcher:
             raise ValueError("latency_budget must be >= 0")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self._pool = pool
         self.latency_budget = latency_budget
         self.max_batch_size = max_batch_size
         self.max_queue = max_queue
         self.max_inflight = max_inflight
         self.dispatch_timeout = dispatch_timeout
-        self.max_retries = max_retries
         self.request_deadline = request_deadline
         self.admission = admission
         self.metrics = metrics if metrics is not None else pool.metrics
@@ -322,142 +296,53 @@ class MicroBatcher:
     async def _dispatch(self, batch: list[_PendingRequest]) -> None:
         assert self._inflight is not None and self._executor is not None
         loop = asyncio.get_running_loop()
-        # Re-enqueued requests whose budget expired while they waited fail
-        # here, before burning another pool dispatch on answers nobody is
-        # waiting for.  A *fresh* request always gets its one dispatch even
-        # with a spent budget — the deadline bounds waiting and retries, it
-        # never silently swallows the first attempt.
-        now = time.monotonic()
-        live: list[_PendingRequest] = []
-        for entry in batch:
-            remaining = entry.remaining(now)
-            if remaining is not None and remaining <= 0 and entry.retries > 0:
-                self._settle_one(
-                    entry,
-                    DeadlineExceededError(
-                        "request expired in the retry queue",
-                        elapsed=time.perf_counter() - entry.submitted_at,
-                    ),
-                )
-                continue
-            live.append(entry)
-        batch = live
-        if not batch:
-            return
         queries = [entry.query for entry in batch]
-        # The pool-level budget is the *tightest* positive remaining deadline
-        # in the batch: workers cancel cooperatively once it is spent.  A
-        # non-positive budget (fresh request, already expired) is excluded —
-        # it must not zero out its batch siblings' budgets.
-        budgets = [
-            remaining
-            for entry in batch
-            if (remaining := entry.remaining(now)) is not None and remaining > 0
-        ]
-        pool_deadline = min(budgets) if budgets else None
+        # The pool-level deadline is the *tightest* unexpired one in the
+        # batch.  An already expired request is excluded: it still gets its
+        # one dispatch (the deadline bounds waiting and retries, it never
+        # swallows the first attempt), and it must not zero out its batch
+        # siblings' budgets.
+        now = time.monotonic()
+        deadline_ts = min(
+            (
+                entry.deadline_ts
+                for entry in batch
+                if entry.deadline_ts is not None and entry.deadline_ts > now
+            ),
+            default=None,
+        )
         self._batch_sizes.record(float(len(batch)))
         self.metrics.counter(names.SCALE_DISPATCHES).inc()
-        # A supervised pool reports per-request outcomes, so one crashed
-        # shard's sub-batch can retry while the rest of the batch resolves.
-        outcome_mode = hasattr(self._pool, "execute_batch_outcomes")
-        # Only pass the deadline through when one is armed: pool-like stand-ins
-        # that predate deadline propagation keep working undisturbed.
-        kwargs: dict[str, Any] = {"timeout": self.dispatch_timeout}
-        if pool_deadline is not None:
-            kwargs["deadline"] = pool_deadline
         async with self._inflight:
+            work = loop.run_in_executor(
+                self._executor,
+                lambda: self._pool.execute_batch_outcomes(
+                    queries, deadline_ts=deadline_ts
+                ),
+            )
             try:
-                if outcome_mode:
-                    work = loop.run_in_executor(
-                        self._executor,
-                        lambda: self._pool.execute_batch_outcomes(
-                            queries, **kwargs
-                        ),
-                    )
-                else:
-                    work = loop.run_in_executor(
-                        self._executor,
-                        lambda: self._pool.execute_batch(queries, **kwargs),
-                    )
                 if self.dispatch_timeout is not None:
-                    # The pool's own poll() timeout fires first in the common
-                    # case; this guard covers a wedged executor thread.
-                    results = await asyncio.wait_for(
+                    outcomes = await asyncio.wait_for(
                         asyncio.shield(work), self.dispatch_timeout * 2
                     )
                 else:
-                    results = await work
+                    outcomes = await work
             except (asyncio.TimeoutError, TimeoutError):
                 error = DispatchTimeoutError(
                     "batch dispatch missed the latency budget",
                     queue_depth=len(batch),
                 )
-                self._settle_failures(batch, error)
-                return
-            except BaseException as error:  # noqa: BLE001 - forwarded to callers
-                self._settle_failures(batch, error)
-                return
+                outcomes = [RequestOutcome(ok=False, error=error)] * len(batch)
+            except Exception as error:  # noqa: BLE001 - forwarded to callers
+                outcomes = [RequestOutcome(ok=False, error=error)] * len(batch)
         finished = time.perf_counter()
-        if outcome_mode:
-            for entry, outcome in zip(batch, results):
-                if outcome.ok:
-                    self._resolve(entry, outcome.value, finished)
-                else:
-                    self._settle_one(entry, outcome.error)
-            return
-        for entry, result in zip(batch, results):
-            self._resolve(entry, result, finished)
-
-    def _resolve(
-        self, entry: _PendingRequest, result: Any, finished: float
-    ) -> None:
-        if not entry.future.done():
-            self._request_seconds.record(finished - entry.submitted_at)
-            entry.future.set_result(result)
-
-    def _settle_failures(
-        self, batch: list[_PendingRequest], error: BaseException
-    ) -> None:
-        for entry in batch:
-            self._settle_one(entry, error)
-
-    def _settle_one(self, entry: _PendingRequest, error: BaseException) -> None:
-        """Fail one future — or re-enqueue it if the error is retryable.
-
-        Retry requires all of: a :class:`RetryableServingError`, retry
-        budget left, request deadline not yet spent, and a still-running
-        batcher (re-enqueueing into a stopped flusher would strand the
-        future forever).  A query that retried at least once and still
-        failed surfaces :class:`RetryExhaustedError` so callers can tell
-        "gave up after retrying" from a first-attempt failure.
-        Cancellations and deadline expiries are terminal by type (they do
-        not derive from :class:`RetryableServingError`), so they are never
-        retried.
-        """
-        if entry.future.done():
-            return
-        retryable = isinstance(error, RetryableServingError)
-        within_deadline = (
-            entry.deadline_ts is None or time.monotonic() < entry.deadline_ts
-        )
-        if (
-            retryable
-            and entry.retries < self.max_retries
-            and within_deadline
-            and self._running
-        ):
-            self.metrics.counter(names.SCALE_FAULT_RETRIES).inc()
-            entry.retries += 1
-            self._pending.append(entry)
-            self._queue_depth.set(len(self._pending))
-            self._arrival.set()
-            return
-        if isinstance(error, ServingOverloadError):
-            self.metrics.counter(names.SCALE_OVERLOADS).inc()
-        if retryable and entry.retries > 0:
-            error = RetryExhaustedError(
-                "request abandoned after micro-batch retries",
-                attempts=entry.retries,
-                last_error=error,
-            )
-        entry.future.set_exception(error)
+        for entry, outcome in zip(batch, outcomes):
+            if entry.future.done():
+                continue
+            if outcome.ok:
+                self._request_seconds.record(finished - entry.submitted_at)
+                entry.future.set_result(outcome.value)
+            else:
+                if isinstance(outcome.error, ServingOverloadError):
+                    self.metrics.counter(names.SCALE_OVERLOADS).inc()
+                entry.future.set_exception(outcome.error)

@@ -1,48 +1,71 @@
-"""The sharded worker pool: N processes, each owning a slice of plan keys.
+"""The worker pool: N supervised processes, each owning a slice of plan keys.
 
-The pool compiles every incoming query **once** in the parent process,
-serializes the plan through the wire format, and routes it to the shard
-that consistently owns its canonical key — so each worker's result/mask/
-inference caches see a stable key range and stay hot across batches.
-Workers rebuild the same deterministic model from a :class:`WorkerSpec`
-(same inputs + seed => bit-identical answers), which is what makes pool
-results exactly ``==`` in-process ``execute_batch``.
+:class:`SupervisedWorkerPool` is the scale tier's only pool.  It compiles
+every incoming query **once** in the parent process, serializes the plan
+through the wire format, and routes it to the shard that consistently owns
+its canonical key — so each worker's result/mask/inference caches see a
+stable key range and stay hot across batches.  Workers rebuild the same
+deterministic model from a :class:`WorkerSpec` (same inputs + seed =>
+bit-identical answers), which is what makes pool results exactly ``==``
+in-process ``execute_batch`` — and keeps them so while workers die and come
+back:
 
-Coherence: :meth:`ShardedWorkerPool.refit` (and ``add_aggregate``)
-broadcast to every worker and assert that all generation counters agree
-afterwards — a worker that missed an invalidation would otherwise serve
-stale cache entries forever.
+* **Crash detection.**  Every pipe conversation classifies its failure:
+  EOF / broken pipe, a reply deadline that expires with the process's
+  ``exitcode`` already set, or a missed heartbeat ping all become a typed
+  :class:`~repro.exceptions.WorkerCrashedError` instead of a hang; a live
+  but silent worker is a retryable
+  :class:`~repro.exceptions.DispatchTimeoutError` naming the shard, and its
+  eventual stale reply is discarded by sequence number.
 
-Thread safety: each worker pipe is guarded by a lock held for the whole
-send/recv conversation, and multi-worker operations acquire locks in
-ascending shard order, so concurrent dispatch threads (the micro-batcher
-runs several) can never deadlock.  A worker that misses the dispatch
-timeout raises :class:`~repro.exceptions.DispatchTimeoutError` (a
-retryable :class:`~repro.exceptions.ServingOverloadError`) naming the
-lagging shard; its eventual stale reply is discarded by sequence number.
-A worker whose process died mid-conversation raises
-:class:`~repro.exceptions.WorkerCrashedError` instead of hanging — the
-supervised subclass (:mod:`repro.serving.scale.supervisor`) catches it,
-respawns the shard, and retries.
+* **Deterministic respawn.**  A crashed shard is rebuilt from the stored
+  spec and the recorded ``refit()``/``add_aggregate()`` broadcast log is
+  replayed into it, landing it on the **same generation** as the survivors
+  (asserted against the pool's expected-generation counter, the same
+  all-workers-agree invariant ``refit()`` enforces).
 
-Lifecycle: ``close()`` escalates ``join`` -> ``terminate`` -> ``kill`` so
-a wedged worker can never outlive the pool, and every open pool is
-registered with an ``atexit`` guard — a crashed test run or an exception
-path that skips ``close()`` still reaps its worker processes instead of
-leaking orphans.
+* **Retry + failover.**  Requests hit by a retryable failure are
+  re-dispatched with exponential backoff and seeded jitter, bounded by a
+  retry budget and the batch's deadline.  While a shard is down its keys
+  walk clockwise to the next *live* shard on the ring (cold caches, same
+  bits) and return home after the respawn — routing is a pure function of
+  ``(key, live set)``.  This is the only retry layer in the tier.
+
+* **Graceful degradation.**  Only when *every* shard has exhausted its
+  respawn budget does the pool degrade: ``fallback="in-process"`` serves
+  from a local session rebuilt from the same spec and log;
+  ``fallback="error"`` raises :class:`~repro.exceptions.DegradedModeError`.
+
+Failure granularity is per *request*: one statement that does not compile,
+one worker-side query error or one crashed shard fails (or retries) only its
+own requests while the rest of the batch's answers stand.
+
+Thread safety and ordering: every pipe exchange goes through
+:meth:`SupervisedWorkerPool._converse`, which states the guarantee.
+
+Lifecycle: ``close()`` escalates ``join`` -> ``terminate`` -> ``kill`` so a
+wedged worker can never outlive the pool, and every open pool is registered
+with an ``atexit`` guard — a crashed test run or an exception path that
+skips ``close()`` still reaps its worker processes instead of leaking
+orphans.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
+import random
 import threading
 import time
 import weakref
-from typing import TYPE_CHECKING, Any, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ...exceptions import (
+    CircuitOpenError,
+    DegradedModeError,
     DispatchTimeoutError,
+    RetryExhaustedError,
     ThemisError,
     WorkerCrashedError,
 )
@@ -50,14 +73,16 @@ from ...obs import names
 from ...obs.metrics import MetricsRegistry
 from ...plan import PlanCompiler, serialize_plan
 from ...query.ast import Query
+from ..governance import CircuitBreaker, CircuitBreakerConfig
+from .faults import FaultInjector
 from .shard import ShardRouter
 from .worker import (
     CMD_ADD_AGGREGATE,
     CMD_BATCH,
     CMD_DESCRIBE,
+    CMD_PING,
     CMD_REFIT,
     CMD_SHUTDOWN,
-    STATUS_OK,
     WorkerSpec,
     worker_main,
 )
@@ -65,6 +90,13 @@ from .worker import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...aggregates import AggregateQuery
     from ...core import Themis
+
+#: ``fallback`` values: raise DegradedModeError vs. serve locally.
+FALLBACK_ERROR = "error"
+FALLBACK_IN_PROCESS = "in-process"
+
+#: What a pipe conversation yields in place of a reply: both are retryable.
+_TRANSPORT_FAILURES = (WorkerCrashedError, DispatchTimeoutError)
 
 
 def _start_method() -> str:
@@ -76,10 +108,12 @@ def _start_method() -> str:
 def batch_payload(payloads: list[Any], deadline_ts: float | None) -> dict[str, Any]:
     """Build one CMD_BATCH payload: plans plus the remaining deadline budget.
 
-    The budget is re-measured at send time (``deadline_ts`` is an absolute
-    monotonic timestamp), so retries and queued sub-batches ship only what is
-    actually left — the worker arms a fresh token from it and cancels
-    cooperatively if the batch overruns.
+    ``deadline_ts`` is the absolute ``time.monotonic`` timestamp a request
+    was given at ``MicroBatcher.submit()``; this is the one place it becomes
+    a relative budget, measured at send time, so retries and queued
+    sub-batches ship only what is actually left.  The worker arms a fresh
+    token from it on its own clock and cancels cooperatively if the batch
+    overruns.
     """
     remaining = (
         None if deadline_ts is None else max(0.0, deadline_ts - time.monotonic())
@@ -89,7 +123,7 @@ def batch_payload(payloads: list[Any], deadline_ts: float | None) -> dict[str, A
 
 #: Every open pool, reaped at interpreter exit if ``close()`` was skipped
 #: (a crashed test run must not leak orphan worker processes).
-_LIVE_POOLS: "weakref.WeakSet[ShardedWorkerPool]" = weakref.WeakSet()
+_LIVE_POOLS: "weakref.WeakSet[SupervisedWorkerPool]" = weakref.WeakSet()
 
 
 @atexit.register
@@ -142,10 +176,11 @@ class _Worker:
             ) from error
 
     def drain_stale(self, expected_seq: int, timeout: float | None) -> Any:
-        """Receive until the reply for ``expected_seq`` arrives.
+        """Receive until the reply for ``expected_seq`` arrives; its body.
 
         Replies with older sequence numbers are leftovers from a timed-out
-        conversation — discarded, since their futures already failed.
+        conversation — discarded, since their futures already failed.  The
+        body of an error reply is the worker-side exception itself.
 
         Failure modes are typed: a dead pipe (EOF) or a reply deadline that
         expires with the process already dead raise
@@ -163,7 +198,7 @@ class _Worker:
             if not self.conn.poll(remaining):
                 raise self._deadline_error()
             try:
-                seq, status, body = self.conn.recv()
+                seq, _status, body = self.conn.recv()
             except (EOFError, ConnectionError, OSError) as error:
                 raise WorkerCrashedError(
                     "worker pipe reached EOF mid-conversation",
@@ -177,7 +212,7 @@ class _Worker:
                     f"shard {self.shard_id} replied to request {seq} before "
                     f"{expected_seq}: protocol violation"
                 )
-            return status, body
+            return body
 
     def _deadline_error(self) -> ThemisError:
         if self.process.exitcode is not None:
@@ -217,7 +252,22 @@ class _Worker:
             pass
 
 
-class ShardedWorkerPool:
+@dataclass
+class RequestOutcome:
+    """One request's fate: an answer or a typed error.
+
+    ``ok`` outcomes carry the bit-identical ``value``; failures carry the
+    typed ``error`` (:class:`RetryExhaustedError`,
+    :class:`DegradedModeError`, or the fatal compile/query error itself).
+    The micro-batcher settles each future from its own outcome.
+    """
+
+    ok: bool
+    value: Any = None
+    error: BaseException | None = None
+
+
+class SupervisedWorkerPool:
     """N worker processes answering plan batches sharded by canonical key.
 
     Parameters
@@ -229,15 +279,48 @@ class ShardedWorkerPool:
     n_workers:
         Shard count.  One ``ServingSession`` per worker.
     timeout:
-        Default per-conversation dispatch timeout in seconds; ``None`` waits
-        forever.  A miss raises :class:`DispatchTimeoutError` naming the
-        shard (a crash detected in its place raises
-        :class:`WorkerCrashedError`).
+        Default per-conversation reply timeout in seconds; ``None`` waits
+        forever.
     session_options:
         Forwarded to each worker's ``Themis.serve(...)``.
     metrics:
         Registry for pool counters/gauges/histograms; a private one is
         created when omitted.
+    fault_injector:
+        Optional deterministic :class:`FaultInjector` schedule threaded
+        into every worker incarnation (tests and chaos experiments only).
+    max_retries:
+        Retryable-failure re-dispatches allowed per ``execute_batch`` call
+        before the affected requests fail with :class:`RetryExhaustedError`.
+    backoff_base, backoff_cap, backoff_jitter, retry_seed:
+        Exponential backoff between retries: attempt *k* sleeps
+        ``min(cap, base * 2**(k-1))`` scaled by ``1 + jitter * u`` with
+        ``u`` drawn from a ``random.Random(retry_seed)`` stream — jittered
+        but reproducible.
+    max_respawns:
+        Respawn budget per shard; a shard that exhausts it is permanently
+        dead (the all-dead case degrades per ``fallback``).
+    respawn_timeout:
+        Reply deadline for replaying the broadcast log into a respawn.
+    heartbeat_interval / heartbeat_timeout / heartbeat_misses_to_kill:
+        Liveness probing: every ``interval`` seconds each idle shard is
+        pinged; ``misses_to_kill`` consecutive unanswered pings (each
+        waiting ``timeout`` seconds) get the worker terminated and
+        respawned.  ``interval=None`` (default) disables the prober —
+        crashes are still detected at dispatch time.
+    fallback:
+        ``"error"`` (default) or ``"in-process"`` — what to do when every
+        shard is permanently down.
+    circuit_breaker:
+        Per-shard circuit breaking (default off).  ``True`` enables breakers
+        with :class:`~repro.serving.governance.CircuitBreakerConfig`
+        defaults; a config instance tunes them.  A shard whose recent
+        dispatches keep failing is *opened*: its keys fail over on the ring
+        immediately instead of burning a dispatch timeout per batch, and
+        after the cooldown one half-open probe decides whether it rejoins.
+        When every live shard's breaker is open, requests fail fast with the
+        retryable :class:`~repro.exceptions.CircuitOpenError` carrying the
+        soonest ``retry_after_hint``.
     """
 
     def __init__(
@@ -248,58 +331,303 @@ class ShardedWorkerPool:
         session_options: dict[str, Any] | None = None,
         metrics: MetricsRegistry | None = None,
         start_method: str | None = None,
+        fault_injector: FaultInjector | None = None,
+        max_retries: int = 3,
+        backoff_base: float = 0.05,
+        backoff_cap: float = 1.0,
+        backoff_jitter: float = 0.25,
+        retry_seed: int = 0,
+        max_respawns: int = 3,
+        respawn_timeout: float | None = 60.0,
+        heartbeat_interval: float | None = None,
+        heartbeat_timeout: float = 1.0,
+        heartbeat_misses_to_kill: int = 3,
+        fallback: str = FALLBACK_ERROR,
+        circuit_breaker: CircuitBreakerConfig | bool | None = None,
     ):
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
+        if fallback not in (FALLBACK_ERROR, FALLBACK_IN_PROCESS):
+            raise ValueError(
+                f"fallback must be {FALLBACK_ERROR!r} or {FALLBACK_IN_PROCESS!r}, "
+                f"got {fallback!r}"
+            )
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if max_respawns < 0:
+            raise ValueError("max_respawns must be >= 0")
         self._themis = themis
         self.n_workers = n_workers
         self._timeout = timeout
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._fault_injector = fault_injector
+        self.max_retries = max_retries
+        self.backoff_base = backoff_base
+        self.backoff_cap = backoff_cap
+        self.backoff_jitter = backoff_jitter
+        self.max_respawns = max_respawns
+        self.respawn_timeout = respawn_timeout
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_timeout = heartbeat_timeout
+        self.heartbeat_misses_to_kill = heartbeat_misses_to_kill
+        self.fallback = fallback
+        self._rng = random.Random(retry_seed)
+        self._supervision_lock = threading.RLock()
+        self._incarnations: dict[int, int] = {}
+        self._respawn_counts: dict[int, int] = {}
+        self._heartbeat_misses: dict[int, int] = {}
+        self._broadcast_log: list[tuple[str, Any]] = []
+        self._fallback_session: Any = None
+        self._breakers: dict[int, CircuitBreaker] | None = None
+        if circuit_breaker:
+            config = (
+                circuit_breaker
+                if isinstance(circuit_breaker, CircuitBreakerConfig)
+                else CircuitBreakerConfig()
+            )
+            self._breakers = {
+                shard_id: CircuitBreaker.from_config(config)
+                for shard_id in range(n_workers)
+            }
         self.router = ShardRouter(n_workers)
         # The parent compiles/serializes; workers verify keys against their
         # own schema-bound compilers on the far side of the pipe.
         self._compiler = PlanCompiler(themis.sample.schema)
-        # The spec and context are kept so a supervisor can respawn crashed
-        # shards from the same deterministic recipe the pool started from.
+        # The spec and context are kept so crashed shards respawn from the
+        # same deterministic recipe the pool started from.
         self._spec = WorkerSpec.from_themis(themis, **(session_options or {}))
         self._context = mp.get_context(start_method or _start_method())
         self._workers = [
-            self._spawn_worker(shard_id) for shard_id in range(n_workers)
+            self._spawn_worker(shard_id, 0) for shard_id in range(n_workers)
         ]
+        self._live: set[int] = set(range(n_workers))
+        self._dead: set[int] = set()
         self._closed = False
         self._close_lock = threading.Lock()
+        self._heartbeat_stop = threading.Event()
+        self._heartbeat_thread: threading.Thread | None = None
         _LIVE_POOLS.add(self)
         self.metrics.gauge(names.SCALE_SHARDS).set(n_workers)
         self._dispatch_seconds = self.metrics.histogram(names.SCALE_DISPATCH_SECONDS)
+        # Baseline coherence: every initial worker rebuilt the same model,
+        # so their generations agree; that agreed value (plus one per
+        # logged broadcast) is what every respawn must land back on.  A
+        # worker lost before the baseline exists has nothing to land on.
+        self._expected_generation: int | None = None
+        generations = {
+            body["generation"] for body in self.describe() if body is not None
+        }
+        if len(generations) != 1:  # pragma: no cover - deterministic build
+            raise ThemisError(
+                f"initial worker generations diverged: {sorted(generations)}"
+            )
+        self._expected_generation = generations.pop()
+        if heartbeat_interval is not None:
+            self._heartbeat_thread = threading.Thread(
+                target=self._heartbeat_loop,
+                name="themis-heartbeat",
+                daemon=True,
+            )
+            self._heartbeat_thread.start()
 
-    def _spawn_worker(self, shard_id: int, incarnation: int = 0) -> _Worker:
-        """Start one worker process (the supervisor overrides to add faults)."""
+    def _spawn_worker(self, shard_id: int, incarnation: int) -> _Worker:
+        self._incarnations[shard_id] = incarnation
+        fault_plan = (
+            self._fault_injector.plan_for(shard_id, incarnation)
+            if self._fault_injector is not None
+            else None
+        )
         return _Worker(
-            self._context, self._spec, shard_id, incarnation=incarnation
+            self._context,
+            self._spec,
+            shard_id,
+            fault_plan=fault_plan,
+            incarnation=incarnation,
         )
 
     # ------------------------------------------------------------------
-    # Serving
+    # The one pipe conversation
+    # ------------------------------------------------------------------
+    def _converse(
+        self,
+        workers: Sequence[_Worker],
+        command: str,
+        payload_for: Callable[[_Worker], Any],
+        timeout: float | None,
+    ) -> list[Any]:
+        """Converse with these shards concurrently; one classified reply each.
+
+        The only place a pipe is spoken to — batches, broadcasts, heartbeat
+        pings and respawn replay all come through here.  ``workers`` must be
+        in ascending shard order.  Every worker's lock is taken (in that
+        order, so concurrent callers cannot deadlock) before anything is
+        sent, everything is sent before anything is received (so the shards
+        work concurrently), and no lock is released until every reply is in.
+        ``payload_for(worker)`` runs at send time, under the lock: a batch
+        payload measures its remaining deadline budget there, at the pipe.
+
+        Ordering guarantee: two conversations that share a shard are
+        serialised, whole — a batch sees a concurrent ``refit()`` broadcast
+        either on none of its shards or on all of them, never a mix.  The
+        unit is one conversation, not one ``execute_batch`` call: requests
+        retried after a crash or timeout form a new conversation and may
+        land behind a refit their first attempt preceded.
+
+        Each slot of the result is the worker's reply body (a dict), or the
+        exception that stands in for it: :class:`WorkerCrashedError` (dead
+        pipe or process), :class:`DispatchTimeoutError` (alive but silent
+        past ``timeout``), or the worker-side error the shard sent back.
+        Crashed shards are respawned before returning, strictly after the
+        locks are released: respawning converses with the replacement and
+        takes the supervision lock, which must never nest inside a
+        conversation lock the heartbeat thread may be waiting on.
+        """
+        sent: list[int | WorkerCrashedError] = []
+        replies: list[Any] = []
+        held: list[_Worker] = []
+        try:
+            for worker in workers:
+                worker.lock.acquire()
+                held.append(worker)
+            for worker in workers:
+                seq = worker.next_seq()
+                try:
+                    worker.send((command, seq, payload_for(worker)))
+                except WorkerCrashedError as error:
+                    sent.append(error)
+                else:
+                    sent.append(seq)
+            for worker, seq in zip(workers, sent):
+                if isinstance(seq, WorkerCrashedError):
+                    replies.append(seq)
+                    continue
+                try:
+                    replies.append(worker.drain_stale(seq, timeout))
+                except _TRANSPORT_FAILURES as error:
+                    replies.append(error)
+        finally:
+            for worker in held:
+                worker.lock.release()
+        for worker, reply in zip(workers, replies):
+            if isinstance(reply, WorkerCrashedError):
+                self._handle_crash(worker)
+        return replies
+
+    # ------------------------------------------------------------------
+    # Liveness bookkeeping
+    # ------------------------------------------------------------------
+    def live_shards(self) -> set[int]:
+        """Shards currently accepting dispatches."""
+        with self._supervision_lock:
+            return set(self._live)
+
+    def dead_shards(self) -> set[int]:
+        """Shards that exhausted their respawn budget (permanently down)."""
+        with self._supervision_lock:
+            return set(self._dead)
+
+    def _handle_crash(self, worker: _Worker) -> None:
+        """Record one worker death and respawn its shard (idempotent).
+
+        A no-op for a worker that is not (or no longer) the published
+        incarnation of its shard: another thread already handled it, or it
+        is a replacement still being replayed into.
+        """
+        with self._supervision_lock:
+            shard_id = worker.shard_id
+            if self._workers[shard_id] is not worker or shard_id in self._dead:
+                return
+            self.metrics.counter(names.SCALE_FAULT_CRASHES).inc()
+            self._live.discard(shard_id)
+            self._heartbeat_misses.pop(shard_id, None)
+            worker.reap(0.5)
+            self._respawn_locked(shard_id)
+
+    def _respawn_locked(self, shard_id: int) -> None:
+        """Respawn one shard, replaying the broadcast log into it.
+
+        Each try burns one respawn credit; a shard that runs out joins the
+        permanently dead set.
+        """
+        replay = [*self._broadcast_log, (CMD_DESCRIBE, None)]
+        while self._respawn_counts.get(shard_id, 0) < self.max_respawns:
+            self._respawn_counts[shard_id] = self._respawn_counts.get(shard_id, 0) + 1
+            started = time.perf_counter()
+            worker = self._spawn_worker(shard_id, self._incarnations[shard_id] + 1)
+            for command, payload in replay:
+                (body,) = self._converse(
+                    [worker], command, lambda _: payload, self.respawn_timeout
+                )
+                if isinstance(body, BaseException):
+                    break
+                if command != CMD_DESCRIBE:
+                    self.metrics.counter(
+                        names.SCALE_FAULT_REPLAYED_BROADCASTS
+                    ).inc()
+            if isinstance(body, BaseException):
+                worker.reap(0.5)
+                if isinstance(body, WorkerCrashedError):
+                    # Died again during replay (e.g. a crash-during-refit
+                    # schedule): burn another respawn credit.
+                    continue
+                raise body
+            if body["generation"] != self._expected_generation:
+                worker.reap(0.5)
+                raise ThemisError(
+                    f"respawned shard {shard_id} landed on generation "
+                    f"{body['generation']}, expected {self._expected_generation}: "
+                    f"broadcast-log replay lost coherence"
+                )
+            self._workers[shard_id] = worker
+            self._live.add(shard_id)
+            self.metrics.counter(names.SCALE_FAULT_RESPAWNS).inc()
+            self.metrics.histogram(names.SCALE_RESPAWN_SECONDS).record(
+                time.perf_counter() - started
+            )
+            return
+        self._dead.add(shard_id)
+
+    # ------------------------------------------------------------------
+    # Serving with retry / failover
     # ------------------------------------------------------------------
     def execute_batch(
         self,
         queries: Sequence[Query | str],
         timeout: float | None = None,
-        deadline: float | None = None,
+        deadline_ts: float | None = None,
     ) -> list[Any]:
-        """Serve a batch across the shards; answers in submission order.
+        """:meth:`execute_batch_outcomes`, raising the first failed request."""
+        outcomes = self.execute_batch_outcomes(queries, timeout, deadline_ts)
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise outcome.error
+        return [outcome.value for outcome in outcomes]
 
-        Compiles each query once, serializes the plans through the wire
-        format, routes each to the shard owning its canonical key, runs all
-        shards' sub-batches concurrently (one pipe conversation per shard),
-        and reassembles the answers in submission order — exactly ``==``
-        what in-process ``ServingSession.execute_batch`` returns for the
-        same queries.
+    def execute_batch_outcomes(
+        self,
+        queries: Sequence[Query | str],
+        timeout: float | None = None,
+        deadline_ts: float | None = None,
+    ) -> list[RequestOutcome]:
+        """Serve a batch: one :class:`RequestOutcome` per query, in order.
 
-        ``deadline`` is an optional wall-clock budget in seconds that ships
-        *inside* the batch payload: each worker arms a cancellation token
-        with the remaining budget, so an overrunning batch is cancelled
-        cooperatively at a chunk boundary on the worker — a typed
+        Compiles each query once (a statement that fails to compile fails
+        only its own outcome), then loops: route the still-pending requests
+        over the *live* shards (failover for keys whose home shard is
+        down), converse with all of them concurrently, classify each
+        shard's reply, back off, and go again — until everything is
+        answered, the retry/deadline budget runs out
+        (:class:`RetryExhaustedError`), or no shard is left
+        (:class:`DegradedModeError` or the in-process fallback).  Answers
+        are exactly ``==`` what in-process ``ServingSession.execute_batch``
+        returns for the same queries.
+
+        ``timeout`` bounds each round's wait for a shard's reply (default:
+        the constructor's).  ``deadline_ts`` is an absolute
+        ``time.monotonic`` timestamp bounding the whole call: retries never
+        start once it would be overrun, and what is left of it ships inside
+        every batch payload so an overrunning worker cancels itself
+        cooperatively at a chunk boundary — a typed
         :class:`~repro.exceptions.DeadlineExceededError` instead of a
         parent-side timeout racing a still-computing shard.
         """
@@ -308,113 +636,338 @@ class ShardedWorkerPool:
         if timeout is None:
             timeout = self._timeout
         started = time.perf_counter()
-        deadline_ts = None if deadline is None else time.monotonic() + deadline
-        plans = self.compile_batch(queries)
-        by_shard: dict[int, list[int]] = {}
-        for index, plan in enumerate(plans):
-            by_shard.setdefault(self.router.shard_for(plan.key), []).append(index)
+        outcomes: list[RequestOutcome | None] = [None] * len(queries)
 
-        results: list[Any] = [None] * len(plans)
-        shard_ids = sorted(by_shard)
-        held: list[_Worker] = []
-        pending: list[tuple[_Worker, int, list[int]]] = []
-        try:
-            # Ascending-order lock acquisition; send everything, then recv
-            # everything, so shards execute their sub-batches concurrently.
-            for shard_id in shard_ids:
-                worker = self._workers[shard_id]
-                worker.lock.acquire()
-                held.append(worker)
-            for shard_id in shard_ids:
-                worker = self._workers[shard_id]
-                indices = by_shard[shard_id]
-                payloads = [serialize_plan(plans[i]) for i in indices]
-                seq = worker.next_seq()
-                worker.send((CMD_BATCH, seq, batch_payload(payloads, deadline_ts)))
-                pending.append((worker, seq, indices))
-                self.metrics.counter(names.shard_counter(shard_id)).inc(
-                    len(indices)
+        def fail(indices: list[int], error: BaseException) -> None:
+            for index in indices:
+                outcomes[index] = RequestOutcome(ok=False, error=error)
+
+        plans: dict[int, Any] = {}
+        for index, query in enumerate(queries):
+            try:
+                plans[index] = self._compile(query)
+            except ThemisError as error:
+                fail([index], error)
+        pending = list(plans)
+        attempt = 0
+        last_error: BaseException | None = None
+        while pending:
+            live = self.live_shards()
+            if not live:
+                self._serve_degraded(pending, queries, outcomes)
+                break
+            allowed = self._allowed_shards(live)
+            if not allowed:
+                # Every live shard's breaker is open: fail fast with the
+                # retryable CircuitOpenError instead of burning a dispatch
+                # timeout against shards known to be sick.
+                hint = min(
+                    self._breakers[shard_id].retry_after() for shard_id in live
                 )
-            for worker, seq, indices in pending:
-                status, body = worker.drain_stale(seq, timeout)
-                if status != STATUS_OK:
-                    raise body
-                for position, index in enumerate(indices):
-                    results[index] = body["results"][position]
-                self._fold_worker_stats(body)
-        finally:
-            for worker in held:
-                worker.lock.release()
+                fail(
+                    pending,
+                    CircuitOpenError(
+                        "all live shards have open circuit breakers",
+                        retry_after_hint=hint,
+                    ),
+                )
+                break
+
+            round_timeout = timeout
+            if deadline_ts is not None:
+                remaining = deadline_ts - time.monotonic()
+                if remaining <= 0:
+                    fail(pending, self._exhausted(attempt, last_error, "deadline"))
+                    break
+                round_timeout = (
+                    remaining if timeout is None else min(timeout, remaining)
+                )
+
+            by_shard: dict[int, list[int]] = {}
+            for index in pending:
+                key = plans[index].key
+                shard_id = self.router.shard_for(key, live=allowed)
+                if shard_id != self.router.shard_for(key):
+                    self.metrics.counter(names.SCALE_FAULT_FAILOVERS).inc()
+                by_shard.setdefault(shard_id, []).append(index)
+            for shard_id, indices in by_shard.items():
+                self.metrics.counter(names.shard_counter(shard_id)).inc(len(indices))
+            workers = [self._workers[shard_id] for shard_id in sorted(by_shard)]
+
+            def payload_for(worker: _Worker) -> dict[str, Any]:
+                return batch_payload(
+                    [serialize_plan(plans[i]) for i in by_shard[worker.shard_id]],
+                    deadline_ts,
+                )
+
+            replies = self._converse(workers, CMD_BATCH, payload_for, round_timeout)
+            pending = []
+            for worker, reply in zip(workers, replies):
+                indices = by_shard[worker.shard_id]
+                # Crashes and missed reply deadlines are breaker failures
+                # and retry; any reply — even a worker-side query error,
+                # which retrying would only reproduce — proves the shard
+                # responsive.
+                retryable = isinstance(reply, _TRANSPORT_FAILURES)
+                self._record_breaker(worker.shard_id, ok=not retryable)
+                if retryable:
+                    pending.extend(indices)
+                    last_error = reply
+                elif isinstance(reply, BaseException):
+                    fail(indices, reply)
+                else:
+                    for index, value in zip(indices, reply["results"]):
+                        outcomes[index] = RequestOutcome(ok=True, value=value)
+                    self._fold_worker_stats(reply)
+            if not pending:
+                break
+            attempt += 1
+            backoff = min(
+                self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))
+            )
+            backoff *= 1.0 + self.backoff_jitter * self._rng.random()
+            if attempt > self.max_retries:
+                fail(pending, self._exhausted(attempt, last_error, "retry"))
+                break
+            if deadline_ts is not None and (
+                time.monotonic() + backoff >= deadline_ts
+            ):
+                fail(pending, self._exhausted(attempt, last_error, "deadline"))
+                break
+            self.metrics.counter(names.SCALE_FAULT_RETRIES).inc(len(pending))
+            if backoff > 0:
+                time.sleep(backoff)
+
         self.metrics.counter(names.SCALE_POOL_BATCHES).inc(1)
         self._dispatch_seconds.record(time.perf_counter() - started)
-        return results
-
-    def compile_batch(self, queries: Sequence[Query | str]) -> list[Any]:
-        """Compile every query (SQL text or AST) once, in submission order."""
-        return [
-            self._compiler.compile_sql(q) if isinstance(q, str)
-            else self._compiler.compile(q)
-            for q in queries
-        ]
+        return outcomes  # type: ignore[return-value]  # every slot is filled
 
     def _fold_worker_stats(self, body: dict[str, Any]) -> None:
         for field_name, value in body.get("optimizer", {}).items():
             if value:
                 self.metrics.counter(names.optimizer_counter(field_name)).inc(value)
 
+    def _compile(self, query: Query | str) -> Any:
+        if isinstance(query, str):
+            return self._compiler.compile_sql(query)
+        return self._compiler.compile(query)
+
+    def compile_batch(self, queries: Sequence[Query | str]) -> list[Any]:
+        """Compile every query (SQL text or AST) once, in submission order."""
+        return [self._compile(query) for query in queries]
+
+    def _allowed_shards(self, live: set[int]) -> set[int]:
+        """Live shards whose circuit breakers admit traffic right now.
+
+        Without breakers this is ``live`` itself.  An *open* breaker whose
+        cooldown has elapsed admits its shard for exactly one half-open
+        probe round (counted); shards refused here fail over on the ring
+        like dead ones, but keep their process and caches.
+        """
+        if self._breakers is None:
+            return live
+        allowed: set[int] = set()
+        for shard_id in sorted(live):
+            breaker = self._breakers[shard_id]
+            was_open = breaker.state == CircuitBreaker.STATE_OPEN
+            if breaker.allow():
+                if was_open:
+                    self.metrics.counter(names.GOVERNANCE_BREAKER_PROBES).inc()
+                allowed.add(shard_id)
+            else:
+                self.metrics.counter(names.GOVERNANCE_BREAKER_REJECTIONS).inc()
+        return allowed
+
+    def _record_breaker(self, shard_id: int, ok: bool) -> None:
+        """Feed one dispatch outcome to the shard's breaker (if enabled)."""
+        if self._breakers is None:
+            return
+        breaker = self._breakers[shard_id]
+        if ok:
+            breaker.record_success()
+            return
+        opened_before = breaker.times_opened
+        breaker.record_failure()
+        if breaker.times_opened > opened_before:
+            self.metrics.counter(names.GOVERNANCE_BREAKER_OPENED).inc()
+
+    @staticmethod
+    def _exhausted(
+        attempts: int, last_error: BaseException | None, budget: str
+    ) -> BaseException:
+        if attempts <= 1 and last_error is not None:
+            # Nothing was ever retried (max_retries=0 or an instantly spent
+            # deadline): surface the single attempt's own typed error.
+            return last_error
+        return RetryExhaustedError(
+            f"request abandoned: {budget} budget exhausted",
+            attempts=attempts,
+            last_error=last_error,
+        )
+
+    def _serve_degraded(
+        self,
+        pending: list[int],
+        queries: Sequence[Query | str],
+        outcomes: list[RequestOutcome | None],
+    ) -> None:
+        """Every shard is permanently down: fallback session or typed error."""
+        if self.fallback == FALLBACK_IN_PROCESS:
+            session = self._ensure_fallback_session()
+            batch = session.execute_batch([queries[i] for i in pending])
+            for index, value in zip(pending, batch.results()):
+                outcomes[index] = RequestOutcome(ok=True, value=value)
+            self.metrics.counter(names.SCALE_FAULT_DEGRADED_REQUESTS).inc(
+                len(pending)
+            )
+            return
+        error = DegradedModeError(
+            f"all {self.n_workers} shards are permanently down "
+            f"(respawn budget {self.max_respawns} exhausted on every shard)"
+        )
+        for index in pending:
+            outcomes[index] = RequestOutcome(ok=False, error=error)
+
+    def _ensure_fallback_session(self) -> Any:
+        """A local session rebuilt from the spec + log (bit-identical answers)."""
+        with self._supervision_lock:
+            if self._fallback_session is None:
+                themis = self._spec.build_themis()
+                for command, payload in self._broadcast_log:
+                    if command == CMD_ADD_AGGREGATE:
+                        themis.add_aggregate(payload)
+                    elif command == CMD_REFIT:
+                        themis.refit()
+                self._fallback_session = themis.serve(
+                    **self._spec.session_options
+                )
+            return self._fallback_session
+
     # ------------------------------------------------------------------
     # Coherent invalidation
     # ------------------------------------------------------------------
-    def _broadcast(self, command: str, payload: Any = None) -> list[Any]:
-        """Send one command to every worker; replies in shard order."""
-        bodies: list[Any] = [None] * self.n_workers
-        held: list[_Worker] = []
-        pending: list[tuple[_Worker, int]] = []
-        try:
-            for worker in self._workers:
-                worker.lock.acquire()
-                held.append(worker)
-            for worker in self._workers:
-                seq = worker.next_seq()
-                worker.send((command, seq, payload))
-                pending.append((worker, seq))
-            for worker, seq in pending:
-                status, body = worker.drain_stale(seq, self._timeout)
-                if status != STATUS_OK:
-                    raise body
-                bodies[worker.shard_id] = body
-        finally:
-            for worker in held:
-                worker.lock.release()
-        self.metrics.counter(names.SCALE_BROADCASTS).inc(1)
-        return bodies
-
     def add_aggregate(self, aggregate: "AggregateQuery") -> None:
         """Register one aggregate on the parent and every worker."""
         self._themis.add_aggregate(aggregate)
-        self._broadcast(CMD_ADD_AGGREGATE, aggregate)
+        self._broadcast_logged(CMD_ADD_AGGREGATE, aggregate)
 
     def refit(self) -> int:
-        """Refit the parent and broadcast the refit to every worker.
+        """Refit the parent and every worker, and assert they agree.
 
         Every worker discards its model and rebuilds from its (updated)
-        registered inputs; the returned generation counters must agree
-        across shards — a disagreement means a shard would be serving a
-        different model and is raised loudly rather than tolerated.
+        registered inputs.  A worker that dies mid-broadcast is respawned
+        with the refit already in its replay log, so it lands on the same
+        generation; the all-workers-agree assertion then runs over live and
+        respawned workers alike — a shard left on another generation would
+        serve stale cache entries forever, and is raised loudly rather than
+        tolerated.
         """
         self._themis.refit()
-        bodies = self._broadcast(CMD_REFIT)
-        generations = {body["generation"] for body in bodies}
-        if len(generations) != 1:
+        bodies = self._broadcast_logged(CMD_REFIT, None)
+        expected = self._expected_generation
+        generations = {
+            body["generation"] for body in bodies if body is not None
+        }
+        if not generations:
+            if self.fallback == FALLBACK_IN_PROCESS:
+                return expected  # the fallback session rebuilds lazily
+            raise DegradedModeError(
+                "refit broadcast found no live shard to acknowledge it"
+            )
+        if generations != {expected}:
             raise ThemisError(
                 f"worker generations diverged after refit broadcast: "
-                f"{sorted(generations)}"
+                f"{sorted(generations)} != expected {expected}"
             )
-        return generations.pop()
+        return expected
 
-    def describe(self) -> list[dict[str, Any]]:
-        """Per-shard state snapshots (generation, served counts, caches)."""
-        return self._broadcast(CMD_DESCRIBE)
+    def describe(self) -> list[dict[str, Any] | None]:
+        """Per-shard state snapshots; ``None`` for permanently dead shards."""
+        return self._broadcast(CMD_DESCRIBE, None, logged=False)
+
+    def _broadcast_logged(self, command: str, payload: Any) -> list[Any]:
+        """Log one generation-bumping command for respawn replay, then send it."""
+        with self._supervision_lock:
+            self._broadcast_log.append((command, payload))
+            self._expected_generation += 1
+            self._fallback_session = None
+        return self._broadcast(command, payload, logged=True)
+
+    def _broadcast(self, command: str, payload: Any, logged: bool) -> list[Any]:
+        """One command to every live shard; reply bodies in shard order.
+
+        A shard that crashes — or, the command being cheap, misses the reply
+        timeout and so is wedged — is respawned and asked again.  ``logged``
+        commands are already in the replay log when this runs, so the
+        respawn applied them: the replacement is sent a describe instead of
+        the command a second time.
+        """
+        bodies: list[Any] = [None] * self.n_workers
+        with self._supervision_lock:
+            workers = [self._workers[shard_id] for shard_id in sorted(self._live)]
+        replies = self._converse(workers, command, lambda _: payload, self._timeout)
+        for worker, reply in zip(workers, replies):
+            shard_id = worker.shard_id
+            if isinstance(reply, _TRANSPORT_FAILURES):
+                if isinstance(reply, DispatchTimeoutError):
+                    self._handle_crash(worker)
+                if shard_id not in self.live_shards():
+                    continue  # permanently dead: bodies[shard_id] stays None
+                (reply,) = self._converse(
+                    [self._workers[shard_id]],
+                    CMD_DESCRIBE if logged else command,
+                    lambda _: None if logged else payload,
+                    self.respawn_timeout,
+                )
+            if isinstance(reply, BaseException):
+                raise reply
+            bodies[shard_id] = reply
+        self.metrics.counter(names.SCALE_BROADCASTS).inc(1)
+        return bodies
+
+    # ------------------------------------------------------------------
+    # Heartbeat
+    # ------------------------------------------------------------------
+    def check_heartbeats(self) -> None:
+        """One liveness pass: ping every idle live shard, respawn the dead.
+
+        Shards in a conversation are skipped (an active dispatch proves the
+        pipe is alive).  ``heartbeat_misses_to_kill`` consecutive silent
+        pings escalate to terminate + respawn.  The background prober calls
+        this on its interval; tests may call it directly for deterministic
+        coverage.
+        """
+        with self._supervision_lock:
+            shard_ids = sorted(self._live)
+        for shard_id in shard_ids:
+            worker = self._workers[shard_id]
+            if worker.process.exitcode is not None:
+                self._handle_crash(worker)
+                continue
+            if worker.lock.locked():
+                continue
+            (reply,) = self._converse(
+                [worker], CMD_PING, lambda _: None, self.heartbeat_timeout
+            )
+            if isinstance(reply, DispatchTimeoutError):
+                misses = self._heartbeat_misses.get(shard_id, 0) + 1
+                self._heartbeat_misses[shard_id] = misses
+                self.metrics.counter(names.SCALE_FAULT_HEARTBEAT_MISSES).inc()
+                if misses >= self.heartbeat_misses_to_kill:
+                    self._handle_crash(worker)
+            elif not isinstance(reply, BaseException):
+                self._heartbeat_misses[shard_id] = 0
+
+    def _heartbeat_loop(self) -> None:  # pragma: no cover - timing-dependent
+        while not self._heartbeat_stop.wait(self.heartbeat_interval):
+            if self._closed:
+                break
+            try:
+                self.check_heartbeats()
+            except Exception:
+                # The prober must outlive any single bad pass; dispatch-time
+                # detection still covers whatever it missed.
+                pass
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -422,22 +975,29 @@ class ShardedWorkerPool:
     def close(self, join_timeout: float = 5.0) -> None:
         """Shut every worker down (idempotent, safe under concurrent calls).
 
-        Polite first (a shutdown command), then firm: workers that miss
-        ``join(join_timeout)`` are ``terminate()``d, and workers that
-        survive *that* are ``kill()``ed — a wedged or signal-masked worker
-        cannot leak past ``close()``.
+        The heartbeat prober stops first.  Then polite (a shutdown command)
+        before firm: workers that miss ``join(join_timeout)`` are
+        ``terminate()``d, and workers that survive *that* are ``kill()``ed
+        — a wedged or signal-masked worker cannot leak past ``close()``.
 
         Safe to call twice, from two threads at once, and from the
         ``atexit`` guard during interpreter shutdown: the closed flag flips
         under a lock so exactly one caller does the work, and every
-        per-worker step is fenced so one torn-down pipe cannot keep the
-        remaining workers from being reaped.
+        per-worker step is fenced so one torn-down pipe (or an unjoinable
+        heartbeat thread) cannot keep the remaining workers from being
+        reaped.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
         _LIVE_POOLS.discard(self)
+        self._heartbeat_stop.set()
+        if self._heartbeat_thread is not None:
+            try:
+                self._heartbeat_thread.join(timeout=join_timeout)
+            except Exception:  # pragma: no cover - shutdown races
+                pass
         for worker in self._workers:
             try:
                 with worker.lock:
@@ -447,7 +1007,7 @@ class ShardedWorkerPool:
         for worker in self._workers:
             worker.reap(join_timeout)
 
-    def __enter__(self) -> "ShardedWorkerPool":
+    def __enter__(self) -> "SupervisedWorkerPool":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:

@@ -1,4 +1,4 @@
-"""Worker-process side of the sharded serving pool.
+"""Worker-process side of the serving pool.
 
 A worker owns one :class:`~repro.serving.ServingSession` slice: it rebuilds
 a :class:`~repro.core.Themis` facade from a picklable :class:`WorkerSpec`
@@ -131,14 +131,7 @@ def worker_main(
                 fault = fault_plan.on_batch(batch_count) if fault_plan else None
                 if fault is not None and fault.kind == KIND_KILL_AT_BATCH:
                     os._exit(FAULT_EXIT_CODE)
-                # The payload is a dict {"plans": [...], "deadline": seconds}
-                # since deadline propagation landed; a bare list of plan
-                # payloads (the historical format) still decodes.
-                if isinstance(payload, dict):
-                    items = payload["plans"]
-                    budget = payload.get("deadline")
-                else:
-                    items, budget = payload, None
+                items, budget = payload["plans"], payload["deadline"]
                 cancel = None
                 if budget is not None:
                     # Arm a worker-side token from the *remaining* budget the

@@ -291,9 +291,9 @@ class ServingStatistics:
     def dispatch_retries(self) -> int:
         """Requests re-dispatched after a retryable serving failure.
 
-        Written by the scale tier (the supervised pool's retry loop and the
-        micro-batcher's re-enqueue path share the counter); always 0 for
-        in-process sessions, which have no crash/timeout retry path.
+        Written by the scale tier's one retry loop (the worker pool's);
+        always 0 for in-process sessions, which have no crash/timeout retry
+        path.
         """
         return self.metrics.value(names.SCALE_FAULT_RETRIES)
 

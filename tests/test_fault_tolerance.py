@@ -280,7 +280,9 @@ class TestSupervisedRecovery:
         try:
             started = time.perf_counter()
             with pytest.raises(RetryExhaustedError):
-                pool.execute_batch(sweep_queries, deadline=0.6)
+                pool.execute_batch(
+                    sweep_queries, deadline_ts=time.monotonic() + 0.6
+                )
             # The deadline cut the 50-retry budget off early.
             assert time.perf_counter() - started < 5.0
         finally:
@@ -420,30 +422,15 @@ class TestLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batcher retry semantics (stub pools, no processes)
+# Micro-batcher settles futures from outcomes (stub pool, no processes)
 # ---------------------------------------------------------------------------
-class _FlakyPool:
-    """Fails the first ``failures`` dispatches with a retryable crash."""
-
-    def __init__(self, failures: int):
-        self.metrics = MetricsRegistry()
-        self.failures = failures
-        self.calls = 0
-
-    def execute_batch(self, queries, timeout=None):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise WorkerCrashedError("injected", shard_id=0, reason="test")
-        return [f"ok:{query}" for query in queries]
-
-
 class _OutcomePool:
     """Per-request outcomes: one poisoned query must not fail its batch."""
 
     def __init__(self):
         self.metrics = MetricsRegistry()
 
-    def execute_batch_outcomes(self, queries, timeout=None):
+    def execute_batch_outcomes(self, queries, deadline_ts=None):
         return [
             RequestOutcome(ok=False, error=ThemisError("poisoned"))
             if query == "bad"
@@ -452,78 +439,8 @@ class _OutcomePool:
         ]
 
 
-class TestMicroBatcherRetries:
-    def _run(self, coro):
-        return asyncio.run(coro)
-
-    def test_retryable_failure_is_reenqueued_and_recovers(self):
-        pool = _FlakyPool(failures=1)
-
-        async def scenario():
-            batcher = MicroBatcher(pool, latency_budget=0.0, max_retries=1)
-            await batcher.start()
-            try:
-                return await batcher.submit("q")
-            finally:
-                await batcher.stop()
-
-        assert self._run(scenario()) == "ok:q"
-        assert pool.calls == 2
-        assert pool.metrics.counter(names.SCALE_FAULT_RETRIES).value == 1
-        assert ServingStatistics(pool.metrics).dispatch_retries == 1
-
-    def test_zero_retries_preserves_fail_fast(self):
-        pool = _FlakyPool(failures=1)
-
-        async def scenario():
-            batcher = MicroBatcher(pool, latency_budget=0.0)
-            await batcher.start()
-            try:
-                return await batcher.submit("q")
-            finally:
-                await batcher.stop()
-
-        with pytest.raises(WorkerCrashedError):
-            self._run(scenario())
-        assert pool.calls == 1
-
-    def test_exhausted_retries_surface_attempts_and_last_error(self):
-        pool = _FlakyPool(failures=10)
-
-        async def scenario():
-            batcher = MicroBatcher(pool, latency_budget=0.0, max_retries=2)
-            await batcher.start()
-            try:
-                return await batcher.submit("q")
-            finally:
-                await batcher.stop()
-
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            self._run(scenario())
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.last_error, WorkerCrashedError)
-        assert pool.calls == 3
-
-    def test_request_deadline_blocks_reenqueue(self):
-        pool = _FlakyPool(failures=10)
-
-        async def scenario():
-            batcher = MicroBatcher(
-                pool, latency_budget=0.0, max_retries=5, request_deadline=0.0
-            )
-            await batcher.start()
-            try:
-                return await batcher.submit("q")
-            finally:
-                await batcher.stop()
-
-        # The budget is already spent at the first failure: no retries, and
-        # (having never retried) the original error — not RetryExhausted.
-        with pytest.raises(WorkerCrashedError):
-            self._run(scenario())
-        assert pool.calls == 1
-
-    def test_outcome_mode_fails_only_the_poisoned_future(self):
+class TestMicroBatcherOutcomes:
+    def test_poisoned_query_fails_only_its_own_future(self):
         pool = _OutcomePool()
 
         async def scenario():
@@ -539,7 +456,7 @@ class TestMicroBatcherRetries:
             finally:
                 await batcher.stop()
 
-        good, bad = self._run(scenario())
+        good, bad = asyncio.run(scenario())
         assert good == "ok:fine"
         assert isinstance(bad, ThemisError)
 
@@ -616,11 +533,37 @@ class TestSupervisedFrontend:
         assert metrics.counter(names.SCALE_FAULT_CRASHES).value >= 1
         assert metrics.counter(names.SCALE_FAULT_RESPAWNS).value >= 1
 
-    def test_unsupervised_flag_gives_the_bare_pool(self, themis):
+    def test_retries_happen_once_in_the_pool(self, themis):
+        # Every attempt's reply is dropped.  With max_retries=2 the request
+        # is dispatched exactly 1 + 2 times — the pool's retry loop is the
+        # only one between the client and the worker.
+        statement = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
+        injector = FaultInjector()
+        for ordinal in range(1, 10):
+            injector.drop_reply(0, at=ordinal)
+
         async def scenario():
             async with AsyncServingFrontend(
-                themis, n_workers=1, supervised=False
+                themis,
+                n_workers=1,
+                latency_budget=0.0,
+                dispatch_timeout=0.3,
+                max_retries=2,
+                fault_injector=injector,
             ) as frontend:
-                return type(frontend.pool).__name__
+                with pytest.raises(RetryExhaustedError) as excinfo:
+                    await frontend.query(statement)
+                (shard,) = frontend.pool.describe()
+                return excinfo.value, shard, frontend.metrics
 
-        assert asyncio.run(scenario()) == "ShardedWorkerPool"
+        error, shard, metrics = asyncio.run(scenario())
+        counters = metrics.snapshot()["counters"]
+        assert error.attempts == 3
+        assert isinstance(error.last_error, DispatchTimeoutError)
+        # The worker computed the (never delivered) answer three times.
+        assert shard["queries_served"] == 3
+        assert shard["incarnation"] == 0
+        assert counters[names.shard_counter(0)] == 3
+        assert counters[names.SCALE_DISPATCHES] == 1
+        assert counters[names.SCALE_FAULT_RETRIES] == 2
+        assert ServingStatistics(metrics).dispatch_retries == 2

@@ -567,37 +567,40 @@ class TestCacheInvariants:
 # ---------------------------------------------------------------------------
 class TestPoolShutdown:
     def test_double_close_is_idempotent(self, themis):
-        from repro.serving.scale import ShardedWorkerPool
+        from repro.serving.scale import SupervisedWorkerPool
         from repro.serving.scale.pool import _LIVE_POOLS
 
-        pool = ShardedWorkerPool(themis, n_workers=1)
+        pool = SupervisedWorkerPool(themis, n_workers=1)
         assert pool in _LIVE_POOLS
         pool.close()
         assert pool not in _LIVE_POOLS
         pool.close()  # second close is a no-op, not an error
 
     def test_close_after_worker_crash(self, themis):
-        from repro.serving.scale import ShardedWorkerPool
+        from repro.serving.scale import SupervisedWorkerPool
 
-        pool = ShardedWorkerPool(themis, n_workers=2)
+        pool = SupervisedWorkerPool(themis, n_workers=2)
         pool._workers[0].process.kill()
         pool._workers[0].process.join(timeout=10.0)
         pool.close()  # dead pipe on shard 0 must not leak out of close()
 
-    def test_supervised_double_close(self, themis):
+    def test_double_close_stops_the_heartbeat_prober(self, themis):
         from repro.serving.scale import SupervisedWorkerPool
 
-        pool = SupervisedWorkerPool(themis, n_workers=1)
+        pool = SupervisedWorkerPool(themis, n_workers=1, heartbeat_interval=0.05)
+        prober = pool._heartbeat_thread
+        assert prober.is_alive()
         pool.close()
+        assert not prober.is_alive()
         pool.close()
 
     def test_atexit_guard_tolerates_closed_and_crashed_pools(self, themis):
-        from repro.serving.scale import ShardedWorkerPool
+        from repro.serving.scale import SupervisedWorkerPool
         from repro.serving.scale.pool import _close_leaked_pools
 
-        closed = ShardedWorkerPool(themis, n_workers=1)
+        closed = SupervisedWorkerPool(themis, n_workers=1)
         closed.close()
-        crashed = ShardedWorkerPool(themis, n_workers=1)
+        crashed = SupervisedWorkerPool(themis, n_workers=1)
         crashed._workers[0].process.kill()
         crashed._workers[0].process.join(timeout=10.0)
         # The interpreter-shutdown sweep must survive any mix of pool

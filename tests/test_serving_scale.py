@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.aggregates import AggregateQuery
-from repro.exceptions import ServingOverloadError, ThemisError
+from repro.exceptions import ServingOverloadError, SQLSyntaxError, ThemisError
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
 from repro.plan import PlanCompiler
@@ -28,11 +28,13 @@ from repro.query.workload import MixedQueryWorkload
 from repro.serving.scale import (
     AsyncServingFrontend,
     MicroBatcher,
+    RequestOutcome,
     ShardRouter,
-    ShardedWorkerPool,
+    SupervisedWorkerPool,
     WorkerSpec,
     serve_async,
 )
+from repro.serving.scale.frontend import encode_result
 from repro.serving.scale.shard import stable_plan_hash
 
 from worlds import build_correlated_population, build_fitted_themis
@@ -126,20 +128,20 @@ class TestWorkerSpec:
 
 
 # ---------------------------------------------------------------------------
-# Sharded pool: bit-identity and coherence
+# Worker pool: bit-identity and coherence
 # ---------------------------------------------------------------------------
-class TestShardedWorkerPool:
+class TestWorkerPool:
     def test_batch_is_bit_identical_to_single_process(
         self, themis, sweep_queries, expected
     ):
-        with ShardedWorkerPool(themis, n_workers=2) as pool:
+        with SupervisedWorkerPool(themis, n_workers=2) as pool:
             cold = pool.execute_batch(sweep_queries)
             warm = pool.execute_batch(sweep_queries)
         assert cold == expected, f"cold sharded sweep diverged (seed {SWEEP_SEED})"
         assert warm == expected, f"warm sharded sweep diverged (seed {SWEEP_SEED})"
 
     def test_shard_occupancy_and_batch_counters(self, themis, sweep_queries):
-        with ShardedWorkerPool(themis, n_workers=2) as pool:
+        with SupervisedWorkerPool(themis, n_workers=2) as pool:
             pool.execute_batch(sweep_queries)
             snapshot = pool.metrics.snapshot()
         occupancy = {
@@ -171,7 +173,7 @@ class TestShardedWorkerPool:
 
         # Own facade: pool.add_aggregate mutates the parent too, and the
         # module-scoped fixture must stay pristine for later tests.
-        with ShardedWorkerPool(build_fitted_themis(), n_workers=2) as pool:
+        with SupervisedWorkerPool(build_fitted_themis(), n_workers=2) as pool:
             pre = pool.execute_batch(sweep_queries)
             assert pool.execute_batch(sweep_queries) == pre  # caches warm
             pool.add_aggregate(new_aggregate)
@@ -192,7 +194,9 @@ class TestShardedWorkerPool:
 
     def test_dispatch_timeout_raises_overload_with_shard_id(self, themis):
         statement = "SELECT A, COUNT(*) FROM R GROUP BY A"
-        with ShardedWorkerPool(themis, n_workers=1) as pool:
+        # max_retries=0: a single attempt surfaces its own typed error
+        # instead of RetryExhaustedError.
+        with SupervisedWorkerPool(themis, n_workers=1, max_retries=0) as pool:
             with pytest.raises(ServingOverloadError) as excinfo:
                 pool.execute_batch([statement], timeout=1e-6)
             assert excinfo.value.shard_id == 0
@@ -203,7 +207,7 @@ class TestShardedWorkerPool:
             assert pool.execute_batch([statement]) == [oracle.query(statement)]
 
     def test_closed_pool_rejects_work(self, themis):
-        pool = ShardedWorkerPool(themis, n_workers=1)
+        pool = SupervisedWorkerPool(themis, n_workers=1)
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(ThemisError, match="closed"):
@@ -221,11 +225,13 @@ class _StubPool:
         self.delay = delay
         self.batches: list[list] = []
 
-    def execute_batch(self, queries, timeout=None):
+    def execute_batch_outcomes(self, queries, deadline_ts=None):
         if self.delay:
             time.sleep(self.delay)
         self.batches.append(list(queries))
-        return [f"answer:{query}" for query in queries]
+        return [
+            RequestOutcome(ok=True, value=f"answer:{query}") for query in queries
+        ]
 
 
 class TestMicroBatcherBackpressure:
@@ -352,6 +358,120 @@ class TestAsyncFrontend:
         assert scalar_resp["ok"] and scalar_resp["kind"] == "scalar"
         assert scalar_resp["value"] == oracle.query(scalar)
         assert not bad["ok"] and "error" in bad
+
+    def test_bad_statement_fails_only_its_own_request(self, themis):
+        good = [
+            "SELECT A, COUNT(*) FROM R WHERE B <= 1 GROUP BY A",
+            "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0",
+        ]
+        oracle = build_fitted_themis()
+
+        async def scenario():
+            # One generous budget, so all three share one micro-batch.
+            async with AsyncServingFrontend(
+                themis, n_workers=2, latency_budget=0.05
+            ) as frontend:
+                answers = await asyncio.gather(
+                    frontend.query(good[0]),
+                    frontend.query("SELEC nonsense FROM"),
+                    frontend.query(good[1]),
+                    return_exceptions=True,
+                )
+                sizes = frontend.statistics()["histograms"][names.MICROBATCH_SIZE]
+            return answers, sizes
+
+        (first, bad, second), sizes = asyncio.run(scenario())
+        assert sizes["count"] == 1 and sizes["max"] == 3, sizes
+        assert first == oracle.query(good[0])
+        assert second == oracle.query(good[1])
+        assert isinstance(bad, SQLSyntaxError)
+
+    def test_socket_bad_statement_fails_only_its_own_request(self, themis):
+        good = [
+            "SELECT A, COUNT(*) FROM R WHERE B <= 1 GROUP BY A",
+            "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0",
+        ]
+        oracle = build_fitted_themis()
+
+        async def ask(port, request_id, sql):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(json.dumps({"id": request_id, "sql": sql}).encode() + b"\n")
+            await writer.drain()
+            response = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            return response
+
+        async def scenario():
+            async with AsyncServingFrontend(
+                themis, n_workers=2, latency_budget=0.05
+            ) as frontend:
+                server = await serve_async(frontend, port=0)
+                port = server.sockets[0].getsockname()[1]
+                # Three clients at once: their requests share a micro-batch.
+                responses = await asyncio.gather(
+                    ask(port, 1, good[0]),
+                    ask(port, 2, "SELEC nonsense FROM"),
+                    ask(port, 3, good[1]),
+                )
+                server.close()
+                await server.wait_closed()
+            return responses
+
+        groups, bad, scalar = asyncio.run(scenario())
+        assert groups == {
+            "id": 1, "ok": True, **encode_result(oracle.query(good[0]))
+        }
+        assert scalar == {
+            "id": 3, "ok": True, **encode_result(oracle.query(good[1]))
+        }
+        assert bad["id"] == 2 and not bad["ok"]
+        assert "SELEC" in bad["error"]
+
+    def test_socket_survives_undecodable_and_oversized_lines(self, themis):
+        scalar = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
+        oracle = build_fitted_themis()
+        valid = json.dumps({"id": 9, "sql": scalar}).encode() + b"\n"
+
+        async def scenario():
+            async with AsyncServingFrontend(
+                themis, n_workers=1, latency_budget=0.0
+            ) as frontend:
+                server = await serve_async(frontend, port=0)
+                port = server.sockets[0].getsockname()[1]
+                # Bytes json.loads cannot decode: answered, and the same
+                # connection keeps serving.
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(b"\xc3\x28\n" + b"\xff\xfe{}\n" + valid)
+                await writer.drain()
+                same_connection = [
+                    json.loads(await reader.readline()) for _ in range(3)
+                ]
+                # A line past the StreamReader limit: answered, then closed.
+                writer.write(b"x" * (100 * 1024) + b"\n")
+                await writer.drain()
+                too_long = json.loads(await reader.readline())
+                at_eof = await reader.readline()
+                writer.close()
+                await writer.wait_closed()
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(valid)
+                await writer.drain()
+                fresh_connection = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+            return same_connection, too_long, at_eof, fresh_connection
+
+        same_connection, too_long, at_eof, fresh = asyncio.run(scenario())
+        answer = {"id": 9, "ok": True, "kind": "scalar", "value": oracle.query(scalar)}
+        for malformed in same_connection[:2]:
+            assert malformed["ok"] is False and malformed["error"]
+        assert same_connection[2] == answer
+        assert too_long["ok"] is False and too_long["error"]
+        assert at_eof == b""
+        assert fresh == answer
 
 
 # ---------------------------------------------------------------------------
