@@ -11,15 +11,43 @@ Three evaluators share one interface:
   when the queried tuple/group exists in the sample, the Bayesian network
   otherwise, and the union of both for GROUP BY queries.
 
-All sample-side execution flows through the logical-plan IR
-(:mod:`repro.plan`): queries compile once and run as vectorized columnar
-kernels, and the one remaining type dispatch lives in
-:func:`repro.plan.query_shape`.
+Each evaluator has two entry points and nothing else decides how a plan is
+served:
+
+* ``execute(query)`` — one query on the single-plan kernels
+  (``point`` / ``scalar`` / ``group_by`` / ``join_group_by`` / ``analytic``).
+  Given a *routed* :class:`~repro.plan.LogicalPlan`,
+  :meth:`HybridEvaluator.execute` hands it to the evaluator its ``Route``
+  node names; this is the one single-plan dispatch behind ``Themis.query``
+  and ``ServingSession.execute``.
+* ``run(plans)`` — the batched entry point: routed plans of any mix of
+  shapes in, answers in submission order out, ``==`` to ``execute`` per
+  plan.  The sample's ``run`` is the columnar engine's optimized schedule;
+  the network's ``run`` sends point plans through one batched inference
+  call, exact-lowered scalars through one restricted-aggregate call, and
+  everything else through one optimized schedule per generated sample; the
+  hybrid's ``run`` splits by ``plan.route``, delegates to the other two,
+  and for hybrid-routed plans runs both and merges.
+
+**Combining answers.**  Two rules turn per-relation answers into one.
+On the network side (:func:`_intersect_and_average`) a group survives only
+if it appears in *all* ``K`` generated answers, and its value is the
+arithmetic mean of the ``K`` values — the paper's guard against phantom
+groups (Sec. 4.2.4).  In the vocabulary of consensus answers over
+probabilistic databases (Li & Deshpande, see PAPERS.md) the ``K`` samples
+are possible worlds: the kept groups are the intersection of the worlds'
+group sets (the set-valued consensus under symmetric difference, taken at
+threshold 1 instead of 1/2), and the mean is the value minimizing expected
+squared distance to the worlds' values.  On the hybrid side
+(:func:`_merge_group_by`) the sample's value wins for every group the
+sample has, and groups only the network found are added — the sample is
+trusted where it has support, the network fills in the open world.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -28,6 +56,10 @@ from ..bayesnet import BayesianNetwork, ExactInference, ForwardSampler
 from ..exceptions import QueryError
 from ..obs.trace import NULL_TRACER
 from ..plan import (
+    BN_LOWER_EXACT,
+    ROUTE_BAYES_NET,
+    ROUTE_HYBRID,
+    ROUTE_SAMPLE,
     SHAPE_GROUP_BY,
     SHAPE_POINT,
     SHAPE_SCALAR,
@@ -74,9 +106,33 @@ class OpenWorldEvaluator:
         """Estimated analytic (table-shaped) answer over the population."""
         raise NotImplementedError
 
-    def execute(self, query: Query) -> float | QueryResult:
-        """Dispatch on the query shape (one shared shape function, not
-        per-evaluator isinstance chains).
+    def run(
+        self,
+        plans: Sequence[LogicalPlan],
+        *,
+        stats=None,
+        tracer=NULL_TRACER,
+        cancel=None,
+    ) -> list:
+        """Answer a batch of compiled plans, in submission order.
+
+        The one batched entry point: plans of any mix of shapes share
+        whatever work this evaluator can share, and every answer is ``==``
+        to :meth:`execute` on the same plan.  ``stats`` (an
+        :class:`~repro.plan.OptimizerStats`) accumulates rewrite counters in
+        place, an enabled ``tracer`` records the dispatch as spans, and
+        ``cancel`` (a :class:`~repro.serving.governance.CancelToken`) is
+        polled between units of shared work, so an expired deadline raises
+        mid-run with every cache left coherent.
+        """
+        raise NotImplementedError
+
+    def execute(self, query: "Query | LogicalPlan"):
+        """Answer one query on the single-plan kernels.
+
+        Dispatches on the query shape (one shared shape function, not
+        per-evaluator isinstance chains); a compiled plan is served through
+        the AST it was compiled from.
 
         Raises
         ------
@@ -84,6 +140,8 @@ class OpenWorldEvaluator:
             For unsupported query objects; the message names the offending
             query itself (type and repr), not just its type.
         """
+        if isinstance(query, LogicalPlan):
+            query = query.query
         shape = query_shape(query)
         if shape == SHAPE_POINT:
             return self.point(query.as_dict())
@@ -133,6 +191,14 @@ class ReweightedSampleEvaluator(OpenWorldEvaluator):
     def analytic(self, query: "AnalyticQuery | LogicalPlan"):
         """Analytic table straight from the columnar engine's fused pass."""
         return self._engine.analytic(query)
+
+    def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+        """One optimized columnar schedule over the weighted sample
+        (:meth:`repro.plan.ColumnarExecutor.execute_batch`); ``cancel`` is
+        polled per schedule unit."""
+        return self._engine.execute_batch(
+            plans, stats=stats, tracer=tracer, cancel=cancel
+        )
 
 
 class BayesNetEvaluator(OpenWorldEvaluator):
@@ -199,34 +265,6 @@ class BayesNetEvaluator(OpenWorldEvaluator):
 
     def generated_samples(self) -> list[Relation]:
         """The ``K`` forward-sampled relations, generating them on first use."""
-        return self._generated_samples()
-
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        """``n * Pr(X_1 = x_1, ..., X_d = x_d)`` by exact inference."""
-        probability = self._inference.probability_or_zero(dict(assignment))
-        return self._population_size * probability
-
-    def point_batch(
-        self,
-        assignments: Sequence[Mapping[str, Any]],
-        cancel: "Any | None" = None,
-    ) -> list[float]:
-        """Batched :meth:`point`: one elimination pass per evidence signature.
-
-        Answers are bit-identical to calling :meth:`point` per assignment;
-        the batched engine merely shares the variable-elimination work among
-        assignments fixing the same set of attributes.  ``cancel`` is an
-        optional cancellation token polled between signature groups.
-        """
-        probabilities = self._inference.batched.probability_or_zero_batch(
-            [dict(assignment) for assignment in assignments], cancel=cancel
-        )
-        return [
-            float(self._population_size * probability)
-            for probability in probabilities
-        ]
-
-    def _generated_samples(self) -> list[Relation]:
         if self._generated is None:
             sampler = ForwardSampler(self._network, seed=self._rng)
             self._generated = sampler.sample_many(
@@ -243,9 +281,23 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         """
         if self._generated_engines is None:
             self._generated_engines = [
-                WeightedQueryEngine(sample) for sample in self._generated_samples()
+                WeightedQueryEngine(sample) for sample in self.generated_samples()
             ]
         return self._generated_engines
+
+    def _compiler(self):
+        """The (cached) plan compiler lowering aggregate queries to factors."""
+        if self._lowering_compiler is None:
+            self._lowering_compiler = PlanCompiler(self._network.schema)
+        return self._lowering_compiler
+
+    # ------------------------------------------------------------------
+    # Single-plan kernels
+    # ------------------------------------------------------------------
+    def point(self, assignment: Mapping[str, Any]) -> float:
+        """``n * Pr(X_1 = x_1, ..., X_d = x_d)`` by exact inference."""
+        probability = self._inference.probability_or_zero(dict(assignment))
+        return self._population_size * probability
 
     def group_by(self, query: GroupByQuery) -> QueryResult:
         """Average the per-group answers of ``K`` generated samples.
@@ -256,29 +308,6 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         per_sample = [engine.group_by(query) for engine in self._sample_engines()]
         return _intersect_and_average(query.group_by, per_sample)
 
-    def group_by_batch(self, queries: Sequence[GroupByQuery]) -> list[QueryResult]:
-        """Batched :meth:`group_by`: one optimized pass per generated sample.
-
-        Each of the ``K`` generated engines serves the whole batch through
-        its batch-aware plan optimizer, so a family of aggregates sharing a
-        ``(Scan, Filter, Group)`` prefix pays one scatter-add pass per
-        engine instead of one per query.  Raw ASTs are passed down (each
-        engine compiles against its *own* schema, exactly as the per-query
-        path does), so answers are bit-identical to calling
-        :meth:`group_by` per query.
-        """
-        if not queries:
-            return []
-        per_engine = [
-            engine.execute_batch(queries) for engine in self._sample_engines()
-        ]
-        return [
-            _intersect_and_average(
-                query.group_by, [answers[index] for answers in per_engine]
-            )
-            for index, query in enumerate(queries)
-        ]
-
     def scalar(self, query: ScalarAggregateQuery) -> float:
         answers = [engine.scalar(query) for engine in self._sample_engines()]
         return float(np.mean(answers)) if answers else 0.0
@@ -287,54 +316,13 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         per_sample = [engine.join_group_by(query) for engine in self._sample_engines()]
         return _intersect_and_average((query.left_group, query.right_group), per_sample)
 
-    def join_group_by_batch(
-        self, queries: Sequence[JoinGroupByQuery]
-    ) -> list[QueryResult]:
-        """Batched :meth:`join_group_by`: one optimized pass per generated sample.
-
-        Each of the ``K`` generated engines serves the whole join family
-        through its batch-aware optimizer — execution-equivalent join plans
-        dedup, plans sharing a side compute its ``(join key, group)`` totals
-        once per engine through the fused scatter-add kernel — so the
-        per-sample work is paid once per *family* instead of once per plan.
-        Raw ASTs are passed down (each engine compiles against its *own*
-        schema, exactly as the per-query path does), so answers are
-        bit-identical to calling :meth:`join_group_by` per query.
-        """
-        if not queries:
-            return []
-        per_engine = [
-            engine.execute_batch(queries) for engine in self._sample_engines()
-        ]
-        return [
-            _intersect_and_average(
-                (query.left_group, query.right_group),
-                [answers[index] for answers in per_engine],
-            )
-            for index, query in enumerate(queries)
-        ]
-
     def analytic(self, query: "AnalyticQuery | LogicalPlan"):
-        """Analytic table by per-aggregate decomposition over the network.
-
-        Each SELECT-list aggregate runs as one legacy group-by (or scalar)
-        query through the generated-sample machinery unchanged; the
-        per-aggregate answers zip back into group rows and the HAVING /
-        window / ORDER BY / LIMIT pipeline runs over them.
-        """
+        """Analytic table by per-aggregate decomposition over the network
+        (see :func:`_decomposed_table`)."""
         plan = query if isinstance(query, LogicalPlan) else self._compiler().compile(query)
-        per_spec: list[dict[tuple[Any, ...], float]] = []
-        for part in _analytic_parts(plan.query):
-            if isinstance(part, GroupByQuery):
-                per_spec.append(self.group_by(part).as_dict())
-            else:
-                per_spec.append({(): self.scalar(part)})
-        return merged_table(plan, per_spec, self._network.schema)
+        return _decomposed_table(self, plan, self._network.schema)
 
-    # ------------------------------------------------------------------
-    # Exact lowering of Filter-restricted aggregates (plan-IR extension)
-    # ------------------------------------------------------------------
-    def scalar_exact(self, query: ScalarAggregateQuery) -> float:
+    def scalar_exact(self, query: "ScalarAggregateQuery | LogicalPlan") -> float:
         """Exact network answer of a filtered scalar aggregate.
 
         Lowers the compiled plan to the batched inference engine: one cached
@@ -344,106 +332,113 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         default forward-sampled answer (it is *not* bit-identical to
         :meth:`scalar`, which follows the paper's Sec. 4.2.4 sampling).
         """
-        results = self.scalar_exact_batch([query])
-        return results[0]
+        plan = query if isinstance(query, LogicalPlan) else self._compiler().compile(query)
+        return self._exact_scalars([plan])[0]
 
-    def _compiler(self):
-        """The (cached) plan compiler lowering aggregate queries to factors."""
-        if self._lowering_compiler is None:
-            self._lowering_compiler = PlanCompiler(self._network.schema)
-        return self._lowering_compiler
+    def execute(self, query: "Query | LogicalPlan"):
+        """Single-plan dispatch; a plan whose ``Route`` node carries the
+        exact lowering tag is answered by :meth:`scalar_exact`."""
+        if isinstance(query, LogicalPlan) and query.root.bn_lowering == BN_LOWER_EXACT:
+            return self.scalar_exact(query)
+        return super().execute(query)
 
-    def scalar_exact_batch(
-        self, queries: Sequence["ScalarAggregateQuery | LogicalPlan"]
-    ) -> list[float]:
-        """Batched :meth:`scalar_exact`, sharing eliminated factors.
+    # ------------------------------------------------------------------
+    # The batched entry point
+    # ------------------------------------------------------------------
+    def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+        """Batched answering over the network, ``==`` to :meth:`execute` per plan.
 
-        Accepts raw ASTs or already-compiled :class:`~repro.plan.LogicalPlan`
-        objects — the serving executor passes its compiled plans straight
-        through, so an exactly-lowered query is never canonicalized twice.
+        Plans fall into three families, each paying its shared work once:
+        point plans go through **one** batched exact-inference call (one
+        variable-elimination pass per evidence signature, ``cancel`` polled
+        between signatures); plans tagged for exact lowering go through
+        **one** restricted-aggregate call (shared eliminated factors); all
+        other plans — sampled scalars, group-bys, joins, tables — go through
+        one optimized schedule per generated sample (:meth:`_run_sampled`).
         """
-        requests = []
-        for plan in self._compiled(queries):
-            aggregate = plan.aggregate
-            requests.append(
-                (
-                    (),
-                    _axis_restrictions(plan.predicates, self._network.schema),
-                    aggregate.function,
-                    aggregate.attribute,
-                )
-            )
-        tables = self._inference.batched.restricted_aggregate_batch(requests)
-        return [self._scale_scalar(request, table) for request, table in zip(requests, tables)]
-
-    def _compiled(self, queries: Sequence) -> list[LogicalPlan]:
-        """Compile any raw ASTs in ``queries`` (compiled plans pass through)."""
-        compiler = None
-        plans: list[LogicalPlan] = []
-        for query in queries:
-            if isinstance(query, LogicalPlan):
-                plans.append(query)
+        families: dict[Callable, list[int]] = {}
+        for index, plan in enumerate(plans):
+            if plan.shape == SHAPE_POINT:
+                family = self._points
+            elif plan.root.bn_lowering == BN_LOWER_EXACT:
+                family = self._exact_scalars
             else:
-                if compiler is None:
-                    compiler = self._compiler()
-                plans.append(compiler.compile(query))
-        return plans
-
-    def group_by_exact(self, query: GroupByQuery) -> QueryResult:
-        """Exact network answer of a (filtered) GROUP BY aggregate.
-
-        One cached eliminated factor over group-by plus predicate (plus
-        measure, for SUM/AVG) attributes; predicate restrictions are axis
-        masks and the per-group aggregate falls out of marginalizing the
-        restricted factor.  Unlike :meth:`group_by` no phantom-group
-        intersection is needed — the factor enumerates the modelled domain
-        exactly — and groups with zero probability are dropped.
-        """
-        return self.group_by_exact_batch([query])[0]
-
-    def group_by_exact_batch(
-        self, queries: Sequence["GroupByQuery | LogicalPlan"]
-    ) -> list[QueryResult]:
-        """Batched :meth:`group_by_exact`, sharing eliminated factors."""
-        requests = []
-        plans = self._compiled(queries)
-        for plan in plans:
-            aggregate = plan.aggregate
-            requests.append(
-                (
-                    plan.group_keys,
-                    _axis_restrictions(plan.predicates, self._network.schema),
-                    aggregate.function,
-                    aggregate.attribute,
-                )
+                family = self._run_sampled
+            families.setdefault(family, []).append(index)
+        results: list = [None] * len(plans)
+        for family, indices in families.items():
+            answers = family(
+                [plans[index] for index in indices],
+                stats=stats,
+                tracer=tracer,
+                cancel=cancel,
             )
-        tables = self._inference.batched.restricted_aggregate_batch(requests)
-        results = []
-        for plan, request, table in zip(plans, requests, tables):
-            keys = plan.group_keys
-            domains = [self._network.schema[name].domain for name in keys]
-            values: dict[tuple[Any, ...], float] = {}
-            function = request[2]
-            for codes, value, mass in table:
-                if mass <= 0:
-                    continue
-                group = tuple(
-                    domain.decode(code) for domain, code in zip(domains, codes)
-                )
-                if function in ("count", "sum"):
-                    values[group] = float(self._population_size * value)
-                else:  # avg: already a ratio, no population scaling
-                    values[group] = float(value)
-            results.append(QueryResult(keys, values))
+            for index, answer in zip(indices, answers):
+                results[index] = answer
         return results
 
-    def _scale_scalar(self, request, table) -> float:
-        """Scale one scalar aggregate's factor mass into population units."""
-        ((), _restrictions, function, _attribute) = request
-        (_codes, value, _mass), = table
-        if function in ("count", "sum"):
-            return float(self._population_size * value)
-        return float(value)
+    def _points(self, plans, cancel=None, **_) -> list[float]:
+        probabilities = self._inference.batched.probability_or_zero_batch(
+            [plan.query.as_dict() for plan in plans], cancel=cancel
+        )
+        return [
+            float(self._population_size * probability)
+            for probability in probabilities
+        ]
+
+    def _exact_scalars(self, plans, **_) -> list[float]:
+        """Exact scalars in one call: factors over shared variable sets
+        eliminate once, subsets derive from already-eliminated prefixes."""
+        requests = [
+            (
+                (),
+                _axis_restrictions(plan.predicates, self._network.schema),
+                plan.aggregate.function,
+                plan.aggregate.attribute,
+            )
+            for plan in plans
+        ]
+        tables = self._inference.batched.restricted_aggregate_batch(requests)
+        answers = []
+        for (_, _, function, _), ((_codes, value, _mass),) in zip(requests, tables):
+            # COUNT/SUM scale factor mass into population units; AVG is
+            # already a ratio.
+            scale = self._population_size if function in ("count", "sum") else 1.0
+            answers.append(float(scale * value))
+        return answers
+
+    def _run_sampled(self, plans, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+        """Answer plans from the ``K`` generated samples, one dispatch each.
+
+        Tables decompose into their per-aggregate parts, so the whole family
+        is scalars, group-bys and joins; every generated engine serves it
+        through one optimized schedule (fused group-by prefixes, shared join
+        sides) instead of one execution per ``(plan, sample)`` pair, and the
+        ``K`` answers of each plan combine by :func:`_intersect_and_average`
+        keyed on ``plan.group_keys`` (scalars: the plain mean).  Raw ASTs
+        are passed down — each engine compiles against its *own* schema,
+        exactly as the single-plan kernels do.  ``cancel`` is polled between
+        generated samples; ``stats.bn_sample_dispatches_saved`` counts the
+        ``K * (family - 1)`` dispatches the batching avoided.
+        """
+        flat, slices = _flatten_tables(plans, self._compiler().compile)
+        asts = [plan.query for plan in flat]
+        per_engine = []
+        with tracer.span("bn-samples", samples=self._k, plans=len(flat)):
+            for engine in self._sample_engines():
+                if cancel is not None:
+                    cancel.poll()
+                per_engine.append(engine.execute_batch(asts))
+        if stats is not None and len(flat) > 1:
+            stats.bn_sample_dispatches_saved += self._k * (len(flat) - 1)
+        answers: list = []
+        for index, plan in enumerate(flat):
+            column = [engine_answers[index] for engine_answers in per_engine]
+            if plan.shape == SHAPE_SCALAR:
+                answers.append(float(np.mean(column)) if column else 0.0)
+            else:
+                answers.append(_intersect_and_average(plan.group_keys, column))
+        return _assemble_tables(plans, slices, answers, self._network.schema, stats)
 
 
 class HybridEvaluator(OpenWorldEvaluator):
@@ -495,126 +490,18 @@ class HybridEvaluator(OpenWorldEvaluator):
         """The reweighted-sample component (shared engine and mask cache)."""
         return self._sample_evaluator
 
+    # ------------------------------------------------------------------
+    # Single-plan kernels
+    # ------------------------------------------------------------------
     def point(self, assignment: Mapping[str, Any]) -> float:
         if self._sample_evaluator.sample.contains(assignment):
             return self._sample_evaluator.point(assignment)
         return self._bn_evaluator.point(assignment)
 
-    def point_batch(
-        self,
-        assignments: Sequence[Mapping[str, Any]],
-        cancel: "Any | None" = None,
-    ) -> list[float]:
-        """Batched :meth:`point` with the hybrid's per-tuple routing.
-
-        In-sample tuples are answered from the reweighted sample one by one
-        (cheap mask evaluations); all out-of-sample tuples are answered in
-        one batched BN inference call sharing elimination passes.  Answers
-        are bit-identical to calling :meth:`point` per assignment.
-        ``cancel`` is polled between signature groups on the BN side.
-        """
-        results: list[float] = [0.0] * len(assignments)
-        missing_indices: list[int] = []
-        for index, assignment in enumerate(assignments):
-            if self._sample_evaluator.sample.contains(assignment):
-                results[index] = self._sample_evaluator.point(assignment)
-            else:
-                missing_indices.append(index)
-        if missing_indices:
-            answers = self._bn_evaluator.point_batch(
-                [assignments[index] for index in missing_indices], cancel=cancel
-            )
-            for index, answer in zip(missing_indices, answers):
-                results[index] = answer
-        return results
-
     def group_by(self, query: GroupByQuery) -> QueryResult:
         sample_result = self._sample_evaluator.group_by(query)
         bn_result = self._bn_evaluator.group_by(query)
         return _merge_group_by(query.group_by, sample_result, bn_result)
-
-    def group_by_batch(
-        self, queries: Sequence["GroupByQuery | LogicalPlan"], stats=None, tracer=NULL_TRACER
-    ) -> list[QueryResult]:
-        """Batched :meth:`group_by` with the hybrid's sample-union-BN merge.
-
-        The sample side serves the whole family through the shared columnar
-        engine's batch optimizer (compiled plans pass straight through; the
-        serving executor hands its routed logicals down so nothing compiles
-        twice), and the network side batches the same queries across the
-        ``K`` generated samples.  ``stats`` (when given) accumulates the
-        sample-side schedule's rewrite counters; an enabled ``tracer``
-        records the sample-side and BN-side dispatches as sibling spans.
-        Answers are bit-identical to calling :meth:`group_by` per query.
-        """
-        if not queries:
-            return []
-        with tracer.span("sample-side", queries=len(queries)):
-            sample_results = self._sample_evaluator.engine.execute_batch(
-                queries, stats=stats, tracer=tracer
-            )
-        asts = [
-            query.query if isinstance(query, LogicalPlan) else query
-            for query in queries
-        ]
-        with tracer.span(
-            "bn-samples", samples=self._bn_evaluator.n_generated_samples
-        ):
-            bn_results = self._bn_evaluator.group_by_batch(asts)
-        self._count_sample_dispatches_saved(len(asts), stats)
-        return [
-            _merge_group_by(ast.group_by, sample_result, bn_result)
-            for ast, sample_result, bn_result in zip(asts, sample_results, bn_results)
-        ]
-
-    def join_group_by_batch(
-        self, queries: Sequence["JoinGroupByQuery | LogicalPlan"], stats=None, tracer=NULL_TRACER
-    ) -> list[QueryResult]:
-        """Batched :meth:`join_group_by` with the hybrid's sample-union-BN merge.
-
-        The sample side serves the whole join family through the shared
-        columnar engine's batch optimizer — shared sides compute their
-        ``(join key, group)`` weight totals once per batch (and persist in
-        the cross-batch join-side cache) — and the network side batches the
-        same family across the ``K`` generated samples: one optimized
-        dispatch per sample instead of one join execution per (plan,
-        sample) pair.  ``stats`` (when given) accumulates the sample-side
-        schedule's rewrite counters plus the per-sample dispatches the BN
-        batching saved.  Answers are bit-identical to calling
-        :meth:`join_group_by` per query.
-        """
-        if not queries:
-            return []
-        with tracer.span("sample-side", queries=len(queries)):
-            sample_results = self._sample_evaluator.engine.execute_batch(
-                queries, stats=stats, tracer=tracer
-            )
-        asts = [
-            query.query if isinstance(query, LogicalPlan) else query
-            for query in queries
-        ]
-        with tracer.span(
-            "bn-samples", samples=self._bn_evaluator.n_generated_samples
-        ):
-            bn_results = self._bn_evaluator.join_group_by_batch(asts)
-        self._count_sample_dispatches_saved(len(asts), stats)
-        return [
-            _merge_group_by(
-                (ast.left_group, ast.right_group), sample_result, bn_result
-            )
-            for ast, sample_result, bn_result in zip(asts, sample_results, bn_results)
-        ]
-
-    def _count_sample_dispatches_saved(self, family_size: int, stats) -> None:
-        """Record per-generated-sample dispatches a batched family avoided.
-
-        Per-query serving pays one evaluator dispatch per (plan, generated
-        sample); batching pays one per sample, saving ``K * (family - 1)``.
-        """
-        if stats is not None and family_size > 1:
-            stats.bn_sample_dispatches_saved += (
-                self._bn_evaluator.n_generated_samples * (family_size - 1)
-            )
 
     def scalar(self, query: ScalarAggregateQuery) -> float:
         # Use the sample when any tuple satisfies the filters, otherwise the
@@ -637,72 +524,92 @@ class HybridEvaluator(OpenWorldEvaluator):
         )
 
     def analytic(self, query: "AnalyticQuery | LogicalPlan"):
-        """Hybrid analytic table; defined as a one-element :meth:`table_batch`
-        so per-query and batched serving answers are identical by
-        construction."""
-        return self.table_batch([query])[0]
-
-    def table_batch(
-        self,
-        queries: Sequence["AnalyticQuery | LogicalPlan"],
-        stats=None,
-        tracer=NULL_TRACER,
-    ) -> list:
-        """Batched hybrid analytic tables with the sample-union-BN merge.
-
-        Every grouped table decomposes into one legacy group-by per
-        SELECT-list aggregate; the flattened family runs through one
-        :meth:`group_by_batch` call — so decomposed aggregates sharing a
-        ``(Scan, Filter, Group)`` prefix fuse on the sample side and the BN
-        side pays one optimized dispatch per generated sample — and the
-        per-aggregate merged answers zip back into group rows before the
-        HAVING / window / ORDER BY / LIMIT pipeline runs.  Group-less
-        tables route per aggregate through the hybrid :meth:`scalar` rule.
-        Window permutations are memoized per ``(group keys, predicates)``
-        family, so tables differing only above the Group share one argsort
-        (counted in ``stats.window_sorts_shared``).
-        """
-        if not queries:
-            return []
+        """Hybrid analytic table by per-aggregate decomposition: grouped
+        tables merge per aggregate like any GROUP BY, group-less tables
+        follow the hybrid :meth:`scalar` rule (see :func:`_decomposed_table`)."""
         compiler = self._sample_evaluator.engine.executor.compiler
-        plans = [
-            query if isinstance(query, LogicalPlan) else compiler.compile(query)
-            for query in queries
-        ]
-        results: list = [None] * len(plans)
-        grouped: list[tuple[int, LogicalPlan, int]] = []
-        parts: list[GroupByQuery] = []
+        plan = query if isinstance(query, LogicalPlan) else compiler.compile(query)
+        return _decomposed_table(self, plan, self.sample.schema)
+
+    def execute(self, query: "Query | LogicalPlan", tracer=NULL_TRACER):
+        """The single-plan dispatch of the whole system.
+
+        A routed plan runs on the evaluator its ``Route`` node chose — the
+        routing rules are derived from this class's own kernels (see
+        :func:`repro.plan.resolve_route`), so the answer is identical to
+        running the query through the hybrid kernels and the route only
+        skips work they would have discarded.  Sample-routed plans execute
+        the compiled plan directly (no recompile); raw ASTs and unrouted
+        plans take the hybrid kernels.
+        """
+        route = query.route if isinstance(query, LogicalPlan) else None
+        if route == ROUTE_SAMPLE:
+            return self._sample_evaluator.engine.execute(query, tracer=tracer)
+        if route == ROUTE_BAYES_NET:
+            with tracer.span("bn-evaluate", shape=query.shape):
+                return self._bn_evaluator.execute(query)
+        with tracer.span("hybrid"):
+            return super().execute(query)
+
+    # ------------------------------------------------------------------
+    # The batched entry point
+    # ------------------------------------------------------------------
+    def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+        """Batched hybrid answering, ``==`` to :meth:`execute` per plan.
+
+        Plans split by their ``Route`` tag: sample-routed plans are one
+        :meth:`ReweightedSampleEvaluator.run`, network-routed plans one
+        :meth:`BayesNetEvaluator.run`, and hybrid-routed plans — GROUP BY,
+        join and grouped-table shapes, whose answer is the union of both
+        sides — run on both and merge (:meth:`_run_merged`).
+        """
+        runners = {
+            ROUTE_SAMPLE: self._sample_evaluator.run,
+            ROUTE_BAYES_NET: self._bn_evaluator.run,
+            ROUTE_HYBRID: self._run_merged,
+        }
+        routed: dict[str, list[int]] = {route: [] for route in runners}
         for index, plan in enumerate(plans):
-            if plan.group_keys:
-                decomposed = _analytic_parts(plan.query)
-                grouped.append((index, plan, len(decomposed)))
-                parts.extend(decomposed)
-            else:
-                per_spec = [
-                    {(): self.scalar(part)} for part in _analytic_parts(plan.query)
-                ]
-                results[index] = merged_table(plan, per_spec, self.sample.schema)
-        if parts:
-            merged = self.group_by_batch(parts, stats=stats, tracer=tracer)
-            memos: dict[tuple, dict] = {}
-            offset = 0
-            for index, plan, width in grouped:
-                per_spec = [
-                    result.as_dict() for result in merged[offset : offset + width]
-                ]
-                offset += width
-                family = (
-                    plan.group_keys,
-                    tuple(predicate.key for predicate in plan.predicates),
-                )
-                results[index] = merged_table(
-                    plan,
-                    per_spec,
-                    self.sample.schema,
-                    sort_memo=memos.setdefault(family, {}),
-                    stats=stats,
-                )
+            routed[plan.route].append(index)
+        results: list = [None] * len(plans)
+        for route, indices in routed.items():
+            if not indices:
+                continue
+            answers = runners[route](
+                [plans[index] for index in indices],
+                stats=stats,
+                tracer=tracer,
+                cancel=cancel,
+            )
+            for index, answer in zip(indices, answers):
+                results[index] = answer
         return results
+
+    def _run_merged(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+        """Both sides over one family, then the sample-union-BN merge.
+
+        Grouped tables decompose into their per-aggregate GROUP BY parts
+        *inside* the family, so table aggregates, plain group-bys and joins
+        share one optimized schedule on the sample (fused prefixes, shared
+        masks and join sides; ``cancel`` polled per unit) and one per
+        generated sample on the network side.  Each plan's two answers
+        merge by :func:`_merge_group_by`; table parts then zip back into
+        group rows and run the HAVING / window / ORDER BY / LIMIT pipeline.
+        """
+        compiler = self._sample_evaluator.engine.executor.compiler
+        flat, slices = _flatten_tables(plans, compiler.compile)
+        with tracer.span("sample-side", queries=len(flat)):
+            sample_answers = self._sample_evaluator.run(
+                flat, stats=stats, tracer=tracer, cancel=cancel
+            )
+        bn_answers = self._bn_evaluator.run(
+            flat, stats=stats, tracer=tracer, cancel=cancel
+        )
+        merged = [
+            _merge_group_by(plan.group_keys, sample_answer, bn_answer)
+            for plan, sample_answer, bn_answer in zip(flat, sample_answers, bn_answers)
+        ]
+        return _assemble_tables(plans, slices, merged, self.sample.schema, stats)
 
 
 def _analytic_parts(query: AnalyticQuery) -> list[GroupByQuery | ScalarAggregateQuery]:
@@ -711,8 +618,6 @@ def _analytic_parts(query: AnalyticQuery) -> list[GroupByQuery | ScalarAggregate
     Aliases are stripped so equal aggregates compile to identical canonical
     plans and dedupe inside the batch optimizer.
     """
-    from dataclasses import replace
-
     specs = [replace(spec, alias=None) for spec in query.aggregates]
     if query.group_by:
         return [
@@ -725,10 +630,78 @@ def _analytic_parts(query: AnalyticQuery) -> list[GroupByQuery | ScalarAggregate
     ]
 
 
+def _decomposed_table(evaluator: OpenWorldEvaluator, plan: LogicalPlan, schema):
+    """One analytic table through an evaluator's single-plan kernels.
+
+    Each SELECT-list aggregate runs as one legacy group-by (or scalar)
+    query through ``evaluator`` unchanged; the per-aggregate answers zip
+    back into group rows and the HAVING / window / ORDER BY / LIMIT
+    pipeline runs over them.
+    """
+    parts = _analytic_parts(plan.query)
+    if plan.group_keys:
+        per_spec = [evaluator.group_by(part).as_dict() for part in parts]
+    else:
+        per_spec = [{(): evaluator.scalar(part)} for part in parts]
+    return merged_table(plan, per_spec, schema)
+
+
+def _flatten_tables(plans, compile) -> tuple[list[LogicalPlan], list[slice]]:
+    """Replace every table plan by its compiled per-aggregate parts.
+
+    Returns the flat family plus, per input plan, the slice of the family
+    answering it (width 1 for every non-table plan).
+    """
+    flat: list[LogicalPlan] = []
+    slices: list[slice] = []
+    for plan in plans:
+        parts = (
+            [compile(part) for part in _analytic_parts(plan.query)]
+            if plan.shape == SHAPE_TABLE
+            else [plan]
+        )
+        slices.append(slice(len(flat), len(flat) + len(parts)))
+        flat.extend(parts)
+    return flat, slices
+
+
+def _assemble_tables(plans, slices, answers, schema, stats=None) -> list:
+    """Undo :func:`_flatten_tables` over the family's answers.
+
+    Non-table plans take their one answer; a table's per-aggregate answers
+    zip back into group rows (:func:`repro.plan.merged_table`).  Window
+    permutations are memoized per ``(group keys, predicates)`` family, so
+    tables differing only above the Group share one argsort (counted in
+    ``stats.window_sorts_shared``).
+    """
+    memos: dict[tuple, dict] = {}
+    results = []
+    for plan, where in zip(plans, slices):
+        if plan.shape != SHAPE_TABLE:
+            results.append(answers[where.start])
+            continue
+        if plan.group_keys:
+            per_spec = [answer.as_dict() for answer in answers[where]]
+        else:
+            per_spec = [{(): answer} for answer in answers[where]]
+        family = (plan.group_keys, tuple(predicate.key for predicate in plan.predicates))
+        results.append(
+            merged_table(
+                plan,
+                per_spec,
+                schema,
+                sort_memo=memos.setdefault(family, {}),
+                stats=stats,
+            )
+        )
+    return results
+
+
 def _merge_group_by(
     group_by: tuple[str, ...], sample_result: QueryResult, bn_result: QueryResult
 ) -> QueryResult:
-    """The hybrid merge: sample groups, unioned with BN-only groups."""
+    """The hybrid merge: every sample group with the sample's value, plus
+    the groups only the network found with the network's value."""
     merged = sample_result.as_dict()
     for group, value in bn_result:
         if group not in merged:
@@ -760,7 +733,9 @@ def _axis_restrictions(predicates, schema) -> tuple:
 def _intersect_and_average(
     group_by: tuple[str, ...], results: list[QueryResult]
 ) -> QueryResult:
-    """Keep groups present in every result and average their values."""
+    """The network-side combination of ``K`` generated answers: a group
+    survives only if present in every result; its value is the arithmetic
+    mean of its ``K`` values.  No results give the empty answer."""
     if not results:
         return QueryResult(group_by, {})
     common = set(results[0].groups())

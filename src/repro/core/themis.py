@@ -18,7 +18,13 @@ from ..aggregates import AggregateQuery, AggregateSet, prune_aggregates
 from ..bayesnet import LearningMode, ThemisBayesNetLearner
 from ..exceptions import ThemisError
 from ..plan import LogicalPlan
-from ..query.ast import GroupByQuery, JoinGroupByQuery, Query, ScalarAggregateQuery
+from ..query.ast import (
+    GroupByQuery,
+    JoinGroupByQuery,
+    PointQuery,
+    Query,
+    ScalarAggregateQuery,
+)
 from ..reweighting import (
     IPFReweighter,
     LinearRegressionReweighter,
@@ -332,32 +338,6 @@ class Themis:
         """Compile (and route) one SQL string or AST query without running it."""
         return self._current_planner().plan(statement)
 
-    def _run_plan(self, plan: "QueryPlan", tracer: Any = None) -> float | QueryResult:
-        """Execute a routed plan on the evaluator its ``Route`` node chose.
-
-        The routing rules are derived from :class:`HybridEvaluator` (see
-        :func:`repro.plan.resolve_route`), so answers are identical to
-        running every query through the hybrid — the route only skips work
-        the hybrid would have discarded.
-        """
-        from ..obs.trace import NULL_TRACER
-        from ..serving.planner import ROUTE_BAYES_NET, ROUTE_SAMPLE
-
-        if tracer is None:
-            tracer = NULL_TRACER
-        model = self.model
-        query = plan.query
-        if plan.route == ROUTE_SAMPLE:
-            if plan.logical is not None:
-                # Execute the already-compiled plan directly — no recompile.
-                return model.sample_evaluator.engine.execute(plan.logical, tracer=tracer)
-            return model.sample_evaluator.execute(query)
-        if plan.route == ROUTE_BAYES_NET:
-            with tracer.span("bn-evaluate", shape=plan.shape):
-                return model.bayes_net_evaluator.execute(query)
-        with tracer.span("hybrid", shape=plan.shape):
-            return model.hybrid_evaluator.execute(query)
-
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
@@ -375,7 +355,11 @@ class Themis:
         bit-identical to calling :meth:`point` per assignment — batching
         changes the cost, never the result.
         """
-        return self.model.hybrid_evaluator.point_batch(list(assignments))
+        plans = [
+            self.plan(PointQuery(dict(assignment))).logical
+            for assignment in assignments
+        ]
+        return self.model.hybrid_evaluator.run(plans)
 
     def group_by(self, query: GroupByQuery) -> QueryResult:
         """Open-world GROUP BY query."""
@@ -394,14 +378,15 @@ class Themis:
 
         Compile-then-run: the query is compiled once into a logical plan
         (canonical predicates, operator tree, evaluator route) and executed
-        by the routed evaluator's columnar kernels.  Answers are identical
-        to evaluating through the hybrid directly.
+        by the routed evaluator's single-plan kernels
+        (:meth:`HybridEvaluator.execute`).  Answers are identical to
+        evaluating through the hybrid directly.
         """
-        return self._run_plan(self.plan(query))
+        return self.model.hybrid_evaluator.execute(self.plan(query).logical)
 
     def sql(self, statement: str) -> float | QueryResult:
         """Parse and answer a SQL statement with open-world semantics."""
-        return self._run_plan(self.plan(statement))
+        return self.model.hybrid_evaluator.execute(self.plan(statement).logical)
 
     def query(
         self,
@@ -443,14 +428,16 @@ class Themis:
                 if token is not None:
                     token.poll()
                 with tracer.span("execute", route=plan.route):
-                    result = self._run_plan(plan, tracer=tracer)
+                    result = self.model.hybrid_evaluator.execute(
+                        plan.logical, tracer=tracer
+                    )
             return ExplainedResult(
                 result=result, plan=plan.logical, route=plan.route, trace=root
             )
         plan = self.plan(statement)
         if token is not None:
             token.poll()
-        result = self._run_plan(plan)
+        result = self.model.hybrid_evaluator.execute(plan.logical)
         if not explain:
             return result
         optimized = None
@@ -470,10 +457,8 @@ class Themis:
 
         Keyword arguments are forwarded to
         :class:`~repro.serving.session.ServingSession` (cache capacities,
-        ``exact_bn_aggregates``, ``optimize`` — pass ``optimize=False`` to
-        disable the batch-aware plan optimizer and serve every plan
-        individually — and ``trace=True`` to attach a structured span tree
-        to every outcome and batch).
+        ``exact_bn_aggregates``, and ``trace=True`` to attach a structured
+        span tree to every outcome and batch).
         """
         from ..serving import ServingSession
 

@@ -8,11 +8,12 @@ that keeps referencing the same *sides*: a few distinct
 reordered/redundant filter variants and exact duplicates.  Three phases over
 one weighted relation:
 
-* ``per-plan`` — ``execute_batch(optimize=False)`` on a completely cold
-  engine: every join plan recomputes both of its sides'
+* ``per-plan`` — the single-plan loop ``[engine.execute(q) for q in
+  queries]`` on a completely cold engine: every join plan recomputes both of
+  its sides'
   ``(join key, group)`` weight totals (two scatter-add passes plus two
   decode loops per plan) and runs its own merge;
-* ``optimized`` — ``execute_batch(optimize=True)`` on a cold engine: the
+* ``optimized`` — ``engine.execute_batch(queries)`` on a cold engine: the
   batch's join plans share a deduplicated side table, each distinct side
   computes once through the fused stacked scatter-add kernel, and
   execution-equivalent plans (duplicates, padded filters) collapse to one
@@ -21,20 +22,18 @@ one weighted relation:
   now comes out of the cross-batch join-side cache, leaving only the
   merges.
 
-Expected shape: the optimized cold batch serves **at least 2x** the
-throughput of the per-plan cold batch (with measured headroom well beyond
-that), the warm batch beats the cold optimized one, and answers are
-bit-identical across all three phases (asserted with exact ``==``, never a
-tolerance) with counters proving the side fusion, dedup, and cross-batch
-cache all fired.
+Expected shape: the optimized cold batch serves a multiple of the per-plan
+cold batch's throughput and the warm batch beats the cold optimized one
+(both printed, not asserted: wall-clock ratios are not a tier-1 gate);
+answers are bit-identical across all three phases (asserted with exact
+``==``, never a tolerance, by
+:func:`~repro.experiments.harness.per_plan_vs_optimized`) with counters
+proving the side fusion, dedup, and cross-batch cache all fired.
 """
 
 from __future__ import annotations
 
-import time
-
 from ..exceptions import ExperimentError
-from ..plan import OptimizerStats
 from ..query.ast import (
     AggregateFunction,
     AggregateSpec,
@@ -45,8 +44,8 @@ from ..query.ast import (
     Query,
 )
 from ..schema import Relation
-from ..sql.engine import WeightedQueryEngine
 from .config import ExperimentScale, SMALL_SCALE
+from .harness import per_plan_vs_optimized
 from .plan_ir_throughput import plan_ir_relation
 from .reporting import ExperimentResult
 
@@ -125,16 +124,6 @@ def join_fusion_workload(
     return queries * max(1, duplication)
 
 
-def _cold_engine(relation: Relation) -> WeightedQueryEngine:
-    """An engine with empty mask/group-code/join-side caches."""
-    fresh = Relation(
-        relation.schema,
-        {name: relation.column(name) for name in relation.attribute_names},
-        relation.weights,
-    )
-    return WeightedQueryEngine(fresh)
-
-
 def run_join_fusion(
     scale: ExperimentScale = SMALL_SCALE, n_sides: int | None = None
 ) -> ExperimentResult:
@@ -149,7 +138,7 @@ def run_join_fusion(
             "Beyond the paper: rewriting a side-sharing join batch with the "
             "join-aware batch optimizer (fused join-side scatter-adds, "
             "execution-equivalent dedup, cross-batch join-side cache) serves "
-            "the cold batch at least 2x faster than per-plan execution — "
+            "the cold batch several times faster than per-plan execution — "
             "with bit-identical answers and counters proving every join "
             "rewrite fired."
         ),
@@ -160,94 +149,19 @@ def run_join_fusion(
         },
     )
 
-    # Every phase takes the best of three runs, so one scheduler hiccup on a
-    # shared CI runner cannot fake a slowdown.
-    per_plan_seconds = float("inf")
-    per_plan = None
-    for _ in range(3):
-        engine = _cold_engine(relation)
-        start = time.perf_counter()
-        answers = engine.execute_batch(queries, optimize=False)
-        elapsed = time.perf_counter() - start
-        if per_plan is not None and answers != per_plan:
-            raise ExperimentError("per-plan answers are not deterministic")
-        per_plan = answers
-        per_plan_seconds = min(per_plan_seconds, elapsed)
-    assert per_plan is not None
-    result.add_row(
-        phase="per-plan",
-        seconds=per_plan_seconds,
-        queries_per_second=len(queries) / per_plan_seconds,
-        speedup=1.0,
-        plans_deduped=0,
-        join_sides_fused=0,
-        join_side_cache_hits=0,
-    )
-
-    optimized_seconds = float("inf")
-    optimized = None
-    stats = OptimizerStats()
-    warm_engine: WeightedQueryEngine | None = None
-    for _ in range(3):
-        engine = _cold_engine(relation)
-        run_stats = OptimizerStats()
-        start = time.perf_counter()
-        answers = engine.execute_batch(queries, optimize=True, stats=run_stats)
-        elapsed = time.perf_counter() - start
-        if optimized is not None and answers != optimized:
-            raise ExperimentError("optimized answers are not deterministic")
-        optimized = answers
-        if elapsed < optimized_seconds:
-            optimized_seconds = elapsed
-            stats = run_stats
-            warm_engine = engine
-    assert optimized is not None and warm_engine is not None
-    result.add_row(
-        phase="optimized",
-        seconds=optimized_seconds,
-        queries_per_second=len(queries) / optimized_seconds,
-        speedup=per_plan_seconds / optimized_seconds
-        if optimized_seconds > 0
-        else float("inf"),
-        plans_deduped=stats.plans_deduped,
-        join_sides_fused=stats.join_sides_fused,
-        join_side_cache_hits=stats.join_side_cache_hits,
-    )
-
-    # Warm phase: the same batch again on the engine that just served it —
+    # The warm phase replays the batch on the engine that just served it —
     # every scheduled side is a cross-batch join-side cache hit.
-    warm_seconds = float("inf")
-    warm = None
-    warm_stats = OptimizerStats()
-    for _ in range(3):
-        run_stats = OptimizerStats()
-        start = time.perf_counter()
-        answers = warm_engine.execute_batch(queries, optimize=True, stats=run_stats)
-        elapsed = time.perf_counter() - start
-        if warm is not None and answers != warm:
-            raise ExperimentError("warm answers are not deterministic")
-        warm = answers
-        if elapsed < warm_seconds:
-            warm_seconds = elapsed
-            warm_stats = run_stats
-    assert warm is not None
-    result.add_row(
-        phase="warm",
-        seconds=warm_seconds,
-        queries_per_second=len(queries) / warm_seconds,
-        speedup=per_plan_seconds / warm_seconds if warm_seconds > 0 else float("inf"),
-        plans_deduped=warm_stats.plans_deduped,
-        join_sides_fused=warm_stats.join_sides_fused,
-        join_side_cache_hits=warm_stats.join_side_cache_hits,
-    )
-
-    # The headline guarantee: optimization must not change a single bit.
-    for phase_answers in (optimized, warm):
-        for answer, reference in zip(phase_answers, per_plan):
-            if answer != reference:
-                raise ExperimentError(
-                    f"optimizer changed an answer: {answer!r} != {reference!r}"
-                )
+    phases = per_plan_vs_optimized(relation, queries, warm=True)
+    for phase in phases:
+        result.add_row(
+            phase=phase.phase,
+            seconds=phase.seconds,
+            queries_per_second=len(queries) / phase.seconds,
+            speedup=phase.speedup_over(phases[0]),
+            plans_deduped=phase.stats.plans_deduped,
+            join_sides_fused=phase.stats.join_sides_fused,
+            join_side_cache_hits=phase.stats.join_side_cache_hits,
+        )
     return result
 
 

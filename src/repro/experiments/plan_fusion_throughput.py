@@ -8,27 +8,26 @@ one ``Scan -> Filter -> Group`` prefix.  Two phases over one weighted
 relation, each starting from a completely cold engine (fresh mask cache,
 fresh group-code memo):
 
-* ``per-plan`` — ``execute_batch(optimize=False)``: every plan executes its
-  own tree, paying a mask lookup, a group-code gather, a scatter-add pass,
-  and a per-group decode loop per plan;
-* ``optimized`` — ``execute_batch(optimize=True)``: the batch is rewritten
+* ``per-plan`` — the single-plan loop ``[engine.execute(q) for q in
+  queries]``: every plan executes its own tree, paying a mask lookup, a
+  group-code gather, a scatter-add pass, and a per-group decode loop per plan;
+* ``optimized`` — ``engine.execute_batch(queries)``: the batch is rewritten
   into a physical schedule first — execution-equivalent plans dedup to one
   slot, equivalent filters normalize to one cached mask, and each aggregate
   family runs as a single fused scatter-add pass with stacked reduction
   columns.
 
-Expected shape: the optimized cold batch serves **at least 2x** the
-throughput of the per-plan cold batch, with bit-identical answers (asserted
-here with exact ``==``, never a tolerance) and rewrite counters proving the
-dedup, pushdown, mask sharing, and fusion all actually fired.
+Expected shape: the optimized cold batch serves a multiple of the per-plan
+cold batch's throughput (printed, not asserted: wall-clock ratios are not a
+tier-1 gate), with bit-identical answers (asserted with exact ``==``, never
+a tolerance, by :func:`~repro.experiments.harness.per_plan_vs_optimized`)
+and rewrite counters proving the dedup, pushdown, mask sharing, and fusion
+all actually fired.
 """
 
 from __future__ import annotations
 
-import time
-
 from ..exceptions import ExperimentError
-from ..plan import OptimizerStats
 from ..query.ast import (
     AggregateFunction,
     AggregateSpec,
@@ -39,8 +38,8 @@ from ..query.ast import (
     ScalarAggregateQuery,
 )
 from ..schema import Relation
-from ..sql.engine import WeightedQueryEngine
 from .config import ExperimentScale, SMALL_SCALE
+from .harness import per_plan_vs_optimized
 from .plan_ir_throughput import plan_ir_relation
 from .reporting import ExperimentResult
 
@@ -122,16 +121,6 @@ def plan_fusion_workload(
     return queries * max(1, duplication)
 
 
-def _cold_engine(relation: Relation) -> WeightedQueryEngine:
-    """An engine with empty mask/group-code caches over the same columns."""
-    fresh = Relation(
-        relation.schema,
-        {name: relation.column(name) for name in relation.attribute_names},
-        relation.weights,
-    )
-    return WeightedQueryEngine(fresh)
-
-
 def run_plan_fusion(
     scale: ExperimentScale = SMALL_SCALE, n_families: int | None = None
 ) -> ExperimentResult:
@@ -146,9 +135,9 @@ def run_plan_fusion(
             "Beyond the paper: rewriting a duplicate- and shared-filter-heavy "
             "batch with the batch-aware plan optimizer (shared-sub-plan "
             "elimination, predicate normalization + pushdown into shared "
-            "masks, multi-query group-by fusion) serves the cold batch at "
-            "least 2x faster than per-plan execution — with bit-identical "
-            "answers and counters proving every rewrite fired."
+            "masks, multi-query group-by fusion) serves the cold batch "
+            "several times faster than per-plan execution — with "
+            "bit-identical answers and counters proving every rewrite fired."
         ),
         parameters={
             "n_rows": relation.n_rows,
@@ -157,66 +146,18 @@ def run_plan_fusion(
         },
     )
 
-    # Both phases take the best of three completely cold runs, so one
-    # scheduler hiccup on a shared CI runner cannot fake a slowdown.
-    per_plan_seconds = float("inf")
-    per_plan = None
-    for _ in range(3):
-        engine = _cold_engine(relation)
-        start = time.perf_counter()
-        answers = engine.execute_batch(queries, optimize=False)
-        elapsed = time.perf_counter() - start
-        if per_plan is not None and answers != per_plan:
-            raise ExperimentError("per-plan answers are not deterministic")
-        per_plan = answers
-        per_plan_seconds = min(per_plan_seconds, elapsed)
-    assert per_plan is not None
-    result.add_row(
-        phase="per-plan",
-        seconds=per_plan_seconds,
-        queries_per_second=len(queries) / per_plan_seconds,
-        speedup=1.0,
-        plans_deduped=0,
-        predicates_pushed_down=0,
-        groupby_fusions=0,
-        masks_shared=0,
-    )
-
-    optimized_seconds = float("inf")
-    optimized = None
-    stats = OptimizerStats()
-    for _ in range(3):
-        engine = _cold_engine(relation)
-        run_stats = OptimizerStats()
-        start = time.perf_counter()
-        answers = engine.execute_batch(queries, optimize=True, stats=run_stats)
-        elapsed = time.perf_counter() - start
-        if optimized is not None and answers != optimized:
-            raise ExperimentError("optimized answers are not deterministic")
-        optimized = answers
-        if elapsed < optimized_seconds:
-            optimized_seconds = elapsed
-            stats = run_stats
-    assert optimized is not None
-    result.add_row(
-        phase="optimized",
-        seconds=optimized_seconds,
-        queries_per_second=len(queries) / optimized_seconds,
-        speedup=per_plan_seconds / optimized_seconds
-        if optimized_seconds > 0
-        else float("inf"),
-        plans_deduped=stats.plans_deduped,
-        predicates_pushed_down=stats.predicates_pushed_down,
-        groupby_fusions=stats.groupby_fusions,
-        masks_shared=stats.masks_shared,
-    )
-
-    # The headline guarantee: optimization must not change a single bit.
-    for optimized_answer, reference in zip(optimized, per_plan):
-        if optimized_answer != reference:
-            raise ExperimentError(
-                f"optimizer changed an answer: {optimized_answer!r} != {reference!r}"
-            )
+    phases = per_plan_vs_optimized(relation, queries)
+    for phase in phases:
+        result.add_row(
+            phase=phase.phase,
+            seconds=phase.seconds,
+            queries_per_second=len(queries) / phase.seconds,
+            speedup=phase.speedup_over(phases[0]),
+            plans_deduped=phase.stats.plans_deduped,
+            predicates_pushed_down=phase.stats.predicates_pushed_down,
+            groupby_fusions=phase.stats.groupby_fusions,
+            masks_shared=phase.stats.masks_shared,
+        )
     return result
 
 

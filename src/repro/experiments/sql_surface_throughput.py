@@ -6,28 +6,27 @@ on the workload it was built for — dashboard batches full of table-shaped
 variants over shared ``Scan -> Filter -> Group`` prefixes.  Two phases over
 one weighted relation, each from a completely cold engine:
 
-* ``per-plan`` — ``execute_batch(optimize=False)``: every table plan pays
-  its own mask lookup, group-code gather, stacked scatter-add pass, group
+* ``per-plan`` — the single-plan loop ``[engine.execute(q) for q in
+  queries]``: every table plan pays its own mask lookup, group-code gather, stacked scatter-add pass, group
   decode, and window argsorts;
-* ``optimized`` — ``execute_batch(optimize=True)``: the batch optimizer
+* ``optimized`` — ``engine.execute_batch(queries)``: the batch optimizer
   fuses every plan of a family into one stacked scatter-add pass (table
   plans contribute all their SELECT-list aggregates), shares normalized
   masks across families, dedups exact duplicates, and shares window sort
   permutations across plans with the same ``(HAVING, PARTITION BY, ORDER
   BY)`` descriptor.
 
-Expected shape: the optimized cold batch serves **at least 2x** the
-throughput of the per-plan cold batch, with bit-identical ordered tables
-(asserted with exact ``==``, never a tolerance) and counters proving the
-dedup, fusion, mask sharing, and window-sort sharing all fired.
+Expected shape: the optimized cold batch serves a multiple of the per-plan
+cold batch's throughput (printed, not asserted: wall-clock ratios are not a
+tier-1 gate), with bit-identical ordered tables (asserted with exact ``==``,
+never a tolerance, by :func:`~repro.experiments.harness
+.per_plan_vs_optimized`) and counters proving the dedup, fusion, mask
+sharing, and window-sort sharing all fired.
 """
 
 from __future__ import annotations
 
-import time
-
 from ..exceptions import ExperimentError
-from ..plan import OptimizerStats
 from ..query.ast import (
     AggregateFunction,
     AggregateSpec,
@@ -41,8 +40,8 @@ from ..query.ast import (
     WindowSpec,
 )
 from ..schema import Relation
-from ..sql.engine import WeightedQueryEngine
 from .config import ExperimentScale, SMALL_SCALE
+from .harness import per_plan_vs_optimized
 from .plan_ir_throughput import plan_ir_relation
 from .reporting import ExperimentResult
 
@@ -137,16 +136,6 @@ def sql_surface_workload(
     return queries * max(1, duplication)
 
 
-def _cold_engine(relation: Relation) -> WeightedQueryEngine:
-    """An engine with empty mask/group-code caches over the same columns."""
-    fresh = Relation(
-        relation.schema,
-        {name: relation.column(name) for name in relation.attribute_names},
-        relation.weights,
-    )
-    return WeightedQueryEngine(fresh)
-
-
 def run_sql_surface(
     scale: ExperimentScale = SMALL_SCALE, n_families: int | None = None
 ) -> ExperimentResult:
@@ -161,7 +150,7 @@ def run_sql_surface(
             "Beyond the paper: analytic queries (multi-aggregate SELECTs, "
             "HAVING, window functions, ORDER BY/LIMIT) lower onto the same "
             "fused scatter-add families as legacy group-bys, so a cold "
-            "dashboard batch of table-shaped variants serves at least 2x "
+            "dashboard batch of table-shaped variants serves several times "
             "faster through the batch optimizer than per-plan — with "
             "bit-identical ordered tables and counters proving fusion, "
             "dedup, mask sharing, and window-sort sharing all fired."
@@ -173,67 +162,19 @@ def run_sql_surface(
         },
     )
 
-    # Both phases take the best of three completely cold runs, so one
-    # scheduler hiccup on a shared CI runner cannot fake a slowdown.
-    per_plan_seconds = float("inf")
-    per_plan = None
-    for _ in range(3):
-        engine = _cold_engine(relation)
-        start = time.perf_counter()
-        answers = engine.execute_batch(queries, optimize=False)
-        elapsed = time.perf_counter() - start
-        if per_plan is not None and answers != per_plan:
-            raise ExperimentError("per-plan answers are not deterministic")
-        per_plan = answers
-        per_plan_seconds = min(per_plan_seconds, elapsed)
-    assert per_plan is not None
-    result.add_row(
-        phase="per-plan",
-        seconds=per_plan_seconds,
-        queries_per_second=len(queries) / per_plan_seconds,
-        speedup=1.0,
-        plans_deduped=0,
-        groupby_fusions=0,
-        masks_shared=0,
-        window_sorts_shared=0,
-    )
-
-    optimized_seconds = float("inf")
-    optimized = None
-    stats = OptimizerStats()
-    for _ in range(3):
-        engine = _cold_engine(relation)
-        run_stats = OptimizerStats()
-        start = time.perf_counter()
-        answers = engine.execute_batch(queries, optimize=True, stats=run_stats)
-        elapsed = time.perf_counter() - start
-        if optimized is not None and answers != optimized:
-            raise ExperimentError("optimized answers are not deterministic")
-        optimized = answers
-        if elapsed < optimized_seconds:
-            optimized_seconds = elapsed
-            stats = run_stats
-    assert optimized is not None
-    result.add_row(
-        phase="optimized",
-        seconds=optimized_seconds,
-        queries_per_second=len(queries) / optimized_seconds,
-        speedup=per_plan_seconds / optimized_seconds
-        if optimized_seconds > 0
-        else float("inf"),
-        plans_deduped=stats.plans_deduped,
-        groupby_fusions=stats.groupby_fusions,
-        masks_shared=stats.masks_shared,
-        window_sorts_shared=stats.window_sorts_shared,
-    )
-
-    # The headline guarantee: optimization must not change a single bit —
-    # and for tables, "identical" includes row order.
-    for optimized_answer, reference in zip(optimized, per_plan):
-        if optimized_answer != reference:
-            raise ExperimentError(
-                f"optimizer changed an answer: {optimized_answer!r} != {reference!r}"
-            )
+    # "Identical" includes row order for tables.
+    phases = per_plan_vs_optimized(relation, queries)
+    for phase in phases:
+        result.add_row(
+            phase=phase.phase,
+            seconds=phase.seconds,
+            queries_per_second=len(queries) / phase.seconds,
+            speedup=phase.speedup_over(phases[0]),
+            plans_deduped=phase.stats.plans_deduped,
+            groupby_fusions=phase.stats.groupby_fusions,
+            masks_shared=phase.stats.masks_shared,
+            window_sorts_shared=phase.stats.window_sorts_shared,
+        )
     return result
 
 

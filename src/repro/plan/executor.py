@@ -147,53 +147,36 @@ class ColumnarExecutor:
     def execute_batch(
         self,
         queries: "Sequence[LogicalPlan | Query | str]",
-        optimize: bool = True,
         stats: OptimizerStats | None = None,
         tracer=NULL_TRACER,
         cancel=None,
     ) -> list:
         """Execute a batch of plans through the batch-aware optimizer.
 
-        With ``optimize=True`` (the default) the batch is rewritten by
-        :func:`repro.plan.optimize.optimize_batch` — execution-equivalent
-        plans run once and fan out, equivalent filters collapse to one
-        cached mask, aggregates sharing a ``(Scan, Filter, Group)``
-        prefix fuse into a single scatter-add pass, and join plans share a
-        deduplicated side table whose ``(join key, group)`` weight totals
-        compute through fused stacked scatter-adds (carried across batches
-        by the generation-keyed join-side cache).  Answers are returned in
-        submission order and are bit-identical to the ``optimize=False``
-        per-plan loop (the escape hatch, and the reference the tests assert
-        against).  ``stats`` (when given) accumulates the schedule's
-        rewrite counters in place.  An enabled ``tracer`` records the
-        compile/optimize/unit span tree: one span per execution unit with
-        mask and kernel children, plus one structural ``slot`` child per
-        scheduled plan (deduplicated inputs appear as ``fan-out``
-        grandchildren).  ``cancel`` is an optional
+        The batch is rewritten by :func:`repro.plan.optimize.optimize_batch`
+        — execution-equivalent plans run once and fan out, equivalent
+        filters collapse to one cached mask, aggregates sharing a
+        ``(Scan, Filter, Group)`` prefix fuse into a single scatter-add
+        pass, and join plans share a deduplicated side table whose
+        ``(join key, group)`` weight totals compute through fused stacked
+        scatter-adds (carried across batches by the generation-keyed
+        join-side cache).  Answers are returned in submission order and are
+        bit-identical to ``[self.execute(query) for query in queries]``, the
+        single-plan loop the tests assert against.  ``stats`` (when given)
+        accumulates the schedule's rewrite counters in place.  An enabled
+        ``tracer`` records the compile/optimize/unit span tree: one span per
+        execution unit with mask and kernel children, plus one structural
+        ``slot`` child per scheduled plan (deduplicated inputs appear as
+        ``fan-out`` grandchildren).  ``cancel`` is an optional
         :class:`~repro.serving.governance.CancelToken` polled between
-        execution units (and between plans on the unoptimized path); an
-        expired deadline raises mid-batch without corrupting sibling state.
+        execution units; an expired deadline raises mid-batch without
+        corrupting sibling state.
         """
-        if tracer.enabled:
-            with tracer.span("compile", queries=len(queries)):
-                plans = [
-                    query
-                    if isinstance(query, LogicalPlan)
-                    else self._compiler.compile(query)
-                    for query in queries
-                ]
-        else:
+        with tracer.span("compile", queries=len(queries)):
             plans = [
                 query if isinstance(query, LogicalPlan) else self._compiler.compile(query)
                 for query in queries
             ]
-        if not optimize:
-            results = []
-            for plan in plans:
-                if cancel is not None:
-                    cancel.poll()
-                results.append(self.execute(plan, tracer))
-            return results
         schedule = optimize_batch(plans, stats, tracer=tracer)
         slot_results: list = [None] * len(schedule.slots)
         for unit in schedule.units:

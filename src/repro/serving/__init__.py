@@ -8,12 +8,14 @@ into a reusable query service for high-throughput workloads:
 * :mod:`repro.serving.cache` — the LRU result and plan caches plus the shared
   BN inference cache (per-signature eliminated factors), all invalidated when
   the model is refitted;
-* :mod:`repro.serving.executor` — batched execution that groups plans sharing
-  GROUP BY columns/BN factors, dispatches BN-routed point plans through one
-  batched variable-elimination call, amortizes generated-sample inference,
-  and (by default) rewrites each batch with the batch-aware plan optimizer
-  (:mod:`repro.plan.optimize`: dedup, predicate normalization into shared
-  masks, multi-query group-by fusion — bit-identical to per-plan execution);
+* :mod:`repro.serving.executor` — batched execution: the plans the result
+  cache cannot answer are partitioned by route and each partition is one
+  ``run`` call on its evaluator (:mod:`repro.core.evaluators` — BN-routed
+  point plans share one batched variable-elimination call, every schedule
+  is rewritten by the batch-aware plan optimizer :mod:`repro.plan.optimize`:
+  dedup, predicate normalization into shared masks, multi-query group-by
+  fusion), generated-sample inference is amortized, and answers are
+  bit-identical to the single-query loop;
 * :mod:`repro.serving.session` — the long-lived serving front-end returned by
   ``Themis.serve()``;
 * :mod:`repro.serving.stats` — per-query outcomes, batch results, and

@@ -19,11 +19,13 @@ Every cache is tagged with the generation of the model it was built against;
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..core.evaluators import BayesNetEvaluator
+from ..obs.trace import NULL_TRACER
 from ..schema import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -302,11 +304,12 @@ class PlanCache:
 class InferenceCache:
     """Tier-two cache: BN inference state shared across all queries.
 
-    The executor's hot path uses two pieces: per-signature eliminated
-    factors for exact-inference point answers (:meth:`point` /
-    :meth:`point_batch`) and the warm-up of the evaluator's ``K``
-    forward-sampled relations (:meth:`warm_samples`), so a whole batch pays
-    each elimination pass and the sample materialization exactly once.
+    The executor's hot path uses two pieces: the accounting of
+    per-signature eliminated factors behind exact-inference answers
+    (:meth:`observed`, wrapped around the evaluator's ``run`` / ``execute``)
+    and the warm-up of the evaluator's ``K`` forward-sampled relations
+    (:meth:`warm_samples`), so a whole batch pays each elimination pass and
+    the sample materialization exactly once.
 
     Point answers are *not* memoized per assignment (the tier-one result
     cache already does that, keyed by canonical plan); what this tier holds
@@ -353,33 +356,35 @@ class InferenceCache:
         """The shared batched-inference engine holding the factor cache."""
         return self.evaluator.inference.batched
 
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        """``n * Pr(X = x)`` by exact inference over a cached joint factor."""
-        return self.point_batch([assignment])[0]
+    @contextmanager
+    def observed(self, tracer=NULL_TRACER) -> Iterator[dict[str, int]]:
+        """Account one stretch of network work to this cache.
 
-    def point_batch(
-        self,
-        assignments: Sequence[Mapping[str, Any]],
-        cancel: "Any | None" = None,
-    ) -> list[float]:
-        """Batched point answers: one elimination pass per evidence signature.
-
-        Bit-identical to calling ``evaluator.point()`` per assignment — the
-        batched engine is the same code path with the per-assignment factor
-        restriction vectorized.  Factor-cache hits/misses observed during
-        the call are folded into :attr:`statistics`.  ``cancel`` is a
-        :class:`~repro.serving.governance.CancelToken` polled by the engine
-        between evidence-signature groups.
+        Wrap any call into the evaluator (``run``, ``execute``): the
+        factor-cache hits and misses the shared engine observes inside the
+        block are folded into :attr:`statistics`, and an enabled ``tracer``
+        receives every paid elimination pass as a span.  Yields a dict that
+        is filled on exit with the block's ``elimination_passes``,
+        ``factor_cache_hits`` and ``factor_cache_misses``.
         """
         engine = self.engine
-        hits_before = engine.factor_cache_hits
-        misses_before = engine.factor_cache_misses
+        before = (
+            engine.elimination_passes,
+            engine.factor_cache_hits,
+            engine.factor_cache_misses,
+        )
+        work: dict[str, int] = {}
+        if tracer.enabled:
+            engine.tracer = tracer
         try:
-            values = self.evaluator.point_batch(assignments, cancel=cancel)
+            yield work
         finally:
-            self.statistics.hits += engine.factor_cache_hits - hits_before
-            self.statistics.misses += engine.factor_cache_misses - misses_before
-        return values
+            engine.tracer = NULL_TRACER
+            work["elimination_passes"] = engine.elimination_passes - before[0]
+            work["factor_cache_hits"] = engine.factor_cache_hits - before[1]
+            work["factor_cache_misses"] = engine.factor_cache_misses - before[2]
+            self.statistics.hits += work["factor_cache_hits"]
+            self.statistics.misses += work["factor_cache_misses"]
 
     @property
     def byte_size(self) -> int:

@@ -1,22 +1,33 @@
 """Batched query execution against one fitted Themis model.
 
 The executor is the serving layer's engine: it takes a batch of SQL strings
-or ASTs, plans them, and executes them so shared work is paid once — BN
-generated samples are materialized once per batch, BN-routed point plans are
-dispatched through **one** batched exact-inference call (one
-variable-elimination pass per evidence signature, not one per plan), the
-group structure (``np.unique`` over the grouping columns) of the weighted
-sample and of each generated sample is memoized per relation so every plan
-sharing GROUP BY columns after the first reuses it, identical plans execute
-once and fan out, and answers land in the result cache for the next batch.
-Plans with the same group signature (same GROUP BY columns, hence the same
-Bayesian-network factors) run back-to-back, which keeps those memo hits
-adjacent and makes the per-signature cost visible in the batch statistics.
+or ASTs, plans them, and executes them so shared work is paid once.  It
+decides *what* still has to run and *when*; *how* a plan runs — which
+evaluator, which batching routine for which shape — is decided by the
+plan's ``Route`` node and lives behind ``run`` in
+:mod:`repro.core.evaluators`.  One batch is::
 
-Per-plan evaluation mirrors :class:`~repro.core.evaluators.HybridEvaluator`
-exactly (the planner's routes are derived from the hybrid's own rules), so a
-batch returns bit-identical answers to issuing each query through
-``Themis.query()``.
+    compile      SQL/AST -> QueryPlan (plan cache), Route node stamped
+    route        the live, uncached, unique plans, partitioned by route
+    warm-samples the BN's K generated samples, materialized once
+    bn-dispatch  model.evaluator("bayes-net").run(plans)
+    columnar     model.evaluator("sample").run(plans), then
+                 model.evaluator("hybrid").run(plans)
+    cache-probe  look up / store / fan out, in group-signature order
+
+so BN-routed point plans share one batched exact-inference call (one
+variable-elimination pass per evidence signature), everything else the
+network answers shares one optimized schedule per generated sample,
+sample-routed plans share one optimized columnar schedule, hybrid families
+fuse on both sides, identical plans execute once and fan out, and answers
+land in the result cache for the next batch.
+
+Single queries (:meth:`BatchExecutor.execute_plan`) do not become batches of
+one: they run the single-plan kernels through
+:meth:`~repro.core.evaluators.HybridEvaluator.execute`, the same function
+behind ``Themis.query()``.  ``run`` answers are ``==`` to ``execute``
+answers, so a batch returns bit-identical answers to issuing each query
+through ``Themis.query()``.
 """
 
 from __future__ import annotations
@@ -30,19 +41,18 @@ from ..exceptions import DeadlineExceededError, QueryCancelledError
 from ..obs import names
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..plan import (
-    BN_LOWER_EXACT,
-    SHAPE_GROUP_BY,
-    SHAPE_JOIN_GROUP_BY,
-    SHAPE_SCALAR,
-    SHAPE_TABLE,
-    OptimizerStats,
-)
-from ..query.ast import PointQuery, Query
+from ..plan import BN_LOWER_EXACT, SHAPE_SCALAR, LogicalPlan, OptimizerStats
+from ..query.ast import Query
 from ..sql.engine import QueryResult
 from .cache import InferenceCache, PlanCache, ResultCache
 from .planner import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE, QueryPlan, QueryPlanner
 from .stats import BatchResult, QueryOutcome
+
+#: The dispatch stages of a batch and the routes each one serves, in order.
+_DISPATCH_STAGES = (
+    (names.STAGE_BN_DISPATCH, (ROUTE_BAYES_NET,)),
+    (names.STAGE_COLUMNAR, (ROUTE_SAMPLE, ROUTE_HYBRID)),
+)
 
 
 class BatchExecutor:
@@ -52,20 +62,12 @@ class BatchExecutor:
     ----------
     exact_bn_aggregates:
         When true, network-routed *aggregate* plans (filtered scalars) are
-        lowered to batched conditional inference over shared eliminated
-        factors (:meth:`BayesNetEvaluator.scalar_exact_batch`) instead of
-        the default forward-sampled answering.  Exact lowering is
-        deterministic and batch-friendly but intentionally **not**
-        bit-identical to the sampled path, so it is opt-in per session.
-    optimize:
-        When true (the default), each batch runs through the batch-aware
-        plan optimizer (:mod:`repro.plan.optimize`): sample-routed plans
-        execute on one rewritten columnar schedule (normalized predicates,
-        shared masks, dedup across equivalent plans) and hybrid GROUP BY
-        plans sharing a ``(Scan, Filter, Group)`` prefix fuse into single
-        scatter-add passes on the sample and on every generated sample.
-        Answers are bit-identical either way; ``optimize=False`` is the
-        per-plan escape hatch (``Themis.serve(optimize=False)``).
+        stamped with the exact lowering tag and answered by batched
+        conditional inference over shared eliminated factors
+        (:meth:`BayesNetEvaluator.scalar_exact`) instead of the default
+        forward-sampled answering.  Exact lowering is deterministic and
+        batch-friendly but intentionally **not** bit-identical to the
+        sampled path, so it is opt-in per session.
     """
 
     def __init__(
@@ -76,7 +78,6 @@ class BatchExecutor:
         inference_cache: InferenceCache,
         plan_cache: PlanCache | None = None,
         exact_bn_aggregates: bool = False,
-        optimize: bool = True,
         metrics: MetricsRegistry | None = None,
     ):
         self._model = model
@@ -85,7 +86,6 @@ class BatchExecutor:
         self._inference_cache = inference_cache
         self._plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._exact_bn_aggregates = bool(exact_bn_aggregates)
-        self._optimize = bool(optimize)
         # The single accumulation point for optimizer/BN/stage counters; the
         # serving session passes its own registry so ServingStatistics reads
         # the very counters this executor writes.
@@ -118,18 +118,20 @@ class BatchExecutor:
     def _stamp_lowering(self, plan: QueryPlan) -> QueryPlan:
         """Record this executor's BN lowering choice on the plan's Route node.
 
-        Exact mode applies to network-routed scalar aggregate plans; every
-        execution decision below branches on ``plan.bn_lowering``, so the
-        plan always reports how it will actually be served.
+        Exact mode applies to network-routed scalar aggregate plans, which
+        then never touch the generated samples; the evaluators branch on the
+        Route node's tag, so the plan always reports how it will actually be
+        served.
         """
         if (
             self._exact_bn_aggregates
             and plan.route == ROUTE_BAYES_NET
-            and plan.logical is not None
             and plan.shape == SHAPE_SCALAR
         ):
             return replace(
-                plan, logical=plan.logical.with_route(plan.route, BN_LOWER_EXACT)
+                plan,
+                logical=plan.logical.with_route(plan.route, BN_LOWER_EXACT),
+                needs_generated_samples=False,
             )
         return plan
 
@@ -139,7 +141,13 @@ class BatchExecutor:
     def execute_plan(
         self, plan: QueryPlan, tracer=NULL_TRACER
     ) -> tuple[float | QueryResult, bool]:
-        """Serve one plan; returns ``(answer, came_from_result_cache)``."""
+        """Serve one plan; returns ``(answer, came_from_result_cache)``.
+
+        A miss runs the single-plan kernels of the evaluator the plan's
+        ``Route`` node chose (:meth:`HybridEvaluator.execute`, the function
+        behind ``Themis.query()``), with the network's work accounted to the
+        inference cache.
+        """
         with tracer.span("cache-probe") as span:
             cached = self._result_cache.lookup(plan.key)
             if tracer.enabled:
@@ -149,50 +157,12 @@ class BatchExecutor:
                 )
         if cached is not None:
             return cached, True
-        result = self._evaluate(plan, tracer=tracer)
-        self._result_cache.store(plan.key, result)
-        return result, False
-
-    def _plan_needs_samples(self, plan: QueryPlan) -> bool:
-        """Whether serving this plan will touch the BN's generated samples."""
-        if plan.bn_lowering == BN_LOWER_EXACT:
-            return False
-        return plan.needs_generated_samples
-
-    def _evaluate(self, plan: QueryPlan, tracer=NULL_TRACER) -> float | QueryResult:
-        """Run a plan on its routed evaluator (hybrid-identical by design)."""
-        query = plan.query
-        if plan.route == ROUTE_SAMPLE:
-            if plan.logical is not None:
-                # Execute the already-compiled plan directly — no recompile.
-                return self._model.sample_evaluator.engine.execute(
-                    plan.logical, tracer=tracer
-                )
-            return self._model.sample_evaluator.execute(query)
-        if plan.route == ROUTE_BAYES_NET:
-            engine = self._inference_cache.engine
-            if tracer.enabled:
-                # Each paid elimination pass becomes a span.
-                engine.tracer = tracer
-            try:
-                if isinstance(query, PointQuery):
-                    with tracer.span("bn-point"):
-                        return self._inference_cache.point(query.as_dict())
-                if plan.bn_lowering == BN_LOWER_EXACT:
-                    with tracer.span("bn-exact-scalar"):
-                        return self._model.bayes_net_evaluator.scalar_exact(
-                            plan.logical if plan.logical is not None else query
-                        )
-                with tracer.span("bn-sampled"):
-                    self._inference_cache.warm_samples()
-                    return self._model.bayes_net_evaluator.execute(query)
-            finally:
-                if tracer.enabled:
-                    engine.tracer = NULL_TRACER
         if plan.needs_generated_samples:
             self._inference_cache.warm_samples()
-        with tracer.span("hybrid"):
-            return self._model.hybrid_evaluator.execute(query)
+        with self._inference_cache.observed(tracer):
+            result = self._model.hybrid_evaluator.execute(plan.logical, tracer=tracer)
+        self._result_cache.store(plan.key, result)
+        return result, False
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -213,17 +183,16 @@ class BatchExecutor:
         (``QueryOutcome.cancelled``) while their fused siblings execute
         normally and stay bit-identical to an uncancelled run.
 
-        Plans are bucketed by group signature so queries over the same
-        columns run consecutively; if any plan in the batch touches the BN's
-        generated samples they are materialized once up front and the cost is
-        reported separately as ``amortized_inference_seconds``.  BN-routed
-        point plans are partitioned out and dispatched in **one** batched
-        inference call — one variable-elimination pass per evidence
-        signature instead of one per plan — reported separately as
-        ``bn_batch_seconds`` / ``bn_elimination_passes``.  With the batch
-        optimizer on (the default), sample-routed plans and hybrid GROUP BY
-        plans likewise dispatch through rewritten columnar schedules
-        (``columnar_batch_seconds``, rewrite counters in ``optimizer``).
+        The live plans the result cache cannot answer are collected once,
+        deduplicated by plan key and partitioned by route; each partition is
+        one ``run`` call on the evaluator its route names (see the module
+        docstring for the stages).  If any plan touches the BN's generated
+        samples they are materialized once up front and the cost is reported
+        separately as ``amortized_inference_seconds``; the BN-routed
+        dispatch is reported as ``bn_batch_seconds`` /
+        ``bn_elimination_passes``, the sample- and hybrid-routed dispatch
+        as ``columnar_batch_seconds``, and the schedules' rewrite counters
+        in ``optimizer``.
 
         An enabled ``tracer`` wraps the batch in a ``batch`` span with one
         child per stage (compile → route → warm-samples → bn-dispatch →
@@ -281,6 +250,7 @@ class BatchExecutor:
             else:
                 batch_token = cancel
         batch_start = time.perf_counter()
+        stage_seconds = dict.fromkeys(names.BATCH_STAGES, 0.0)
         with tracer.span(names.STAGE_COMPILE, queries=len(queries)) as span:
             if tracer.enabled:
                 plan_stats = self._plan_cache.statistics.snapshot()
@@ -288,7 +258,7 @@ class BatchExecutor:
             if tracer.enabled:
                 delta = self._plan_cache.statistics.since(plan_stats)
                 span.count(plan_cache_hits=delta.hits, plan_cache_misses=delta.misses)
-        compile_seconds = time.perf_counter() - batch_start
+        stage_seconds[names.STAGE_COMPILE] = time.perf_counter() - batch_start
 
         # Stage boundary: an expired batch deadline aborts before any
         # dispatch work; fired per-query tokens drop out of the batch here
@@ -302,207 +272,79 @@ class BatchExecutor:
                     cancelled_outcomes[index] = self._cancelled_outcome(
                         index, plans[index], token
                     )
-        live_keys = {
-            plan.key
-            for index, plan in enumerate(plans)
-            if index not in cancelled_outcomes
-        }
+        live = [
+            plan for index, plan in enumerate(plans) if index not in cancelled_outcomes
+        ]
 
-        # Group plan indices by signature, preserving first-appearance order.
+        # The one partition of the batch: every live plan the result cache
+        # cannot answer, once per plan key, under the route its Route node
+        # carries.  (The probe order below groups plans by signature,
+        # preserving first-appearance order.)
         with tracer.span(names.STAGE_ROUTE):
             grouped: dict[tuple, list[int]] = {}
             for index, plan in enumerate(plans):
                 grouped.setdefault(plan.group_signature, []).append(index)
+            pending: dict[str, dict[tuple, LogicalPlan]] = {}
+            for plan in live:
+                if self._result_cache.peek(plan.key) is None:
+                    pending.setdefault(plan.route, {}).setdefault(plan.key, plan.logical)
 
         # Amortized warm-up: materialize BN samples once for the whole batch.
-        # (Exactly-lowered BN scalars never touch the generated samples, so
-        # they do not trigger the warm-up in exact mode.)
-        amortized_seconds = 0.0
-        if any(
-            self._plan_needs_samples(plan)
-            for index, plan in enumerate(plans)
-            if index not in cancelled_outcomes
-        ):
+        if any(plan.needs_generated_samples for plan in live):
             if batch_token is not None:
                 batch_token.poll()
             warm_start = time.perf_counter()
             with tracer.span(names.STAGE_WARM_SAMPLES):
                 self._inference_cache.warm_samples()
-            amortized_seconds = time.perf_counter() - warm_start
+            stage_seconds[names.STAGE_WARM_SAMPLES] = time.perf_counter() - warm_start
 
-        # Batched BN point dispatch: every unique BN-routed point plan that
-        # the result cache cannot answer goes through one point_batch() call
-        # sharing elimination passes across equal evidence signatures.
-        pending: dict[tuple, Query] = {}
-        pending_scalars: dict[tuple, object] = {}  # Query or compiled LogicalPlan
-        for plan in plans:
-            if (
-                plan.route != ROUTE_BAYES_NET
-                or plan.key not in live_keys
-                or self._result_cache.peek(plan.key) is not None
-            ):
-                continue
-            if isinstance(plan.query, PointQuery):
-                pending.setdefault(plan.key, plan.query)
-            elif plan.bn_lowering == BN_LOWER_EXACT:
-                # Hand the compiled plan down so the lowering never
-                # re-canonicalizes what the planner already compiled.
-                pending_scalars.setdefault(
-                    plan.key,
-                    plan.logical if plan.logical is not None else plan.query,
-                )
-        precomputed: dict[tuple, float | QueryResult] = {}
-        bn_batch_seconds = 0.0
+        # Dispatch: one ``run`` per route.  Which batching routine serves
+        # which shape is the evaluator's business; the network's work
+        # (elimination passes, factor-cache traffic) is accounted to the
+        # inference cache whichever stage pays it.
+        optimizer_stats = OptimizerStats()
+        precomputed: dict[tuple, tuple[float | QueryResult, str]] = {}
+        stage_share: dict[str, float] = {}
         bn_passes = 0
-        if pending or pending_scalars:
-            if batch_token is not None:
-                batch_token.poll()
+        for stage, routes in _DISPATCH_STAGES:
+            families = [(route, pending[route]) for route in routes if route in pending]
+            if not families:
+                continue
             dispatch_start = time.perf_counter()
-            engine = self._inference_cache.engine
-            passes_before = engine.elimination_passes
-            hits_before = engine.factor_cache_hits
-            misses_before = engine.factor_cache_misses
-            with tracer.span(
-                names.STAGE_BN_DISPATCH,
-                points=len(pending),
-                exact_scalars=len(pending_scalars),
-            ) as span:
-                if tracer.enabled:
-                    # Each paid elimination pass becomes a child span.
-                    engine.tracer = tracer
-                try:
-                    if pending:
-                        answers = self._inference_cache.point_batch(
-                            [query.as_dict() for query in pending.values()],
-                            cancel=batch_token,
-                        )
-                        precomputed.update(zip(pending.keys(), answers))
-                    if pending_scalars:
+            n_plans = sum(len(family) for _, family in families)
+            with tracer.span(stage, plans=n_plans) as span:
+                with self._inference_cache.observed(tracer) as bn_work:
+                    for route, family in families:
                         if batch_token is not None:
                             batch_token.poll()
-                        # One lowering call for every exactly-lowered scalar plan:
-                        # factors over shared variable sets eliminate once, subsets
-                        # derive from already-eliminated prefixes.
-                        scalar_answers = self._model.bayes_net_evaluator.scalar_exact_batch(
-                            list(pending_scalars.values())
+                        answers = self._model.evaluator(route).run(
+                            list(family.values()),
+                            stats=optimizer_stats,
+                            tracer=tracer,
+                            cancel=batch_token,
                         )
-                        precomputed.update(zip(pending_scalars.keys(), scalar_answers))
-                finally:
-                    if tracer.enabled:
-                        engine.tracer = NULL_TRACER
-                bn_passes = engine.elimination_passes - passes_before
+                        precomputed.update(
+                            (key, (answer, stage)) for key, answer in zip(family, answers)
+                        )
                 if tracer.enabled:
-                    span.count(
-                        elimination_passes=bn_passes,
-                        factor_cache_hits=engine.factor_cache_hits - hits_before,
-                        factor_cache_misses=engine.factor_cache_misses - misses_before,
-                    )
-            self._metrics.counter(names.BN_ELIMINATION_PASSES).inc(bn_passes)
+                    span.count(**bn_work)
+            bn_passes += bn_work["elimination_passes"]
+            self._metrics.counter(names.BN_ELIMINATION_PASSES).inc(
+                bn_work["elimination_passes"]
+            )
             self._metrics.counter(names.BN_FACTOR_CACHE_HITS).inc(
-                engine.factor_cache_hits - hits_before
+                bn_work["factor_cache_hits"]
             )
             self._metrics.counter(names.BN_FACTOR_CACHE_MISSES).inc(
-                engine.factor_cache_misses - misses_before
+                bn_work["factor_cache_misses"]
             )
-            bn_batch_seconds = time.perf_counter() - dispatch_start
-        bn_keys = set(pending) | set(pending_scalars)
-        # Attribute the shared dispatch evenly across the plans it answered.
-        batched_share = bn_batch_seconds / len(bn_keys) if bn_keys else 0.0
+            stage_seconds[stage] = time.perf_counter() - dispatch_start
+            # Attribute the shared dispatch evenly across the plans it answered.
+            stage_share[stage] = stage_seconds[stage] / n_plans
 
-        # Optimized columnar dispatch: sample-routed plans run on one
-        # rewritten schedule (dedup, normalized shared masks, fused scalar
-        # reductions), hybrid GROUP BY plans fuse their shared
-        # (Scan, Filter, Group) prefixes on the sample and on every
-        # generated sample, and hybrid join-group-by families share fused
-        # join-side totals (cross-batch cached) on the sample and pay one
-        # batched dispatch per generated sample instead of one per plan.
-        # Answers are bit-identical to per-plan execution;
-        # ``optimize=False`` skips this block entirely.
-        optimizer_stats = OptimizerStats()
-        optimized_keys: set[tuple] = set()
-        columnar_seconds = 0.0
-        optimized_share = 0.0
-        if self._optimize:
-            pending_columnar: dict[tuple, QueryPlan] = {}
-            pending_hybrid_groups: dict[tuple, QueryPlan] = {}
-            pending_hybrid_joins: dict[tuple, QueryPlan] = {}
-            pending_hybrid_tables: dict[tuple, QueryPlan] = {}
-            for plan in plans:
-                if (
-                    plan.logical is None
-                    or plan.key not in live_keys
-                    or plan.key in precomputed
-                    or self._result_cache.peek(plan.key) is not None
-                ):
-                    continue
-                if plan.route == ROUTE_SAMPLE:
-                    pending_columnar.setdefault(plan.key, plan)
-                elif plan.route == ROUTE_HYBRID and plan.shape == SHAPE_GROUP_BY:
-                    pending_hybrid_groups.setdefault(plan.key, plan)
-                elif plan.route == ROUTE_HYBRID and plan.shape == SHAPE_JOIN_GROUP_BY:
-                    pending_hybrid_joins.setdefault(plan.key, plan)
-                elif plan.route == ROUTE_HYBRID and plan.shape == SHAPE_TABLE:
-                    pending_hybrid_tables.setdefault(plan.key, plan)
-            if (
-                pending_columnar
-                or pending_hybrid_groups
-                or pending_hybrid_joins
-                or pending_hybrid_tables
-            ):
-                if batch_token is not None:
-                    batch_token.poll()
-                dispatch_start = time.perf_counter()
-                with tracer.span(
-                    names.STAGE_COLUMNAR,
-                    sample_routed=len(pending_columnar),
-                    hybrid_groups=len(pending_hybrid_groups),
-                    hybrid_joins=len(pending_hybrid_joins),
-                    hybrid_tables=len(pending_hybrid_tables),
-                ):
-                    if pending_columnar:
-                        answers = self._model.sample_evaluator.engine.execute_batch(
-                            [plan.logical for plan in pending_columnar.values()],
-                            stats=optimizer_stats,
-                            tracer=tracer,
-                            cancel=batch_token,
-                        )
-                        precomputed.update(zip(pending_columnar.keys(), answers))
-                    if pending_hybrid_groups:
-                        if batch_token is not None:
-                            batch_token.poll()
-                        answers = self._model.hybrid_evaluator.group_by_batch(
-                            [plan.logical for plan in pending_hybrid_groups.values()],
-                            stats=optimizer_stats,
-                            tracer=tracer,
-                        )
-                        precomputed.update(zip(pending_hybrid_groups.keys(), answers))
-                    if pending_hybrid_joins:
-                        if batch_token is not None:
-                            batch_token.poll()
-                        answers = self._model.hybrid_evaluator.join_group_by_batch(
-                            [plan.logical for plan in pending_hybrid_joins.values()],
-                            stats=optimizer_stats,
-                            tracer=tracer,
-                        )
-                        precomputed.update(zip(pending_hybrid_joins.keys(), answers))
-                    if pending_hybrid_tables:
-                        if batch_token is not None:
-                            batch_token.poll()
-                        answers = self._model.hybrid_evaluator.table_batch(
-                            [plan.logical for plan in pending_hybrid_tables.values()],
-                            stats=optimizer_stats,
-                            tracer=tracer,
-                        )
-                        precomputed.update(zip(pending_hybrid_tables.keys(), answers))
-                columnar_seconds = time.perf_counter() - dispatch_start
-                optimized_keys = (
-                    set(pending_columnar)
-                    | set(pending_hybrid_groups)
-                    | set(pending_hybrid_joins)
-                    | set(pending_hybrid_tables)
-                )
-                optimized_share = columnar_seconds / len(optimized_keys)
-
+        # Probe: look up, store, fan out.  Every uncached plan was answered
+        # above, so nothing is evaluated here unless this batch's own stores
+        # evicted an answer between the peek and the lookup.
         outcomes: list[QueryOutcome | None] = [None] * len(plans)
         served: dict[tuple, QueryOutcome] = {}
         probe_start = time.perf_counter()
@@ -527,22 +369,20 @@ class BatchExecutor:
                         )
                         continue
                     if plan.key in precomputed:
-                        # The batched dispatches bypassed execute_plan, so record
-                        # the result-cache miss they decided on (keeping hit-rate
+                        # The dispatches bypassed execute_plan, so record the
+                        # result-cache miss they decided on (keeping hit-rate
                         # statistics identical to per-plan execution).
                         self._result_cache.lookup(plan.key)
-                        result = precomputed[plan.key]
+                        result, stage = precomputed[plan.key]
                         self._result_cache.store(plan.key, result)
                         outcome = QueryOutcome(
                             index=index,
                             plan=plan,
                             result=result,
-                            seconds=batched_share
-                            if plan.key in bn_keys
-                            else optimized_share,
+                            seconds=stage_share[stage],
                             from_result_cache=False,
-                            bn_batched=plan.key in bn_keys,
-                            optimized=plan.key in optimized_keys,
+                            bn_batched=stage == names.STAGE_BN_DISPATCH,
+                            optimized=stage == names.STAGE_COLUMNAR,
                         )
                     else:
                         if batch_token is not None:
@@ -563,40 +403,31 @@ class BatchExecutor:
                 probe_span.count(
                     result_cache_hits=delta.hits, result_cache_misses=delta.misses
                 )
-        probe_seconds = time.perf_counter() - probe_start
+        stage_seconds[names.STAGE_CACHE_PROBE] = time.perf_counter() - probe_start
 
         # Fold this batch's counters into the shared registry; the batch's
         # own ``optimizer`` dict is read back as the counters' delta, so it
         # and the session-lifetime ServingStatistics view always agree.
-        optimizer_view: dict[str, int] | None = None
-        if self._optimize:
-            before = {
-                field: self._metrics.value(names.optimizer_counter(field))
-                for field in names.OPTIMIZER_COUNTERS
-            }
-            for field, value in optimizer_stats.as_dict().items():
-                self._metrics.counter(names.optimizer_counter(field)).inc(value)
-            optimizer_view = {
-                field: self._metrics.value(names.optimizer_counter(field))
-                - before[field]
-                for field in names.OPTIMIZER_COUNTERS
-            }
-        for stage, seconds in (
-            (names.STAGE_COMPILE, compile_seconds),
-            (names.STAGE_WARM_SAMPLES, amortized_seconds),
-            (names.STAGE_BN_DISPATCH, bn_batch_seconds),
-            (names.STAGE_COLUMNAR, columnar_seconds),
-            (names.STAGE_CACHE_PROBE, probe_seconds),
-        ):
+        before = {
+            field: self._metrics.value(names.optimizer_counter(field))
+            for field in names.OPTIMIZER_COUNTERS
+        }
+        for field, value in optimizer_stats.as_dict().items():
+            self._metrics.counter(names.optimizer_counter(field)).inc(value)
+        optimizer_view = {
+            field: self._metrics.value(names.optimizer_counter(field)) - before[field]
+            for field in names.OPTIMIZER_COUNTERS
+        }
+        for stage, seconds in stage_seconds.items():
             self._metrics.histogram(names.stage_histogram(stage)).record(seconds)
 
         assert all(outcome is not None for outcome in outcomes)
         return BatchResult(
             outcomes=[outcome for outcome in outcomes if outcome is not None],
             total_seconds=time.perf_counter() - batch_start,
-            amortized_inference_seconds=amortized_seconds,
-            bn_batch_seconds=bn_batch_seconds,
+            amortized_inference_seconds=stage_seconds[names.STAGE_WARM_SAMPLES],
+            bn_batch_seconds=stage_seconds[names.STAGE_BN_DISPATCH],
             bn_elimination_passes=bn_passes,
-            columnar_batch_seconds=columnar_seconds,
+            columnar_batch_seconds=stage_seconds[names.STAGE_COLUMNAR],
             optimizer=optimizer_view,
         )

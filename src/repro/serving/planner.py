@@ -13,8 +13,9 @@ Two syntactically different but semantically equivalent queries — e.g. the
 same WHERE clause with its conjuncts reordered, or an ordered predicate whose
 literal falls in the same domain bucket — produce the same plan key, which is
 what the result cache is keyed on.  Canonicalization only ever affects the
-*key*; execution always runs the original AST, so a plan can never change the
-answer of the query it wraps.
+*key*; execution always runs the submitted query's own compiled plan (or the
+AST it was compiled from), so a plan can never change the answer of the
+query it wraps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..plan import (
-    BN_LOWER_SAMPLED,
     LogicalPlan,
     PlanCompiler,
     PlanKey,
@@ -62,7 +62,7 @@ class QueryPlan:
     Attributes
     ----------
     query:
-        The query exactly as submitted; execution always uses this object.
+        The query exactly as submitted.
     key:
         The canonical hashable plan key (identical for equivalent queries),
         derived from the compiled operator tree.
@@ -76,7 +76,8 @@ class QueryPlan:
     needs_generated_samples:
         Whether serving the plan touches the BN's forward-sampled relations.
     logical:
-        The compiled (and routed) :class:`~repro.plan.LogicalPlan`.
+        The compiled (and routed) :class:`~repro.plan.LogicalPlan`; always
+        set — :meth:`QueryPlanner._bind` is the only constructor.
     sql:
         The SQL text the plan was parsed from, when it came in as text.
     """
@@ -86,20 +87,17 @@ class QueryPlan:
     route: str
     group_signature: tuple
     needs_generated_samples: bool
-    logical: LogicalPlan | None = None
+    logical: LogicalPlan
     sql: str | None = None
 
     @property
     def shape(self) -> str:
         """The plan's query shape tag (``"point"``, ``"scalar"``, ...)."""
-        assert self.logical is not None
         return self.logical.shape
 
     @property
     def bn_lowering(self) -> str:
         """How a network-routed aggregate plan is lowered."""
-        if self.logical is None:
-            return BN_LOWER_SAMPLED
         return self.logical.root.bn_lowering
 
 

@@ -96,13 +96,6 @@ class ServingSession:
         of the default forward-sampled answering.  Deterministic and
         batch-friendly, but deliberately *not* bit-identical to the sampled
         path (so the default stays the paper's semantics).
-    optimize:
-        Whether batches run through the batch-aware plan optimizer
-        (shared-sub-plan dedup, predicate normalization and pushdown into
-        shared masks, multi-query group-by fusion).  On by default —
-        optimized answers are bit-identical to per-plan execution;
-        ``Themis.serve(optimize=False)`` is the per-plan escape hatch for
-        debugging and for measuring the optimizer's effect.
     trace:
         When true, every served query and batch carries a structured span
         tree (``outcome.trace`` / ``batch.trace``) recording where its
@@ -134,7 +127,6 @@ class ServingSession:
         plan_cache_size: int = 512,
         inference_factor_capacity: int = 128,
         exact_bn_aggregates: bool = False,
-        optimize: bool = True,
         trace: bool = False,
         memory_budget_bytes: int | None = None,
         default_deadline: float | None = None,
@@ -144,7 +136,6 @@ class ServingSession:
         self._plan_cache = PlanCache(plan_cache_size)
         self._inference_factor_capacity = int(inference_factor_capacity)
         self._exact_bn_aggregates = bool(exact_bn_aggregates)
-        self._optimize = bool(optimize)
         self._trace = bool(trace)
         self._default_deadline = default_deadline
         self._inference_cache: InferenceCache | None = None
@@ -208,7 +199,6 @@ class ServingSession:
             self._inference_cache,
             self._plan_cache,
             exact_bn_aggregates=self._exact_bn_aggregates,
-            optimize=self._optimize,
             metrics=self.metrics,
         )
         self._generation = generation

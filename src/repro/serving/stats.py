@@ -46,11 +46,14 @@ class QueryOutcome:
         Whether the answer was shared with an identical plan earlier in the
         same batch (executed once, fanned out).
     bn_batched:
-        Whether the answer came out of the batch's single shared
-        variable-elimination dispatch (BN-routed point plans only).
+        Whether the answer came out of the batch's shared BN dispatch (the
+        ``bn-dispatch`` stage: BN-routed plans — points share one
+        variable-elimination pass per evidence signature, everything else
+        one schedule per generated sample).
     optimized:
         Whether the answer came out of the batch's optimized columnar
-        schedule (sample-routed plans and fused hybrid GROUP BY families).
+        dispatch (the ``columnar`` stage: sample-routed plans and fused
+        hybrid families).
     trace:
         The query's :class:`repro.obs.Span` tree when the serving session
         was tracing; ``None`` otherwise.
@@ -96,9 +99,9 @@ class BatchResult:
     #: Seconds spent materializing BN generated samples, paid once and shared
     #: by every plan in the batch that needed them.
     amortized_inference_seconds: float = 0.0
-    #: Seconds spent in the batch's single BN point-inference dispatch (one
-    #: variable-elimination pass per evidence signature, shared by every
-    #: BN-routed point plan in the batch).
+    #: Seconds spent in the batch's BN dispatch (every BN-routed plan: one
+    #: variable-elimination pass per evidence signature for points, one
+    #: schedule per generated sample for sampled aggregates).
     bn_batch_seconds: float = 0.0
     #: Variable-elimination passes the batched dispatch actually ran (a
     #: warm per-signature factor cache makes this zero).
@@ -108,11 +111,11 @@ class BatchResult:
     #: GROUP BY families).
     columnar_batch_seconds: float = 0.0
     #: Rewrite counters of the batch's optimizer schedules (plans deduped,
-    #: predicates pushed down, group-by fusions, masks shared); ``None``
-    #: when the batch ran with ``optimize=False``.  Derived as this batch's
-    #: delta of the executor's ``optimizer.*`` registry counters, so it can
-    #: never drift from :class:`ServingStatistics` over the same registry.
-    optimizer: dict[str, int] | None = None
+    #: predicates pushed down, group-by fusions, masks shared).  Derived as
+    #: this batch's delta of the executor's ``optimizer.*`` registry
+    #: counters, so it can never drift from :class:`ServingStatistics` over
+    #: the same registry.
+    optimizer: dict[str, int] = field(default_factory=dict)
     #: The batch's :class:`repro.obs.Span` tree when traced; ``None`` otherwise.
     trace: Any = None
 
@@ -174,7 +177,7 @@ class BatchResult:
             "bn_elimination_passes": self.bn_elimination_passes,
             "optimized_plans": self.optimized_plans,
             "columnar_batch_seconds": self.columnar_batch_seconds,
-            "optimizer": dict(self.optimizer) if self.optimizer else {},
+            "optimizer": dict(self.optimizer),
             "routes": routes,
         }
 

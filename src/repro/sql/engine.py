@@ -186,19 +186,17 @@ class WeightedQueryEngine:
         return self._executor.execute(query, tracer=tracer)
 
     def execute_batch(
-        self, queries, optimize: bool = True, stats=None, tracer=NULL_TRACER,
-        cancel=None,
+        self, queries, stats=None, tracer=NULL_TRACER, cancel=None
     ) -> list:
         """Evaluate a batch through the batch-aware plan optimizer.
 
         Answers come back in submission order and are bit-identical to
-        calling :meth:`execute` per query; ``optimize=False`` is the
-        per-plan reference loop.  ``cancel`` is an optional cancellation
-        token polled between execution units.  See
+        calling :meth:`execute` per query.  ``cancel`` is an optional
+        cancellation token polled between execution units.  See
         :meth:`repro.plan.ColumnarExecutor.execute_batch`.
         """
         return self._executor.execute_batch(
-            queries, optimize=optimize, stats=stats, tracer=tracer, cancel=cancel
+            queries, stats=stats, tracer=tracer, cancel=cancel
         )
 
     def point(self, assignment: Mapping[str, Any]) -> float:

@@ -80,16 +80,18 @@ class TestBitIdentity:
         batched = BatchedInference(network).probability_batch(MIXED_BATCH)
         assert batched.tolist() == singles
 
-    def test_evaluator_point_batch_matches_point(self, serving_themis):
+    def test_evaluator_run_matches_point(self, serving_themis):
         evaluator = serving_themis.model.bayes_net_evaluator
-        batched = evaluator.point_batch(MIXED_BATCH)
-        assert batched == [evaluator.point(a) for a in MIXED_BATCH]
+        plans = [serving_themis.plan(PointQuery(a)).logical for a in MIXED_BATCH]
+        assert evaluator.run(plans) == [evaluator.point(a) for a in MIXED_BATCH]
 
-    def test_hybrid_point_batch_routes_like_point(self, serving_themis):
-        hybrid = serving_themis.model.hybrid_evaluator
+    def test_hybrid_run_routes_like_point(self, sparse_serving_themis):
+        hybrid = sparse_serving_themis.model.hybrid_evaluator
         # Mix of in-sample tuples (sample route) and missing ones (BN route).
-        batch = MIXED_BATCH + [{"A": 0, "B": 0, "C": 0}]
-        assert hybrid.point_batch(batch) == [hybrid.point(a) for a in batch]
+        batch = MIXED_BATCH + missing_assignments(sparse_serving_themis)
+        plans = [sparse_serving_themis.plan(PointQuery(a)).logical for a in batch]
+        assert {plan.route for plan in plans} == {"sample", "bayes-net"}
+        assert hybrid.run(plans) == [hybrid.point(a) for a in batch]
 
     def test_themis_facade_point_batch(self, serving_themis):
         answers = serving_themis.point_batch(MIXED_BATCH)

@@ -174,3 +174,38 @@ class TestHybridEvaluator:
         if comparisons == 0:
             pytest.skip("sample covers every populated combination for this seed")
         assert improvements == comparisons
+
+
+class TestAnswerCombination:
+    """The two rules that turn per-relation answers into one, on hand-built
+    results (semantics written out in ``repro.core.evaluators``)."""
+
+    def test_intersect_and_average_keeps_groups_present_in_every_answer(self):
+        from repro.core.evaluators import _intersect_and_average
+        from repro.sql.engine import QueryResult
+
+        answers = [
+            QueryResult(("g",), {("a",): 1.0, ("b",): 4.0, ("c",): 9.0}),
+            QueryResult(("g",), {("a",): 2.0, ("b",): 5.0}),
+            QueryResult(("g",), {("a",): 6.0, ("b",): 0.0, ("d",): 7.0}),
+        ]
+        combined = _intersect_and_average(("g",), answers)
+        # "c" and "d" are phantom groups (missing from some generated
+        # answer); "b" survives although one value is 0.0 — presence counts,
+        # not positivity.  Values are arithmetic means over all K answers.
+        assert combined == QueryResult(("g",), {("a",): 3.0, ("b",): 3.0})
+        # K = 1 is the answer itself; K = 0 is the empty answer.
+        assert _intersect_and_average(("g",), answers[:1]) == answers[0]
+        assert _intersect_and_average(("g",), []) == QueryResult(("g",), {})
+
+    def test_merge_group_by_prefers_the_sample_and_adds_network_only_groups(self):
+        from repro.core.evaluators import _merge_group_by
+        from repro.sql.engine import QueryResult
+
+        sample = QueryResult(("g",), {("a",): 10.0, ("b",): 0.0})
+        network = QueryResult(("g",), {("a",): 99.0, ("b",): 5.0, ("z",): 2.5})
+        merged = _merge_group_by(("g",), sample, network)
+        # Shared groups keep the sample's value (even a zero one); the
+        # network contributes only the group the sample never saw.
+        assert merged == QueryResult(("g",), {("a",): 10.0, ("b",): 0.0, ("z",): 2.5})
+        assert _merge_group_by(("g",), sample, QueryResult(("g",), {})) == sample

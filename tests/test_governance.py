@@ -60,6 +60,25 @@ from repro.serving.governance import (
 from worlds import build_fitted_themis
 
 
+class CountingToken(CancelToken):
+    """A token that counts its polls and fires on the ``fire_at``-th one."""
+
+    def __init__(self, fire_at: float = float("inf"), error: type = DeadlineExceededError):
+        super().__init__()
+        self.polls = 0
+        self.fire_at = fire_at
+        self.error = error
+
+    def poll(self) -> None:
+        self.polls += 1
+        if self.polls >= self.fire_at:
+            if self.error is DeadlineExceededError:
+                raise DeadlineExceededError(
+                    "query deadline exceeded", budget=0.0, elapsed=0.0
+                )
+            raise QueryCancelledError("query cancelled", reason="counting token")
+
+
 class FakeClock:
     def __init__(self, now: float = 100.0):
         self.now = now
@@ -491,6 +510,44 @@ class TestSessionCancellation:
         clock.advance(5.0)  # expire before the first chunk boundary
         with pytest.raises(DeadlineExceededError):
             session.execute_batch(sweep_queries, cancel=token)
+
+    #: Hybrid-routed plans only: GROUP BYs over distinct keys (distinct
+    #: schedule units), a join, and a grouped table.
+    ALL_HYBRID = [
+        "SELECT A, COUNT(*) FROM R GROUP BY A",
+        "SELECT B, SUM(A) FROM R WHERE C = 1 GROUP BY B",
+        "SELECT C, COUNT(*) FROM R GROUP BY C",
+        "SELECT A, B, COUNT(*) FROM R GROUP BY A, B",
+        "SELECT A, COUNT(*) AS n, AVG(B) AS m FROM R GROUP BY A ORDER BY n DESC",
+    ]
+
+    @pytest.mark.parametrize("error", [DeadlineExceededError, QueryCancelledError])
+    def test_hybrid_families_poll_the_deadline_mid_run(self, themis, error):
+        assert {themis.plan(sql).route for sql in self.ALL_HYBRID} == {"hybrid"}
+        session = themis.serve()
+
+        def polls(statements) -> int:
+            session.clear_caches()
+            token = CountingToken()
+            session.execute_batch(statements, cancel=token)
+            return token.polls
+
+        # The token reaches the hybrid's run: polls grow with the family's
+        # schedule units (one per distinct GROUP BY key here), not only with
+        # the fixed stage boundaries.
+        assert polls(self.ALL_HYBRID[:4]) > polls(self.ALL_HYBRID[:1])
+        total = polls(self.ALL_HYBRID)
+
+        # Fire on the batch's last poll — between two generated samples on
+        # the network side, long after the sample side ran.
+        session.clear_caches()
+        with pytest.raises(error):
+            session.execute_batch(
+                self.ALL_HYBRID, cancel=CountingToken(fire_at=total, error=error)
+            )
+        # The abandoned batch left every cache coherent.
+        singles = [themis.query(sql) for sql in self.ALL_HYBRID]
+        assert session.execute_batch(self.ALL_HYBRID).results() == singles
 
     def test_themis_query_deadline_surface(self, themis):
         # An absurdly generous deadline changes nothing...

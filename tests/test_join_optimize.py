@@ -164,11 +164,7 @@ class TestColumnarJoinBitIdentity:
         reference = [ColumnarExecutor(relation).execute(q) for q in queries]
         stats = OptimizerStats()
         optimized = ColumnarExecutor(relation).execute_batch(queries, stats=stats)
-        unoptimized = ColumnarExecutor(relation).execute_batch(
-            queries, optimize=False
-        )
         assert optimized == reference
-        assert unoptimized == reference
         assert stats.join_sides_fused > 0
         assert stats.plans_deduped > 0
         assert stats.join_side_cache_hits == 0  # first batch: nothing cached
@@ -235,24 +231,23 @@ class TestEvaluatorJoinBatches:
         ),
     ]
 
-    def test_bn_join_batch_matches_per_query(self, serving_themis):
+    def _plans(self, themis):
+        return [themis.plan(query).logical for query in self.QUERIES]
+
+    def test_bn_join_run_matches_per_query(self, serving_themis):
         evaluator = serving_themis.model.bayes_net_evaluator
-        batched = evaluator.join_group_by_batch(self.QUERIES)
+        batched = evaluator.run(self._plans(serving_themis))
         for result, query in zip(batched, self.QUERIES):
             assert result == evaluator.join_group_by(query)
 
-    def test_hybrid_join_batch_matches_per_query(self, serving_themis):
+    def test_hybrid_join_run_matches_per_query(self, serving_themis):
         hybrid = serving_themis.model.hybrid_evaluator
         stats = OptimizerStats()
-        batched = hybrid.join_group_by_batch(self.QUERIES, stats=stats)
+        batched = hybrid.run(self._plans(serving_themis), stats=stats)
         for result, query in zip(batched, self.QUERIES):
             assert result == hybrid.join_group_by(query)
         k = serving_themis.model.bayes_net_evaluator.n_generated_samples
         assert stats.bn_sample_dispatches_saved == k * (len(self.QUERIES) - 1)
-
-    def test_empty_join_batches(self, serving_themis):
-        assert serving_themis.model.hybrid_evaluator.join_group_by_batch([]) == []
-        assert serving_themis.model.bayes_net_evaluator.join_group_by_batch([]) == []
 
 
 class TestServingJoinBatches:
@@ -276,18 +271,18 @@ class TestServingJoinBatches:
         PointQuery({"A": 0}),
     ]
 
-    def test_join_batch_matches_per_plan_session_and_singles(self, serving_themis):
+    def test_join_batch_matches_single_session_and_singles(self, serving_themis):
         optimized = serving_themis.serve().execute_batch(self.WORKLOAD)
-        per_plan = serving_themis.serve(optimize=False).execute_batch(self.WORKLOAD)
+        single_session = serving_themis.serve()
+        per_plan = [single_session.execute(query) for query in self.WORKLOAD]
         singles = [serving_themis.query(query) for query in self.WORKLOAD]
         for left, right, single in zip(optimized, per_plan, singles):
-            assert left.result == right.result
+            assert left.result == right
             assert left.result == single
 
     def test_join_counters_reach_batch_and_session_statistics(self, serving_themis):
         session = serving_themis.serve()
         batch = session.execute_batch(self.WORKLOAD)
-        assert batch.optimizer is not None
         assert batch.optimizer["join_sides_fused"] > 0
         assert batch.optimizer["bn_sample_dispatches_saved"] > 0
         stats = session.statistics.as_dict()["optimizer"]
@@ -322,11 +317,6 @@ class TestServingJoinBatches:
         assert caches["join_side_cache"]["cached_sides"] > 0
         assert caches["join_side_cache"]["hits"] > 0
 
-    def test_unoptimized_session_serves_joins_per_plan(self, serving_themis):
-        batch = serving_themis.serve(optimize=False).execute_batch(self.WORKLOAD)
-        assert batch.optimizer is None
-        assert batch.optimized_plans == 0
-
     def test_refit_invalidates_the_join_side_cache(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()
         before = session.execute_batch(self.WORKLOAD)
@@ -341,11 +331,8 @@ class TestServingJoinBatches:
         )
         # A refit rebuilds the executor: fresh cache object, no stale sides.
         assert new_cache is not old_cache
-        per_plan = fresh_serving_themis.serve(optimize=False).execute_batch(
-            self.WORKLOAD
-        )
-        for left, right in zip(after, per_plan):
-            assert left.result == right.result
+        singles = [fresh_serving_themis.query(query) for query in self.WORKLOAD]
+        assert after.results() == singles
         assert len(before) == len(after)
 
     def test_warm_join_batch_serves_from_the_result_cache(self, serving_themis):

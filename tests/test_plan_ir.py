@@ -570,26 +570,26 @@ class TestExactBNLowering:
         )
         assert bn.scalar_exact(query) == pytest.approx(expected, rel=1e-9)
 
-    def test_group_by_exact_masses_sum_to_population(self, sparse_serving_themis):
-        model = sparse_serving_themis.model
-        bn = model.bayes_net_evaluator
-        result = bn.group_by_exact(GroupByQuery(group_by=("A", "B")))
-        assert sum(result.as_dict().values()) == pytest.approx(
-            model.population_size, rel=1e-6
-        )
+    def test_grouped_restricted_aggregate_masses_sum_to_one(self, sparse_serving_themis):
+        # The batched engine's grouped rows (the evaluator only lowers
+        # scalars; the GROUP BY lowering has no serving caller).
+        engine = sparse_serving_themis.model.bayes_net_evaluator.inference.batched
+        (rows,) = engine.restricted_aggregate_batch([(("A", "B"), (), "count", None)])
+        assert sum(value for _codes, value, _mass in rows) == pytest.approx(1.0, rel=1e-6)
 
-    def test_group_by_exact_avg_matches_conditional_expectation(
+    def test_grouped_restricted_avg_matches_conditional_expectation(
         self, sparse_serving_themis
     ):
         bn = sparse_serving_themis.model.bayes_net_evaluator
-        result = bn.group_by_exact(
-            GroupByQuery(
-                group_by=("A",), aggregate=AggregateSpec(AggregateFunction.AVG, "C")
-            )
+        (rows,) = bn.inference.batched.restricted_aggregate_batch(
+            [(("A",), (), "avg", "C")]
         )
         inference = ExactInference(bn.network)
-        for (a_value,), average in result:
-            conditional = inference.conditional("C", {"A": a_value})
+        a_domain = bn.network.schema["A"].domain
+        for (a_code,), average, mass in rows:
+            if mass <= 0:
+                continue
+            conditional = inference.conditional("C", {"A": a_domain.decode(a_code)})
             domain = bn.network.schema["C"].domain
             expected = float(
                 np.dot(conditional, np.asarray(domain.values, dtype=float))

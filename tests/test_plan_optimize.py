@@ -258,12 +258,7 @@ class TestColumnarBitIdentity:
         reference = [reference_executor.execute(query) for query in queries]
         executor = ColumnarExecutor(relation)
         stats = OptimizerStats()
-        optimized = executor.execute_batch(queries, optimize=True, stats=stats)
-        unoptimized = ColumnarExecutor(relation).execute_batch(
-            queries, optimize=False
-        )
-        assert optimized == reference
-        assert unoptimized == reference
+        assert executor.execute_batch(queries, stats=stats) == reference
         return stats
 
     def test_mixed_workload_with_duplicates(self, relation):
@@ -352,18 +347,18 @@ class TestServingOptimized:
         "SELECT A, COUNT(*) FROM sample GROUP BY A",  # exact duplicate
     ]
 
-    def test_batch_matches_per_plan_session_and_singles(self, serving_themis):
+    def test_batch_matches_single_session_and_singles(self, serving_themis):
         optimized = serving_themis.serve().execute_batch(self.WORKLOAD)
-        per_plan = serving_themis.serve(optimize=False).execute_batch(self.WORKLOAD)
+        single_session = serving_themis.serve()
+        per_plan = [single_session.execute(statement) for statement in self.WORKLOAD]
         singles = [serving_themis.query(statement) for statement in self.WORKLOAD]
         for left, right, single in zip(optimized, per_plan, singles):
-            assert left.result == right.result
+            assert left.result == right
             assert left.result == single
 
     def test_optimizer_counters_reach_session_statistics(self, serving_themis):
         session = serving_themis.serve()
         batch = session.execute_batch(self.WORKLOAD)
-        assert batch.optimizer is not None
         assert batch.optimizer["groupby_fusions"] > 0
         assert batch.optimizer["masks_shared"] > 0
         assert batch.optimized_plans > 0
@@ -373,11 +368,6 @@ class TestServingOptimized:
         summary = batch.statistics()
         assert summary["optimized_plans"] == batch.optimized_plans
         assert summary["optimizer"]["groupby_fusions"] > 0
-
-    def test_unoptimized_session_reports_no_optimizer(self, serving_themis):
-        batch = serving_themis.serve(optimize=False).execute_batch(self.WORKLOAD)
-        assert batch.optimizer is None
-        assert batch.optimized_plans == 0
 
     def test_warm_batch_serves_from_the_result_cache(self, serving_themis):
         session = serving_themis.serve()
@@ -394,11 +384,8 @@ class TestServingOptimized:
         assert len(before) == len(self.WORKLOAD)
         fresh_serving_themis.refit()
         after = session.execute_batch(self.WORKLOAD)
-        per_plan = fresh_serving_themis.serve(optimize=False).execute_batch(
-            self.WORKLOAD
-        )
-        for left, right in zip(after, per_plan):
-            assert left.result == right.result
+        singles = [fresh_serving_themis.query(statement) for statement in self.WORKLOAD]
+        assert after.results() == singles
         assert session.statistics.invalidations == 1
 
     def test_mixed_workload_batch_matches_singles(self, serving_themis):
@@ -414,7 +401,9 @@ class TestServingOptimized:
 
 
 class TestEvaluatorBatches:
-    def test_hybrid_group_by_batch_matches_per_query(self, serving_themis):
+    """``run`` over routed plans, compared with the per-query kernels."""
+
+    def test_hybrid_run_matches_per_query(self, serving_themis):
         hybrid = serving_themis.model.hybrid_evaluator
         queries = [
             GroupByQuery(("A",)),
@@ -422,25 +411,36 @@ class TestEvaluatorBatches:
             GroupByQuery(("A", "B"), predicates=(Predicate("C", Comparison.EQ, 1),)),
             GroupByQuery(("B",), predicates=(Predicate("C", Comparison.EQ, 1),)),
         ]
-        batched = hybrid.group_by_batch(queries)
+        batched = hybrid.run([serving_themis.plan(query).logical for query in queries])
         for result, query in zip(batched, queries):
             assert result == hybrid.group_by(query)
 
-    def test_bn_group_by_batch_matches_per_query(self, serving_themis):
+    def test_bn_run_matches_per_query(self, serving_themis):
         evaluator = serving_themis.model.bayes_net_evaluator
         queries = [
             GroupByQuery(("A",)),
             GroupByQuery(("A",), aggregate=AggregateSpec(AggregateFunction.AVG, "B")),
-            GroupByQuery(("B", "C"))]
-        batched = evaluator.group_by_batch(queries)
-        for result, query in zip(batched, queries):
-            assert result == evaluator.group_by(query)
+            GroupByQuery(("B", "C")),
+            ScalarAggregateQuery(predicates=(Predicate("A", Comparison.LE, 1),)),
+            PointQuery({"A": 1, "B": 2}),
+        ]
+        batched = evaluator.run([serving_themis.plan(query).logical for query in queries])
+        assert batched == [evaluator.execute(query) for query in queries]
+
+    def test_sample_run_matches_per_query(self, serving_themis):
+        evaluator = serving_themis.model.sample_evaluator
+        queries = [
+            GroupByQuery(("A",)),
+            ScalarAggregateQuery(predicates=(Predicate("A", Comparison.LE, 1),)),
+            PointQuery({"A": 1, "B": 2}),
+        ]
+        batched = evaluator.run([serving_themis.plan(query).logical for query in queries])
+        assert batched == [evaluator.execute(query) for query in queries]
 
     def test_empty_batches(self, serving_themis):
-        assert serving_themis.model.hybrid_evaluator.group_by_batch([]) == []
-        assert serving_themis.model.bayes_net_evaluator.group_by_batch([]) == []
-        engine = serving_themis.model.sample_evaluator.engine
-        assert engine.execute_batch([]) == []
+        assert serving_themis.model.hybrid_evaluator.run([]) == []
+        assert serving_themis.model.bayes_net_evaluator.run([]) == []
+        assert serving_themis.model.sample_evaluator.run([]) == []
 
 
 class TestExplainOptimized:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.query import PointQuery
 from repro.serving import (
     InferenceCache,
     LRUCache,
@@ -110,34 +111,54 @@ class TestInferenceCache:
         cache.engine.invalidate(cache.generation)
         return cache
 
-    def test_point_matches_evaluator(self, serving_themis, inference_cache):
+    @staticmethod
+    def _observed_point(cache, assignment):
+        """One point answer with its network work accounted to ``cache``."""
+        with cache.observed():
+            return cache.evaluator.point(assignment)
+
+    def test_observed_point_matches_evaluator(self, serving_themis, inference_cache):
         evaluator = serving_themis.model.bayes_net_evaluator
         assignment = {"A": 1, "B": 2}
-        assert inference_cache.point(assignment) == evaluator.point(assignment)
+        assert self._observed_point(inference_cache, assignment) == evaluator.point(
+            assignment
+        )
 
     def test_point_signature_factor_is_memoized(self, inference_cache):
-        first = inference_cache.point({"A": 1})
-        second = inference_cache.point({"A": 1})
+        first = self._observed_point(inference_cache, {"A": 1})
+        second = self._observed_point(inference_cache, {"A": 1})
         assert first == second
         assert inference_cache.statistics.hits == 1
         assert inference_cache.statistics.misses == 1
         # A *different* assignment with the same evidence signature reuses
         # the eliminated factor too: per-signature caching, not per-answer.
-        inference_cache.point({"A": 2})
+        self._observed_point(inference_cache, {"A": 2})
         assert inference_cache.statistics.hits == 2
         assert inference_cache.statistics.misses == 1
 
-    def test_batch_pays_one_elimination_per_signature(self, inference_cache):
+    def test_run_pays_one_elimination_per_signature(
+        self, serving_themis, inference_cache
+    ):
         batch = [{"A": 0}, {"A": 1}, {"A": 2, "B": 0}, {"B": 0, "A": 1}]
-        answers = inference_cache.point_batch(batch)
-        assert answers == [inference_cache.evaluator.point(a) for a in batch]
+        plans = [serving_themis.plan(PointQuery(a)).logical for a in batch]
+        with inference_cache.observed() as work:
+            answers = inference_cache.evaluator.run(plans)
         # One factor lookup per signature group ({A} and {A,B}), both cold.
+        assert work == {
+            "elimination_passes": 2,
+            "factor_cache_hits": 0,
+            "factor_cache_misses": 2,
+        }
         assert inference_cache.statistics.misses == 2
         assert inference_cache.statistics.hits == 0
+        # Work outside an observed block is not this cache's.
+        assert answers == [inference_cache.evaluator.point(a) for a in batch]
+        assert inference_cache.statistics.hits == 0
         # The same batch again touches both factors without re-eliminating.
-        inference_cache.point_batch(batch)
+        with inference_cache.observed() as work:
+            inference_cache.evaluator.run(plans)
+        assert work["elimination_passes"] == 0
         assert inference_cache.statistics.hits == 2
-        assert inference_cache.engine.elimination_passes >= 2
 
     def test_marginal_is_memoized_and_normalized(self, inference_cache):
         marginal = inference_cache.marginal("A")
@@ -155,7 +176,7 @@ class TestInferenceCache:
 
     def test_invalidate_rebinds_and_resets(self, fresh_serving_themis):
         cache = InferenceCache(fresh_serving_themis.model.bayes_net_evaluator)
-        cache.point({"A": 0})
+        self._observed_point(cache, {"A": 0})
         cache.marginal("A")
         cache.warm_samples()
         new_model = fresh_serving_themis.refit()
@@ -165,5 +186,5 @@ class TestInferenceCache:
         assert cache.evaluator is new_model.bayes_net_evaluator
         # Memoized state was dropped: next lookups are misses again.
         before = cache.statistics.misses
-        cache.point({"A": 0})
+        self._observed_point(cache, {"A": 0})
         assert cache.statistics.misses == before + 1

@@ -9,9 +9,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.query import Comparison, GroupByQuery, PointQuery, Predicate, ScalarAggregateQuery
+from repro.obs import names
+from repro.query import (
+    Comparison,
+    GroupByQuery,
+    JoinGroupByQuery,
+    PointQuery,
+    Predicate,
+    ScalarAggregateQuery,
+)
 from repro.serving import BatchResult, ServingSession
 from repro.sql.engine import QueryResult
+from worlds import build_sparse_fitted_themis
 
 
 WORKLOAD = [
@@ -95,6 +104,91 @@ class TestBatchMatchesSingleQuery:
         # The facade keeps one shared session across calls.
         again = fresh_serving_themis.execute_batch(WORKLOAD[:3])
         assert all(o.from_result_cache or o.deduplicated for o in again)
+
+
+#: One statement per (route, shape) pair the router can produce.  On the
+#: sparse facade ``A = 1`` never occurs in the sample, so filters on it route
+#: to the network.
+ROUTE_SHAPE_MATRIX = [
+    ("sample", "point", "SELECT COUNT(*) FROM sample WHERE A = 0"),
+    ("bayes-net", "point", "SELECT COUNT(*) FROM sample WHERE A = 1 AND B = 0"),
+    ("bayes-net", "point", PointQuery({"A": 1, "B": 2, "C": 1})),
+    ("sample", "scalar", "SELECT AVG(B) FROM sample WHERE A = 0"),
+    ("bayes-net", "scalar", "SELECT AVG(B) FROM sample WHERE A = 1"),
+    ("bayes-net", "scalar", "SELECT SUM(C) FROM sample WHERE A = 1 AND B <= 1"),
+    ("sample", "table", "SELECT COUNT(*) AS n, AVG(B) AS m FROM sample WHERE A = 0"),
+    ("bayes-net", "table", "SELECT COUNT(*) AS n, AVG(B) AS m FROM sample WHERE A = 1"),
+    ("hybrid", "group-by", "SELECT A, COUNT(*) FROM sample GROUP BY A"),
+    ("hybrid", "group-by", "SELECT A, SUM(B) FROM sample WHERE C = 1 GROUP BY A"),
+    ("hybrid", "join-group-by", JoinGroupByQuery("A", "A", "B", "C")),
+    (
+        "hybrid",
+        "table",
+        "SELECT A, COUNT(*) AS n, SUM(B) AS s FROM sample GROUP BY A ORDER BY n DESC",
+    ),
+    (
+        "hybrid",
+        "table",
+        "SELECT A, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r "
+        "FROM sample GROUP BY A HAVING n > 1",
+    ),
+]
+MATRIX_QUERIES = [query for _, _, query in ROUTE_SHAPE_MATRIX]
+MATRIX_QUERIES = MATRIX_QUERIES + MATRIX_QUERIES[::3]  # exact duplicates
+
+
+class TestRouteShapeMatrix:
+    """``run`` per route == the single-plan kernels, for every shape."""
+
+    def test_matrix_covers_what_it_claims(self, sparse_serving_themis):
+        for route, shape, query in ROUTE_SHAPE_MATRIX:
+            plan = sparse_serving_themis.plan(query)
+            assert (plan.route, plan.shape) == (route, shape), query
+
+    def test_batch_equals_singles_cold_and_warm(self, sparse_serving_themis):
+        singles = [sparse_serving_themis.query(query) for query in MATRIX_QUERIES]
+        session = sparse_serving_themis.serve()
+        cold = session.execute_batch(MATRIX_QUERIES)
+        assert cold.results() == singles
+        assert cold.cache_hits == 0
+        for outcome in cold:
+            if not outcome.deduplicated:
+                # Every plan was answered by its route's dispatch stage.
+                assert outcome.bn_batched == (outcome.route == "bayes-net")
+                assert outcome.optimized == (outcome.route != "bayes-net")
+        warm = session.execute_batch(MATRIX_QUERIES)
+        assert warm.results() == singles
+        assert warm.cache_hits == len(MATRIX_QUERIES)
+        # ... and so does single-query serving, on a session of its own.
+        single_session = sparse_serving_themis.serve()
+        assert [single_session.execute(query) for query in MATRIX_QUERIES] == singles
+
+    def test_batch_equals_singles_after_refit(self):
+        themis = build_sparse_fitted_themis()
+        session = themis.serve()
+        session.execute_batch(MATRIX_QUERIES)
+        themis.refit()
+        after = session.execute_batch(MATRIX_QUERIES)
+        assert after.cache_hits == 0
+        assert after.results() == [themis.query(query) for query in MATRIX_QUERIES]
+
+    def test_bn_routed_aggregates_run_under_the_bn_stage(self, sparse_serving_themis):
+        """Regression: BN-routed sampled scalars and group-less tables used
+        to match no dispatch bucket and were evaluated, untraced, inside the
+        cache-probe stage."""
+        queries = [
+            query
+            for route, shape, query in ROUTE_SHAPE_MATRIX
+            if route == "bayes-net" and shape != "point"
+        ]
+        batch = sparse_serving_themis.serve(trace=True).execute_batch(queries)
+        probe = batch.trace.find(names.STAGE_CACHE_PROBE)
+        assert probe.children == []
+        dispatch = batch.trace.find(names.STAGE_BN_DISPATCH)
+        assert dispatch is not None and dispatch.spans("bn-samples")
+        assert batch.trace.find(names.STAGE_COLUMNAR) is None
+        assert all(outcome.bn_batched for outcome in batch)
+        assert batch.bn_batch_seconds > 0.0
 
 
 class TestBatchAmortization:

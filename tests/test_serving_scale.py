@@ -34,6 +34,7 @@ from repro.serving.scale import (
     WorkerSpec,
     serve_async,
 )
+from repro.serving.scale.faults import FaultInjector
 from repro.serving.scale.frontend import encode_result
 from repro.serving.scale.shard import stable_plan_hash
 
@@ -195,10 +196,14 @@ class TestWorkerPool:
     def test_dispatch_timeout_raises_overload_with_shard_id(self, themis):
         statement = "SELECT A, COUNT(*) FROM R GROUP BY A"
         # max_retries=0: a single attempt surfaces its own typed error
-        # instead of RetryExhaustedError.
-        with SupervisedWorkerPool(themis, n_workers=1, max_retries=0) as pool:
+        # instead of RetryExhaustedError.  The first reply is held back past
+        # the timeout (a bare tiny timeout races a fast worker).
+        late = FaultInjector().delay_reply(0, seconds=0.25, at=1)
+        with SupervisedWorkerPool(
+            themis, n_workers=1, max_retries=0, fault_injector=late
+        ) as pool:
             with pytest.raises(ServingOverloadError) as excinfo:
-                pool.execute_batch([statement], timeout=1e-6)
+                pool.execute_batch([statement], timeout=0.05)
             assert excinfo.value.shard_id == 0
             # The worker's eventual late reply is discarded by sequence
             # number: the pool keeps serving correct answers afterwards.

@@ -4,13 +4,12 @@ A seeded generator produces random relations (mixed string/numeric domains,
 zero and non-dyadic weights) and random queries over every supported SQL
 shape — point, scalar, GROUP BY, and the full analytic surface (multi-
 aggregate, HAVING, window functions, ORDER BY/LIMIT).  Each query is
-answered four ways and every answer must be **exactly** equal (``==``, no
+answered three ways and every answer must be **exactly** equal (``==``, no
 tolerance):
 
 * the row-at-a-time reference engine (``tests/oracle.py``),
-* the per-plan columnar path (``engine.execute``),
-* the unoptimized batch loop (``execute_batch(optimize=False)``),
-* the batch-aware optimizer (``execute_batch(optimize=True)``),
+* the per-plan columnar path (``engine.execute``, one query at a time),
+* the batch-aware optimizer (``engine.execute_batch``),
 
 and, for queries the generator can render to SQL text, the parser path as
 well.  ``SQL_DIFFERENTIAL_SWEEP`` scales the number of generated queries
@@ -362,13 +361,12 @@ def _check_relation(seed: int, n_queries: int) -> None:
                 f"seed={seed}: SQL-path mismatch for {sql!r}:\n{via_sql!r}\n!=\n{want!r}"
             )
 
-    for optimize in (False, True):
-        answers = engine.execute_batch(queries, optimize=optimize)
-        for index, (got, want) in enumerate(zip(answers, expected)):
-            assert got == want, (
-                f"seed={seed}: batch(optimize={optimize}) mismatch at #{index} "
-                f"for {queries[index]!r}:\n{got!r}\n!=\n{want!r}"
-            )
+    answers = engine.execute_batch(queries)
+    for index, (got, want) in enumerate(zip(answers, expected)):
+        assert got == want, (
+            f"seed={seed}: batch mismatch at #{index} "
+            f"for {queries[index]!r}:\n{got!r}\n!=\n{want!r}"
+        )
 
 
 def test_differential_sweep():
@@ -389,7 +387,7 @@ def test_differential_rich_pipeline_heavy():
     for query, want in zip(queries, expected):
         got = engine.execute(query)
         assert got == want, f"seed=77001: {query!r}:\n{got!r}\n!=\n{want!r}"
-    optimized = engine.execute_batch(queries, optimize=True)
+    optimized = engine.execute_batch(queries)
     for index, (got, want) in enumerate(zip(optimized, expected)):
         assert got == want, (
             f"seed=77001: optimized batch mismatch at #{index} for "
@@ -445,7 +443,7 @@ def test_differential_survives_refit():
         for query, want in zip(queries, expected):
             got = engine.execute(query)
             assert got == want, f"{label}: {query!r}:\n{got!r}\n!=\n{want!r}"
-        optimized = engine.execute_batch(queries, optimize=True)
+        optimized = engine.execute_batch(queries)
         assert optimized == expected, f"{label}: optimized batch diverged"
         return weighted.weights.copy()
 

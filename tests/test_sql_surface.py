@@ -170,7 +170,7 @@ class TestServingTables:
             "FROM t GROUP BY g",
         ]
         stats = OptimizerStats()
-        optimized = engine.execute_batch(queries, optimize=True, stats=stats)
+        optimized = engine.execute_batch(queries, stats=stats)
         assert stats.window_sorts_shared >= 1
         assert stats.groupby_fusions >= 1
         assert optimized == [engine.execute(sql) for sql in queries]
