@@ -3,14 +3,14 @@
 Self-join GROUP BY queries (the paper's Table 5 Q6 shape) are the most
 expensive plans Themis serves: each one aggregates two *sides* into
 ``(join key, group)`` weight totals before merging them, and the hybrid
-evaluator repeats that work on every one of the BN's ``K`` generated
+evaluator needs the same answer from every one of the BN's ``K`` generated
 samples.  This example drives a serving batch that mixes join plans with
 ordinary GROUP BY/COUNT traffic and shows the join-aware batch optimizer at
 work: join plans sharing a side (even written with reordered or padded
 filters) compute its totals once, the side totals persist across batches in
-the join-side cache, and the per-generated-sample BN work is batched per
-sample instead of per plan — all with answers bit-identical to serving each
-query alone.
+the join-side cache, and the BN side computes each side for all ``K``
+generated samples in one stacked scatter-add instead of once per plan per
+sample — all with answers bit-identical to serving each query alone.
 
 Run with:  python examples/join_fusion.py
 """

@@ -25,27 +25,43 @@ served:
   plan.  The sample's ``run`` is the columnar engine's optimized schedule;
   the network's ``run`` sends point plans through one batched inference
   call, exact-lowered scalars through one restricted-aggregate call, and
-  everything else through one optimized schedule per generated sample; the
+  everything else through one optimized schedule over the ``K`` generated
+  samples stacked into one relation (:class:`_GeneratedStack`); the
   hybrid's ``run`` splits by ``plan.route``, delegates to the other two,
   and for hybrid-routed plans runs both and merges.
 
 **Combining answers.**  Two rules turn per-relation answers into one.
-On the network side (:func:`_intersect_and_average`) a group survives only
-if it appears in *all* ``K`` generated answers, and its value is the
-arithmetic mean of the ``K`` values — the paper's guard against phantom
-groups (Sec. 4.2.4).  In the vocabulary of consensus answers over
-probabilistic databases (Li & Deshpande, see PAPERS.md) the ``K`` samples
-are possible worlds: the kept groups are the intersection of the worlds'
-group sets (the set-valued consensus under symmetric difference, taken at
-threshold 1 instead of 1/2), and the mean is the value minimizing expected
-squared distance to the worlds' values.  On the hybrid side
-(:func:`_merge_group_by`) the sample's value wins for every group the
-sample has, and groups only the network found are added — the sample is
-trusted where it has support, the network fills in the open world.
+On the network side a group survives only if it appears in *all* ``K``
+generated answers, and its value is the arithmetic mean of the ``K`` values
+— the paper's guard against phantom groups (Sec. 4.2.4).  In the vocabulary
+of consensus answers over probabilistic databases (Li & Deshpande, see
+PAPERS.md) the ``K`` samples are possible worlds: the kept groups are the
+intersection of the worlds' group sets (the set-valued consensus under
+symmetric difference, taken at threshold 1 instead of 1/2), and the mean is
+the value minimizing expected squared distance to the worlds' values.  On
+the hybrid side (:func:`_merge_group_by`) the sample's value wins for every
+group the sample has, and groups only the network found are added — the
+sample is trusted where it has support, the network fills in the open world.
+
+**The stacked pass.**  The ``K`` worlds are never looped over.  They are one
+relation with a per-row sample id, so a family of plans pays one compile,
+one optimized schedule and one conjunction mask per unit over the
+``K * size`` rows, and a GROUP BY unit one scatter-add per distinct measure
+over ``(sample, group)`` bins, reshaped ``(K, G)``: a group survives iff its
+weight total is positive in all ``K`` rows, and its value is the mean of its
+column.  The answers are bit-identical to the loop over ``K`` engines this
+replaced, by operand order rather than by luck — the partitioned kernels
+(:mod:`repro.plan.kernels`) give every sample exactly the additions its own
+pass would run, and :func:`_sample_means` reduces each survivor's ``K``
+values along the last axis of a C-contiguous array, which is the pairwise
+summation ``np.mean`` runs over a list of ``K`` floats (reducing ``(K, G)``
+over axis 0 accumulates row by row and differs once ``K >= 8``).  The loop
+itself lives on as the reference of ``tests/test_generated_stack.py``.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import replace
 from typing import Any
@@ -64,11 +80,21 @@ from ..plan import (
     SHAPE_POINT,
     SHAPE_SCALAR,
     SHAPE_TABLE,
+    ColumnarExecutor,
     LogicalPlan,
+    PhysicalSchedule,
     PlanCompiler,
+    RowPartition,
+    ScheduleUnit,
+    merge_join_sides,
     merged_table,
+    optimize_batch,
+    partitioned_group_columns,
+    partitioned_grouped_weight_totals,
+    partitioned_scalar_reduce,
     query_shape,
 )
+from ..plan.optimize import UNIT_JOIN, UNIT_SCALAR
 from ..query.ast import (
     AnalyticQuery,
     GroupByQuery,
@@ -234,7 +260,7 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         self._sample_size = int(generated_sample_size)
         self._rng = np.random.default_rng(seed)
         self._generated: list[Relation] | None = None
-        self._generated_engines: list[WeightedQueryEngine] | None = None
+        self._generated_stack: _GeneratedStack | None = None
         self._lowering_compiler = None
         self.name = name
 
@@ -272,21 +298,23 @@ class BayesNetEvaluator(OpenWorldEvaluator):
             )
         return self._generated
 
-    def _sample_engines(self) -> list[WeightedQueryEngine]:
-        """Persistent engines over the ``K`` generated samples.
+    def _stack(self) -> "_GeneratedStack":
+        """The ``K`` generated samples stacked behind one executor.
 
-        Keeping the engines (not just the relations) alive across queries
-        preserves their predicate-mask caches, so repeated filtered queries
-        against the generated samples pay each mask once.
+        Built on first use and kept for the evaluator's lifetime, so
+        repeated filtered queries against the generated samples pay each
+        predicate mask once (a refit builds a fresh evaluator, hence a fresh
+        stack).
         """
-        if self._generated_engines is None:
-            self._generated_engines = [
-                WeightedQueryEngine(sample) for sample in self.generated_samples()
-            ]
-        return self._generated_engines
+        if self._generated_stack is None:
+            self._generated_stack = _GeneratedStack(
+                self.generated_samples(), self._compiler()
+            )
+        return self._generated_stack
 
     def _compiler(self):
-        """The (cached) plan compiler lowering aggregate queries to factors."""
+        """The (cached) plan compiler over the network's schema, shared by
+        the factor lowering and the generated-sample stack."""
         if self._lowering_compiler is None:
             self._lowering_compiler = PlanCompiler(self._network.schema)
         return self._lowering_compiler
@@ -303,18 +331,17 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         """Average the per-group answers of ``K`` generated samples.
 
         Only groups appearing in **all** ``K`` answers are returned, which is
-        the paper's guard against phantom groups.
+        the paper's guard against phantom groups.  A family of one through
+        the stacked pass (:meth:`_GeneratedStack.run`), like :meth:`scalar`
+        and :meth:`join_group_by`.
         """
-        per_sample = [engine.group_by(query) for engine in self._sample_engines()]
-        return _intersect_and_average(query.group_by, per_sample)
+        return self._stack().run([query])[0]
 
     def scalar(self, query: ScalarAggregateQuery) -> float:
-        answers = [engine.scalar(query) for engine in self._sample_engines()]
-        return float(np.mean(answers)) if answers else 0.0
+        return self._stack().run([query])[0]
 
     def join_group_by(self, query: JoinGroupByQuery) -> QueryResult:
-        per_sample = [engine.join_group_by(query) for engine in self._sample_engines()]
-        return _intersect_and_average((query.left_group, query.right_group), per_sample)
+        return self._stack().run([query])[0]
 
     def analytic(self, query: "AnalyticQuery | LogicalPlan"):
         """Analytic table by per-aggregate decomposition over the network
@@ -408,37 +435,113 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         return answers
 
     def _run_sampled(self, plans, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
-        """Answer plans from the ``K`` generated samples, one dispatch each.
+        """Answer plans from the ``K`` generated samples in one stacked pass.
 
         Tables decompose into their per-aggregate parts, so the whole family
-        is scalars, group-bys and joins; every generated engine serves it
-        through one optimized schedule (fused group-by prefixes, shared join
-        sides) instead of one execution per ``(plan, sample)`` pair, and the
-        ``K`` answers of each plan combine by :func:`_intersect_and_average`
-        keyed on ``plan.group_keys`` (scalars: the plain mean).  Raw ASTs
-        are passed down — each engine compiles against its *own* schema,
-        exactly as the single-plan kernels do.  ``cancel`` is polled between
-        generated samples; ``stats.bn_sample_dispatches_saved`` counts the
-        ``K * (family - 1)`` dispatches the batching avoided.
+        is scalars, group-bys and joins, served by one optimized schedule
+        over the stacked samples (:meth:`_GeneratedStack.run`: fused
+        group-by prefixes, shared masks and join sides, ``cancel`` polled
+        per schedule unit).  Raw ASTs are passed down — the stack compiles
+        against the *network's* schema, exactly as the single-plan kernels
+        do.  ``stats.bn_sample_dispatches_saved`` counts the
+        ``K * (family - 1)`` per-``(plan, sample)`` executions the family
+        shares.
         """
         flat, slices = _flatten_tables(plans, self._compiler().compile)
-        asts = [plan.query for plan in flat]
-        per_engine = []
         with tracer.span("bn-samples", samples=self._k, plans=len(flat)):
-            for engine in self._sample_engines():
-                if cancel is not None:
-                    cancel.poll()
-                per_engine.append(engine.execute_batch(asts))
+            answers = self._stack().run([plan.query for plan in flat], cancel=cancel)
         if stats is not None and len(flat) > 1:
             stats.bn_sample_dispatches_saved += self._k * (len(flat) - 1)
-        answers: list = []
-        for index, plan in enumerate(flat):
-            column = [engine_answers[index] for engine_answers in per_engine]
-            if plan.shape == SHAPE_SCALAR:
-                answers.append(float(np.mean(column)) if column else 0.0)
-            else:
-                answers.append(_intersect_and_average(plan.group_keys, column))
         return _assemble_tables(plans, slices, answers, self._network.schema, stats)
+
+
+class _GeneratedStack:
+    """The ``K`` generated samples as one relation behind one executor.
+
+    Rows are stacked in sample order, so sample ``k`` is a contiguous row
+    range (:class:`~repro.plan.kernels.RowPartition`) and one
+    :class:`~repro.plan.ColumnarExecutor` — one compiler, one mask cache,
+    one numeric-column memo — serves all ``K`` worlds.  :meth:`run` is the
+    only way the network answers from its samples: single queries are
+    families of one.
+    """
+
+    def __init__(self, samples: list[Relation], compiler: PlanCompiler):
+        self._partition = RowPartition.of_sizes([sample.n_rows for sample in samples])
+        self._executor = ColumnarExecutor(
+            functools.reduce(Relation.concat, samples), compiler=compiler
+        )
+
+    def run(self, queries: Sequence[Query], cancel=None) -> list:
+        """Consensus answers of scalar / GROUP BY / join queries over the
+        ``K`` samples, in submission order: one compile per query, one
+        optimized schedule, ``cancel`` polled per schedule unit."""
+        compile = self._executor.compiler.compile
+        schedule = optimize_batch([compile(query) for query in queries])
+        answers: list = [None] * len(schedule.slots)
+        for unit in schedule.units:
+            if cancel is not None:
+                cancel.poll()
+            self._run_unit(unit, schedule, answers)
+        return schedule.fan_out(answers)
+
+    def _run_unit(self, unit: ScheduleUnit, schedule: PhysicalSchedule, answers: list) -> None:
+        """Execute one schedule unit over all ``K`` samples at once."""
+        executor, partition = self._executor, self._partition
+        relation = executor.relation
+        plans = [schedule.slots[slot] for slot in unit.slots]
+        if unit.kind == UNIT_JOIN:
+            # Side totals and presence come from the (sample, group) bins;
+            # the merge stays per sample, on dicts in ascending group order.
+            sides = [
+                partitioned_grouped_weight_totals(
+                    relation,
+                    side.keys,
+                    [executor.mask_cache.conjunction_mask(side.predicates)],
+                    partition,
+                )[0]
+                for side in schedule.join_sides
+            ]
+            for slot, plan, (left, right) in zip(unit.slots, plans, unit.sides):
+                worlds = [merge_join_sides(*pair) for pair in zip(sides[left], sides[right])]
+                groups = [
+                    group
+                    for group in worlds[0]
+                    if all(group in world for world in worlds[1:])
+                ]
+                values = [[world[group] for world in worlds] for group in groups]
+                answers[slot] = QueryResult(
+                    plan.group_keys, dict(zip(groups, _sample_means(values)))
+                )
+            return
+        mask = executor.mask_cache.conjunction_mask(unit.predicates)
+        # Tables were flattened into their parts: one aggregate per plan.
+        specs = [executor.plan_specs(plan)[0] for plan in plans]
+        if unit.kind == UNIT_SCALAR:
+            values = partitioned_scalar_reduce(relation, mask, specs, partition)
+            for slot, mean in zip(unit.slots, _sample_means(values)):
+                answers[slot] = mean
+            return
+        weight_totals, per_spec = partitioned_group_columns(
+            relation, unit.group_keys, mask, specs, partition
+        )
+        survivors = np.flatnonzero((weight_totals > 0).all(axis=0))
+        groups = relation.group_tuples(unit.group_keys, survivors)
+        for slot, values in zip(unit.slots, per_spec):
+            means = _sample_means(values[:, survivors].T)
+            answers[slot] = QueryResult(unit.group_keys, dict(zip(groups, means)))
+
+
+def _sample_means(values) -> list[float]:
+    """Row means of ``(n, K)`` values — each row one answer's ``K`` worlds.
+
+    Reduces along the last axis of a C-contiguous array: numpy then runs the
+    same pairwise summation over the same ``K`` operands as ``np.mean`` over
+    a list of the ``K`` values, which keeps the stacked pass bit-identical
+    to averaging per-sample answers.
+    """
+    rows = np.ascontiguousarray(values, dtype=float)
+    return rows.mean(axis=1).tolist() if rows.size else []
 
 
 class HybridEvaluator(OpenWorldEvaluator):
@@ -728,21 +831,3 @@ def _axis_restrictions(predicates, schema) -> tuple:
         (name, tuple(bool(flag) for flag in restrictions[name]))
         for name in sorted(restrictions)
     )
-
-
-def _intersect_and_average(
-    group_by: tuple[str, ...], results: list[QueryResult]
-) -> QueryResult:
-    """The network-side combination of ``K`` generated answers: a group
-    survives only if present in every result; its value is the arithmetic
-    mean of its ``K`` values.  No results give the empty answer."""
-    if not results:
-        return QueryResult(group_by, {})
-    common = set(results[0].groups())
-    for result in results[1:]:
-        common &= result.groups()
-    averaged = {
-        group: float(np.mean([result.value(group) for result in results]))
-        for group in common
-    }
-    return QueryResult(group_by, averaged)

@@ -480,7 +480,7 @@ class Themis:
         join plans' shared sides — each distinct ``(join key, group)`` side
         computes its weight totals once per batch (and persists across
         batches in the generation-keyed join-side cache), while hybrid
-        join families pay one batched dispatch per generated sample —
+        join families pay one schedule over the stacked generated samples —
         without changing a single answer.
         """
         if self._serving_session is None:

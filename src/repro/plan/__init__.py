@@ -55,6 +55,7 @@ from .kernels import (
     JoinSideCache,
     fused_group_columns,
     MaskCache,
+    RowPartition,
     fused_group_reduce,
     fused_grouped_weight_totals,
     fused_scalar_reduce,
@@ -63,6 +64,9 @@ from .kernels import (
     masked_weights,
     merge_join_sides,
     numeric_column,
+    partitioned_group_columns,
+    partitioned_grouped_weight_totals,
+    partitioned_scalar_reduce,
     scalar_reduce,
 )
 from .optimize import (
@@ -110,6 +114,7 @@ __all__ = [
     "ROUTE_HYBRID",
     "ROUTE_SAMPLE",
     "Route",
+    "RowPartition",
     "SHAPE_GROUP_BY",
     "SHAPE_JOIN_GROUP_BY",
     "SHAPE_POINT",
@@ -141,6 +146,9 @@ __all__ = [
     "normalize_predicates",
     "numeric_column",
     "optimize_batch",
+    "partitioned_group_columns",
+    "partitioned_grouped_weight_totals",
+    "partitioned_scalar_reduce",
     "plan_from_json",
     "plan_to_json",
     "query_shape",

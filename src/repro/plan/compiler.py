@@ -75,8 +75,8 @@ class PlanCompiler:
     cache_size:
         Compiled plans are memoized per hashable query object (ASTs are
         frozen dataclasses), so re-executing the same query — the serving
-        hot path, or the BN evaluator running one query over ``K`` generated
-        samples — compiles once.
+        hot path, or a table's parts recompiled by the BN evaluator — compiles
+        once.
     """
 
     def __init__(self, schema: Schema, cache_size: int = 256):

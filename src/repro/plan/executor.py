@@ -208,7 +208,7 @@ class ColumnarExecutor:
             specs: list[tuple[str, np.ndarray | None]] = []
             for slot in unit.slots:
                 plan = schedule.slots[slot]
-                plan_specs = self._plan_specs(plan)
+                plan_specs = self.plan_specs(plan)
                 slot_spans.append((slot, plan, len(plan_specs)))
                 specs.extend(plan_specs)
             with tracer.span("kernel", kind="fused-scalar-reduce", reductions=len(specs)):
@@ -229,7 +229,7 @@ class ColumnarExecutor:
             specs = []
             for slot in unit.slots:
                 plan = schedule.slots[slot]
-                plan_specs = self._plan_specs(plan)
+                plan_specs = self.plan_specs(plan)
                 slot_spans.append((slot, plan, len(plan_specs)))
                 specs.extend(plan_specs)
             with tracer.span("kernel", kind="fused-group-reduce", reductions=len(specs)):
@@ -327,7 +327,7 @@ class ColumnarExecutor:
         assert all(entry is not None for entry in totals)
         return totals  # type: ignore[return-value]
 
-    def _plan_specs(self, plan: LogicalPlan) -> list[tuple[str, np.ndarray | None]]:
+    def plan_specs(self, plan: LogicalPlan) -> list[tuple[str, np.ndarray | None]]:
         """All of a plan's ``(function, measure column)`` fused-kernel specs.
 
         Legacy single-aggregate plans yield one spec; table plans yield one
@@ -350,7 +350,7 @@ class ColumnarExecutor:
         ORDER BY / LIMIT then run over the group rows.
         """
         mask = self._masks.conjunction_mask(plan.predicates)
-        specs = self._plan_specs(plan)
+        specs = self.plan_specs(plan)
         if plan.group_keys:
             positive, codes, decoded, per_spec = fused_group_columns(
                 self._relation, plan.group_keys, mask, specs

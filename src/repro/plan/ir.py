@@ -97,8 +97,13 @@ class CanonicalPredicate:
         Bit-identical to :meth:`repro.query.ast.Predicate.mask` on the
         original predicate: the bucketized form pre-computes exactly the
         codes/thresholds that method derives before comparing columns.
+        ``IN`` is one gather through :meth:`code_mask` — membership decided
+        once per domain code, not once per tuple.
         """
-        return self._compare(relation.column(self.attribute))
+        column = relation.column(self.attribute)
+        if self.comparison is Comparison.IN:
+            return self.code_mask(relation.schema[self.attribute].size)[column]
+        return self._compare(column)
 
     def code_mask(self, domain_size: int) -> np.ndarray:
         """Boolean mask over a *domain's codes* (not tuples) the predicate admits.

@@ -16,11 +16,18 @@ Every kernel is bit-identical to the historical filter-then-reduce engine:
 boolean indexing selects exactly the rows ``Relation.filter_mask`` kept, in
 the same order, so each float reduction performs the same operations on the
 same operands.
+
+The reductions come in a **partitioned** form (:class:`RowPartition`): the
+relation is several relations stacked in order — the Bayesian network's
+``K`` generated samples — and one pass yields every part's answer, each
+bit-identical to running the kernel over that part alone.  The plain
+``fused_*`` kernels are the one-part case of the same functions.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -165,6 +172,31 @@ class MaskCache:
 # ----------------------------------------------------------------------
 # Reduction kernels (shared by the executor and the evaluators)
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class RowPartition:
+    """Contiguous row ranges of one relation — several relations stacked.
+
+    ``offsets`` holds the ``n_parts + 1`` row boundaries (part ``k`` is rows
+    ``offsets[k]:offsets[k + 1]``) and ``ids`` the part of every row.  The
+    partitioned kernels reduce each part separately in one pass.
+    """
+
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of_sizes(cls, sizes: list[int]) -> "RowPartition":
+        """The partition of parts with the given row counts, in order."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
+        return cls(np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes), offsets)
+
+    @property
+    def n_parts(self) -> int:
+        """Number of parts."""
+        return self.offsets.shape[0] - 1
+
+
 def masked_weights(relation: Relation, mask: np.ndarray | None) -> np.ndarray:
     """The relation's weights restricted to ``mask`` (all weights when None)."""
     weights = relation.weights
@@ -223,6 +255,10 @@ def group_reduce(
     return fused_group_reduce(relation, keys, mask, [(function, measure)])[0]
 
 
+#: The one part of an unpartitioned relation: every (masked) row.
+_WHOLE = (slice(None),)
+
+
 def fused_scalar_reduce(
     relation: Relation,
     mask: np.ndarray | None,
@@ -230,43 +266,72 @@ def fused_scalar_reduce(
 ) -> list[float]:
     """Several masked weighted scalar aggregates over **one** shared mask.
 
+    The one-part case of :func:`partitioned_scalar_reduce` (one code path,
+    so the sample-side and stacked generated-sample executions can never
+    diverge).
+    """
+    return [values[0] for values in partitioned_scalar_reduce(relation, mask, specs)]
+
+
+def partitioned_scalar_reduce(
+    relation: Relation,
+    mask: np.ndarray | None,
+    specs: list[tuple[str, np.ndarray | None]],
+    partition: RowPartition | None = None,
+) -> list[list[float]]:
+    """Masked weighted scalar aggregates, one value per spec per part.
+
     ``specs`` is a list of ``(function, measure)`` pairs (``measure`` is the
     pre-gathered numeric column, ``None`` for COUNT).  The masked weight
-    vector, its total, each masked measure gather, and each weighted sum are
-    computed once per distinct operand and shared across the family —
-    bit-identical to calling :func:`scalar_reduce` per spec, because the
-    shared values are produced by exactly the operations each individual
-    reduction would have run.
+    vector, its per-part totals, each masked measure gather, and each
+    weighted sum are computed once per distinct operand and shared across
+    the family — bit-identical to calling :func:`scalar_reduce` per spec.
+
+    Parts are reduced as *contiguous slices* of the one masked vector: a
+    slice holds exactly the operands the part's own masked array would, so
+    numpy's pairwise summation adds them in the same order.  (A
+    ``np.add.reduceat`` or a bincount over part ids would add sequentially
+    and drift in the last bits.)
     """
     weights = masked_weights(relation, mask)
-    total: float | None = None
-    weighted_sums: dict[int, float] = {}
+    if partition is None:
+        slices = _WHOLE
+    else:
+        bounds = partition.offsets
+        if mask is not None:
+            bounds = np.searchsorted(np.flatnonzero(mask), bounds)
+        bounds = bounds.tolist()
+        slices = [slice(low, high) for low, high in zip(bounds, bounds[1:])]
+    totals: list[float] | None = None
+    weighted_sums: dict[int, list[float]] = {}
 
-    def weight_total() -> float:
-        nonlocal total
-        if total is None:
-            total = weights.sum()
-        return total
+    def weight_totals() -> list[float]:
+        nonlocal totals
+        if totals is None:
+            totals = [float(weights[part].sum()) for part in slices]
+        return totals
 
-    def weighted_sum(measure: np.ndarray) -> float:
+    def weighted_sum(measure: np.ndarray) -> list[float]:
         key = id(measure)
         if key not in weighted_sums:
-            values = measure if mask is None else measure[mask]
-            weighted_sums[key] = np.sum(weights * values)
+            products = weights * (measure if mask is None else measure[mask])
+            weighted_sums[key] = [float(np.sum(products[part])) for part in slices]
         return weighted_sums[key]
 
-    results: list[float] = []
+    results: list[list[float]] = []
     for function, measure in specs:
         if function == "count":
-            results.append(float(weight_total()))
+            results.append(weight_totals())
             continue
         assert measure is not None
         if function == "sum":
-            results.append(float(weighted_sum(measure)))
+            results.append(weighted_sum(measure))
         elif function == "avg":
-            total_weight = weight_total()
             results.append(
-                float(weighted_sum(measure) / total_weight) if total_weight > 0 else 0.0
+                [
+                    value / total if total > 0 else 0.0
+                    for value, total in zip(weighted_sum(measure), weight_totals())
+                ]
             )
         else:
             raise QueryError(f"unsupported aggregate function {function}")
@@ -288,14 +353,43 @@ def fused_group_columns(
     Both :func:`fused_group_reduce` (dict-shaped results) and the analytic
     table pipeline index the same arrays, so the two result shapes can
     never disagree about a group's value.
+
+    The one-part case of :func:`partitioned_group_columns` (one code path,
+    so the sample-side and stacked generated-sample executions can never
+    diverge).
     """
-    group_index, unique_rows = relation.group_codes(keys)
-    n_groups = unique_rows.shape[0]
+    weight_totals, per_spec = partitioned_group_columns(relation, keys, mask, specs)
+    positive = np.nonzero(weight_totals[0] > 0)[0]
+    codes = relation.group_codes(keys)[1][positive]
+    decoded = relation.group_tuples(keys, positive)
+    return positive, codes, decoded, [values[0] for values in per_spec]
+
+
+def partitioned_group_columns(
+    relation: Relation,
+    keys: tuple[str, ...],
+    mask: np.ndarray | None,
+    specs: list[tuple[str, np.ndarray | None]],
+    partition: RowPartition | None = None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One scatter-add per distinct measure over ``(part, group)`` bins.
+
+    Returns ``(weight_totals, per_spec)``, every array shaped
+    ``(n_parts, n_groups)`` over the relation's memoized ``group_codes``
+    rows: the masked weight total of each group in each part, and one value
+    array per ``(function, measure)`` spec.  Row ``k`` is bit-identical to
+    the pass over part ``k`` alone: ``np.bincount`` adds a bin's weights in
+    row order, and bin ``k * n_groups + g`` holds exactly the rows — in the
+    same order — that group ``g`` holds in part ``k``; AVG's division is
+    elementwise.
+    """
+    bins, shape = _part_group_bins(relation, keys, partition)
+    n_bins = shape[0] * shape[1]
     weights = relation.weights
     if mask is not None:
-        group_index = group_index[mask]
+        bins = bins[mask]
         weights = weights[mask]
-    weight_totals = np.bincount(group_index, weights=weights, minlength=n_groups)
+    weight_totals = np.bincount(bins, weights=weights, minlength=n_bins)
 
     weighted_sums: dict[int, np.ndarray] = {}
 
@@ -304,9 +398,7 @@ def fused_group_columns(
         sums = weighted_sums.get(key)
         if sums is None:
             selected = measure if mask is None else measure[mask]
-            sums = np.bincount(
-                group_index, weights=weights * selected, minlength=n_groups
-            )
+            sums = np.bincount(bins, weights=weights * selected, minlength=n_bins)
             weighted_sums[key] = sums
         return sums
 
@@ -324,16 +416,20 @@ def fused_group_columns(
                 per_spec.append(np.where(weight_totals > 0, sums / weight_totals, 0.0))
         else:
             raise QueryError(f"unsupported aggregate function {function}")
+    return weight_totals.reshape(shape), [values.reshape(shape) for values in per_spec]
 
-    # Decode each positive-weight group's key tuple once for the family (the
-    # Python-loop half of group_reduce, the expensive part on wide groupings).
-    domains = [relation.schema[name].domain for name in keys]
-    positive = np.nonzero(weight_totals > 0)[0]
-    decoded = [
-        tuple(domain.decode(code) for domain, code in zip(domains, unique_rows[row]))
-        for row in positive
-    ]
-    return positive, unique_rows[positive], decoded, per_spec
+
+def _part_group_bins(
+    relation: Relation, keys: tuple[str, ...], partition: RowPartition | None
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Every row's scatter-add bin ``part * n_groups + group`` over the
+    relation's memoized ``group_codes``, and the ``(n_parts, n_groups)``
+    shape of the bins."""
+    group_index, unique_rows = relation.group_codes(keys)
+    n_groups = unique_rows.shape[0]
+    if partition is None:
+        return group_index, (1, n_groups)
+    return partition.ids * n_groups + group_index, (partition.n_parts, n_groups)
 
 
 def fused_group_reduce(
@@ -386,41 +482,52 @@ def fused_grouped_weight_totals(
 ) -> list[dict[tuple[Any, ...], float]]:
     """Several join sides' weight totals over **one** shared scatter-add pass.
 
+    The one-part case of :func:`partitioned_grouped_weight_totals` (one code
+    path, so the sample-side and stacked generated-sample join executions
+    can never diverge).
+    """
+    return [
+        parts[0] for parts in partitioned_grouped_weight_totals(relation, keys, masks)
+    ]
+
+
+def partitioned_grouped_weight_totals(
+    relation: Relation,
+    keys: tuple[str, ...],
+    masks: list[np.ndarray | None],
+    partition: RowPartition | None = None,
+) -> list[list[dict[tuple[Any, ...], float]]]:
+    """Join sides' ``(join key, group)`` weight totals, per side per part.
+
     The fusion kernel behind join-side fusion: every side in ``masks`` groups
     over the same ``keys`` columns, so the group-code gather runs once and
     each side only adds its own stacked reduction columns (one weight
-    bincount plus one presence bincount).  Group tuples are decoded once for
-    the union of present groups and shared across the family.  Bit-identical
-    to calling :func:`grouped_weight_totals` per mask: each side's totals
-    and presence come from exactly the arrays its individual pass would
-    compute, and present groups are emitted in the same ascending group-row
-    order.
+    bincount plus one presence bincount over ``(part, group)`` bins).
+    Bit-identical to calling :func:`grouped_weight_totals` per mask per
+    part: each part's totals and presence come from exactly the rows its
+    individual pass would add, in the same order, and present groups are
+    emitted in the same ascending group-row order.
     """
-    group_index, unique_rows = relation.group_codes(keys)
-    n_groups = unique_rows.shape[0]
+    bins, (n_parts, n_groups) = _part_group_bins(relation, keys, partition)
+    n_bins = n_parts * n_groups
     all_weights = relation.weights
 
-    per_side: list[tuple[np.ndarray, np.ndarray]] = []
-    union = np.zeros(n_groups, dtype=bool)
+    per_side: list[list[dict[tuple[Any, ...], float]]] = []
     for mask in masks:
-        side_index = group_index if mask is None else group_index[mask]
+        side_bins = bins if mask is None else bins[mask]
         weights = all_weights if mask is None else all_weights[mask]
-        totals = np.bincount(side_index, weights=weights, minlength=n_groups)
-        present = np.bincount(side_index, minlength=n_groups) > 0
-        union |= present
-        per_side.append((totals, present))
-
-    # Decode each group tuple once for the whole family (the Python-loop
-    # half of the per-side pass, shared across stacked sides).
-    domains = [relation.schema[name].domain for name in keys]
-    decoded = {
-        row: tuple(domain.decode(code) for domain, code in zip(domains, unique_rows[row]))
-        for row in np.nonzero(union)[0]
-    }
-    return [
-        {decoded[row]: float(totals[row]) for row in np.nonzero(present)[0]}
-        for totals, present in per_side
-    ]
+        totals = np.bincount(side_bins, weights=weights, minlength=n_bins)
+        present = np.flatnonzero(np.bincount(side_bins, minlength=n_bins))
+        part_of, group_of = np.divmod(present, max(n_groups, 1))
+        parts: list[dict[tuple[Any, ...], float]] = [{} for _ in range(n_parts)]
+        for part, group, total in zip(
+            part_of.tolist(),
+            relation.group_tuples(keys, group_of),
+            totals[present].tolist(),
+        ):
+            parts[part][group] = total
+        per_side.append(parts)
+    return per_side
 
 
 def merge_join_sides(

@@ -111,9 +111,10 @@ class OptimizerStats:
         Scheduled join sides answered by the cross-batch
         :class:`~repro.plan.kernels.JoinSideCache` instead of recomputed.
     bn_sample_dispatches_saved:
-        Per-generated-sample evaluator dispatches avoided by batching a
-        hybrid GROUP BY / join-group-by family across the BN's ``K``
-        samples — ``K * (family size - 1)`` per batched family.
+        Per-``(plan, sample)`` executions avoided by serving a family
+        (hybrid GROUP BY / join / table parts, or BN-routed sampled
+        aggregates) through one stacked schedule over the BN's ``K``
+        generated samples — ``K * (family size - 1)`` per family.
     window_sorts_shared:
         Window ``np.lexsort`` permutations answered by a fused family's
         shared sort memo instead of recomputed — table plans in one

@@ -38,7 +38,14 @@ class Relation:
     relations that share the underlying column arrays when possible.
     """
 
-    __slots__ = ("_schema", "_columns", "_weights", "_n_rows", "_group_codes_cache")
+    __slots__ = (
+        "_schema",
+        "_columns",
+        "_weights",
+        "_n_rows",
+        "_group_codes_cache",
+        "_group_tuples_cache",
+    )
 
     def __init__(
         self,
@@ -74,6 +81,7 @@ class Relation:
         self._columns = prepared
         self._n_rows = int(n_rows)
         self._group_codes_cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._group_tuples_cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
         if weights is None:
             self._weights = None
         else:
@@ -311,8 +319,8 @@ class Relation:
 
         The result is memoized per attribute tuple: relations are immutable,
         and repeated GROUP BY queries over the same columns (the serving
-        layer's batched workloads, the BN evaluator's ``K`` generated samples)
-        would otherwise recompute the same ``np.unique`` every time.  Callers
+        layer's batched workloads, the BN evaluator's stacked generated
+        samples) would otherwise recompute the same ``np.unique`` every time.  Callers
         must treat the returned arrays as read-only.
         """
         if not names:
@@ -329,6 +337,33 @@ class Relation:
             result = group_index.astype(np.int64), unique_rows
         self._group_codes_cache[key] = result
         return result
+
+    def group_tuples(self, names: Sequence[str], rows: np.ndarray) -> list[tuple[Any, ...]]:
+        """Decoded key tuples of the given :meth:`group_codes` rows, in order.
+
+        ``rows`` indexes ``unique_code_rows``.  Each group's tuple is decoded
+        through the attribute domains the first time any caller asks for it
+        and memoized beside the group codes (relations are immutable), so
+        the Python-loop half of a GROUP BY is paid once per group per
+        relation instead of once per query.
+        """
+        key = tuple(names)
+        memo = self._group_tuples_cache.get(key)
+        if memo is None:
+            n_groups = self.group_codes(key)[1].shape[0]
+            memo = np.empty(n_groups, dtype=object), np.zeros(n_groups, dtype=bool)
+            self._group_tuples_cache[key] = memo
+        tuples, decoded = memo
+        missing = rows[~decoded[rows]]
+        if missing.size:
+            unique_rows = self.group_codes(key)[1]
+            domains = [self._schema[name].domain for name in key]
+            for row in missing.tolist():
+                tuples[row] = tuple(
+                    domain.decode(code) for domain, code in zip(domains, unique_rows[row])
+                )
+            decoded[missing] = True
+        return tuples[rows].tolist()
 
     def value_counts(
         self, names: Sequence[str], weighted: bool = False

@@ -91,12 +91,13 @@ class CacheStatistics:
 class LRUCache:
     """A small least-recently-used cache with hit/miss and byte accounting.
 
-    Every stored value is measured (:func:`~repro.serving.governance
-    .measured_bytes`) at insertion so the cache can report a byte size to a
-    :class:`~repro.serving.governance.MemoryGovernor`.  When a ``governor``
-    is attached, insertions consult ``governor.admit(nbytes)`` first — a
-    rejected admission simply skips caching (the value was already computed;
-    only the memo is shed).
+    When a ``governor`` (:class:`~repro.serving.governance.MemoryGovernor`)
+    is attached, every stored value is measured (:func:`~repro.serving
+    .governance.measured_bytes`) at insertion and offered to
+    ``governor.admit(nbytes)`` first — a rejected admission simply skips
+    caching (the value was already computed; only the memo is shed).
+    Without a governor nobody reads the byte size, so nothing is measured:
+    the recursive walk costs more than the lookup it accounts for.
     """
 
     def __init__(self, capacity: int = 256):
@@ -111,7 +112,9 @@ class LRUCache:
 
     @property
     def byte_size(self) -> int:
-        """Measured bytes of every stored value (an RSS proxy, not exact)."""
+        """Measured bytes of every value stored under a governor (an RSS
+        proxy, not exact); entries inserted while no governor was attached
+        count as 0."""
         return self._bytes
 
     def __len__(self) -> int:
@@ -149,12 +152,14 @@ class LRUCache:
         already stored under the key, so a rejected overwrite cannot leave
         an outdated memo behind).
         """
-        from .governance import measured_bytes
+        nbytes = 0
+        if self.governor is not None:
+            from .governance import measured_bytes
 
-        nbytes = measured_bytes(value)
-        if self.governor is not None and not self.governor.admit(nbytes):
-            self._drop(key)
-            return
+            nbytes = measured_bytes(value)
+            if not self.governor.admit(nbytes):
+                self._drop(key)
+                return
         if key in self._entries:
             self._drop(key)
         self._entries[key] = value

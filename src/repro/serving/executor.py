@@ -17,10 +17,10 @@ plan's ``Route`` node and lives behind ``run`` in
 
 so BN-routed point plans share one batched exact-inference call (one
 variable-elimination pass per evidence signature), everything else the
-network answers shares one optimized schedule per generated sample,
-sample-routed plans share one optimized columnar schedule, hybrid families
-fuse on both sides, identical plans execute once and fan out, and answers
-land in the result cache for the next batch.
+network answers shares one optimized schedule over the stacked generated
+samples, sample-routed plans share one optimized columnar schedule, hybrid
+families fuse on both sides, identical plans execute once and fan out, and
+answers land in the result cache for the next batch.
 
 Single queries (:meth:`BatchExecutor.execute_plan`) do not become batches of
 one: they run the single-plan kernels through

@@ -24,6 +24,13 @@ Exactness is by construction, not tolerance.  The engine's float contract
 Everything else — predicate bucketization, group ordering, rank/running-sum
 semantics, column resolution — is re-derived from the documented semantics
 in ``repro.query.ast`` and ``repro.plan.analytics``.
+
+A second, smaller reference lives at the bottom: the Bayesian network's
+consensus over its ``K`` generated samples as the plain loop it used to be
+(:func:`per_sample_consensus` — one fresh columnar executor per sample,
+answers combined by :func:`intersect_and_average` or the plain mean).
+``tests/test_generated_stack.py`` asserts the stacked ``(sample, group)``
+pass in ``repro.core.evaluators`` ``==`` this loop.
 """
 
 from __future__ import annotations
@@ -401,3 +408,41 @@ class ReferenceEngine:
             row.extend(column[position] for column in ordered_windows)
             out_rows.append(tuple(row))
         return TableResult(query.labels, out_rows, group_by=tuple(query.group_by))
+
+
+# ----------------------------------------------------------------------
+# The K-world consensus, as a loop (reference for the stacked pass)
+# ----------------------------------------------------------------------
+def intersect_and_average(
+    group_by: tuple[str, ...], results: list[QueryResult]
+) -> QueryResult:
+    """The network-side combination of ``K`` generated answers: a group
+    survives only if present in every result; its value is the arithmetic
+    mean of its ``K`` values.  No results give the empty answer."""
+    if not results:
+        return QueryResult(group_by, {})
+    common = set(results[0].groups())
+    for result in results[1:]:
+        common &= result.groups()
+    averaged = {
+        group: float(np.mean([result.value(group) for result in results]))
+        for group in common
+    }
+    return QueryResult(group_by, averaged)
+
+
+def per_sample_consensus(samples: list[Relation], queries: list) -> list:
+    """Answer scalar / GROUP BY / join queries one generated sample at a
+    time — a fresh executor per relation, one ``execute`` per
+    ``(query, sample)`` pair — and combine each query's ``K`` answers."""
+    from repro.plan import ColumnarExecutor
+
+    executors = [ColumnarExecutor(sample) for sample in samples]
+    answers = []
+    for query in queries:
+        worlds = [executor.execute(query) for executor in executors]
+        if isinstance(worlds[0], QueryResult):
+            answers.append(intersect_and_average(worlds[0].group_by, worlds))
+        else:
+            answers.append(float(np.mean(worlds)))
+    return answers

@@ -538,8 +538,8 @@ class TestSessionCancellation:
         assert polls(self.ALL_HYBRID[:4]) > polls(self.ALL_HYBRID[:1])
         total = polls(self.ALL_HYBRID)
 
-        # Fire on the batch's last poll — between two generated samples on
-        # the network side, long after the sample side ran.
+        # Fire on the batch's last poll — before the last schedule unit of
+        # the network side's stacked pass, long after the sample side ran.
         session.clear_caches()
         with pytest.raises(error):
             session.execute_batch(
@@ -580,6 +580,29 @@ class TestGovernedSession:
 
     def test_unbudgeted_session_has_no_governor(self, themis):
         assert themis.serve().governor is None
+
+    def test_only_governed_inserts_are_measured(self, monkeypatch, themis, sweep_queries):
+        """Nobody reads an ungoverned cache's byte size, so an ungoverned
+        session never walks an answer to measure it."""
+        from repro.serving import governance
+
+        calls = []
+
+        def counting(value, *args, **kwargs):
+            calls.append(type(value).__name__)
+            return measured_bytes(value, *args, **kwargs)
+
+        monkeypatch.setattr(governance, "measured_bytes", counting)
+        session = themis.serve()
+        produced = session.execute_batch(sweep_queries).results()
+        assert session.execute(sweep_queries[0]) == produced[0]
+        assert calls == []
+        assert len(session.result_cache) > 0 and session.result_cache.byte_size == 0
+
+        governed = themis.serve(memory_budget_bytes=10**9)
+        assert governed.execute_batch(sweep_queries).results() == produced
+        assert len(calls) >= len(governed.result_cache) > 0
+        assert governed.result_cache.byte_size > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bayesnet import ExactInference
 from repro.core import OpenWorldEvaluator
@@ -462,6 +464,44 @@ class TestMaskCache:
         misses_after_first = executor.mask_cache.misses
         engine.group_by(GroupByQuery(group_by=("B",), predicates=(predicate,)))
         assert executor.mask_cache.misses == misses_after_first  # pure hits
+
+
+#: An ordered domain with gaps, so literals can fall below, between and
+#: above its values; the relation covers every code.
+_GAPPED = Schema([Attribute("X", Domain([10, 20, 30, 40, 50]))])
+_GAPPED_RELATION = Relation(
+    _GAPPED, {"X": np.random.default_rng(5).integers(0, 5, size=200)}
+)
+_LITERALS = st.sampled_from([5, 10, 15, 20, 30, 35, 40, 50, 99])
+
+
+class TestCanonicalPredicateMasks:
+    """``CanonicalPredicate.mask`` (IN: one gather through the domain's code
+    mask) == ``Predicate.mask`` on the original predicate, everywhere."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        comparison=st.sampled_from(list(Comparison)),
+        literal=_LITERALS,
+        members=st.lists(_LITERALS, max_size=4),
+    )
+    def test_mask_equals_the_ast_predicates_mask(self, comparison, literal, members):
+        value = tuple(members) if comparison is Comparison.IN else literal
+        predicate = Predicate("X", comparison, value)
+        canonical = PlanCompiler(_GAPPED).canonical_predicate(predicate)
+        expected = predicate.mask(_GAPPED_RELATION)
+        mask = canonical.mask(_GAPPED_RELATION)
+        assert mask.dtype == bool and mask.shape == expected.shape
+        assert (mask == expected).all()
+        # The two views of one predicate agree: tuples pass iff their code does.
+        assert (canonical.code_mask(5)[_GAPPED_RELATION.column("X")] == expected).all()
+
+    def test_empty_and_out_of_domain_in_lists_match_nothing(self):
+        compiler = PlanCompiler(_GAPPED)
+        for members in ((), (5,), (15, 99)):
+            canonical = compiler.canonical_predicate(Predicate("X", Comparison.IN, members))
+            assert canonical.bucket == ()
+            assert not canonical.mask(_GAPPED_RELATION).any()
 
 
 class TestRoutingMatchesHybrid:

@@ -159,6 +159,29 @@ class TestAggregation:
         assert len(group_index) == small_relation.n_rows
         assert unique_rows.shape[1] == 2
 
+    def test_group_tuples_decode_each_group_once(self, small_relation):
+        keys = ("color", "size")
+        _, unique_rows = small_relation.group_codes(keys)
+        rows = np.arange(unique_rows.shape[0])
+        decoded = small_relation.group_tuples(keys, rows)
+        assert set(decoded) == small_relation.distinct(keys)
+        assert decoded == [
+            (
+                small_relation.schema["color"].domain.decode(color),
+                small_relation.schema["size"].domain.decode(size),
+            )
+            for color, size in unique_rows
+        ]
+        # Any subset, in any order, with repeats; memoized tuples are the
+        # very objects handed out before.
+        again = small_relation.group_tuples(keys, np.array([2, 0, 2]))
+        assert again == [decoded[2], decoded[0], decoded[2]]
+        assert again[0] is decoded[2]
+        assert small_relation.group_tuples(keys, np.array([], dtype=np.int64)) == []
+        # Reweighting builds a new relation with its own memo.
+        reweighted = small_relation.with_weights(np.ones(small_relation.n_rows))
+        assert reweighted.group_tuples(keys, rows) == decoded
+
 
 @settings(max_examples=25, deadline=None)
 @given(
