@@ -1,6 +1,7 @@
 """Benchmark: regenerate Fig. 15 (pruned vs random aggregate selection on CHILD)."""
 
 import numpy as np
+import pytest
 
 from repro.experiments import run_pruning
 
@@ -23,3 +24,9 @@ def test_fig15_pruning(run_experiment, scale):
     # good as the random one, and adding pruned aggregates does not hurt BB.
     assert error("Prune", budgets[-1], "BB") <= error("Rand", budgets[-1], "BB") + 5.0
     assert error("Prune", budgets[-1], "BB") <= error("Prune", budgets[0], "BB") + 5.0
+
+    # Seeded regression gates on the two rows that depended on where a
+    # likelihood solver in front of the constrained-CPT projection gave up
+    # (47.85 and 57.38 with it on one scipy build, 47.67 and 45.03 on another).
+    assert error("Prune", 5, "BB") == pytest.approx(28.01, abs=0.1)
+    assert error("Rand", 15, "BB") == pytest.approx(44.60, abs=0.1)

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import AggregateError
-from ..schema import Relation
+from ..schema import Relation, Schema
 
 
 class AggregateQuery:
@@ -135,6 +135,22 @@ class AggregateQuery:
     def counts(self) -> np.ndarray:
         """The group counts (``Γ^C_i`` in the paper) as a float array."""
         return np.asarray(list(self._groups.values()), dtype=float)
+
+    def encode(self, schema: Schema) -> np.ndarray:
+        """Domain codes of every group, one row per group in insertion order.
+
+        Column ``p`` holds the code of the group's value for
+        ``attributes[p]`` in ``schema``'s domain, or ``-1`` when the value is
+        outside it (a population group the schema cannot express).
+        """
+        domains = [schema[name].domain for name in self._attributes]
+        return np.asarray(
+            [
+                [domain.code_of(value, -1) for domain, value in zip(domains, values)]
+                for values in self._groups
+            ],
+            dtype=np.int64,
+        )
 
     def count_for(self, values: Sequence[Any]) -> float:
         """Count of one group, zero if the group is absent from the report."""

@@ -4,7 +4,8 @@ Both reweighting techniques (Sec. 4.1) are driven by the same structure: a
 0/1 matrix with one row per aggregate group (constraint) and one column per
 sample tuple, where entry ``(r, c)`` is one iff tuple ``c`` belongs to the
 group described by row ``r``.  The stacked count vector ``y`` holds the
-population counts of each group.
+population counts of each group.  The matrix is stored as one index list per
+row; the dense form exists only while a caller holds it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ class ConstraintRow:
 class IncidenceSystem:
     """The linear system ``G_{0/1} w = y`` induced by a sample and aggregates.
 
+    ``G_{0/1}`` is kept sparse: per constraint, the ascending row indices of
+    its member tuples.  A tuple belongs to exactly one group of each
+    aggregate, so the lists hold ``n_aggregates * n_sample_rows`` indices in
+    all, where the dense matrix holds ``n_constraints * n_sample_rows``
+    floats (64 MB for 268 groups over a 30,000-row sample).
+
     Parameters
     ----------
     sample:
@@ -41,9 +48,8 @@ class IncidenceSystem:
 
     Attributes
     ----------
-    matrix:
-        Float array of shape ``(n_constraints, n_sample_rows)`` with 0/1
-        entries.
+    members:
+        One ``int64`` array per constraint: the sample rows in its group.
     counts:
         The stacked population counts ``y``.
     rows:
@@ -61,7 +67,17 @@ class IncidenceSystem:
                     )
         self._sample = sample
         self._aggregates = aggregates
-        self.matrix, self.counts, self.rows = self._build()
+        members, self.rows = self._build()
+        self.counts = np.asarray([row.count for row in self.rows], dtype=float)
+        # All member lists end to end, ``members`` as views into them, and
+        # where each occupied one starts: the segments ``np.add.reduceat``
+        # sums in :meth:`achieved`.
+        sizes = np.asarray([len(rows) for rows in members])
+        ends = np.cumsum(sizes)
+        self._member_rows = np.concatenate(members)
+        self.members = np.split(self._member_rows, ends[:-1])
+        self._occupied = sizes > 0
+        self._starts = (ends - sizes)[self._occupied]
 
     @property
     def sample(self) -> Relation:
@@ -76,35 +92,44 @@ class IncidenceSystem:
     @property
     def n_constraints(self) -> int:
         """Number of constraint rows (``sum_i M_i``)."""
-        return self.matrix.shape[0]
+        return len(self.rows)
 
     @property
     def n_tuples(self) -> int:
         """Number of sample tuples (columns)."""
-        return self.matrix.shape[1]
+        return self._sample.n_rows
 
-    def _build(self) -> tuple[np.ndarray, np.ndarray, list[ConstraintRow]]:
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense 0/1 float array of shape ``(n_constraints, n_sample_rows)``.
+
+        Built on every access and not kept: only the regression reweighter
+        (``G X_S``) needs it.
+        """
+        matrix = np.zeros((self.n_constraints, self.n_tuples), dtype=float)
+        for row, members in zip(matrix, self.members):
+            row[members] = 1.0
+        return matrix
+
+    def _build(self) -> tuple[list[np.ndarray], list[ConstraintRow]]:
         sample = self._sample
-        n_rows = sample.n_rows
-        blocks: list[np.ndarray] = []
-        counts: list[float] = []
+        members: list[np.ndarray] = []
         rows: list[ConstraintRow] = []
+        nobody = np.zeros(0, dtype=np.int64)
         for aggregate_index, aggregate in enumerate(self._aggregates):
             attributes = aggregate.attributes
-            # Encode each group's value vector once, and match against the
-            # sample columns in a vectorized pass per group.
-            columns = [sample.column(name) for name in attributes]
-            domains = [sample.schema[name].domain for name in attributes]
-            for values, count in aggregate.items():
-                mask = np.ones(n_rows, dtype=bool)
-                for column, domain, value in zip(columns, domains, values):
-                    code = domain.code_of(value)
-                    if code is None:
-                        mask = np.zeros(n_rows, dtype=bool)
-                        break
-                    mask &= column == code
-                blocks.append(mask.astype(float))
-                counts.append(float(count))
+            # One stable sort per aggregate lists every sample group's rows in
+            # ascending order; an aggregate group then finds its rows by code.
+            group_index, unique_rows = sample.group_codes(attributes)
+            by_group = np.split(
+                np.argsort(group_index, kind="stable"),
+                np.cumsum(np.bincount(group_index, minlength=len(unique_rows)))[:-1],
+            )
+            sample_group = dict(zip(map(tuple, unique_rows.tolist()), by_group))
+            for codes, (values, count) in zip(
+                aggregate.encode(sample.schema).tolist(), aggregate.items()
+            ):
+                members.append(sample_group.get(tuple(codes), nobody))
                 rows.append(
                     ConstraintRow(
                         aggregate_index=aggregate_index,
@@ -113,10 +138,7 @@ class IncidenceSystem:
                         count=float(count),
                     )
                 )
-        matrix = (
-            np.vstack(blocks) if blocks else np.zeros((0, n_rows), dtype=float)
-        )
-        return matrix, np.asarray(counts, dtype=float), rows
+        return members, rows
 
     # ------------------------------------------------------------------
     # Diagnostics
@@ -127,27 +149,32 @@ class IncidenceSystem:
         These are the groups present in the population aggregates but missing
         from the sample; IPF skips them and linear regression drops them.
         """
-        return np.nonzero(self.matrix.sum(axis=1) == 0)[0]
+        return np.nonzero(~self._occupied)[0]
 
-    def residuals(self, weights: np.ndarray) -> np.ndarray:
-        """Per-constraint residuals ``G w - y`` for a candidate weight vector."""
+    def achieved(self, weights: np.ndarray) -> np.ndarray:
+        """Per-constraint weighted member counts ``G w``."""
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.n_tuples,):
             raise AggregateError(
                 f"weights must have shape ({self.n_tuples},), got {weights.shape}"
             )
-        return self.matrix @ weights - self.counts
+        totals = np.zeros(self.n_constraints, dtype=float)
+        if self._starts.size:
+            totals[self._occupied] = np.add.reduceat(
+                weights[self._member_rows], self._starts
+            )
+        return totals
+
+    def residuals(self, weights: np.ndarray) -> np.ndarray:
+        """Per-constraint residuals ``G w - y`` for a candidate weight vector."""
+        return self.achieved(weights) - self.counts
 
     def max_relative_violation(self, weights: np.ndarray) -> float:
         """Largest relative constraint violation, ignoring empty constraints."""
-        achieved = self.matrix @ np.asarray(weights, dtype=float)
-        violations = []
-        for index, (value, target) in enumerate(zip(achieved, self.counts)):
-            if self.matrix[index].sum() == 0:
-                continue
-            denominator = max(abs(target), 1.0)
-            violations.append(abs(value - target) / denominator)
-        return max(violations) if violations else 0.0
+        if not self._starts.size:
+            return 0.0
+        violations = np.abs(self.residuals(weights)) / np.maximum(np.abs(self.counts), 1.0)
+        return float(violations[self._occupied].max())
 
 
 def build_incidence(

@@ -12,6 +12,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from ..aggregates import AggregateQuery
 from ..exceptions import BayesNetError
 from ..schema import Relation, Schema
 from .factor import Factor
@@ -156,13 +157,7 @@ class ConditionalProbabilityTable:
 
     def normalize(self) -> None:
         """Normalize every row; all-zero rows become uniform."""
-        totals = self.table.sum(axis=1, keepdims=True)
-        uniform = np.full(self.child_size, 1.0 / self.child_size)
-        for row_index in range(self.table.shape[0]):
-            if totals[row_index, 0] <= 0:
-                self.table[row_index] = uniform
-            else:
-                self.table[row_index] = self.table[row_index] / totals[row_index, 0]
+        self.table[...] = normalize_rows(self.table)
 
     def is_normalized(self, atol: float = 1e-6) -> bool:
         """Whether every row sums to one within tolerance."""
@@ -225,6 +220,31 @@ class ConditionalProbabilityTable:
         totals = np.bincount(flat, weights=weights, minlength=n_configs * child_size)
         return totals.reshape(n_configs, child_size)
 
+    @classmethod
+    def counts_from_aggregate(
+        cls,
+        aggregate: AggregateQuery,
+        schema: Schema,
+        child: str,
+        parents: Sequence[str],
+    ) -> np.ndarray:
+        """Joint counts of ``(parents, child)`` from an aggregate covering them.
+
+        The aggregate is marginalized onto the family; groups with a value
+        outside the schema's domains are dropped.
+        """
+        family = [*parents, child]
+        marginal = aggregate.marginalize(family)
+        codes = marginal.encode(schema)
+        known = (codes >= 0).all(axis=1)
+        sizes = [schema[name].size for name in family]
+        totals = np.bincount(
+            np.ravel_multi_index(tuple(codes[known].T), sizes),
+            weights=marginal.counts()[known],
+            minlength=int(np.prod(sizes)),
+        )
+        return totals.reshape(-1, sizes[-1])
+
     def to_factor(self) -> Factor:
         """Convert to a :class:`Factor` over ``parents + (child,)``."""
         shape = tuple(self.parent_sizes) + (self.child_size,)
@@ -246,6 +266,18 @@ class ConditionalProbabilityTable:
             f"ConditionalProbabilityTable(child={self.child!r}, "
             f"parents={self.parents!r}, shape={self.table.shape})"
         )
+
+
+def normalize_rows(table: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
+    """Row-normalized copy of ``table``.
+
+    Rows without mass are taken from ``fallback`` (uniform by default).
+    """
+    totals = table.sum(axis=1, keepdims=True)
+    empty = totals <= 0
+    if fallback is None:
+        fallback = 1.0 / table.shape[1]
+    return np.where(empty, fallback, table / np.where(empty, 1.0, totals))
 
 
 def cpt_for_schema(

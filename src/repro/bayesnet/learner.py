@@ -94,13 +94,11 @@ class ThemisBayesNetLearner:
         parameter_source: ParameterSource | str = ParameterSource.BOTH,
         max_parents: int = 1,
         smoothing: float = 0.1,
-        max_solver_variables: int = 1500,
     ):
         self.structure_source = StructureSource(structure_source)
         self.parameter_source = ParameterSource(parameter_source)
         self.max_parents = int(max_parents)
         self.smoothing = float(smoothing)
-        self.max_solver_variables = int(max_solver_variables)
 
     @classmethod
     def from_mode(
@@ -148,7 +146,6 @@ class ThemisBayesNetLearner:
         parameter_learner = ParameterLearner(
             smoothing=self.smoothing,
             use_aggregates=self.parameter_source is ParameterSource.BOTH,
-            max_solver_variables=self.max_solver_variables,
         )
         network, parameter_report = parameter_learner.learn(
             graph,

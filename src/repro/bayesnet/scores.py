@@ -88,30 +88,9 @@ class AggregateCountSource(CountSource):
             raise BayesNetError(
                 f"no aggregate covers the family {tuple(family)!r}"
             )
-        marginal = aggregate.marginalize(family)
-        child_size = self._schema[child].size
-        parent_sizes = [self._schema[name].size for name in parents]
-        n_configs = int(np.prod(parent_sizes)) if parents else 1
-        counts = np.zeros((n_configs, child_size), dtype=float)
-        parent_domains = [self._schema[name].domain for name in parents]
-        child_domain = self._schema[child].domain
-        for values, count in marginal.items():
-            *parent_values, child_value = values
-            child_code = child_domain.code_of(child_value)
-            if child_code is None:
-                continue
-            config = 0
-            valid = True
-            for value, domain, size in zip(parent_values, parent_domains, parent_sizes):
-                code = domain.code_of(value)
-                if code is None:
-                    valid = False
-                    break
-                config = config * size + code
-            if not valid:
-                continue
-            counts[config, child_code] += count
-        return counts
+        return ConditionalProbabilityTable.counts_from_aggregate(
+            aggregate, self._schema, child, parents
+        )
 
     def total(self) -> float:
         size = self._aggregates.population_size()

@@ -113,7 +113,10 @@ def run_solver_time(
         paper_claim=(
             "LinReg is fastest, then IPF, then BB; solver time grows with the 1D "
             "aggregates, and BB's parameter learning gets cheaper as 2D aggregates "
-            "are added (closed-form family constraints)."
+            "are added (closed-form family constraints).  Here the last two swap: "
+            "BB parameter learning measures below IPF, because each factor is a "
+            "closed form plus an iterative-scaling projection over its own cells "
+            "(no general constrained solver runs) while IPF sweeps the sample."
         ),
         parameters={"sample": sample_name},
     )

@@ -65,28 +65,28 @@ class IPFReweighter(Reweighter):
             raise ReweightingError("IPF requires at least one aggregate")
         system = IncidenceSystem(sample, aggregates)
 
-        masks = [row.astype(bool) for row in system.matrix]
-        targets = system.counts
+        # ``np.isclose(achieved, target)`` with its default tolerances, spelled
+        # out so the comparison is scalar arithmetic inside the sweep.
+        constraints = [
+            (rows, target, 1e-8 + 1e-5 * abs(target))
+            for rows, target in zip(system.members, system.counts.tolist())
+            if rows.size  # a group with no sample tuple has nothing to rescale
+        ]
         weights = np.full(sample.n_rows, self._initial_weight, dtype=float)
 
         converged = False
         iterations_used = 0
         for iteration in range(1, self._max_iterations + 1):
             iterations_used = iteration
-            for mask, target in zip(masks, targets):
-                if not mask.any():
-                    # Constraint with no participating sample tuple (missing
-                    # group); there is nothing to rescale.
-                    continue
-                achieved = weights[mask].sum()
+            for rows, target, closeness in constraints:
+                achieved = weights[rows].sum()
                 if achieved <= 0:
                     # All participating weights collapsed to zero (can happen
                     # when a previous constraint had target zero); reset them
                     # evenly so this constraint can still be met.
-                    weights[mask] = target / mask.sum() if target > 0 else 0.0
-                    continue
-                if not np.isclose(achieved, target):
-                    weights[mask] *= target / achieved
+                    weights[rows] = target / rows.size if target > 0 else 0.0
+                elif abs(achieved - target) > closeness:
+                    weights[rows] *= target / achieved
             violation = system.max_relative_violation(weights)
             if violation <= self._tolerance:
                 converged = True

@@ -31,6 +31,14 @@ consensus over its ``K`` generated samples as the plain loop it used to be
 answers combined by :func:`intersect_and_average` or the plain mean).
 ``tests/test_generated_stack.py`` asserts the stacked ``(sample, group)``
 pass in ``repro.core.evaluators`` ``==`` this loop.
+
+A third reference is the model build written as the loops it used to be:
+IPF over boolean masks cut from the dense incidence matrix
+(:func:`ipf_reference`), and the constrained CPT fit with its
+per-group-per-configuration constraint builder, dict-walking count tables
+and row-at-a-time renormalization (:func:`linear_constraints_reference`,
+:func:`learn_parameters_reference`).  ``tests/test_fit_equivalence.py``
+asserts the index-list sweep and the array-built factor fit ``==`` them.
 """
 
 from __future__ import annotations
@@ -446,3 +454,198 @@ def per_sample_consensus(samples: list[Relation], queries: list) -> list:
         else:
             answers.append(float(np.mean(worlds)))
     return answers
+
+
+# ----------------------------------------------------------------------
+# The model build, as loops (reference for IPF and the constrained CPT fit)
+# ----------------------------------------------------------------------
+def dense_incidence(sample: Relation, aggregates) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, y)``: one dense 0/1 row per aggregate group, one ``column ==
+    code`` pass per group and attribute."""
+    blocks, counts = [], []
+    for aggregate in aggregates:
+        columns = [sample.column(name) for name in aggregate.attributes]
+        domains = [sample.schema[name].domain for name in aggregate.attributes]
+        for values, count in aggregate.items():
+            mask = np.ones(sample.n_rows, dtype=bool)
+            for column, domain, value in zip(columns, domains, values):
+                code = domain.code_of(value)
+                if code is None:
+                    mask = np.zeros(sample.n_rows, dtype=bool)
+                    break
+                mask &= column == code
+            blocks.append(mask.astype(float))
+            counts.append(float(count))
+    return np.vstack(blocks), np.asarray(counts, dtype=float)
+
+
+def ipf_reference(
+    sample: Relation,
+    aggregates,
+    max_iterations: int = 100,
+    tolerance: float = 1e-6,
+    initial_weight: float = 1.0,
+) -> tuple[np.ndarray, bool, int]:
+    """Alg. 1 over boolean masks: ``(weights, converged, n_iterations)``.
+
+    The violation after each sweep is the BLAS mat-vec ``G w`` against
+    ``y``, one Python iteration per constraint.
+    """
+    matrix, targets = dense_incidence(sample, aggregates)
+    masks = [row.astype(bool) for row in matrix]
+    weights = np.full(sample.n_rows, float(initial_weight), dtype=float)
+    for iteration in range(1, max_iterations + 1):
+        for mask, target in zip(masks, targets):
+            if not mask.any():
+                continue
+            achieved = weights[mask].sum()
+            if achieved <= 0:
+                weights[mask] = target / mask.sum() if target > 0 else 0.0
+                continue
+            if not np.isclose(achieved, target):
+                weights[mask] *= target / achieved
+        violations = [
+            abs(value - target) / max(abs(target), 1.0)
+            for row, value, target in zip(matrix, matrix @ weights, targets)
+            if row.sum() != 0
+        ]
+        if (max(violations) if violations else 0.0) <= tolerance:
+            return weights, True, iteration
+    return weights, False, max_iterations
+
+
+def _config_matches(config, parents, parent_sizes, restrictions) -> bool:
+    codes = {}
+    remainder = config
+    for name, size in zip(reversed(parents), reversed(parent_sizes)):
+        codes[name] = remainder % size
+        remainder //= size
+    return all(codes[name] == code for name, code in restrictions.items())
+
+
+def linear_constraints_reference(
+    aggregates, node, parents, schema, parent_marginal, population_size
+) -> tuple[np.ndarray, np.ndarray]:
+    """``A vec(θ) = b`` of one factor: every group tested against every
+    parent configuration, one at a time."""
+    child_size = schema[node].size
+    parent_sizes = [schema[name].size for name in parents]
+    n_configs = int(np.prod(parent_sizes)) if parents else 1
+    rows, targets = [], []
+    for aggregate in aggregates:
+        attributes = aggregate.attributes
+        for values, count in aggregate.items():
+            child_code = schema[node].domain.code_of(values[attributes.index(node)])
+            restrictions = {
+                name: schema[name].domain.code_of(values[attributes.index(name)])
+                for name in attributes
+                if name != node
+            }
+            if child_code is None or None in restrictions.values():
+                continue
+            row = np.zeros((n_configs, child_size), dtype=float)
+            for config in range(n_configs):
+                if _config_matches(config, parents, parent_sizes, restrictions):
+                    row[config, child_code] = parent_marginal[config]
+            rows.append(row.reshape(-1))
+            targets.append(count / max(population_size, 1e-300))
+    if not rows:
+        return np.zeros((0, n_configs * child_size)), np.zeros(0)
+    return np.vstack(rows), np.asarray(targets, dtype=float)
+
+
+def family_counts_reference(aggregate, schema, child, parents) -> np.ndarray:
+    """``(parent config, child)`` counts: a walk over the marginal's dict."""
+    parent_sizes = [schema[name].size for name in parents]
+    n_configs = int(np.prod(parent_sizes)) if parents else 1
+    counts = np.zeros((n_configs, schema[child].size), dtype=float)
+    for values, count in aggregate.marginalize([*parents, child]).items():
+        *parent_values, child_value = values
+        child_code = schema[child].domain.code_of(child_value)
+        parent_codes = [
+            schema[name].domain.code_of(value) for name, value in zip(parents, parent_values)
+        ]
+        if child_code is None or None in parent_codes:
+            continue
+        config = 0
+        for code, size in zip(parent_codes, parent_sizes):
+            config = config * size + code
+        counts[config, child_code] += count
+    return counts
+
+
+def _normalize_rows_reference(table: np.ndarray) -> np.ndarray:
+    table = np.array(table, dtype=float)
+    totals = table.sum(axis=1, keepdims=True)
+    for config in range(table.shape[0]):
+        if totals[config, 0] <= 0:
+            table[config] = np.full(table.shape[1], 1.0 / table.shape[1])
+        else:
+            table[config] = table[config] / totals[config, 0]
+    return table
+
+
+def learn_parameters_reference(
+    graph, schema, sample: Relation, aggregates, smoothing: float = 0.1
+) -> dict[str, np.ndarray]:
+    """Every CPT table of the aggregate-constrained (``B``) parameter fit.
+
+    Per node in topological order: the smoothed sample MLE; rows pinned by a
+    full-family aggregate taken from it in closed form; the remaining
+    single-factor aggregates met by iterative scaling, one constraint and
+    one parent configuration per Python iteration.
+    """
+    from repro.bayesnet import BayesianNetwork, ConditionalProbabilityTable, ExactInference
+
+    network = BayesianNetwork(schema, graph.copy())
+    population_size = float(aggregates.population_size() or sample.n_rows)
+    for node in network.topological_order():
+        parents = network.parents(node)
+        sizes = schema[node].size, [schema[name].size for name in parents]
+        family = set(parents) | {node}
+        counts = ConditionalProbabilityTable.counts_from_relation(
+            sample, node, parents, weighted=False
+        )
+        theta = _normalize_rows_reference(counts + smoothing)
+        constraints = [
+            aggregate
+            for aggregate in aggregates
+            if node in aggregate.attributes and set(aggregate.attributes) <= family
+        ]
+        if constraints:
+            marginal = (
+                ExactInference(network).joint_marginal(parents).table.reshape(-1)
+                if parents
+                else np.ones(1)
+            )
+            full = next((agg for agg in constraints if set(agg.attributes) == family), None)
+            if full is not None:
+                joint = family_counts_reference(full, schema, node, parents) / max(
+                    population_size, 1e-300
+                )
+                for config in range(theta.shape[0]):
+                    mass = joint[config].sum()
+                    if mass > 0:
+                        theta[config] = joint[config] / mass
+            remaining = [agg for agg in constraints if agg is not full]
+            rows, targets = linear_constraints_reference(
+                remaining, node, parents, schema, marginal, population_size
+            )
+            masks = rows.reshape(-1, *theta.shape) > 0
+            for _ in range(50 if len(rows) else 0):
+                max_gap = 0.0
+                for mask, row, target in zip(masks, rows, targets):
+                    achieved = float(row @ theta.reshape(-1))
+                    if achieved <= 0:
+                        if target > 0:
+                            theta[mask] = np.maximum(theta[mask], 1e-6)
+                        continue
+                    scale = target / achieved
+                    max_gap = max(max_gap, abs(scale - 1.0))
+                    theta[mask] *= scale
+                theta = _normalize_rows_reference(np.clip(theta, 0.0, None))
+                if max_gap <= 1e-8:
+                    break
+            theta = _normalize_rows_reference(np.clip(theta, 0.0, None))
+        network.set_cpt(ConditionalProbabilityTable(node, parents, *sizes, table=theta))
+    return {node: network.cpt(node).table for node in network.topological_order()}

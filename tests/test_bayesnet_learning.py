@@ -8,6 +8,7 @@ import pytest
 from repro.aggregates import AggregateQuery, AggregateSet
 from repro.bayesnet import (
     AggregateCountSource,
+    ConditionalProbabilityTable,
     DirectedAcyclicGraph,
     ExactInference,
     GreedyHillClimbing,
@@ -20,6 +21,7 @@ from repro.bayesnet import (
     structure_bic,
 )
 from repro.exceptions import BayesNetError
+from repro.experiments import SMALL_SCALE, build_aggregates, dataset_bundle
 from repro.schema import Attribute, Domain, Relation, Schema
 
 
@@ -185,12 +187,71 @@ class TestParameterLearning:
             population_size=correlated_population.n_rows,
         )
         assert "B" in report.closed_form_nodes
-        # Pr(B | A) should match the population conditional closely.
+        # Pr(B | A) is the population conditional, not merely close to it.
         population_counts = correlated_population.value_counts(["A", "B"])
         a0_total = sum(v for (a, _), v in population_counts.items() if a == 0)
         true_conditional = population_counts[(0, 1)] / a0_total
         learned = network.cpt("B").probability(1, [0])
-        assert learned == pytest.approx(true_conditional, abs=0.02)
+        assert learned == pytest.approx(true_conditional, abs=1e-12)
+
+    @pytest.mark.parametrize("n_two_dimensional", [2, 4])
+    def test_full_family_aggregate_pins_imdb_factors(self, n_two_dimensional):
+        """Every factor a 2D aggregate covers equals the population conditional.
+
+        A likelihood solver placed after the closed form used to walk these
+        factors towards the sample (``movie_country | movie_year`` 9.1e-6
+        off, ``rating | movie_country`` 5.4e-9); the 1D marginals projected
+        onto afterwards are consistent with the 2D ones and leave them be.
+        """
+        bundle = dataset_bundle("imdb", SMALL_SCALE)
+        aggregates = build_aggregates(
+            bundle, n_two_dimensional=n_two_dimensional, seed=SMALL_SCALE.seed
+        )
+        result = ThemisBayesNetLearner.from_mode("BB").learn(
+            bundle.sample("SR159"), aggregates, population_size=bundle.population_size
+        )
+        network = result.network
+        pinned = [
+            node
+            for node in result.parameter_report.closed_form_nodes
+            if network.parents(node)
+        ]
+        assert {"movie_year", "movie_country"} <= set(pinned)
+        for node in pinned:
+            counts = ConditionalProbabilityTable.counts_from_relation(
+                bundle.population, node, network.parents(node), weighted=False
+            )
+            seen = counts.sum(axis=1) > 0
+            truth = counts[seen] / counts[seen].sum(axis=1, keepdims=True)
+            assert np.abs(network.cpt(node).table[seen] - truth).max() <= 1e-12, node
+
+    def test_report_says_what_the_projection_did(
+        self, correlated_population, biased_correlated_sample
+    ):
+        schema = correlated_population.schema
+        graph = DirectedAcyclicGraph(schema.names, [("A", "B"), ("B", "C")])
+        marginals = [
+            AggregateQuery.from_relation(correlated_population, [name]) for name in "ABC"
+        ]
+        _, report = ParameterLearner().learn(
+            graph, schema, biased_correlated_sample, AggregateSet(marginals)
+        )
+        assert list(report.projection_sweeps) == report.constrained_nodes == ["A", "B", "C"]
+        # A's marginal covers its whole family: closed form, nothing to project.
+        assert report.projection_sweeps["A"] == 0
+        assert 1 <= report.projection_sweeps["B"] < 50
+        assert max(report.projection_gaps.values()) <= 1e-8
+
+        # Two marginals over B that disagree (half the mass, all of it on one
+        # value): the projection runs out of sweeps and says how far apart
+        # it ended instead of hiding it.
+        other = AggregateQuery(("B",), {(2,): correlated_population.n_rows / 2})
+        _, report = ParameterLearner().learn(
+            graph, schema, biased_correlated_sample, AggregateSet([*marginals, other])
+        )
+        assert report.projection_sweeps["B"] == 50
+        assert report.projection_gaps["B"] > 0.1
+        assert report.projection_gaps["A"] == 0.0
 
     def test_rows_are_normalized(self, biased_correlated_sample, correlated_aggregates):
         graph = DirectedAcyclicGraph(

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import AggregateQuery, AggregateSet, IncidenceSystem
+from repro.data import load_flights
 from repro.exceptions import ReweightingError
+from repro.experiments import build_aggregates
 from repro.reweighting import (
     HorvitzThompsonReweighter,
     IPFReweighter,
@@ -147,6 +151,25 @@ class TestIPF:
         result = IPFReweighter(max_iterations=50).fit(correlated_population, aggregates)
         assert result.converged
         assert result.max_violation < 1e-5
+
+    def test_fit_stays_sparse_on_a_large_sample(self, monkeypatch):
+        """30,000 rows x 287 groups: the dense ``G`` alone would be 69 MB."""
+        bundle = load_flights(n_rows=100_000, seed=7, sample_fraction=0.3)
+        sample = bundle.sample("SCorners")
+        aggregates = build_aggregates(bundle, n_two_dimensional=2, seed=11)
+        assert sample.n_rows == 30_000 and len(aggregates) == 7
+
+        def no_matrix(self):
+            raise AssertionError("IPF materialized the dense incidence matrix")
+
+        monkeypatch.setattr(IncidenceSystem, "matrix", property(no_matrix))
+        tracemalloc.start()
+        try:
+            IPFReweighter(max_iterations=30).fit(sample, aggregates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_constraints_satisfied_after_fit(
         self, correlated_population, biased_correlated_sample, correlated_aggregates

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+import scipy.optimize
 
 from repro.aggregates import AggregateQuery, AggregateSet
 from repro.core import Themis, ThemisConfig
+from repro.data import load_flights
 from repro.exceptions import QueryError, ThemisError
+from repro.experiments import build_aggregates
 from repro.metrics import percent_difference
 from repro.query import GroupByQuery
 from repro.schema import Relation
@@ -90,6 +93,21 @@ class TestFitting:
         themis.add_aggregates(correlated_aggregates)
         model = themis.fit()
         assert model.weighted_sample.has_weights
+
+    def test_fit_runs_no_general_solver(self, monkeypatch):
+        """BB + IPF ``fit()`` never reaches ``scipy.optimize.minimize``."""
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("fit() called scipy.optimize.minimize")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", no_solver)
+        bundle = load_flights(n_rows=4_000, seed=7, sample_fraction=0.1)
+        themis = Themis(bn_mode="BB", reweighter="ipf", n_generated_samples=1)
+        themis.load_sample(bundle.sample("SCorners"))
+        themis.add_aggregates(build_aggregates(bundle, n_two_dimensional=2, seed=7))
+        report = themis.fit().bayes_net_result.parameter_report
+        assert len(report.constrained_nodes) == 5
+        assert set(report.projection_gaps) == set(report.constrained_nodes)
 
     def test_unknown_reweighter_rejected(self, biased_correlated_sample, correlated_aggregates):
         themis = Themis(reweighter="bogus")
