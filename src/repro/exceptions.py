@@ -127,7 +127,7 @@ class ServingOverloadError(ThemisError):
 
     The asyncio front-end raises it when the micro-batch queue exceeds its
     bound, and the sharded worker pool raises it when a worker misses the
-    dispatch latency budget.  ``queue_depth`` reports how many requests were
+    dispatch timeout.  ``queue_depth`` reports how many requests were
     waiting at rejection time and ``shard_id`` names the lagging shard when
     one is identifiable (``None`` for front-end queue overflow, which is not
     attributable to a single shard).

@@ -201,7 +201,6 @@ def run_governance(
     frontend = AsyncServingFrontend(
         fit_facade(),
         n_workers=n_workers,
-        latency_budget=0.005,
         dispatch_timeout=30.0,
         max_retries=3,
         fault_injector=injector,

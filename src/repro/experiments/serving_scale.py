@@ -4,7 +4,7 @@ Not a paper artefact: this experiment measures the scale tier added on top
 of the single-process serving layer.  N client coroutines drive a seeded
 mixed workload through :class:`~repro.serving.scale.AsyncServingFrontend`
 (micro-batching front-end -> consistent-hash shard router -> M worker
-processes, plans shipped through the versioned wire format), for several
+processes, each statement shipped with its canonical key), for several
 worker counts; a single-process ``execute_batch`` pass on an identically
 fitted facade is both the throughput baseline and the bit-identity oracle.
 
@@ -73,7 +73,6 @@ def run_serving_scale(
     sample_name: str = "SCorners",
     worker_counts: tuple[int, ...] = (1, 2, 4),
     n_clients: int = 8,
-    latency_budget: float = 0.005,
     n_queries: int | None = None,
 ) -> ExperimentResult:
     """Throughput and latency of the sharded async tier vs worker count."""
@@ -123,7 +122,6 @@ def run_serving_scale(
             "sample": sample_name,
             "n_queries": len(queries),
             "n_clients": n_clients,
-            "latency_budget": latency_budget,
             "cores": cores,
         },
     )
@@ -147,7 +145,6 @@ def run_serving_scale(
             async with AsyncServingFrontend(
                 themis,
                 n_workers=n_workers,
-                latency_budget=latency_budget,
                 max_batch_size=max(16, len(queries) // 4),
             ) as frontend:
                 started = time.perf_counter()

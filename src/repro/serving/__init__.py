@@ -23,11 +23,11 @@ into a reusable query service for high-throughput workloads:
 * :mod:`repro.serving.scale` — the multi-process scale tier: an asyncio
   front-end (:class:`~repro.serving.scale.AsyncServingFrontend` /
   :func:`~repro.serving.scale.serve_async`) that micro-batches concurrent
-  arrivals within a latency budget and dispatches them to a
+  arrivals behind its busy dispatch slots and dispatches them to a
   :class:`~repro.serving.scale.SupervisedWorkerPool` — N worker processes,
   each owning one ``ServingSession`` and the slice of canonical plan keys a
-  consistent-hash router assigns it, fed through the versioned plan wire
-  format (:mod:`repro.plan.wire`) with coherent ``refit()`` broadcast, and
+  consistent-hash router assigns it, fed each statement with the key the
+  front-end compiled it to, with coherent ``refit()`` broadcast, and
   respawned, retried and failed over when they crash;
 * :mod:`repro.serving.governance` — end-to-end resource governance:
   deadline propagation and cooperative cancellation

@@ -3,26 +3,29 @@
 Layering, front to back::
 
     clients --> AsyncServingFrontend.query()          (asyncio coroutines)
-                   |  micro-batches arrivals within a latency budget
+                   |  batches whatever is pending when a dispatch slot is free
                    v
-                MicroBatcher                          (queue + flusher task)
+                MicroBatcher                          (queue + dispatch slots)
                    |  dispatches fused batches off the event loop
                    v
-                SupervisedWorkerPool                  (plan wire format)
+                SupervisedWorkerPool                  (statement + key over the pipe)
                   .execute_batch_outcomes()
                    |  consistent-hashes plan keys to live shards; retries,
                    |  fails over and respawns behind one pipe conversation
                    v
                 worker processes                      (one ServingSession each)
 
-Plans compile **once** in the front-end process, travel as the versioned
-wire format (:mod:`repro.plan.wire`), and are key-verified by each worker's
-own compiler — so a shard's result/mask/inference caches stay hot for
-exactly the key range the router assigns it.  ``refit()`` broadcasts to
-every worker and asserts the generation counters agree afterwards, which is
-what keeps cross-process caches coherent.  Results are bit-identical to
-in-process ``ServingSession.execute_batch`` (asserted by
-``tests/test_serving_scale.py`` via the differential-oracle sweep).
+Each statement compiles **once** in the front-end process, for the canonical
+key that routes it, and crosses the pipe as submitted beside that key; the
+worker plans it through its own session and refuses a key it does not
+reproduce — so a shard's plan/result/mask/inference caches stay hot for
+exactly the key range the router assigns it.  (:mod:`repro.plan.wire` is the
+JSON interchange format for plans, no longer the pipe's payload.)
+``refit()`` broadcasts to every worker and asserts the generation counters
+agree afterwards, which is what keeps cross-process caches coherent.
+Results are bit-identical to in-process ``ServingSession.execute_batch``
+(asserted by ``tests/test_serving_scale.py`` via the differential-oracle
+sweep).
 
 There is one pool class and one dispatch path
 (:mod:`repro.serving.scale.pool`), and supervision is part of it: dead

@@ -51,7 +51,7 @@ class AsyncServingFrontend:
         The fitted facade to serve (workers rebuild it deterministically).
     n_workers:
         Worker-process (shard) count.
-    latency_budget, max_batch_size, max_queue, max_inflight:
+    max_batch_size, max_queue, max_inflight:
         Micro-batcher knobs (see :class:`MicroBatcher`).
     dispatch_timeout:
         Seconds the pool waits for one shard's reply before the affected
@@ -85,7 +85,6 @@ class AsyncServingFrontend:
         self,
         themis: "Themis",
         n_workers: int = 2,
-        latency_budget: float = 0.002,
         max_batch_size: int = 64,
         max_queue: int = 1024,
         max_inflight: int = 4,
@@ -120,7 +119,6 @@ class AsyncServingFrontend:
         )
         self.batcher = MicroBatcher(
             self.pool,
-            latency_budget=latency_budget,
             max_batch_size=max_batch_size,
             max_queue=max_queue,
             max_inflight=max_inflight,

@@ -2,10 +2,14 @@
 
 The batch optimizer only pays off when it sees several plans at once, but
 interactive clients send one query at a time.  The micro-batcher closes the
-gap: arrivals queue for at most ``latency_budget`` seconds (or until
-``max_batch_size`` accumulate), then the whole batch dispatches to the
-worker pool in one call — so even single-query traffic exercises dedup,
-shared masks, and group-by fusion.
+gap by *natural batching*: a batch is everything pending at the moment a
+dispatch slot is free.  While fewer than ``max_inflight`` dispatches are
+out, an arrival goes to the worker pool in the event-loop turn it was read
+in, together with whatever else became pending in that turn; once every
+slot is taken, arrivals wait for a slot — never for a clock — and leave as
+one batch (up to ``max_batch_size``) when it frees.  An idle tier adds no
+wait, a loaded one batches by itself (so concurrent traffic still exercises
+dedup, shared masks, and group-by fusion), and there is no timer to tune.
 
 Backpressure is typed, never silent.  Without an admission controller a
 full queue rejects the submit with
@@ -35,7 +39,7 @@ When the backlog exceeds one batch, pending requests are stable-sorted by
 priority class so interactive work dispatches first (FIFO within a class).
 
 The batcher never retries: retry, backoff and failover live in the pool,
-the layer that knows which shard failed.  A batch is accumulated,
+the layer that knows which shard failed.  A batch is taken off the queue,
 dispatched once through ``execute_batch_outcomes``, and each future settles
 from its own :class:`~repro.serving.scale.pool.RequestOutcome` — one bad
 statement or one exhausted shard fails only the requests it touched while
@@ -54,13 +58,14 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from ...exceptions import DispatchTimeoutError, ServingOverloadError
 from ...obs import names
 from ...obs.metrics import MetricsRegistry
 from ...query.ast import Query
 from ..governance import (
+    PRIORITIES,
     PRIORITY_INTERACTIVE,
     PRIORITY_LEVELS,
     AdmissionController,
@@ -85,20 +90,16 @@ class _PendingRequest:
 
 
 class MicroBatcher:
-    """Accumulate concurrent arrivals into latency-bounded pool batches.
+    """Turn concurrent arrivals into pool batches, one per free dispatch slot.
 
     Parameters
     ----------
     pool:
         The worker pool batches dispatch to (anything with the pool's
         ``execute_batch_outcomes`` and a ``metrics`` registry).
-    latency_budget:
-        Seconds a query may wait for companions before its batch flushes.
-        The knob trades tail latency for fusion opportunity: 0 degenerates
-        to one-query batches, a few milliseconds is usually enough to fuse
-        bursts without a visible latency cost.
     max_batch_size:
-        Flush immediately once this many queries are waiting.
+        Most queries one dispatch carries; a longer backlog leaves in
+        several batches, highest priority class first.
     max_queue:
         Submissions beyond this many waiting queries are shed with
         :class:`ServingOverloadError` (carrying the depth) instead of
@@ -106,7 +107,9 @@ class MicroBatcher:
         controller's own queue shares apply instead.
     max_inflight:
         Concurrent pool dispatches (each runs on its own executor thread,
-        conversing with disjoint or lock-serialized workers).
+        conversing with disjoint or lock-serialized workers).  These are
+        the slots batching forms behind: arrivals dispatch at once while
+        one is free and accumulate into the next batch while none is.
     dispatch_timeout:
         Seconds one whole pool dispatch — the pool's retries included — is
         expected to take at most.  The pool's own reply timeouts and retry
@@ -132,7 +135,6 @@ class MicroBatcher:
     def __init__(
         self,
         pool: SupervisedWorkerPool,
-        latency_budget: float = 0.002,
         max_batch_size: int = 64,
         max_queue: int = 1024,
         max_inflight: int = 4,
@@ -141,12 +143,9 @@ class MicroBatcher:
         admission: AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        if latency_budget < 0:
-            raise ValueError("latency_budget must be >= 0")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         self._pool = pool
-        self.latency_budget = latency_budget
         self.max_batch_size = max_batch_size
         self.max_queue = max_queue
         self.max_inflight = max_inflight
@@ -159,11 +158,9 @@ class MicroBatcher:
             # land in the same snapshot as the queue/latency instruments.
             admission.metrics = self.metrics
         self._pending: deque[_PendingRequest] = deque()
-        self._arrival = asyncio.Event()
         self._running = False
-        self._flusher: asyncio.Task | None = None
+        self._free_slots = 0
         self._dispatches: set[asyncio.Task] = set()
-        self._inflight: asyncio.Semaphore | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._queue_depth = self.metrics.gauge(names.SCALE_QUEUE_DEPTH)
         self._batch_sizes = self.metrics.histogram(
@@ -175,26 +172,24 @@ class MicroBatcher:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Start the flusher task (idempotent)."""
+        """Open the dispatch slots (idempotent)."""
         if self._running:
             return
         self._running = True
-        self._inflight = asyncio.Semaphore(self.max_inflight)
+        self._free_slots = self.max_inflight
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_inflight, thread_name_prefix="microbatch"
         )
-        self._flusher = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
-        """Drain the queue, wait for inflight dispatches, stop the flusher."""
+        """Refuse new submits, then drain the queue and the inflight dispatches."""
         if not self._running:
             return
         self._running = False
-        self._arrival.set()
-        if self._flusher is not None:
-            await self._flusher
-            self._flusher = None
-        if self._dispatches:
+        self._pump()
+        # A finishing dispatch starts the next one before it is done, so the
+        # set only runs empty once the queue has.
+        while self._dispatches:
             await asyncio.gather(*tuple(self._dispatches), return_exceptions=True)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -212,13 +207,21 @@ class MicroBatcher:
         """Queue one query and await its answer.
 
         ``priority`` selects the admission class (ignored for ordering when
-        the queue never backs up); ``deadline`` is this request's budget in
-        seconds, defaulting to the batcher-wide ``request_deadline``.
-        Sheds raise :class:`AdmissionRejectedError` (with a controller) or
-        :class:`ServingOverloadError` (bare queue bound) immediately.
+        the queue never backs up; anything outside ``PRIORITIES`` is a
+        ``ValueError`` for this request alone); ``deadline`` is this
+        request's budget in seconds, defaulting to the batcher-wide
+        ``request_deadline``.  Sheds raise :class:`AdmissionRejectedError`
+        (with a controller) or :class:`ServingOverloadError` (bare queue
+        bound) immediately.
         """
         if not self._running:
             raise RuntimeError("MicroBatcher.submit() before start()")
+        if priority not in PRIORITIES:
+            # Checked with or without a controller: a malformed class fails
+            # its own request here, never the batch it would have joined.
+            raise ValueError(
+                f"unknown priority {priority!r}; expected one of {PRIORITIES}"
+            )
         depth = len(self._pending)
         if self.admission is not None:
             try:
@@ -234,9 +237,10 @@ class MicroBatcher:
         self.metrics.counter(names.SCALE_REQUESTS).inc()
         if deadline is None:
             deadline = self.request_deadline
+        loop = asyncio.get_running_loop()
         entry = _PendingRequest(
             query=query,
-            future=asyncio.get_running_loop().create_future(),
+            future=loop.create_future(),
             submitted_at=time.perf_counter(),
             priority=priority,
             deadline_ts=(
@@ -245,57 +249,61 @@ class MicroBatcher:
         )
         self._pending.append(entry)
         self._queue_depth.set(len(self._pending))
-        self._arrival.set()
+        # Not now but at the end of this event-loop turn: whatever else the
+        # turn makes pending leaves in the same batch.
+        loop.call_soon(self._pump)
         return await entry.future
 
     # ------------------------------------------------------------------
-    # Flusher
+    # Dispatch
     # ------------------------------------------------------------------
-    async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            if not self._pending:
-                if not self._running:
-                    break
-                await self._arrival.wait()
-                self._arrival.clear()
-                continue
-            # First query of the batch is in: accumulate companions until
-            # the latency budget runs out or the batch is full.
-            deadline = loop.time() + self.latency_budget
-            while self._running and len(self._pending) < self.max_batch_size:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    await asyncio.wait_for(self._arrival.wait(), remaining)
-                    self._arrival.clear()
-                except (asyncio.TimeoutError, TimeoutError):
-                    break
-            if len(self._pending) > self.max_batch_size:
-                # Backlogged: higher priority classes dispatch first.  The
-                # sort is stable, so arrival order holds within a class —
-                # interactive requests jump the queue, they never reorder
-                # each other.
-                self._pending = deque(
-                    sorted(
-                        self._pending,
-                        key=lambda entry: PRIORITY_LEVELS.get(
-                            entry.priority, len(PRIORITY_LEVELS)
-                        ),
-                    )
+    def _pump(self) -> None:
+        """Start one dispatch per free slot while anything is pending.
+
+        Natural batching: runs when the queue grows (end of that event-loop
+        turn) and when a slot frees, never on a clock.  With a slot free the
+        batch is what the turn made pending; with every slot out, arrivals
+        pile up in the queue and leave together when one frees.
+        """
+        while self._pending and self._free_slots:
+            try:
+                batch = self._take_batch()
+            except Exception as error:  # noqa: BLE001 - forwarded to callers
+                # A queue no batch can be formed from would fail the same
+                # way again: fail what is queued, keep serving what arrives.
+                failed, self._pending = self._pending, deque()
+                self._queue_depth.set(0)
+                self._settle(
+                    failed, [RequestOutcome(ok=False, error=error)] * len(failed)
                 )
-            batch: list[_PendingRequest] = []
-            while self._pending and len(batch) < self.max_batch_size:
-                batch.append(self._pending.popleft())
-            self._queue_depth.set(len(self._pending))
-            task = loop.create_task(self._dispatch(batch))
+                return
+            self._free_slots -= 1
+            task = asyncio.create_task(self._dispatch(batch))
             self._dispatches.add(task)
             task.add_done_callback(self._dispatches.discard)
 
+    def _take_batch(self) -> list[_PendingRequest]:
+        """Pop the next batch: everything pending, up to ``max_batch_size``."""
+        if len(self._pending) > self.max_batch_size:
+            # Backlogged: higher priority classes dispatch first.  The
+            # sort is stable, so arrival order holds within a class —
+            # interactive requests jump the queue, they never reorder
+            # each other.
+            self._pending = deque(
+                sorted(
+                    self._pending,
+                    key=lambda entry: PRIORITY_LEVELS[entry.priority],
+                )
+            )
+        batch = [
+            self._pending.popleft()
+            for _ in range(min(len(self._pending), self.max_batch_size))
+        ]
+        self._queue_depth.set(len(self._pending))
+        return batch
+
     async def _dispatch(self, batch: list[_PendingRequest]) -> None:
-        assert self._inflight is not None and self._executor is not None
-        loop = asyncio.get_running_loop()
+        """Run one batch on the slot ``_pump`` took for it, then free it."""
         queries = [entry.query for entry in batch]
         # The pool-level deadline is the *tightest* unexpired one in the
         # batch.  An already expired request is excluded: it still gets its
@@ -313,28 +321,35 @@ class MicroBatcher:
         )
         self._batch_sizes.record(float(len(batch)))
         self.metrics.counter(names.SCALE_DISPATCHES).inc()
-        async with self._inflight:
-            work = loop.run_in_executor(
+        try:
+            work = asyncio.get_running_loop().run_in_executor(
                 self._executor,
                 lambda: self._pool.execute_batch_outcomes(
                     queries, deadline_ts=deadline_ts
                 ),
             )
-            try:
-                if self.dispatch_timeout is not None:
-                    outcomes = await asyncio.wait_for(
-                        asyncio.shield(work), self.dispatch_timeout * 2
-                    )
-                else:
-                    outcomes = await work
-            except (asyncio.TimeoutError, TimeoutError):
-                error = DispatchTimeoutError(
-                    "batch dispatch missed the latency budget",
-                    queue_depth=len(batch),
+            if self.dispatch_timeout is not None:
+                outcomes = await asyncio.wait_for(
+                    asyncio.shield(work), self.dispatch_timeout * 2
                 )
-                outcomes = [RequestOutcome(ok=False, error=error)] * len(batch)
-            except Exception as error:  # noqa: BLE001 - forwarded to callers
-                outcomes = [RequestOutcome(ok=False, error=error)] * len(batch)
+            else:
+                outcomes = await work
+        except (asyncio.TimeoutError, TimeoutError):
+            error = DispatchTimeoutError(
+                "batch dispatch missed its timeout", queue_depth=len(batch)
+            )
+            outcomes = [RequestOutcome(ok=False, error=error)] * len(batch)
+        except Exception as error:  # noqa: BLE001 - forwarded to callers
+            outcomes = [RequestOutcome(ok=False, error=error)] * len(batch)
+        finally:
+            self._free_slots += 1
+        self._settle(batch, outcomes)
+        self._pump()
+
+    def _settle(
+        self, batch: Iterable[_PendingRequest], outcomes: list[RequestOutcome]
+    ) -> None:
+        """Resolve each request's future from its own outcome."""
         finished = time.perf_counter()
         for entry, outcome in zip(batch, outcomes):
             if entry.future.done():

@@ -1,14 +1,16 @@
 """The worker pool: N supervised processes, each owning a slice of plan keys.
 
 :class:`SupervisedWorkerPool` is the scale tier's only pool.  It compiles
-every incoming query **once** in the parent process, serializes the plan
-through the wire format, and routes it to the shard that consistently owns
-its canonical key — so each worker's result/mask/inference caches see a
-stable key range and stay hot across batches.  Workers rebuild the same
-deterministic model from a :class:`WorkerSpec` (same inputs + seed =>
-bit-identical answers), which is what makes pool results exactly ``==``
-in-process ``execute_batch`` — and keeps them so while workers die and come
-back:
+every incoming query **once** in the parent process — for its canonical
+key, hashed once — and routes the statement, exactly as submitted, to the
+shard that consistently owns that key, so each worker's plan/result/mask/
+inference caches see a stable key range and stay hot across batches.  What
+crosses the pipe per request is the statement and the key; the worker plans
+the statement itself and refuses a key it does not reproduce.  Workers
+rebuild the same deterministic model from a :class:`WorkerSpec` (same inputs
++ seed => bit-identical answers), which is what makes pool results exactly
+``==`` in-process ``execute_batch`` — and keeps them so while workers die
+and come back:
 
 * **Crash detection.**  Every pipe conversation classifies its failure:
   EOF / broken pipe, a reply deadline that expires with the process's
@@ -71,11 +73,11 @@ from ...exceptions import (
 )
 from ...obs import names
 from ...obs.metrics import MetricsRegistry
-from ...plan import PlanCompiler, serialize_plan
+from ...plan import PlanCompiler, PlanKey
 from ...query.ast import Query
 from ..governance import CircuitBreaker, CircuitBreakerConfig
 from .faults import FaultInjector
-from .shard import ShardRouter
+from .shard import ShardRouter, stable_plan_hash
 from .worker import (
     CMD_ADD_AGGREGATE,
     CMD_BATCH,
@@ -105,8 +107,14 @@ def _start_method() -> str:
     return "fork" if "fork" in methods else methods[0]
 
 
-def batch_payload(payloads: list[Any], deadline_ts: float | None) -> dict[str, Any]:
-    """Build one CMD_BATCH payload: plans plus the remaining deadline budget.
+def batch_payload(
+    requests: list[tuple[Query | str, PlanKey]], deadline_ts: float | None
+) -> dict[str, Any]:
+    """Build one CMD_BATCH payload: requests plus the remaining deadline budget.
+
+    A request is the statement exactly as submitted (SQL text or AST) paired
+    with the canonical key this process compiled it to; the worker executes
+    nothing until it has reproduced every key.
 
     ``deadline_ts`` is the absolute ``time.monotonic`` timestamp a request
     was given at ``MicroBatcher.submit()``; this is the one place it becomes
@@ -118,7 +126,7 @@ def batch_payload(payloads: list[Any], deadline_ts: float | None) -> dict[str, A
     remaining = (
         None if deadline_ts is None else max(0.0, deadline_ts - time.monotonic())
     )
-    return {"plans": payloads, "deadline": remaining}
+    return {"requests": requests, "deadline": remaining}
 
 
 #: Every open pool, reaped at interpreter exit if ``close()`` was skipped
@@ -222,7 +230,7 @@ class _Worker:
                 reason="exitcode",
             )
         return DispatchTimeoutError(
-            "worker missed the dispatch latency budget",
+            "worker missed the dispatch timeout",
             shard_id=self.shard_id,
         )
 
@@ -390,8 +398,8 @@ class SupervisedWorkerPool:
                 for shard_id in range(n_workers)
             }
         self.router = ShardRouter(n_workers)
-        # The parent compiles/serializes; workers verify keys against their
-        # own schema-bound compilers on the far side of the pipe.
+        # The parent compiles for the routing key only; workers plan the
+        # statement themselves and verify that key on the far side of the pipe.
         self._compiler = PlanCompiler(themis.sample.schema)
         # The spec and context are kept so crashed shards respawn from the
         # same deterministic recipe the pool started from.
@@ -611,12 +619,13 @@ class SupervisedWorkerPool:
     ) -> list[RequestOutcome]:
         """Serve a batch: one :class:`RequestOutcome` per query, in order.
 
-        Compiles each query once (a statement that fails to compile fails
-        only its own outcome), then loops: route the still-pending requests
-        over the *live* shards (failover for keys whose home shard is
-        down), converse with all of them concurrently, classify each
-        shard's reply, back off, and go again — until everything is
-        answered, the retry/deadline budget runs out
+        Compiles each query once for its canonical key and hashes that key
+        once (a statement that fails to compile fails only its own
+        outcome), then loops: route the still-pending requests over the
+        *live* shards (failover for keys whose home shard is down), send
+        each shard its statements and their keys, converse with all of them
+        concurrently, classify each shard's reply, back off, and go again —
+        until everything is answered, the retry/deadline budget runs out
         (:class:`RetryExhaustedError`), or no shard is left
         (:class:`DegradedModeError` or the in-process fallback).  Answers
         are exactly ``==`` what in-process ``ServingSession.execute_batch``
@@ -642,13 +651,14 @@ class SupervisedWorkerPool:
             for index in indices:
                 outcomes[index] = RequestOutcome(ok=False, error=error)
 
-        plans: dict[int, Any] = {}
+        routing: dict[int, tuple[PlanKey, int]] = {}
         for index, query in enumerate(queries):
             try:
-                plans[index] = self._compile(query)
+                key = self._compiler.compile(query).key
+                routing[index] = (key, stable_plan_hash(key))
             except ThemisError as error:
                 fail([index], error)
-        pending = list(plans)
+        pending = list(routing)
         attempt = 0
         last_error: BaseException | None = None
         while pending:
@@ -685,9 +695,9 @@ class SupervisedWorkerPool:
 
             by_shard: dict[int, list[int]] = {}
             for index in pending:
-                key = plans[index].key
-                shard_id = self.router.shard_for(key, live=allowed)
-                if shard_id != self.router.shard_for(key):
+                key_hash = routing[index][1]
+                shard_id = self.router.shard_for_hash(key_hash, live=allowed)
+                if shard_id != self.router.shard_for_hash(key_hash):
                     self.metrics.counter(names.SCALE_FAULT_FAILOVERS).inc()
                 by_shard.setdefault(shard_id, []).append(index)
             for shard_id, indices in by_shard.items():
@@ -696,7 +706,7 @@ class SupervisedWorkerPool:
 
             def payload_for(worker: _Worker) -> dict[str, Any]:
                 return batch_payload(
-                    [serialize_plan(plans[i]) for i in by_shard[worker.shard_id]],
+                    [(queries[i], routing[i][0]) for i in by_shard[worker.shard_id]],
                     deadline_ts,
                 )
 
@@ -747,14 +757,9 @@ class SupervisedWorkerPool:
             if value:
                 self.metrics.counter(names.optimizer_counter(field_name)).inc(value)
 
-    def _compile(self, query: Query | str) -> Any:
-        if isinstance(query, str):
-            return self._compiler.compile_sql(query)
-        return self._compiler.compile(query)
-
     def compile_batch(self, queries: Sequence[Query | str]) -> list[Any]:
         """Compile every query (SQL text or AST) once, in submission order."""
-        return [self._compile(query) for query in queries]
+        return [self._compiler.compile(query) for query in queries]
 
     def _allowed_shards(self, live: set[int]) -> set[int]:
         """Live shards whose circuit breakers admit traffic right now.

@@ -6,13 +6,16 @@ a :class:`~repro.core.Themis` facade from a picklable :class:`WorkerSpec`
 inputs and seed, so every worker answers bit-identically to the parent),
 opens a session, and answers command messages over a pipe.
 
-Plans arrive as wire payloads (:mod:`repro.plan.wire`).  The worker decodes
-each with its **own** compiler, which verifies the sender's canonical key
-against what this process compiles the same query to — schema drift between
-front-end and worker is a loud :class:`~repro.exceptions.WireFormatError`,
-never a silently split cache.  Execution then goes through the session's
-normal batch path, so shard caches, the batch optimizer, and the metrics
-registry all behave exactly as in-process serving.
+A batch arrives as the statements exactly as they were submitted (SQL text
+or ASTs) plus the canonical key the sender compiled each one to.  The worker
+plans every statement through its **own** session — repeated SQL text hits
+the session's plan cache — and verifies every key against what this process
+plans the same statement to *before executing anything*: schema drift
+between front-end and worker is a loud
+:class:`~repro.exceptions.WireFormatError`, never a silently split cache.
+Execution then goes through the session's normal batch path, so shard
+caches, the batch optimizer, and the metrics registry all behave exactly as
+in-process serving.
 
 The message protocol is ``(command, seq, payload)`` requests answered by
 ``(seq, status, body)`` replies; ``seq`` echoes let the parent discard
@@ -26,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 from ...aggregates import AggregateQuery
 from ...core import Themis, ThemisConfig
-from ...plan.wire import deserialize_plan
+from ...exceptions import WireFormatError
 from ...schema import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,6 +86,27 @@ class WorkerSpec:
         return themis
 
 
+def _verified_statements(session: Any, requests: list[tuple]) -> list:
+    """A batch's statements, once this process has reproduced every sender key.
+
+    Runs before anything executes, so no answer is computed or cached under
+    a key the two sides disagree on (a statement this process cannot plan at
+    all raises its own typed error from here, just as early).  Planning here
+    is what the execution that follows reuses: text through the session's
+    plan cache, ASTs through the compiler's memo.
+    """
+    executor = session._ensure_current()
+    for statement, key in requests:
+        planned = executor.plan(statement).key
+        if planned != key:
+            raise WireFormatError(
+                f"canonical plan key mismatch: sender compiled {key!r} but this "
+                f"process plans the same statement to {planned!r} — the two "
+                f"sides disagree about the schema"
+            )
+    return [statement for statement, _ in requests]
+
+
 def worker_main(
     spec: WorkerSpec,
     conn: "Connection",
@@ -115,8 +139,7 @@ def worker_main(
 
     themis = spec.build_themis()
     session = themis.serve(**spec.session_options)
-    executor = session._ensure_current()
-    compiler = executor.model.sample_evaluator.engine.executor.compiler
+    session._ensure_current()  # bind to the fitted model: describe needs a generation
     batch_count = refit_count = ping_count = 0
 
     while True:
@@ -131,7 +154,7 @@ def worker_main(
                 fault = fault_plan.on_batch(batch_count) if fault_plan else None
                 if fault is not None and fault.kind == KIND_KILL_AT_BATCH:
                     os._exit(FAULT_EXIT_CODE)
-                items, budget = payload["plans"], payload["deadline"]
+                budget = payload["deadline"]
                 cancel = None
                 if budget is not None:
                     # Arm a worker-side token from the *remaining* budget the
@@ -141,10 +164,8 @@ def worker_main(
                     from ..governance import CancelToken, Deadline
 
                     cancel = CancelToken(deadline=Deadline.after(budget))
-                plans = [deserialize_plan(item, compiler) for item in items]
-                batch = session.execute_batch(
-                    [plan.query for plan in plans], cancel=cancel
-                )
+                statements = _verified_statements(session, payload["requests"])
+                batch = session.execute_batch(statements, cancel=cancel)
                 body = {
                     "results": batch.results(),
                     "generation": session.generation,

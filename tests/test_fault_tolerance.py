@@ -444,7 +444,7 @@ class TestMicroBatcherOutcomes:
         pool = _OutcomePool()
 
         async def scenario():
-            batcher = MicroBatcher(pool, latency_budget=0.05, max_batch_size=8)
+            batcher = MicroBatcher(pool, max_batch_size=8)
             await batcher.start()
             try:
                 good, bad = await asyncio.gather(
@@ -520,7 +520,6 @@ class TestSupervisedFrontend:
             async with AsyncServingFrontend(
                 themis,
                 n_workers=2,
-                latency_budget=0.0,
                 fault_injector=injector,
             ) as frontend:
                 answers = await asyncio.gather(
@@ -546,7 +545,6 @@ class TestSupervisedFrontend:
             async with AsyncServingFrontend(
                 themis,
                 n_workers=1,
-                latency_budget=0.0,
                 dispatch_timeout=0.3,
                 max_retries=2,
                 fault_injector=injector,

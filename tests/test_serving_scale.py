@@ -6,21 +6,33 @@ sharded multi-process path and in-process ``execute_batch`` — over a seeded
 socket server, and **across a mid-stream refit with warm worker caches**
 (the cross-process cache-coherence guarantee, extending the
 ``tests/test_sql_differential.py`` pattern through the sharded path).
-Backpressure is typed: queue-full and latency-budget misses raise
+Backpressure is typed: queue-full and dispatch-timeout misses raise
 ``ServingOverloadError`` carrying the queue depth / lagging shard.
+
+Micro-batching is *natural*: a batch is whatever is pending when a dispatch
+slot is free.  Those tests hold the slots with a pool that blocks on a
+``threading.Event`` gate — no sleeps, no budgets to out-wait.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import pickle
+import threading
 import time
 
 import pytest
 
 from repro.aggregates import AggregateQuery
-from repro.exceptions import ServingOverloadError, SQLSyntaxError, ThemisError
+from repro.exceptions import (
+    AdmissionRejectedError,
+    ServingOverloadError,
+    SQLSyntaxError,
+    ThemisError,
+    WireFormatError,
+)
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
 from repro.plan import PlanCompiler
@@ -34,10 +46,17 @@ from repro.serving.scale import (
     WorkerSpec,
     serve_async,
 )
+from repro.serving.governance import (
+    PRIORITY_BACKGROUND,
+    PRIORITY_BATCH,
+    AdmissionController,
+)
+from repro.serving.scale import pool as pool_module
 from repro.serving.scale.faults import FaultInjector
 from repro.serving.scale.frontend import encode_result
 from repro.serving.scale.shard import stable_plan_hash
 
+from golden_plans import golden_queries
 from worlds import build_correlated_population, build_fitted_themis
 
 SWEEP_SEED = 421
@@ -220,6 +239,98 @@ class TestWorkerPool:
 
 
 # ---------------------------------------------------------------------------
+# What crosses the pipe: the statement as submitted, plus the sender's key
+# ---------------------------------------------------------------------------
+class TestWhatCrossesThePipe:
+    def test_text_and_ast_submissions_match_in_process(self, themis):
+        entries = MixedQueryWorkload(themis.sample, seed=SWEEP_SEED).generate(
+            n_point=4, n_scalar=4, n_group_by=4, n_analytic=4
+        )
+        as_text = [entry.sql for entry in entries]
+        # Joins have no SQL form; the golden set adds one, plus the full
+        # analytic pipeline and an out-of-domain point.
+        as_ast = [entry.query for entry in entries] + list(golden_queries().values())
+        oracle = build_fitted_themis().serve()
+        with SupervisedWorkerPool(themis, n_workers=2) as pool:
+            for submissions in (as_text, as_ast):
+                in_process = oracle.execute_batch(submissions).results()
+                assert pool.execute_batch(submissions) == in_process
+
+    def test_forged_key_is_refused_before_anything_executes(
+        self, monkeypatch, themis, sweep_queries, expected
+    ):
+        victim = sweep_queries[0]
+        honest = pool_module.batch_payload
+
+        def forged(requests, deadline_ts):
+            requests = [
+                (statement, ("forged",) if statement == victim else key)
+                for statement, key in requests
+            ]
+            return honest(requests, deadline_ts)
+
+        with SupervisedWorkerPool(themis, n_workers=2) as pool:
+            homes = [
+                pool.router.shard_for(plan.key)
+                for plan in pool.compile_batch(sweep_queries)
+            ]
+            refused = homes[0]
+            assert set(homes) == {0, 1}, "the sweep must reach both shards"
+            monkeypatch.setattr(pool_module, "batch_payload", forged)
+            outcomes = pool.execute_batch_outcomes(sweep_queries)
+            monkeypatch.undo()
+            described = pool.describe()
+            # The worker that refused the batch is alive and serves it honestly.
+            assert pool.execute_batch(sweep_queries) == expected
+        for home, outcome, answer in zip(homes, outcomes, expected):
+            if home == refused:
+                # One disagreeing key fails its whole conversation, no more.
+                assert isinstance(outcome.error, WireFormatError)
+                assert "key mismatch" in str(outcome.error)
+            else:
+                assert outcome.ok and outcome.value == answer
+        # The check ran before execution: nothing served, nothing cached.
+        assert described[refused]["queries_served"] == 0
+        assert described[refused]["cache"]["result_cache"]["entries"] == 0
+        assert described[1 - refused]["queries_served"] == homes.count(1 - refused)
+
+    def test_repeated_sql_text_hits_the_workers_plan_cache(self, themis):
+        statement = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
+        with SupervisedWorkerPool(themis, n_workers=2) as pool:
+            answers = [pool.execute_batch([statement]) for _ in range(3)]
+            plan_caches = [body["cache"]["plan_cache"] for body in pool.describe()]
+        assert answers[0] == answers[1] == answers[2]
+        # Planned once on the owning shard; every later look-up is a hit.
+        assert sum(cache["misses"] for cache in plan_caches) == 1
+        assert sum(cache["entries"] for cache in plan_caches) == 1
+        assert sum(cache["hits"] for cache in plan_caches) >= 2
+
+    def test_each_key_is_hashed_once_per_call_even_across_a_retry(
+        self, monkeypatch, themis, sweep_queries, expected
+    ):
+        hashed = []
+        stable_hash = pool_module.stable_plan_hash
+
+        def counting(key):
+            hashed.append(key)
+            return stable_hash(key)
+
+        monkeypatch.setattr(pool_module, "stable_plan_hash", counting)
+        kills = FaultInjector().kill_at_batch(0, at=1).kill_at_batch(1, at=1)
+        with SupervisedWorkerPool(
+            themis, n_workers=2, fault_injector=kills, backoff_base=0.01
+        ) as pool:
+            assert pool.execute_batch(sweep_queries) == expected
+            assert pool.metrics.value(names.SCALE_FAULT_RETRIES) >= 1
+            assert len(hashed) == len(sweep_queries)
+            # ...and a bad statement is neither hashed nor routed.
+            del hashed[:]
+            outcomes = pool.execute_batch_outcomes(["SELEC nonsense", sweep_queries[0]])
+            assert [outcome.ok for outcome in outcomes] == [False, True]
+            assert len(hashed) == 1
+
+
+# ---------------------------------------------------------------------------
 # Micro-batcher backpressure (unit tests over a stub pool)
 # ---------------------------------------------------------------------------
 class _StubPool:
@@ -234,18 +345,56 @@ class _StubPool:
         if self.delay:
             time.sleep(self.delay)
         self.batches.append(list(queries))
+        return self.answers(queries)
+
+    @staticmethod
+    def answers(queries):
         return [
             RequestOutcome(ok=True, value=f"answer:{query}") for query in queries
         ]
 
 
+class _GatedPool(_StubPool):
+    """Stub pool whose dispatches block until the test opens ``gate``.
+
+    ``batches`` records a dispatch on entry, so a test can see what left the
+    queue while the slot is still held; ``entered`` says one is in.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def execute_batch_outcomes(self, queries, deadline_ts=None):
+        self.batches.append(list(queries))
+        self.entered.set()
+        assert self.gate.wait(10), "the test never opened the gate"
+        return self.answers(queries)
+
+
+async def _hold_every_slot(batcher, pool):
+    """Occupy the batcher's dispatch slots; returns the holders' futures.
+
+    One submit per slot, each awaited into the (gated) pool before the next,
+    so every holder leaves alone and nothing is left in the queue.
+    """
+    loop = asyncio.get_running_loop()
+    holders = []
+    for slot in range(batcher.max_inflight):
+        pool.entered.clear()
+        holders.append(asyncio.ensure_future(batcher.submit(f"hold{slot}")))
+        assert await loop.run_in_executor(None, pool.entered.wait, 10)
+    return holders
+
+
 class TestMicroBatcherBackpressure:
     def test_queue_full_raises_typed_overload(self):
         async def scenario():
-            batcher = MicroBatcher(
-                _StubPool(delay=0.2), latency_budget=10.0, max_queue=2
-            )
+            pool = _GatedPool()
+            batcher = MicroBatcher(pool, max_queue=2, max_inflight=1)
             await batcher.start()
+            holders = await _hold_every_slot(batcher, pool)
             first = asyncio.ensure_future(batcher.submit("q0"))
             second = asyncio.ensure_future(batcher.submit("q1"))
             await asyncio.sleep(0)  # let both enqueue
@@ -255,19 +404,49 @@ class TestMicroBatcherBackpressure:
             assert "queue_depth=2" in str(excinfo.value)
             assert batcher.metrics.value(names.SCALE_OVERLOADS) == 1
             # The two accepted submissions still complete on shutdown.
+            pool.gate.set()
             await batcher.stop()
             assert await first == "answer:q0"
             assert await second == "answer:q1"
+            assert [await holder for holder in holders] == ["answer:hold0"]
+
+        asyncio.run(scenario())
+
+    def test_admission_sheds_lowest_priority_first_behind_held_slots(self):
+        async def scenario():
+            pool = _GatedPool()
+            batcher = MicroBatcher(
+                pool, max_inflight=1, admission=AdmissionController(max_queue=4)
+            )
+            await batcher.start()
+            holders = await _hold_every_slot(batcher, pool)
+            queued = [asyncio.ensure_future(batcher.submit(f"q{i}")) for i in range(2)]
+            await asyncio.sleep(0)  # let both enqueue
+            # Depth 2 of 4: background's half share is spent, batch's three
+            # quarters and interactive's whole are not.
+            with pytest.raises(AdmissionRejectedError) as excinfo:
+                await batcher.submit("bg", priority=PRIORITY_BACKGROUND)
+            assert excinfo.value.priority == PRIORITY_BACKGROUND
+            assert excinfo.value.queue_depth == 2
+            queued.append(
+                asyncio.ensure_future(batcher.submit("b", priority=PRIORITY_BATCH))
+            )
+            queued.append(asyncio.ensure_future(batcher.submit("q2")))
+            await asyncio.sleep(0)
+            assert batcher.metrics.value(names.SCALE_OVERLOADS) == 1
+            assert batcher.metrics.value(names.GOVERNANCE_REQUESTS_REJECTED) == 1
+            pool.gate.set()
+            await batcher.stop()
+            assert [await future for future in queued] == [
+                "answer:q0", "answer:q1", "answer:b", "answer:q2",
+            ]
+            assert len(holders) == 1 and await holders[0] == "answer:hold0"
 
         asyncio.run(scenario())
 
     def test_dispatch_timeout_fails_futures_with_overload(self):
         async def scenario():
-            batcher = MicroBatcher(
-                _StubPool(delay=0.5),
-                latency_budget=0.0,
-                dispatch_timeout=0.01,
-            )
+            batcher = MicroBatcher(_StubPool(delay=0.5), dispatch_timeout=0.01)
             await batcher.start()
             with pytest.raises(ServingOverloadError):
                 await batcher.submit("slow-query")
@@ -279,8 +458,10 @@ class TestMicroBatcherBackpressure:
     def test_arrivals_within_budget_share_one_batch(self):
         async def scenario():
             pool = _StubPool()
-            batcher = MicroBatcher(pool, latency_budget=0.05, max_batch_size=8)
+            batcher = MicroBatcher(pool, max_batch_size=8)
             await batcher.start()
+            # One gather = one event-loop turn: all six are pending when the
+            # free slot is taken.
             answers = await asyncio.gather(
                 *(batcher.submit(f"q{i}") for i in range(6))
             )
@@ -293,12 +474,197 @@ class TestMicroBatcherBackpressure:
         asyncio.run(scenario())
 
     def test_zero_budget_still_serves(self):
+        # There is no budget any more: a lone submit leaves at once, alone.
         async def scenario():
             pool = _StubPool()
-            batcher = MicroBatcher(pool, latency_budget=0.0)
+            batcher = MicroBatcher(pool)
             await batcher.start()
             assert await batcher.submit("q") == "answer:q"
             await batcher.stop()
+            assert pool.batches == [["q"]]
+
+        asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Natural batching: batches form behind busy slots, not behind a clock
+# ---------------------------------------------------------------------------
+class TestNaturalBatching:
+    def test_no_latency_knob_is_left(self):
+        for owner in (MicroBatcher, AsyncServingFrontend):
+            parameters = inspect.signature(owner).parameters
+            assert not [name for name in parameters if "latency" in name]
+        batcher = MicroBatcher(_StubPool())
+        assert not [name for name in vars(batcher) if "latency" in name]
+
+    def test_lone_submit_arms_no_timer(self, monkeypatch):
+        def armed(*args, **kwargs):
+            raise AssertionError("a timer was armed on the request path")
+
+        async def scenario():
+            pool = _StubPool()
+            batcher = MicroBatcher(pool)
+            await batcher.start()
+            loop = asyncio.get_running_loop()
+            with monkeypatch.context() as patched:
+                patched.setattr(loop, "call_later", armed)
+                patched.setattr(loop, "call_at", armed)
+                patched.setattr(asyncio, "sleep", armed)
+                patched.setattr(asyncio, "wait_for", armed)
+                assert await batcher.submit("q0") == "answer:q0"
+                assert await batcher.submit("q1") == "answer:q1"
+            await batcher.stop()
+            assert pool.batches == [["q0"], ["q1"]]
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "max_batch_size, sizes", [(64, [1, 5]), (4, [1, 4, 1])]
+    )
+    def test_arrivals_behind_a_held_slot_leave_as_one_batch(
+        self, max_batch_size, sizes
+    ):
+        async def scenario():
+            pool = _GatedPool()
+            batcher = MicroBatcher(
+                pool, max_batch_size=max_batch_size, max_inflight=1
+            )
+            await batcher.start()
+            holders = await _hold_every_slot(batcher, pool)
+            behind = [
+                asyncio.ensure_future(batcher.submit(f"q{i}")) for i in range(5)
+            ]
+            await asyncio.sleep(0)  # let all five enqueue
+            assert [len(batch) for batch in pool.batches] == [1]  # slot held
+            pool.gate.set()
+            answers = [await future for future in holders + behind]
+            await batcher.stop()
+            assert answers == ["answer:hold0"] + [f"answer:q{i}" for i in range(5)]
+            assert [len(batch) for batch in pool.batches] == sizes
+            histogram = batcher.metrics.snapshot()["histograms"][names.MICROBATCH_SIZE]
+            assert histogram["count"] == len(sizes) and histogram["max"] == max(sizes)
+
+        asyncio.run(scenario())
+
+    def test_backlog_dispatches_by_priority_class_then_arrival(self):
+        arrivals = [
+            ("bg0", PRIORITY_BACKGROUND),
+            ("b0", PRIORITY_BATCH),
+            ("i0", "interactive"),
+            ("bg1", PRIORITY_BACKGROUND),
+            ("i1", "interactive"),
+            ("b1", PRIORITY_BATCH),
+        ]
+
+        async def scenario():
+            pool = _GatedPool()
+            batcher = MicroBatcher(pool, max_batch_size=2, max_inflight=1)
+            await batcher.start()
+            holders = await _hold_every_slot(batcher, pool)
+            behind = [
+                asyncio.ensure_future(batcher.submit(query, priority=priority))
+                for query, priority in arrivals
+            ]
+            await asyncio.sleep(0)  # let all six enqueue
+            pool.gate.set()
+            await asyncio.gather(*holders, *behind)
+            await batcher.stop()
+            return pool.batches
+
+        assert asyncio.run(scenario()) == [
+            ["hold0"], ["i0", "i1"], ["b0", "b1"], ["bg0", "bg1"],
+        ]
+
+    def test_stop_drains_the_queue_behind_held_slots(self):
+        async def scenario():
+            pool = _GatedPool()
+            batcher = MicroBatcher(pool, max_batch_size=2, max_inflight=2)
+            await batcher.start()
+            holders = await _hold_every_slot(batcher, pool)
+            behind = [
+                asyncio.ensure_future(batcher.submit(f"q{i}")) for i in range(5)
+            ]
+            await asyncio.sleep(0)  # let all five enqueue
+            stopping = asyncio.ensure_future(batcher.stop())
+            await asyncio.sleep(0)
+            assert not stopping.done() and not any(f.done() for f in behind)
+            pool.gate.set()
+            await stopping
+            # Everything accepted before stop() was answered, nothing new is.
+            assert all(future.done() for future in holders + behind)
+            assert [await future for future in behind] == [
+                f"answer:q{i}" for i in range(5)
+            ]
+            assert sorted(len(batch) for batch in pool.batches) == [1, 1, 1, 2, 2]
+            with pytest.raises(RuntimeError, match="before start"):
+                await batcher.submit("late")
+
+        asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# One malformed request fails alone; the dispatch loop never dies quietly
+# ---------------------------------------------------------------------------
+class TestMicroBatcherSurvivesBadInput:
+    @pytest.mark.parametrize("priority", [[], "vip", 7, None])
+    def test_malformed_priority_fails_only_its_own_submit(self, priority):
+        # At the parent an unhashable priority passed submit() and killed the
+        # flusher task in its backlog sort: nothing queued then or submitted
+        # later was ever answered.
+        async def scenario():
+            pool = _StubPool()
+            batcher = MicroBatcher(pool, max_batch_size=1)
+            await batcher.start()
+            bad = await asyncio.gather(
+                *(batcher.submit(f"bad{i}", priority=priority) for i in range(3)),
+                return_exceptions=True,
+            )
+            good = await asyncio.gather(*(batcher.submit(f"q{i}") for i in range(3)))
+            await batcher.stop()
+            return bad, good, pool.batches
+
+        bad, good, batches = asyncio.run(scenario())
+        for error in bad:
+            assert isinstance(error, ValueError)
+            assert "unknown priority" in str(error) and "interactive" in str(error)
+        assert good == ["answer:q0", "answer:q1", "answer:q2"]
+        assert batches == [["q0"], ["q1"], ["q2"]]
+
+    def test_malformed_priority_is_refused_under_a_controller_too(self):
+        async def scenario():
+            batcher = MicroBatcher(
+                _StubPool(), admission=AdmissionController(max_queue=8)
+            )
+            await batcher.start()
+            with pytest.raises(ValueError, match="unknown priority"):
+                await batcher.submit("q", priority=[])
+            assert await batcher.submit("q") == "answer:q"
+            await batcher.stop()
+
+        asyncio.run(scenario())
+
+    def test_dispatching_outlives_a_batch_it_cannot_form(self, monkeypatch):
+        async def scenario():
+            pool = _StubPool()
+            batcher = MicroBatcher(pool)
+            await batcher.start()
+            take_batch = batcher._take_batch
+
+            def broken():
+                monkeypatch.setattr(batcher, "_take_batch", take_batch)
+                raise TypeError("cannot order this queue")
+
+            monkeypatch.setattr(batcher, "_take_batch", broken)
+            taken = await asyncio.gather(
+                batcher.submit("q0"), batcher.submit("q1"), return_exceptions=True
+            )
+            # The requests it had taken fail loudly, no slot is lost, and
+            # what arrives next is served.
+            assert [type(error) for error in taken] == [TypeError, TypeError]
+            assert await batcher.submit("q2") == "answer:q2"
+            await batcher.stop()
+            assert batcher._free_slots == batcher.max_inflight
+            assert pool.batches == [["q2"]]
 
         asyncio.run(scenario())
 
@@ -309,9 +675,7 @@ class TestMicroBatcherBackpressure:
 class TestAsyncFrontend:
     def test_concurrent_clients_bit_identical(self, themis, sweep_queries, expected):
         async def scenario():
-            async with AsyncServingFrontend(
-                themis, n_workers=2, latency_budget=0.01
-            ) as frontend:
+            async with AsyncServingFrontend(themis, n_workers=2) as frontend:
                 answers = await asyncio.gather(
                     *(frontend.query(q) for q in sweep_queries)
                 )
@@ -334,9 +698,7 @@ class TestAsyncFrontend:
         oracle = build_fitted_themis()
 
         async def scenario():
-            async with AsyncServingFrontend(
-                themis, n_workers=1, latency_budget=0.005
-            ) as frontend:
+            async with AsyncServingFrontend(themis, n_workers=1) as frontend:
                 server = await serve_async(frontend, port=0)
                 port = server.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -372,10 +734,9 @@ class TestAsyncFrontend:
         oracle = build_fitted_themis()
 
         async def scenario():
-            # One generous budget, so all three share one micro-batch.
-            async with AsyncServingFrontend(
-                themis, n_workers=2, latency_budget=0.05
-            ) as frontend:
+            # One gather = one event-loop turn, so all three share one
+            # micro-batch.
+            async with AsyncServingFrontend(themis, n_workers=2) as frontend:
                 answers = await asyncio.gather(
                     frontend.query(good[0]),
                     frontend.query("SELEC nonsense FROM"),
@@ -408,12 +769,10 @@ class TestAsyncFrontend:
             return response
 
         async def scenario():
-            async with AsyncServingFrontend(
-                themis, n_workers=2, latency_budget=0.05
-            ) as frontend:
+            async with AsyncServingFrontend(themis, n_workers=2) as frontend:
                 server = await serve_async(frontend, port=0)
                 port = server.sockets[0].getsockname()[1]
-                # Three clients at once: their requests share a micro-batch.
+                # Three clients at once: their requests may share a micro-batch.
                 responses = await asyncio.gather(
                     ask(port, 1, good[0]),
                     ask(port, 2, "SELEC nonsense FROM"),
@@ -433,15 +792,46 @@ class TestAsyncFrontend:
         assert bad["id"] == 2 and not bad["ok"]
         assert "SELEC" in bad["error"]
 
+    def test_socket_malformed_priority_fails_only_its_own_request(self, themis):
+        scalar = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
+        oracle = build_fitted_themis()
+
+        async def scenario():
+            async with AsyncServingFrontend(themis, n_workers=1) as frontend:
+                server = await serve_async(frontend, port=0)
+                port = server.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                responses = []
+                for request_id, priority in enumerate([[], "vip", 7]):
+                    request = {"id": request_id, "sql": scalar, "priority": priority}
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    await writer.drain()
+                    responses.append(json.loads(await reader.readline()))
+                # The same connection, and the server behind it, still serve.
+                writer.write(json.dumps({"id": 9, "sql": scalar}).encode() + b"\n")
+                await writer.drain()
+                responses.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+            return responses
+
+        *refused, served = asyncio.run(scenario())
+        for request_id, response in enumerate(refused):
+            assert response["id"] == request_id and response["ok"] is False
+            assert "unknown priority" in response["error"]
+        assert served == {
+            "id": 9, "ok": True, "kind": "scalar", "value": oracle.query(scalar)
+        }
+
     def test_socket_survives_undecodable_and_oversized_lines(self, themis):
         scalar = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
         oracle = build_fitted_themis()
         valid = json.dumps({"id": 9, "sql": scalar}).encode() + b"\n"
 
         async def scenario():
-            async with AsyncServingFrontend(
-                themis, n_workers=1, latency_budget=0.0
-            ) as frontend:
+            async with AsyncServingFrontend(themis, n_workers=1) as frontend:
                 server = await serve_async(frontend, port=0)
                 port = server.sockets[0].getsockname()[1]
                 # Bytes json.loads cannot decode: answered, and the same
