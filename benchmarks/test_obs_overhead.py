@@ -14,16 +14,24 @@ and GROUP BY queries on the columnar engine):
 Both sides use best-of-N timing (the enabled A/B alternates its rounds) so a
 scheduler hiccup or a speed drift on a shared CI runner cannot fake a
 regression.
+
+Both are wall-clock A/Bs, so both carry the ``timing`` marker: the tier-1
+command deselects it (``addopts`` in ``pyproject.toml``) and CI runs this
+module in its own step with ``-m timing``.
 """
 
 from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.experiments import SMALL_SCALE
 from repro.experiments.plan_ir_throughput import plan_ir_relation, plan_ir_workload
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sql.engine import WeightedQueryEngine
+
+pytestmark = pytest.mark.timing
 
 
 def _best_of(rounds: int, function) -> float:

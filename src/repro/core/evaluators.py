@@ -609,7 +609,7 @@ class HybridEvaluator(OpenWorldEvaluator):
     def scalar(self, query: ScalarAggregateQuery) -> float:
         # Use the sample when any tuple satisfies the filters, otherwise the
         # BN.  The compiled predicates' masks come from the shared cache, so
-        # this routing check is free when the query later executes.
+        # when the query later executes it only ANDs them again.
         if not query.predicates:
             return self._sample_evaluator.scalar(query)
         engine = self._sample_evaluator.engine

@@ -319,13 +319,15 @@ class Themis:
         """The query planner bound to the current fitted model.
 
         Rebuilt whenever the model generation moves, so routes always
-        reflect the live fitted sample; the planner's compiler memoizes
-        compiled plans, which is what makes ``query()`` compile once.
+        reflect the live fitted sample.  While it stands, the model it was
+        built against is the fitted one (every ingestion and every fit moves
+        the generation), so a statement reaches the planner without going
+        through the lazily fitting :attr:`model` property.
         """
-        from ..serving.planner import QueryPlanner
+        if self._model is None or self._planner_generation != self._generation:
+            from ..serving.planner import QueryPlanner
 
-        model = self.model  # fitting lazily bumps the generation; read after
-        if self._planner is None or self._planner_generation != self._generation:
+            model = self.model  # fitting lazily bumps the generation; read after
             self._planner = QueryPlanner(
                 model.sample.schema,
                 model,
@@ -386,7 +388,8 @@ class Themis:
 
     def sql(self, statement: str) -> float | QueryResult:
         """Parse and answer a SQL statement with open-world semantics."""
-        return self.model.hybrid_evaluator.execute(self.plan(statement).logical)
+        plan = self._current_planner().plan_sql(statement)
+        return self._model.hybrid_evaluator.execute(plan.logical)
 
     def query(
         self,

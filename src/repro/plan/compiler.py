@@ -37,7 +37,6 @@ from .ir import (
     ROUTE_HYBRID,
     ROUTE_SAMPLE,
     SHAPE_GROUP_BY,
-    SHAPE_JOIN_GROUP_BY,
     SHAPE_POINT,
     SHAPE_SCALAR,
     SHAPE_TABLE,
@@ -73,10 +72,12 @@ class PlanCompiler:
         The sample schema; used to validate attribute names and bucketize
         literals into domain codes.
     cache_size:
-        Compiled plans are memoized per hashable query object (ASTs are
-        frozen dataclasses), so re-executing the same query — the serving
-        hot path, or a table's parts recompiled by the BN evaluator — compiles
-        once.
+        Plans compiled from an AST are memoized per hashable query object
+        (ASTs are frozen dataclasses), so re-executing the same query object
+        — a table's parts recompiled by the BN evaluator — compiles once.
+        SQL text does not go through the memo: a fresh statement would pay
+        the AST's hash, an insert and an eviction to hit nothing, and a
+        repeated one is served by the serving layer's text-keyed plan cache.
     """
 
     def __init__(self, schema: Schema, cache_size: int = 256):
@@ -111,15 +112,7 @@ class PlanCompiler:
 
     def compile_sql(self, statement: str) -> LogicalPlan:
         """Parse one SQL statement and compile the resulting AST."""
-        plan = self.compile(parse_sql(statement).query)
-        return LogicalPlan(
-            query=plan.query,
-            root=plan.root,
-            shape=plan.shape,
-            key=plan.key,
-            sql=statement,
-            labels=plan.labels,
-        )
+        return self._compile_ast(parse_sql(statement).query, sql=statement)
 
     def canonical_key(self, query: Query) -> PlanKey:
         """The canonical hashable key of a query (compiling if needed)."""
@@ -132,28 +125,37 @@ class PlanCompiler:
     # ------------------------------------------------------------------
     # Shape-specific compilation
     # ------------------------------------------------------------------
-    def _compile_ast(self, query: Query) -> LogicalPlan:
+    def _compile_ast(self, query: Query, sql: str | None = None) -> LogicalPlan:
+        """The one place a :class:`LogicalPlan` is constructed: each shape
+        compiles to ``(node under the Route, plan key)``."""
         shape = query_shape(query)
+        labels = None
         if shape == SHAPE_POINT:
-            return self._compile_point(query)
-        if shape == SHAPE_SCALAR:
-            return self._compile_scalar(query)
-        if shape == SHAPE_GROUP_BY:
-            return self._compile_group_by(query)
-        if shape == SHAPE_TABLE:
-            return self._compile_table(query)
-        return self._compile_join(query)
+            node, key = self._compile_point(query)
+        elif shape == SHAPE_SCALAR:
+            node, key = self._compile_scalar(query)
+        elif shape == SHAPE_GROUP_BY:
+            node, key = self._compile_group_by(query)
+        elif shape == SHAPE_TABLE:
+            labels = query.labels
+            node, key = self._compile_table(query, labels)
+        else:
+            node, key = self._compile_join(query)
+        return LogicalPlan(
+            query=query, root=Route(node), shape=shape, key=key, sql=sql, labels=labels
+        )
 
-    def _compile_point(self, query: PointQuery) -> LogicalPlan:
+    def _compile_point(self, query: PointQuery) -> tuple[Aggregate, PlanKey]:
+        # The assignment is sorted by (distinct) attribute name, so the
+        # key's pairs already are.
         predicates = tuple(
-            self._canonical(Predicate(name, Comparison.EQ, value))
+            self._equality(name, Comparison.EQ, value)
             for name, value in query.assignment
         )
-        root = Route(Aggregate(Filter(Scan(), predicates), "count", None))
-        key = ("point", tuple(sorted((p.attribute, p.bucket) for p in predicates)))
-        return LogicalPlan(query=query, root=root, shape=SHAPE_POINT, key=key)
+        key = ("point", tuple((p.attribute, p.bucket) for p in predicates))
+        return Aggregate(Filter(Scan(), predicates), "count", None), key
 
-    def _compile_scalar(self, query: ScalarAggregateQuery) -> LogicalPlan:
+    def _compile_scalar(self, query: ScalarAggregateQuery) -> tuple[Aggregate, PlanKey]:
         # NB: a COUNT-of-equalities scalar keeps its own key even though the
         # shape is semantically close to a point query: on the BN route a
         # point query is answered by exact inference while a scalar is
@@ -168,11 +170,9 @@ class PlanCompiler:
             (aggregate.function, aggregate.attribute),
             filter_node.predicate_keys,
         )
-        return LogicalPlan(
-            query=query, root=Route(aggregate), shape=SHAPE_SCALAR, key=key
-        )
+        return aggregate, key
 
-    def _compile_group_by(self, query: GroupByQuery) -> LogicalPlan:
+    def _compile_group_by(self, query: GroupByQuery) -> tuple[Aggregate, PlanKey]:
         self._require_attributes(query.group_by)
         filter_node = self._compile_filter(query.predicates)
         group = Group(filter_node, tuple(query.group_by))
@@ -183,11 +183,9 @@ class PlanCompiler:
             (aggregate.function, aggregate.attribute),
             filter_node.predicate_keys,
         )
-        return LogicalPlan(
-            query=query, root=Route(aggregate), shape=SHAPE_GROUP_BY, key=key
-        )
+        return aggregate, key
 
-    def _compile_join(self, query: JoinGroupByQuery) -> LogicalPlan:
+    def _compile_join(self, query: JoinGroupByQuery) -> tuple[Aggregate, PlanKey]:
         self._require_attributes(
             (query.left_join, query.right_join, query.left_group, query.right_group)
         )
@@ -209,11 +207,11 @@ class PlanCompiler:
             left.child.predicate_keys,
             right.child.predicate_keys,
         )
-        return LogicalPlan(
-            query=query, root=Route(aggregate), shape=SHAPE_JOIN_GROUP_BY, key=key
-        )
+        return aggregate, key
 
-    def _compile_table(self, query: AnalyticQuery) -> LogicalPlan:
+    def _compile_table(
+        self, query: AnalyticQuery, labels: tuple[str, ...]
+    ) -> tuple[PipelineChild, PlanKey]:
         """Compile an analytic (table-shaped) query.
 
         Output columns are fixed at compile time — group columns, then
@@ -240,7 +238,6 @@ class PlanCompiler:
             extras=tuple((s.function.value, s.attribute) for s in specs[1:]),
         )
 
-        labels = query.labels
         duplicates = {label for label in labels if labels.count(label) > 1}
         if duplicates:
             raise QueryError(
@@ -343,13 +340,7 @@ class PlanCompiler:
             sort_keys,
             query.limit,
         )
-        return LogicalPlan(
-            query=query,
-            root=Route(node),
-            shape=SHAPE_TABLE,
-            key=key,
-            labels=labels,
-        )
+        return node, key
 
     # ------------------------------------------------------------------
     # Pieces
@@ -362,12 +353,21 @@ class PlanCompiler:
             self._require_attributes((spec.attribute,))
         return Aggregate(child, spec.function.value, spec.attribute)
 
+    def _equality(self, name: str, comparison: Comparison, value) -> CanonicalPredicate:
+        """Bucketize an ``=``/``!=`` literal: its domain code, or out of domain."""
+        self._require_attributes((name,))
+        code = self._schema[name].domain.code_of(value)
+        bucket = OUT_OF_DOMAIN if code is None else code
+        return CanonicalPredicate(name, comparison, bucket, literal=value)
+
     def _canonical(self, predicate: Predicate) -> CanonicalPredicate:
         """Bucketize one predicate's literal into its canonical domain form."""
         name = predicate.attribute
+        comparison = predicate.comparison
+        if comparison in (Comparison.EQ, Comparison.NE):
+            return self._equality(name, comparison, predicate.value)
         self._require_attributes((name,))
         domain = self._schema[name].domain
-        comparison = predicate.comparison
         if comparison is Comparison.IN:
             values = (
                 predicate.value
@@ -384,10 +384,6 @@ class PlanCompiler:
             return CanonicalPredicate(
                 name, comparison, tuple(codes), literal=tuple(values)
             )
-        if comparison in (Comparison.EQ, Comparison.NE):
-            code = domain.code_of(predicate.value)
-            bucket = OUT_OF_DOMAIN if code is None else code
-            return CanonicalPredicate(name, comparison, bucket, literal=predicate.value)
         # Ordered comparisons: the threshold is the position of the largest
         # domain value not exceeding the literal (the exact semantics of
         # Predicate.mask, shared via its helper).
@@ -404,41 +400,28 @@ class PlanCompiler:
                 )
 
 
-def resolve_route(
-    plan: LogicalPlan,
-    model: "ThemisModel | None",
-    mask_cache=None,
-) -> LogicalPlan:
+def resolve_route(plan: LogicalPlan, model: "ThemisModel | None") -> LogicalPlan:
     """Stamp the plan's ``Route`` node against one fitted model.
 
     The rules mirror :class:`~repro.core.evaluators.HybridEvaluator` exactly,
     so a routed plan provably returns the hybrid's answer on the cheaper
     evaluator: point plans route to the reweighted sample when the tuple
     exists in it and to BN inference otherwise; filtered scalars likewise
-    (using the compiled predicates' cached masks); GROUP BY shapes always
-    need the hybrid's sample-union-BN merge.  Without a model every plan
-    routes to ``"hybrid"``.
+    (using the compiled predicates' cached masks), and so do group-less
+    tables (multi-aggregate scalar selects) — the sample answers unless the
+    filter is empty on it, in which case the BN's generated samples do;
+    GROUP BY shapes always need the hybrid's sample-union-BN merge.  Without
+    a model every plan routes to ``"hybrid"``.
     """
     if plan.is_routed:
         return plan
     if model is None:
         return plan.with_route(ROUTE_HYBRID)
-    if plan.shape == SHAPE_POINT:
-        cache = mask_cache or model.sample_evaluator.mask_cache
-        mask = cache.conjunction_mask(plan.predicates)
-        if mask is None or bool(mask.any()):
-            return plan.with_route(ROUTE_SAMPLE)
-        return plan.with_route(ROUTE_BAYES_NET)
-    if plan.shape == SHAPE_SCALAR or (
-        plan.shape == SHAPE_TABLE and not plan.group_keys
+    shape = plan.shape
+    if shape in (SHAPE_POINT, SHAPE_SCALAR) or (
+        shape == SHAPE_TABLE and not plan.group_keys
     ):
-        # Group-less tables (multi-aggregate scalar selects) follow the
-        # scalar routing rule: the sample answers unless the filter is
-        # empty on it, in which case the BN's generated samples do.
-        if not plan.predicates:
-            return plan.with_route(ROUTE_SAMPLE)
-        cache = mask_cache or model.sample_evaluator.mask_cache
-        mask = cache.conjunction_mask(plan.predicates)
+        mask = model.sample_evaluator.mask_cache.conjunction_mask(plan.predicates)
         if mask is None or bool(mask.any()):
             return plan.with_route(ROUTE_SAMPLE)
         return plan.with_route(ROUTE_BAYES_NET)

@@ -21,7 +21,7 @@ callers that still want it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Union
 
 import numpy as np
@@ -74,17 +74,23 @@ class CanonicalPredicate:
     falling in the same bucket compile to the same predicate, the same mask,
     and the same plan key.  ``literal`` keeps the value as the user wrote it,
     for display only — it takes no part in keys, masks, or caching.
+
+    Like every plan node this is a frozen value, so what is derived from it
+    is computed once, on the node, and read by every layer: ``key`` is the
+    hashable ``(attribute, operator, bucket)`` triple used in plan keys and
+    the mask cache.
     """
 
     attribute: str
     comparison: Comparison
     bucket: Any
     literal: Any = None
+    key: tuple[str, str, Any] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[str, str, Any]:
-        """The hashable triple used in plan keys and the mask cache."""
-        return (self.attribute, self.comparison.value, self.bucket)
+    def __post_init__(self):
+        object.__setattr__(
+            self, "key", (self.attribute, self.comparison.value, self.bucket)
+        )
 
     @property
     def display_value(self) -> Any:
@@ -110,24 +116,29 @@ class CanonicalPredicate:
 
         Used by the Bayesian-network lowering: applying this mask along a
         factor axis restricts the factor to the predicate-satisfying values.
-        Shares :meth:`_compare` with :meth:`mask`, so the two views of one
+        :meth:`mask` is this mask gathered through the column (``IN``) or the
+        same :meth:`_compare` over the column, so the two views of one
         predicate can never disagree about which values it admits.
         """
+        if self.comparison is Comparison.IN:
+            # The bucket already holds codes: membership is a table filled by
+            # index, the same booleans as testing every code of the domain
+            # against the list (which ``Predicate.mask`` keeps as reference).
+            admitted = np.zeros(domain_size, dtype=bool)
+            admitted[[code for code in self.bucket if code < domain_size]] = True
+            return admitted
         return self._compare(np.arange(domain_size, dtype=np.int64))
 
     def _compare(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate the bucketized comparison against an array of codes.
+        """Evaluate a bucketized ``=``/``!=``/ordered comparison against an
+        array of codes.
 
         Out-of-domain buckets follow ``Predicate.mask``'s conventions:
-        nothing matches for ``=``/``IN``/``<``/``<=``, everything matches
-        for ``!=``/``>``/``>=``.
+        nothing matches for ``=``/``<``/``<=``, everything matches for
+        ``!=``/``>``/``>=``.
         """
         comparison = self.comparison
         bucket = self.bucket
-        if comparison is Comparison.IN:
-            if not bucket:
-                return np.zeros(values.shape[0], dtype=bool)
-            return np.isin(values, list(bucket))
         if bucket == OUT_OF_DOMAIN:
             if comparison in (Comparison.NE, Comparison.GT, Comparison.GE):
                 return np.ones(values.shape[0], dtype=bool)
@@ -437,12 +448,19 @@ class LogicalPlan:
 
     def with_route(self, choice: str, bn_lowering: str | None = None) -> "LogicalPlan":
         """A copy of this plan with the route (and lowering) resolved."""
-        root = replace(
-            self.root,
-            choice=choice,
-            bn_lowering=bn_lowering if bn_lowering is not None else self.root.bn_lowering,
+        root = self.root
+        return LogicalPlan(
+            query=self.query,
+            root=Route(
+                root.child,
+                choice,
+                bn_lowering if bn_lowering is not None else root.bn_lowering,
+            ),
+            shape=self.shape,
+            key=self.key,
+            sql=self.sql,
+            labels=self.labels,
         )
-        return replace(self, root=root)
 
     # ------------------------------------------------------------------
     # Derived properties shared by the serving layer

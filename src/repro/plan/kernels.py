@@ -4,9 +4,9 @@ Execution of a compiled :class:`~repro.plan.ir.LogicalPlan` over a relation
 is a handful of numpy primitives:
 
 * **predicate evaluation** — one boolean mask per canonical predicate,
-  cached by ``(generation, predicate)`` in :class:`MaskCache` and combined
-  with bitwise AND (conjunction masks are cached too, so a warm filter costs
-  zero mask work);
+  cached by ``(generation, predicate)`` in :class:`MaskCache`; a conjunction
+  is the bitwise AND of its predicates' cached masks, computed when asked
+  for and not kept;
 * **group-by** — ``np.unique`` over the encoded key columns (memoized per
   relation) plus ``np.bincount`` scatter-adds of the weights;
 * **scalar aggregates** — masked weighted reductions (``weights[mask].sum()``
@@ -43,12 +43,13 @@ class MaskCache:
     Entries are keyed by ``(generation, predicate)`` — the canonical
     predicate triple, plus the model generation so serving layers can carry
     one cache across refits without ever serving a stale mask (relations are
-    immutable, so within a generation a mask can never go stale).  Both
-    single-predicate masks and whole-conjunction masks are cached; the
-    conjunction key is order-insensitive, so reordered WHERE clauses hit.
-    Like the serving result/plan/factor caches, capacity is bounded: each
-    mask costs ``n_rows`` bytes, and a diverse predicate stream must not
-    grow a long-lived session without limit.
+    immutable, so within a generation a mask can never go stale).  Only
+    single-predicate masks are cached: they are what a statement stream
+    repeats, while its conjunctions are mostly one-offs that would push the
+    repeating masks out to save an AND cheaper than a conjunction's cache
+    key.  Like the serving result/plan/factor caches, capacity is bounded:
+    each mask costs ``n_rows`` bytes, and a diverse predicate stream must
+    not grow a long-lived session without limit.
     """
 
     def __init__(self, relation: Relation, generation: int = 0, capacity: int = 512):
@@ -95,15 +96,16 @@ class MaskCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def _lookup(self, key: tuple) -> np.ndarray | None:
+    def predicate_mask(self, predicate: CanonicalPredicate) -> np.ndarray:
+        """The cached boolean mask of one canonical predicate (read-only)."""
+        key = (self._generation, predicate.key)
         mask = self._store.get(key)
         if mask is not None:
             self._store.move_to_end(key)
             self.hits += 1
-        return mask
-
-    def _insert(self, key: tuple, mask: np.ndarray) -> np.ndarray:
+            return mask
         self.misses += 1
+        mask = predicate.mask(self._relation)
         nbytes = int(mask.nbytes) + 96
         governor = self.governor
         if governor is not None and not governor.admit(nbytes):
@@ -115,34 +117,24 @@ class MaskCache:
             self._bytes -= int(evicted.nbytes) + 96
         return mask
 
-    def predicate_mask(self, predicate: CanonicalPredicate) -> np.ndarray:
-        """The cached boolean mask of one canonical predicate."""
-        key = (self._generation, predicate.key)
-        mask = self._lookup(key)
-        if mask is not None:
-            return mask
-        return self._insert(key, predicate.mask(self._relation))
-
     def conjunction_mask(
         self, predicates: tuple[CanonicalPredicate, ...]
     ) -> np.ndarray | None:
-        """The cached AND of several predicate masks (``None`` when empty).
+        """The AND of several predicates' cached masks (``None`` when empty).
 
         ``None`` (rather than an all-true mask) lets callers skip boolean
-        indexing entirely on unfiltered plans.
+        indexing entirely on unfiltered plans.  One predicate answers with
+        its cached mask itself; several are ANDed into a fresh array that is
+        not kept.
         """
         if not predicates:
             return None
-        if len(predicates) == 1:
-            return self.predicate_mask(predicates[0])
-        key = (self._generation, tuple(sorted((p.key for p in predicates), key=repr)))
-        mask = self._lookup(key)
-        if mask is not None:
-            return mask
-        combined = self.predicate_mask(predicates[0]).copy()
-        for predicate in predicates[1:]:
-            combined &= self.predicate_mask(predicate)
-        return self._insert(key, combined)
+        mask = self.predicate_mask(predicates[0])
+        if len(predicates) > 1:
+            mask = mask & self.predicate_mask(predicates[1])
+            for predicate in predicates[2:]:
+                mask &= self.predicate_mask(predicate)
+        return mask
 
     def invalidate(self, generation: int | None = None) -> None:
         """Drop every mask (and optionally move to a new generation)."""

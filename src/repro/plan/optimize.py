@@ -14,10 +14,12 @@ emits a :class:`PhysicalSchedule` that pays each piece of shared work once:
    normalized (tautologies dropped, duplicate conjuncts removed, redundant
    ordered bounds tightened, conjuncts implied by an equality elided) so
    equivalent filters written differently collapse to one canonical
-   predicate tuple and hence one cached mask (``predicates_pushed_down``).
+   predicate tuple and hence one schedule unit (``predicates_pushed_down``).
 3. **Shared-filter grouping** — distinct normalized conjunctions are pushed
-   down into a shared mask stage: every execution unit referencing the same
-   conjunction reuses one boolean mask per batch (``masks_shared``).
+   down into a shared mask stage: the members of one execution unit share
+   one boolean mask, ANDed once from the cached predicate masks; units of
+   different kinds over the same conjunction each AND their own
+   (``masks_shared`` counts the references beyond the first either way).
 4. **Multi-query group-by fusion** — aggregates sharing a
    ``(Scan, Filter, Group)`` prefix run in a single ``np.unique``/
    ``np.bincount`` scatter-add pass with stacked reduction columns, decoding
@@ -100,8 +102,10 @@ class OptimizerStats:
         Scatter-add passes avoided by fusing aggregates that share a
         ``(Scan, Filter, Group)`` prefix (family members beyond the first).
     masks_shared:
-        Filter evaluations beyond the first per distinct normalized
-        conjunction — mask computations the shared mask stage skipped.
+        Filter references beyond the first per distinct normalized
+        conjunction.  The members of one schedule unit share one mask; units
+        of different kinds over the same conjunction each AND the cached
+        predicate masks again (an AND, not a predicate evaluation).
     join_sides_fused:
         Join-side scatter-add passes avoided by join-side fusion: side
         references served by an already-scheduled identical side (same
@@ -166,7 +170,7 @@ class OptimizerStats:
 # Predicate normalization (rewrite 2)
 # ----------------------------------------------------------------------
 def _sort_key(predicate: CanonicalPredicate):
-    """The deterministic conjunct order (same convention as the mask cache)."""
+    """The deterministic conjunct order (same convention as plan keys)."""
     return repr(predicate.key)
 
 
@@ -230,9 +234,9 @@ def normalize_predicates(
     * ordered conjuncts satisfied by an in-domain equality on the same
       attribute are removed (the equality already implies them).
 
-    The result is sorted into the mask cache's canonical conjunct order, so
+    The result is sorted into the plan keys' canonical conjunct order, so
     two equivalent filters written differently normalize to the *same*
-    tuple — one conjunction-mask cache entry, one mask computation.
+    tuple — one schedule unit, one mask computation.
     """
     kept: dict[tuple, CanonicalPredicate] = {}
     for predicate in predicates:

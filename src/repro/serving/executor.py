@@ -119,9 +119,10 @@ class BatchExecutor:
         """Record this executor's BN lowering choice on the plan's Route node.
 
         Exact mode applies to network-routed scalar aggregate plans, which
-        then never touch the generated samples; the evaluators branch on the
-        Route node's tag, so the plan always reports how it will actually be
-        served.
+        then never touch the generated samples
+        (:attr:`QueryPlan.needs_generated_samples` reads the tag); the
+        evaluators branch on the Route node's tag, so the plan always
+        reports how it will actually be served.
         """
         if (
             self._exact_bn_aggregates
@@ -129,9 +130,7 @@ class BatchExecutor:
             and plan.shape == SHAPE_SCALAR
         ):
             return replace(
-                plan,
-                logical=plan.logical.with_route(plan.route, BN_LOWER_EXACT),
-                needs_generated_samples=False,
+                plan, logical=plan.logical.with_route(plan.route, BN_LOWER_EXACT)
             )
         return plan
 

@@ -21,6 +21,7 @@ query it wraps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ..plan import (
@@ -30,6 +31,7 @@ from ..plan import (
     resolve_route,
 )
 from ..plan.ir import (
+    BN_LOWER_EXACT,
     ROUTE_BAYES_NET,
     ROUTE_HYBRID,
     ROUTE_SAMPLE,
@@ -69,24 +71,20 @@ class QueryPlan:
     route:
         Which evaluator serves the plan (``"sample"``, ``"bayes-net"``, or
         ``"hybrid"``).
-    group_signature:
-        The batching signature: plans sharing it group over the same columns
-        (and hence the same Bayesian-network factors), so the executor runs
-        them back-to-back and amortizes generated-sample inference.
-    needs_generated_samples:
-        Whether serving the plan touches the BN's forward-sampled relations.
     logical:
         The compiled (and routed) :class:`~repro.plan.LogicalPlan`; always
         set — :meth:`QueryPlanner._bind` is the only constructor.
     sql:
         The SQL text the plan was parsed from, when it came in as text.
+
+    What only the batch executor reads (:attr:`group_signature`,
+    :attr:`needs_generated_samples`) is derived from ``logical`` on first
+    read, so a single statement never pays for it.
     """
 
     query: Query
     key: PlanKey
     route: str
-    group_signature: tuple
-    needs_generated_samples: bool
     logical: LogicalPlan
     sql: str | None = None
 
@@ -99,6 +97,32 @@ class QueryPlan:
     def bn_lowering(self) -> str:
         """How a network-routed aggregate plan is lowered."""
         return self.logical.root.bn_lowering
+
+    @cached_property
+    def group_signature(self) -> tuple:
+        """The batching signature: plans sharing it group over the same
+        columns (and hence the same Bayesian-network factors), so the
+        executor runs them back-to-back and amortizes generated-sample
+        inference."""
+        logical = self.logical
+        if logical.shape in (SHAPE_POINT, SHAPE_SCALAR):
+            return (logical.shape, logical.attributes)
+        return (logical.shape, logical.group_keys)
+
+    @cached_property
+    def needs_generated_samples(self) -> bool:
+        """Whether serving the plan touches the BN's forward-sampled relations."""
+        logical = self.logical
+        if logical.shape in (SHAPE_GROUP_BY, SHAPE_JOIN_GROUP_BY):
+            return True  # the hybrid merges in BN groups from generated samples
+        if logical.shape == SHAPE_TABLE:
+            # Grouped tables merge in BN groups like any group-by; group-less
+            # tables only touch the generated samples when BN-routed.
+            return bool(logical.group_keys) or self.route == ROUTE_BAYES_NET
+        if logical.shape == SHAPE_SCALAR:
+            # An exactly lowered scalar is answered by conditional inference.
+            return self.route == ROUTE_BAYES_NET and self.bn_lowering != BN_LOWER_EXACT
+        return False
 
 
 class QueryPlanner:
@@ -115,8 +139,9 @@ class QueryPlanner:
     compiler:
         An existing compiler to share.  Binding the planner to the model's
         engine compiler means a query compiles exactly once system-wide:
-        the planner's key/route derivation and the engine's execution read
-        the same memoized :class:`~repro.plan.LogicalPlan`.
+        the engine executes the very :class:`~repro.plan.LogicalPlan` the
+        planner derived the key and route from (and AST queries share the
+        compiler's memo).
     """
 
     def __init__(
@@ -146,20 +171,12 @@ class QueryPlanner:
         """Parse a SQL statement and plan the resulting AST."""
         return self._bind(self._compiler.compile_sql(statement))
 
-    def plan_logical(self, logical: LogicalPlan) -> QueryPlan:
-        """Bind an already-compiled logical plan to the model's routes."""
-        return self._bind(logical)
-
     def _bind(self, logical: LogicalPlan) -> QueryPlan:
         routed = resolve_route(logical, self._model)
-        route = routed.route
-        assert route is not None
         return QueryPlan(
             query=routed.query,
             key=routed.key,
-            route=route,
-            group_signature=self._group_signature(routed),
-            needs_generated_samples=self._needs_generated_samples(routed, route),
+            route=routed.route,
             logical=routed,
             sql=routed.sql,
         )
@@ -176,34 +193,3 @@ class QueryPlanner:
         there is no second canonicalization to drift from the first.
         """
         return self._compiler.canonical_key(query)
-
-    # ------------------------------------------------------------------
-    # Derived plan properties
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _group_signature(logical: LogicalPlan) -> tuple:
-        """Columns a plan groups/filters over; equal signatures batch together."""
-        if logical.shape == SHAPE_GROUP_BY:
-            return ("group-by", logical.group_keys)
-        if logical.shape == SHAPE_JOIN_GROUP_BY:
-            return ("join-group-by", logical.group_keys)
-        if logical.shape == SHAPE_POINT:
-            return ("point", logical.attributes)
-        if logical.shape == SHAPE_SCALAR:
-            return ("scalar", logical.attributes)
-        if logical.shape == SHAPE_TABLE:
-            return ("table", logical.group_keys)
-        return ("other",)
-
-    @staticmethod
-    def _needs_generated_samples(logical: LogicalPlan, route: str) -> bool:
-        """Whether serving the plan touches the BN's forward-sampled relations."""
-        if logical.shape in (SHAPE_GROUP_BY, SHAPE_JOIN_GROUP_BY):
-            return True  # the hybrid merges in BN groups from generated samples
-        if logical.shape == SHAPE_TABLE:
-            # Grouped tables merge in BN groups like any group-by; group-less
-            # tables only touch the generated samples when BN-routed.
-            return bool(logical.group_keys) or route == ROUTE_BAYES_NET
-        if logical.shape == SHAPE_SCALAR:
-            return route == ROUTE_BAYES_NET
-        return False

@@ -185,8 +185,8 @@ class ServingSession:
         else:
             self._inference_cache.invalidate(model.bayes_net_evaluator, generation)
         # Share the fitted engine's compiler so each query compiles once
-        # system-wide (planner keys/routes and engine execution read the
-        # same memoized plan).
+        # system-wide (the engine executes the plan the planner keyed and
+        # routed; AST queries share the compiler's memo).
         planner = QueryPlanner(
             model.sample.schema,
             model,

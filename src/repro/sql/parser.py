@@ -45,7 +45,12 @@ from ..query.ast import (
     WindowSpec,
 )
 
-_AGGREGATE_NAMES = ("count", "sum", "avg")
+_AGGREGATES = {function.value: function for function in AggregateFunction}
+#: Comparison operators by spelling; ``IN`` is a keyword, not an operator token.
+_OPERATORS = {
+    "<>": Comparison.NE,
+    **{c.value: c for c in Comparison if c is not Comparison.IN},
+}
 
 
 class ParsedQuery:
@@ -72,58 +77,54 @@ class ParsedQuery:
 # Tokenizer
 # ---------------------------------------------------------------------------
 _TOKEN_RE = re.compile(
-    r"""
+    r"""\s*(?:
     (?P<string>'[^']*'|"[^"]*")
   | (?P<number>\d+(?:\.\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9.]*)
   | (?P<op><=|>=|!=|<>|=|<|>)
   | (?P<punct>[(),;*\-])
-    """,
+  | (?P<end>\Z)
+  | (?P<bad>.)
+    )""",
     re.VERBOSE,
 )
 
-_WS_RE = re.compile(r"\s+")
 
+def _tokenize(sql: str) -> list[tuple]:
+    """All of a statement's tokens, the last one of kind ``"end"``.
 
-class _Token:
-    __slots__ = ("kind", "text", "position")
+    A token is the plain tuple ``(kind, text, position, word)``: ``kind``
+    names the alternative of ``_TOKEN_RE`` that matched, ``position`` is
+    where ``text`` starts, and ``word`` is the text lower-cased when it is an
+    identifier (what keywords are compared against), ``None`` otherwise.
 
-    def __init__(self, kind: str, text: str, position: int):
-        self.kind = kind  # "string" | "number" | "ident" | "op" | "punct" | "end"
-        self.text = text
-        self.position = position
-
-    def __repr__(self) -> str:
-        return f"_Token({self.kind}, {self.text!r})"
-
-
-def _tokenize(sql: str) -> list[_Token]:
-    tokens: list[_Token] = []
+    One ``match`` per token: the pattern skips leading blanks itself, matches
+    the end of input as a token, and never fails (what no other alternative
+    takes is one ``bad`` character, reported here).
+    """
+    tokens: list[tuple] = []
+    match = _TOKEN_RE.match
     position = 0
-    length = len(sql)
-    while position < length:
-        ws = _WS_RE.match(sql, position)
-        if ws:
-            position = ws.end()
-            if position >= length:
-                break
-        match = _TOKEN_RE.match(sql, position)
-        if not match:
-            char = sql[position]
-            if char in "'\"":
+    while True:
+        found = match(sql, position)
+        kind = found.lastgroup
+        text = found.group(kind)
+        position = found.end()
+        if kind == "ident":
+            tokens.append((kind, text, position - len(text), text.lower()))
+        elif kind == "end":
+            tokens.append((kind, text, position, None))
+            return tokens
+        elif kind == "bad":
+            position -= 1
+            if text in "'\"":
                 raise SQLSyntaxError(
                     f"unterminated string literal starting at position {position}: "
                     f"{sql[position:position + 20]!r}"
                 )
-            raise SQLSyntaxError(
-                f"unexpected character {char!r} at position {position}"
-            )
-        kind = match.lastgroup
-        assert kind is not None
-        tokens.append(_Token(kind, match.group(), position))
-        position = match.end()
-    tokens.append(_Token("end", "", length))
-    return tokens
+            raise SQLSyntaxError(f"unexpected character {text!r} at position {position}")
+        else:
+            tokens.append((kind, text, position - len(text), None))
 
 
 # ---------------------------------------------------------------------------
@@ -147,80 +148,100 @@ class _SelectItem:
 
 class _Parser:
     def __init__(self, sql: str):
-        self._sql = sql
         self._tokens = _tokenize(sql)
         self._index = 0
 
     # -- token helpers --------------------------------------------------
-    def _peek(self) -> _Token:
+    def _peek(self) -> tuple:
         return self._tokens[self._index]
 
-    def _advance(self) -> _Token:
+    def _advance(self) -> tuple:
         token = self._tokens[self._index]
-        if token.kind != "end":
+        if token[0] != "end":
             self._index += 1
         return token
 
     def _at_keyword(self, *words: str) -> bool:
-        token = self._peek()
-        return token.kind == "ident" and token.text.lower() in words
+        return self._tokens[self._index][3] in words
 
     def _take_keyword(self, *words: str) -> bool:
-        if self._at_keyword(*words):
-            self._advance()
+        if self._tokens[self._index][3] in words:
+            self._index += 1
             return True
         return False
 
+    def _take_punct(self, char: str) -> bool:
+        # A quoted string keeps its quotes, so only the punctuation token
+        # itself has this text.
+        if self._tokens[self._index][1] == char:
+            self._index += 1
+            return True
+        return False
+
+    def _at_aggregate_call(self) -> bool:
+        """An aggregate name is only an aggregate when followed by '(' —
+        otherwise it is a plain column named e.g. "count"."""
+        tokens, index = self._tokens, self._index
+        return tokens[index][3] in _AGGREGATES and tokens[index + 1][1] == "("
+
     def _expect_keyword(self, word: str) -> None:
-        token = self._advance()
-        if token.kind != "ident" or token.text.lower() != word:
+        _, text, position, found = self._advance()
+        if found != word:
             raise SQLSyntaxError(
-                f"expected {word.upper()!r} but found {token.text or 'end of input'!r} "
-                f"at position {token.position}"
+                f"expected {word.upper()!r} but found {text or 'end of input'!r} "
+                f"at position {position}"
             )
 
     def _expect_punct(self, char: str) -> None:
-        token = self._advance()
-        if token.kind != "punct" or token.text != char:
+        _, text, position, _ = self._advance()
+        if text != char:
             raise SQLSyntaxError(
-                f"expected {char!r} but found {token.text or 'end of input'!r} "
-                f"at position {token.position}"
+                f"expected {char!r} but found {text or 'end of input'!r} "
+                f"at position {position}"
             )
 
     def _expect_ident(self, what: str) -> str:
-        token = self._advance()
-        if token.kind != "ident":
+        kind, text, position, _ = self._advance()
+        if kind != "ident":
             raise SQLSyntaxError(
-                f"expected {what} but found {token.text or 'end of input'!r} "
-                f"at position {token.position}"
+                f"expected {what} but found {text or 'end of input'!r} "
+                f"at position {position}"
             )
-        return token.text
+        return text
+
+    def _expect_operator(self, where: str) -> Comparison:
+        kind, text, position, _ = self._advance()
+        if kind != "op":
+            raise SQLSyntaxError(
+                f"expected a comparison operator {where} but found "
+                f"{text or 'end of input'!r} at position {position}"
+            )
+        return _OPERATORS[text]
 
     # -- literals -------------------------------------------------------
     def _literal(self) -> Any:
-        token = self._advance()
-        if token.kind == "string":
-            return token.text[1:-1]
-        if token.kind == "punct" and token.text == "-":
-            number = self._advance()
-            if number.kind != "number":
+        kind, text, position, word = self._advance()
+        if kind == "string":
+            return text[1:-1]
+        if kind == "number":
+            return self._number_value(text)
+        if text == "-":
+            kind, text, _, _ = self._advance()
+            if kind != "number":
                 raise SQLSyntaxError(
-                    f"expected a number after '-' at position {token.position}"
+                    f"expected a number after '-' at position {position}"
                 )
-            return -self._number_value(number.text)
-        if token.kind == "number":
-            return self._number_value(token.text)
-        if token.kind == "ident":
-            lowered = token.text.lower()
-            if lowered == "true":
+            return -self._number_value(text)
+        if kind == "ident":
+            if word == "true":
                 return True
-            if lowered == "false":
+            if word == "false":
                 return False
             # Bare-word literal (legacy behavior): WHERE state = CA.
-            return token.text
+            return text
         raise SQLSyntaxError(
-            f"expected a literal but found {token.text or 'end of input'!r} "
-            f"at position {token.position}"
+            f"expected a literal but found {text or 'end of input'!r} "
+            f"at position {position}"
         )
 
     @staticmethod
@@ -243,42 +264,33 @@ class _Parser:
 
         if self._take_keyword("where"):
             predicates = self._conjunction()
-        if self._at_keyword("group"):
-            self._advance()
+        if self._take_keyword("group"):
             self._expect_keyword("by")
             group_by = tuple(self._name_list())
             explicit_group = True
         if self._take_keyword("having"):
             having = self._having_list()
-        if self._at_keyword("order"):
-            self._advance()
+        if self._take_keyword("order"):
             self._expect_keyword("by")
             order_by = tuple(self._order_list())
         if self._take_keyword("limit"):
-            token = self._advance()
-            if token.kind != "number" or "." in token.text:
+            kind, text, position, _ = self._advance()
+            if kind != "number" or "." in text:
                 raise SQLSyntaxError(
-                    f"LIMIT expects an integer, found {token.text or 'end of input'!r} "
-                    f"at position {token.position}"
+                    f"LIMIT expects an integer, found {text or 'end of input'!r} "
+                    f"at position {position}"
                 )
-            limit = int(token.text)
+            limit = int(text)
         # Optional trailing semicolon, then nothing else.
-        if self._peek().kind == "punct" and self._peek().text == ";":
-            self._advance()
-        tail = self._peek()
-        if tail.kind != "end":
+        self._take_punct(";")
+        kind, text, position, word = self._peek()
+        if kind != "end":
             hint = ""
-            if tail.kind == "ident" and tail.text.lower() in (
-                "where",
-                "group",
-                "having",
-                "order",
-                "limit",
-            ):
-                hint = f" (duplicate or misplaced {tail.text.upper()} clause?)"
+            if word in ("where", "group", "having", "order", "limit"):
+                hint = f" (duplicate or misplaced {text.upper()} clause?)"
             raise SQLSyntaxError(
-                f"expected end of statement but found {tail.text!r} "
-                f"at position {tail.position}{hint}"
+                f"expected end of statement but found {text!r} "
+                f"at position {position}{hint}"
             )
 
         return self._build(
@@ -287,31 +299,24 @@ class _Parser:
 
     def _select_list(self) -> list[_SelectItem]:
         items = [self._select_item()]
-        while self._peek().kind == "punct" and self._peek().text == ",":
-            self._advance()
+        while self._take_punct(","):
             items.append(self._select_item())
         return items
 
     def _select_item(self) -> _SelectItem:
-        token = self._peek()
-        if token.kind == "ident" and token.text.lower() == "rank":
+        if self._at_keyword("rank"):
             return self._window_item()
-        if token.kind == "ident" and token.text.lower() in _AGGREGATE_NAMES:
-            # Lookahead: an aggregate name is only an aggregate when followed
-            # by '(' — otherwise it is a plain column named e.g. "count".
-            next_token = self._tokens[self._index + 1]
-            if next_token.kind == "punct" and next_token.text == "(":
-                return self._aggregate_or_window_item()
+        if self._at_aggregate_call():
+            return self._aggregate_or_window_item()
         name = self._expect_ident("a column name")
         self._maybe_alias()  # legacy behavior: plain-column aliases are dropped
         return _SelectItem(column=_strip_alias(name))
 
     def _aggregate_or_window_item(self) -> _SelectItem:
-        function_name = self._advance().text.lower()
+        function_name = self._advance()[3]
         self._expect_punct("(")
         argument: str | None
-        if self._peek().kind == "punct" and self._peek().text == "*":
-            self._advance()
+        if self._take_punct("*"):
             argument = None
             if function_name != "count":
                 raise SQLSyntaxError(f"{function_name.upper()}(*) is not supported")
@@ -327,7 +332,7 @@ class _Parser:
             assert argument is not None
             return self._window_tail(WindowFunction.SUM, target=argument)
         alias = self._maybe_alias()
-        function = AggregateFunction(function_name)
+        function = _AGGREGATES[function_name]
         # SUM(weight) is how reweighted samples express COUNT(*) (Sec. 4.1).
         if function is AggregateFunction.SUM and argument == "weight":
             return _SelectItem(aggregate=AggregateSpec(AggregateFunction.COUNT, alias=alias))
@@ -336,11 +341,8 @@ class _Parser:
     def _aggregate_argument(self) -> str:
         """An aggregate's argument: a column name, or (for window SUMs over
         aggregate outputs) a nested canonical expression like ``count(*)``."""
-        token = self._peek()
-        if token.kind == "ident" and token.text.lower() in _AGGREGATE_NAMES:
-            next_token = self._tokens[self._index + 1]
-            if next_token.kind == "punct" and next_token.text == "(":
-                return self._column_reference()
+        if self._at_aggregate_call():
+            return self._column_reference()
         return self._expect_ident("a column name")
 
     def _window_item(self) -> _SelectItem:
@@ -356,12 +358,10 @@ class _Parser:
         self._expect_punct("(")
         partition: tuple[str, ...] = ()
         order: tuple[OrderKey, ...] = ()
-        if self._at_keyword("partition"):
-            self._advance()
+        if self._take_keyword("partition"):
             self._expect_keyword("by")
             partition = tuple(self._name_list())
-        if self._at_keyword("order"):
-            self._advance()
+        if self._take_keyword("order"):
             self._expect_keyword("by")
             order = tuple(self._order_list())
         self._expect_punct(")")
@@ -387,35 +387,29 @@ class _Parser:
 
     def _name_list(self) -> list[str]:
         names = [_strip_alias(self._expect_ident("a column name"))]
-        while self._peek().kind == "punct" and self._peek().text == ",":
-            self._advance()
+        while self._take_punct(","):
             names.append(_strip_alias(self._expect_ident("a column name")))
         return names
 
     def _column_reference(self) -> str:
         """A sort/HAVING target: a column/alias name or a canonical
         aggregate expression like ``count(*)`` / ``sum(x)``."""
-        token = self._peek()
-        if token.kind == "ident" and token.text.lower() in _AGGREGATE_NAMES:
-            next_token = self._tokens[self._index + 1]
-            if next_token.kind == "punct" and next_token.text == "(":
-                function = self._advance().text.lower()
-                self._advance()  # (
-                if self._peek().kind == "punct" and self._peek().text == "*":
-                    self._advance()
-                    argument = "*"
-                else:
-                    argument = _strip_alias(self._expect_ident("a column name"))
-                self._expect_punct(")")
-                if function == "sum" and argument == "weight":
-                    return "count(*)"
-                return f"{function}({argument})"
+        if self._at_aggregate_call():
+            function = self._advance()[3]
+            self._advance()  # (
+            if self._take_punct("*"):
+                argument = "*"
+            else:
+                argument = _strip_alias(self._expect_ident("a column name"))
+            self._expect_punct(")")
+            if function == "sum" and argument == "weight":
+                return "count(*)"
+            return f"{function}({argument})"
         return _strip_alias(self._expect_ident("a column name"))
 
     def _order_list(self) -> list[OrderKey]:
         keys = [self._order_key()]
-        while self._peek().kind == "punct" and self._peek().text == ",":
-            self._advance()
+        while self._take_punct(","):
             keys.append(self._order_key())
         return keys
 
@@ -436,20 +430,14 @@ class _Parser:
 
     def _having_condition(self) -> HavingPredicate:
         target = self._column_reference()
-        token = self._advance()
-        if token.kind != "op":
-            raise SQLSyntaxError(
-                f"expected a comparison operator in HAVING but found "
-                f"{token.text or 'end of input'!r} at position {token.position}"
-            )
-        operator = "!=" if token.text == "<>" else token.text
+        comparison = self._expect_operator("in HAVING")
         value = self._literal()
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SQLSyntaxError(
                 f"HAVING compares aggregate values and needs a numeric literal, "
                 f"got {value!r}"
             )
-        return HavingPredicate(target, Comparison(operator), float(value))
+        return HavingPredicate(target, comparison, float(value))
 
     def _conjunction(self) -> tuple[Predicate, ...]:
         predicates = [self._condition()]
@@ -461,24 +449,17 @@ class _Parser:
         attribute = _strip_alias(self._expect_ident("an attribute name"))
         if self._take_keyword("in"):
             self._expect_punct("(")
-            if self._peek().kind == "punct" and self._peek().text == ")":
+            if self._peek()[1] == ")":
                 raise SQLSyntaxError(
                     f"IN list for {attribute!r} must contain at least one value"
                 )
             values = [self._literal()]
-            while self._peek().kind == "punct" and self._peek().text == ",":
-                self._advance()
+            while self._take_punct(","):
                 values.append(self._literal())
             self._expect_punct(")")
             return Predicate(attribute, Comparison.IN, tuple(values))
-        token = self._advance()
-        if token.kind != "op":
-            raise SQLSyntaxError(
-                f"expected a comparison operator after {attribute!r} but found "
-                f"{token.text or 'end of input'!r} at position {token.position}"
-            )
-        operator = "!=" if token.text == "<>" else token.text
-        return Predicate(attribute, Comparison(operator), self._literal())
+        comparison = self._expect_operator(f"after {attribute!r}")
+        return Predicate(attribute, comparison, self._literal())
 
     # -- AST construction ----------------------------------------------
     def _build(
@@ -531,13 +512,21 @@ class _Parser:
                     group_by=group_by, aggregate=first, predicates=predicates
                 )
             else:
-                all_equalities = bool(predicates) and all(
-                    predicate.comparison is Comparison.EQ for predicate in predicates
-                )
-                if all_equalities and first.function is AggregateFunction.COUNT:
-                    query = PointQuery(
-                        {predicate.attribute: predicate.value for predicate in predicates}
-                    )
+                assignment = {
+                    predicate.attribute: predicate.value
+                    for predicate in predicates
+                    if predicate.comparison is Comparison.EQ
+                }
+                # A point query fixes each attribute once: the assignment is
+                # as long as the conjunction only when every conjunct is an
+                # equality on its own attribute.  ``a = 1 AND a = 2`` stays a
+                # scalar, which keeps both conjuncts.
+                if (
+                    predicates
+                    and len(assignment) == len(predicates)
+                    and first.function is AggregateFunction.COUNT
+                ):
+                    query = PointQuery(assignment)
                 else:
                     query = ScalarAggregateQuery(aggregate=first, predicates=predicates)
         except SQLSyntaxError:

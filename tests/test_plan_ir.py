@@ -434,15 +434,83 @@ class TestMaskCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_conjunction_mask_cached_and_order_insensitive(self, weighted_relation):
+        """The cache holds predicate masks; a conjunction is their AND, in
+        either order, into an array the caller owns."""
         compiler = PlanCompiler(weighted_relation.schema)
         cache = MaskCache(weighted_relation)
         a = compiler.canonical_predicate(Predicate("A", Comparison.LE, 1))
         b = compiler.canonical_predicate(Predicate("B", Comparison.NE, 0))
         forward = cache.conjunction_mask((a, b))
-        hits_before = cache.hits
+        assert (cache.hits, cache.misses) == (0, 2)
         backward = cache.conjunction_mask((b, a))
-        assert backward is forward
-        assert cache.hits == hits_before + 1
+        assert (cache.hits, cache.misses) == (2, 2)  # both single masks hit
+        assert np.array_equal(backward, forward)
+        assert np.array_equal(forward, a.mask(weighted_relation) & b.mask(weighted_relation))
+        # Fresh arrays: scribbling on one corrupts neither the other nor the cache.
+        assert backward is not forward
+        expected = forward.copy()
+        backward[:] = True
+        forward[:] = False
+        assert np.array_equal(cache.conjunction_mask((a, b)), expected)
+        assert np.array_equal(cache.predicate_mask(a), a.mask(weighted_relation))
+        # Predicates only: two entries, two masks' worth of bytes.
+        assert len(cache) == 2 == cache.statistics()["cached_masks"]
+        assert cache.byte_size == 2 * (weighted_relation.n_rows + 96)
+        # One predicate is answered with the cached mask itself; none with None.
+        assert cache.conjunction_mask((a,)) is cache.predicate_mask(a)
+        assert cache.conjunction_mask(()) is None
+
+    def test_one_off_conjunctions_do_not_flood_the_cache(self):
+        """1,000 distinct two-predicate conjunctions over 100 distinct
+        predicates, through a cache that holds 128 masks: every predicate is
+        built once, because nothing but predicates competes for the room."""
+        values = list(range(50))
+        schema = Schema([Attribute("X", Domain(values)), Attribute("Y", Domain(values))])
+        rng = np.random.default_rng(11)
+        relation = Relation(
+            schema, {name: rng.integers(0, 50, size=300) for name in ("X", "Y")}
+        )
+        compiler = PlanCompiler(schema)
+        xs = [compiler.canonical_predicate(Predicate("X", Comparison.LE, v)) for v in values]
+        ys = [compiler.canonical_predicate(Predicate("Y", Comparison.GE, v)) for v in values]
+        pairs = [(x, y) for x in xs for y in ys]
+        picked = rng.choice(len(pairs), size=1000, replace=False)
+        cache = MaskCache(relation, capacity=128)
+        for index in picked:
+            x, y = pairs[int(index)]
+            assert np.array_equal(
+                cache.conjunction_mask((x, y)), x.mask(relation) & y.mask(relation)
+            )
+        assert cache.misses == 100
+        assert cache.hits == 2 * 1000 - 100
+        assert len(cache) == 100
+
+    def test_trace_counters_balance_with_the_cache(self, weighted_relation):
+        """The ``mask_hits`` / ``mask_misses`` span counters of ``execute``
+        and of a batch's shared masks sum to the cache's own deltas."""
+        from repro.obs.trace import Tracer
+
+        executor = ColumnarExecutor(weighted_relation)
+        cache = executor.mask_cache
+        workload = MixedQueryWorkload(weighted_relation, seed=9).generate(6, 6, 6, 6)
+        plans = [executor.compiler.compile(entry.query) for entry in workload]
+        tracer = Tracer()
+        for plan in plans:
+            executor.execute(plan, tracer=tracer)
+        singles = (cache.hits, cache.misses)
+        assert singles[1] > 0 and singles[0] > 0
+        assert singles == (
+            sum(root.counter_total("mask_hits") for root in tracer.roots),
+            sum(root.counter_total("mask_misses") for root in tracer.roots),
+        )
+        tracer = Tracer()
+        with tracer.span("batch") as root:
+            executor.execute_batch(plans + plans, tracer=tracer)
+        assert root.spans("mask")
+        assert (cache.hits - singles[0], cache.misses - singles[1]) == (
+            root.counter_total("mask_hits"),
+            root.counter_total("mask_misses"),
+        )
 
     def test_generation_invalidation(self, weighted_relation):
         cache = MaskCache(weighted_relation, generation=3)
@@ -503,6 +571,38 @@ class TestCanonicalPredicateMasks:
             assert canonical.bucket == ()
             assert not canonical.mask(_GAPPED_RELATION).any()
 
+    @pytest.mark.parametrize(
+        "members",
+        [
+            (),  # empty bucket
+            (5, 15, 99),  # nothing in the domain
+            (10, 20, 30, 40, 50),  # the full domain
+            (40, 10, 40, 99, 20, 10),  # unsorted, duplicated, one out of domain
+        ],
+    )
+    def test_in_code_mask_equals_the_isin_reference(self, members):
+        canonical = PlanCompiler(_GAPPED).canonical_predicate(
+            Predicate("X", Comparison.IN, members)
+        )
+        for size in (5, 3, 8):  # the domain's size, and a table cut short or long
+            mask = canonical.code_mask(size)
+            reference = np.isin(np.arange(size), list(canonical.bucket))
+            assert mask.dtype == bool and np.array_equal(mask, reference)
+
+    def test_in_masks_of_a_seeded_workload_match_the_ast_predicates(self, serving_themis):
+        """Every IN predicate a seeded mixed workload draws on the test
+        world: the compiled mask == ``Predicate.mask``, the np.isin reference."""
+        relation = serving_themis.model.weighted_sample
+        compiler = PlanCompiler(relation.schema)
+        workload = MixedQueryWorkload(relation, seed=21).generate(0, 60, 60, 30)
+        checked = 0
+        for entry in workload:
+            for predicate in entry.query.predicates:
+                if predicate.comparison is Comparison.IN:
+                    canonical = compiler.canonical_predicate(predicate)
+                    assert np.array_equal(canonical.mask(relation), predicate.mask(relation))
+                    checked += 1
+        assert checked >= 30
 
 class TestRoutingMatchesHybrid:
     def test_resolve_route_matches_planner(self, serving_themis):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exceptions import SQLSyntaxError
@@ -13,6 +15,8 @@ from repro.query import (
     ScalarAggregateQuery,
 )
 from repro.sql import parse_sql
+
+import golden_sql
 
 
 class TestPointQueries:
@@ -35,6 +39,32 @@ class TestPointQueries:
     def test_trailing_semicolon(self):
         parsed = parse_sql("SELECT COUNT(*) FROM t WHERE a = 'x';")
         assert parsed.query.as_dict() == {"a": "x"}
+
+
+class TestRepeatedAttribute:
+    """A point query fixes each attribute once, so a WHERE that names one
+    twice keeps every conjunct as a scalar filter (it used to keep only the
+    last literal)."""
+
+    @pytest.mark.parametrize("first, second", [("'CA'", "'ME'"), ("'ME'", "'CA'")])
+    def test_contradiction_keeps_both_conjuncts(self, first, second):
+        parsed = parse_sql(
+            f"SELECT COUNT(*) FROM flights WHERE origin_state = {first} "
+            f"AND origin_state = {second}"
+        )
+        assert isinstance(parsed.query, ScalarAggregateQuery)
+        assert parsed.query.aggregate.function is AggregateFunction.COUNT
+        assert [(p.attribute, p.comparison, p.value) for p in parsed.query.predicates] == [
+            ("origin_state", Comparison.EQ, first.strip("'")),
+            ("origin_state", Comparison.EQ, second.strip("'")),
+        ]
+
+    def test_repeated_literal_and_distinct_attributes(self):
+        repeated = parse_sql("SELECT COUNT(*) FROM t WHERE a = 1 AND b = 2 AND a = 1")
+        assert isinstance(repeated.query, ScalarAggregateQuery)
+        assert len(repeated.query.predicates) == 3
+        distinct = parse_sql("SELECT COUNT(*) FROM t WHERE a = 1 AND b = 2")
+        assert distinct.query == PointQuery({"a": 1, "b": 2})
 
 
 class TestScalarQueries:
@@ -219,6 +249,26 @@ class TestMalformedStatements:
         assert "zz" in message and "available columns" in message
 
 
+class TestGoldenStatements:
+    """``tests/data/sql_golden.json`` pins the parser byte for byte: every
+    AST ``repr`` and every error text, position included, as recorded from
+    the parser before its tokenizer was rewritten."""
+
+    RECORDS = json.loads(golden_sql.GOLDEN_PATH.read_text())
+
+    def test_file_covers_the_statement_set(self):
+        assert [r["sql"] for r in self.RECORDS] == golden_sql.golden_statements()
+        assert len(self.RECORDS) >= 80
+
+    def test_reproduced_byte_for_byte(self):
+        mismatches = [
+            (record, got)
+            for record in self.RECORDS
+            if (got := golden_sql.outcome(record["sql"])) != record
+        ]
+        assert not mismatches
+
+
 class TestParserFuzz:
     """Token-level fuzzing: the parser either parses or raises SQLSyntaxError.
 
@@ -228,16 +278,7 @@ class TestParserFuzz:
     assertion message for replay.
     """
 
-    SEED_STATEMENTS = [
-        "SELECT COUNT(*) FROM flights WHERE origin = 'CA' AND delay <= 30",
-        "SELECT state, carrier, COUNT(*) AS n, AVG(delay) AS mean FROM flights "
-        "WHERE dest IN ('NY', 'TX') GROUP BY state, carrier "
-        "HAVING n >= 2 ORDER BY mean DESC, state LIMIT 7",
-        "SELECT state, COUNT(*) AS n, SUM(delay) AS total, "
-        "RANK() OVER (PARTITION BY state ORDER BY n DESC) AS r, "
-        "SUM(n) OVER (ORDER BY state) AS running "
-        "FROM flights GROUP BY state ORDER BY r",
-    ]
+    SEED_STATEMENTS = golden_sql.FUZZ_SEEDS  # their exact parse is pinned there too
     GARBAGE = ["(", ")", ",", "SELECT", "OVER", "'", "*", ";", "123", "?", "AS"]
 
     def test_mutated_statements_never_crash(self):

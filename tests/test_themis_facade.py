@@ -148,6 +148,47 @@ class TestQuerying:
         with pytest.raises(QueryError):
             fitted_themis.sql("SELECT COUNT(*) FROM sample WHERE bogus = 1")
 
+    @pytest.mark.parametrize("select", ["COUNT(*)", "SUM(B)"])
+    @pytest.mark.parametrize("where", ["A = 0 AND A = 1", "A = 1 AND A = 0"])
+    def test_contradictory_where_answers_zero_on_every_path(
+        self, fitted_themis, select, where
+    ):
+        """``COUNT(*)`` used to fold the conjunction into a point query that
+        kept only the last literal of a repeated attribute."""
+        statement = f"SELECT {select} FROM sample WHERE {where}"
+        assert fitted_themis.sql(statement) == 0.0
+        assert fitted_themis.query(statement) == 0.0
+        assert fitted_themis.serve().execute(statement) == 0.0
+        assert fitted_themis.serve(exact_bn_aggregates=True).execute(statement) == 0.0
+        assert [o.result for o in fitted_themis.execute_batch([statement])] == [0.0]
+
+    def test_repeated_equality_answers_what_the_single_one_does(self, fitted_themis):
+        single = "SELECT COUNT(*) FROM sample WHERE A = 1"
+        repeated = "SELECT COUNT(*) FROM sample WHERE A = 1 AND A = 1"
+        assert fitted_themis.plan(repeated).route == "sample"
+        expected = fitted_themis.sql(single)
+        assert expected > 0
+        assert fitted_themis.sql(repeated) == expected
+        assert fitted_themis.serve().execute(repeated) == expected
+
+    def test_sql_fits_lazily_and_again_after_ingestion(
+        self, biased_correlated_sample, correlated_aggregates, correlated_population
+    ):
+        """``sql()`` reaches its planner without the lazily fitting ``model``
+        property; it must still fit on first use and after every ingestion."""
+        statement = "SELECT COUNT(*) FROM sample WHERE A = 0 AND C = 1"
+        themis = Themis(seed=1, n_generated_samples=3, generated_sample_size=300)
+        themis.load_sample(biased_correlated_sample)
+        themis.add_aggregates(correlated_aggregates)
+        assert not themis.is_fitted
+        first = themis.sql(statement)
+        assert themis.is_fitted and first == themis.query(statement)
+        themis.add_aggregate(AggregateQuery.from_relation(correlated_population, ["A", "C"]))
+        assert not themis.is_fitted
+        second = themis.sql(statement)
+        assert themis.is_fitted and second == themis.query(statement)
+        assert second != first  # answered by the model fitted to the new aggregate
+
     def test_lazy_fit_on_query(self, biased_correlated_sample, correlated_aggregates):
         themis = Themis(n_generated_samples=3, generated_sample_size=300)
         themis.load_sample(biased_correlated_sample)
