@@ -90,14 +90,21 @@ def main() -> None:
 
     # Same join family again: the sides come out of the join-side cache
     # (the result cache already answers the repeated plans themselves, so
-    # probe with a fresh pairing that reuses the cached sides).
-    fresh_join = JoinGroupByQuery(
-        "fl_date", "fl_date", "origin_state", "dest_state",
-        left_predicates=filters,
-        right_predicates=filters,
-    )
-    warm = session.execute_batch([fresh_join])
-    print("fresh pairing over cached sides:", warm.optimizer)
+    # probe with fresh pairings that reuse the cached sides — two of them:
+    # a batch of one takes the single-plan path and runs no optimizer).
+    fresh_joins = [
+        JoinGroupByQuery(
+            "fl_date", "fl_date", "origin_state", "dest_state",
+            left_predicates=filters,
+            right_predicates=filters,
+        ),
+        JoinGroupByQuery(
+            "fl_date", "fl_date", "origin_state", "dest_state",
+            right_predicates=filters,
+        ),
+    ]
+    warm = session.execute_batch(fresh_joins)
+    print("fresh pairings over cached sides:", warm.optimizer)
 
     # Bit-identity: every batched answer equals serving the query alone.
     assert cold.results() == [themis.query(query) for query in workload]

@@ -25,9 +25,10 @@ answers land in the result cache for the next batch.
 Single queries (:meth:`BatchExecutor.execute_plan`) do not become batches of
 one: they run the single-plan kernels through
 :meth:`~repro.core.evaluators.HybridEvaluator.execute`, the same function
-behind ``Themis.query()``.  ``run`` answers are ``==`` to ``execute``
-answers, so a batch returns bit-identical answers to issuing each query
-through ``Themis.query()``.
+behind ``Themis.query()`` — and ``execute_batch`` of one ungoverned statement
+takes that path too, on either side of a worker pipe.  ``run`` answers are
+``==`` to ``execute`` answers, so a batch returns bit-identical answers to
+issuing each query through ``Themis.query()``.
 """
 
 from __future__ import annotations
@@ -104,8 +105,13 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Planning (with the SQL-text plan cache)
     # ------------------------------------------------------------------
-    def plan(self, query: Query | str) -> QueryPlan:
-        """Plan one query, reusing cached plans for repeated SQL text."""
+    def plan(self, query: Query | str | QueryPlan) -> QueryPlan:
+        """Plan one query, reusing cached plans for repeated SQL text.
+
+        A :class:`QueryPlan` this executor already made (the worker plans a
+        conversation's statements to verify their keys) is returned as is:
+        a statement is planned once per process.
+        """
         if isinstance(query, str):
             cached = self._plan_cache.get(query)
             if cached is not None:
@@ -113,6 +119,8 @@ class BatchExecutor:
             plan = self._stamp_lowering(self._planner.plan_sql(query))
             self._plan_cache.put(query, plan)
             return plan
+        if isinstance(query, QueryPlan):
+            return query
         return self._stamp_lowering(self._planner.plan(query))
 
     def _stamp_lowering(self, plan: QueryPlan) -> QueryPlan:
@@ -171,6 +179,9 @@ class BatchExecutor:
     ) -> BatchResult:
         """Plan, group, and serve a batch, returning answers in input order.
 
+        One statement without ``cancel`` is served by :meth:`_execute_single`
+        (the single-plan path) and the rest of this describes real batches.
+
         ``cancel`` governs the batch cooperatively: a single
         :class:`~repro.serving.governance.CancelToken` covers the whole
         batch — polled at every stage boundary and threaded into the
@@ -203,7 +214,10 @@ class BatchExecutor:
         """
         try:
             with tracer.span("batch", n_queries=len(queries)) as root:
-                batch = self._execute_batch(queries, tracer, cancel)
+                if len(queries) == 1 and cancel is None:
+                    batch = self._execute_single(queries[0], tracer)
+                else:
+                    batch = self._execute_batch(queries, tracer, cancel)
         except DeadlineExceededError:
             self._metrics.counter(names.GOVERNANCE_DEADLINE_EXCEEDED).inc()
             raise
@@ -213,6 +227,34 @@ class BatchExecutor:
         if tracer.enabled:
             batch.trace = root
         return batch
+
+    def _execute_single(self, query: Query | str | QueryPlan, tracer) -> BatchResult:
+        """A batch of one ungoverned statement is not a batch.
+
+        It takes :meth:`execute_plan`, the path ``session.execute`` and
+        ``Themis.sql`` take: no route partition, no schedule, no fan-out —
+        so no optimizer runs, ``BatchResult.optimizer`` is all zero and no
+        ``optimizer.*`` counter or stage histogram moves.  The answer and
+        the result-cache statistics are those of the batch path.  A governed
+        statement keeps the batch path, whose per-chunk polls are what
+        cancels it mid-execution.
+        """
+        start = time.perf_counter()
+        plan = self.plan(query)
+        result, from_cache = self.execute_plan(plan, tracer=tracer)
+        seconds = time.perf_counter() - start
+        outcome = QueryOutcome(
+            index=0,
+            plan=plan,
+            result=result,
+            seconds=seconds,
+            from_result_cache=from_cache,
+        )
+        return BatchResult(
+            outcomes=[outcome],
+            total_seconds=seconds,
+            optimizer=dict.fromkeys(names.OPTIMIZER_COUNTERS, 0),
+        )
 
     def _cancelled_outcome(self, index: int, plan: QueryPlan, token) -> QueryOutcome:
         """An error outcome for one per-query token that already fired."""

@@ -11,6 +11,12 @@ front of it for out-of-process clients::
 Results are bit-identical to in-process ``execute_batch`` (same plans, same
 workers, same kernels — the wire only moves them); the JSON surface is a
 lossy *rendering* for external clients, not the identity-bearing format.
+
+Everything between a client's socket and a worker's pipe runs on one event
+loop: ``start()`` binds the pool to the running loop, the micro-batcher's
+dispatches are tasks on it, and the pool awaits its pipes there.  ``refit()``
+and the pool's other synchronous methods are for *other* threads, which they
+serve while the loop keeps answering sockets.
 """
 
 from __future__ import annotations
@@ -117,36 +123,49 @@ class AsyncServingFrontend:
             fallback=fallback,
             circuit_breaker=circuit_breaker,
         )
+        # Every wait inside a pool dispatch is bounded by the pool itself
+        # (reply timeout, retry budget, respawn timeout): the batcher needs
+        # no second clock over it.
         self.batcher = MicroBatcher(
             self.pool,
             max_batch_size=max_batch_size,
             max_queue=max_queue,
             max_inflight=max_inflight,
-            # The batcher's wedged-dispatch guard must outlast the pool's
-            # whole retry loop, not one reply wait.
-            dispatch_timeout=(
-                None
-                if dispatch_timeout is None
-                else dispatch_timeout * (max_retries + 1)
-            ),
             request_deadline=request_deadline,
             admission=admission,
             metrics=self.metrics,
         )
         self._started = False
+        #: The socket handlers alive on this front-end (``serve_async``),
+        #: each with the writer of its connection.
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> "AsyncServingFrontend":
-        """Start the micro-batcher (the pool starts in the constructor)."""
+        """Bind the pool to the running loop and open the micro-batcher."""
+        await self.pool.bind_loop()
         await self.batcher.start()
         self._started = True
         return self
 
     async def stop(self) -> None:
-        """Drain the batcher, then shut the worker pool down."""
-        if self._started:
-            await self.batcher.stop()
-            self._started = False
-        self.pool.close()
+        """Drain the batcher, end the socket handlers, shut the pool down.
+
+        Every request accepted before ``stop()`` is answered first.  Then
+        each handler's connection is closed (written replies are flushed):
+        a handler idle in ``readline`` reads EOF and leaves its loop, as one
+        whose client is gone already has — they end, none is cancelled
+        (before 3.12 the stream server logs a cancelled handler as an
+        error), and no task of the tier is left pending.
+        """
+        if not self._started:
+            self.pool.close()
+            return
+        self._started = False
+        await self.batcher.stop()
+        for writer in self._handlers.values():
+            writer.close()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
+        await self.pool.aclose()
 
     async def __aenter__(self) -> "AsyncServingFrontend":
         return await self.start()
@@ -172,7 +191,10 @@ class AsyncServingFrontend:
         )
 
     def refit(self) -> int:
-        """Coherently refit every shard (see :meth:`SupervisedWorkerPool.refit`)."""
+        """Coherently refit every shard (see :meth:`SupervisedWorkerPool.refit`).
+
+        Synchronous: call it from a thread other than the loop's.
+        """
         return self.pool.refit()
 
     def statistics(self) -> dict[str, Any]:
@@ -211,6 +233,8 @@ async def _handle_client(
         writer.write(json.dumps(response).encode() + b"\n")
         await writer.drain()
 
+    handler = asyncio.current_task()
+    frontend._handlers[handler] = writer
     try:
         while True:
             try:
@@ -279,7 +303,12 @@ async def _handle_client(
             except Exception as error:  # noqa: BLE001 - reported to the client
                 response = {"id": request_id, "ok": False, "error": str(error)}
             await reply(response)
+    except (ConnectionError, OSError):
+        # The client vanished mid-conversation: the answer it abandoned is
+        # dropped, and nobody else's connection notices.
+        pass
     finally:
+        del frontend._handlers[handler]
         writer.close()
         try:
             await writer.wait_closed()

@@ -20,9 +20,9 @@ is *priority-aware*: each request carries a priority class
 queue-share and token-bucket limits first, and a shed request fails with
 :class:`~repro.exceptions.AdmissionRejectedError` carrying a
 ``retry_after_hint`` — background work is turned away while interactive
-traffic still admits.  A dispatch that misses its timeout fails **only
-that batch's** futures with a
-:class:`~repro.exceptions.DispatchTimeoutError` (a retryable
+traffic still admits.  A dispatch that misses its timeout is cancelled —
+nothing of it keeps running — and fails **only that batch's** unanswered
+futures with a :class:`~repro.exceptions.DispatchTimeoutError` (a retryable
 ``ServingOverloadError``) naming the lagging shard when the pool
 identified one.  Late replies from a timed-out worker are discarded by
 sequence number in the pool, so a slow shard can never corrupt a later
@@ -39,11 +39,14 @@ When the backlog exceeds one batch, pending requests are stable-sorted by
 priority class so interactive work dispatches first (FIFO within a class).
 
 The batcher never retries: retry, backoff and failover live in the pool,
-the layer that knows which shard failed.  A batch is taken off the queue,
-dispatched once through ``execute_batch_outcomes``, and each future settles
-from its own :class:`~repro.serving.scale.pool.RequestOutcome` — one bad
-statement or one exhausted shard fails only the requests it touched while
-the rest of the batch's answers resolve.
+the layer that knows which shard failed.  A batch is taken off the queue
+and dispatched once, on the event loop, through the pool's ``dispatch``
+coroutine, which hands back each request's
+:class:`~repro.serving.scale.pool.RequestOutcome` the moment its shard has
+answered: a future resolves when *its* shard is done, not when the slowest
+shard of the batch is, and one bad statement or one exhausted shard fails
+only the requests it touched.  There is no thread between a submit and the
+worker's pipe.
 
 Everything observable lands in the registry: queue depth gauge, micro-batch
 size histogram (power-of-two buckets), request latency histogram
@@ -56,9 +59,8 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from ...exceptions import DispatchTimeoutError, ServingOverloadError
 from ...obs import names
@@ -96,7 +98,8 @@ class MicroBatcher:
     ----------
     pool:
         The worker pool batches dispatch to (anything with the pool's
-        ``execute_batch_outcomes`` and a ``metrics`` registry).
+        ``dispatch`` coroutine and a ``metrics`` registry), running on the
+        batcher's event loop.
     max_batch_size:
         Most queries one dispatch carries; a longer backlog leaves in
         several batches, highest priority class first.
@@ -106,16 +109,16 @@ class MicroBatcher:
         queueing unboundedly.  Ignored when ``admission`` is given — the
         controller's own queue shares apply instead.
     max_inflight:
-        Concurrent pool dispatches (each runs on its own executor thread,
-        conversing with disjoint or lock-serialized workers).  These are
-        the slots batching forms behind: arrivals dispatch at once while
-        one is free and accumulate into the next batch while none is.
+        Concurrent pool dispatches (each a task on the loop, conversing
+        with disjoint or lock-serialized workers).  These are the slots
+        batching forms behind: arrivals dispatch at once while one is free
+        and accumulate into the next batch while none is.
     dispatch_timeout:
-        Seconds one whole pool dispatch — the pool's retries included — is
-        expected to take at most.  The pool's own reply timeouts and retry
-        budget fire first in the common case; a dispatch still out after
-        twice this long (a wedged executor thread) fails only that batch's
-        futures with :class:`DispatchTimeoutError`.  ``None`` waits forever.
+        Seconds one whole pool dispatch — the pool's retries included — may
+        take.  The pool's own reply timeouts and retry budget fire first in
+        the common case; a dispatch still out after this long is cancelled
+        and fails only that batch's unanswered futures with
+        :class:`DispatchTimeoutError`.  ``None`` waits forever.
     request_deadline:
         Default wall-clock budget in seconds per query measured from
         submission (overridable per request via ``submit(deadline=...)``).
@@ -161,7 +164,6 @@ class MicroBatcher:
         self._running = False
         self._free_slots = 0
         self._dispatches: set[asyncio.Task] = set()
-        self._executor: ThreadPoolExecutor | None = None
         self._queue_depth = self.metrics.gauge(names.SCALE_QUEUE_DEPTH)
         self._batch_sizes = self.metrics.histogram(
             names.MICROBATCH_SIZE, buckets=names.MICROBATCH_BUCKETS
@@ -177,9 +179,6 @@ class MicroBatcher:
             return
         self._running = True
         self._free_slots = self.max_inflight
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_inflight, thread_name_prefix="microbatch"
-        )
 
     async def stop(self) -> None:
         """Refuse new submits, then drain the queue and the inflight dispatches."""
@@ -191,9 +190,6 @@ class MicroBatcher:
         # set only runs empty once the queue has.
         while self._dispatches:
             await asyncio.gather(*tuple(self._dispatches), return_exceptions=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -273,9 +269,8 @@ class MicroBatcher:
                 # way again: fail what is queued, keep serving what arrives.
                 failed, self._pending = self._pending, deque()
                 self._queue_depth.set(0)
-                self._settle(
-                    failed, [RequestOutcome(ok=False, error=error)] * len(failed)
-                )
+                for entry in failed:
+                    self._settle(entry, RequestOutcome(ok=False, error=error))
                 return
             self._free_slots -= 1
             task = asyncio.create_task(self._dispatch(batch))
@@ -321,43 +316,39 @@ class MicroBatcher:
         )
         self._batch_sizes.record(float(len(batch)))
         self.metrics.counter(names.SCALE_DISPATCHES).inc()
+        work = self._pool.dispatch(
+            queries,
+            lambda index, outcome: self._settle(batch[index], outcome),
+            deadline_ts=deadline_ts,
+        )
+        failure: BaseException | None = None
         try:
-            work = asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                lambda: self._pool.execute_batch_outcomes(
-                    queries, deadline_ts=deadline_ts
-                ),
-            )
-            if self.dispatch_timeout is not None:
-                outcomes = await asyncio.wait_for(
-                    asyncio.shield(work), self.dispatch_timeout * 2
-                )
+            if self.dispatch_timeout is None:
+                await work
             else:
-                outcomes = await work
+                await asyncio.wait_for(work, self.dispatch_timeout)
         except (asyncio.TimeoutError, TimeoutError):
-            error = DispatchTimeoutError(
+            failure = DispatchTimeoutError(
                 "batch dispatch missed its timeout", queue_depth=len(batch)
             )
-            outcomes = [RequestOutcome(ok=False, error=error)] * len(batch)
         except Exception as error:  # noqa: BLE001 - forwarded to callers
-            outcomes = [RequestOutcome(ok=False, error=error)] * len(batch)
+            failure = error
         finally:
             self._free_slots += 1
-        self._settle(batch, outcomes)
+        if failure is not None:
+            # Whatever the pool had already answered stands.
+            for entry in batch:
+                self._settle(entry, RequestOutcome(ok=False, error=failure))
         self._pump()
 
-    def _settle(
-        self, batch: Iterable[_PendingRequest], outcomes: list[RequestOutcome]
-    ) -> None:
-        """Resolve each request's future from its own outcome."""
-        finished = time.perf_counter()
-        for entry, outcome in zip(batch, outcomes):
-            if entry.future.done():
-                continue
-            if outcome.ok:
-                self._request_seconds.record(finished - entry.submitted_at)
-                entry.future.set_result(outcome.value)
-            else:
-                if isinstance(outcome.error, ServingOverloadError):
-                    self.metrics.counter(names.SCALE_OVERLOADS).inc()
-                entry.future.set_exception(outcome.error)
+    def _settle(self, entry: _PendingRequest, outcome: RequestOutcome) -> None:
+        """Resolve one request's future from its outcome (the first one wins)."""
+        if entry.future.done():
+            return
+        if outcome.ok:
+            self._request_seconds.record(time.perf_counter() - entry.submitted_at)
+            entry.future.set_result(outcome.value)
+        else:
+            if isinstance(outcome.error, ServingOverloadError):
+                self.metrics.counter(names.SCALE_OVERLOADS).inc()
+            entry.future.set_exception(outcome.error)

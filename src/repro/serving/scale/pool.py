@@ -42,8 +42,17 @@ Failure granularity is per *request*: one statement that does not compile,
 one worker-side query error or one crashed shard fails (or retries) only its
 own requests while the rest of the batch's answers stand.
 
-Thread safety and ordering: every pipe exchange goes through
-:meth:`SupervisedWorkerPool._converse`, which states the guarantee.
+Concurrency: the pool is single-threaded.  Every coroutine of it — the
+batch dispatch, broadcasts, heartbeats, respawns — runs on one event loop,
+and a pipe is only ever spoken to by :meth:`SupervisedWorkerPool._converse`,
+whose docstring is the table of which operations commute per shard and how
+the rest are ordered.  That loop is the front-end's once
+``AsyncServingFrontend.start()`` has bound the pool to it
+(:meth:`SupervisedWorkerPool.bind_loop`), so a socket request reaches the
+pipe without leaving its thread; until then it is a loop the pool owns, on
+its own thread.  The synchronous methods (``execute_batch``, ``refit``,
+``describe``, ``close``, ...) are thin wrappers that run the same coroutines
+on that loop from any *other* thread and wait for them.
 
 Lifecycle: ``close()`` escalates ``join`` -> ``terminate`` -> ``kill`` so a
 wedged worker can never outlive the pool, and every open pool is registered
@@ -54,6 +63,7 @@ orphans.
 
 from __future__ import annotations
 
+import asyncio
 import atexit
 import multiprocessing as mp
 import random
@@ -144,7 +154,7 @@ def _close_leaked_pools() -> None:  # pragma: no cover - exit-path safety net
 
 
 class _Worker:
-    """Parent-side handle for one worker process: pipe, lock, sequence."""
+    """Parent-side handle for one worker process: pipe, turn lock, sequence."""
 
     def __init__(
         self,
@@ -165,64 +175,46 @@ class _Worker:
         )
         self.process.start()
         child_conn.close()
-        self.lock = threading.Lock()
+        # Whose turn it is on this pipe: held from before a conversation's
+        # command is sent until this shard's reply has landed.
+        self.lock = asyncio.Lock()
         self._seq = 0
 
-    def next_seq(self) -> int:
+    def send(self, command: str, payload: Any) -> int:
+        """Send one request; its sequence number.  A dead pipe is a typed crash."""
         self._seq += 1
-        return self._seq
-
-    def send(self, message: Any) -> None:
-        """Send one request, raising typed crash errors on a dead pipe."""
         try:
-            self.conn.send(message)
+            self.conn.send((command, self._seq, payload))
         except (BrokenPipeError, ConnectionError, OSError) as error:
             raise WorkerCrashedError(
                 "worker pipe broke on send",
                 shard_id=self.shard_id,
                 reason="pipe-broken",
             ) from error
+        return self._seq
 
-    def drain_stale(self, expected_seq: int, timeout: float | None) -> Any:
-        """Receive until the reply for ``expected_seq`` arrives; its body.
+    def receive(self) -> tuple[int, str, Any]:
+        """Take one ``(seq, status, body)`` reply off a readable pipe.
 
-        Replies with older sequence numbers are leftovers from a timed-out
-        conversation — discarded, since their futures already failed.  The
-        body of an error reply is the worker-side exception itself.
-
-        Failure modes are typed: a dead pipe (EOF) or a reply deadline that
-        expires with the process already dead raise
-        :class:`WorkerCrashedError`; a deadline that expires with the
-        process still alive raises :class:`DispatchTimeoutError` (slow or
-        dropped reply — retryable, not a crash).
+        The body of an error reply is the worker-side exception itself; a
+        dead pipe (EOF) is a typed :class:`WorkerCrashedError`.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise self._deadline_error()
-            if not self.conn.poll(remaining):
-                raise self._deadline_error()
-            try:
-                seq, _status, body = self.conn.recv()
-            except (EOFError, ConnectionError, OSError) as error:
-                raise WorkerCrashedError(
-                    "worker pipe reached EOF mid-conversation",
-                    shard_id=self.shard_id,
-                    reason="pipe-eof",
-                ) from error
-            if seq < expected_seq:
-                continue
-            if seq > expected_seq:
-                raise ThemisError(
-                    f"shard {self.shard_id} replied to request {seq} before "
-                    f"{expected_seq}: protocol violation"
-                )
-            return body
+        try:
+            return self.conn.recv()
+        except (EOFError, ConnectionError, OSError) as error:
+            raise WorkerCrashedError(
+                "worker pipe reached EOF mid-conversation",
+                shard_id=self.shard_id,
+                reason="pipe-eof",
+            ) from error
 
-    def _deadline_error(self) -> ThemisError:
+    def deadline_error(self) -> ThemisError:
+        """What a reply deadline that expired means for this worker.
+
+        With the process already dead it is a :class:`WorkerCrashedError`;
+        with the process still alive a :class:`DispatchTimeoutError` (slow
+        or dropped reply — retryable, not a crash).
+        """
         if self.process.exitcode is not None:
             return WorkerCrashedError(
                 "worker process died before replying",
@@ -380,9 +372,6 @@ class SupervisedWorkerPool:
         self.heartbeat_misses_to_kill = heartbeat_misses_to_kill
         self.fallback = fallback
         self._rng = random.Random(retry_seed)
-        self._supervision_lock = threading.RLock()
-        self._incarnations: dict[int, int] = {}
-        self._respawn_counts: dict[int, int] = {}
         self._heartbeat_misses: dict[int, int] = {}
         self._broadcast_log: list[tuple[str, Any]] = []
         self._fallback_session: Any = None
@@ -410,10 +399,18 @@ class SupervisedWorkerPool:
         ]
         self._live: set[int] = set(range(n_workers))
         self._dead: set[int] = set()
+        # Respawns, and the replay log they read, change under this lock.
+        self._supervision = asyncio.Lock()
+        self._heartbeat_task: asyncio.Task | None = None
         self._closed = False
         self._close_lock = threading.Lock()
-        self._heartbeat_stop = threading.Event()
-        self._heartbeat_thread: threading.Thread | None = None
+        # The synchronous wrapper's loop, started after the workers so they
+        # fork from a parent that has no thread of the pool's yet.
+        self._loop = asyncio.new_event_loop()
+        self._loop_thread: threading.Thread | None = threading.Thread(
+            target=self._loop.run_forever, name="themis-pool-loop", daemon=True
+        )
+        self._loop_thread.start()
         _LIVE_POOLS.add(self)
         self.metrics.gauge(names.SCALE_SHARDS).set(n_workers)
         self._dispatch_seconds = self.metrics.histogram(names.SCALE_DISPATCH_SECONDS)
@@ -430,16 +427,9 @@ class SupervisedWorkerPool:
                 f"initial worker generations diverged: {sorted(generations)}"
             )
         self._expected_generation = generations.pop()
-        if heartbeat_interval is not None:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                name="themis-heartbeat",
-                daemon=True,
-            )
-            self._heartbeat_thread.start()
+        self._run(self._start_heartbeats)
 
     def _spawn_worker(self, shard_id: int, incarnation: int) -> _Worker:
-        self._incarnations[shard_id] = incarnation
         fault_plan = (
             self._fault_injector.plan_for(shard_id, incarnation)
             if self._fault_injector is not None
@@ -454,139 +444,292 @@ class SupervisedWorkerPool:
         )
 
     # ------------------------------------------------------------------
+    # The loop the pool runs on, and the synchronous wrapper onto it
+    # ------------------------------------------------------------------
+    def _run(self, coroutine_method: Callable[..., Any], *args: Any) -> Any:
+        """The synchronous wrapper: run one pool coroutine on the pool's loop.
+
+        Callable from any thread but the loop's own, where blocking on the
+        loop would be waiting for oneself: code on the loop awaits
+        :meth:`dispatch` / :meth:`aclose`, or hands the synchronous call to
+        ``asyncio.to_thread``.
+        """
+        if self._closed:
+            raise ThemisError("worker pool is closed")
+        try:
+            on_loop = asyncio.get_running_loop() is self._loop
+        except RuntimeError:
+            on_loop = False
+        if on_loop:
+            raise RuntimeError(
+                "synchronous pool call from the pool's own event loop; "
+                "call it from another thread (asyncio.to_thread)"
+            )
+        return asyncio.run_coroutine_threadsafe(
+            coroutine_method(*args), self._loop
+        ).result()
+
+    async def bind_loop(self) -> None:
+        """Move the pool onto the running event loop, for good.
+
+        ``AsyncServingFrontend.start()`` calls this before it serves: from
+        here the pool's coroutines run on the caller's loop — a request goes
+        from socket to pipe on one thread — and the synchronous methods hop
+        onto it from any other thread.  The loop the pool owned is stopped.
+        Not to be raced with traffic on the old loop.
+        """
+        loop = asyncio.get_running_loop()
+        if loop is self._loop:
+            return
+        self._run(self._stop_heartbeats)
+        self._stop_own_loop()
+        self._loop = loop
+        # A lock that was ever contended remembers its loop: start afresh.
+        self._supervision = asyncio.Lock()
+        for worker in self._workers:
+            worker.lock = asyncio.Lock()
+        await self._start_heartbeats()
+
+    def _stop_own_loop(self) -> None:
+        thread, self._loop_thread = self._loop_thread, None
+        if thread is not None:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            thread.join()
+            self._loop.close()
+
+    async def _start_heartbeats(self) -> None:
+        if self.heartbeat_interval is not None:
+            self._heartbeat_task = self._loop.create_task(self._heartbeat_loop())
+
+    async def _stop_heartbeats(self) -> None:
+        task, self._heartbeat_task = self._heartbeat_task, None
+        if task is not None:
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+
+    # ------------------------------------------------------------------
     # The one pipe conversation
     # ------------------------------------------------------------------
-    def _converse(
+    async def _converse(
         self,
         workers: Sequence[_Worker],
         command: str,
         payload_for: Callable[[_Worker], Any],
         timeout: float | None,
+        on_reply: Callable[[_Worker, Any], None] | None = None,
     ) -> list[Any]:
         """Converse with these shards concurrently; one classified reply each.
 
         The only place a pipe is spoken to — batches, broadcasts, heartbeat
-        pings and respawn replay all come through here.  ``workers`` must be
-        in ascending shard order.  Every worker's lock is taken (in that
-        order, so concurrent callers cannot deadlock) before anything is
-        sent, everything is sent before anything is received (so the shards
-        work concurrently), and no lock is released until every reply is in.
+        pings and respawn replay all come through here, on the pool's loop.
+        ``workers`` must be in ascending shard order.  The conversation is
+        two-phase: every worker's lock is taken, in that order (so two
+        conversations cannot deadlock), before anything is sent; everything
+        is sent before anything is awaited (so the shards work
+        concurrently); and a shard's lock is released the moment *its* reply
+        has landed, when ``on_reply(worker, reply)`` runs — a batch's
+        answers leave shard by shard, not when the slowest shard is done.
         ``payload_for(worker)`` runs at send time, under the lock: a batch
         payload measures its remaining deadline budget there, at the pipe.
 
-        Ordering guarantee: two conversations that share a shard are
-        serialised, whole — a batch sees a concurrent ``refit()`` broadcast
-        either on none of its shards or on all of them, never a mix.  The
-        unit is one conversation, not one ``execute_batch`` call: requests
-        retried after a crash or timeout form a new conversation and may
-        land behind a refit their first attempt preceded.
+        What commutes, per shard (a worker is one thread behind one pipe, so
+        everything on a shard is ordered; the table says which orders can be
+        told apart, and so which the locks must pin):
+
+        =====================  ================================================
+        batch x batch          commute: an answer is a function of (generation,
+                               statement), caches only memoise it.  Ordered per
+                               shard by lock arrival, free across shards.
+        batch x describe/ping  commute (read-only).  The heartbeat skips a
+                               shard whose lock is held — a conversation in
+                               progress is proof enough of life.
+        batch x refit /        do **not** commute: the broadcast bumps the
+        add_aggregate          generation and empties the caches.  Serialised
+                               *whole*: neither sends before it holds every one
+                               of its locks, and neither lets go of a shard
+                               before that shard has done its part, so on every
+                               shard they share the same one goes first — a
+                               batch sees a concurrent ``refit()`` on none of
+                               its shards or on all of them, never a mix.
+        broadcast x broadcast  do not commute (generation and replay-log
+                               order).  Serialised whole, in call order: the
+                               log entry is appended in the same loop turn the
+                               conversation queues for its first lock, and the
+                               locks are FIFO.
+        respawn replay         speaks to a replacement nobody else can reach
+                               until it is published, so it contends with
+                               nothing; a logged broadcast waits for respawns
+                               in flight, and a respawn that starts later has
+                               the entry in its replay — either way the shard
+                               lands on the generation of the survivors.
+        shutdown               is written straight to each pipe, where the
+                               worker reads it after the command it is on;
+                               ``close()`` then waits for each lock before it
+                               reaps, so no conversation loses its pipe.
+        =====================  ================================================
+
+        Releasing per shard keeps none-or-all because it is still two-phase
+        locking: no lock is released before the last one is acquired, so for
+        any two conversations the one that held all its locks first is first
+        on every shard they share.  The unit is one conversation, not one
+        ``execute_batch`` call: requests retried after a crash or timeout
+        form a new conversation and may land behind a refit their first
+        attempt preceded.
 
         Each slot of the result is the worker's reply body (a dict), or the
         exception that stands in for it: :class:`WorkerCrashedError` (dead
         pipe or process), :class:`DispatchTimeoutError` (alive but silent
-        past ``timeout``), or the worker-side error the shard sent back.
-        Crashed shards are respawned before returning, strictly after the
-        locks are released: respawning converses with the replacement and
-        takes the supervision lock, which must never nest inside a
-        conversation lock the heartbeat thread may be waiting on.
+        past ``timeout`` — its eventual reply is discarded, by sequence
+        number, by the next conversation on that pipe), or the worker-side
+        error the shard sent back.  Cancelling the conversation leaves no
+        reader registered and no lock held.  Crashed shards are respawned
+        before returning, after every lock is released.
         """
-        sent: list[int | WorkerCrashedError] = []
-        replies: list[Any] = []
+        loop = self._loop
+        replies: dict[_Worker, Any] = {}
+        awaited: dict[_Worker, int] = {}
         held: list[_Worker] = []
+        all_landed = loop.create_future()
+
+        def land(worker: _Worker, reply: Any) -> None:
+            if awaited.pop(worker, None) is not None:
+                loop.remove_reader(worker.conn.fileno())
+            replies[worker] = reply
+            held.remove(worker)
+            worker.lock.release()
+            if not awaited and not all_landed.done():
+                all_landed.set_result(None)
+            if on_reply is not None:
+                on_reply(worker, reply)
+
+        def readable(worker: _Worker) -> None:
+            try:
+                seq, _status, body = worker.receive()
+            except WorkerCrashedError as error:
+                land(worker, error)
+                return
+            if seq < awaited[worker]:
+                return  # left over from a timed-out conversation
+            if seq > awaited[worker]:
+                body = ThemisError(
+                    f"shard {worker.shard_id} replied to request {seq} before "
+                    f"{awaited[worker]}: protocol violation"
+                )
+            land(worker, body)
+
         try:
             for worker in workers:
-                worker.lock.acquire()
+                await worker.lock.acquire()
                 held.append(worker)
             for worker in workers:
-                seq = worker.next_seq()
                 try:
-                    worker.send((command, seq, payload_for(worker)))
+                    awaited[worker] = worker.send(command, payload_for(worker))
                 except WorkerCrashedError as error:
-                    sent.append(error)
+                    land(worker, error)
                 else:
-                    sent.append(seq)
-            for worker, seq in zip(workers, sent):
-                if isinstance(seq, WorkerCrashedError):
-                    replies.append(seq)
-                    continue
+                    loop.add_reader(worker.conn.fileno(), readable, worker)
+            if awaited:
                 try:
-                    replies.append(worker.drain_stale(seq, timeout))
-                except _TRANSPORT_FAILURES as error:
-                    replies.append(error)
+                    await asyncio.wait_for(all_landed, timeout)
+                except asyncio.TimeoutError:
+                    for worker in list(awaited):
+                        land(worker, worker.deadline_error())
         finally:
+            for worker in awaited:
+                loop.remove_reader(worker.conn.fileno())
             for worker in held:
                 worker.lock.release()
-        for worker, reply in zip(workers, replies):
-            if isinstance(reply, WorkerCrashedError):
-                self._handle_crash(worker)
-        return replies
+        for worker in workers:
+            if isinstance(replies[worker], WorkerCrashedError):
+                await self._handle_crash(worker)
+        return [replies[worker] for worker in workers]
 
     # ------------------------------------------------------------------
     # Liveness bookkeeping
     # ------------------------------------------------------------------
     def live_shards(self) -> set[int]:
         """Shards currently accepting dispatches."""
-        with self._supervision_lock:
-            return set(self._live)
+        return set(self._live)
 
     def dead_shards(self) -> set[int]:
         """Shards that exhausted their respawn budget (permanently down)."""
-        with self._supervision_lock:
-            return set(self._dead)
+        return set(self._dead)
 
-    def _handle_crash(self, worker: _Worker) -> None:
+    async def _handle_crash(self, worker: _Worker) -> None:
         """Record one worker death and respawn its shard (idempotent).
 
         A no-op for a worker that is not (or no longer) the published
-        incarnation of its shard: another thread already handled it, or it
-        is a replacement still being replayed into.
+        incarnation of its shard: it is a replacement still being replayed
+        into — whose respawn, holding the lock, deals with it — or someone
+        else who saw the same crash handled it while this caller waited.
         """
-        with self._supervision_lock:
-            shard_id = worker.shard_id
-            if self._workers[shard_id] is not worker or shard_id in self._dead:
+        shard_id = worker.shard_id
+        if self._workers[shard_id] is not worker:
+            return
+        async with self._supervision:
+            if (
+                self._closed
+                or self._workers[shard_id] is not worker
+                or shard_id in self._dead
+            ):
                 return
             self.metrics.counter(names.SCALE_FAULT_CRASHES).inc()
             self._live.discard(shard_id)
             self._heartbeat_misses.pop(shard_id, None)
-            worker.reap(0.5)
-            self._respawn_locked(shard_id)
+            try:
+                await self._respawn(worker)
+            except asyncio.CancelledError:
+                # Left neither live nor dead, the shard would never be tried
+                # again: back among the live, its dead pipe restarts this.
+                self._live.add(shard_id)
+                raise
 
-    def _respawn_locked(self, shard_id: int) -> None:
-        """Respawn one shard, replaying the broadcast log into it.
+    async def _respawn(self, crashed: _Worker) -> None:
+        """Reap one crashed worker and respawn its shard from the replay log.
 
         Each try burns one respawn credit; a shard that runs out joins the
-        permanently dead set.
+        permanently dead set.  A replacement that is not published — it
+        died in replay, landed on the wrong generation, or the caller was
+        cancelled — is killed here: nobody else knows it.
         """
+        shard_id = crashed.shard_id
+        await self._loop.run_in_executor(None, crashed.reap, 0.5)
         replay = [*self._broadcast_log, (CMD_DESCRIBE, None)]
-        while self._respawn_counts.get(shard_id, 0) < self.max_respawns:
-            self._respawn_counts[shard_id] = self._respawn_counts.get(shard_id, 0) + 1
+        # A shard's incarnation number is the respawn credit it has burnt.
+        incarnation = crashed.incarnation
+        while not self._closed and incarnation < self.max_respawns:
+            incarnation += 1
             started = time.perf_counter()
-            worker = self._spawn_worker(shard_id, self._incarnations[shard_id] + 1)
-            for command, payload in replay:
-                (body,) = self._converse(
-                    [worker], command, lambda _: payload, self.respawn_timeout
-                )
-                if isinstance(body, BaseException):
-                    break
-                if command != CMD_DESCRIBE:
-                    self.metrics.counter(
-                        names.SCALE_FAULT_REPLAYED_BROADCASTS
-                    ).inc()
-            if isinstance(body, BaseException):
-                worker.reap(0.5)
+            worker = self._spawn_worker(shard_id, incarnation)
+            try:
+                for command, payload in replay:
+                    (body,) = await self._converse(
+                        [worker], command, lambda _: payload, self.respawn_timeout
+                    )
+                    if isinstance(body, BaseException):
+                        break
+                    if command != CMD_DESCRIBE:
+                        self.metrics.counter(
+                            names.SCALE_FAULT_REPLAYED_BROADCASTS
+                        ).inc()
                 if isinstance(body, WorkerCrashedError):
                     # Died again during replay (e.g. a crash-during-refit
                     # schedule): burn another respawn credit.
                     continue
-                raise body
-            if body["generation"] != self._expected_generation:
-                worker.reap(0.5)
-                raise ThemisError(
-                    f"respawned shard {shard_id} landed on generation "
-                    f"{body['generation']}, expected {self._expected_generation}: "
-                    f"broadcast-log replay lost coherence"
-                )
-            self._workers[shard_id] = worker
+                if isinstance(body, BaseException):
+                    raise body
+                if body["generation"] != self._expected_generation:
+                    raise ThemisError(
+                        f"respawned shard {shard_id} landed on generation "
+                        f"{body['generation']}, expected "
+                        f"{self._expected_generation}: broadcast-log replay "
+                        f"lost coherence"
+                    )
+                self._workers[shard_id] = worker
+            finally:
+                if self._workers[shard_id] is not worker:
+                    worker.process.kill()
+                    worker.reap(0.5)
             self._live.add(shard_id)
             self.metrics.counter(names.SCALE_FAULT_RESPAWNS).inc()
             self.metrics.histogram(names.SCALE_RESPAWN_SECONDS).record(
@@ -617,19 +760,37 @@ class SupervisedWorkerPool:
         timeout: float | None = None,
         deadline_ts: float | None = None,
     ) -> list[RequestOutcome]:
-        """Serve a batch: one :class:`RequestOutcome` per query, in order.
+        """:meth:`dispatch`, synchronously: one outcome per query, in order."""
+        outcomes: list[RequestOutcome] = [None] * len(queries)  # type: ignore[list-item]
+        self._run(self.dispatch, queries, outcomes.__setitem__, timeout, deadline_ts)
+        return outcomes
+
+    async def dispatch(
+        self,
+        queries: Sequence[Query | str],
+        settle: Callable[[int, RequestOutcome], None],
+        timeout: float | None = None,
+        deadline_ts: float | None = None,
+    ) -> None:
+        """Serve a batch, settling each request as soon as its shard answers.
+
+        ``settle(index, outcome)`` is called exactly once per query, with
+        one :class:`RequestOutcome`, the moment that request's fate is known
+        — when its shard's reply is classified, not when the slowest shard
+        of the batch is done; a retried request settles on the round that
+        answers it.
 
         Compiles each query once for its canonical key and hashes that key
         once (a statement that fails to compile fails only its own
         outcome), then loops: route the still-pending requests over the
         *live* shards (failover for keys whose home shard is down), send
         each shard its statements and their keys, converse with all of them
-        concurrently, classify each shard's reply, back off, and go again —
-        until everything is answered, the retry/deadline budget runs out
-        (:class:`RetryExhaustedError`), or no shard is left
-        (:class:`DegradedModeError` or the in-process fallback).  Answers
-        are exactly ``==`` what in-process ``ServingSession.execute_batch``
-        returns for the same queries.
+        concurrently, classify each shard's reply as it lands, back off, and
+        go again — until everything is answered, the retry/deadline budget
+        runs out (:class:`RetryExhaustedError`), or no shard is left
+        (:class:`DegradedModeError` or the in-process fallback, which runs
+        on the loop).  Answers are exactly ``==`` what in-process
+        ``ServingSession.execute_batch`` returns for the same queries.
 
         ``timeout`` bounds each round's wait for a shard's reply (default:
         the constructor's).  ``deadline_ts`` is an absolute
@@ -645,11 +806,11 @@ class SupervisedWorkerPool:
         if timeout is None:
             timeout = self._timeout
         started = time.perf_counter()
-        outcomes: list[RequestOutcome | None] = [None] * len(queries)
 
         def fail(indices: list[int], error: BaseException) -> None:
+            outcome = RequestOutcome(ok=False, error=error)
             for index in indices:
-                outcomes[index] = RequestOutcome(ok=False, error=error)
+                settle(index, outcome)
 
         routing: dict[int, tuple[PlanKey, int]] = {}
         for index, query in enumerate(queries):
@@ -659,12 +820,42 @@ class SupervisedWorkerPool:
             except ThemisError as error:
                 fail([index], error)
         pending = list(routing)
+        retry: list[int] = []
+        by_shard: dict[int, list[int]] = {}
         attempt = 0
         last_error: BaseException | None = None
+
+        def payload_for(worker: _Worker) -> dict[str, Any]:
+            return batch_payload(
+                [(queries[i], routing[i][0]) for i in by_shard[worker.shard_id]],
+                deadline_ts,
+            )
+
+        def classify(worker: _Worker, reply: Any) -> None:
+            nonlocal last_error
+            indices = by_shard[worker.shard_id]
+            # Crashes and missed reply deadlines are breaker failures and
+            # retry; any reply — even a worker-side query error, which
+            # retrying would only reproduce — proves the shard responsive.
+            retryable = isinstance(reply, _TRANSPORT_FAILURES)
+            self._record_breaker(worker.shard_id, ok=not retryable)
+            if retryable:
+                retry.extend(indices)
+                last_error = reply
+            elif isinstance(reply, BaseException):
+                fail(indices, reply)
+            else:
+                for index, value in zip(indices, reply["results"]):
+                    settle(index, RequestOutcome(ok=True, value=value))
+                self._fold_worker_stats(reply)
+
         while pending:
+            if self._closed:
+                fail(pending, ThemisError("worker pool is closed"))
+                break
             live = self.live_shards()
             if not live:
-                self._serve_degraded(pending, queries, outcomes)
+                self._serve_degraded(pending, queries, settle)
                 break
             allowed = self._allowed_shards(live)
             if not allowed:
@@ -693,7 +884,7 @@ class SupervisedWorkerPool:
                     remaining if timeout is None else min(timeout, remaining)
                 )
 
-            by_shard: dict[int, list[int]] = {}
+            by_shard.clear()
             for index in pending:
                 key_hash = routing[index][1]
                 shard_id = self.router.shard_for_hash(key_hash, live=allowed)
@@ -703,32 +894,10 @@ class SupervisedWorkerPool:
             for shard_id, indices in by_shard.items():
                 self.metrics.counter(names.shard_counter(shard_id)).inc(len(indices))
             workers = [self._workers[shard_id] for shard_id in sorted(by_shard)]
-
-            def payload_for(worker: _Worker) -> dict[str, Any]:
-                return batch_payload(
-                    [(queries[i], routing[i][0]) for i in by_shard[worker.shard_id]],
-                    deadline_ts,
-                )
-
-            replies = self._converse(workers, CMD_BATCH, payload_for, round_timeout)
-            pending = []
-            for worker, reply in zip(workers, replies):
-                indices = by_shard[worker.shard_id]
-                # Crashes and missed reply deadlines are breaker failures
-                # and retry; any reply — even a worker-side query error,
-                # which retrying would only reproduce — proves the shard
-                # responsive.
-                retryable = isinstance(reply, _TRANSPORT_FAILURES)
-                self._record_breaker(worker.shard_id, ok=not retryable)
-                if retryable:
-                    pending.extend(indices)
-                    last_error = reply
-                elif isinstance(reply, BaseException):
-                    fail(indices, reply)
-                else:
-                    for index, value in zip(indices, reply["results"]):
-                        outcomes[index] = RequestOutcome(ok=True, value=value)
-                    self._fold_worker_stats(reply)
+            await self._converse(
+                workers, CMD_BATCH, payload_for, round_timeout, classify
+            )
+            pending, retry = retry, []
             if not pending:
                 break
             attempt += 1
@@ -746,11 +915,10 @@ class SupervisedWorkerPool:
                 break
             self.metrics.counter(names.SCALE_FAULT_RETRIES).inc(len(pending))
             if backoff > 0:
-                time.sleep(backoff)
+                await asyncio.sleep(backoff)
 
         self.metrics.counter(names.SCALE_POOL_BATCHES).inc(1)
         self._dispatch_seconds.record(time.perf_counter() - started)
-        return outcomes  # type: ignore[return-value]  # every slot is filled
 
     def _fold_worker_stats(self, body: dict[str, Any]) -> None:
         for field_name, value in body.get("optimizer", {}).items():
@@ -814,14 +982,14 @@ class SupervisedWorkerPool:
         self,
         pending: list[int],
         queries: Sequence[Query | str],
-        outcomes: list[RequestOutcome | None],
+        settle: Callable[[int, RequestOutcome], None],
     ) -> None:
         """Every shard is permanently down: fallback session or typed error."""
         if self.fallback == FALLBACK_IN_PROCESS:
             session = self._ensure_fallback_session()
             batch = session.execute_batch([queries[i] for i in pending])
             for index, value in zip(pending, batch.results()):
-                outcomes[index] = RequestOutcome(ok=True, value=value)
+                settle(index, RequestOutcome(ok=True, value=value))
             self.metrics.counter(names.SCALE_FAULT_DEGRADED_REQUESTS).inc(
                 len(pending)
             )
@@ -831,22 +999,19 @@ class SupervisedWorkerPool:
             f"(respawn budget {self.max_respawns} exhausted on every shard)"
         )
         for index in pending:
-            outcomes[index] = RequestOutcome(ok=False, error=error)
+            settle(index, RequestOutcome(ok=False, error=error))
 
     def _ensure_fallback_session(self) -> Any:
         """A local session rebuilt from the spec + log (bit-identical answers)."""
-        with self._supervision_lock:
-            if self._fallback_session is None:
-                themis = self._spec.build_themis()
-                for command, payload in self._broadcast_log:
-                    if command == CMD_ADD_AGGREGATE:
-                        themis.add_aggregate(payload)
-                    elif command == CMD_REFIT:
-                        themis.refit()
-                self._fallback_session = themis.serve(
-                    **self._spec.session_options
-                )
-            return self._fallback_session
+        if self._fallback_session is None:
+            themis = self._spec.build_themis()
+            for command, payload in self._broadcast_log:
+                if command == CMD_ADD_AGGREGATE:
+                    themis.add_aggregate(payload)
+                elif command == CMD_REFIT:
+                    themis.refit()
+            self._fallback_session = themis.serve(**self._spec.session_options)
+        return self._fallback_session
 
     # ------------------------------------------------------------------
     # Coherent invalidation
@@ -854,11 +1019,12 @@ class SupervisedWorkerPool:
     def add_aggregate(self, aggregate: "AggregateQuery") -> None:
         """Register one aggregate on the parent and every worker."""
         self._themis.add_aggregate(aggregate)
-        self._broadcast_logged(CMD_ADD_AGGREGATE, aggregate)
+        self._run(self._broadcast_logged, CMD_ADD_AGGREGATE, aggregate)
 
     def refit(self) -> int:
         """Refit the parent and every worker, and assert they agree.
 
+        The parent's own refit runs on the calling thread, not on the loop.
         Every worker discards its model and rebuilds from its (updated)
         registered inputs.  A worker that dies mid-broadcast is respawned
         with the refit already in its replay log, so it lands on the same
@@ -868,7 +1034,10 @@ class SupervisedWorkerPool:
         tolerated.
         """
         self._themis.refit()
-        bodies = self._broadcast_logged(CMD_REFIT, None)
+        return self._run(self._refit_workers)
+
+    async def _refit_workers(self) -> int:
+        bodies = await self._broadcast_logged(CMD_REFIT, None)
         expected = self._expected_generation
         generations = {
             body["generation"] for body in bodies if body is not None
@@ -888,17 +1057,21 @@ class SupervisedWorkerPool:
 
     def describe(self) -> list[dict[str, Any] | None]:
         """Per-shard state snapshots; ``None`` for permanently dead shards."""
-        return self._broadcast(CMD_DESCRIBE, None, logged=False)
+        return self._run(self._broadcast, CMD_DESCRIBE, None, False)
 
-    def _broadcast_logged(self, command: str, payload: Any) -> list[Any]:
-        """Log one generation-bumping command for respawn replay, then send it."""
-        with self._supervision_lock:
+    async def _broadcast_logged(self, command: str, payload: Any) -> list[Any]:
+        """Log one generation-bumping command for respawn replay, then send it.
+
+        The lock waits out a respawn in flight: its replay was cut before
+        this entry.  One that starts later has it.
+        """
+        async with self._supervision:
             self._broadcast_log.append((command, payload))
             self._expected_generation += 1
             self._fallback_session = None
-        return self._broadcast(command, payload, logged=True)
+        return await self._broadcast(command, payload, logged=True)
 
-    def _broadcast(self, command: str, payload: Any, logged: bool) -> list[Any]:
+    async def _broadcast(self, command: str, payload: Any, logged: bool) -> list[Any]:
         """One command to every live shard; reply bodies in shard order.
 
         A shard that crashes — or, the command being cheap, misses the reply
@@ -908,17 +1081,18 @@ class SupervisedWorkerPool:
         the command a second time.
         """
         bodies: list[Any] = [None] * self.n_workers
-        with self._supervision_lock:
-            workers = [self._workers[shard_id] for shard_id in sorted(self._live)]
-        replies = self._converse(workers, command, lambda _: payload, self._timeout)
+        workers = [self._workers[shard_id] for shard_id in sorted(self._live)]
+        replies = await self._converse(
+            workers, command, lambda _: payload, self._timeout
+        )
         for worker, reply in zip(workers, replies):
             shard_id = worker.shard_id
             if isinstance(reply, _TRANSPORT_FAILURES):
                 if isinstance(reply, DispatchTimeoutError):
-                    self._handle_crash(worker)
-                if shard_id not in self.live_shards():
+                    await self._handle_crash(worker)
+                if shard_id not in self._live:
                     continue  # permanently dead: bodies[shard_id] stays None
-                (reply,) = self._converse(
+                (reply,) = await self._converse(
                     [self._workers[shard_id]],
                     CMD_DESCRIBE if logged else command,
                     lambda _: None if logged else payload,
@@ -938,20 +1112,21 @@ class SupervisedWorkerPool:
 
         Shards in a conversation are skipped (an active dispatch proves the
         pipe is alive).  ``heartbeat_misses_to_kill`` consecutive silent
-        pings escalate to terminate + respawn.  The background prober calls
-        this on its interval; tests may call it directly for deterministic
-        coverage.
+        pings escalate to terminate + respawn.  The heartbeat task runs
+        this pass on its interval; tests may call it directly for
+        deterministic coverage.
         """
-        with self._supervision_lock:
-            shard_ids = sorted(self._live)
-        for shard_id in shard_ids:
+        self._run(self._check_heartbeats)
+
+    async def _check_heartbeats(self) -> None:
+        for shard_id in sorted(self._live):
             worker = self._workers[shard_id]
             if worker.process.exitcode is not None:
-                self._handle_crash(worker)
+                await self._handle_crash(worker)
                 continue
             if worker.lock.locked():
                 continue
-            (reply,) = self._converse(
+            (reply,) = await self._converse(
                 [worker], CMD_PING, lambda _: None, self.heartbeat_timeout
             )
             if isinstance(reply, DispatchTimeoutError):
@@ -959,16 +1134,15 @@ class SupervisedWorkerPool:
                 self._heartbeat_misses[shard_id] = misses
                 self.metrics.counter(names.SCALE_FAULT_HEARTBEAT_MISSES).inc()
                 if misses >= self.heartbeat_misses_to_kill:
-                    self._handle_crash(worker)
+                    await self._handle_crash(worker)
             elif not isinstance(reply, BaseException):
                 self._heartbeat_misses[shard_id] = 0
 
-    def _heartbeat_loop(self) -> None:  # pragma: no cover - timing-dependent
-        while not self._heartbeat_stop.wait(self.heartbeat_interval):
-            if self._closed:
-                break
+    async def _heartbeat_loop(self) -> None:  # pragma: no cover - timing-dependent
+        while not self._closed:
+            await asyncio.sleep(self.heartbeat_interval)
             try:
-                self.check_heartbeats()
+                await self._check_heartbeats()
             except Exception:
                 # The prober must outlive any single bad pass; dispatch-time
                 # detection still covers whatever it missed.
@@ -980,35 +1154,54 @@ class SupervisedWorkerPool:
     def close(self, join_timeout: float = 5.0) -> None:
         """Shut every worker down (idempotent, safe under concurrent calls).
 
-        The heartbeat prober stops first.  Then polite (a shutdown command)
-        before firm: workers that miss ``join(join_timeout)`` are
-        ``terminate()``d, and workers that survive *that* are ``kill()``ed
-        — a wedged or signal-masked worker cannot leak past ``close()``.
-
-        Safe to call twice, from two threads at once, and from the
-        ``atexit`` guard during interpreter shutdown: the closed flag flips
-        under a lock so exactly one caller does the work, and every
-        per-worker step is fenced so one torn-down pipe (or an unjoinable
-        heartbeat thread) cannot keep the remaining workers from being
-        reaped.
+        :meth:`aclose` on the pool's loop, from any other thread; the lock
+        makes a second caller wait for the first rather than return early.
+        When the loop the pool was bound to has ended with the pool still
+        open (the ``atexit`` guard finds it so), nothing of the pool can be
+        running and the workers are shut down directly.
         """
         with self._close_lock:
             if self._closed:
                 return
-            self._closed = True
+            if self._loop_thread is not None or self._loop.is_running():
+                self._run(self.aclose, join_timeout)
+            else:
+                self._dismiss_workers()
+                self._reap_workers(join_timeout)
+            self._stop_own_loop()
+
+    async def aclose(self, join_timeout: float = 5.0) -> None:
+        """:meth:`close` for callers on the pool's loop (idempotent).
+
+        Polite (a shutdown command, which a worker reads after the
+        conversation it is in; the heartbeat task ends, conversations still
+        out are waited for) before firm: workers that miss
+        ``join(join_timeout)`` are ``terminate()``d, and workers that
+        survive *that* are ``kill()``ed — a wedged or signal-masked worker
+        cannot leak past ``close()``.  The joins wait on a helper thread,
+        not on the loop.
+        """
+        if self._closed:
+            return
+        self._dismiss_workers()
+        await self._stop_heartbeats()
+        for worker in self._workers:
+            async with worker.lock:
+                pass  # its pipe is quiet: nothing is registered on it
+        await self._loop.run_in_executor(None, self._reap_workers, join_timeout)
+
+    def _dismiss_workers(self) -> None:
+        """Close the pool to new work and send every worker the shutdown command."""
+        self._closed = True
         _LIVE_POOLS.discard(self)
-        self._heartbeat_stop.set()
-        if self._heartbeat_thread is not None:
-            try:
-                self._heartbeat_thread.join(timeout=join_timeout)
-            except Exception:  # pragma: no cover - shutdown races
-                pass
         for worker in self._workers:
             try:
-                with worker.lock:
-                    worker.conn.send((CMD_SHUTDOWN, worker.next_seq(), None))
+                worker.send(CMD_SHUTDOWN, None)
             except Exception:  # pragma: no cover - dead pipe / shutdown race
                 pass
+
+    def _reap_workers(self, join_timeout: float) -> None:
+        """Reap every worker; one that cannot be reaped does not stop the rest."""
         for worker in self._workers:
             worker.reap(join_timeout)
 

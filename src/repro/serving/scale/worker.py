@@ -13,9 +13,10 @@ the session's plan cache — and verifies every key against what this process
 plans the same statement to *before executing anything*: schema drift
 between front-end and worker is a loud
 :class:`~repro.exceptions.WireFormatError`, never a silently split cache.
-Execution then goes through the session's normal batch path, so shard
-caches, the batch optimizer, and the metrics registry all behave exactly as
-in-process serving.
+Execution then takes the plans just made through the session's normal
+``execute_batch`` — a conversation of one ungoverned statement the
+single-plan path, anything else the batch path — so shard caches, the batch
+optimizer, and the metrics registry all behave exactly as in-process serving.
 
 The message protocol is ``(command, seq, payload)`` requests answered by
 ``(seq, status, body)`` replies; ``seq`` echoes let the parent discard
@@ -86,25 +87,27 @@ class WorkerSpec:
         return themis
 
 
-def _verified_statements(session: Any, requests: list[tuple]) -> list:
-    """A batch's statements, once this process has reproduced every sender key.
+def _verified_plans(session: Any, requests: list[tuple]) -> list:
+    """A batch's plans, once this process has reproduced every sender key.
 
     Runs before anything executes, so no answer is computed or cached under
     a key the two sides disagree on (a statement this process cannot plan at
-    all raises its own typed error from here, just as early).  Planning here
-    is what the execution that follows reuses: text through the session's
-    plan cache, ASTs through the compiler's memo.
+    all raises its own typed error from here, just as early).  The plans made
+    here are the ones executed: a statement is planned once per process
+    (repeated SQL text through the session's plan cache).
     """
     executor = session._ensure_current()
+    plans = []
     for statement, key in requests:
-        planned = executor.plan(statement).key
-        if planned != key:
+        plan = executor.plan(statement)
+        if plan.key != key:
             raise WireFormatError(
                 f"canonical plan key mismatch: sender compiled {key!r} but this "
-                f"process plans the same statement to {planned!r} — the two "
+                f"process plans the same statement to {plan.key!r} — the two "
                 f"sides disagree about the schema"
             )
-    return [statement for statement, _ in requests]
+        plans.append(plan)
+    return plans
 
 
 def worker_main(
@@ -164,8 +167,8 @@ def worker_main(
                     from ..governance import CancelToken, Deadline
 
                     cancel = CancelToken(deadline=Deadline.after(budget))
-                statements = _verified_statements(session, payload["requests"])
-                batch = session.execute_batch(statements, cancel=cancel)
+                plans = _verified_plans(session, payload["requests"])
+                batch = session.execute_batch(plans, cancel=cancel)
                 body = {
                     "results": batch.results(),
                     "generation": session.generation,

@@ -203,6 +203,29 @@ class TestSupervisedRecovery:
         finally:
             pool.close()
 
+    def test_replacement_dying_in_replay_burns_another_credit(
+        self, themis, sweep_queries, expected
+    ):
+        # Incarnation 1 of shard 0 dies replaying the logged refit: the
+        # respawn that holds the supervision lock sees that crash itself
+        # (it must not wait for the lock it holds) and tries again.
+        injector = (
+            FaultInjector()
+            .kill_at_batch(0, at=1)
+            .kill_at_refit(0, at=1, incarnation=1)
+        )
+        pool = _supervised(themis, injector)
+        try:
+            pool.refit()
+            assert pool.execute_batch(sweep_queries) == expected
+            incarnations = {
+                body["shard_id"]: body["incarnation"] for body in pool.describe()
+            }
+            assert incarnations == {0: 2, 1: 0}
+            assert pool.metrics.counter(names.SCALE_FAULT_RESPAWNS).value == 1
+        finally:
+            pool.close()
+
     def test_double_kill_same_shard_burns_two_incarnations(
         self, themis, sweep_queries, expected
     ):
@@ -430,13 +453,14 @@ class _OutcomePool:
     def __init__(self):
         self.metrics = MetricsRegistry()
 
-    def execute_batch_outcomes(self, queries, deadline_ts=None):
-        return [
-            RequestOutcome(ok=False, error=ThemisError("poisoned"))
-            if query == "bad"
-            else RequestOutcome(ok=True, value=f"ok:{query}")
-            for query in queries
-        ]
+    async def dispatch(self, queries, settle, deadline_ts=None):
+        for index, query in enumerate(queries):
+            settle(
+                index,
+                RequestOutcome(ok=False, error=ThemisError("poisoned"))
+                if query == "bad"
+                else RequestOutcome(ok=True, value=f"ok:{query}"),
+            )
 
 
 class TestMicroBatcherOutcomes:
@@ -551,7 +575,9 @@ class TestSupervisedFrontend:
             ) as frontend:
                 with pytest.raises(RetryExhaustedError) as excinfo:
                     await frontend.query(statement)
-                (shard,) = frontend.pool.describe()
+                # Synchronous calls come from other threads once the pool
+                # lives on this loop.
+                (shard,) = await asyncio.to_thread(frontend.pool.describe)
                 return excinfo.value, shard, frontend.metrics
 
         error, shard, metrics = asyncio.run(scenario())

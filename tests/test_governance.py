@@ -668,10 +668,10 @@ class TestPoolShutdown:
         from repro.serving.scale import SupervisedWorkerPool
 
         pool = SupervisedWorkerPool(themis, n_workers=1, heartbeat_interval=0.05)
-        prober = pool._heartbeat_thread
-        assert prober.is_alive()
+        prober = pool._heartbeat_task  # a task on the pool's loop, not a thread
+        assert not prober.done()
         pool.close()
-        assert not prober.is_alive()
+        assert prober.done()
         pool.close()
 
     def test_atexit_guard_tolerates_closed_and_crashed_pools(self, themis):

@@ -302,7 +302,12 @@ class TestServingJoinBatches:
             left_predicates=(Predicate("B", Comparison.EQ, 1),),
             right_predicates=(Predicate("B", Comparison.EQ, 1),),
         )
-        second = session.execute_batch([fresh])
+        # Two of them: a batch of one takes the single-plan path, runs no
+        # optimizer and reports every counter as zero.
+        other = JoinGroupByQuery(
+            "A", "A", "B", "C", right_predicates=(Predicate("B", Comparison.EQ, 1),)
+        )
+        second = session.execute_batch([fresh, other])
         assert second.optimizer["join_side_cache_hits"] > 0
         # Session-lifetime counters fold in every batch this session served
         # (the model's engine-level cache may already be warm from earlier

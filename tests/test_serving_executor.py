@@ -18,8 +18,11 @@ from repro.query import (
     Predicate,
     ScalarAggregateQuery,
 )
+from repro.exceptions import QueryCancelledError
 from repro.serving import BatchResult, ServingSession
+from repro.serving.governance import CancelToken
 from repro.sql.engine import QueryResult
+from golden_plans import golden_queries
 from worlds import build_sparse_fitted_themis
 
 
@@ -299,6 +302,77 @@ class TestStatistics:
         assert stats["n_queries"] == len(WORKLOAD)
         assert stats["queries_per_second"] > 0
         assert set(stats["routes"]) <= {"sample", "bayes-net", "hybrid"}
+
+
+class _CountingToken(CancelToken):
+    """Counts its polls and cancels itself on the ``fire_at``-th."""
+
+    def __init__(self, fire_at: float = float("inf")):
+        super().__init__()
+        self.polls = 0
+        self.fire_at = fire_at
+
+    def poll(self) -> None:
+        self.polls += 1
+        if self.polls >= self.fire_at:
+            self.cancel()
+        super().poll()
+
+
+class TestBatchOfOne:
+    """One ungoverned statement is not a batch: it takes the single-plan path."""
+
+    @pytest.mark.parametrize("name", sorted(golden_queries()))
+    def test_equals_execute_and_query_with_the_batch_paths_cache_statistics(
+        self, serving_themis, name
+    ):
+        query = golden_queries()[name]
+        single, governed = serving_themis.serve(), serving_themis.serve()
+        for _ in range(2):  # a miss, then a hit
+            one = single.execute_batch([query])
+            # A token keeps a statement on the batch path: the reference.
+            reference = governed.execute_batch([query], cancel=CancelToken())
+            assert_same_answer(one.results()[0], reference.results()[0])
+            assert one.cache_hits == reference.cache_hits
+        assert_same_answer(one.results()[0], serving_themis.serve().execute(query))
+        assert_same_answer(one.results()[0], serving_themis.query(query))
+        assert (
+            single.cache_statistics()["result_cache"]
+            == governed.cache_statistics()["result_cache"]
+        )
+        assert single.statistics.batches_served == 2
+        assert single.statistics.queries_served == 2
+
+    def test_runs_no_optimizer_and_folds_no_optimizer_counters(self, serving_themis):
+        session = serving_themis.serve()
+        statement = "SELECT A, COUNT(*) FROM sample WHERE B <= 1 GROUP BY A"
+        # The deliberate counter change: no schedule is built for one
+        # statement, so ``batches`` / ``plans_in`` stay put ...
+        batch = session.execute_batch([statement])
+        assert batch.optimizer == dict.fromkeys(names.OPTIMIZER_COUNTERS, 0)
+        for counter in names.OPTIMIZER_COUNTERS:
+            assert session.metrics.value(names.optimizer_counter(counter)) == 0
+        # ... and a real batch still moves them.
+        pair = session.execute_batch(
+            [statement.replace("<= 1", "<= 0"), statement.replace("<= 1", ">= 1")]
+        )
+        assert pair.optimizer["batches"] >= 1 and pair.optimizer["plans_in"] == 2
+        assert session.metrics.value(names.optimizer_counter("plans_in")) == 2
+
+    def test_a_governed_statement_still_polls_per_chunk(self, fresh_serving_themis):
+        session = fresh_serving_themis.serve()
+        statement = "SELECT A, COUNT(*) FROM sample WHERE B <= 1 GROUP BY A"
+        counting = _CountingToken()
+        answer = session.execute_batch([statement], cancel=counting).results()
+        # The stage boundary, the dispatch, and at least one execution unit.
+        assert counting.polls >= 3
+        session.clear_caches()
+        # The last poll is inside the execution: firing there kills it midway.
+        with pytest.raises(QueryCancelledError):
+            session.execute_batch(
+                [statement], cancel=_CountingToken(fire_at=counting.polls)
+            )
+        assert session.execute_batch([statement]).results() == answer
 
 
 class TestServingSessionConstruction:

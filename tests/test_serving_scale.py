@@ -10,8 +10,8 @@ Backpressure is typed: queue-full and dispatch-timeout misses raise
 ``ServingOverloadError`` carrying the queue depth / lagging shard.
 
 Micro-batching is *natural*: a batch is whatever is pending when a dispatch
-slot is free.  Those tests hold the slots with a pool that blocks on a
-``threading.Event`` gate — no sleeps, no budgets to out-wait.
+slot is free.  Those tests hold the slots with a coroutine pool that waits on
+an ``asyncio.Event`` gate — no sleeps, no budgets to out-wait.
 """
 
 from __future__ import annotations
@@ -334,28 +334,27 @@ class TestWhatCrossesThePipe:
 # Micro-batcher backpressure (unit tests over a stub pool)
 # ---------------------------------------------------------------------------
 class _StubPool:
-    """Duck-typed pool: echoes query indices, optionally slowly."""
+    """Duck-typed coroutine pool: echoes query indices, optionally slowly."""
 
     def __init__(self, delay: float = 0.0):
         self.metrics = MetricsRegistry()
         self.delay = delay
         self.batches: list[list] = []
 
-    def execute_batch_outcomes(self, queries, deadline_ts=None):
+    async def dispatch(self, queries, settle, deadline_ts=None):
         if self.delay:
-            time.sleep(self.delay)
+            await asyncio.sleep(self.delay)
         self.batches.append(list(queries))
-        return self.answers(queries)
+        self.answer(queries, settle)
 
     @staticmethod
-    def answers(queries):
-        return [
-            RequestOutcome(ok=True, value=f"answer:{query}") for query in queries
-        ]
+    def answer(queries, settle):
+        for index, query in enumerate(queries):
+            settle(index, RequestOutcome(ok=True, value=f"answer:{query}"))
 
 
 class _GatedPool(_StubPool):
-    """Stub pool whose dispatches block until the test opens ``gate``.
+    """Stub pool whose dispatches wait until the test opens ``gate``.
 
     ``batches`` records a dispatch on entry, so a test can see what left the
     queue while the slot is still held; ``entered`` says one is in.
@@ -363,14 +362,14 @@ class _GatedPool(_StubPool):
 
     def __init__(self):
         super().__init__()
-        self.gate = threading.Event()
-        self.entered = threading.Event()
+        self.gate = asyncio.Event()
+        self.entered = asyncio.Event()
 
-    def execute_batch_outcomes(self, queries, deadline_ts=None):
+    async def dispatch(self, queries, settle, deadline_ts=None):
         self.batches.append(list(queries))
         self.entered.set()
-        assert self.gate.wait(10), "the test never opened the gate"
-        return self.answers(queries)
+        await asyncio.wait_for(self.gate.wait(), 10)  # the test opens the gate
+        self.answer(queries, settle)
 
 
 async def _hold_every_slot(batcher, pool):
@@ -379,12 +378,11 @@ async def _hold_every_slot(batcher, pool):
     One submit per slot, each awaited into the (gated) pool before the next,
     so every holder leaves alone and nothing is left in the queue.
     """
-    loop = asyncio.get_running_loop()
     holders = []
     for slot in range(batcher.max_inflight):
         pool.entered.clear()
         holders.append(asyncio.ensure_future(batcher.submit(f"hold{slot}")))
-        assert await loop.run_in_executor(None, pool.entered.wait, 10)
+        await asyncio.wait_for(pool.entered.wait(), 10)
     return holders
 
 
@@ -446,10 +444,15 @@ class TestMicroBatcherBackpressure:
 
     def test_dispatch_timeout_fails_futures_with_overload(self):
         async def scenario():
-            batcher = MicroBatcher(_StubPool(delay=0.5), dispatch_timeout=0.01)
+            pool = _StubPool(delay=0.5)
+            batcher = MicroBatcher(pool, dispatch_timeout=0.01)
             await batcher.start()
             with pytest.raises(ServingOverloadError):
                 await batcher.submit("slow-query")
+            # The timeout cancelled the dispatch for real: it never got past
+            # its wait, and nothing of it is left on the loop.
+            assert pool.batches == []
+            assert asyncio.all_tasks() == {asyncio.current_task()}
             await batcher.stop()
             assert batcher.metrics.value(names.SCALE_OVERLOADS) >= 1
 
@@ -672,6 +675,16 @@ class TestMicroBatcherSurvivesBadInput:
 # ---------------------------------------------------------------------------
 # Asyncio front-end and socket server
 # ---------------------------------------------------------------------------
+async def _ask(port, request_id, sql):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(json.dumps({"id": request_id, "sql": sql}).encode() + b"\n")
+    await writer.drain()
+    response = json.loads(await reader.readline())
+    writer.close()
+    await writer.wait_closed()
+    return response
+
+
 class TestAsyncFrontend:
     def test_concurrent_clients_bit_identical(self, themis, sweep_queries, expected):
         async def scenario():
@@ -759,24 +772,15 @@ class TestAsyncFrontend:
         ]
         oracle = build_fitted_themis()
 
-        async def ask(port, request_id, sql):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(json.dumps({"id": request_id, "sql": sql}).encode() + b"\n")
-            await writer.drain()
-            response = json.loads(await reader.readline())
-            writer.close()
-            await writer.wait_closed()
-            return response
-
         async def scenario():
             async with AsyncServingFrontend(themis, n_workers=2) as frontend:
                 server = await serve_async(frontend, port=0)
                 port = server.sockets[0].getsockname()[1]
                 # Three clients at once: their requests may share a micro-batch.
                 responses = await asyncio.gather(
-                    ask(port, 1, good[0]),
-                    ask(port, 2, "SELEC nonsense FROM"),
-                    ask(port, 3, good[1]),
+                    _ask(port, 1, good[0]),
+                    _ask(port, 2, "SELEC nonsense FROM"),
+                    _ask(port, 3, good[1]),
                 )
                 server.close()
                 await server.wait_closed()
@@ -867,6 +871,283 @@ class TestAsyncFrontend:
         assert too_long["ok"] is False and too_long["error"]
         assert at_eof == b""
         assert fresh == answer
+
+
+# ---------------------------------------------------------------------------
+# Pipes on the event loop: per-shard settle, two-phase release, real timeouts
+# ---------------------------------------------------------------------------
+def _serving_threads():
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(("microbatch", "themis-heartbeat", "themis-pool-loop"))
+    ]
+
+
+class TestPipesOnTheEventLoop:
+    SCALAR = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
+
+    def test_answers_leave_shard_by_shard(self, themis, sweep_queries, expected):
+        slow = 0
+        late = FaultInjector().delay_reply(slow, seconds=0.5, at=1)
+
+        async def scenario():
+            async with AsyncServingFrontend(
+                themis, n_workers=2, fault_injector=late
+            ) as frontend:
+                pool = frontend.pool
+                homes = [
+                    pool.router.shard_for(plan.key)
+                    for plan in pool.compile_batch(sweep_queries)
+                ]
+                # One event-loop turn: all of them leave in one micro-batch.
+                futures = [
+                    asyncio.ensure_future(frontend.query(q)) for q in sweep_queries
+                ]
+                await asyncio.gather(
+                    *(f for f, home in zip(futures, homes) if home != slow)
+                )
+                slow_done = [f.done() for f, home in zip(futures, homes) if home == slow]
+                answers = await asyncio.gather(*futures)
+                sizes = frontend.statistics()["histograms"][names.MICROBATCH_SIZE]
+            return homes, slow_done, answers, sizes
+
+        homes, slow_done, answers, sizes = asyncio.run(scenario())
+        assert set(homes) == {0, 1}, "the sweep must reach both shards"
+        assert sizes["count"] == 1 and sizes["max"] == len(sweep_queries)
+        # The fast shard's answers resolved while the slow shard of the same
+        # batch had not replied yet.
+        assert slow_done and not any(slow_done)
+        assert answers == expected
+
+    def test_refit_racing_two_shard_batches_is_none_or_all(
+        self, monkeypatch, sweep_queries, expected
+    ):
+        # Shard 1 lags on every other batch, so shard 0's lock is let go
+        # while the conversation is still out on shard 1.
+        lag = FaultInjector()
+        for ordinal in range(1, 200, 2):
+            lag.delay_reply(1, seconds=0.01, at=ordinal)
+        errors, batches, seen = [], [], []
+
+        with SupervisedWorkerPool(
+            build_fitted_themis(), n_workers=2, fault_injector=lag
+        ) as pool:
+            fold = pool._fold_worker_stats
+
+            def recording(body):
+                seen.append((body["shard_id"], body["generation"]))
+                fold(body)
+
+            monkeypatch.setattr(pool, "_fold_worker_stats", recording)
+
+            def mutate():
+                try:
+                    for _ in range(3):
+                        pool.refit()
+                except Exception as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            mutator = threading.Thread(target=mutate)
+            mutator.start()
+            while (mutator.is_alive() or len(batches) < 3) and len(batches) < 500:
+                del seen[:]
+                answers = pool.execute_batch(sweep_queries)
+                batches.append((sorted(seen), answers))
+            mutator.join(30)
+            assert not mutator.is_alive()
+            final_generation = pool.describe()[0]["generation"]
+        assert not errors, errors
+        generations = []
+        for replies, answers in batches:
+            assert [shard for shard, _ in replies] == [0, 1]
+            # Both shards of a batch served it under one generation ...
+            (generation,) = {generation for _, generation in replies}
+            generations.append(generation)
+            # ... whose oracle it equals (same inputs and seed: the refitted
+            # model answers as the first one did).
+            assert answers == expected
+        assert generations == sorted(generations)
+        assert generations[-1] == final_generation
+
+    def test_reply_timeout_leaves_nothing_of_the_dispatch_behind(self, themis):
+        oracle = build_fitted_themis()
+        late = FaultInjector().delay_reply(0, seconds=0.3, at=1)
+
+        async def scenario():
+            async with AsyncServingFrontend(
+                themis,
+                n_workers=1,
+                dispatch_timeout=0.05,
+                max_retries=0,
+                fault_injector=late,
+            ) as frontend:
+                loop = asyncio.get_running_loop()
+                (worker,) = frontend.pool._workers
+                with pytest.raises(ServingOverloadError) as excinfo:
+                    await frontend.query(self.SCALAR)
+                assert excinfo.value.shard_id == 0
+                # Nothing of that dispatch is left: no task, no reader on the
+                # pipe, the shard's lock free.
+                assert asyncio.all_tasks() == {asyncio.current_task()}
+                assert not worker.lock.locked()
+                assert loop.remove_reader(worker.conn.fileno()) is False
+                # Gate on the late reply reaching the pipe; the next
+                # conversation discards it by sequence number.
+                arrived = asyncio.Event()
+                loop.add_reader(worker.conn.fileno(), arrived.set)
+                await asyncio.wait_for(arrived.wait(), 10)
+                loop.remove_reader(worker.conn.fileno())
+                return await frontend.query(self.SCALAR)
+
+        assert asyncio.run(scenario()) == oracle.query(self.SCALAR)
+
+    def test_synchronous_refit_and_describe_from_a_thread_under_socket_traffic(self):
+        oracle = build_fitted_themis()
+
+        def mutate(frontend):
+            generation = frontend.refit()
+            return generation, frontend.pool.describe()
+
+        async def scenario():
+            # Own facade: refit mutates the parent.
+            async with AsyncServingFrontend(build_fitted_themis(), n_workers=2) as frontend:
+                server = await serve_async(frontend)
+                port = server.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                mutation = asyncio.ensure_future(asyncio.to_thread(mutate, frontend))
+                responses = []
+                while not mutation.done() or len(responses) < 5:
+                    writer.write(json.dumps({"sql": self.SCALAR}).encode() + b"\n")
+                    await writer.drain()
+                    responses.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                with pytest.raises(RuntimeError, match="own event loop"):
+                    frontend.refit()  # on the loop itself it would wait for itself
+                return await mutation, responses
+
+        (generation, described), responses = asyncio.run(scenario())
+        assert [body["generation"] for body in described] == [generation] * 2
+        # Same inputs, same seed: every generation answers the same.
+        answer = {"id": None, "ok": True, **encode_result(oracle.query(self.SCALAR))}
+        assert len(responses) >= 5 and all(r == answer for r in responses)
+
+    def test_no_serving_thread_during_or_after_a_request(self, themis):
+        oracle = build_fitted_themis()
+
+        async def scenario():
+            async with AsyncServingFrontend(
+                themis, n_workers=1, heartbeat_interval=0.05
+            ) as frontend:
+                request = asyncio.ensure_future(frontend.query(self.SCALAR))
+                await asyncio.sleep(0)  # the batch is on its way to the pipe
+                during = _serving_threads()
+                return await request, during, _serving_threads()
+
+        answer, during, after_request = asyncio.run(scenario())
+        assert answer == oracle.query(self.SCALAR)
+        assert during == after_request == _serving_threads() == []
+
+    def test_one_statement_conversation_folds_no_optimizer_counters(self, themis):
+        group_by = "SELECT A, COUNT(*) FROM R WHERE B <= 1 GROUP BY A"
+        with SupervisedWorkerPool(themis, n_workers=1) as pool:
+            pool.execute_batch([group_by])
+            assert pool.metrics.value(names.optimizer_counter("batches")) == 0
+            assert pool.metrics.value(names.optimizer_counter("plans_in")) == 0
+            pool.execute_batch(
+                [group_by.replace("<= 1", "<= 0"), group_by.replace("<= 1", ">= 1")]
+            )
+            assert pool.metrics.value(names.optimizer_counter("batches")) >= 1
+            assert pool.metrics.value(names.optimizer_counter("plans_in")) == 2
+            assert pool.metrics.value(names.SCALE_POOL_BATCHES) == 2
+
+    def test_close_leaves_no_process_task_or_loop_thread(self, themis):
+        pool = SupervisedWorkerPool(themis, n_workers=2, heartbeat_interval=0.05)
+        assert _serving_threads() == ["themis-pool-loop"]
+        processes = [worker.process for worker in pool._workers]
+        heartbeat, loop = pool._heartbeat_task, pool._loop
+        pool.close()
+        assert not any(process.is_alive() for process in processes)
+        assert heartbeat.done() and loop.is_closed()
+        assert _serving_threads() == []
+
+
+class TestSocketLifecycle:
+    SCALAR = TestPipesOnTheEventLoop.SCALAR
+
+    def test_client_that_vanishes_mid_flight_ends_its_handler_quietly(self, themis):
+        oracle = build_fitted_themis()
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with AsyncServingFrontend(themis, n_workers=1) as frontend:
+                server = await serve_async(frontend)
+                port = server.sockets[0].getsockname()[1]
+                _, writer = await asyncio.open_connection("127.0.0.1", port)
+                for request_id in range(50):
+                    request = {"id": request_id, "sql": self.SCALAR}
+                    writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                writer.transport.abort()
+                # Everyone else keeps being served ...
+                served = await _ask(port, 99, self.SCALAR)
+                # ... and the abandoned handler ends by itself, quietly.
+                endings = await asyncio.wait_for(
+                    asyncio.gather(*frontend._handlers, return_exceptions=True), 10
+                )
+                server.close()
+                await server.wait_closed()
+            return served, endings, unhandled
+
+        served, endings, unhandled = asyncio.run(scenario())
+        assert served == {"id": 99, "ok": True, **encode_result(oracle.query(self.SCALAR))}
+        assert all(ending is None for ending in endings), endings
+        assert unhandled == []
+
+    def test_stop_leaves_no_task_process_or_reader_behind(self, themis):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            # The pool's registrations come through the public methods (the
+            # streams use the loop's private ones): every add must be undone.
+            registered = set()
+            add_reader, remove_reader = loop.add_reader, loop.remove_reader
+            loop.add_reader = lambda fd, *args: (registered.add(fd), add_reader(fd, *args))[1]
+            loop.remove_reader = lambda fd: (registered.discard(fd), remove_reader(fd))[1]
+            frontend = AsyncServingFrontend(themis, n_workers=2, heartbeat_interval=0.05)
+            await frontend.start()
+            server = await serve_async(frontend)
+            port = server.sockets[0].getsockname()[1]
+            gone = await asyncio.open_connection("127.0.0.1", port)
+            idle = await asyncio.open_connection("127.0.0.1", port)
+            for reader, writer in (gone, idle):
+                writer.write(json.dumps({"sql": self.SCALAR}).encode() + b"\n")
+                await writer.drain()
+                assert json.loads(await reader.readline())["ok"]
+            # One client leaves just before the stop, one stays connected.
+            gone[1].close()
+            await gone[1].wait_closed()
+            server.close()
+            await frontend.stop()
+            await server.wait_closed()
+            tasks = asyncio.all_tasks() - {asyncio.current_task()}
+            at_eof = await idle[0].readline()
+            idle[1].close()
+            await idle[1].wait_closed()
+            return frontend.pool, tasks, registered, at_eof
+
+        pool, tasks, registered, at_eof = asyncio.run(scenario())
+        assert tasks == set()
+        assert registered == set()
+        assert at_eof == b""
+        assert pool._heartbeat_task is None and not pool._supervision.locked()
+        assert not any(worker.process.is_alive() for worker in pool._workers)
+        assert _serving_threads() == []
 
 
 # ---------------------------------------------------------------------------
