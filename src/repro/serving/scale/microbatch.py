@@ -7,9 +7,15 @@ dispatch slot is free.  While fewer than ``max_inflight`` dispatches are
 out, an arrival goes to the worker pool in the event-loop turn it was read
 in, together with whatever else became pending in that turn; once every
 slot is taken, arrivals wait for a slot — never for a clock — and leave as
-one batch (up to ``max_batch_size``) when it frees.  An idle tier adds no
-wait, a loaded one batches by itself (so concurrent traffic still exercises
-dedup, shared masks, and group-by fusion), and there is no timer to tune.
+one batch (up to ``max_batch_size``) when it frees.  And a batch never
+leaves smaller than one that is still out: the bigger batch holds the
+shards' pipes, so a smaller one sent after it would only queue behind it,
+out of reach of the arrivals it could have coalesced with — it waits until
+it has grown to that size or the bigger one is done.  Lone requests pass
+each other freely; under a backlog batch sizes hold instead of crumbling as
+answers come back shard by shard.  An idle tier adds no wait, a loaded one
+batches by itself (so concurrent traffic still exercises dedup, shared
+masks, and group-by fusion), and there is no timer to tune.
 
 Backpressure is typed, never silent.  Without an admission controller a
 full queue rejects the submit with
@@ -20,13 +26,14 @@ is *priority-aware*: each request carries a priority class
 queue-share and token-bucket limits first, and a shed request fails with
 :class:`~repro.exceptions.AdmissionRejectedError` carrying a
 ``retry_after_hint`` — background work is turned away while interactive
-traffic still admits.  A dispatch that misses its timeout is cancelled —
-nothing of it keeps running — and fails **only that batch's** unanswered
-futures with a :class:`~repro.exceptions.DispatchTimeoutError` (a retryable
-``ServingOverloadError``) naming the lagging shard when the pool
-identified one.  Late replies from a timed-out worker are discarded by
-sequence number in the pool, so a slow shard can never corrupt a later
-batch.
+traffic still admits.  The batcher keeps no clock of its own over a
+dispatch: every wait inside one is the pool's to bound (reply timeout, retry
+budget, respawn timeout), and a request whose shard stayed silent through
+all of them fails with the pool's
+:class:`~repro.exceptions.DispatchTimeoutError` (a retryable
+``ServingOverloadError``) naming the lagging shard.  Late replies from a
+timed-out worker are discarded by sequence number in the pool, so a slow
+shard can never corrupt a later batch.
 
 Deadlines propagate end to end: each request's budget (its ``deadline``
 argument or the batcher-wide ``request_deadline`` default) becomes one
@@ -62,7 +69,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from ...exceptions import DispatchTimeoutError, ServingOverloadError
+from ...exceptions import ServingOverloadError
 from ...obs import names
 from ...obs.metrics import MetricsRegistry
 from ...query.ast import Query
@@ -112,13 +119,8 @@ class MicroBatcher:
         Concurrent pool dispatches (each a task on the loop, conversing
         with disjoint or lock-serialized workers).  These are the slots
         batching forms behind: arrivals dispatch at once while one is free
-        and accumulate into the next batch while none is.
-    dispatch_timeout:
-        Seconds one whole pool dispatch — the pool's retries included — may
-        take.  The pool's own reply timeouts and retry budget fire first in
-        the common case; a dispatch still out after this long is cancelled
-        and fails only that batch's unanswered futures with
-        :class:`DispatchTimeoutError`.  ``None`` waits forever.
+        (and no bigger batch is out) and accumulate into the next batch
+        while none is.
     request_deadline:
         Default wall-clock budget in seconds per query measured from
         submission (overridable per request via ``submit(deadline=...)``).
@@ -141,7 +143,6 @@ class MicroBatcher:
         max_batch_size: int = 64,
         max_queue: int = 1024,
         max_inflight: int = 4,
-        dispatch_timeout: float | None = None,
         request_deadline: float | None = None,
         admission: AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
@@ -152,7 +153,6 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_queue = max_queue
         self.max_inflight = max_inflight
-        self.dispatch_timeout = dispatch_timeout
         self.request_deadline = request_deadline
         self.admission = admission
         self.metrics = metrics if metrics is not None else pool.metrics
@@ -162,7 +162,8 @@ class MicroBatcher:
             admission.metrics = self.metrics
         self._pending: deque[_PendingRequest] = deque()
         self._running = False
-        self._free_slots = 0
+        #: The size of every batch that is out, one entry per taken slot.
+        self._out: list[int] = []
         self._dispatches: set[asyncio.Task] = set()
         self._queue_depth = self.metrics.gauge(names.SCALE_QUEUE_DEPTH)
         self._batch_sizes = self.metrics.histogram(
@@ -175,10 +176,7 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Open the dispatch slots (idempotent)."""
-        if self._running:
-            return
         self._running = True
-        self._free_slots = self.max_inflight
 
     async def stop(self) -> None:
         """Refuse new submits, then drain the queue and the inflight dispatches."""
@@ -254,14 +252,18 @@ class MicroBatcher:
     # Dispatch
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        """Start one dispatch per free slot while anything is pending.
+        """Start one dispatch per free slot while a batch is ready to leave.
 
         Natural batching: runs when the queue grows (end of that event-loop
         turn) and when a slot frees, never on a clock.  With a slot free the
         batch is what the turn made pending; with every slot out, arrivals
-        pile up in the queue and leave together when one frees.
+        pile up in the queue and leave together when one frees.  A batch
+        smaller than one still out stays in the queue, where it keeps
+        growing, until it is that size or the bigger one is done.
         """
-        while self._pending and self._free_slots:
+        while self._pending and len(self._out) < self.max_inflight:
+            if min(len(self._pending), self.max_batch_size) < max(self._out, default=0):
+                return
             try:
                 batch = self._take_batch()
             except Exception as error:  # noqa: BLE001 - forwarded to callers
@@ -272,7 +274,7 @@ class MicroBatcher:
                 for entry in failed:
                     self._settle(entry, RequestOutcome(ok=False, error=error))
                 return
-            self._free_slots -= 1
+            self._out.append(len(batch))
             task = asyncio.create_task(self._dispatch(batch))
             self._dispatches.add(task)
             task.add_done_callback(self._dispatches.discard)
@@ -316,29 +318,18 @@ class MicroBatcher:
         )
         self._batch_sizes.record(float(len(batch)))
         self.metrics.counter(names.SCALE_DISPATCHES).inc()
-        work = self._pool.dispatch(
-            queries,
-            lambda index, outcome: self._settle(batch[index], outcome),
-            deadline_ts=deadline_ts,
-        )
-        failure: BaseException | None = None
         try:
-            if self.dispatch_timeout is None:
-                await work
-            else:
-                await asyncio.wait_for(work, self.dispatch_timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            failure = DispatchTimeoutError(
-                "batch dispatch missed its timeout", queue_depth=len(batch)
+            await self._pool.dispatch(
+                queries,
+                lambda index, outcome: self._settle(batch[index], outcome),
+                deadline_ts=deadline_ts,
             )
         except Exception as error:  # noqa: BLE001 - forwarded to callers
-            failure = error
-        finally:
-            self._free_slots += 1
-        if failure is not None:
             # Whatever the pool had already answered stands.
             for entry in batch:
-                self._settle(entry, RequestOutcome(ok=False, error=failure))
+                self._settle(entry, RequestOutcome(ok=False, error=error))
+        finally:
+            self._out.remove(len(batch))
         self._pump()
 
     def _settle(self, entry: _PendingRequest, outcome: RequestOutcome) -> None:

@@ -35,7 +35,8 @@ and come back:
 
 * **Graceful degradation.**  Only when *every* shard has exhausted its
   respawn budget does the pool degrade: ``fallback="in-process"`` serves
-  from a local session rebuilt from the same spec and log;
+  from a local session rebuilt from the same spec and log (built and run
+  on a helper thread, one batch at a time: the loop keeps serving);
   ``fallback="error"`` raises :class:`~repro.exceptions.DegradedModeError`.
 
 Failure granularity is per *request*: one statement that does not compile,
@@ -186,11 +187,15 @@ class _Worker:
         try:
             self.conn.send((command, self._seq, payload))
         except (BrokenPipeError, ConnectionError, OSError) as error:
+            # Chained without the frames inside ``Connection.send``: they hold
+            # the pickle buffer and a view onto it, which the cycle collector
+            # frees in the wrong order (an unraisable BufferError) when this
+            # error — kept as a reply, and as ``last_error`` — finally goes.
             raise WorkerCrashedError(
                 "worker pipe broke on send",
                 shard_id=self.shard_id,
                 reason="pipe-broken",
-            ) from error
+            ) from error.with_traceback(None)
         return self._seq
 
     def receive(self) -> tuple[int, str, Any]:
@@ -446,14 +451,8 @@ class SupervisedWorkerPool:
     # ------------------------------------------------------------------
     # The loop the pool runs on, and the synchronous wrapper onto it
     # ------------------------------------------------------------------
-    def _run(self, coroutine_method: Callable[..., Any], *args: Any) -> Any:
-        """The synchronous wrapper: run one pool coroutine on the pool's loop.
-
-        Callable from any thread but the loop's own, where blocking on the
-        loop would be waiting for oneself: code on the loop awaits
-        :meth:`dispatch` / :meth:`aclose`, or hands the synchronous call to
-        ``asyncio.to_thread``.
-        """
+    def _check_callable(self) -> None:
+        """Refuse a synchronous call the pool cannot serve, before it has effects."""
         if self._closed:
             raise ThemisError("worker pool is closed")
         try:
@@ -465,6 +464,16 @@ class SupervisedWorkerPool:
                 "synchronous pool call from the pool's own event loop; "
                 "call it from another thread (asyncio.to_thread)"
             )
+
+    def _run(self, coroutine_method: Callable[..., Any], *args: Any) -> Any:
+        """The synchronous wrapper: run one pool coroutine on the pool's loop.
+
+        Callable from any thread but the loop's own, where blocking on the
+        loop would be waiting for oneself: code on the loop awaits
+        :meth:`dispatch` / :meth:`aclose`, or hands the synchronous call to
+        ``asyncio.to_thread``.
+        """
+        self._check_callable()
         return asyncio.run_coroutine_threadsafe(
             coroutine_method(*args), self._loop
         ).result()
@@ -597,7 +606,7 @@ class SupervisedWorkerPool:
             replies[worker] = reply
             held.remove(worker)
             worker.lock.release()
-            if not awaited and not all_landed.done():
+            if len(replies) == len(workers) and not all_landed.done():
                 all_landed.set_result(None)
             if on_reply is not None:
                 on_reply(worker, reply)
@@ -789,7 +798,7 @@ class SupervisedWorkerPool:
         go again — until everything is answered, the retry/deadline budget
         runs out (:class:`RetryExhaustedError`), or no shard is left
         (:class:`DegradedModeError` or the in-process fallback, which runs
-        on the loop).  Answers are exactly ``==`` what in-process
+        on a helper thread).  Answers are exactly ``==`` what in-process
         ``ServingSession.execute_batch`` returns for the same queries.
 
         ``timeout`` bounds each round's wait for a shard's reply (default:
@@ -855,7 +864,7 @@ class SupervisedWorkerPool:
                 break
             live = self.live_shards()
             if not live:
-                self._serve_degraded(pending, queries, settle)
+                await self._serve_degraded(pending, queries, settle)
                 break
             allowed = self._allowed_shards(live)
             if not allowed:
@@ -978,17 +987,24 @@ class SupervisedWorkerPool:
             last_error=last_error,
         )
 
-    def _serve_degraded(
+    async def _serve_degraded(
         self,
         pending: list[int],
         queries: Sequence[Query | str],
         settle: Callable[[int, RequestOutcome], None],
     ) -> None:
-        """Every shard is permanently down: fallback session or typed error."""
+        """Every shard is permanently down: fallback session or typed error.
+
+        The fallback runs on a helper thread — building it is a whole fit —
+        one batch at a time, under the lock the replay log changes under.
+        """
         if self.fallback == FALLBACK_IN_PROCESS:
-            session = self._ensure_fallback_session()
-            batch = session.execute_batch([queries[i] for i in pending])
-            for index, value in zip(pending, batch.results()):
+            statements = [queries[i] for i in pending]
+            async with self._supervision:
+                values = await self._loop.run_in_executor(
+                    None, self._fallback_answers, statements
+                )
+            for index, value in zip(pending, values):
                 settle(index, RequestOutcome(ok=True, value=value))
             self.metrics.counter(names.SCALE_FAULT_DEGRADED_REQUESTS).inc(
                 len(pending)
@@ -1001,8 +1017,8 @@ class SupervisedWorkerPool:
         for index in pending:
             settle(index, RequestOutcome(ok=False, error=error))
 
-    def _ensure_fallback_session(self) -> Any:
-        """A local session rebuilt from the spec + log (bit-identical answers)."""
+    def _fallback_answers(self, statements: list[Query | str]) -> list[Any]:
+        """Answers from a local session rebuilt from the spec + log (same bits)."""
         if self._fallback_session is None:
             themis = self._spec.build_themis()
             for command, payload in self._broadcast_log:
@@ -1011,13 +1027,14 @@ class SupervisedWorkerPool:
                 elif command == CMD_REFIT:
                     themis.refit()
             self._fallback_session = themis.serve(**self._spec.session_options)
-        return self._fallback_session
+        return self._fallback_session.execute_batch(statements).results()
 
     # ------------------------------------------------------------------
     # Coherent invalidation
     # ------------------------------------------------------------------
     def add_aggregate(self, aggregate: "AggregateQuery") -> None:
         """Register one aggregate on the parent and every worker."""
+        self._check_callable()  # before the parent changes, not after
         self._themis.add_aggregate(aggregate)
         self._run(self._broadcast_logged, CMD_ADD_AGGREGATE, aggregate)
 
@@ -1033,6 +1050,7 @@ class SupervisedWorkerPool:
         serve stale cache entries forever, and is raised loudly rather than
         tolerated.
         """
+        self._check_callable()  # before the parent changes, not after
         self._themis.refit()
         return self._run(self._refit_workers)
 

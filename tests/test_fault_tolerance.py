@@ -13,6 +13,7 @@ generation, and the answers match a fault-free in-process oracle.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -246,6 +247,27 @@ class TestSupervisedRecovery:
         finally:
             pool.close()
 
+    def test_shard_found_dead_on_send_does_not_cost_its_sibling_the_batch(
+        self, themis, sweep_queries, expected
+    ):
+        # Shard 0 dies while idle (no heartbeat to notice): the next batch
+        # spans both shards, the pipe to shard 0 breaks on *send* — before
+        # shard 1 has been sent to — and shard 1's reply must still be waited
+        # for.  One respawn, one retry round, every answer the oracle's.
+        pool = _supervised(themis)
+        try:
+            victim = pool._workers[0].process
+            victim.kill()
+            victim.join(5.0)
+            assert pool.execute_batch(sweep_queries) == expected
+            metrics = pool.metrics
+            assert metrics.counter(names.shard_counter(1)).value > 0
+            assert metrics.counter(names.SCALE_FAULT_CRASHES).value == 1
+            assert metrics.counter(names.SCALE_FAULT_RESPAWNS).value == 1
+            assert [body["incarnation"] for body in pool.describe()] == [1, 0]
+        finally:
+            pool.close()
+
     def test_dead_shard_fails_over_on_the_ring(
         self, themis, sweep_queries, expected
     ):
@@ -345,6 +367,29 @@ class TestDegradedMode:
             assert pool.metrics.counter(
                 names.SCALE_FAULT_DEGRADED_REQUESTS
             ).value == len(sweep_queries)
+        finally:
+            pool.close()
+
+    def test_in_process_fallback_leaves_the_loop_running(
+        self, themis, sweep_queries, expected
+    ):
+        injector = FaultInjector().kill_at_batch(0, at=1).kill_at_batch(1, at=1)
+        pool = _supervised(
+            themis, injector, max_respawns=0, fallback="in-process"
+        )
+        loop_ran = threading.Event()
+        answers = pool._fallback_answers
+
+        def gated(statements):
+            # Building the session is a whole fit: were this the loop's own
+            # thread, the callback could not run while it waits here.
+            pool._loop.call_soon_threadsafe(loop_ran.set)
+            assert loop_ran.wait(5.0), "the fallback is blocking the event loop"
+            return answers(statements)
+
+        pool._fallback_answers = gated
+        try:
+            assert pool.execute_batch(sweep_queries) == expected
         finally:
             pool.close()
 

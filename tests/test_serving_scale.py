@@ -28,6 +28,7 @@ import pytest
 from repro.aggregates import AggregateQuery
 from repro.exceptions import (
     AdmissionRejectedError,
+    DispatchTimeoutError,
     ServingOverloadError,
     SQLSyntaxError,
     ThemisError,
@@ -443,18 +444,29 @@ class TestMicroBatcherBackpressure:
         asyncio.run(scenario())
 
     def test_dispatch_timeout_fails_futures_with_overload(self):
+        # The batcher keeps no clock of its own: the timeout is the pool's,
+        # and it fails that batch's unanswered futures — only those.
+        class _SilentShardPool(_StubPool):
+            async def dispatch(self, queries, settle, deadline_ts=None):
+                if "slow-query" in queries:
+                    settle(0, RequestOutcome(ok=True, value="answered in time"))
+                    raise DispatchTimeoutError("shard stayed silent", shard_id=1)
+                await super().dispatch(queries, settle, deadline_ts)
+
         async def scenario():
-            pool = _StubPool(delay=0.5)
-            batcher = MicroBatcher(pool, dispatch_timeout=0.01)
+            batcher = MicroBatcher(_SilentShardPool())
             await batcher.start()
-            with pytest.raises(ServingOverloadError):
-                await batcher.submit("slow-query")
-            # The timeout cancelled the dispatch for real: it never got past
-            # its wait, and nothing of it is left on the loop.
-            assert pool.batches == []
+            answered, silent = await asyncio.gather(
+                batcher.submit("fast-query"),
+                batcher.submit("slow-query"),
+                return_exceptions=True,
+            )
+            assert answered == "answered in time"
+            assert isinstance(silent, ServingOverloadError) and silent.shard_id == 1
+            assert batcher.metrics.value(names.SCALE_OVERLOADS) == 1
             assert asyncio.all_tasks() == {asyncio.current_task()}
+            assert await batcher.submit("next") == "answer:next"
             await batcher.stop()
-            assert batcher.metrics.value(names.SCALE_OVERLOADS) >= 1
 
         asyncio.run(scenario())
 
@@ -546,6 +558,50 @@ class TestNaturalBatching:
             assert [len(batch) for batch in pool.batches] == sizes
             histogram = batcher.metrics.snapshot()["histograms"][names.MICROBATCH_SIZE]
             assert histogram["count"] == len(sizes) and histogram["max"] == max(sizes)
+
+        asyncio.run(scenario())
+
+    def test_a_batch_does_not_leave_smaller_than_one_still_out(self):
+        async def scenario():
+            pool = _GatedPool()
+            batcher = MicroBatcher(pool, max_inflight=4)
+            await batcher.start()
+
+            async def out(tag):
+                # Three submits in one turn: one batch of three, held by the gate.
+                pool.entered.clear()
+                futures = [
+                    asyncio.ensure_future(batcher.submit(f"{tag}{i}")) for i in range(3)
+                ]
+                await asyncio.wait_for(pool.entered.wait(), 10)
+                return futures
+
+            async def queued(query):
+                future = asyncio.ensure_future(batcher.submit(query))
+                for _ in range(3):  # the submit, its pump, a dispatch's first step
+                    await asyncio.sleep(0)
+                return future
+
+            # Slots are free, but the lone request would only queue behind
+            # the three on the pipes: it waits, and leaves when they are done.
+            first = await out("a")
+            lone = await queued("lone")
+            assert [len(batch) for batch in pool.batches] == [3]
+            pool.gate.set()
+            assert await lone == "answer:lone"
+            assert pool.batches[1:] == [["lone"]]
+            # Or sooner, once it has grown to their size.
+            pool.gate.clear()
+            second = await out("b")
+            grown = [await queued("g0"), await queued("g1")]
+            assert len(pool.batches) == 3
+            grown.append(await queued("g2"))
+            assert pool.batches[3:] == [["g0", "g1", "g2"]]
+            assert not any(future.done() for future in second)
+            pool.gate.set()
+            await asyncio.gather(*first, *second, *grown)
+            await batcher.stop()
+            assert batcher._out == []
 
         asyncio.run(scenario())
 
@@ -666,7 +722,7 @@ class TestMicroBatcherSurvivesBadInput:
             assert [type(error) for error in taken] == [TypeError, TypeError]
             assert await batcher.submit("q2") == "answer:q2"
             await batcher.stop()
-            assert batcher._free_slots == batcher.max_inflight
+            assert batcher._out == []
             assert pool.batches == [["q2"]]
 
         asyncio.run(scenario())
@@ -1011,7 +1067,8 @@ class TestPipesOnTheEventLoop:
 
         async def scenario():
             # Own facade: refit mutates the parent.
-            async with AsyncServingFrontend(build_fitted_themis(), n_workers=2) as frontend:
+            parent = build_fitted_themis()
+            async with AsyncServingFrontend(parent, n_workers=2) as frontend:
                 server = await serve_async(frontend)
                 port = server.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -1025,9 +1082,14 @@ class TestPipesOnTheEventLoop:
                 await writer.wait_closed()
                 server.close()
                 await server.wait_closed()
+                generation, described = await mutation
+                # On the loop itself it would wait for itself: refused before
+                # the parent facade is touched, not after it was refit.
+                before = parent.generation
                 with pytest.raises(RuntimeError, match="own event loop"):
-                    frontend.refit()  # on the loop itself it would wait for itself
-                return await mutation, responses
+                    frontend.refit()
+                assert parent.generation == before
+                return (generation, described), responses
 
         (generation, described), responses = asyncio.run(scenario())
         assert [body["generation"] for body in described] == [generation] * 2
