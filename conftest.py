@@ -15,6 +15,12 @@ with stdlib ``SIGALRM`` only:
   and only in the main thread (xdist workers and embedded runs skip it
   silently), and always restores the previous handler — ``pytest-benchmark``
   and subprocess-spawning tests run undisturbed beneath it.
+
+It also registers the hypothesis profile CI runs under: ``ci`` is
+``derandomize=True`` (a property suite draws the same examples on every run,
+so a red build is a regression, not a lucky draw) with no per-example
+deadline; ``HYPOTHESIS_PROFILE=ci`` selects it, anything else — local runs
+— keeps hypothesis's randomized default.
 """
 
 from __future__ import annotations
@@ -24,8 +30,12 @@ import signal
 import threading
 
 import pytest
+from hypothesis import settings
 
 DEFAULT_TIMEOUT_SECONDS = 600.0
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def _budget() -> float:

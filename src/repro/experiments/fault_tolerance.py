@@ -125,12 +125,12 @@ def run_fault_tolerance(
                 f"{mismatches} answers diverged from the fault-free oracle "
                 f"(workload seed {scale.seed + 77}, fault seed {fault_seed})"
             )
-        generations = {
-            body["generation"] for body in pool.describe() if body is not None
+        applied = {
+            body["broadcasts"] for body in pool.describe() if body is not None
         }
-        if len(generations) != 1:
+        if len(applied) != 1:
             raise AssertionError(
-                f"pool ended on incoherent generations: {sorted(generations)}"
+                f"pool ended with shards on different broadcasts: {sorted(applied)}"
             )
         metrics = pool.metrics
         respawn_latency = metrics.histogram(names.SCALE_RESPAWN_SECONDS).summary()

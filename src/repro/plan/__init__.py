@@ -61,7 +61,6 @@ from .kernels import (
     fused_scalar_reduce,
     group_reduce,
     grouped_weight_totals,
-    masked_weights,
     merge_join_sides,
     numeric_column,
     partitioned_group_columns,
@@ -139,7 +138,6 @@ __all__ = [
     "fused_scalar_reduce",
     "group_reduce",
     "grouped_weight_totals",
-    "masked_weights",
     "merge_join_sides",
     "merged_table",
     "normalize_plan",

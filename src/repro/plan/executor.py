@@ -4,8 +4,8 @@
 ``WeightedQueryEngine`` delegates to it, which means the evaluators, the
 Themis facade, and the serving batch executor all run their sample-path
 queries through these kernels — cached predicate masks, memoized group
-codes, masked weighted reductions — instead of materializing filtered
-relations per query.
+codes, one selection-vector gather per reduction — instead of materializing
+filtered relations per query.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .kernels import (
     fused_grouped_weight_totals,
     fused_scalar_reduce,
     group_reduce,
+    group_values,
     grouped_weight_totals,
     merge_join_sides,
     numeric_column,
@@ -254,13 +255,9 @@ class ColumnarExecutor:
                         stats=stats,
                     )
                 else:
-                    values = slot_columns[0]
                     slot_results[slot] = QueryResult(
                         unit.group_keys,
-                        {
-                            group: float(values[row])
-                            for group, row in zip(decoded, positive)
-                        },
+                        group_values(decoded, positive, slot_columns[0]),
                     )
         else:  # the join family: fused shared side totals, then merges
             from ..sql.engine import QueryResult

@@ -1,21 +1,24 @@
 """Vectorized columnar kernels and the predicate-mask cache.
 
 Execution of a compiled :class:`~repro.plan.ir.LogicalPlan` over a relation
-is a handful of numpy primitives:
+is *mask -> selection vector -> gather -> reduce*:
 
 * **predicate evaluation** — one boolean mask per canonical predicate,
   cached by ``(generation, predicate)`` in :class:`MaskCache`; a conjunction
   is the bitwise AND of its predicates' cached masks, computed when asked
   for and not kept;
+* **selection** — a kernel call resolves its mask once to the sorted row ids
+  it keeps (``mask.nonzero()[0]``, transient) and gathers bins, weights and
+  each distinct measure through ``take(rows)``;
 * **group-by** — ``np.unique`` over the encoded key columns (memoized per
-  relation) plus ``np.bincount`` scatter-adds of the weights;
-* **scalar aggregates** — masked weighted reductions (``weights[mask].sum()``
-  and friends), never materializing a filtered relation.
+  relation) plus ``np.bincount`` scatter-adds of the gathered weights;
+* **scalar aggregates** — pairwise sums over the gathered weights, never
+  materializing a filtered relation.
 
 Every kernel is bit-identical to the historical filter-then-reduce engine:
-boolean indexing selects exactly the rows ``Relation.filter_mask`` kept, in
-the same order, so each float reduction performs the same operations on the
-same operands.
+the gather holds exactly the rows ``Relation.filter_mask`` kept, in the same
+order, so each float reduction performs the same operations on the same
+operands.
 
 The reductions come in a **partitioned** form (:class:`RowPartition`): the
 relation is several relations stacked in order — the Bayesian network's
@@ -27,6 +30,7 @@ bit-identical to running the kernel over that part alone.  The plain
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -122,8 +126,8 @@ class MaskCache:
     ) -> np.ndarray | None:
         """The AND of several predicates' cached masks (``None`` when empty).
 
-        ``None`` (rather than an all-true mask) lets callers skip boolean
-        indexing entirely on unfiltered plans.  One predicate answers with
+        ``None`` (rather than an all-true mask) lets the kernels skip the
+        gather entirely on unfiltered plans.  One predicate answers with
         its cached mask itself; several are ANDed into a fresh array that is
         not kept.
         """
@@ -189,12 +193,6 @@ class RowPartition:
         return self.offsets.shape[0] - 1
 
 
-def masked_weights(relation: Relation, mask: np.ndarray | None) -> np.ndarray:
-    """The relation's weights restricted to ``mask`` (all weights when None)."""
-    weights = relation.weights
-    return weights if mask is None else weights[mask]
-
-
 def numeric_column(relation: Relation, attribute: str) -> np.ndarray:
     """Decoded numeric values of a column, as a float array.
 
@@ -238,7 +236,7 @@ def group_reduce(
     Group ids come from the relation's memoized ``group_codes`` (one
     ``np.unique`` per (relation, key set), shared by every plan grouping
     over the same columns); per-group totals are ``np.bincount``
-    scatter-adds over the masked rows.  Groups with no positive weight are
+    scatter-adds over the selected rows.  Groups with no positive weight are
     dropped, matching the historical filtered-relation engine bit for bit.
 
     The single-aggregate case of :func:`fused_group_reduce` (one code path,
@@ -274,24 +272,25 @@ def partitioned_scalar_reduce(
     """Masked weighted scalar aggregates, one value per spec per part.
 
     ``specs`` is a list of ``(function, measure)`` pairs (``measure`` is the
-    pre-gathered numeric column, ``None`` for COUNT).  The masked weight
-    vector, its per-part totals, each masked measure gather, and each
+    decoded numeric column, ``None`` for COUNT).  The selection vector, the
+    gathered weights, their per-part totals, each measure gather, and each
     weighted sum are computed once per distinct operand and shared across
     the family — bit-identical to calling :func:`scalar_reduce` per spec.
 
-    Parts are reduced as *contiguous slices* of the one masked vector: a
-    slice holds exactly the operands the part's own masked array would, so
+    Parts are reduced as *contiguous slices* of the one gathered vector: a
+    slice holds exactly the operands the part's own gather would, so
     numpy's pairwise summation adds them in the same order.  (A
     ``np.add.reduceat`` or a bincount over part ids would add sequentially
     and drift in the last bits.)
     """
-    weights = masked_weights(relation, mask)
+    rows = None if mask is None else mask.nonzero()[0]
+    weights = relation.weights if rows is None else relation.weights.take(rows)
     if partition is None:
         slices = _WHOLE
     else:
         bounds = partition.offsets
-        if mask is not None:
-            bounds = np.searchsorted(np.flatnonzero(mask), bounds)
+        if rows is not None:
+            bounds = np.searchsorted(rows, bounds)
         bounds = bounds.tolist()
         slices = [slice(low, high) for low, high in zip(bounds, bounds[1:])]
     totals: list[float] | None = None
@@ -306,7 +305,7 @@ def partitioned_scalar_reduce(
     def weighted_sum(measure: np.ndarray) -> list[float]:
         key = id(measure)
         if key not in weighted_sums:
-            products = weights * (measure if mask is None else measure[mask])
+            products = weights * (measure if rows is None else measure.take(rows))
             weighted_sums[key] = [float(np.sum(products[part])) for part in slices]
         return weighted_sums[key]
 
@@ -378,9 +377,10 @@ def partitioned_group_columns(
     bins, shape = _part_group_bins(relation, keys, partition)
     n_bins = shape[0] * shape[1]
     weights = relation.weights
+    rows = None
     if mask is not None:
-        bins = bins[mask]
-        weights = weights[mask]
+        rows = mask.nonzero()[0]
+        bins, weights = bins.take(rows), weights.take(rows)
     weight_totals = np.bincount(bins, weights=weights, minlength=n_bins)
 
     weighted_sums: dict[int, np.ndarray] = {}
@@ -389,7 +389,7 @@ def partitioned_group_columns(
         key = id(measure)
         sums = weighted_sums.get(key)
         if sums is None:
-            selected = measure if mask is None else measure[mask]
+            selected = measure if rows is None else measure.take(rows)
             sums = np.bincount(bins, weights=weights * selected, minlength=n_bins)
             weighted_sums[key] = sums
         return sums
@@ -440,16 +440,15 @@ def fused_group_reduce(
     Bit-identical to calling :func:`group_reduce` per spec: the shared
     intermediates are the exact arrays each individual pass would compute.
     """
-    positive, _codes, decoded, per_spec = fused_group_columns(
-        relation, keys, mask, specs
-    )
-    return [
-        {
-            group: float(values[row])
-            for group, row in zip(decoded, positive)
-        }
-        for values in per_spec
-    ]
+    positive, _codes, decoded, per_spec = fused_group_columns(relation, keys, mask, specs)
+    return [group_values(decoded, positive, values) for values in per_spec]
+
+
+def group_values(
+    decoded: list[tuple[Any, ...]], positive: np.ndarray, values: np.ndarray
+) -> dict[tuple[Any, ...], float]:
+    """One spec's dict-shaped answer: surviving group tuple -> its value."""
+    return dict(zip(decoded, values[positive].tolist()))
 
 
 def grouped_weight_totals(
@@ -464,13 +463,13 @@ def grouped_weight_totals(
     The single-side case of :func:`fused_grouped_weight_totals` (one code
     path, so per-plan and fused-batch join execution can never diverge).
     """
-    return fused_grouped_weight_totals(relation, keys, [mask])[0]
+    return fused_grouped_weight_totals(relation, keys, (mask,))[0]
 
 
 def fused_grouped_weight_totals(
     relation: Relation,
     keys: tuple[str, ...],
-    masks: list[np.ndarray | None],
+    masks: Sequence[np.ndarray | None],
 ) -> list[dict[tuple[Any, ...], float]]:
     """Several join sides' weight totals over **one** shared scatter-add pass.
 
@@ -486,7 +485,7 @@ def fused_grouped_weight_totals(
 def partitioned_grouped_weight_totals(
     relation: Relation,
     keys: tuple[str, ...],
-    masks: list[np.ndarray | None],
+    masks: Sequence[np.ndarray | None],
     partition: RowPartition | None = None,
 ) -> list[list[dict[tuple[Any, ...], float]]]:
     """Join sides' ``(join key, group)`` weight totals, per side per part.
@@ -506,8 +505,9 @@ def partitioned_grouped_weight_totals(
 
     per_side: list[list[dict[tuple[Any, ...], float]]] = []
     for mask in masks:
-        side_bins = bins if mask is None else bins[mask]
-        weights = all_weights if mask is None else all_weights[mask]
+        rows = None if mask is None else mask.nonzero()[0]
+        side_bins = bins if rows is None else bins.take(rows)
+        weights = all_weights if rows is None else all_weights.take(rows)
         totals = np.bincount(side_bins, weights=weights, minlength=n_bins)
         present = np.flatnonzero(np.bincount(side_bins, minlength=n_bins))
         part_of, group_of = np.divmod(present, max(n_groups, 1))

@@ -303,7 +303,7 @@ class Relation:
         """Count (optionally weighted) tuples matching ``assignment``."""
         mask = self.mask_equal(assignment)
         if weighted:
-            return float(self.weights[mask].sum())
+            return float(self.weights.take(mask.nonzero()[0]).sum())
         return float(mask.sum())
 
     def contains(self, assignment: Mapping[str, Any]) -> bool:

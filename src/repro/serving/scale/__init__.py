@@ -21,8 +21,9 @@ worker plans it through its own session and refuses a key it does not
 reproduce — so a shard's plan/result/mask/inference caches stay hot for
 exactly the key range the router assigns it.  (:mod:`repro.plan.wire` is the
 JSON interchange format for plans, no longer the pipe's payload.)
-``refit()`` broadcasts to every worker and asserts the generation counters
-agree afterwards, which is what keeps cross-process caches coherent.
+``refit()`` broadcasts to every worker and asserts that every worker has
+applied every logged broadcast, which is what keeps cross-process caches
+coherent.
 Results are bit-identical to in-process ``ServingSession.execute_batch``
 (asserted by ``tests/test_serving_scale.py`` via the differential-oracle
 sweep).

@@ -22,9 +22,10 @@ and come back:
 
 * **Deterministic respawn.**  A crashed shard is rebuilt from the stored
   spec and the recorded ``refit()``/``add_aggregate()`` broadcast log is
-  replayed into it, landing it on the **same generation** as the survivors
-  (asserted against the pool's expected-generation counter, the same
-  all-workers-agree invariant ``refit()`` enforces).
+  replayed into it, landing it on the **same model** as the survivors
+  (asserted on the count of logged broadcasts it reports having applied
+  against the length of the log, the same all-workers-agree invariant
+  ``refit()`` enforces).
 
 * **Retry + failover.**  Requests hit by a retryable failure are
   re-dispatched with exponential backoff and seeded jitter, bounded by a
@@ -420,10 +421,9 @@ class SupervisedWorkerPool:
         self.metrics.gauge(names.SCALE_SHARDS).set(n_workers)
         self._dispatch_seconds = self.metrics.histogram(names.SCALE_DISPATCH_SECONDS)
         # Baseline coherence: every initial worker rebuilt the same model,
-        # so their generations agree; that agreed value (plus one per
-        # logged broadcast) is what every respawn must land back on.  A
-        # worker lost before the baseline exists has nothing to land on.
-        self._expected_generation: int | None = None
+        # so their facade generations agree.  Only here: from now on a lazy
+        # fit moves that counter on one shard alone, and agreement is held
+        # on the logged broadcasts a worker reports having applied.
         generations = {
             body["generation"] for body in self.describe() if body is not None
         }
@@ -431,7 +431,6 @@ class SupervisedWorkerPool:
             raise ThemisError(
                 f"initial worker generations diverged: {sorted(generations)}"
             )
-        self._expected_generation = generations.pop()
         self._run(self._start_heartbeats)
 
     def _spawn_worker(self, shard_id: int, incarnation: int) -> _Worker:
@@ -570,7 +569,7 @@ class SupervisedWorkerPool:
                                nothing; a logged broadcast waits for respawns
                                in flight, and a respawn that starts later has
                                the entry in its replay — either way the shard
-                               lands on the generation of the survivors.
+                               has applied what the survivors have.
         shutdown               is written straight to each pipe, where the
                                worker reads it after the command it is on;
                                ``close()`` then waits for each lock before it
@@ -698,7 +697,7 @@ class SupervisedWorkerPool:
 
         Each try burns one respawn credit; a shard that runs out joins the
         permanently dead set.  A replacement that is not published — it
-        died in replay, landed on the wrong generation, or the caller was
+        died in replay, missed a logged broadcast, or the caller was
         cancelled — is killed here: nobody else knows it.
         """
         shard_id = crashed.shard_id
@@ -727,11 +726,11 @@ class SupervisedWorkerPool:
                     continue
                 if isinstance(body, BaseException):
                     raise body
-                if body["generation"] != self._expected_generation:
+                if body["broadcasts"] != len(self._broadcast_log):
                     raise ThemisError(
-                        f"respawned shard {shard_id} landed on generation "
-                        f"{body['generation']}, expected "
-                        f"{self._expected_generation}: broadcast-log replay "
+                        f"respawned shard {shard_id} applied "
+                        f"{body['broadcasts']} logged broadcasts, expected "
+                        f"{len(self._broadcast_log)}: broadcast-log replay "
                         f"lost coherence"
                     )
                 self._workers[shard_id] = worker
@@ -1045,10 +1044,16 @@ class SupervisedWorkerPool:
         Every worker discards its model and rebuilds from its (updated)
         registered inputs.  A worker that dies mid-broadcast is respawned
         with the refit already in its replay log, so it lands on the same
-        generation; the all-workers-agree assertion then runs over live and
-        respawned workers alike — a shard left on another generation would
+        model; the all-workers-agree assertion then runs over live and
+        respawned workers alike — a shard that missed a broadcast would
         serve stale cache entries forever, and is raised loudly rather than
         tolerated.
+
+        Agreement is on the number of logged broadcasts each worker reports
+        having applied (``describe()``'s ``"broadcasts"``), which is also
+        what is returned.  A worker's facade generation only keys its own
+        caches: the shard that served the first batch after an
+        ``add_aggregate()`` fitted lazily and is one generation ahead.
         """
         self._check_callable()  # before the parent changes, not after
         self._themis.refit()
@@ -1056,20 +1061,18 @@ class SupervisedWorkerPool:
 
     async def _refit_workers(self) -> int:
         bodies = await self._broadcast_logged(CMD_REFIT, None)
-        expected = self._expected_generation
-        generations = {
-            body["generation"] for body in bodies if body is not None
-        }
-        if not generations:
+        expected = len(self._broadcast_log)
+        applied = {body["broadcasts"] for body in bodies if body is not None}
+        if not applied:
             if self.fallback == FALLBACK_IN_PROCESS:
                 return expected  # the fallback session rebuilds lazily
             raise DegradedModeError(
                 "refit broadcast found no live shard to acknowledge it"
             )
-        if generations != {expected}:
+        if applied != {expected}:
             raise ThemisError(
-                f"worker generations diverged after refit broadcast: "
-                f"{sorted(generations)} != expected {expected}"
+                f"workers diverged after refit broadcast: logged broadcasts "
+                f"applied {sorted(applied)} != expected {expected}"
             )
         return expected
 
@@ -1085,7 +1088,6 @@ class SupervisedWorkerPool:
         """
         async with self._supervision:
             self._broadcast_log.append((command, payload))
-            self._expected_generation += 1
             self._fallback_session = None
         return await self._broadcast(command, payload, logged=True)
 

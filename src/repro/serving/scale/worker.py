@@ -144,6 +144,10 @@ def worker_main(
     session = themis.serve(**spec.session_options)
     session._ensure_current()  # bind to the fitted model: describe needs a generation
     batch_count = refit_count = ping_count = 0
+    # Logged broadcasts applied.  The pool checks agreement on this count,
+    # not on the facade generation: a lazy fit (first batch after an
+    # add_aggregate) bumps that on the one shard that served the batch.
+    broadcasts = 0
 
     while True:
         try:
@@ -189,10 +193,14 @@ def worker_main(
                     # the generation acknowledgement) never leaves.
                     os._exit(FAULT_EXIT_CODE)
                 session._ensure_current()
-                conn.send((seq, STATUS_OK, {"generation": session.generation}))
+                broadcasts += 1
+                body = {"generation": session.generation, "broadcasts": broadcasts}
+                conn.send((seq, STATUS_OK, body))
             elif command == CMD_ADD_AGGREGATE:
                 themis.add_aggregate(payload)
-                conn.send((seq, STATUS_OK, {"generation": themis.generation}))
+                broadcasts += 1
+                body = {"generation": themis.generation, "broadcasts": broadcasts}
+                conn.send((seq, STATUS_OK, body))
             elif command == CMD_DESCRIBE:
                 conn.send(
                     (
@@ -201,6 +209,7 @@ def worker_main(
                         {
                             "shard_id": shard_id,
                             "generation": session.generation,
+                            "broadcasts": broadcasts,
                             "incarnation": incarnation,
                             "queries_served": session.statistics.queries_served,
                             "cache": session.cache_statistics(),

@@ -32,7 +32,13 @@ answers combined by :func:`intersect_and_average` or the plain mean).
 ``tests/test_generated_stack.py`` asserts the stacked ``(sample, group)``
 pass in ``repro.core.evaluators`` ``==`` this loop.
 
-A third reference is the model build written as the loops it used to be:
+A third reference is the three partitioned kernels selecting their rows by
+boolean fancy-indexing, as they did before the selection vector
+(:func:`partitioned_scalar_reduce_reference` and its two siblings);
+``tests/test_selection_kernels.py`` asserts ``repro.plan.kernels`` ``==``
+them.
+
+A fourth reference is the model build written as the loops it used to be:
 IPF over boolean masks cut from the dense incidence matrix
 (:func:`ipf_reference`), and the constrained CPT fit with its
 per-group-per-configuration constraint builder, dict-walking count tables
@@ -454,6 +460,96 @@ def per_sample_consensus(samples: list[Relation], queries: list) -> list:
         else:
             answers.append(float(np.mean(worlds)))
     return answers
+
+
+# ----------------------------------------------------------------------
+# The partitioned kernels by boolean fancy-indexing (reference for the
+# selection-vector gather)
+# ----------------------------------------------------------------------
+def _part_group_bins_reference(relation: Relation, keys, partition):
+    group_index, unique_rows = relation.group_codes(keys)
+    n_groups = unique_rows.shape[0]
+    if partition is None:
+        return group_index, (1, n_groups)
+    return partition.ids * n_groups + group_index, (partition.n_parts, n_groups)
+
+
+def partitioned_scalar_reduce_reference(relation, mask, specs, partition=None):
+    """``partitioned_scalar_reduce`` as it selected rows before: one
+    ``array[mask]`` per operand, part bounds from ``np.flatnonzero``."""
+    weights = relation.weights if mask is None else relation.weights[mask]
+    if partition is None:
+        slices = (slice(None),)
+    else:
+        bounds = partition.offsets
+        if mask is not None:
+            bounds = np.searchsorted(np.flatnonzero(mask), bounds)
+        bounds = bounds.tolist()
+        slices = [slice(low, high) for low, high in zip(bounds, bounds[1:])]
+    results = []
+    for function, measure in specs:
+        totals = [float(weights[part].sum()) for part in slices]
+        if function == "count":
+            results.append(totals)
+            continue
+        products = weights * (measure if mask is None else measure[mask])
+        sums = [float(np.sum(products[part])) for part in slices]
+        if function == "sum":
+            results.append(sums)
+        else:
+            results.append(
+                [value / total if total > 0 else 0.0 for value, total in zip(sums, totals)]
+            )
+    return results
+
+
+def partitioned_group_columns_reference(relation, keys, mask, specs, partition=None):
+    """``partitioned_group_columns`` with ``bins[mask]`` / ``weights[mask]``
+    / ``measure[mask]`` in front of the scatter-adds."""
+    bins, shape = _part_group_bins_reference(relation, keys, partition)
+    n_bins = shape[0] * shape[1]
+    weights = relation.weights
+    if mask is not None:
+        bins = bins[mask]
+        weights = weights[mask]
+    weight_totals = np.bincount(bins, weights=weights, minlength=n_bins)
+    per_spec = []
+    for function, measure in specs:
+        if function == "count":
+            per_spec.append(weight_totals)
+            continue
+        selected = measure if mask is None else measure[mask]
+        sums = np.bincount(bins, weights=weights * selected, minlength=n_bins)
+        if function == "sum":
+            per_spec.append(sums)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                per_spec.append(np.where(weight_totals > 0, sums / weight_totals, 0.0))
+    return weight_totals.reshape(shape), [values.reshape(shape) for values in per_spec]
+
+
+def partitioned_grouped_weight_totals_reference(relation, keys, masks, partition=None):
+    """``partitioned_grouped_weight_totals`` with ``bins[mask]`` /
+    ``weights[mask]`` per side."""
+    bins, (n_parts, n_groups) = _part_group_bins_reference(relation, keys, partition)
+    n_bins = n_parts * n_groups
+    all_weights = relation.weights
+    per_side = []
+    for mask in masks:
+        side_bins = bins if mask is None else bins[mask]
+        weights = all_weights if mask is None else all_weights[mask]
+        totals = np.bincount(side_bins, weights=weights, minlength=n_bins)
+        present = np.flatnonzero(np.bincount(side_bins, minlength=n_bins))
+        part_of, group_of = np.divmod(present, max(n_groups, 1))
+        parts = [{} for _ in range(n_parts)]
+        for part, group, total in zip(
+            part_of.tolist(),
+            relation.group_tuples(keys, group_of),
+            totals[present].tolist(),
+        ):
+            parts[part][group] = total
+        per_side.append(parts)
+    return per_side
 
 
 # ----------------------------------------------------------------------

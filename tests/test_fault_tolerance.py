@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.aggregates import AggregateQuery
 from repro.exceptions import (
     DegradedModeError,
     DispatchTimeoutError,
@@ -44,7 +45,7 @@ from repro.serving.scale import (
 from repro.serving.scale.pool import _LIVE_POOLS
 from repro.serving.stats import ServingStatistics
 
-from worlds import build_fitted_themis
+from worlds import build_correlated_population, build_fitted_themis
 
 SWEEP_SEED = 421
 
@@ -191,18 +192,48 @@ class TestSupervisedRecovery:
         pool = _supervised(themis, FaultInjector().kill_at_refit(0, at=1))
         try:
             warm = pool.execute_batch(sweep_queries)
-            generation = pool.refit()
+            applied = pool.refit()
             bodies = pool.describe()
             # Shard 0 died after refitting but before acknowledging; its
             # respawn replayed the logged refit and landed in agreement.
             assert [body["incarnation"] for body in bodies] == [1, 0]
-            assert {body["generation"] for body in bodies} == {generation}
+            assert {body["broadcasts"] for body in bodies} == {applied} == {1}
+            assert len({body["generation"] for body in bodies}) == 1
             assert pool.metrics.counter(
                 names.SCALE_FAULT_REPLAYED_BROADCASTS
             ).value == 1
             assert pool.execute_batch(sweep_queries) == expected == warm
         finally:
             pool.close()
+
+    def test_add_aggregate_batch_refit_through_a_respawn_replay(self, sweep_queries):
+        # The shard that served the batch behind add_aggregate fitted lazily
+        # and is a facade generation ahead; shard 0 dies in the refit and its
+        # replacement replays both broadcasts.  Agreement is on the logged
+        # broadcasts applied, survivor and replacement alike.
+        new_aggregate = AggregateQuery.from_relation(
+            build_correlated_population(), ["A", "C"]
+        )
+        pool = _supervised(
+            build_fitted_themis(), FaultInjector().kill_at_refit(0, at=1)
+        )
+        try:
+            pool.add_aggregate(new_aggregate)
+            pool.execute_batch(sweep_queries[:1])
+            assert pool.refit() == 2
+            bodies = pool.describe()
+            assert [body["incarnation"] for body in bodies] == [1, 0]
+            assert [body["broadcasts"] for body in bodies] == [2, 2]
+            assert pool.metrics.counter(
+                names.SCALE_FAULT_REPLAYED_BROADCASTS
+            ).value == 2
+            post = pool.execute_batch(sweep_queries)
+        finally:
+            pool.close()
+        oracle = build_fitted_themis()
+        oracle.add_aggregate(new_aggregate)
+        oracle.refit()
+        assert post == oracle.execute_batch(sweep_queries).results()
 
     def test_replacement_dying_in_replay_burns_another_credit(
         self, themis, sweep_queries, expected

@@ -213,6 +213,33 @@ class TestWorkerPool:
         assert post_again == fresh
         assert post != pre, "refit changed no answer: stale caches would hide"
 
+    def test_refit_after_one_shard_served_a_batch_behind_add_aggregate(
+        self, sweep_queries
+    ):
+        """``add_aggregate -> batch -> refit`` on a pool whose batch reached
+        one shard only: that shard fitted lazily and is a facade generation
+        ahead of its sibling.  Agreement is held on the logged broadcasts a
+        worker has applied, which the pool can predict."""
+        population = build_correlated_population()
+        new_aggregate = AggregateQuery.from_relation(population, ["A", "C"])
+
+        with SupervisedWorkerPool(build_fitted_themis(), n_workers=2) as pool:
+            pool.add_aggregate(new_aggregate)
+            between = pool.execute_batch(sweep_queries[:1])
+            assert pool.refit() == 2
+            bodies = pool.describe()
+            post = pool.execute_batch(sweep_queries)
+
+        assert [body["broadcasts"] for body in bodies] == [2, 2]
+        # The premise: the facade generations did part ways.
+        assert len({body["generation"] for body in bodies}) == 2
+        oracle = build_fitted_themis()
+        oracle.add_aggregate(new_aggregate)
+        oracle.refit()
+        fresh = oracle.execute_batch(sweep_queries).results()
+        assert post == fresh
+        assert between == fresh[:1]
+
     def test_dispatch_timeout_raises_overload_with_shard_id(self, themis):
         statement = "SELECT A, COUNT(*) FROM R GROUP BY A"
         # max_retries=0: a single attempt surfaces its own typed error
@@ -1062,8 +1089,8 @@ class TestPipesOnTheEventLoop:
         oracle = build_fitted_themis()
 
         def mutate(frontend):
-            generation = frontend.refit()
-            return generation, frontend.pool.describe()
+            applied = frontend.refit()
+            return applied, frontend.pool.describe()
 
         async def scenario():
             # Own facade: refit mutates the parent.
@@ -1082,17 +1109,18 @@ class TestPipesOnTheEventLoop:
                 await writer.wait_closed()
                 server.close()
                 await server.wait_closed()
-                generation, described = await mutation
+                applied, described = await mutation
                 # On the loop itself it would wait for itself: refused before
                 # the parent facade is touched, not after it was refit.
                 before = parent.generation
                 with pytest.raises(RuntimeError, match="own event loop"):
                     frontend.refit()
                 assert parent.generation == before
-                return (generation, described), responses
+                return (applied, described), responses
 
-        (generation, described), responses = asyncio.run(scenario())
-        assert [body["generation"] for body in described] == [generation] * 2
+        (applied, described), responses = asyncio.run(scenario())
+        assert [body["broadcasts"] for body in described] == [applied] * 2 == [1, 1]
+        assert len({body["generation"] for body in described}) == 1
         # Same inputs, same seed: every generation answers the same.
         answer = {"id": None, "ok": True, **encode_result(oracle.query(self.SCALAR))}
         assert len(responses) >= 5 and all(r == answer for r in responses)
