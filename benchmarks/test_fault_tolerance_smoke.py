@@ -23,7 +23,7 @@ import math
 import pytest
 
 from repro.experiments.fault_tolerance import run_fault_tolerance
-from repro.experiments.serving_scale import available_cores
+from repro.experiments.harness import available_cores
 
 #: Per-respawn wall-clock budget (seconds) asserted on multi-core hosts.
 #: A respawn = fork + deterministic re-fit + broadcast-log replay; at SMALL

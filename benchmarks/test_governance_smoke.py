@@ -27,7 +27,7 @@ import math
 import pytest
 
 from repro.experiments.governance import run_governance
-from repro.experiments.serving_scale import available_cores
+from repro.experiments.harness import available_cores
 
 N_WORKERS = 2
 

@@ -1,7 +1,7 @@
 """Benchmark: the observability layer's overhead bounds.
 
-Two acceptance bars over the PR-3 plan-IR workload (multi-predicate scalar
-and GROUP BY queries on the columnar engine):
+Two acceptance bars over a multi-predicate scalar and GROUP BY workload on
+the columnar engine (20,000 weighted rows, four conjuncts per query):
 
 * **disabled** — with no tracer attached, the instrumentation the hot path
   pays is exactly the no-op hooks (``NULL_TRACER.span`` context cycles and
@@ -24,11 +24,19 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
-from repro.experiments import SMALL_SCALE
-from repro.experiments.plan_ir_throughput import plan_ir_relation, plan_ir_workload
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.query import (
+    AggregateFunction,
+    AggregateSpec,
+    Comparison,
+    GroupByQuery,
+    Predicate,
+    ScalarAggregateQuery,
+)
+from repro.schema import Attribute, Domain, Relation, Schema
 from repro.sql.engine import WeightedQueryEngine
 
 pytestmark = pytest.mark.timing
@@ -43,10 +51,59 @@ def _best_of(rounds: int, function) -> float:
     return best
 
 
+def _relation(n_rows: int = 20_000, seed: int = 13) -> Relation:
+    """A weighted relation with wide discrete domains."""
+    rng = np.random.default_rng(seed)
+    sizes = {"a": 40, "b": 30, "c": 24, "d": 16, "e": 8}
+    schema = Schema(
+        [Attribute(name, Domain(list(range(size)))) for name, size in sizes.items()]
+    )
+    columns = {
+        name: rng.integers(0, size, size=n_rows, dtype=np.int64)
+        for name, size in sizes.items()
+    }
+    return Relation(schema, columns, rng.uniform(0.2, 9.0, size=n_rows))
+
+
+def _queries(relation: Relation, n_queries: int, seed: int = 29) -> list:
+    """COUNT, AVG and GROUP BY queries, each filtered by two wide IN lists,
+    one upper and one lower bound (the mask-cache stress mix)."""
+    rng = np.random.default_rng(seed)
+    names = list(relation.attribute_names)
+
+    def size(name: str) -> int:
+        return len(relation.schema[name].domain)
+
+    def in_list(name: str, count: int) -> tuple:
+        return tuple(int(v) for v in rng.choice(size(name), size=count, replace=False))
+
+    queries = []
+    for index in range(n_queries):
+        a, b, c, d = (names[int(i)] for i in rng.choice(len(names), size=4, replace=False))
+        predicates = (
+            Predicate(a, Comparison.IN, in_list(a, 6)),
+            Predicate(b, Comparison.IN, in_list(b, 5)),
+            Predicate(c, Comparison.LE, int(rng.integers(1, size(c)))),
+            Predicate(d, Comparison.GE, int(rng.integers(0, size(d) - 1))),
+        )
+        kind = index % 4
+        if kind == 0:
+            queries.append(ScalarAggregateQuery(predicates=predicates))
+        elif kind == 1:
+            measure = names[int(rng.integers(len(names)))]
+            average = AggregateSpec(AggregateFunction.AVG, measure)
+            queries.append(ScalarAggregateQuery(aggregate=average, predicates=predicates))
+        else:
+            keys = rng.choice(len(names), size=kind - 1, replace=False)
+            group_by = tuple(names[int(i)] for i in sorted(keys))
+            queries.append(GroupByQuery(group_by=group_by, predicates=predicates))
+    return queries
+
+
 def _warm_workload():
-    """A warmed columnar engine plus the plan-IR query mix it will serve."""
-    relation = plan_ir_relation(SMALL_SCALE)
-    queries = plan_ir_workload(relation, 24, seed=SMALL_SCALE.seed + 29)
+    """A warmed columnar engine plus the query mix it will serve."""
+    relation = _relation()
+    queries = _queries(relation, 24)
     engine = WeightedQueryEngine(relation)
     for query in queries:  # warm masks/group tables: time steady-state serving
         engine.execute(query)

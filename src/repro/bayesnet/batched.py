@@ -367,57 +367,49 @@ class BatchedInference:
 
     def restricted_aggregate_batch(
         self,
-        requests: Sequence[
-            tuple[tuple[str, ...], tuple, str, str | None]
-        ],
-    ) -> list[list[tuple[tuple[int, ...], float, float]]]:
-        """Lower Filter-restricted scalar/GROUP BY aggregate plans to factors.
+        requests: Sequence[tuple[tuple, str, str | None]],
+    ) -> list[tuple[float, float]]:
+        """Lower Filter-restricted scalar aggregate plans to factors.
 
-        Each request is ``(group_keys, restrictions, function, attribute)``
-        where ``restrictions`` is a sorted tuple of
-        ``(attribute, allowed-code flags)`` pairs (the compiled conjunction's
-        per-axis masks) and ``function`` is ``"count"``/``"sum"``/``"avg"``
-        over ``attribute``.  Requests sharing a variable set reuse one
-        eliminated factor, and factors over *subsets* of already-eliminated
-        variable sets are derived by marginalizing the shared prefix
-        (:meth:`joint_factor` with ``allow_derived=True``) instead of paying
-        a fresh elimination pass — the "beyond point plans" batching the
-        serving layer's exact BN lowering runs on.
+        Each request is ``(restrictions, function, attribute)`` where
+        ``restrictions`` is a sorted tuple of ``(attribute, allowed-code
+        flags)`` pairs (the compiled conjunction's per-axis masks) and
+        ``function`` is ``"count"``/``"sum"``/``"avg"`` over ``attribute``.
+        Requests sharing a variable set reuse one eliminated factor, and
+        factors over *subsets* of already-eliminated variable sets are
+        derived by marginalizing the shared prefix (:meth:`joint_factor` with
+        ``allow_derived=True``) instead of paying a fresh elimination pass.
 
-        Returns, per request, rows of ``(group_codes, value, mass)`` where
-        ``mass`` is the restricted probability mass of the group and
-        ``value`` is the probability-weighted aggregate (a probability for
-        COUNT, an expectation numerator for SUM, their ratio for AVG) —
-        callers scale by the population size.
+        Returns, per request, ``(value, mass)`` where ``mass`` is the
+        restricted probability mass and ``value`` is the probability-weighted
+        aggregate (a probability for COUNT, an expectation numerator for SUM,
+        their ratio for AVG) — callers scale by the population size.
         """
         self.batches += 1
         self.queries += len(requests)
-        results: list[list[tuple[tuple[int, ...], float, float]]] = []
-        for group_keys, restrictions, function, attribute in requests:
-            variables = set(group_keys) | {name for name, _ in restrictions}
+        results: list[tuple[float, float]] = []
+        for restrictions, function, attribute in requests:
+            variables = {name for name, _ in restrictions}
             if function != "count" and attribute is not None:
                 variables.add(attribute)
             for name in variables:
                 if name not in self._network.schema:
                     raise BayesNetError(f"unknown attribute {name!r} in query")
             factor = self.joint_factor(tuple(sorted(variables)), allow_derived=True)
-            results.append(
-                self._aggregate_rows(factor, group_keys, restrictions, function, attribute)
-            )
+            results.append(self._aggregate(factor, restrictions, function, attribute))
         return results
 
-    def _aggregate_rows(
+    def _aggregate(
         self,
         factor: Factor,
-        group_keys: tuple[str, ...],
         restrictions: tuple,
         function: str,
         attribute: str | None,
-    ) -> list[tuple[tuple[int, ...], float, float]]:
-        """Apply axis restrictions and reduce one factor to aggregate rows."""
+    ) -> tuple[float, float]:
+        """Apply axis restrictions and reduce one factor to ``(value, mass)``."""
         if factor.is_scalar:
             mass = float(factor.value())
-            return [((), mass if function == "count" else 0.0, mass)]
+            return (mass if function == "count" else 0.0, mass)
         table = factor.table
         shape_of = dict(zip(factor.attributes, table.shape))
         for name, flags in restrictions:
@@ -426,59 +418,23 @@ class BatchedInference:
             broadcast = [1] * table.ndim
             broadcast[axis] = shape_of[name]
             table = table * mask.reshape(broadcast)
-        mass_table = table
-        if function in ("sum", "avg"):
-            assert attribute is not None
-            domain = self._network.schema[attribute].domain
-            try:
-                values = np.asarray(domain.values, dtype=float)
-            except (TypeError, ValueError):
-                raise BayesNetError(
-                    f"attribute {attribute!r} is not numeric; cannot SUM/AVG over it"
-                ) from None
-            axis = factor.attributes.index(attribute)
-            broadcast = [1] * table.ndim
-            broadcast[axis] = values.shape[0]
-            weighted_table = table * values.reshape(broadcast)
-        else:
-            weighted_table = table
-
-        reduce_axes = tuple(
-            axis
-            for axis, name in enumerate(factor.attributes)
-            if name not in group_keys
-        )
-        mass = mass_table.sum(axis=reduce_axes) if reduce_axes else mass_table
-        weighted = (
-            weighted_table.sum(axis=reduce_axes) if reduce_axes else weighted_table
-        )
-        if not group_keys:
-            total_mass = float(np.asarray(mass))
-            total_weighted = float(np.asarray(weighted))
-            if function == "count":
-                return [((), total_mass, total_mass)]
-            if function == "sum":
-                return [((), total_weighted, total_mass)]
-            value = total_weighted / total_mass if total_mass > 0 else 0.0
-            return [((), value, total_mass)]
-
-        # Reorder the surviving axes into the requested group-key order.
-        kept = tuple(name for name in factor.attributes if name in group_keys)
-        order = [kept.index(name) for name in group_keys]
-        mass = np.transpose(np.asarray(mass), order)
-        weighted = np.transpose(np.asarray(weighted), order)
-        rows: list[tuple[tuple[int, ...], float, float]] = []
-        for codes in np.ndindex(mass.shape):
-            group_mass = float(mass[codes])
-            group_weighted = float(weighted[codes])
-            if function == "count":
-                value = group_mass
-            elif function == "sum":
-                value = group_weighted
-            else:
-                value = group_weighted / group_mass if group_mass > 0 else 0.0
-            rows.append((tuple(int(code) for code in codes), value, group_mass))
-        return rows
+        mass = float(table.sum())
+        if function == "count":
+            return (mass, mass)
+        assert attribute is not None
+        domain = self._network.schema[attribute].domain
+        try:
+            values = np.asarray(domain.values, dtype=float)
+        except (TypeError, ValueError):
+            raise BayesNetError(
+                f"attribute {attribute!r} is not numeric; cannot SUM/AVG over it"
+            ) from None
+        broadcast = [1] * table.ndim
+        broadcast[factor.attributes.index(attribute)] = values.shape[0]
+        weighted = float((table * values.reshape(broadcast)).sum())
+        if function == "sum":
+            return (weighted, mass)
+        return (weighted / mass if mass > 0 else 0.0, mass)
 
     def probability_or_zero_batch(
         self,

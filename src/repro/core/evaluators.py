@@ -418,16 +418,15 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         eliminate once, subsets derive from already-eliminated prefixes."""
         requests = [
             (
-                (),
                 _axis_restrictions(plan.predicates, self._network.schema),
                 plan.aggregate.function,
                 plan.aggregate.attribute,
             )
             for plan in plans
         ]
-        tables = self._inference.batched.restricted_aggregate_batch(requests)
+        rows = self._inference.batched.restricted_aggregate_batch(requests)
         answers = []
-        for (_, _, function, _), ((_codes, value, _mass),) in zip(requests, tables):
+        for (_, function, _), (value, _mass) in zip(requests, rows):
             # COUNT/SUM scale factor mass into population units; AVG is
             # already a ratio.
             scale = self._population_size if function in ("count", "sum") else 1.0

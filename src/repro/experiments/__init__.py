@@ -2,13 +2,14 @@
 
 Every experiment exposes a ``run_*`` function taking an
 :class:`~repro.experiments.config.ExperimentScale` and returning an
-:class:`~repro.experiments.reporting.ExperimentResult`.  The benchmarks under
-``benchmarks/`` call these functions; EXPERIMENTS.md records the measured
-shapes next to the paper's claims.
+:class:`~repro.experiments.reporting.ExperimentResult`: the paper's tables
+and figures, the simplification ablation, and the two chaos replays of the
+scale tier (``fault_tolerance``, ``governance``).  The benchmarks under
+``benchmarks/`` call these functions and ``python -m repro.experiments``
+prints them.  Speed is not measured here: that is ``python3 -m bench``.
 """
 
 from .ablation_simplification import run_simplification_ablation
-from .bn_batch_throughput import bn_point_workload, run_bn_batch
 from .config import PAPER_SCALE, SMALL_SCALE, TINY_SCALE, ExperimentScale
 from .fig3_fig4_overall import (
     median_improvement_heavy,
@@ -26,6 +27,7 @@ from .fig16_time_accuracy import run_time_accuracy
 from .harness import (
     BN_MODES,
     DEFAULT_METHODS,
+    available_cores,
     build_aggregates,
     child_bundle,
     clear_dataset_cache,
@@ -37,13 +39,7 @@ from .harness import (
     point_query_errors,
     point_query_workload,
 )
-from .join_fusion_throughput import join_fusion_workload, run_join_fusion
-from .plan_fusion_throughput import plan_fusion_workload, run_plan_fusion
-from .plan_ir_throughput import plan_ir_relation, plan_ir_workload, run_plan_ir
 from .reporting import ExperimentResult, format_table
-from .serving_scale import available_cores, run_serving_scale
-from .serving_throughput import run_serving_throughput, serving_workload
-from .sql_surface_throughput import run_sql_surface, sql_surface_workload
 from .table1_motivating import run_table1
 from .table6_reuse_baseline import run_reuse_comparison
 from .table7_table8_timing import run_query_execution_time, run_solver_time
@@ -57,7 +53,6 @@ __all__ = [
     "SMALL_SCALE",
     "TINY_SCALE",
     "available_cores",
-    "bn_point_workload",
     "build_aggregates",
     "child_bundle",
     "clear_dataset_cache",
@@ -67,37 +62,24 @@ __all__ = [
     "format_table",
     "imdb_bundle",
     "median_improvement_heavy",
-    "join_fusion_workload",
     "one_dimensional_order",
-    "plan_fusion_workload",
-    "plan_ir_relation",
-    "plan_ir_workload",
     "point_query_errors",
     "point_query_workload",
     "reference_hybrid_error_with_2d",
     "run_1d_sweep",
     "run_bias_sweep",
-    "run_bn_batch",
     "run_bn_modes",
     "run_nd_sweep",
-    "run_join_fusion",
     "run_overall_accuracy",
-    "run_plan_fusion",
-    "run_plan_ir",
     "run_pruning",
     "run_query_execution_time",
     "run_reuse_comparison",
     "run_reweighting_comparison",
-    "run_serving_scale",
-    "run_serving_throughput",
     "run_simplification_ablation",
     "run_solver_time",
     "run_sql_queries",
-    "run_sql_surface",
     "run_table1",
     "run_table4_improvement",
     "run_time_accuracy",
-    "serving_workload",
-    "sql_surface_workload",
     "table5_queries",
 ]

@@ -34,7 +34,6 @@ def _build_registry() -> None:
     if EXPERIMENTS:
         return
     from .ablation_simplification import run_simplification_ablation
-    from .bn_batch_throughput import run_bn_batch
     from .fig3_fig4_overall import run_overall_accuracy, run_table4_improvement
     from .fig5_bias_sweep import run_bias_sweep
     from .fig6_sql_queries import run_sql_queries
@@ -46,13 +45,6 @@ def _build_registry() -> None:
     from .fault_tolerance import run_fault_tolerance
     from .fig16_time_accuracy import run_time_accuracy
     from .governance import run_governance
-    from .join_fusion_throughput import run_join_fusion
-    from .obs_report import run_obs
-    from .plan_fusion_throughput import run_plan_fusion
-    from .plan_ir_throughput import run_plan_ir
-    from .serving_scale import run_serving_scale
-    from .serving_throughput import run_serving_throughput
-    from .sql_surface_throughput import run_sql_surface
     from .table1_motivating import run_table1
     from .table6_reuse_baseline import run_reuse_comparison
     from .table7_table8_timing import run_query_execution_time, run_solver_time
@@ -77,16 +69,8 @@ def _build_registry() -> None:
     _register("table7", lambda scale: run_query_execution_time(scale))
     _register("table8", lambda scale: run_solver_time(scale))
     _register("ablation", lambda scale: run_simplification_ablation(scale))
-    _register("serving", lambda scale: run_serving_throughput(scale))
-    _register("serving_scale", lambda scale: run_serving_scale(scale))
     _register("fault_tolerance", lambda scale: run_fault_tolerance(scale))
     _register("governance", lambda scale: run_governance(scale))
-    _register("bn_batch", lambda scale: run_bn_batch(scale))
-    _register("plan_ir", lambda scale: run_plan_ir(scale))
-    _register("plan_fusion", lambda scale: run_plan_fusion(scale))
-    _register("join_fusion", lambda scale: run_join_fusion(scale))
-    _register("obs", lambda scale: run_obs(scale))
-    _register("sql_surface", lambda scale: run_sql_surface(scale))
 
 
 def available_experiments() -> list[str]:
@@ -104,6 +88,17 @@ def resolve_scale(name: str, flights_rows: int | None = None) -> ExperimentScale
     if flights_rows is not None:
         scale = scale.with_overrides(flights_rows=flights_rows)
     return scale
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a row count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--flights-rows",
-        type=int,
+        type=_positive_int,
         default=None,
         help="override the synthetic Flights population size",
     )

@@ -26,9 +26,8 @@ from ..core import Themis, ThemisConfig
 from ..obs import names
 from ..query.workload import MixedQueryWorkload
 from .config import ExperimentScale, SMALL_SCALE
-from .harness import build_aggregates, flights_bundle
+from .harness import available_cores, build_aggregates, flights_bundle
 from .reporting import ExperimentResult
-from .serving_scale import available_cores
 
 
 def _chaos_workload(sample, n_queries: int, seed: int) -> list:

@@ -37,9 +37,8 @@ from ..exceptions import ThemisError
 from ..obs import names
 from ..query.workload import MixedQueryWorkload
 from .config import ExperimentScale, SMALL_SCALE
-from .harness import build_aggregates, flights_bundle
+from .harness import available_cores, build_aggregates, flights_bundle
 from .reporting import ExperimentResult
-from .serving_scale import available_cores
 
 
 def _hostile_workload(sample, n_queries: int, seed: int) -> list:

@@ -9,6 +9,7 @@ population.
 
 from __future__ import annotations
 
+import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ from ..core import (
 from ..data import DatasetBundle, load_child, load_flights, load_imdb
 from ..exceptions import ExperimentError
 from ..metrics import percent_difference
-from ..plan import OptimizerStats
 from ..query import HitterKind, PointQueryWorkload, WorkloadQuery
 from ..reweighting import IPFReweighter, LinearRegressionReweighter, UniformReweighter
 from ..schema import Relation
@@ -338,77 +338,9 @@ def default_flights_query_attribute_sets(
     return generator.random_attribute_sets(sizes, n_sets)
 
 
-# ----------------------------------------------------------------------
-# Batch-optimizer throughput phases (plan / join / SQL-surface fusion)
-# ----------------------------------------------------------------------
-@dataclass
-class TimedBatch:
-    """The fastest of three runs of one throughput phase."""
-
-    phase: str
-    seconds: float
-    answers: list
-    stats: OptimizerStats
-    engine: WeightedQueryEngine
-
-    def speedup_over(self, reference: "TimedBatch") -> float:
-        """How many times faster this phase ran than ``reference``."""
-        return reference.seconds / self.seconds if self.seconds > 0 else float("inf")
-
-
-def per_plan_vs_optimized(
-    relation: Relation, queries: Sequence, warm: bool = False
-) -> list[TimedBatch]:
-    """Time one batch per-plan and optimized on cold engines, best of three.
-
-    ``per-plan`` is the single-plan loop ``[engine.execute(q) for q in
-    queries]``; ``optimized`` is ``engine.execute_batch(queries)``.  Every
-    run of both starts from a completely cold engine (fresh mask cache,
-    group-code memo and join-side cache over the same columns); with
-    ``warm=True`` a third ``warm`` phase replays the batch on the engine of
-    the fastest optimized run.  Each phase keeps the fastest of three runs,
-    so one scheduler hiccup on a shared CI runner cannot fake a slowdown.
-
-    Raises :class:`~repro.exceptions.ExperimentError` when a phase is not
-    deterministic across its runs or any answer differs (``==``, never a
-    tolerance) from the per-plan loop's.
-    """
-
-    def cold_engine() -> WeightedQueryEngine:
-        columns = {name: relation.column(name) for name in relation.attribute_names}
-        return WeightedQueryEngine(Relation(relation.schema, columns, relation.weights))
-
-    def best_of_three(phase: str, engine_for_run, serve) -> TimedBatch:
-        best: TimedBatch | None = None
-        for _ in range(3):
-            engine, stats = engine_for_run(), OptimizerStats()
-            start = time.perf_counter()
-            answers = serve(engine, stats)
-            elapsed = time.perf_counter() - start
-            if best is not None and answers != best.answers:
-                raise ExperimentError(f"{phase} answers are not deterministic")
-            if best is None or elapsed < best.seconds:
-                best = TimedBatch(phase, elapsed, answers, stats, engine)
-        assert best is not None
-        return best
-
-    def optimized(engine: WeightedQueryEngine, stats: OptimizerStats) -> list:
-        return engine.execute_batch(queries, stats=stats)
-
-    phases = [
-        best_of_three(
-            "per-plan",
-            cold_engine,
-            lambda engine, _stats: [engine.execute(query) for query in queries],
-        ),
-        best_of_three("optimized", cold_engine, optimized),
-    ]
-    if warm:
-        phases.append(best_of_three("warm", lambda: phases[1].engine, optimized))
-    for phase in phases[1:]:
-        for answer, reference in zip(phase.answers, phases[0].answers):
-            if answer != reference:
-                raise ExperimentError(
-                    f"optimizer changed an answer: {answer!r} != {reference!r}"
-                )
-    return phases
+def available_cores() -> int:
+    """CPU cores this process may schedule on (the chaos experiments record it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1

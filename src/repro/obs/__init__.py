@@ -7,8 +7,8 @@ single accumulation point for counters, gauges, and log-bucketed latency
 histograms.  ``repro.obs.names`` freezes the public metric names and bucket
 boundaries.
 
-Entry points: ``Themis.query(..., explain="analyze")``,
-``Themis.serve(trace=True)``, and the ``repro-experiments obs`` report.
+Entry points: ``Themis.query(..., explain="analyze")`` and
+``Themis.serve(trace=True)``.
 """
 
 from . import names

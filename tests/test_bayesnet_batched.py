@@ -19,6 +19,7 @@ from repro.bayesnet import (
 )
 from repro.exceptions import BayesNetError
 from repro.query import PointQuery
+from worlds import build_sparse_fitted_themis
 
 MIXED_BATCH = [
     {"A": 0},
@@ -175,20 +176,32 @@ class TestFactorCache:
 
 
 class TestServingIntegration:
-    def test_batch_of_bn_points_is_dispatched_batched(self, sparse_serving_themis):
-        missing = missing_assignments(sparse_serving_themis)
-        assert len({signature_of(a) for a in missing}) >= 2  # mixed signatures
-        session = sparse_serving_themis.serve()
-        batch = session.execute_batch([PointQuery(a) for a in missing])
-        assert batch.bn_batched_points == len(missing)
-        assert batch.bn_elimination_passes <= len(
-            {signature_of(a) for a in missing}
+    def test_batch_of_bn_points_is_dispatched_batched(self):
+        # A facade of its own: the factor cache starts cold, so passes count.
+        themis = build_sparse_fitted_themis()
+        missing = missing_assignments(themis)
+        signatures = {signature_of(a) for a in missing}
+        assert len(signatures) >= 2  # mixed signatures
+        # One query at a time, every assignment pays its own elimination pass...
+        network = themis.model.bayes_net_evaluator.network
+        singles = [ExactInference(network) for _ in missing]
+        for engine, assignment in zip(singles, missing):
+            engine.probability(assignment)
+        assert [engine.batched.elimination_passes for engine in singles] == [1] * len(
+            missing
         )
+        # ...a cold batch pays one per evidence signature, a warm one none.
+        session = themis.serve()
+        queries = [PointQuery(a) for a in missing]
+        batch = session.execute_batch(queries)
+        assert batch.bn_batched_points == len(missing)
+        assert batch.bn_elimination_passes == len(signatures)
         assert batch.bn_batch_seconds >= 0.0
         assert session.statistics.bn_points_batched == len(missing)
+        assert session.execute_batch(queries).bn_elimination_passes == 0
         for outcome, assignment in zip(batch, missing):
             assert outcome.bn_batched
-            assert outcome.result == sparse_serving_themis.point(assignment)
+            assert outcome.result == themis.point(assignment)
 
     def test_single_query_serving_counts_as_single(self, sparse_serving_themis):
         missing = missing_assignments(sparse_serving_themis)[0]

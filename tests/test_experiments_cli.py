@@ -14,22 +14,13 @@ from repro.experiments.config import PAPER_SCALE, SMALL_SCALE, TINY_SCALE
 
 
 class TestRegistry:
-    def test_every_paper_artifact_has_an_entry(self):
-        names = set(available_experiments())
-        expected = {
-            "table1",
-            "table4",
-            "table6",
-            "table7",
-            "table8",
-            "ablation",
-            "serving",
-            "bn_batch",
-            "plan_ir",
-            "plan_fusion",
-            "join_fusion",
-        } | {f"fig{i}" for i in range(3, 17)}
-        assert expected <= names
+    def test_registry_is_the_papers_artefacts_and_the_chaos_replays(self):
+        expected = (
+            ["table1", "fig3", "fig4", "table4"]
+            + [f"fig{i}" for i in range(5, 17)]
+            + ["table6", "table7", "table8", "ablation", "fault_tolerance", "governance"]
+        )
+        assert available_experiments() == expected  # 22 names
 
     def test_resolve_scale_names(self):
         assert resolve_scale("tiny") is TINY_SCALE
@@ -73,3 +64,10 @@ class TestCLI:
         args = build_parser().parse_args(["fig3"])
         assert args.scale == "small"
         assert args.experiments == ["fig3"]
+
+    @pytest.mark.parametrize("rows", ["-5", "0", "many"])
+    def test_flights_rows_must_be_a_positive_integer(self, rows, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--scale", "tiny", "--flights-rows", rows])
+        assert excinfo.value.code == 2
+        assert "--flights-rows" in capsys.readouterr().err

@@ -530,8 +530,29 @@ class TestMaskCache:
         predicate = Predicate("A", Comparison.LE, 1)
         engine.scalar(ScalarAggregateQuery(predicates=(predicate,)))
         misses_after_first = executor.mask_cache.misses
+        assert misses_after_first > 0
         engine.group_by(GroupByQuery(group_by=("B",), predicates=(predicate,)))
         assert executor.mask_cache.misses == misses_after_first  # pure hits
+        # A multi-conjunct mix builds its masks once; its replay builds none.
+        conjuncts = (
+            Predicate("A", Comparison.IN, (0, 2)),
+            Predicate("B", Comparison.LE, 1),
+            Predicate("C", Comparison.GE, 1),
+        )
+        queries = [
+            ScalarAggregateQuery(predicates=conjuncts),
+            ScalarAggregateQuery(
+                aggregate=AggregateSpec(AggregateFunction.AVG, "B"),
+                predicates=conjuncts[1:],
+            ),
+            GroupByQuery(group_by=("A",), predicates=conjuncts[:2]),
+            GroupByQuery(group_by=("A", "B"), predicates=conjuncts[::-1]),
+        ]
+        cold = [engine.execute(query) for query in queries]
+        cold_misses = executor.mask_cache.misses
+        assert cold_misses > misses_after_first
+        assert [engine.execute(query) for query in queries] == cold
+        assert executor.mask_cache.misses == cold_misses
 
 
 #: An ordered domain with gaps, so literals can fall below, between and
@@ -710,31 +731,20 @@ class TestExactBNLowering:
         )
         assert bn.scalar_exact(query) == pytest.approx(expected, rel=1e-9)
 
-    def test_grouped_restricted_aggregate_masses_sum_to_one(self, sparse_serving_themis):
-        # The batched engine's grouped rows (the evaluator only lowers
-        # scalars; the GROUP BY lowering has no serving caller).
-        engine = sparse_serving_themis.model.bayes_net_evaluator.inference.batched
-        (rows,) = engine.restricted_aggregate_batch([(("A", "B"), (), "count", None)])
-        assert sum(value for _codes, value, _mass in rows) == pytest.approx(1.0, rel=1e-6)
-
-    def test_grouped_restricted_avg_matches_conditional_expectation(
+    def test_scalar_exact_avg_matches_conditional_expectation(
         self, sparse_serving_themis
     ):
         bn = sparse_serving_themis.model.bayes_net_evaluator
-        (rows,) = bn.inference.batched.restricted_aggregate_batch(
-            [(("A",), (), "avg", "C")]
-        )
         inference = ExactInference(bn.network)
         a_domain = bn.network.schema["A"].domain
-        for (a_code,), average, mass in rows:
-            if mass <= 0:
-                continue
-            conditional = inference.conditional("C", {"A": a_domain.decode(a_code)})
-            domain = bn.network.schema["C"].domain
-            expected = float(
-                np.dot(conditional, np.asarray(domain.values, dtype=float))
+        c_values = np.asarray(bn.network.schema["C"].domain.values, dtype=float)
+        for a in a_domain.values:
+            query = ScalarAggregateQuery(
+                aggregate=AggregateSpec(AggregateFunction.AVG, "C"),
+                predicates=(Predicate("A", Comparison.EQ, a),),
             )
-            assert average == pytest.approx(expected, rel=1e-9)
+            expected = float(np.dot(inference.conditional("C", {"A": a}), c_values))
+            assert bn.scalar_exact(query) == pytest.approx(expected, rel=1e-9)
 
     def test_derived_factors_skip_elimination(self, sparse_serving_themis):
         from repro.bayesnet import BatchedInference

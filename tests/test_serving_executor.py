@@ -203,10 +203,10 @@ class TestBatchAmortization:
 
     def test_warm_batch_is_fully_cached(self, serving_themis):
         session = serving_themis.serve()
-        session.execute_batch(WORKLOAD)
+        assert session.execute_batch(WORKLOAD).cache_hits == 0
         warm = session.execute_batch(WORKLOAD)
-        assert all(o.from_result_cache or o.deduplicated for o in warm)
-        assert warm.cache_hits >= len(WORKLOAD) - 1
+        assert all(o.from_result_cache for o in warm)
+        assert warm.cache_hits == len(WORKLOAD)
 
     def test_group_signatures_batch_same_columns_together(self, serving_themis):
         session = serving_themis.serve()

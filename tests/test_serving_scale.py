@@ -781,10 +781,18 @@ class TestAsyncFrontend:
             )
             assert snapshot["counters"][names.SCALE_REQUESTS] == len(sweep_queries)
             assert snapshot["histograms"][names.MICROBATCH_SIZE]["count"] >= 1
+            assert snapshot["histograms"][names.MICROBATCH_SIZE]["mean"] >= 1.0
             assert (
                 snapshot["histograms"][names.SCALE_REQUEST_SECONDS]["count"]
                 == len(sweep_queries)
             )
+            # Both shards served traffic.
+            occupancy = [
+                value
+                for name, value in snapshot["counters"].items()
+                if name.startswith(names.SCALE_SHARD_PREFIX)
+            ]
+            assert len(occupancy) == 2 and all(value > 0 for value in occupancy)
 
         asyncio.run(scenario())
 

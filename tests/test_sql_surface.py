@@ -174,6 +174,19 @@ class TestServingTables:
         assert stats.window_sorts_shared >= 1
         assert stats.groupby_fusions >= 1
         assert optimized == [engine.execute(sql) for sql in queries]
+        # Filtered dashboard tables: duplicates dedup, families share masks.
+        filtered = [
+            "SELECT g, COUNT(*) AS n, SUM(x) AS t FROM t WHERE x > 1 GROUP BY g "
+            "ORDER BY n DESC LIMIT 2",
+            "SELECT g, COUNT(*) AS n FROM t WHERE x > 1 GROUP BY g HAVING n > 1",
+            "SELECT COUNT(*) AS n, AVG(x) AS m FROM t WHERE x > 1",
+        ]
+        filtered = filtered + filtered[:1]
+        stats = OptimizerStats()
+        optimized = WeightedQueryEngine(tiny_relation).execute_batch(filtered, stats=stats)
+        assert stats.plans_deduped >= 1
+        assert stats.masks_shared >= 1
+        assert optimized == [engine.execute(sql) for sql in filtered]
 
 
 class TestTableResultBehavior:
