@@ -176,21 +176,24 @@ class TestFactorCache:
 
 
 class TestServingIntegration:
-    def test_batch_of_bn_points_is_dispatched_batched(self):
-        # A facade of its own: the factor cache starts cold, so passes count.
-        themis = build_sparse_fitted_themis()
-        missing = missing_assignments(themis)
-        signatures = {signature_of(a) for a in missing}
-        assert len(signatures) >= 2  # mixed signatures
-        # One query at a time, every assignment pays its own elimination pass...
-        network = themis.model.bayes_net_evaluator.network
+    def test_one_query_at_a_time_pays_a_pass_per_assignment(self, sparse_serving_themis):
+        missing = missing_assignments(sparse_serving_themis)
+        network = sparse_serving_themis.model.bayes_net_evaluator.network
         singles = [ExactInference(network) for _ in missing]
         for engine, assignment in zip(singles, missing):
             engine.probability(assignment)
         assert [engine.batched.elimination_passes for engine in singles] == [1] * len(
             missing
         )
-        # ...a cold batch pays one per evidence signature, a warm one none.
+
+    def test_batch_of_bn_points_is_dispatched_batched(self):
+        # A facade of its own: the factor cache starts cold, so passes count.
+        themis = build_sparse_fitted_themis()
+        missing = missing_assignments(themis)
+        signatures = {signature_of(a) for a in missing}
+        assert len(signatures) >= 2  # mixed signatures
+        # A cold batch pays one elimination pass per evidence signature, a
+        # warm one none.
         session = themis.serve()
         queries = [PointQuery(a) for a in missing]
         batch = session.execute_batch(queries)

@@ -14,7 +14,8 @@ from repro.experiments.config import PAPER_SCALE, SMALL_SCALE, TINY_SCALE
 
 
 class TestRegistry:
-    def test_registry_is_the_papers_artefacts_and_the_chaos_replays(self):
+    def test_every_paper_artifact_has_an_entry(self):
+        # The paper's tables and figures, the ablation and the chaos replays.
         expected = (
             ["table1", "fig3", "fig4", "table4"]
             + [f"fig{i}" for i in range(5, 17)]
@@ -64,6 +65,10 @@ class TestCLI:
         args = build_parser().parse_args(["fig3"])
         assert args.scale == "small"
         assert args.experiments == ["fig3"]
+
+    def test_flights_rows_accepts_a_positive_integer(self):
+        args = build_parser().parse_args(["fig3", "--flights-rows", "1234"])
+        assert args.flights_rows == 1234
 
     @pytest.mark.parametrize("rows", ["-5", "0", "many"])
     def test_flights_rows_must_be_a_positive_integer(self, rows, capsys):

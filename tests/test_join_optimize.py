@@ -179,6 +179,54 @@ class TestColumnarJoinBitIdentity:
         assert stats.join_side_cache_hits > 0
         assert executor.join_side_cache.statistics()["hits"] > 0
 
+    def test_every_side_pairing_matches_per_plan_cold_and_warm(self, relation):
+        # Four filtered sides over one join key, combined in every ordered
+        # pairing, plus reordered and padded side filters and a GROUP BY per
+        # side; the burst repeats three times.
+        sides = []
+        for index, group in enumerate("abab"):
+            first, second = "abcd"[(index + 1) % 4], "abcd"[(index + 2) % 4]
+            sides.append(
+                (
+                    group,
+                    (
+                        Predicate(first, Comparison.LE, index + 1),
+                        Predicate(second, Comparison.GE, 1),
+                    ),
+                )
+            )
+
+        def pair(left, right, left_predicates=None):
+            return join_query(
+                sides[left][0],
+                sides[right][0],
+                sides[left][1] if left_predicates is None else left_predicates,
+                sides[right][1],
+                join_key="e",
+            )
+
+        queries = [pair(left, right) for left in range(4) for right in range(4)]
+        for index, (group, predicates) in enumerate(sides):
+            padded = predicates + (
+                Predicate(predicates[0].attribute, Comparison.LE, predicates[0].value + 1),
+            )
+            queries += [
+                pair(index, (index + 1) % 4, predicates[::-1]),
+                pair(index, (index + 1) % 4, padded),
+                GroupByQuery((group,), predicates=predicates),
+            ]
+        queries = queries * 3
+        reference = ColumnarExecutor(relation)
+        per_plan = [reference.execute(query) for query in queries]
+        executor = ColumnarExecutor(relation)
+        cold_stats, warm_stats = OptimizerStats(), OptimizerStats()
+        assert executor.execute_batch(queries, stats=cold_stats) == per_plan
+        assert executor.execute_batch(queries, stats=warm_stats) == per_plan
+        assert cold_stats.join_sides_fused > 0
+        assert cold_stats.plans_deduped >= 2 * len(queries) // 3
+        assert cold_stats.join_side_cache_hits == 0
+        assert warm_stats.join_side_cache_hits > 0
+
     def test_empty_and_join_only_batches(self, relation):
         executor = ColumnarExecutor(relation)
         assert executor.execute_batch([]) == []

@@ -308,6 +308,46 @@ class TestColumnarBitIdentity:
         assert stats.predicates_pushed_down > 0
         assert stats.masks_shared > 0
 
+    def test_repeated_dashboard_families_match_per_plan(self, relation):
+        # Families alternate between two group-by prefixes, each with its
+        # own filter: five fusable aggregates, a padded-filter COUNT and
+        # three scalars; the whole burst repeats four times.
+        count = AggregateSpec(AggregateFunction.COUNT)
+        queries = []
+        for family in range(4):
+            group_by = (("a", "b"), ("c", "d"))[family % 2]
+            rest = [name for name in relation.attribute_names if name not in group_by]
+            first, second = rest[family % len(rest)], rest[(family + 1) % len(rest)]
+            measure = rest[(family + 2) % len(rest)]
+            shared = (
+                Predicate(first, Comparison.IN, (0, 1, 2)),
+                Predicate(second, Comparison.LE, 2),
+            )
+            padded = shared + (Predicate(second, Comparison.LE, 3),)
+            queries += [GroupByQuery(group_by, aggregate=count, predicates=shared)]
+            queries += [
+                GroupByQuery(
+                    group_by, aggregate=AggregateSpec(function, target), predicates=shared
+                )
+                for function in (AggregateFunction.SUM, AggregateFunction.AVG)
+                for target in (group_by[0], measure)
+            ]
+            queries += [GroupByQuery(group_by, aggregate=count, predicates=padded)]
+            queries += [
+                ScalarAggregateQuery(aggregate=aggregate, predicates=shared)
+                for aggregate in (
+                    count,
+                    AggregateSpec(AggregateFunction.SUM, group_by[0]),
+                    AggregateSpec(AggregateFunction.AVG, measure),
+                )
+            ]
+        queries = queries * 4
+        stats = self._assert_batches_match(relation, queries)
+        assert len(queries) - stats.plans_deduped <= 4 * 8  # one slot per distinct plan
+        assert stats.predicates_pushed_down > 0
+        assert stats.groupby_fusions > 0
+        assert stats.masks_shared > 0
+
     def test_unfiltered_and_unsatisfiable_plans(self, relation):
         queries = [
             GroupByQuery(("a",)),

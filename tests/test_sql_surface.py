@@ -174,7 +174,9 @@ class TestServingTables:
         assert stats.window_sorts_shared >= 1
         assert stats.groupby_fusions >= 1
         assert optimized == [engine.execute(sql) for sql in queries]
-        # Filtered dashboard tables: duplicates dedup, families share masks.
+
+    def test_filtered_dashboard_tables_dedup_and_share_masks(self, tiny_relation):
+        engine = WeightedQueryEngine(tiny_relation)
         filtered = [
             "SELECT g, COUNT(*) AS n, SUM(x) AS t FROM t WHERE x > 1 GROUP BY g "
             "ORDER BY n DESC LIMIT 2",
