@@ -100,13 +100,11 @@ class BatchedInference:
         self._inference = inference
         self._capacity = int(factor_cache_capacity)
         self._factors: OrderedDict[tuple, Factor] = OrderedDict()
-        self._derived: OrderedDict[tuple, Factor] = OrderedDict()
         self._generation = int(generation)
         # Counters: how much elimination work was paid vs. amortized.
         self.elimination_passes = 0
         self.factor_cache_hits = 0
         self.factor_cache_misses = 0
-        self.derived_factors = 0
         self.batches = 0
         self.queries = 0
         # The serving layer points this at a live tracer while it dispatches,
@@ -134,40 +132,21 @@ class BatchedInference:
 
     @property
     def cached_factor_bytes(self) -> int:
-        """Measured bytes of every cached factor table (exact + derived)."""
-        return sum(
-            int(factor.table.nbytes) + 96
-            for store in (self._factors, self._derived)
-            for factor in store.values()
-        )
+        """Measured bytes of every cached factor table."""
+        return sum(int(factor.table.nbytes) + 96 for factor in self._factors.values())
 
     def evict_factors(self, n: int) -> int:
-        """Evict up to ``n`` least-recently-used factors; bytes freed.
-
-        Derived factors go first (they are re-derivable from cheaper
-        marginalizations), then exact eliminated factors in LRU order.
-        """
+        """Evict up to ``n`` least-recently-used factors; bytes freed."""
         freed = 0
-        evicted = 0
-        for store in (self._derived, self._factors):
-            while evicted < n and store:
-                _, factor = store.popitem(last=False)
-                freed += int(factor.table.nbytes) + 96
-                evicted += 1
+        for _ in range(min(n, len(self._factors))):
+            _, factor = self._factors.popitem(last=False)
+            freed += int(factor.table.nbytes) + 96
         return freed
 
     @property
     def factor_cache_capacity(self) -> int:
         """Maximum number of eliminated factors kept (LRU beyond that)."""
         return self._capacity
-
-    @factor_cache_capacity.setter
-    def factor_cache_capacity(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("factor_cache_capacity must be positive")
-        self._capacity = int(capacity)
-        while len(self._factors) > self._capacity:
-            self._factors.popitem(last=False)
 
     def statistics(self) -> dict[str, int]:
         """A plain-dict snapshot of the engine's amortization counters."""
@@ -177,7 +156,6 @@ class BatchedInference:
             "elimination_passes": self.elimination_passes,
             "factor_cache_hits": self.factor_cache_hits,
             "factor_cache_misses": self.factor_cache_misses,
-            "derived_factors": self.derived_factors,
             "cached_factors": self.cached_factor_count,
         }
 
@@ -186,7 +164,6 @@ class BatchedInference:
         self.elimination_passes = 0
         self.factor_cache_hits = 0
         self.factor_cache_misses = 0
-        self.derived_factors = 0
         self.batches = 0
         self.queries = 0
 
@@ -223,57 +200,10 @@ class BatchedInference:
         be returned, but dropping the table frees the memory immediately.
         """
         self._factors.clear()
-        self._derived.clear()
         if generation is not None:
             self._generation = int(generation)
         else:
             self._generation += 1
-
-    def joint_factor(self, variables: Sequence[str], allow_derived: bool = False) -> Factor:
-        """The joint factor over ``variables``, optionally derived by prefix reuse.
-
-        With ``allow_derived=False`` this is exactly :meth:`eliminated_factor`
-        (the bit-exact path point queries rely on).  With
-        ``allow_derived=True`` — the aggregate-lowering path — a cached
-        factor over a *superset* of ``variables`` (an already-eliminated
-        shared prefix) is marginalized down instead of paying a fresh
-        elimination pass.  Derived factors are mathematically equal but not
-        bit-identical to freshly eliminated ones, so they live in their own
-        cache and are never returned to the exact point-query path.
-        """
-        wanted = frozenset(variables)
-        exact_key = (self._generation, wanted)
-        cached = self._factors.get(exact_key)
-        if cached is not None:
-            self._factors.move_to_end(exact_key)
-            self.factor_cache_hits += 1
-            return cached
-        if not allow_derived:
-            return self.eliminated_factor(tuple(variables))
-        derived = self._derived.get(exact_key)
-        if derived is not None:
-            self._derived.move_to_end(exact_key)
-            self.factor_cache_hits += 1
-            return derived
-        # Look for the smallest cached superset (exact factors first) whose
-        # eliminated prefix covers every wanted variable.
-        best: Factor | None = None
-        for store in (self._factors, self._derived):
-            for (generation, kept), factor in store.items():
-                if generation != self._generation or not wanted <= kept:
-                    continue
-                if best is None or len(factor.attributes) < len(best.attributes):
-                    best = factor
-        if best is None:
-            return self.eliminated_factor(tuple(variables))
-        self.derived_factors += 1
-        derived = best.marginalize(
-            [name for name in best.attributes if name not in wanted]
-        )
-        self._derived[exact_key] = derived
-        if len(self._derived) > self._capacity:
-            self._derived.popitem(last=False)
-        return derived
 
     # ------------------------------------------------------------------
     # Batched queries
@@ -364,77 +294,6 @@ class BatchedInference:
                     results[index] = table / total
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]  # every slot asserted filled
-
-    def restricted_aggregate_batch(
-        self,
-        requests: Sequence[tuple[tuple, str, str | None]],
-    ) -> list[tuple[float, float]]:
-        """Lower Filter-restricted scalar aggregate plans to factors.
-
-        Each request is ``(restrictions, function, attribute)`` where
-        ``restrictions`` is a sorted tuple of ``(attribute, allowed-code
-        flags)`` pairs (the compiled conjunction's per-axis masks) and
-        ``function`` is ``"count"``/``"sum"``/``"avg"`` over ``attribute``.
-        Requests sharing a variable set reuse one eliminated factor, and
-        factors over *subsets* of already-eliminated variable sets are
-        derived by marginalizing the shared prefix (:meth:`joint_factor` with
-        ``allow_derived=True``) instead of paying a fresh elimination pass.
-
-        Returns, per request, ``(value, mass)`` where ``mass`` is the
-        restricted probability mass and ``value`` is the probability-weighted
-        aggregate (a probability for COUNT, an expectation numerator for SUM,
-        their ratio for AVG) — callers scale by the population size.
-        """
-        self.batches += 1
-        self.queries += len(requests)
-        results: list[tuple[float, float]] = []
-        for restrictions, function, attribute in requests:
-            variables = {name for name, _ in restrictions}
-            if function != "count" and attribute is not None:
-                variables.add(attribute)
-            for name in variables:
-                if name not in self._network.schema:
-                    raise BayesNetError(f"unknown attribute {name!r} in query")
-            factor = self.joint_factor(tuple(sorted(variables)), allow_derived=True)
-            results.append(self._aggregate(factor, restrictions, function, attribute))
-        return results
-
-    def _aggregate(
-        self,
-        factor: Factor,
-        restrictions: tuple,
-        function: str,
-        attribute: str | None,
-    ) -> tuple[float, float]:
-        """Apply axis restrictions and reduce one factor to ``(value, mass)``."""
-        if factor.is_scalar:
-            mass = float(factor.value())
-            return (mass if function == "count" else 0.0, mass)
-        table = factor.table
-        shape_of = dict(zip(factor.attributes, table.shape))
-        for name, flags in restrictions:
-            axis = factor.attributes.index(name)
-            mask = np.asarray(flags, dtype=float)
-            broadcast = [1] * table.ndim
-            broadcast[axis] = shape_of[name]
-            table = table * mask.reshape(broadcast)
-        mass = float(table.sum())
-        if function == "count":
-            return (mass, mass)
-        assert attribute is not None
-        domain = self._network.schema[attribute].domain
-        try:
-            values = np.asarray(domain.values, dtype=float)
-        except (TypeError, ValueError):
-            raise BayesNetError(
-                f"attribute {attribute!r} is not numeric; cannot SUM/AVG over it"
-            ) from None
-        broadcast = [1] * table.ndim
-        broadcast[factor.attributes.index(attribute)] = values.shape[0]
-        weighted = float((table * values.reshape(broadcast)).sum())
-        if function == "sum":
-            return (weighted, mass)
-        return (weighted / mass if mass > 0 else 0.0, mass)
 
     def probability_or_zero_batch(
         self,

@@ -24,9 +24,8 @@ served:
   shapes in, answers in submission order out, ``==`` to ``execute`` per
   plan.  The sample's ``run`` is the columnar engine's optimized schedule;
   the network's ``run`` sends point plans through one batched inference
-  call, exact-lowered scalars through one restricted-aggregate call, and
-  everything else through one optimized schedule over the ``K`` generated
-  samples stacked into one relation (:class:`_GeneratedStack`); the
+  call and everything else through one optimized schedule over the ``K``
+  generated samples stacked into one relation (:class:`_GeneratedStack`); the
   hybrid's ``run`` splits by ``plan.route``, delegates to the other two,
   and for hybrid-routed plans runs both and merges.
 
@@ -72,7 +71,6 @@ from ..bayesnet import BayesianNetwork, ExactInference, ForwardSampler
 from ..exceptions import QueryError
 from ..obs.trace import NULL_TRACER
 from ..plan import (
-    BN_LOWER_EXACT,
     ROUTE_BAYES_NET,
     ROUTE_HYBRID,
     ROUTE_SAMPLE,
@@ -261,7 +259,7 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         self._rng = np.random.default_rng(seed)
         self._generated: list[Relation] | None = None
         self._generated_stack: _GeneratedStack | None = None
-        self._lowering_compiler = None
+        self._schema_compiler = None
         self.name = name
 
     @property
@@ -314,10 +312,10 @@ class BayesNetEvaluator(OpenWorldEvaluator):
 
     def _compiler(self):
         """The (cached) plan compiler over the network's schema, shared by
-        the factor lowering and the generated-sample stack."""
-        if self._lowering_compiler is None:
-            self._lowering_compiler = PlanCompiler(self._network.schema)
-        return self._lowering_compiler
+        table decomposition and the generated-sample stack."""
+        if self._schema_compiler is None:
+            self._schema_compiler = PlanCompiler(self._network.schema)
+        return self._schema_compiler
 
     # ------------------------------------------------------------------
     # Single-plan kernels
@@ -349,48 +347,22 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         plan = query if isinstance(query, LogicalPlan) else self._compiler().compile(query)
         return _decomposed_table(self, plan, self._network.schema)
 
-    def scalar_exact(self, query: "ScalarAggregateQuery | LogicalPlan") -> float:
-        """Exact network answer of a filtered scalar aggregate.
-
-        Lowers the compiled plan to the batched inference engine: one cached
-        eliminated factor over the referenced attributes, predicate
-        restrictions applied as axis masks.  This is the ``"exact"`` BN
-        lowering of aggregate plans — a deterministic alternative to the
-        default forward-sampled answer (it is *not* bit-identical to
-        :meth:`scalar`, which follows the paper's Sec. 4.2.4 sampling).
-        """
-        plan = query if isinstance(query, LogicalPlan) else self._compiler().compile(query)
-        return self._exact_scalars([plan])[0]
-
-    def execute(self, query: "Query | LogicalPlan"):
-        """Single-plan dispatch; a plan whose ``Route`` node carries the
-        exact lowering tag is answered by :meth:`scalar_exact`."""
-        if isinstance(query, LogicalPlan) and query.root.bn_lowering == BN_LOWER_EXACT:
-            return self.scalar_exact(query)
-        return super().execute(query)
-
     # ------------------------------------------------------------------
     # The batched entry point
     # ------------------------------------------------------------------
     def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
         """Batched answering over the network, ``==`` to :meth:`execute` per plan.
 
-        Plans fall into three families, each paying its shared work once:
+        Plans fall into two families, each paying its shared work once:
         point plans go through **one** batched exact-inference call (one
         variable-elimination pass per evidence signature, ``cancel`` polled
-        between signatures); plans tagged for exact lowering go through
-        **one** restricted-aggregate call (shared eliminated factors); all
-        other plans — sampled scalars, group-bys, joins, tables — go through
-        one optimized schedule per generated sample (:meth:`_run_sampled`).
+        between signatures); all other plans — scalars, group-bys, joins,
+        tables — go through one optimized schedule over the stacked
+        generated samples (:meth:`_run_sampled`).
         """
         families: dict[Callable, list[int]] = {}
         for index, plan in enumerate(plans):
-            if plan.shape == SHAPE_POINT:
-                family = self._points
-            elif plan.root.bn_lowering == BN_LOWER_EXACT:
-                family = self._exact_scalars
-            else:
-                family = self._run_sampled
+            family = self._points if plan.shape == SHAPE_POINT else self._run_sampled
             families.setdefault(family, []).append(index)
         results: list = [None] * len(plans)
         for family, indices in families.items():
@@ -412,26 +384,6 @@ class BayesNetEvaluator(OpenWorldEvaluator):
             float(self._population_size * probability)
             for probability in probabilities
         ]
-
-    def _exact_scalars(self, plans, **_) -> list[float]:
-        """Exact scalars in one call: factors over shared variable sets
-        eliminate once, subsets derive from already-eliminated prefixes."""
-        requests = [
-            (
-                _axis_restrictions(plan.predicates, self._network.schema),
-                plan.aggregate.function,
-                plan.aggregate.attribute,
-            )
-            for plan in plans
-        ]
-        rows = self._inference.batched.restricted_aggregate_batch(requests)
-        answers = []
-        for (_, function, _), (value, _mass) in zip(requests, rows):
-            # COUNT/SUM scale factor mass into population units; AVG is
-            # already a ratio.
-            scale = self._population_size if function in ("count", "sum") else 1.0
-            answers.append(float(scale * value))
-        return answers
 
     def _run_sampled(self, plans, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
         """Answer plans from the ``K`` generated samples in one stacked pass.
@@ -810,23 +762,3 @@ def _merge_group_by(
             merged[group] = value
     return QueryResult(group_by, merged)
 
-
-def _axis_restrictions(predicates, schema) -> tuple:
-    """Per-attribute allowed-code masks of a compiled conjunction.
-
-    Conjuncts over the same attribute intersect.  Returned as a sorted
-    tuple of ``(attribute, code-mask-bytes)`` pairs so it is hashable and
-    order-insensitive (part of the batched engine's request grouping).
-    """
-    restrictions: dict[str, np.ndarray] = {}
-    for predicate in predicates:
-        size = schema[predicate.attribute].size
-        mask = predicate.code_mask(size)
-        if predicate.attribute in restrictions:
-            restrictions[predicate.attribute] = restrictions[predicate.attribute] & mask
-        else:
-            restrictions[predicate.attribute] = mask
-    return tuple(
-        (name, tuple(bool(flag) for flag in restrictions[name]))
-        for name in sorted(restrictions)
-    )

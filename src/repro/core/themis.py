@@ -21,7 +21,6 @@ from ..plan import LogicalPlan
 from ..query.ast import (
     GroupByQuery,
     JoinGroupByQuery,
-    PointQuery,
     Query,
     ScalarAggregateQuery,
 )
@@ -347,22 +346,6 @@ class Themis:
         """Open-world point query: estimated population count of a tuple."""
         return self.model.hybrid_evaluator.point(assignment)
 
-    def point_batch(self, assignments: Sequence[Mapping[str, Any]]) -> list[float]:
-        """Answer many point queries at once, sharing BN inference work.
-
-        In-sample tuples come from the reweighted sample; all out-of-sample
-        tuples are answered through one batched exact-inference call that
-        pays a single variable-elimination pass per evidence signature
-        (the set of attributes an assignment fixes).  Answers are
-        bit-identical to calling :meth:`point` per assignment — batching
-        changes the cost, never the result.
-        """
-        plans = [
-            self.plan(PointQuery(dict(assignment))).logical
-            for assignment in assignments
-        ]
-        return self.model.hybrid_evaluator.run(plans)
-
     def group_by(self, query: GroupByQuery) -> QueryResult:
         """Open-world GROUP BY query."""
         return self.model.hybrid_evaluator.group_by(query)
@@ -460,7 +443,7 @@ class Themis:
 
         Keyword arguments are forwarded to
         :class:`~repro.serving.session.ServingSession` (cache capacities,
-        ``exact_bn_aggregates``, and ``trace=True`` to attach a structured
+        ``memory_budget_bytes``, and ``trace=True`` to attach a structured
         span tree to every outcome and batch).
         """
         from ..serving import ServingSession

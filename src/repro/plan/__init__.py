@@ -10,8 +10,6 @@ node — exactly once, and every executor consumes that plan:
   group-bys;
 * the serving :class:`~repro.serving.planner.QueryPlanner` derives its
   result-cache keys and evaluator routes from the compiled plan;
-* network-routed aggregate plans can lower to batched conditional inference
-  (:mod:`repro.bayesnet.batched`) instead of per-query work;
 * whole batches are rewritten by the batch-aware optimizer
   (:mod:`repro.plan.optimize`): execution-equivalent plans dedup to one
   slot, equivalent filters normalize to one cached mask, and aggregates
@@ -22,8 +20,6 @@ node — exactly once, and every executor consumes that plan:
 from .compiler import PlanCompiler, resolve_route
 from .executor import ColumnarExecutor
 from .ir import (
-    BN_LOWER_EXACT,
-    BN_LOWER_SAMPLED,
     OUT_OF_DOMAIN,
     ROUTE_BAYES_NET,
     ROUTE_HYBRID,
@@ -92,8 +88,6 @@ from .wire import (
 
 __all__ = [
     "Aggregate",
-    "BN_LOWER_EXACT",
-    "BN_LOWER_SAMPLED",
     "CanonicalPredicate",
     "ColumnarExecutor",
     "Filter",

@@ -48,12 +48,6 @@ ROUTE_SAMPLE = "sample"
 ROUTE_BAYES_NET = "bayes-net"
 ROUTE_HYBRID = "hybrid"
 
-#: How a network-routed aggregate plan is lowered: averaged over the BN's
-#: forward-sampled relations (the paper's Sec. 4.2.4 treatment, the default)
-#: or exactly, by batched conditional inference over eliminated factors.
-BN_LOWER_SAMPLED = "sampled"
-BN_LOWER_EXACT = "exact"
-
 #: Query shapes a plan can carry (``LogicalPlan.shape``).
 SHAPE_POINT = "point"
 SHAPE_SCALAR = "scalar"
@@ -114,8 +108,6 @@ class CanonicalPredicate:
     def code_mask(self, domain_size: int) -> np.ndarray:
         """Boolean mask over a *domain's codes* (not tuples) the predicate admits.
 
-        Used by the Bayesian-network lowering: applying this mask along a
-        factor axis restricts the factor to the predicate-satisfying values.
         :meth:`mask` is this mask gathered through the column (``IN``) or the
         same :meth:`_compare` over the column, so the two views of one
         predicate can never disagree about which values it admits.
@@ -304,14 +296,11 @@ PIPELINE_NODE_TYPES = (Having, Window, Sort, Limit)
 
 @dataclass(frozen=True)
 class Route:
-    """Root node: which evaluator serves the plan, and how.
+    """Root node: which evaluator serves the plan.
 
     ``choice`` is ``None`` straight out of the compiler (routing needs a
     fitted model) and one of :data:`ROUTE_SAMPLE` / :data:`ROUTE_BAYES_NET` /
     :data:`ROUTE_HYBRID` after :func:`repro.plan.compiler.resolve_route`.
-    ``bn_lowering`` selects how a network-routed aggregate is answered —
-    :data:`BN_LOWER_SAMPLED` (generated samples, the default and the paper's
-    semantics) or :data:`BN_LOWER_EXACT` (batched conditional inference).
     Table-shaped plans interpose pipeline nodes (:class:`Having`,
     :class:`Window`, :class:`Sort`, :class:`Limit`) between the route and
     the aggregate.
@@ -319,7 +308,6 @@ class Route:
 
     child: PipelineChild
     choice: str | None = None
-    bn_lowering: str = BN_LOWER_SAMPLED
 
 
 PlanNode = Union[Scan, Filter, Group, Join, Aggregate, Having, Window, Sort, Limit, Route]
@@ -446,16 +434,11 @@ class LogicalPlan:
         """Whether :func:`resolve_route` has stamped an evaluator choice."""
         return self.root.choice is not None
 
-    def with_route(self, choice: str, bn_lowering: str | None = None) -> "LogicalPlan":
-        """A copy of this plan with the route (and lowering) resolved."""
-        root = self.root
+    def with_route(self, choice: str) -> "LogicalPlan":
+        """A copy of this plan with the route resolved."""
         return LogicalPlan(
             query=self.query,
-            root=Route(
-                root.child,
-                choice,
-                bn_lowering if bn_lowering is not None else root.bn_lowering,
-            ),
+            root=Route(self.root.child, choice),
             shape=self.shape,
             key=self.key,
             sql=self.sql,

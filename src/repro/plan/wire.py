@@ -76,7 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: node/query/value encoding changes shape — the golden-file test in
 #: ``tests/test_plan_wire.py`` fails loudly when encodings drift without a
 #: version increment.
-WIRE_FORMAT_VERSION = 1
+WIRE_FORMAT_VERSION = 2
 
 #: The ``"format"`` tag every payload carries.
 WIRE_FORMAT_NAME = "themis/plan"
@@ -223,7 +223,6 @@ def _serialize_route(node: Route) -> dict[str, Any]:
         "node": "route",
         "child": serialize_node(node.child),
         "choice": node.choice,
-        "bn_lowering": node.bn_lowering,
     }
 
 
@@ -344,7 +343,6 @@ def _deserialize_route(payload: dict[str, Any]) -> Route:
     return Route(
         child=deserialize_node(payload["child"]),
         choice=payload["choice"],
-        bn_lowering=payload["bn_lowering"],
     )
 
 
@@ -367,7 +365,8 @@ def deserialize_node(payload: dict[str, Any]) -> Any:
     if not isinstance(payload, dict):
         raise WireFormatError(f"expected a node dict, got {payload!r}")
     tag = payload.get("node")
-    deserializer = _NODE_DESERIALIZERS.get(tag)
+    # A tag of the wrong type (a dict, a list) is unknown, not unhashable.
+    deserializer = _NODE_DESERIALIZERS.get(tag) if isinstance(tag, str) else None
     if deserializer is None:
         raise WireFormatError(f"unknown plan node tag {tag!r}")
     try:
@@ -660,7 +659,7 @@ def deserialize_plan(
         labels=recompiled.labels,
     )
     if root.choice is not None:
-        plan = plan.with_route(root.choice, root.bn_lowering)
+        plan = plan.with_route(root.choice)
     return plan
 
 

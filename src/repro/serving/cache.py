@@ -6,9 +6,8 @@ query answers, plus :class:`PlanCache`, an LRU map from raw SQL text to its
 but not free at serving rates).  Tier two is :class:`InferenceCache`, shared
 by *all* queries of one session: it fronts the Bayesian network's batched
 inference engine (per-signature eliminated factors, so a whole batch of
-point queries pays one variable-elimination pass per evidence-variable set),
-memoizes node marginals, and owns the warm-up of the network's
-forward-sampled relations — repeated BN work is paid once per fitted model
+point queries pays one variable-elimination pass per evidence-variable set)
+and owns the warm-up of the network's forward-sampled relations — repeated BN work is paid once per fitted model
 rather than once per query.
 
 Every cache is tagged with the generation of the model it was built against;
@@ -328,33 +327,15 @@ class InferenceCache:
     The factor cache deliberately lives on the *model's* engine, not on this
     object: ``Themis.point()`` and every serving session over one fitted
     model share a single cache, which is what makes the per-query and
-    batched paths one (bit-identical) code path.  Consequently sessions over
-    the same model also share capacity — the most recently constructed or
-    invalidated session's ``factor_capacity`` wins — and
+    batched paths one (bit-identical) code path.  Consequently
     :meth:`describe`'s engine counters are engine-lifetime totals, while
     :attr:`statistics` only counts lookups made through *this* cache.
-
-    :meth:`marginal` memoizes per-node marginals for serving-layer consumers
-    outside the executor (diagnostics, and the planned async/sharded
-    front-ends in ROADMAP.md); nothing on the batch path calls it today.
     """
 
     evaluator: BayesNetEvaluator
     generation: int = 0
-    factor_capacity: int = 128
     statistics: CacheStatistics = field(default_factory=CacheStatistics)
-    _marginals: dict[str, Any] = field(init=False, repr=False)
     _samples_warm: bool = field(init=False, default=False, repr=False)
-
-    def __post_init__(self):
-        self._marginals = {}
-        self._configure_engine()
-
-    def _configure_engine(self) -> "BatchedInference":
-        """Apply this cache's factor capacity to the evaluator's engine."""
-        engine = self.evaluator.inference.batched
-        engine.factor_cache_capacity = self.factor_capacity
-        return engine
 
     @property
     def engine(self) -> "BatchedInference":
@@ -403,15 +384,6 @@ class InferenceCache:
         self.statistics.evictions += before - self.engine.cached_factor_count
         return freed
 
-    def marginal(self, node: str):
-        """Memoized exact marginal distribution of one BN node."""
-        if node in self._marginals:
-            self.statistics.hits += 1
-        else:
-            self.statistics.misses += 1
-            self._marginals[node] = self.evaluator.inference.marginal(node)
-        return self._marginals[node]
-
     @property
     def samples_warm(self) -> bool:
         """Whether the generated samples have been materialized."""
@@ -439,22 +411,19 @@ class InferenceCache:
         self.evaluator = evaluator
         self.generation = generation
         old_engine.invalidate(generation)
-        self._configure_engine().invalidate(generation)
-        self._marginals.clear()
+        self.engine.invalidate(generation)
         self._samples_warm = False
 
     def entries(self) -> dict[str, int | bool]:
         """Size-in-items snapshot of every memoized tier (non-mutating).
 
-        ``factors`` counts the engine's cached eliminated factors,
-        ``marginals`` the memoized per-node marginals, and ``samples_warm``
-        whether the ``K`` generated relations are materialized — cache
-        growth made observable without touching hit/miss statistics or any
-        LRU order.
+        ``factors`` counts the engine's cached eliminated factors and
+        ``samples_warm`` says whether the ``K`` generated relations are
+        materialized — cache growth made observable without touching hit/miss
+        statistics or any LRU order.
         """
         return {
             "factors": self.engine.cached_factor_count,
-            "marginals": len(self._marginals),
             "samples_warm": self.samples_warm,
         }
 

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import replace
 
 from ..core.model import ThemisModel
 from ..exceptions import DeadlineExceededError, QueryCancelledError
 from ..obs import names
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..plan import BN_LOWER_EXACT, SHAPE_SCALAR, LogicalPlan, OptimizerStats
+from ..plan import LogicalPlan, OptimizerStats
 from ..query.ast import Query
 from ..sql.engine import QueryResult
 from .cache import InferenceCache, PlanCache, ResultCache
@@ -57,19 +56,7 @@ _DISPATCH_STAGES = (
 
 
 class BatchExecutor:
-    """Execute planned queries against one fitted model with shared caches.
-
-    Parameters
-    ----------
-    exact_bn_aggregates:
-        When true, network-routed *aggregate* plans (filtered scalars) are
-        stamped with the exact lowering tag and answered by batched
-        conditional inference over shared eliminated factors
-        (:meth:`BayesNetEvaluator.scalar_exact`) instead of the default
-        forward-sampled answering.  Exact lowering is deterministic and
-        batch-friendly but intentionally **not** bit-identical to the
-        sampled path, so it is opt-in per session.
-    """
+    """Execute planned queries against one fitted model with shared caches."""
 
     def __init__(
         self,
@@ -78,7 +65,6 @@ class BatchExecutor:
         result_cache: ResultCache,
         inference_cache: InferenceCache,
         plan_cache: PlanCache | None = None,
-        exact_bn_aggregates: bool = False,
         metrics: MetricsRegistry | None = None,
     ):
         self._model = model
@@ -86,7 +72,6 @@ class BatchExecutor:
         self._result_cache = result_cache
         self._inference_cache = inference_cache
         self._plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self._exact_bn_aggregates = bool(exact_bn_aggregates)
         # The single accumulation point for optimizer/BN/stage counters; the
         # serving session passes its own registry so ServingStatistics reads
         # the very counters this executor writes.
@@ -116,31 +101,12 @@ class BatchExecutor:
             cached = self._plan_cache.get(query)
             if cached is not None:
                 return cached
-            plan = self._stamp_lowering(self._planner.plan_sql(query))
+            plan = self._planner.plan_sql(query)
             self._plan_cache.put(query, plan)
             return plan
         if isinstance(query, QueryPlan):
             return query
-        return self._stamp_lowering(self._planner.plan(query))
-
-    def _stamp_lowering(self, plan: QueryPlan) -> QueryPlan:
-        """Record this executor's BN lowering choice on the plan's Route node.
-
-        Exact mode applies to network-routed scalar aggregate plans, which
-        then never touch the generated samples
-        (:attr:`QueryPlan.needs_generated_samples` reads the tag); the
-        evaluators branch on the Route node's tag, so the plan always
-        reports how it will actually be served.
-        """
-        if (
-            self._exact_bn_aggregates
-            and plan.route == ROUTE_BAYES_NET
-            and plan.shape == SHAPE_SCALAR
-        ):
-            return replace(
-                plan, logical=plan.logical.with_route(plan.route, BN_LOWER_EXACT)
-            )
-        return plan
+        return self._planner.plan(query)
 
     # ------------------------------------------------------------------
     # Single-plan execution

@@ -31,7 +31,6 @@ from ..plan import (
     resolve_route,
 )
 from ..plan.ir import (
-    BN_LOWER_EXACT,
     ROUTE_BAYES_NET,
     ROUTE_HYBRID,
     ROUTE_SAMPLE,
@@ -93,11 +92,6 @@ class QueryPlan:
         """The plan's query shape tag (``"point"``, ``"scalar"``, ...)."""
         return self.logical.shape
 
-    @property
-    def bn_lowering(self) -> str:
-        """How a network-routed aggregate plan is lowered."""
-        return self.logical.root.bn_lowering
-
     @cached_property
     def group_signature(self) -> tuple:
         """The batching signature: plans sharing it group over the same
@@ -115,14 +109,11 @@ class QueryPlan:
         logical = self.logical
         if logical.shape in (SHAPE_GROUP_BY, SHAPE_JOIN_GROUP_BY):
             return True  # the hybrid merges in BN groups from generated samples
-        if logical.shape == SHAPE_TABLE:
-            # Grouped tables merge in BN groups like any group-by; group-less
-            # tables only touch the generated samples when BN-routed.
-            return bool(logical.group_keys) or self.route == ROUTE_BAYES_NET
-        if logical.shape == SHAPE_SCALAR:
-            # An exactly lowered scalar is answered by conditional inference.
-            return self.route == ROUTE_BAYES_NET and self.bn_lowering != BN_LOWER_EXACT
-        return False
+        if logical.shape == SHAPE_TABLE and logical.group_keys:
+            return True  # grouped tables merge in BN groups like any group-by
+        # Group-less shapes touch the generated samples only when BN-routed;
+        # a BN-routed point plan is answered by exact inference.
+        return logical.shape != SHAPE_POINT and self.route == ROUTE_BAYES_NET
 
 
 class QueryPlanner:

@@ -96,7 +96,6 @@ class AsyncServingFrontend:
         max_inflight: int = 4,
         dispatch_timeout: float | None = None,
         session_options: dict[str, Any] | None = None,
-        start_method: str | None = None,
         max_retries: int = 3,
         request_deadline: float | None = None,
         heartbeat_interval: float | None = None,
@@ -116,7 +115,6 @@ class AsyncServingFrontend:
             timeout=dispatch_timeout,
             session_options=session_options,
             metrics=self.metrics,
-            start_method=start_method,
             fault_injector=fault_injector,
             max_retries=max_retries,
             heartbeat_interval=heartbeat_interval,

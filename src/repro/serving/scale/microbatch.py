@@ -64,6 +64,8 @@ counters when a controller is attached.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -204,9 +206,11 @@ class MicroBatcher:
         the queue never backs up; anything outside ``PRIORITIES`` is a
         ``ValueError`` for this request alone); ``deadline`` is this
         request's budget in seconds, defaulting to the batcher-wide
-        ``request_deadline``.  Sheds raise :class:`AdmissionRejectedError`
-        (with a controller) or :class:`ServingOverloadError` (bare queue
-        bound) immediately.
+        ``request_deadline`` (anything but ``None`` or a finite real number
+        is a ``ValueError`` for this request alone).  Both are checked
+        before admission, so a malformed request takes no token.  Sheds
+        raise :class:`AdmissionRejectedError` (with a controller) or
+        :class:`ServingOverloadError` (bare queue bound) immediately.
         """
         if not self._running:
             raise RuntimeError("MicroBatcher.submit() before start()")
@@ -215,6 +219,14 @@ class MicroBatcher:
             # its own request here, never the batch it would have joined.
             raise ValueError(
                 f"unknown priority {priority!r}; expected one of {PRIORITIES}"
+            )
+        if deadline is not None and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, numbers.Real)
+            or not math.isfinite(deadline)
+        ):
+            raise ValueError(
+                f"deadline must be None or a finite number of seconds, got {deadline!r}"
             )
         depth = len(self._pending)
         if self.admission is not None:

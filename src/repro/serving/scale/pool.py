@@ -112,11 +112,19 @@ FALLBACK_IN_PROCESS = "in-process"
 #: What a pipe conversation yields in place of a reply: both are retryable.
 _TRANSPORT_FAILURES = (WorkerCrashedError, DispatchTimeoutError)
 
+#: How worker processes start: ``fork`` (cheap, shares the loaded
+#: interpreter) where the platform has it, else the platform's first method.
+START_METHOD = (
+    "fork" if "fork" in mp.get_all_start_methods() else mp.get_all_start_methods()[0]
+)
 
-def _start_method() -> str:
-    """Prefer ``fork`` (cheap, shares the loaded interpreter) when available."""
-    methods = mp.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
+#: Retry backoff: attempt *k* sleeps ``min(BACKOFF_CAP, backoff_base *
+#: 2**(k-1))`` seconds, scaled by ``1 + BACKOFF_JITTER * u``.
+BACKOFF_CAP = 1.0
+BACKOFF_JITTER = 0.25
+
+#: Reply deadline (seconds) for replaying the broadcast log into a respawn.
+RESPAWN_TIMEOUT = 60.0
 
 
 def batch_payload(
@@ -298,16 +306,15 @@ class SupervisedWorkerPool:
     max_retries:
         Retryable-failure re-dispatches allowed per ``execute_batch`` call
         before the affected requests fail with :class:`RetryExhaustedError`.
-    backoff_base, backoff_cap, backoff_jitter, retry_seed:
+    backoff_base, retry_seed:
         Exponential backoff between retries: attempt *k* sleeps
-        ``min(cap, base * 2**(k-1))`` scaled by ``1 + jitter * u`` with
-        ``u`` drawn from a ``random.Random(retry_seed)`` stream — jittered
-        but reproducible.
+        ``min(BACKOFF_CAP, base * 2**(k-1))`` scaled by
+        ``1 + BACKOFF_JITTER * u`` with ``u`` drawn from a
+        ``random.Random(retry_seed)`` stream — jittered but reproducible.
     max_respawns:
         Respawn budget per shard; a shard that exhausts it is permanently
-        dead (the all-dead case degrades per ``fallback``).
-    respawn_timeout:
-        Reply deadline for replaying the broadcast log into a respawn.
+        dead (the all-dead case degrades per ``fallback``).  A respawn has
+        :data:`RESPAWN_TIMEOUT` seconds per reply to replay the broadcast log.
     heartbeat_interval / heartbeat_timeout / heartbeat_misses_to_kill:
         Liveness probing: every ``interval`` seconds each idle shard is
         pinged; ``misses_to_kill`` consecutive unanswered pings (each
@@ -336,15 +343,11 @@ class SupervisedWorkerPool:
         timeout: float | None = None,
         session_options: dict[str, Any] | None = None,
         metrics: MetricsRegistry | None = None,
-        start_method: str | None = None,
         fault_injector: FaultInjector | None = None,
         max_retries: int = 3,
         backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
-        backoff_jitter: float = 0.25,
         retry_seed: int = 0,
         max_respawns: int = 3,
-        respawn_timeout: float | None = 60.0,
         heartbeat_interval: float | None = None,
         heartbeat_timeout: float = 1.0,
         heartbeat_misses_to_kill: int = 3,
@@ -369,10 +372,7 @@ class SupervisedWorkerPool:
         self._fault_injector = fault_injector
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
         self.max_respawns = max_respawns
-        self.respawn_timeout = respawn_timeout
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_misses_to_kill = heartbeat_misses_to_kill
@@ -399,7 +399,7 @@ class SupervisedWorkerPool:
         # The spec and context are kept so crashed shards respawn from the
         # same deterministic recipe the pool started from.
         self._spec = WorkerSpec.from_themis(themis, **(session_options or {}))
-        self._context = mp.get_context(start_method or _start_method())
+        self._context = mp.get_context(START_METHOD)
         self._workers = [
             self._spawn_worker(shard_id, 0) for shard_id in range(n_workers)
         ]
@@ -712,7 +712,7 @@ class SupervisedWorkerPool:
             try:
                 for command, payload in replay:
                     (body,) = await self._converse(
-                        [worker], command, lambda _: payload, self.respawn_timeout
+                        [worker], command, lambda _: payload, RESPAWN_TIMEOUT
                     )
                     if isinstance(body, BaseException):
                         break
@@ -909,10 +909,8 @@ class SupervisedWorkerPool:
             if not pending:
                 break
             attempt += 1
-            backoff = min(
-                self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))
-            )
-            backoff *= 1.0 + self.backoff_jitter * self._rng.random()
+            backoff = min(BACKOFF_CAP, self.backoff_base * (2 ** (attempt - 1)))
+            backoff *= 1.0 + BACKOFF_JITTER * self._rng.random()
             if attempt > self.max_retries:
                 fail(pending, self._exhausted(attempt, last_error, "retry"))
                 break
@@ -1116,7 +1114,7 @@ class SupervisedWorkerPool:
                     [self._workers[shard_id]],
                     CMD_DESCRIBE if logged else command,
                     lambda _: None if logged else payload,
-                    self.respawn_timeout,
+                    RESPAWN_TIMEOUT,
                 )
             if isinstance(reply, BaseException):
                 raise reply

@@ -43,10 +43,8 @@ _GAUGE_KEYS = frozenset(
         "cached_sides",
         "cached_factors",
         "factors",
-        "marginals",
         "samples_warm",
         "capacity",
-        "factor_capacity",
         "generation",
     }
 )
@@ -84,18 +82,6 @@ class ServingSession:
         Capacity of the LRU result cache (plan-key -> answer).
     plan_cache_size:
         Capacity of the LRU SQL-text -> plan cache.
-    inference_factor_capacity:
-        Capacity of the per-signature eliminated-factor cache backing
-        batched BN point inference (one factor per queried evidence-variable
-        set, so a modest capacity covers most workloads).  The factor cache
-        lives on the fitted model's inference engine and is shared by every
-        session over that model; the most recent session's capacity wins.
-    exact_bn_aggregates:
-        Opt-in: lower network-routed scalar aggregate plans to batched
-        exact conditional inference over shared eliminated factors instead
-        of the default forward-sampled answering.  Deterministic and
-        batch-friendly, but deliberately *not* bit-identical to the sampled
-        path (so the default stays the paper's semantics).
     trace:
         When true, every served query and batch carries a structured span
         tree (``outcome.trace`` / ``batch.trace``) recording where its
@@ -113,11 +99,10 @@ class ServingSession:
         cold entries by hit density, hard → reject admissions, critical →
         flush), sampled after every serve.  ``None`` (the default) leaves
         caches bounded only by their per-tier entry capacities.
-    default_deadline:
-        When set, every query/batch served without an explicit ``deadline``
-        gets this many seconds; an expired deadline raises a typed
-        :class:`~repro.exceptions.DeadlineExceededError` at the next
-        chunk-boundary poll.
+
+    The eliminated-factor cache behind BN point inference lives on the
+    fitted model's inference engine (128 factors, LRU) and is shared by every
+    session over that model.
     """
 
     def __init__(
@@ -125,19 +110,13 @@ class ServingSession:
         themis: "Themis",
         result_cache_size: int = 256,
         plan_cache_size: int = 512,
-        inference_factor_capacity: int = 128,
-        exact_bn_aggregates: bool = False,
         trace: bool = False,
         memory_budget_bytes: int | None = None,
-        default_deadline: float | None = None,
     ):
         self._themis = themis
         self._result_cache = ResultCache(result_cache_size)
         self._plan_cache = PlanCache(plan_cache_size)
-        self._inference_factor_capacity = int(inference_factor_capacity)
-        self._exact_bn_aggregates = bool(exact_bn_aggregates)
         self._trace = bool(trace)
-        self._default_deadline = default_deadline
         self._inference_cache: InferenceCache | None = None
         self._executor: BatchExecutor | None = None
         self._generation: int | None = None
@@ -178,9 +157,7 @@ class ServingSession:
         self._plan_cache.invalidate()
         if self._inference_cache is None:
             self._inference_cache = InferenceCache(
-                model.bayes_net_evaluator,
-                generation=generation,
-                factor_capacity=self._inference_factor_capacity,
+                model.bayes_net_evaluator, generation=generation
             )
         else:
             self._inference_cache.invalidate(model.bayes_net_evaluator, generation)
@@ -198,7 +175,6 @@ class ServingSession:
             self._result_cache,
             self._inference_cache,
             self._plan_cache,
-            exact_bn_aggregates=self._exact_bn_aggregates,
             metrics=self.metrics,
         )
         self._generation = generation
@@ -259,15 +235,6 @@ class ServingSession:
                 )
             )
 
-    def _resolve_token(
-        self,
-        cancel: CancelToken | None,
-        deadline: "Deadline | float | None",
-    ) -> CancelToken | None:
-        if deadline is None:
-            deadline = self._default_deadline
-        return resolve_cancel_token(cancel, deadline)
-
     def _maintain(self) -> None:
         if self.governor is not None:
             self.governor.maintain()
@@ -298,7 +265,7 @@ class ServingSession:
         single-query path the token is polled at the compile/execute
         boundaries (batches poll deeper, per execution chunk).
         """
-        token = self._resolve_token(cancel, deadline)
+        token = resolve_cancel_token(cancel, deadline)
         executor = self._ensure_current()
         tracer = Tracer() if self._trace else NULL_TRACER
         start = time.perf_counter()
@@ -346,7 +313,7 @@ class ServingSession:
         fused siblings execute normally).
         """
         if not isinstance(cancel, (list, tuple)):
-            cancel = self._resolve_token(cancel, deadline)
+            cancel = resolve_cancel_token(cancel, deadline)
         executor = self._ensure_current()
         tracer = Tracer() if self._trace else NULL_TRACER
         try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.plan import BN_LOWER_SAMPLED, ROUTE_HYBRID, PlanCompiler, plan_to_json
+from repro.plan import ROUTE_HYBRID, PlanCompiler, plan_to_json
 from repro.query.ast import (
     AggregateFunction,
     AggregateSpec,
@@ -33,7 +33,7 @@ from repro.query.ast import (
     WindowSpec,
 )
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "plan_wire_v1.json"
+GOLDEN_PATH = Path(__file__).parent / "data" / "plan_wire_v2.json"
 
 
 def golden_queries() -> dict[str, object]:
@@ -99,10 +99,8 @@ def golden_plans(schema) -> dict[str, object]:
     plans = {
         name: compiler.compile(query) for name, query in golden_queries().items()
     }
-    # One explicitly routed plan: the Route fields must survive the wire too.
-    plans["point-routed-hybrid"] = plans["point"].with_route(
-        ROUTE_HYBRID, BN_LOWER_SAMPLED
-    )
+    # One explicitly routed plan: the route must survive the wire too.
+    plans["point-routed-hybrid"] = plans["point"].with_route(ROUTE_HYBRID)
     return plans
 
 

@@ -94,9 +94,9 @@ class TestBitIdentity:
         assert {plan.route for plan in plans} == {"sample", "bayes-net"}
         assert hybrid.run(plans) == [hybrid.point(a) for a in batch]
 
-    def test_themis_facade_point_batch(self, serving_themis):
-        answers = serving_themis.point_batch(MIXED_BATCH)
-        assert answers == [serving_themis.point(a) for a in MIXED_BATCH]
+    def test_themis_facade_batch_of_points(self, serving_themis):
+        batch = serving_themis.execute_batch([PointQuery(a) for a in MIXED_BATCH])
+        assert batch.results() == [serving_themis.point(a) for a in MIXED_BATCH]
 
 
 class TestEdgeCases:
@@ -159,10 +159,8 @@ class TestFactorCache:
         engine = BatchedInference(network, factor_cache_capacity=2)
         engine.probability_batch(MIXED_BATCH)
         assert engine.cached_factor_count <= 2
-        engine.factor_cache_capacity = 1
-        assert engine.cached_factor_count <= 1
         with pytest.raises(ValueError):
-            engine.factor_cache_capacity = 0
+            BatchedInference(network, factor_cache_capacity=0)
 
     def test_invalidate_drops_factors_and_moves_generation(self, network):
         engine = BatchedInference(network)
@@ -173,6 +171,19 @@ class TestFactorCache:
         assert engine.generation == 7
         engine.probability_batch([{"A": 0}])
         assert engine.elimination_passes == 2  # the factor was re-eliminated
+
+    def test_conditional_is_cached_and_bit_identical(self, sparse_serving_themis):
+        bn = sparse_serving_themis.model.bayes_net_evaluator
+        fresh = ExactInference(bn.network)
+        reference = fresh.eliminate(keep=("C", "A")).restrict({"A": 1})
+        expected = reference.table / reference.table.sum()
+        engine = bn.inference.batched
+        first = bn.inference.conditional("C", {"A": 1})
+        passes_after_first = engine.elimination_passes
+        second = bn.inference.conditional("C", {"A": 1})
+        assert engine.elimination_passes == passes_after_first  # cached factor
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, expected)
 
 
 class TestServingIntegration:

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from repro.plan import BN_LOWER_EXACT, BN_LOWER_SAMPLED, PlanCompiler
+from repro.plan import PlanCompiler
 from repro.query import JoinGroupByQuery, MixedQueryWorkload
 from repro.sql import parse_sql
 
@@ -142,32 +142,6 @@ def test_derived_plan_properties_equal_the_eager_bind(
     assert plan.route == route
     assert plan.group_signature == signature
     assert plan.needs_generated_samples is needs_samples
-    assert plan.bn_lowering == BN_LOWER_SAMPLED
-
-
-@pytest.mark.parametrize(
-    "statement, signature",
-    [
-        ("SELECT SUM(B) FROM sample WHERE A = 2 AND B = 0 AND C = 1", ("scalar", ("B", "A", "C"))),
-        ("SELECT COUNT(*) FROM sample WHERE A >= 2 AND B = 0 AND C = 1", ("scalar", ("A", "B", "C"))),
-    ],
-    ids=["sum", "count"],
-)
-def test_exactly_lowered_scalar_needs_no_generated_samples(
-    sparse_serving_themis, statement, signature
-):
-    """``BatchExecutor._stamp_lowering`` re-tags the Route node; the derived
-    property follows the tag, as the eager stamp used to."""
-    session = sparse_serving_themis.serve(exact_bn_aggregates=True)
-    plan = session.execute_with_outcome(statement).plan
-    assert (plan.route, plan.bn_lowering) == ("bayes-net", BN_LOWER_EXACT)
-    assert plan.group_signature == signature
-    assert plan.needs_generated_samples is False
-    # Only scalars are lowered exactly: the same filter as a table stays sampled.
-    table = session.execute_with_outcome(
-        "SELECT COUNT(*) AS n, AVG(B) AS m FROM sample WHERE A = 2 AND B = 0 AND C = 1"
-    ).plan
-    assert (table.bn_lowering, table.needs_generated_samples) == (BN_LOWER_SAMPLED, True)
 
 
 def _reachable(root):

@@ -21,11 +21,16 @@ Integration layers (one shared fitted world):
   ``==`` an ungoverned oracle — eviction costs hits, never bits;
 * cache invariants: no stale-generation entry survives a refit, and
   ``entries()``/``peek()`` stay stat-free with a governor attached;
+* a malformed socket ``deadline`` fails its own request before admission,
+  so it takes no token from the well-formed ones;
 * worker pools shut down idempotently (double close, close after crash,
   close from the ``atexit`` guard).
 """
 
 from __future__ import annotations
+
+import asyncio
+import json
 
 import pytest
 
@@ -56,6 +61,7 @@ from repro.serving.governance import (
     measured_bytes,
     resolve_cancel_token,
 )
+from repro.serving.scale import AsyncServingFrontend, serve_async
 
 from worlds import build_fitted_themis
 
@@ -401,6 +407,50 @@ class TestAdmissionController:
         assert (
             metrics.counter(names.rejected_counter(PRIORITY_BACKGROUND)).value == 1
         )
+
+    def test_malformed_socket_deadline_takes_no_token(self, themis):
+        statement = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
+        # Two tokens, no refill to speak of: only well-formed requests may
+        # spend them.
+        admission = AdmissionController(max_queue=100, rate=0.001, burst=2)
+        requests = [
+            {"id": 1, "sql": statement, "deadline": "soon"},
+            {"id": 2, "sql": statement, "deadline": "soon"},
+            {"id": 3, "sql": statement, "deadline": float("nan")},
+            {"id": 4, "sql": statement, "deadline": True},
+            {"id": 5, "sql": statement},
+            {"id": 6, "sql": statement, "deadline": 30},
+            {"id": 7, "sql": statement},
+        ]
+
+        async def scenario():
+            async with AsyncServingFrontend(
+                themis, n_workers=1, admission=admission
+            ) as frontend:
+                server = await serve_async(frontend, port=0)
+                port = server.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                responses = []
+                for request in requests:
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    await writer.drain()
+                    responses.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                requests_counted = frontend.statistics()["counters"][names.SCALE_REQUESTS]
+            return responses, requests_counted
+
+        responses, requests_counted = asyncio.run(scenario())
+        for malformed in responses[:4]:
+            assert not malformed["ok"] and "deadline" in malformed["error"]
+            assert "rejected" not in malformed
+        assert [r["ok"] for r in responses[4:6]] == [True, True]
+        assert responses[4]["value"] == themis.query(statement)
+        # The bucket is spent by the two well-formed requests alone.
+        assert responses[6]["rejected"] and not responses[6]["ok"]
+        assert requests_counted == 2
 
 
 # ---------------------------------------------------------------------------

@@ -450,5 +450,5 @@ class TestCacheEntries:
         assert caches["result_cache"]["entries"] > 0
         assert caches["plan_cache"]["entries"] > 0
         inference_entries = caches["inference_cache"]["entries"]
-        assert set(inference_entries) == {"factors", "marginals", "samples_warm"}
+        assert set(inference_entries) == {"factors", "samples_warm"}
         assert inference_entries["samples_warm"] is True

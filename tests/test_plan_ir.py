@@ -6,7 +6,7 @@ shape (point, scalar, group-by, join-group-by) must produce *exactly* the
 same floats through the compiled-plan columnar kernels, on every workload.
 The remaining classes cover the compiler round-trip (SQL text -> AST ->
 plan -> canonical key), the predicate-mask cache, routing identity with the
-hybrid evaluator, the explain hook, and the batched BN aggregate lowering.
+hybrid evaluator, the explain hook, and network-routed scalars.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bayesnet import ExactInference
 from repro.core import OpenWorldEvaluator
 from repro.exceptions import QueryError
 from repro.plan import (
@@ -710,81 +709,14 @@ class TestEvaluatorErrorMessages:
         assert "42" in str(excinfo.value)
 
 
-class TestExactBNLowering:
-    def test_scalar_exact_matches_manual_inference(self, sparse_serving_themis):
-        model = sparse_serving_themis.model
-        bn = model.bayes_net_evaluator
-        query = ScalarAggregateQuery(
-            predicates=(
-                Predicate("A", Comparison.EQ, 2),
-                Predicate("B", Comparison.EQ, 2),
-            )
-        )
-        expected = model.population_size * ExactInference(bn.network).probability(
-            {"A": 2, "B": 2}
-        )
-        assert bn.scalar_exact(query) == pytest.approx(expected, rel=1e-9)
-
-    def test_scalar_exact_with_range_predicate(self, sparse_serving_themis):
-        model = sparse_serving_themis.model
-        bn = model.bayes_net_evaluator
-        query = ScalarAggregateQuery(predicates=(Predicate("A", Comparison.LE, 1),))
-        inference = ExactInference(bn.network)
-        expected = model.population_size * (
-            inference.probability({"A": 0}) + inference.probability({"A": 1})
-        )
-        assert bn.scalar_exact(query) == pytest.approx(expected, rel=1e-9)
-
-    def test_scalar_exact_avg_matches_conditional_expectation(
+class TestNetworkScalars:
+    def test_session_batch_of_bn_scalars_answers_from_generated_samples(
         self, sparse_serving_themis
     ):
-        bn = sparse_serving_themis.model.bayes_net_evaluator
-        inference = ExactInference(bn.network)
-        a_domain = bn.network.schema["A"].domain
-        c_values = np.asarray(bn.network.schema["C"].domain.values, dtype=float)
-        for a in a_domain.values:
-            query = ScalarAggregateQuery(
-                aggregate=AggregateSpec(AggregateFunction.AVG, "C"),
-                predicates=(Predicate("A", Comparison.EQ, a),),
-            )
-            expected = float(np.dot(inference.conditional("C", {"A": a}), c_values))
-            assert bn.scalar_exact(query) == pytest.approx(expected, rel=1e-9)
-
-    def test_derived_factors_skip_elimination(self, sparse_serving_themis):
-        from repro.bayesnet import BatchedInference
-
-        network = sparse_serving_themis.model.bayes_net_evaluator.network
-        engine = BatchedInference(network)  # fresh cache, no shared state
-        # Eliminate the superset first...
-        engine.joint_factor(("A", "B", "C"))
-        passes_before = engine.elimination_passes
-        # ...then derive a subset factor from the shared eliminated prefix.
-        factor = engine.joint_factor(("A", "B"), allow_derived=True)
-        assert engine.elimination_passes == passes_before
-        assert engine.derived_factors == 1
-        exact = engine.eliminated_factor(("A", "B"))
-        assert np.allclose(
-            np.asarray(factor.table), np.asarray(exact.table), rtol=1e-12
-        )
-
-    def test_conditional_is_cached_and_bit_identical(self, sparse_serving_themis):
-        bn = sparse_serving_themis.model.bayes_net_evaluator
-        fresh = ExactInference(bn.network)
-        reference = fresh.eliminate(keep=("C", "A")).restrict({"A": 1})
-        expected = reference.table / reference.table.sum()
-        engine = bn.inference.batched
-        first = bn.inference.conditional("C", {"A": 1})
-        passes_after_first = engine.elimination_passes
-        second = bn.inference.conditional("C", {"A": 1})
-        assert engine.elimination_passes == passes_after_first  # cached factor
-        assert np.array_equal(first, second)
-        assert np.array_equal(first, expected)
-
-    def test_exact_session_batches_bn_scalars(self, sparse_serving_themis):
-        session = sparse_serving_themis.serve(exact_bn_aggregates=True)
-        # Pick conjunctions absent from the sample, so the scalars provably
-        # route to the network.
-        sample = sparse_serving_themis.model.weighted_sample
+        themis = sparse_serving_themis
+        # Conjunctions absent from the sample, so the scalars provably route
+        # to the network.
+        sample = themis.model.weighted_sample
         missing = [
             {"A": a, "B": b, "C": c}
             for a in (2, 1)
@@ -795,21 +727,25 @@ class TestExactBNLowering:
         assert len(missing) == 2, "sparse sample unexpectedly covers every tuple"
         queries = [
             ScalarAggregateQuery(
+                aggregate=spec,
                 predicates=tuple(
                     Predicate(name, Comparison.EQ, value)
                     for name, value in assignment.items()
-                )
+                ),
             )
             for assignment in missing
+            for spec in (
+                AggregateSpec(AggregateFunction.COUNT),
+                AggregateSpec(AggregateFunction.SUM, "B"),
+                AggregateSpec(AggregateFunction.AVG, "C"),
+            )
+        ] + [
+            "SELECT COUNT(*) FROM sample WHERE A = 0 AND A = 1",
+            "SELECT SUM(B) FROM sample WHERE A = 1 AND A = 0",
         ]
-        plans = [sparse_serving_themis.plan(query) for query in queries]
+        plans = [themis.plan(query) for query in queries]
         assert all(plan.route == ROUTE_BAYES_NET for plan in plans)
-        batch = session.execute_batch(queries)
-        bn = sparse_serving_themis.model.bayes_net_evaluator
-        for outcome, query in zip(batch, queries):
-            assert outcome.bn_batched
-            # The served plan's Route node records the lowering it ran under.
-            assert outcome.plan.bn_lowering == "exact"
-            assert outcome.result == pytest.approx(bn.scalar_exact(query), rel=1e-12)
-        # Exactly-lowered scalars never touch the generated samples.
-        assert batch.amortized_inference_seconds == 0.0
+        assert all(plan.needs_generated_samples for plan in plans)
+        batch = themis.serve().execute_batch(queries)
+        assert batch.results() == [themis.query(query) for query in queries]
+        assert batch.results()[-2:] == [0.0, 0.0]

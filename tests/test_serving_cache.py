@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.query import PointQuery
@@ -160,13 +159,6 @@ class TestInferenceCache:
         assert work["elimination_passes"] == 0
         assert inference_cache.statistics.hits == 2
 
-    def test_marginal_is_memoized_and_normalized(self, inference_cache):
-        marginal = inference_cache.marginal("A")
-        again = inference_cache.marginal("A")
-        assert np.allclose(marginal, again)
-        assert marginal.sum() == pytest.approx(1.0)
-        assert inference_cache.statistics.hits == 1
-
     def test_warm_samples_materializes_once(self, inference_cache):
         samples = inference_cache.warm_samples()
         assert len(samples) == 3  # K from the fixture's config
@@ -177,7 +169,6 @@ class TestInferenceCache:
     def test_invalidate_rebinds_and_resets(self, fresh_serving_themis):
         cache = InferenceCache(fresh_serving_themis.model.bayes_net_evaluator)
         self._observed_point(cache, {"A": 0})
-        cache.marginal("A")
         cache.warm_samples()
         new_model = fresh_serving_themis.refit()
         cache.invalidate(new_model.bayes_net_evaluator, generation=99)
