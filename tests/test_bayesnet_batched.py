@@ -3,7 +3,8 @@
 The load-bearing guarantee: batching shares work but never changes answers —
 ``BatchedInference.probability_batch`` is bit-identical to per-query
 ``ExactInference.probability``, across mixed evidence signatures,
-out-of-domain values, and cache generations.
+out-of-domain values, and cache generations; ``conditional_batch`` is
+likewise bit-identical to per-query ``ExactInference.conditional``.
 """
 
 from __future__ import annotations
@@ -184,6 +185,58 @@ class TestFactorCache:
         assert engine.elimination_passes == passes_after_first  # cached factor
         assert np.array_equal(first, second)
         assert np.array_equal(first, expected)
+
+
+CONDITIONAL_BATCH = [
+    ("C", {"A": 1}),
+    ("A", {"C": 0}),  # same kept set as above
+    ("B", {"A": 2, "C": 1}),
+    ("C", {"B": 0, "A": 2}),  # same kept set as above
+    ("A", {}),
+    ("C", {"A": 0}),
+]
+
+
+class TestConditionalBatch:
+    def test_mixed_batch_matches_per_query_conditionals(self, network):
+        batched = BatchedInference(network).conditional_batch(CONDITIONAL_BATCH)
+        # Fresh single-query engines: one independent elimination per query.
+        singles = [
+            ExactInference(network).conditional(target, evidence)
+            for target, evidence in CONDITIONAL_BATCH
+        ]
+        assert len(batched) == len(singles)
+        for got, expected in zip(batched, singles):
+            assert np.array_equal(got, expected)  # bit for bit
+
+    def test_one_pass_per_kept_variable_set(self, network):
+        engine = BatchedInference(network)
+        results = engine.conditional_batch(CONDITIONAL_BATCH)
+        kept_sets = {
+            frozenset({target, *evidence}) for target, evidence in CONDITIONAL_BATCH
+        }
+        assert engine.elimination_passes == len(kept_sets)
+        for (target, _), result in zip(CONDITIONAL_BATCH, results):
+            assert result.shape == (network.schema[target].size,)
+            assert result.sum() == pytest.approx(1.0)
+        # Point queries over a kept set already eliminated reuse its factor.
+        engine.probability_batch([{"A": 1, "C": 0}, {"A": 2, "B": 1, "C": 1}])
+        assert engine.elimination_passes == len(kept_sets)
+
+    def test_empty_evidence_is_the_normalized_marginal(self, network):
+        engine = BatchedInference(network)
+        (marginal,) = engine.conditional_batch([("A", {})])
+        point = engine.probability_batch([{"A": code} for code in (0, 1, 2)])
+        assert marginal.sum() == pytest.approx(1.0)
+        assert np.allclose(marginal, point / point.sum(), rtol=1e-12)
+        (again,) = engine.conditional_batch([("A", {})])
+        assert np.array_equal(again, marginal)
+        assert engine.elimination_passes == 1  # both calls and the points share it
+
+    def test_target_fixed_by_its_own_evidence_raises(self, network):
+        engine = BatchedInference(network)
+        with pytest.raises(BayesNetError, match="could not isolate the target"):
+            engine.conditional_batch([("C", {"A": 0}), ("A", {"A": 1})])
 
 
 class TestServingIntegration:

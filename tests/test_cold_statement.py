@@ -144,6 +144,33 @@ def test_derived_plan_properties_equal_the_eager_bind(
     assert plan.needs_generated_samples is needs_samples
 
 
+@pytest.mark.parametrize(
+    "statement, signature",
+    [
+        ("SELECT SUM(B) FROM sample WHERE A = 2 AND B = 0 AND C = 1", ("scalar", ("B", "A", "C"))),
+        ("SELECT COUNT(*) FROM sample WHERE A >= 2 AND B = 0 AND C = 1", ("scalar", ("A", "B", "C"))),
+    ],
+    ids=["sum", "count"],
+)
+def test_served_network_scalar_needs_generated_samples(
+    sparse_serving_themis, statement, signature
+):
+    """The plan a session serves carries the planner's derived properties:
+    a network-routed scalar is answered from the generated samples, and so
+    is the groupless table over the same filter."""
+    themis = sparse_serving_themis
+    outcome = themis.serve().execute_with_outcome(statement)
+    plan = outcome.plan
+    assert plan.route == "bayes-net"
+    assert plan.group_signature == signature
+    assert plan.needs_generated_samples is True
+    assert outcome.result == themis.query(statement)
+    table = themis.serve().execute_with_outcome(
+        "SELECT COUNT(*) AS n, AVG(B) AS m FROM sample WHERE A = 2 AND B = 0 AND C = 1"
+    ).plan
+    assert (table.route, table.needs_generated_samples) == ("bayes-net", True)
+
+
 def _reachable(root):
     """Every object reachable from ``root`` through attributes and containers."""
     seen: set[int] = set()
