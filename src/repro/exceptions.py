@@ -274,9 +274,9 @@ class RetryExhaustedError(ThemisError):
 class DegradedModeError(ThemisError):
     """Raised when every shard of a supervised pool is permanently down.
 
-    The supervisor only degrades after exhausting each shard's respawn
-    budget; with ``fallback="in-process"`` it instead serves from a local
-    session (bit-identical, just slower) and this error is never raised.
+    The supervisor only gives up after exhausting each shard's respawn
+    budget; from then on every request, and every ``refit()``, fails with
+    this error.
     """
 
 

@@ -100,7 +100,7 @@ SCALE_REQUESTS = "scale.requests"
 SCALE_OVERLOADS = "scale.overloads"
 #: Micro-batches dispatched to the worker pool.
 SCALE_DISPATCHES = "scale.dispatches"
-#: Pool batches executed (one per ``execute_batch_outcomes`` call).
+#: Pool batches executed (one per ``dispatch`` call).
 SCALE_POOL_BATCHES = "scale.pool.batches"
 #: Generation broadcasts (refit / add_aggregate fan-outs) to workers.
 SCALE_BROADCASTS = "scale.pool.broadcasts"
@@ -137,8 +137,6 @@ SCALE_FAULT_FAILOVERS = "scale.faults.failovers"
 SCALE_FAULT_REPLAYED_BROADCASTS = "scale.faults.replayed_broadcasts"
 #: Heartbeat pings that got no reply within the heartbeat timeout.
 SCALE_FAULT_HEARTBEAT_MISSES = "scale.faults.heartbeat_misses"
-#: Requests served by the in-process fallback session (all shards down).
-SCALE_FAULT_DEGRADED_REQUESTS = "scale.faults.degraded_requests"
 #: Respawn latency histogram: crash detection -> warm, generation-coherent
 #: replacement worker (includes the deterministic re-fit and log replay).
 SCALE_RESPAWN_SECONDS = "latency.scale.respawn_seconds"

@@ -6,10 +6,10 @@ Layering, front to back::
                    |  batches whatever is pending when a dispatch slot is free
                    v
                 MicroBatcher                          (queue + dispatch slots)
-                   |  dispatches fused batches off the event loop
+                   |  dispatches fused batches as tasks on the same loop
                    v
                 SupervisedWorkerPool                  (statement + key over the pipe)
-                  .execute_batch_outcomes()
+                  .dispatch()
                    |  consistent-hashes plan keys to live shards; retries,
                    |  fails over and respawns behind one pipe conversation
                    v

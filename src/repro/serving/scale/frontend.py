@@ -13,10 +13,10 @@ workers, same kernels — the wire only moves them); the JSON surface is a
 lossy *rendering* for external clients, not the identity-bearing format.
 
 Everything between a client's socket and a worker's pipe runs on one event
-loop: ``start()`` binds the pool to the running loop, the micro-batcher's
-dispatches are tasks on it, and the pool awaits its pipes there.  ``refit()``
-and the pool's other synchronous methods are for *other* threads, which they
-serve while the loop keeps answering sockets.
+loop: ``start()`` makes the running loop the pool's serving loop, the
+micro-batcher's dispatches are tasks on it, and the pool awaits its pipes
+there.  ``refit()`` and the pool's other blocking methods are for *other*
+threads, whose calls run on that loop while it keeps answering sockets.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ class AsyncServingFrontend:
     dispatch_timeout:
         Seconds the pool waits for one shard's reply before the affected
         requests retry (the pool's ``timeout``); ``None`` waits forever.
-    session_options:
-        Forwarded to each worker's ``Themis.serve(...)``.
-    max_retries, heartbeat_interval, fallback, fault_injector:
+    max_retries, heartbeat_interval, fault_injector:
         Pool knobs (see :class:`SupervisedWorkerPool`): crashed workers are
         respawned with replayed state, affected requests retry with backoff
         up to ``max_retries`` times, and dead shards fail over on the hash
@@ -81,10 +79,6 @@ class AsyncServingFrontend:
     circuit_breaker:
         Per-shard circuit breaking on the pool (``True`` or a
         :class:`~repro.serving.governance.CircuitBreakerConfig`).
-    memory_budget_bytes:
-        Per-worker cache memory budget in bytes, forwarded into every
-        worker's session options so each shard runs a
-        :class:`~repro.serving.governance.MemoryGovernor` over its caches.
     """
 
     def __init__(
@@ -95,54 +89,48 @@ class AsyncServingFrontend:
         max_queue: int = 1024,
         max_inflight: int = 4,
         dispatch_timeout: float | None = None,
-        session_options: dict[str, Any] | None = None,
         max_retries: int = 3,
         request_deadline: float | None = None,
         heartbeat_interval: float | None = None,
-        fallback: str = "error",
         fault_injector: "FaultInjector | None" = None,
         admission: AdmissionController | None = None,
         circuit_breaker: "CircuitBreakerConfig | bool | None" = None,
-        memory_budget_bytes: int | None = None,
     ):
         self.metrics = MetricsRegistry()
-        session_options = dict(session_options or {})
-        if memory_budget_bytes is not None:
-            session_options.setdefault("memory_budget_bytes", memory_budget_bytes)
         self.pool = SupervisedWorkerPool(
             themis,
             n_workers=n_workers,
             timeout=dispatch_timeout,
-            session_options=session_options,
             metrics=self.metrics,
             fault_injector=fault_injector,
             max_retries=max_retries,
             heartbeat_interval=heartbeat_interval,
-            fallback=fallback,
             circuit_breaker=circuit_breaker,
         )
-        # Every wait inside a pool dispatch is bounded by the pool itself
-        # (reply timeout, retry budget, respawn timeout): the batcher needs
-        # no second clock over it.
-        self.batcher = MicroBatcher(
-            self.pool,
-            max_batch_size=max_batch_size,
-            max_queue=max_queue,
-            max_inflight=max_inflight,
-            request_deadline=request_deadline,
-            admission=admission,
-            metrics=self.metrics,
-        )
-        self._started = False
+        try:
+            # Every wait inside a pool dispatch is bounded by the pool itself
+            # (reply timeout, retry budget, respawn timeout): the batcher
+            # needs no second clock over it.
+            self.batcher = MicroBatcher(
+                self.pool,
+                max_batch_size=max_batch_size,
+                max_queue=max_queue,
+                max_inflight=max_inflight,
+                request_deadline=request_deadline,
+                admission=admission,
+                metrics=self.metrics,
+            )
+        except BaseException:
+            self.pool.close()  # no serving loop yet: reaps the workers here
+            raise
         #: The socket handlers alive on this front-end (``serve_async``),
         #: each with the writer of its connection.
         self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> "AsyncServingFrontend":
-        """Bind the pool to the running loop and open the micro-batcher."""
-        await self.pool.bind_loop()
+        """Serve the pool from the running loop and open the micro-batcher."""
+        await self.pool.start()
         await self.batcher.start()
-        self._started = True
         return self
 
     async def stop(self) -> None:
@@ -153,12 +141,9 @@ class AsyncServingFrontend:
         a handler idle in ``readline`` reads EOF and leaves its loop, as one
         whose client is gone already has — they end, none is cancelled
         (before 3.12 the stream server logs a cancelled handler as an
-        error), and no task of the tier is left pending.
+        error), and no task of the tier is left pending.  Idempotent, and
+        safe on a front-end that never started.
         """
-        if not self._started:
-            self.pool.close()
-            return
-        self._started = False
         await self.batcher.stop()
         for writer in self._handlers.values():
             writer.close()
@@ -191,7 +176,8 @@ class AsyncServingFrontend:
     def refit(self) -> int:
         """Coherently refit every shard (see :meth:`SupervisedWorkerPool.refit`).
 
-        Synchronous: call it from a thread other than the loop's.
+        Blocking: call it from a thread whose own loop is not running
+        (``await asyncio.to_thread(frontend.refit)`` from a coroutine).
         """
         return self.pool.refit()
 

@@ -34,27 +34,26 @@ and come back:
   bits) and return home after the respawn — routing is a pure function of
   ``(key, live set)``.  This is the only retry layer in the tier.
 
-* **Graceful degradation.**  Only when *every* shard has exhausted its
-  respawn budget does the pool degrade: ``fallback="in-process"`` serves
-  from a local session rebuilt from the same spec and log (built and run
-  on a helper thread, one batch at a time: the loop keeps serving);
-  ``fallback="error"`` raises :class:`~repro.exceptions.DegradedModeError`.
+* **Degradation is typed.**  Only when *every* shard has exhausted its
+  respawn budget does the pool give up: every request then fails with
+  :class:`~repro.exceptions.DegradedModeError`.
 
 Failure granularity is per *request*: one statement that does not compile,
 one worker-side query error or one crashed shard fails (or retries) only its
 own requests while the rest of the batch's answers stand.
 
-Concurrency: the pool is single-threaded.  Every coroutine of it — the
-batch dispatch, broadcasts, heartbeats, respawns — runs on one event loop,
-and a pipe is only ever spoken to by :meth:`SupervisedWorkerPool._converse`,
-whose docstring is the table of which operations commute per shard and how
-the rest are ordered.  That loop is the front-end's once
-``AsyncServingFrontend.start()`` has bound the pool to it
-(:meth:`SupervisedWorkerPool.bind_loop`), so a socket request reaches the
-pipe without leaving its thread; until then it is a loop the pool owns, on
-its own thread.  The synchronous methods (``execute_batch``, ``refit``,
-``describe``, ``close``, ...) are thin wrappers that run the same coroutines
-on that loop from any *other* thread and wait for them.
+Concurrency: the pool owns no thread and no event loop.  Its coroutines —
+the batch dispatch, broadcasts, heartbeats, respawns — run on whatever loop
+awaits them, and a pipe is only ever spoken to by
+:meth:`SupervisedWorkerPool._converse`, whose docstring is the table of
+which operations commute per shard and how the rest are ordered; that
+table, not thread or loop bookkeeping, is the concurrency control, so
+concurrent use belongs on one loop.  ``AsyncServingFrontend.start()`` makes
+its loop the pool's *serving loop* (:meth:`SupervisedWorkerPool.start`),
+where a socket request reaches the pipe without leaving its thread.  The
+few blocking methods (``execute_batch``, ``refit``, ``describe``, ...) run
+one coroutine to the end: on the serving loop from any other thread, or,
+with none running, on a fresh loop of their own.
 
 Lifecycle: ``close()`` escalates ``join`` -> ``terminate`` -> ``kill`` so a
 wedged worker can never outlive the pool, and every open pool is registered
@@ -73,7 +72,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Coroutine, Sequence
 
 from ...exceptions import (
     CircuitOpenError,
@@ -104,10 +103,6 @@ from .worker import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...aggregates import AggregateQuery
     from ...core import Themis
-
-#: ``fallback`` values: raise DegradedModeError vs. serve locally.
-FALLBACK_ERROR = "error"
-FALLBACK_IN_PROCESS = "in-process"
 
 #: What a pipe conversation yields in place of a reply: both are retryable.
 _TRANSPORT_FAILURES = (WorkerCrashedError, DispatchTimeoutError)
@@ -295,8 +290,6 @@ class SupervisedWorkerPool:
     timeout:
         Default per-conversation reply timeout in seconds; ``None`` waits
         forever.
-    session_options:
-        Forwarded to each worker's ``Themis.serve(...)``.
     metrics:
         Registry for pool counters/gauges/histograms; a private one is
         created when omitted.
@@ -313,17 +306,17 @@ class SupervisedWorkerPool:
         ``random.Random(retry_seed)`` stream — jittered but reproducible.
     max_respawns:
         Respawn budget per shard; a shard that exhausts it is permanently
-        dead (the all-dead case degrades per ``fallback``).  A respawn has
+        dead (with every shard dead, requests fail with
+        :class:`~repro.exceptions.DegradedModeError`).  A respawn has
         :data:`RESPAWN_TIMEOUT` seconds per reply to replay the broadcast log.
     heartbeat_interval / heartbeat_timeout / heartbeat_misses_to_kill:
         Liveness probing: every ``interval`` seconds each idle shard is
         pinged; ``misses_to_kill`` consecutive unanswered pings (each
         waiting ``timeout`` seconds) get the worker terminated and
-        respawned.  ``interval=None`` (default) disables the prober —
-        crashes are still detected at dispatch time.
-    fallback:
-        ``"error"`` (default) or ``"in-process"`` — what to do when every
-        shard is permanently down.
+        respawned.  The prober is a task on the serving loop, started by
+        :meth:`start`; ``interval=None`` (default) disables it — crashes
+        are still detected at dispatch time, and
+        :meth:`check_heartbeats` runs one pass on demand.
     circuit_breaker:
         Per-shard circuit breaking (default off).  ``True`` enables breakers
         with :class:`~repro.serving.governance.CircuitBreakerConfig`
@@ -341,7 +334,6 @@ class SupervisedWorkerPool:
         themis: "Themis",
         n_workers: int = 2,
         timeout: float | None = None,
-        session_options: dict[str, Any] | None = None,
         metrics: MetricsRegistry | None = None,
         fault_injector: FaultInjector | None = None,
         max_retries: int = 3,
@@ -351,16 +343,10 @@ class SupervisedWorkerPool:
         heartbeat_interval: float | None = None,
         heartbeat_timeout: float = 1.0,
         heartbeat_misses_to_kill: int = 3,
-        fallback: str = FALLBACK_ERROR,
         circuit_breaker: CircuitBreakerConfig | bool | None = None,
     ):
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
-        if fallback not in (FALLBACK_ERROR, FALLBACK_IN_PROCESS):
-            raise ValueError(
-                f"fallback must be {FALLBACK_ERROR!r} or {FALLBACK_IN_PROCESS!r}, "
-                f"got {fallback!r}"
-            )
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if max_respawns < 0:
@@ -376,11 +362,9 @@ class SupervisedWorkerPool:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_misses_to_kill = heartbeat_misses_to_kill
-        self.fallback = fallback
         self._rng = random.Random(retry_seed)
         self._heartbeat_misses: dict[int, int] = {}
         self._broadcast_log: list[tuple[str, Any]] = []
-        self._fallback_session: Any = None
         self._breakers: dict[int, CircuitBreaker] | None = None
         if circuit_breaker:
             config = (
@@ -398,7 +382,7 @@ class SupervisedWorkerPool:
         self._compiler = PlanCompiler(themis.sample.schema)
         # The spec and context are kept so crashed shards respawn from the
         # same deterministic recipe the pool started from.
-        self._spec = WorkerSpec.from_themis(themis, **(session_options or {}))
+        self._spec = WorkerSpec.from_themis(themis)
         self._context = mp.get_context(START_METHOD)
         self._workers = [
             self._spawn_worker(shard_id, 0) for shard_id in range(n_workers)
@@ -407,31 +391,37 @@ class SupervisedWorkerPool:
         self._dead: set[int] = set()
         # Respawns, and the replay log they read, change under this lock.
         self._supervision = asyncio.Lock()
+        #: The loop a front-end serves from (:meth:`start`); ``None`` until then.
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._heartbeat_task: asyncio.Task | None = None
         self._closed = False
         self._close_lock = threading.Lock()
-        # The synchronous wrapper's loop, started after the workers so they
-        # fork from a parent that has no thread of the pool's yet.
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread: threading.Thread | None = threading.Thread(
-            target=self._loop.run_forever, name="themis-pool-loop", daemon=True
-        )
-        self._loop_thread.start()
         _LIVE_POOLS.add(self)
         self.metrics.gauge(names.SCALE_SHARDS).set(n_workers)
         self._dispatch_seconds = self.metrics.histogram(names.SCALE_DISPATCH_SECONDS)
         # Baseline coherence: every initial worker rebuilt the same model,
         # so their facade generations agree.  Only here: from now on a lazy
         # fit moves that counter on one shard alone, and agreement is held
-        # on the logged broadcasts a worker reports having applied.
-        generations = {
-            body["generation"] for body in self.describe() if body is not None
-        }
-        if len(generations) != 1:  # pragma: no cover - deterministic build
-            raise ThemisError(
-                f"initial worker generations diverged: {sorted(generations)}"
-            )
-        self._run(self._start_heartbeats)
+        # on the logged broadcasts a worker reports having applied.  Asked
+        # over the bare pipes, blocking: no loop may exist yet, and nothing
+        # else can reach the workers.
+        try:
+            generations = set()
+            for worker in self._workers:
+                worker.send(CMD_DESCRIBE, None)
+                if not worker.conn.poll(timeout):
+                    raise worker.deadline_error()
+                _, _, body = worker.receive()
+                if isinstance(body, BaseException):
+                    raise body
+                generations.add(body["generation"])
+            if len(generations) != 1:  # pragma: no cover - deterministic build
+                raise ThemisError(
+                    f"initial worker generations diverged: {sorted(generations)}"
+                )
+        except BaseException:
+            self.close(join_timeout=1.0)
+            raise
 
     def _spawn_worker(self, shard_id: int, incarnation: int) -> _Worker:
         fault_plan = (
@@ -448,72 +438,47 @@ class SupervisedWorkerPool:
         )
 
     # ------------------------------------------------------------------
-    # The loop the pool runs on, and the synchronous wrapper onto it
+    # The serving loop, and blocking calls from synchronous code
     # ------------------------------------------------------------------
-    def _check_callable(self) -> None:
-        """Refuse a synchronous call the pool cannot serve, before it has effects."""
+    async def start(self) -> None:
+        """Make the running loop the serving loop, and start heartbeats there.
+
+        ``AsyncServingFrontend.start()`` calls this before it serves.  From
+        here the blocking methods, called from any other thread, run their
+        coroutine on this loop, and the heartbeat prober (if configured) is
+        a task on it.
+        """
+        self._loop = asyncio.get_running_loop()
+        if self.heartbeat_interval is not None and self._heartbeat_task is None:
+            self._heartbeat_task = self._loop.create_task(self._heartbeat_loop())
+
+    def _runner(self) -> Callable[[Coroutine[Any, Any, Any]], Any]:
+        """How a blocking method runs its coroutine to the end — or refuses.
+
+        A thread whose own event loop is running is refused with
+        ``RuntimeError``: blocking there would stall that loop, or wait for
+        itself if it is the serving loop.  Await the coroutine there, or
+        make the blocking call through ``asyncio.to_thread``.  The refusal
+        comes before the caller builds its coroutine, so a refused call has
+        changed nothing.  From any other thread the coroutine runs on the
+        serving loop if one is running, else on a fresh loop of its own.
+        """
         if self._closed:
             raise ThemisError("worker pool is closed")
         try:
-            on_loop = asyncio.get_running_loop() is self._loop
+            asyncio.get_running_loop()
         except RuntimeError:
-            on_loop = False
-        if on_loop:
+            pass  # no loop runs on this thread: it may block
+        else:
             raise RuntimeError(
-                "synchronous pool call from the pool's own event loop; "
-                "call it from another thread (asyncio.to_thread)"
+                "blocking pool call on a running event loop; await the pool's "
+                "coroutines there, or call it from another thread "
+                "(asyncio.to_thread)"
             )
-
-    def _run(self, coroutine_method: Callable[..., Any], *args: Any) -> Any:
-        """The synchronous wrapper: run one pool coroutine on the pool's loop.
-
-        Callable from any thread but the loop's own, where blocking on the
-        loop would be waiting for oneself: code on the loop awaits
-        :meth:`dispatch` / :meth:`aclose`, or hands the synchronous call to
-        ``asyncio.to_thread``.
-        """
-        self._check_callable()
-        return asyncio.run_coroutine_threadsafe(
-            coroutine_method(*args), self._loop
-        ).result()
-
-    async def bind_loop(self) -> None:
-        """Move the pool onto the running event loop, for good.
-
-        ``AsyncServingFrontend.start()`` calls this before it serves: from
-        here the pool's coroutines run on the caller's loop — a request goes
-        from socket to pipe on one thread — and the synchronous methods hop
-        onto it from any other thread.  The loop the pool owned is stopped.
-        Not to be raced with traffic on the old loop.
-        """
-        loop = asyncio.get_running_loop()
-        if loop is self._loop:
-            return
-        self._run(self._stop_heartbeats)
-        self._stop_own_loop()
-        self._loop = loop
-        # A lock that was ever contended remembers its loop: start afresh.
-        self._supervision = asyncio.Lock()
-        for worker in self._workers:
-            worker.lock = asyncio.Lock()
-        await self._start_heartbeats()
-
-    def _stop_own_loop(self) -> None:
-        thread, self._loop_thread = self._loop_thread, None
-        if thread is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            thread.join()
-            self._loop.close()
-
-    async def _start_heartbeats(self) -> None:
-        if self.heartbeat_interval is not None:
-            self._heartbeat_task = self._loop.create_task(self._heartbeat_loop())
-
-    async def _stop_heartbeats(self) -> None:
-        task, self._heartbeat_task = self._heartbeat_task, None
-        if task is not None:
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
+        loop = self._loop
+        if loop is None or not loop.is_running():
+            return asyncio.run
+        return lambda coro: asyncio.run_coroutine_threadsafe(coro, loop).result()
 
     # ------------------------------------------------------------------
     # The one pipe conversation
@@ -529,7 +494,7 @@ class SupervisedWorkerPool:
         """Converse with these shards concurrently; one classified reply each.
 
         The only place a pipe is spoken to — batches, broadcasts, heartbeat
-        pings and respawn replay all come through here, on the pool's loop.
+        pings and respawn replay all come through here, on the running loop.
         ``workers`` must be in ascending shard order.  The conversation is
         two-phase: every worker's lock is taken, in that order (so two
         conversations cannot deadlock), before anything is sent; everything
@@ -593,7 +558,7 @@ class SupervisedWorkerPool:
         reader registered and no lock held.  Crashed shards are respawned
         before returning, after every lock is released.
         """
-        loop = self._loop
+        loop = asyncio.get_running_loop()
         replies: dict[_Worker, Any] = {}
         awaited: dict[_Worker, int] = {}
         held: list[_Worker] = []
@@ -701,7 +666,7 @@ class SupervisedWorkerPool:
         cancelled — is killed here: nobody else knows it.
         """
         shard_id = crashed.shard_id
-        await self._loop.run_in_executor(None, crashed.reap, 0.5)
+        await asyncio.get_running_loop().run_in_executor(None, crashed.reap, 0.5)
         replay = [*self._broadcast_log, (CMD_DESCRIBE, None)]
         # A shard's incarnation number is the respawn credit it has burnt.
         incarnation = crashed.incarnation
@@ -755,23 +720,14 @@ class SupervisedWorkerPool:
         timeout: float | None = None,
         deadline_ts: float | None = None,
     ) -> list[Any]:
-        """:meth:`execute_batch_outcomes`, raising the first failed request."""
-        outcomes = self.execute_batch_outcomes(queries, timeout, deadline_ts)
+        """:meth:`dispatch`, blocking: answers in order, or the first failure raised."""
+        outcomes: list[RequestOutcome] = [None] * len(queries)  # type: ignore[list-item]
+        settle = outcomes.__setitem__
+        self._runner()(self.dispatch(queries, settle, timeout, deadline_ts))
         for outcome in outcomes:
             if not outcome.ok:
                 raise outcome.error
         return [outcome.value for outcome in outcomes]
-
-    def execute_batch_outcomes(
-        self,
-        queries: Sequence[Query | str],
-        timeout: float | None = None,
-        deadline_ts: float | None = None,
-    ) -> list[RequestOutcome]:
-        """:meth:`dispatch`, synchronously: one outcome per query, in order."""
-        outcomes: list[RequestOutcome] = [None] * len(queries)  # type: ignore[list-item]
-        self._run(self.dispatch, queries, outcomes.__setitem__, timeout, deadline_ts)
-        return outcomes
 
     async def dispatch(
         self,
@@ -796,9 +752,9 @@ class SupervisedWorkerPool:
         concurrently, classify each shard's reply as it lands, back off, and
         go again — until everything is answered, the retry/deadline budget
         runs out (:class:`RetryExhaustedError`), or no shard is left
-        (:class:`DegradedModeError` or the in-process fallback, which runs
-        on a helper thread).  Answers are exactly ``==`` what in-process
-        ``ServingSession.execute_batch`` returns for the same queries.
+        (:class:`DegradedModeError`).  Answers are exactly ``==`` what
+        in-process ``ServingSession.execute_batch`` returns for the same
+        queries.
 
         ``timeout`` bounds each round's wait for a shard's reply (default:
         the constructor's).  ``deadline_ts`` is an absolute
@@ -863,7 +819,11 @@ class SupervisedWorkerPool:
                 break
             live = self.live_shards()
             if not live:
-                await self._serve_degraded(pending, queries, settle)
+                error = DegradedModeError(
+                    f"all {self.n_workers} shards are permanently down "
+                    f"(respawn budget {self.max_respawns} exhausted on every shard)"
+                )
+                fail(pending, error)
                 break
             allowed = self._allowed_shards(live)
             if not allowed:
@@ -984,61 +944,19 @@ class SupervisedWorkerPool:
             last_error=last_error,
         )
 
-    async def _serve_degraded(
-        self,
-        pending: list[int],
-        queries: Sequence[Query | str],
-        settle: Callable[[int, RequestOutcome], None],
-    ) -> None:
-        """Every shard is permanently down: fallback session or typed error.
-
-        The fallback runs on a helper thread — building it is a whole fit —
-        one batch at a time, under the lock the replay log changes under.
-        """
-        if self.fallback == FALLBACK_IN_PROCESS:
-            statements = [queries[i] for i in pending]
-            async with self._supervision:
-                values = await self._loop.run_in_executor(
-                    None, self._fallback_answers, statements
-                )
-            for index, value in zip(pending, values):
-                settle(index, RequestOutcome(ok=True, value=value))
-            self.metrics.counter(names.SCALE_FAULT_DEGRADED_REQUESTS).inc(
-                len(pending)
-            )
-            return
-        error = DegradedModeError(
-            f"all {self.n_workers} shards are permanently down "
-            f"(respawn budget {self.max_respawns} exhausted on every shard)"
-        )
-        for index in pending:
-            settle(index, RequestOutcome(ok=False, error=error))
-
-    def _fallback_answers(self, statements: list[Query | str]) -> list[Any]:
-        """Answers from a local session rebuilt from the spec + log (same bits)."""
-        if self._fallback_session is None:
-            themis = self._spec.build_themis()
-            for command, payload in self._broadcast_log:
-                if command == CMD_ADD_AGGREGATE:
-                    themis.add_aggregate(payload)
-                elif command == CMD_REFIT:
-                    themis.refit()
-            self._fallback_session = themis.serve(**self._spec.session_options)
-        return self._fallback_session.execute_batch(statements).results()
-
     # ------------------------------------------------------------------
     # Coherent invalidation
     # ------------------------------------------------------------------
     def add_aggregate(self, aggregate: "AggregateQuery") -> None:
         """Register one aggregate on the parent and every worker."""
-        self._check_callable()  # before the parent changes, not after
+        run = self._runner()  # refuses before the parent changes, not after
         self._themis.add_aggregate(aggregate)
-        self._run(self._broadcast_logged, CMD_ADD_AGGREGATE, aggregate)
+        run(self._broadcast_logged(CMD_ADD_AGGREGATE, aggregate))
 
     def refit(self) -> int:
         """Refit the parent and every worker, and assert they agree.
 
-        The parent's own refit runs on the calling thread, not on the loop.
+        The parent's own refit runs on the calling thread, not on a loop.
         Every worker discards its model and rebuilds from its (updated)
         registered inputs.  A worker that dies mid-broadcast is respawned
         with the refit already in its replay log, so it lands on the same
@@ -1053,17 +971,15 @@ class SupervisedWorkerPool:
         caches: the shard that served the first batch after an
         ``add_aggregate()`` fitted lazily and is one generation ahead.
         """
-        self._check_callable()  # before the parent changes, not after
+        run = self._runner()  # refuses before the parent changes, not after
         self._themis.refit()
-        return self._run(self._refit_workers)
+        return run(self._refit_workers())
 
     async def _refit_workers(self) -> int:
         bodies = await self._broadcast_logged(CMD_REFIT, None)
         expected = len(self._broadcast_log)
         applied = {body["broadcasts"] for body in bodies if body is not None}
         if not applied:
-            if self.fallback == FALLBACK_IN_PROCESS:
-                return expected  # the fallback session rebuilds lazily
             raise DegradedModeError(
                 "refit broadcast found no live shard to acknowledge it"
             )
@@ -1076,7 +992,7 @@ class SupervisedWorkerPool:
 
     def describe(self) -> list[dict[str, Any] | None]:
         """Per-shard state snapshots; ``None`` for permanently dead shards."""
-        return self._run(self._broadcast, CMD_DESCRIBE, None, False)
+        return self._runner()(self._broadcast(CMD_DESCRIBE, None, False))
 
     async def _broadcast_logged(self, command: str, payload: Any) -> list[Any]:
         """Log one generation-bumping command for respawn replay, then send it.
@@ -1086,7 +1002,6 @@ class SupervisedWorkerPool:
         """
         async with self._supervision:
             self._broadcast_log.append((command, payload))
-            self._fallback_session = None
         return await self._broadcast(command, payload, logged=True)
 
     async def _broadcast(self, command: str, payload: Any, logged: bool) -> list[Any]:
@@ -1125,18 +1040,15 @@ class SupervisedWorkerPool:
     # ------------------------------------------------------------------
     # Heartbeat
     # ------------------------------------------------------------------
-    def check_heartbeats(self) -> None:
+    async def check_heartbeats(self) -> None:
         """One liveness pass: ping every idle live shard, respawn the dead.
 
         Shards in a conversation are skipped (an active dispatch proves the
         pipe is alive).  ``heartbeat_misses_to_kill`` consecutive silent
         pings escalate to terminate + respawn.  The heartbeat task runs
-        this pass on its interval; tests may call it directly for
+        this pass on its interval; tests await it directly for
         deterministic coverage.
         """
-        self._run(self._check_heartbeats)
-
-    async def _check_heartbeats(self) -> None:
         for shard_id in sorted(self._live):
             worker = self._workers[shard_id]
             if worker.process.exitcode is not None:
@@ -1160,7 +1072,7 @@ class SupervisedWorkerPool:
         while not self._closed:
             await asyncio.sleep(self.heartbeat_interval)
             try:
-                await self._check_heartbeats()
+                await self.check_heartbeats()
             except Exception:
                 # The prober must outlive any single bad pass; dispatch-time
                 # detection still covers whatever it missed.
@@ -1172,24 +1084,25 @@ class SupervisedWorkerPool:
     def close(self, join_timeout: float = 5.0) -> None:
         """Shut every worker down (idempotent, safe under concurrent calls).
 
-        :meth:`aclose` on the pool's loop, from any other thread; the lock
-        makes a second caller wait for the first rather than return early.
-        When the loop the pool was bound to has ended with the pool still
-        open (the ``atexit`` guard finds it so), nothing of the pool can be
-        running and the workers are shut down directly.
+        With the serving loop running, :meth:`aclose` runs there (from any
+        other thread).  Without one, the workers are dismissed and reaped
+        right here, on any thread — no loop is needed, so this is also what
+        a failed constructor and the ``atexit`` guard use.  Code that still
+        has pool coroutines running on its own loop awaits :meth:`aclose`
+        instead.  The lock makes a second caller wait for the first rather
+        than return early.
         """
         with self._close_lock:
             if self._closed:
                 return
-            if self._loop_thread is not None or self._loop.is_running():
-                self._run(self.aclose, join_timeout)
+            if self._loop is not None and self._loop.is_running():
+                self._runner()(self.aclose(join_timeout))
             else:
                 self._dismiss_workers()
                 self._reap_workers(join_timeout)
-            self._stop_own_loop()
 
     async def aclose(self, join_timeout: float = 5.0) -> None:
-        """:meth:`close` for callers on the pool's loop (idempotent).
+        """:meth:`close` for callers on a loop (idempotent).
 
         Polite (a shutdown command, which a worker reads after the
         conversation it is in; the heartbeat task ends, conversations still
@@ -1202,11 +1115,16 @@ class SupervisedWorkerPool:
         if self._closed:
             return
         self._dismiss_workers()
-        await self._stop_heartbeats()
+        task, self._heartbeat_task = self._heartbeat_task, None
+        if task is not None:
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
         for worker in self._workers:
             async with worker.lock:
                 pass  # its pipe is quiet: nothing is registered on it
-        await self._loop.run_in_executor(None, self._reap_workers, join_timeout)
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._reap_workers, join_timeout
+        )
 
     def _dismiss_workers(self) -> None:
         """Close the pool to new work and send every worker the shutdown command."""

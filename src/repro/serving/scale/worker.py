@@ -25,7 +25,7 @@ stale replies after a dispatch timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from ...aggregates import AggregateQuery
@@ -63,19 +63,15 @@ class WorkerSpec:
     sample_name: str
     aggregates: tuple[AggregateQuery, ...]
     config: ThemisConfig
-    session_options: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
-    def from_themis(
-        cls, themis: Themis, **session_options: Any
-    ) -> "WorkerSpec":
+    def from_themis(cls, themis: Themis) -> "WorkerSpec":
         """Capture one facade's inputs as a picklable worker recipe."""
         return cls(
             sample=themis.sample,
             sample_name=themis._sample_name,
             aggregates=tuple(themis.aggregates),
             config=replace(themis.config, extra=dict(themis.config.extra)),
-            session_options=dict(session_options),
         )
 
     def build_themis(self) -> Themis:
@@ -141,7 +137,7 @@ def worker_main(
     )
 
     themis = spec.build_themis()
-    session = themis.serve(**spec.session_options)
+    session = themis.serve()
     session._ensure_current()  # bind to the fitted model: describe needs a generation
     batch_count = refit_count = ping_count = 0
     # Logged broadcasts applied.  The pool checks agreement on this count,

@@ -13,7 +13,6 @@ generation, and the answers match a fault-free in-process oracle.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 
 import pytest
@@ -66,6 +65,13 @@ def sweep_queries(themis):
 def expected(sweep_queries):
     oracle = build_fitted_themis()
     return oracle.execute_batch(sweep_queries).results()
+
+
+def _outcomes(pool, queries):
+    """One ``RequestOutcome`` per query: the pool's dispatch, run to the end."""
+    outcomes = [None] * len(queries)
+    asyncio.run(pool.dispatch(queries, outcomes.__setitem__))
+    return outcomes
 
 
 def _supervised(themis, injector=None, **kwargs):
@@ -378,55 +384,16 @@ class TestDegradedMode:
             assert pool.live_shards() == set()
             assert pool.dead_shards() == {0, 1}
             # Per-request granularity: every outcome carries the typed error.
-            outcomes = pool.execute_batch_outcomes(sweep_queries)
+            outcomes = _outcomes(pool, sweep_queries)
             assert all(
                 not o.ok and isinstance(o.error, DegradedModeError)
                 for o in outcomes
             )
+            # A refit has no shard left to acknowledge it either.
+            with pytest.raises(DegradedModeError):
+                pool.refit()
         finally:
             pool.close()
-
-    def test_in_process_fallback_is_bit_identical(
-        self, themis, sweep_queries, expected
-    ):
-        injector = FaultInjector().kill_at_batch(0, at=1).kill_at_batch(1, at=1)
-        pool = _supervised(
-            themis, injector, max_respawns=0, fallback="in-process"
-        )
-        try:
-            assert pool.execute_batch(sweep_queries) == expected
-            assert pool.metrics.counter(
-                names.SCALE_FAULT_DEGRADED_REQUESTS
-            ).value == len(sweep_queries)
-        finally:
-            pool.close()
-
-    def test_in_process_fallback_leaves_the_loop_running(
-        self, themis, sweep_queries, expected
-    ):
-        injector = FaultInjector().kill_at_batch(0, at=1).kill_at_batch(1, at=1)
-        pool = _supervised(
-            themis, injector, max_respawns=0, fallback="in-process"
-        )
-        loop_ran = threading.Event()
-        answers = pool._fallback_answers
-
-        def gated(statements):
-            # Building the session is a whole fit: were this the loop's own
-            # thread, the callback could not run while it waits here.
-            pool._loop.call_soon_threadsafe(loop_ran.set)
-            assert loop_ran.wait(5.0), "the fallback is blocking the event loop"
-            return answers(statements)
-
-        pool._fallback_answers = gated
-        try:
-            assert pool.execute_batch(sweep_queries) == expected
-        finally:
-            pool.close()
-
-    def test_invalid_fallback_rejected(self, themis):
-        with pytest.raises(ValueError, match="fallback"):
-            SupervisedWorkerPool(themis, fallback="shrug")
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +409,11 @@ class TestHeartbeats:
             heartbeat_misses_to_kill=2,
         )
         try:
-            pool.check_heartbeats()  # ping 1 swallowed: one miss
+            asyncio.run(pool.check_heartbeats())  # ping 1 swallowed: one miss
             assert pool.metrics.counter(
                 names.SCALE_FAULT_HEARTBEAT_MISSES
             ).value == 1
-            pool.check_heartbeats()  # ping 2 answered: miss streak resets
+            asyncio.run(pool.check_heartbeats())  # ping 2 answered: streak resets
             assert pool._heartbeat_misses[0] == 0
             assert pool.metrics.counter(names.SCALE_FAULT_RESPAWNS).value == 0
         finally:
@@ -461,7 +428,7 @@ class TestHeartbeats:
             heartbeat_misses_to_kill=1,
         )
         try:
-            pool.check_heartbeats()
+            asyncio.run(pool.check_heartbeats())
             assert pool.metrics.counter(names.SCALE_FAULT_RESPAWNS).value == 1
             assert [body["incarnation"] for body in pool.describe()] == [1]
             assert pool.execute_batch(sweep_queries) == expected
@@ -474,7 +441,7 @@ class TestHeartbeats:
             victim = pool._workers[0].process
             victim.terminate()
             victim.join(5.0)
-            pool.check_heartbeats()
+            asyncio.run(pool.check_heartbeats())
             assert pool.metrics.counter(names.SCALE_FAULT_CRASHES).value == 1
             assert pool.execute_batch(sweep_queries) == expected
         finally:
@@ -591,9 +558,6 @@ class TestTaxonomy:
         assert (
             names.SCALE_FAULT_HEARTBEAT_MISSES == "scale.faults.heartbeat_misses"
         )
-        assert (
-            names.SCALE_FAULT_DEGRADED_REQUESTS == "scale.faults.degraded_requests"
-        )
         assert names.SCALE_RESPAWN_SECONDS == "latency.scale.respawn_seconds"
         for name in (
             names.SCALE_FAULT_CRASHES,
@@ -602,7 +566,6 @@ class TestTaxonomy:
             names.SCALE_FAULT_FAILOVERS,
             names.SCALE_FAULT_REPLAYED_BROADCASTS,
             names.SCALE_FAULT_HEARTBEAT_MISSES,
-            names.SCALE_FAULT_DEGRADED_REQUESTS,
         ):
             assert name.startswith(names.SCALE_FAULTS_PREFIX)
 
@@ -651,8 +614,8 @@ class TestSupervisedFrontend:
             ) as frontend:
                 with pytest.raises(RetryExhaustedError) as excinfo:
                     await frontend.query(statement)
-                # Synchronous calls come from other threads once the pool
-                # lives on this loop.
+                # Blocking calls come from other threads while this loop
+                # serves the pool.
                 (shard,) = await asyncio.to_thread(frontend.pool.describe)
                 return excinfo.value, shard, frontend.metrics
 

@@ -718,10 +718,16 @@ class TestPoolShutdown:
         from repro.serving.scale import SupervisedWorkerPool
 
         pool = SupervisedWorkerPool(themis, n_workers=1, heartbeat_interval=0.05)
-        prober = pool._heartbeat_task  # a task on the pool's loop, not a thread
-        assert not prober.done()
-        pool.close()
-        assert prober.done()
+
+        async def serve_then_close_twice():
+            await pool.start()
+            prober = pool._heartbeat_task  # a task on the serving loop, not a thread
+            assert not prober.done()
+            await pool.aclose()
+            assert prober.done()
+            await pool.aclose()
+
+        asyncio.run(serve_then_close_twice())
         pool.close()
 
     def test_atexit_guard_tolerates_closed_and_crashed_pools(self, themis):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import json
+import multiprocessing as mp
 import pickle
 import threading
 import time
@@ -33,6 +34,7 @@ from repro.exceptions import (
     SQLSyntaxError,
     ThemisError,
     WireFormatError,
+    WorkerCrashedError,
 )
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
@@ -84,6 +86,13 @@ def sweep_queries(themis):
 def expected(sweep_queries):
     oracle = build_fitted_themis()
     return oracle.execute_batch(sweep_queries).results()
+
+
+def _outcomes(pool, queries):
+    """One ``RequestOutcome`` per query: the pool's dispatch, run to the end."""
+    outcomes = [None] * len(queries)
+    asyncio.run(pool.dispatch(queries, outcomes.__setitem__))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +314,7 @@ class TestWhatCrossesThePipe:
             refused = homes[0]
             assert set(homes) == {0, 1}, "the sweep must reach both shards"
             monkeypatch.setattr(pool_module, "batch_payload", forged)
-            outcomes = pool.execute_batch_outcomes(sweep_queries)
+            outcomes = _outcomes(pool, sweep_queries)
             monkeypatch.undo()
             described = pool.describe()
             # The worker that refused the batch is alive and serves it honestly.
@@ -353,7 +362,7 @@ class TestWhatCrossesThePipe:
             assert len(hashed) == len(sweep_queries)
             # ...and a bad statement is neither hashed nor routed.
             del hashed[:]
-            outcomes = pool.execute_batch_outcomes(["SELEC nonsense", sweep_queries[0]])
+            outcomes = _outcomes(pool, ["SELEC nonsense", sweep_queries[0]])
             assert [outcome.ok for outcome in outcomes] == [False, True]
             assert len(hashed) == 1
 
@@ -968,11 +977,25 @@ class TestAsyncFrontend:
 # Pipes on the event loop: per-shard settle, two-phase release, real timeouts
 # ---------------------------------------------------------------------------
 def _serving_threads():
+    """Threads the tier or a loop of its could have started: there are none."""
     return [
         thread.name
         for thread in threading.enumerate()
-        if thread.name.startswith(("microbatch", "themis-heartbeat", "themis-pool-loop"))
+        if thread.name.startswith(("themis", "microbatch", "asyncio"))
     ]
+
+
+def _shard_processes():
+    return [
+        process.name
+        for process in mp.active_children()
+        if process.name.startswith("themis-shard-")
+    ]
+
+
+def _exits_at_once(spec, conn, *args):
+    """A worker entry point that hangs up before it answers anything."""
+    conn.close()
 
 
 class TestPipesOnTheEventLoop:
@@ -1021,33 +1044,43 @@ class TestPipesOnTheEventLoop:
             lag.delay_reply(1, seconds=0.01, at=ordinal)
         errors, batches, seen = [], [], []
 
-        with SupervisedWorkerPool(
+        pool = SupervisedWorkerPool(
             build_fitted_themis(), n_workers=2, fault_injector=lag
-        ) as pool:
-            fold = pool._fold_worker_stats
+        )
+        fold = pool._fold_worker_stats
 
-            def recording(body):
-                seen.append((body["shard_id"], body["generation"]))
-                fold(body)
+        def recording(body):
+            seen.append((body["shard_id"], body["generation"]))
+            fold(body)
 
-            monkeypatch.setattr(pool, "_fold_worker_stats", recording)
+        monkeypatch.setattr(pool, "_fold_worker_stats", recording)
 
-            def mutate():
-                try:
-                    for _ in range(3):
-                        pool.refit()
-                except Exception as error:  # noqa: BLE001 - reported below
-                    errors.append(error)
+        def mutate():
+            # Blocking refits from another thread run on the serving loop,
+            # interleaved with the batches the loop dispatches meanwhile.
+            try:
+                for _ in range(3):
+                    pool.refit()
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
 
-            mutator = threading.Thread(target=mutate)
-            mutator.start()
-            while (mutator.is_alive() or len(batches) < 3) and len(batches) < 500:
-                del seen[:]
-                answers = pool.execute_batch(sweep_queries)
-                batches.append((sorted(seen), answers))
-            mutator.join(30)
-            assert not mutator.is_alive()
-            final_generation = pool.describe()[0]["generation"]
+        async def scenario():
+            await pool.start()
+            try:
+                mutator = asyncio.ensure_future(asyncio.to_thread(mutate))
+                while (not mutator.done() or len(batches) < 3) and len(batches) < 500:
+                    del seen[:]
+                    outcomes = [None] * len(sweep_queries)
+                    await pool.dispatch(sweep_queries, outcomes.__setitem__)
+                    answers = [outcome.value for outcome in outcomes]
+                    batches.append((sorted(seen), answers))
+                await asyncio.wait_for(mutator, 30)
+                (body, _) = await asyncio.to_thread(pool.describe)
+            finally:
+                await pool.aclose()
+            return body["generation"]
+
+        final_generation = asyncio.run(scenario())
         assert not errors, errors
         generations = []
         for replies, answers in batches:
@@ -1121,7 +1154,7 @@ class TestPipesOnTheEventLoop:
                 # On the loop itself it would wait for itself: refused before
                 # the parent facade is touched, not after it was refit.
                 before = parent.generation
-                with pytest.raises(RuntimeError, match="own event loop"):
+                with pytest.raises(RuntimeError, match="running event loop"):
                     frontend.refit()
                 assert parent.generation == before
                 return (applied, described), responses
@@ -1163,14 +1196,81 @@ class TestPipesOnTheEventLoop:
             assert pool.metrics.value(names.SCALE_POOL_BATCHES) == 2
 
     def test_close_leaves_no_process_task_or_loop_thread(self, themis):
+        # No pool thread, ever: not once it is built, not for its blocking
+        # calls (each runs on a loop of its own and closes it), not after.
+        before = set(threading.enumerate())
         pool = SupervisedWorkerPool(themis, n_workers=2, heartbeat_interval=0.05)
-        assert _serving_threads() == ["themis-pool-loop"]
+        assert _serving_threads() == [] and set(threading.enumerate()) == before
+        assert pool._heartbeat_task is None  # a prober needs a serving loop
+        assert pool.execute_batch([self.SCALAR]) == [themis.query(self.SCALAR)]
+        assert len(pool.describe()) == 2
+        assert _serving_threads() == [] and set(threading.enumerate()) == before
         processes = [worker.process for worker in pool._workers]
-        heartbeat, loop = pool._heartbeat_task, pool._loop
-        pool.close()
+
+        async def serve_then_close():
+            await pool.start()
+            heartbeat = pool._heartbeat_task
+            await pool.aclose()
+            return heartbeat
+
+        heartbeat = asyncio.run(serve_then_close())
+        assert heartbeat.done()
         assert not any(process.is_alive() for process in processes)
-        assert heartbeat.done() and loop.is_closed()
+        assert _serving_threads() == [] and set(threading.enumerate()) == before
+
+    def test_bare_pool_driven_by_asyncio_run_answers_as_the_oracle(
+        self, themis, sweep_queries, expected
+    ):
+        with SupervisedWorkerPool(themis, n_workers=2) as pool:
+            outcomes = _outcomes(pool, sweep_queries)
+            again = _outcomes(pool, sweep_queries)
+        assert [outcome.value for outcome in outcomes] == expected
+        assert [outcome.value for outcome in again] == expected
+
+    def test_pool_built_inside_a_running_loop_answers_as_the_oracle(
+        self, themis, sweep_queries, expected
+    ):
+        async def scenario():
+            # The constructor's handshake blocks on the bare pipes, so it
+            # does not need (or touch) the loop it is called on.
+            pool = SupervisedWorkerPool(themis, n_workers=2)
+            try:
+                outcomes = [None] * len(sweep_queries)
+                await pool.dispatch(sweep_queries, outcomes.__setitem__)
+                with pytest.raises(RuntimeError, match="running event loop"):
+                    pool.execute_batch(sweep_queries)
+            finally:
+                await pool.aclose()
+            return [outcome.value for outcome in outcomes]
+
+        assert asyncio.run(scenario()) == expected
+        assert _shard_processes() == []
+
+    @pytest.mark.parametrize("inside_a_loop", [False, True])
+    def test_failed_frontend_constructor_leaves_no_worker_or_thread(
+        self, themis, inside_a_loop
+    ):
+        def construct():
+            with pytest.raises(ValueError, match="max_batch_size"):
+                AsyncServingFrontend(themis, max_batch_size=0)
+
+        async def in_a_loop():
+            construct()
+
+        if inside_a_loop:
+            asyncio.run(in_a_loop())
+        else:
+            construct()
+        assert _shard_processes() == []
         assert _serving_threads() == []
+
+    def test_failed_handshake_reaps_the_workers_before_it_raises(
+        self, monkeypatch, themis
+    ):
+        monkeypatch.setattr(pool_module, "worker_main", _exits_at_once)
+        with pytest.raises(WorkerCrashedError):
+            SupervisedWorkerPool(themis, n_workers=2)
+        assert _shard_processes() == []
 
 
 class TestSocketLifecycle:
@@ -1232,6 +1332,7 @@ class TestSocketLifecycle:
             await gone[1].wait_closed()
             server.close()
             await frontend.stop()
+            await frontend.stop()  # idempotent
             await server.wait_closed()
             tasks = asyncio.all_tasks() - {asyncio.current_task()}
             at_eof = await idle[0].readline()
@@ -1246,6 +1347,17 @@ class TestSocketLifecycle:
         assert pool._heartbeat_task is None and not pool._supervision.locked()
         assert not any(worker.process.is_alive() for worker in pool._workers)
         assert _serving_threads() == []
+
+    def test_stop_without_start_reaps_the_workers(self, themis):
+        async def scenario():
+            frontend = AsyncServingFrontend(themis, n_workers=1)
+            await frontend.stop()
+            await frontend.stop()
+            return frontend.pool
+
+        pool = asyncio.run(scenario())
+        assert not any(worker.process.is_alive() for worker in pool._workers)
+        assert _shard_processes() == []
 
 
 # ---------------------------------------------------------------------------
