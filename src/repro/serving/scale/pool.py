@@ -48,9 +48,11 @@ awaits them, and a pipe is only ever spoken to by
 :meth:`SupervisedWorkerPool._converse`, whose docstring is the table of
 which operations commute per shard and how the rest are ordered; that
 table, not thread or loop bookkeeping, is the concurrency control, so
-concurrent use belongs on one loop.  ``AsyncServingFrontend.start()`` makes
-its loop the pool's *serving loop* (:meth:`SupervisedWorkerPool.start`),
-where a socket request reaches the pipe without leaving its thread.  The
+concurrent use belongs on one loop; use on one loop after another is fine
+(the pool takes fresh locks on a loop it has not run on).
+``AsyncServingFrontend.start()`` makes its loop the pool's *serving loop*
+(:meth:`SupervisedWorkerPool.start`), where a socket request reaches the
+pipe without leaving its thread.  The
 few blocking methods (``execute_batch``, ``refit``, ``describe``, ...) run
 one coroutine to the end: on the serving loop from any other thread, or,
 with none running, on a fresh loop of their own.
@@ -289,7 +291,8 @@ class SupervisedWorkerPool:
         Shard count.  One ``ServingSession`` per worker.
     timeout:
         Default per-conversation reply timeout in seconds; ``None`` waits
-        forever.
+        forever.  Start-up is not bound by it: every worker fits its model
+        before its first reply, which gets :data:`RESPAWN_TIMEOUT`.
     metrics:
         Registry for pool counters/gauges/histograms; a private one is
         created when omitted.
@@ -391,6 +394,8 @@ class SupervisedWorkerPool:
         self._dead: set[int] = set()
         # Respawns, and the replay log they read, change under this lock.
         self._supervision = asyncio.Lock()
+        # The loop the locks were last used on (:meth:`_bind_locks`).
+        self._locks_loop: asyncio.AbstractEventLoop | None = None
         #: The loop a front-end serves from (:meth:`start`); ``None`` until then.
         self._loop: asyncio.AbstractEventLoop | None = None
         self._heartbeat_task: asyncio.Task | None = None
@@ -404,12 +409,13 @@ class SupervisedWorkerPool:
         # fit moves that counter on one shard alone, and agreement is held
         # on the logged broadcasts a worker reports having applied.  Asked
         # over the bare pipes, blocking: no loop may exist yet, and nothing
-        # else can reach the workers.
+        # else can reach the workers.  A worker fits its model before it
+        # answers, so it gets a fresh worker's budget, not the reply timeout.
         try:
             generations = set()
             for worker in self._workers:
                 worker.send(CMD_DESCRIBE, None)
-                if not worker.conn.poll(timeout):
+                if not worker.conn.poll(RESPAWN_TIMEOUT):
                     raise worker.deadline_error()
                 _, _, body = worker.receive()
                 if isinstance(body, BaseException):
@@ -424,18 +430,9 @@ class SupervisedWorkerPool:
             raise
 
     def _spawn_worker(self, shard_id: int, incarnation: int) -> _Worker:
-        fault_plan = (
-            self._fault_injector.plan_for(shard_id, incarnation)
-            if self._fault_injector is not None
-            else None
-        )
-        return _Worker(
-            self._context,
-            self._spec,
-            shard_id,
-            fault_plan=fault_plan,
-            incarnation=incarnation,
-        )
+        injector = self._fault_injector
+        plan = None if injector is None else injector.plan_for(shard_id, incarnation)
+        return _Worker(self._context, self._spec, shard_id, plan, incarnation)
 
     # ------------------------------------------------------------------
     # The serving loop, and blocking calls from synchronous code
@@ -479,6 +476,23 @@ class SupervisedWorkerPool:
         if loop is None or not loop.is_running():
             return asyncio.run
         return lambda coro: asyncio.run_coroutine_threadsafe(coro, loop).result()
+
+    def _bind_locks(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Give the pool fresh locks when it meets a loop it has not run on.
+
+        An ``asyncio.Lock`` that was ever contended stays bound to the loop
+        it was contended on, and one pool meets several: one per
+        ``asyncio.run`` of a blocking call, then the serving loop.  Whatever
+        ran on the last loop has finished (concurrent use belongs on one
+        loop), so no conversation holds the old locks.  Called before a lock
+        is taken: by :meth:`_converse` (whose crashes are handled after it,
+        on its loop), the broadcast log and :meth:`aclose`.
+        """
+        if loop is not self._locks_loop:
+            self._locks_loop = loop
+            self._supervision = asyncio.Lock()
+            for worker in self._workers:
+                worker.lock = asyncio.Lock()
 
     # ------------------------------------------------------------------
     # The one pipe conversation
@@ -559,6 +573,7 @@ class SupervisedWorkerPool:
         before returning, after every lock is released.
         """
         loop = asyncio.get_running_loop()
+        self._bind_locks(loop)
         replies: dict[_Worker, Any] = {}
         awaited: dict[_Worker, int] = {}
         held: list[_Worker] = []
@@ -1000,6 +1015,7 @@ class SupervisedWorkerPool:
         The lock waits out a respawn in flight: its replay was cut before
         this entry.  One that starts later has it.
         """
+        self._bind_locks(asyncio.get_running_loop())
         async with self._supervision:
             self._broadcast_log.append((command, payload))
         return await self._broadcast(command, payload, logged=True)
@@ -1044,16 +1060,14 @@ class SupervisedWorkerPool:
         """One liveness pass: ping every idle live shard, respawn the dead.
 
         Shards in a conversation are skipped (an active dispatch proves the
-        pipe is alive).  ``heartbeat_misses_to_kill`` consecutive silent
+        pipe is alive).  A dead worker's ping meets its dead pipe, which
+        respawns the shard.  ``heartbeat_misses_to_kill`` consecutive silent
         pings escalate to terminate + respawn.  The heartbeat task runs
         this pass on its interval; tests await it directly for
         deterministic coverage.
         """
         for shard_id in sorted(self._live):
             worker = self._workers[shard_id]
-            if worker.process.exitcode is not None:
-                await self._handle_crash(worker)
-                continue
             if worker.lock.locked():
                 continue
             (reply,) = await self._converse(
@@ -1119,6 +1133,7 @@ class SupervisedWorkerPool:
         if task is not None:
             task.cancel()
             await asyncio.gather(task, return_exceptions=True)
+        self._bind_locks(asyncio.get_running_loop())
         for worker in self._workers:
             async with worker.lock:
                 pass  # its pipe is quiet: nothing is registered on it

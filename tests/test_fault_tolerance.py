@@ -44,7 +44,11 @@ from repro.serving.scale import (
 from repro.serving.scale.pool import _LIVE_POOLS
 from repro.serving.stats import ServingStatistics
 
-from worlds import build_correlated_population, build_fitted_themis
+from worlds import (
+    build_correlated_population,
+    build_fitted_themis,
+    dispatch_outcomes,
+)
 
 SWEEP_SEED = 421
 
@@ -65,13 +69,6 @@ def sweep_queries(themis):
 def expected(sweep_queries):
     oracle = build_fitted_themis()
     return oracle.execute_batch(sweep_queries).results()
-
-
-def _outcomes(pool, queries):
-    """One ``RequestOutcome`` per query: the pool's dispatch, run to the end."""
-    outcomes = [None] * len(queries)
-    asyncio.run(pool.dispatch(queries, outcomes.__setitem__))
-    return outcomes
 
 
 def _supervised(themis, injector=None, **kwargs):
@@ -384,7 +381,7 @@ class TestDegradedMode:
             assert pool.live_shards() == set()
             assert pool.dead_shards() == {0, 1}
             # Per-request granularity: every outcome carries the typed error.
-            outcomes = _outcomes(pool, sweep_queries)
+            outcomes = dispatch_outcomes(pool, sweep_queries)
             assert all(
                 not o.ok and isinstance(o.error, DegradedModeError)
                 for o in outcomes

@@ -717,14 +717,19 @@ class TestPoolShutdown:
     def test_double_close_stops_the_heartbeat_prober(self, themis):
         from repro.serving.scale import SupervisedWorkerPool
 
-        pool = SupervisedWorkerPool(themis, n_workers=1, heartbeat_interval=0.05)
+        pool = SupervisedWorkerPool(themis, n_workers=1, heartbeat_interval=60.0)
+
+        processes = [worker.process for worker in pool._workers]
 
         async def serve_then_close_twice():
             await pool.start()
             prober = pool._heartbeat_task  # a task on the serving loop, not a thread
             assert not prober.done()
-            await pool.aclose()
-            assert prober.done()
+            # The blocking close, from another thread, runs on the serving loop.
+            await asyncio.to_thread(pool.close)
+            assert prober.cancelled()
+            assert not any(process.is_alive() for process in processes)
+            await asyncio.to_thread(pool.close)
             await pool.aclose()
 
         asyncio.run(serve_then_close_twice())

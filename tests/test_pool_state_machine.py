@@ -37,6 +37,7 @@ from worlds import (
     build_biased_correlated_sample,
     build_correlated_population,
     build_fitted_themis,
+    dispatch_outcomes,
 )
 
 UNPARSABLE = "SELEC nonsense FROM"
@@ -80,8 +81,7 @@ class PoolMachine(RuleBasedStateMachine):
         statements = [STATEMENTS[i] for i in picks]
         bad = min(position, len(statements))
         statements.insert(bad, UNPARSABLE)
-        outcomes = [None] * len(statements)
-        asyncio.run(self.pool.dispatch(statements, outcomes.__setitem__))
+        outcomes = dispatch_outcomes(self.pool, statements)
         assert isinstance(outcomes[bad].error, SQLSyntaxError)
         del statements[bad], outcomes[bad]
         assert all(outcome.ok for outcome in outcomes), outcomes

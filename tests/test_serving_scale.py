@@ -60,7 +60,11 @@ from repro.serving.scale.frontend import encode_result
 from repro.serving.scale.shard import stable_plan_hash
 
 from golden_plans import golden_queries
-from worlds import build_correlated_population, build_fitted_themis
+from worlds import (
+    build_correlated_population,
+    build_fitted_themis,
+    dispatch_outcomes,
+)
 
 SWEEP_SEED = 421
 
@@ -86,13 +90,6 @@ def sweep_queries(themis):
 def expected(sweep_queries):
     oracle = build_fitted_themis()
     return oracle.execute_batch(sweep_queries).results()
-
-
-def _outcomes(pool, queries):
-    """One ``RequestOutcome`` per query: the pool's dispatch, run to the end."""
-    outcomes = [None] * len(queries)
-    asyncio.run(pool.dispatch(queries, outcomes.__setitem__))
-    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +311,7 @@ class TestWhatCrossesThePipe:
             refused = homes[0]
             assert set(homes) == {0, 1}, "the sweep must reach both shards"
             monkeypatch.setattr(pool_module, "batch_payload", forged)
-            outcomes = _outcomes(pool, sweep_queries)
+            outcomes = dispatch_outcomes(pool, sweep_queries)
             monkeypatch.undo()
             described = pool.describe()
             # The worker that refused the batch is alive and serves it honestly.
@@ -362,7 +359,7 @@ class TestWhatCrossesThePipe:
             assert len(hashed) == len(sweep_queries)
             # ...and a bad statement is neither hashed nor routed.
             del hashed[:]
-            outcomes = _outcomes(pool, ["SELEC nonsense", sweep_queries[0]])
+            outcomes = dispatch_outcomes(pool, ["SELEC nonsense", sweep_queries[0]])
             assert [outcome.ok for outcome in outcomes] == [False, True]
             assert len(hashed) == 1
 
@@ -1199,7 +1196,7 @@ class TestPipesOnTheEventLoop:
         # No pool thread, ever: not once it is built, not for its blocking
         # calls (each runs on a loop of its own and closes it), not after.
         before = set(threading.enumerate())
-        pool = SupervisedWorkerPool(themis, n_workers=2, heartbeat_interval=0.05)
+        pool = SupervisedWorkerPool(themis, n_workers=2, heartbeat_interval=60.0)
         assert _serving_threads() == [] and set(threading.enumerate()) == before
         assert pool._heartbeat_task is None  # a prober needs a serving loop
         assert pool.execute_batch([self.SCALAR]) == [themis.query(self.SCALAR)]
@@ -1210,22 +1207,47 @@ class TestPipesOnTheEventLoop:
         async def serve_then_close():
             await pool.start()
             heartbeat = pool._heartbeat_task
-            await pool.aclose()
-            return heartbeat
+            # The blocking close, from another thread while the serving loop
+            # runs: it runs aclose() there.
+            await asyncio.to_thread(pool.close)
+            return heartbeat.cancelled(), [process.is_alive() for process in processes]
 
-        heartbeat = asyncio.run(serve_then_close())
-        assert heartbeat.done()
-        assert not any(process.is_alive() for process in processes)
+        cancelled, alive = asyncio.run(serve_then_close())
+        assert cancelled
+        assert alive == [False, False]
         assert _serving_threads() == [] and set(threading.enumerate()) == before
 
     def test_bare_pool_driven_by_asyncio_run_answers_as_the_oracle(
         self, themis, sweep_queries, expected
     ):
         with SupervisedWorkerPool(themis, n_workers=2) as pool:
-            outcomes = _outcomes(pool, sweep_queries)
-            again = _outcomes(pool, sweep_queries)
+            outcomes = dispatch_outcomes(pool, sweep_queries)
+            again = dispatch_outcomes(pool, sweep_queries)
         assert [outcome.value for outcome in outcomes] == expected
         assert [outcome.value for outcome in again] == expected
+
+    def test_contended_locks_follow_the_pool_onto_the_next_loop(
+        self, themis, sweep_queries, expected
+    ):
+        async def two_at_once(pool):
+            # Both batches reach both shards: the second waits for the locks.
+            firsts, seconds = [None] * len(sweep_queries), [None] * len(sweep_queries)
+            await asyncio.gather(
+                pool.dispatch(sweep_queries, firsts.__setitem__),
+                pool.dispatch(sweep_queries, seconds.__setitem__),
+            )
+            return [outcome.value for outcome in firsts + seconds]
+
+        with SupervisedWorkerPool(themis, n_workers=2) as pool:
+            for _ in range(2):  # a fresh loop each time
+                assert asyncio.run(two_at_once(pool)) == expected * 2
+
+    def test_reply_timeout_does_not_bound_the_workers_start(
+        self, themis, sweep_queries, expected
+    ):
+        # Every worker fits its model before the handshake's first reply.
+        with SupervisedWorkerPool(themis, n_workers=2, timeout=1e-3) as pool:
+            assert pool.execute_batch(sweep_queries, timeout=30.0) == expected
 
     def test_pool_built_inside_a_running_loop_answers_as_the_oracle(
         self, themis, sweep_queries, expected

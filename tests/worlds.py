@@ -8,6 +8,8 @@ files compete for the ``conftest`` module slot).
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 
 from repro.aggregates import AggregateQuery, AggregateSet
@@ -69,6 +71,13 @@ def build_fitted_themis() -> Themis:
     themis.add_aggregates(build_correlated_aggregates(population))
     themis.fit()
     return themis
+
+
+def dispatch_outcomes(pool, queries) -> list:
+    """One ``RequestOutcome`` per query: a worker pool's dispatch, run to the end."""
+    outcomes = [None] * len(queries)
+    asyncio.run(pool.dispatch(queries, outcomes.__setitem__))
+    return outcomes
 
 
 def build_sparse_fitted_themis() -> Themis:
