@@ -18,13 +18,13 @@ so batched answers are bit-identical to single-query answers by construction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..exceptions import BayesNetError
+from ..lru import LRUCache
 from ..obs.trace import NULL_TRACER
 from .factor import Factor
 from .network import BayesianNetwork
@@ -34,6 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: The evidence signature of an assignment: its variable names, sorted.
 Signature = tuple[str, ...]
+
+#: How many eliminated joint factors an engine keeps (LRU).  Factors are
+#: small — their tables range only over the evidence variables' domains — so
+#: this comfortably covers typical workload signature counts.
+FACTOR_CACHE_CAPACITY = 128
+
+
+def _factor_bytes(factor: Factor) -> int:
+    return int(factor.table.nbytes) + 96
 
 
 def signature_of(assignment: Mapping[str, Any]) -> Signature:
@@ -75,10 +84,6 @@ class BatchedInference:
         engine shares.  Built from ``network`` when omitted; when built here,
         the two engines are cross-linked so ``inference.probability()`` and
         this engine use one factor cache.
-    factor_cache_capacity:
-        How many eliminated joint factors to keep (LRU).  Factors are small —
-        their tables range only over the evidence variables' domains — so the
-        default comfortably covers typical workload signature counts.
     generation:
         The model generation the cache is valid for; see :meth:`invalidate`.
     """
@@ -87,24 +92,19 @@ class BatchedInference:
         self,
         network: BayesianNetwork,
         inference: "ExactInference | None" = None,
-        factor_cache_capacity: int = 128,
         generation: int = 0,
     ):
-        if factor_cache_capacity <= 0:
-            raise ValueError("factor_cache_capacity must be positive")
         if inference is None:
             from .inference import ExactInference
 
             inference = ExactInference(network, batched=self)
         self._network = network
         self._inference = inference
-        self._capacity = int(factor_cache_capacity)
-        self._factors: OrderedDict[tuple, Factor] = OrderedDict()
+        #: Eliminated factors by ``(generation, kept-variable set)``.
+        self.factors = LRUCache(FACTOR_CACHE_CAPACITY, size=_factor_bytes)
         self._generation = int(generation)
         # Counters: how much elimination work was paid vs. amortized.
         self.elimination_passes = 0
-        self.factor_cache_hits = 0
-        self.factor_cache_misses = 0
         self.batches = 0
         self.queries = 0
         # The serving layer points this at a live tracer while it dispatches,
@@ -128,25 +128,17 @@ class BatchedInference:
     @property
     def cached_factor_count(self) -> int:
         """How many eliminated joint factors are currently cached."""
-        return len(self._factors)
+        return len(self.factors)
 
     @property
-    def cached_factor_bytes(self) -> int:
-        """Measured bytes of every cached factor table."""
-        return sum(int(factor.table.nbytes) + 96 for factor in self._factors.values())
-
-    def evict_factors(self, n: int) -> int:
-        """Evict up to ``n`` least-recently-used factors; bytes freed."""
-        freed = 0
-        for _ in range(min(n, len(self._factors))):
-            _, factor = self._factors.popitem(last=False)
-            freed += int(factor.table.nbytes) + 96
-        return freed
+    def factor_cache_hits(self) -> int:
+        """Factor lookups answered without an elimination pass."""
+        return self.factors.statistics.hits
 
     @property
-    def factor_cache_capacity(self) -> int:
-        """Maximum number of eliminated factors kept (LRU beyond that)."""
-        return self._capacity
+    def factor_cache_misses(self) -> int:
+        """Factor lookups that paid an elimination pass."""
+        return self.factors.statistics.misses
 
     def statistics(self) -> dict[str, int]:
         """A plain-dict snapshot of the engine's amortization counters."""
@@ -162,8 +154,7 @@ class BatchedInference:
     def reset_statistics(self) -> None:
         """Zero the amortization counters without touching cached factors."""
         self.elimination_passes = 0
-        self.factor_cache_hits = 0
-        self.factor_cache_misses = 0
+        self.factors.statistics.reset()
         self.batches = 0
         self.queries = 0
 
@@ -178,18 +169,12 @@ class BatchedInference:
         ordering of ``variables`` returns the identical cached factor.
         """
         key = (self._generation, frozenset(variables))
-        cached = self._factors.get(key)
-        if cached is not None:
-            self._factors.move_to_end(key)
-            self.factor_cache_hits += 1
-            return cached
-        self.factor_cache_misses += 1
-        self.elimination_passes += 1
-        with self.tracer.span("bn-elimination", kept=",".join(sorted(variables))):
-            factor = self._inference.eliminate(keep=tuple(variables))
-        self._factors[key] = factor
-        if len(self._factors) > self._capacity:
-            self._factors.popitem(last=False)
+        factor = self.factors.get(key)
+        if factor is None:
+            self.elimination_passes += 1
+            with self.tracer.span("bn-elimination", kept=",".join(sorted(variables))):
+                factor = self._inference.eliminate(keep=tuple(variables))
+            self.factors.put(key, factor)
         return factor
 
     def invalidate(self, generation: int | None = None) -> None:
@@ -199,7 +184,7 @@ class BatchedInference:
         cache key includes the generation, so even a stale entry could never
         be returned, but dropping the table frees the memory immediately.
         """
-        self._factors.clear()
+        self.factors.clear()
         if generation is not None:
             self._generation = int(generation)
         else:

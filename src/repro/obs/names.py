@@ -155,7 +155,7 @@ GOVERNANCE_CACHE_BYTES_HIGH_WATER = "governance.cache_bytes_high_water"
 GOVERNANCE_BUDGET_BYTES = "governance.budget_bytes"
 #: Current pressure tier as an integer level: ok=0 soft=1 hard=2 critical=3.
 GOVERNANCE_PRESSURE_LEVEL = "governance.pressure_level"
-#: Entries evicted by the governor's pressure-relief passes.
+#: Entries the governor evicted, by pressure-relief passes and flushes.
 GOVERNANCE_EVICTIONS = "governance.evictions"
 #: Measured bytes freed by governor evictions and flushes.
 GOVERNANCE_EVICTED_BYTES = "governance.evicted_bytes"

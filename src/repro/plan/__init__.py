@@ -48,7 +48,6 @@ from .ir import (
 )
 from .analytics import execute_table_pipeline, merged_table
 from .kernels import (
-    JoinSideCache,
     fused_group_columns,
     MaskCache,
     RowPartition,
@@ -96,7 +95,6 @@ __all__ = [
     "HavingCondition",
     "Join",
     "Limit",
-    "JoinSideCache",
     "JoinSideSpec",
     "LogicalPlan",
     "MaskCache",

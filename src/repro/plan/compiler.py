@@ -14,10 +14,10 @@ across refits while the routing decision depends on the fitted sample.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from ..exceptions import QueryError
+from ..lru import LRUCache
 from ..query.ast import (
     AggregateSpec,
     AnalyticQuery,
@@ -82,8 +82,7 @@ class PlanCompiler:
 
     def __init__(self, schema: Schema, cache_size: int = 256):
         self._schema = schema
-        self._cache: OrderedDict[Query, LogicalPlan] = OrderedDict()
-        self._cache_size = int(cache_size)
+        self._cache = LRUCache(cache_size)
 
     @property
     def schema(self) -> Schema:
@@ -98,16 +97,12 @@ class PlanCompiler:
         if isinstance(query, str):
             return self.compile_sql(query)
         try:
-            cached = self._cache.get(query)
+            plan = self._cache.get(query)
         except TypeError:  # unhashable literal (e.g. a list inside IN)
             return self._compile_ast(query)
-        if cached is not None:
-            self._cache.move_to_end(query)
-            return cached
-        plan = self._compile_ast(query)
-        self._cache[query] = plan
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
+        if plan is None:
+            plan = self._compile_ast(query)
+            self._cache.put(query, plan)
         return plan
 
     def compile_sql(self, statement: str) -> LogicalPlan:

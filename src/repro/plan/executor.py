@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import QueryError
+from ..lru import LRUCache
 from ..obs.trace import NULL_TRACER
 from ..query.ast import Comparison, Predicate, Query
 from ..schema import Relation
@@ -31,7 +32,6 @@ from .ir import (
     LogicalPlan,
 )
 from .kernels import (
-    JoinSideCache,
     MaskCache,
     fused_group_columns,
     fused_grouped_weight_totals,
@@ -51,6 +51,15 @@ from .optimize import (
     optimize_batch,
 )
 
+#: How many join sides' totals one executor keeps across batches.
+JOIN_SIDE_CACHE_CAPACITY = 256
+
+
+def _side_bytes(totals: dict) -> int:
+    # Flat estimate: key tuples are short and each entry is a (group tuple,
+    # float) pair -- cheaper than a deep measure, monotone in the footprint.
+    return 128 + 96 * len(totals)
+
 
 class ColumnarExecutor:
     """Run compiled plans against one relation.
@@ -63,29 +72,19 @@ class ColumnarExecutor:
         The plan compiler to use for raw ASTs/SQL; one is built over the
         relation's schema when omitted.  Sharing a compiler across executors
         shares its compiled-plan memo.
-    mask_cache:
-        The predicate-mask cache; built fresh when omitted.  Sharing it is
-        what lets a serving batch pay each predicate mask once across plans.
-    join_side_cache:
-        The cross-batch cache of fused join-side totals; built fresh when
-        omitted.  Keys embed the mask cache's generation, so it invalidates
-        with the masks (``Themis.refit()`` builds a fresh executor, an
-        in-place mask invalidation moves the generation).
+
+    The executor owns its predicate-mask cache (one per relation, shared by
+    every plan it runs) and its cross-batch join-side cache, whose keys
+    embed the mask cache's generation, so it invalidates with the masks
+    (``Themis.refit()`` builds a fresh executor, an in-place mask
+    invalidation moves the generation).
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        compiler: PlanCompiler | None = None,
-        mask_cache: MaskCache | None = None,
-        join_side_cache: JoinSideCache | None = None,
-    ):
+    def __init__(self, relation: Relation, compiler: PlanCompiler | None = None):
         self._relation = relation
         self._compiler = compiler if compiler is not None else PlanCompiler(relation.schema)
-        self._masks = mask_cache if mask_cache is not None else MaskCache(relation)
-        self._join_sides = (
-            join_side_cache if join_side_cache is not None else JoinSideCache()
-        )
+        self._masks = MaskCache(relation)
+        self._join_sides = LRUCache(JOIN_SIDE_CACHE_CAPACITY, size=_side_bytes)
         self._numeric: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -107,8 +106,8 @@ class ColumnarExecutor:
         return self._masks
 
     @property
-    def join_side_cache(self) -> JoinSideCache:
-        """The cross-batch join-side totals cache, generation-keyed."""
+    def join_side_cache(self) -> LRUCache:
+        """The cross-batch join-side totals, keyed ``(generation, side signature)``."""
         return self._join_sides
 
     # ------------------------------------------------------------------
@@ -289,7 +288,7 @@ class ColumnarExecutor:
     ) -> list[dict]:
         """Resolve every scheduled join side's ``(join key, group)`` totals.
 
-        Sides land in three tiers: the cross-batch :class:`JoinSideCache`
+        Sides land in three tiers: the cross-batch :attr:`join_side_cache`
         (hit: zero work this batch), then one fused stacked scatter-add pass
         per distinct key-column set for the misses (each side contributes
         its conjunction mask as a stacked reduction column), whose results

@@ -4,9 +4,10 @@ Execution of a compiled :class:`~repro.plan.ir.LogicalPlan` over a relation
 is *mask -> selection vector -> gather -> reduce*:
 
 * **predicate evaluation** — one boolean mask per canonical predicate,
-  cached by ``(generation, predicate)`` in :class:`MaskCache`; a conjunction
-  is the bitwise AND of its predicates' cached masks, computed when asked
-  for and not kept;
+  cached by ``(generation, predicate)`` in :class:`MaskCache` (whose entries
+  are one :class:`~repro.lru.LRUCache`, like every cache in the system); a
+  conjunction is the bitwise AND of its predicates' cached masks, computed
+  when asked for and not kept;
 * **selection** — a kernel call resolves its mask once to the sorted row ids
   it keeps (``mask.nonzero()[0]``, transient) and gathers bins, weights and
   each distinct measure through ``take(rows)``;
@@ -29,7 +30,6 @@ bit-identical to running the kernel over that part alone.  The plain
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -37,8 +37,17 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import QueryError
+from ..lru import LRUCache
 from ..schema import Relation
 from .ir import CanonicalPredicate
+
+
+#: How many predicate masks one relation's cache keeps (LRU beyond that).
+MASK_CACHE_CAPACITY = 512
+
+
+def _mask_bytes(mask: np.ndarray) -> int:
+    return int(mask.nbytes) + 96
 
 
 class MaskCache:
@@ -51,22 +60,16 @@ class MaskCache:
     single-predicate masks are cached: they are what a statement stream
     repeats, while its conjunctions are mostly one-offs that would push the
     repeating masks out to save an AND cheaper than a conjunction's cache
-    key.  Like the serving result/plan/factor caches, capacity is bounded:
+    key.  The masks live in :attr:`lru`, bounded like every other cache:
     each mask costs ``n_rows`` bytes, and a diverse predicate stream must
     not grow a long-lived session without limit.
     """
 
-    def __init__(self, relation: Relation, generation: int = 0, capacity: int = 512):
-        if capacity <= 0:
-            raise ValueError("mask cache capacity must be positive")
+    def __init__(self, relation: Relation, generation: int = 0):
         self._relation = relation
         self._generation = int(generation)
-        self._capacity = int(capacity)
-        self._store: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._bytes = 0
-        self.governor: "object | None" = None
-        self.hits = 0
-        self.misses = 0
+        #: The masks by ``(generation, predicate key)``; what a governor governs.
+        self.lru = LRUCache(MASK_CACHE_CAPACITY, size=_mask_bytes)
 
     @property
     def relation(self) -> Relation:
@@ -74,51 +77,30 @@ class MaskCache:
         return self._relation
 
     @property
-    def byte_size(self) -> int:
-        """Measured bytes of every cached mask buffer."""
-        return self._bytes
-
-    def evict_entries(self, n: int) -> int:
-        """Evict up to ``n`` least-recently-used masks; bytes freed."""
-        freed = 0
-        for _ in range(min(n, len(self._store))):
-            _, mask = self._store.popitem(last=False)
-            freed += int(mask.nbytes) + 96
-        self._bytes -= freed
-        return freed
-
-    @property
     def generation(self) -> int:
         """The model generation baked into every cache key."""
         return self._generation
 
     @property
-    def capacity(self) -> int:
-        """Maximum number of cached masks (LRU eviction beyond that)."""
-        return self._capacity
+    def hits(self) -> int:
+        """Predicate lookups served from the cache."""
+        return self.lru.statistics.hits
+
+    @property
+    def misses(self) -> int:
+        """Predicate lookups that evaluated a mask."""
+        return self.lru.statistics.misses
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self.lru)
 
     def predicate_mask(self, predicate: CanonicalPredicate) -> np.ndarray:
         """The cached boolean mask of one canonical predicate (read-only)."""
         key = (self._generation, predicate.key)
-        mask = self._store.get(key)
-        if mask is not None:
-            self._store.move_to_end(key)
-            self.hits += 1
-            return mask
-        self.misses += 1
-        mask = predicate.mask(self._relation)
-        nbytes = int(mask.nbytes) + 96
-        governor = self.governor
-        if governor is not None and not governor.admit(nbytes):
-            return mask
-        self._store[key] = mask
-        self._bytes += nbytes
-        if len(self._store) > self._capacity:
-            _, evicted = self._store.popitem(last=False)
-            self._bytes -= int(evicted.nbytes) + 96
+        mask = self.lru.get(key)
+        if mask is None:
+            mask = predicate.mask(self._relation)
+            self.lru.put(key, mask)
         return mask
 
     def conjunction_mask(
@@ -142,27 +124,19 @@ class MaskCache:
 
     def invalidate(self, generation: int | None = None) -> None:
         """Drop every mask (and optionally move to a new generation)."""
-        self._store.clear()
-        self._bytes = 0
+        self.lru.clear()
         if generation is not None:
             self._generation = int(generation)
         else:
             self._generation += 1
 
     def statistics(self) -> dict[str, int | float]:
-        """Hit/miss counters plus the number of cached masks."""
-        lookups = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-            "cached_masks": len(self._store),
-        }
+        """Hit/miss/eviction counters plus the number of cached masks."""
+        return {**self.lru.statistics.as_dict(), "cached_masks": len(self.lru)}
 
     def reset_statistics(self) -> None:
-        """Zero the hit/miss counters without touching the cached masks."""
-        self.hits = 0
-        self.misses = 0
+        """Zero the counters without touching the cached masks."""
+        self.lru.statistics.reset()
 
 
 # ----------------------------------------------------------------------
@@ -545,113 +519,3 @@ def merge_join_sides(
             key = (left_group_value, right_group_value)
             results[key] = results.get(key, 0.0) + left_weight * right_weight
     return results
-
-
-class JoinSideCache:
-    """Cross-batch cache of join-side weight totals (LRU-capped).
-
-    Entries map a side's execution signature — keyed by the owning
-    executor as ``(generation, (side keys, normalized predicate keys))`` —
-    to the :func:`grouped_weight_totals` dict that side computes.  Carrying
-    the totals *across* batches means a serving session whose join workload
-    keeps referencing the same sides pays each side's scatter-add and
-    decode loop once per model generation, not once per batch.
-
-    Like :class:`MaskCache`, the generation baked into every key is the
-    mask cache's: ``Themis.refit()`` builds a fresh executor (hence a fresh
-    cache), and an in-place ``MaskCache.invalidate`` moves the generation so
-    stale side totals can never answer a query against a new model.
-    """
-
-    def __init__(self, capacity: int = 256):
-        if capacity <= 0:
-            raise ValueError("join-side cache capacity must be positive")
-        self._capacity = int(capacity)
-        self._store: OrderedDict[tuple, dict] = OrderedDict()
-        self._sizes: dict[tuple, int] = {}
-        self._bytes = 0
-        self.governor: "object | None" = None
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of cached sides (LRU eviction beyond that)."""
-        return self._capacity
-
-    @property
-    def byte_size(self) -> int:
-        """Measured bytes of every cached side-totals dict."""
-        return self._bytes
-
-    def evict_entries(self, n: int) -> int:
-        """Evict up to ``n`` least-recently-used sides; bytes freed."""
-        freed = 0
-        for _ in range(min(n, len(self._store))):
-            key, _ = self._store.popitem(last=False)
-            freed += self._sizes.pop(key, 0)
-        self._bytes -= freed
-        return freed
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key: tuple) -> dict[tuple[Any, ...], float] | None:
-        """The cached totals of one side signature (``None`` on a miss)."""
-        totals = self._store.get(key)
-        if totals is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return totals
-
-    def put(self, key: tuple, totals: dict[tuple[Any, ...], float]) -> None:
-        """Cache one side's totals, evicting the least recently used entry."""
-        # Flat per-entry estimate: key tuples are short; each totals entry is
-        # a (group-key tuple, float) pair.  Cheaper than a deep measure and
-        # monotone in the real footprint, which is all the governor needs.
-        nbytes = 128 + 96 * len(totals)
-        governor = self.governor
-        if governor is not None and not governor.admit(nbytes):
-            self._store.pop(key, None)
-            self._bytes -= self._sizes.pop(key, 0)
-            return
-        if key in self._store:
-            self._bytes -= self._sizes.pop(key, 0)
-        self._store[key] = totals
-        self._sizes[key] = nbytes
-        self._bytes += nbytes
-        self._store.move_to_end(key)
-        if len(self._store) > self._capacity:
-            evicted, _ = self._store.popitem(last=False)
-            self._bytes -= self._sizes.pop(evicted, 0)
-
-    def entries(self) -> list[tuple]:
-        """The cached side signatures, least to most recently used.
-
-        Non-mutating (no recency promotion, no hit/miss counting) — the
-        observability probe serving statistics read.
-        """
-        return list(self._store)
-
-    def invalidate(self) -> None:
-        """Drop every cached side (statistics are kept)."""
-        self._store.clear()
-        self._sizes.clear()
-        self._bytes = 0
-
-    def statistics(self) -> dict[str, int | float]:
-        """Hit/miss counters plus the number of cached sides."""
-        lookups = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-            "cached_sides": len(self._store),
-        }
-
-    def reset_statistics(self) -> None:
-        """Zero the hit/miss counters without touching the cached sides."""
-        self.hits = 0
-        self.misses = 0

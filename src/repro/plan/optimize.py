@@ -30,7 +30,7 @@ emits a :class:`PhysicalSchedule` that pays each piece of shared work once:
    once, and distinct sides grouping over the same key columns stack into
    one fused scatter-add pass (``join_sides_fused``); the executor
    additionally carries side totals *across* batches in a
-   generation-keyed :class:`~repro.plan.kernels.JoinSideCache`
+   generation-keyed :attr:`~repro.plan.ColumnarExecutor.join_side_cache`
    (``join_side_cache_hits``).
 
 Every rewrite is mask-preserving by construction (a dropped conjunct is
@@ -113,7 +113,7 @@ class OptimizerStats:
         folded into a stacked fused pass over the same key columns.
     join_side_cache_hits:
         Scheduled join sides answered by the cross-batch
-        :class:`~repro.plan.kernels.JoinSideCache` instead of recomputed.
+        :attr:`~repro.plan.ColumnarExecutor.join_side_cache` instead of recomputed.
     bn_sample_dispatches_saved:
         Per-``(plan, sample)`` executions avoided by serving a family
         (hybrid GROUP BY / join / table parts, or BN-routed sampled
@@ -340,7 +340,7 @@ class JoinSideSpec:
     filters coincide — the optimizer then schedules one side computation
     (one stacked scatter-add column) for both.  ``signature`` is the
     hashable execution identity; prefixed with the mask-cache generation it
-    is also the cross-batch :class:`~repro.plan.kernels.JoinSideCache` key.
+    is also the cross-batch :attr:`~repro.plan.ColumnarExecutor.join_side_cache` key.
     """
 
     keys: tuple[str, ...]

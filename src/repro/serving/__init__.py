@@ -5,9 +5,10 @@ into a reusable query service for high-throughput workloads:
 
 * :mod:`repro.serving.planner` — canonical, hashable plan keys and evaluator
   routing (reweighted sample / Bayesian network / hybrid);
-* :mod:`repro.serving.cache` — the LRU result and plan caches plus the shared
-  BN inference cache (per-signature eliminated factors), all invalidated when
-  the model is refitted;
+* :mod:`repro.serving.cache` — the result and plan caches (plain
+  :class:`~repro.lru.LRUCache` instances) plus the shared BN inference
+  cache (per-signature eliminated factors), all invalidated when the model
+  is refitted;
 * :mod:`repro.serving.executor` — batched execution: the plans the result
   cache cannot answer are partitioned by route and each partition is one
   ``run`` call on its evaluator (:mod:`repro.core.evaluators` — BN-routed
@@ -51,7 +52,6 @@ from .governance import (
     CircuitBreaker,
     CircuitBreakerConfig,
     Deadline,
-    GovernedCache,
     MemoryGovernor,
     TokenBucket,
     measured_bytes,
@@ -85,7 +85,6 @@ __all__ = [
     "CircuitBreakerConfig",
     "Deadline",
     "FaultInjector",
-    "GovernedCache",
     "MemoryGovernor",
     "PRIORITY_BACKGROUND",
     "PRIORITY_BATCH",

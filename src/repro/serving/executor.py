@@ -38,13 +38,14 @@ from collections.abc import Sequence
 
 from ..core.model import ThemisModel
 from ..exceptions import DeadlineExceededError, QueryCancelledError
+from ..lru import LRUCache
 from ..obs import names
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
 from ..plan import LogicalPlan, OptimizerStats
 from ..query.ast import Query
 from ..sql.engine import QueryResult
-from .cache import InferenceCache, PlanCache, ResultCache
+from .cache import InferenceCache
 from .planner import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE, QueryPlan, QueryPlanner
 from .stats import BatchResult, QueryOutcome
 
@@ -62,16 +63,16 @@ class BatchExecutor:
         self,
         model: ThemisModel,
         planner: QueryPlanner,
-        result_cache: ResultCache,
+        result_cache: LRUCache,
         inference_cache: InferenceCache,
-        plan_cache: PlanCache | None = None,
+        plan_cache: LRUCache,
         metrics: MetricsRegistry | None = None,
     ):
         self._model = model
         self._planner = planner
         self._result_cache = result_cache
         self._inference_cache = inference_cache
-        self._plan_cache = plan_cache if plan_cache is not None else PlanCache()
+        self._plan_cache = plan_cache
         # The single accumulation point for optimizer/BN/stage counters; the
         # serving session passes its own registry so ServingStatistics reads
         # the very counters this executor writes.
@@ -122,7 +123,7 @@ class BatchExecutor:
         inference cache.
         """
         with tracer.span("cache-probe") as span:
-            cached = self._result_cache.lookup(plan.key)
+            cached = self._result_cache.get(plan.key)
             if tracer.enabled:
                 span.count(
                     result_cache_hits=int(cached is not None),
@@ -134,7 +135,7 @@ class BatchExecutor:
             self._inference_cache.warm_samples()
         with self._inference_cache.observed(tracer):
             result = self._model.hybrid_evaluator.execute(plan.logical, tracer=tracer)
-        self._result_cache.store(plan.key, result)
+        self._result_cache.put(plan.key, result)
         return result, False
 
     # ------------------------------------------------------------------
@@ -379,9 +380,9 @@ class BatchExecutor:
                         # The dispatches bypassed execute_plan, so record the
                         # result-cache miss they decided on (keeping hit-rate
                         # statistics identical to per-plan execution).
-                        self._result_cache.lookup(plan.key)
+                        self._result_cache.get(plan.key)
                         result, stage = precomputed[plan.key]
-                        self._result_cache.store(plan.key, result)
+                        self._result_cache.put(plan.key, result)
                         outcome = QueryOutcome(
                             index=index,
                             plan=plan,

@@ -11,8 +11,8 @@ Three cooperating mechanisms, one module:
   :class:`~repro.exceptions.QueryCancelledError` mid-execution instead of
   after the work is already wasted.
 
-* **Memory-budgeted caching** — every serving cache reports a measured
-  byte size through a small adapter and registers with a per-session
+* **Memory-budgeted caching** — every serving cache is a
+  :class:`~repro.lru.LRUCache` registered, as it is, with a per-session
   :class:`MemoryGovernor` enforcing one global budget with pressure tiers:
   *soft* (evict cold entries, lowest hit-density tier first), *hard*
   (additionally reject new admissions), *critical* (flush everything).
@@ -34,27 +34,24 @@ Everything here is clock-injectable for deterministic tests.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict, deque
-from collections.abc import Mapping, Sequence
+from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
-
-import numpy as np
+from typing import Any, Callable
 
 from ..exceptions import (
     AdmissionRejectedError,
     DeadlineExceededError,
     QueryCancelledError,
 )
+from ..lru import LRUCache, measured_bytes
 from ..obs import names
 
 __all__ = [
     "AdmissionController",
     "CancelToken",
-    "CacheAdapter",
     "CircuitBreaker",
     "Deadline",
-    "GovernedCache",
     "MemoryGovernor",
     "PRIORITIES",
     "PRIORITY_BACKGROUND",
@@ -180,47 +177,6 @@ def resolve_cancel_token(
 
 
 # ---------------------------------------------------------------------------
-# Measured byte sizes
-# ---------------------------------------------------------------------------
-def measured_bytes(value: Any, _depth: int = 0) -> int:
-    """A recursive RSS-proxy byte measurement of one cached value.
-
-    Arrays report their exact buffer size (``ndarray.nbytes``); containers
-    recurse with a depth guard; scalar python objects fall back to
-    ``sys.getsizeof``-free flat estimates so the measurement stays cheap and
-    deterministic across processes.  This is a *proxy*, not an allocator
-    audit — the governor only needs monotone, comparable numbers.
-    """
-    if _depth > 6:
-        return 64
-    if value is None:
-        return 16
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes) + 96
-    if isinstance(value, (np.generic,)):
-        return int(value.nbytes) + 16
-    if isinstance(value, (bool, int, float, complex)):
-        return 32
-    if isinstance(value, (str, bytes, bytearray)):
-        return 49 + len(value)
-    if isinstance(value, Mapping):
-        total = 64
-        for key, item in value.items():
-            total += measured_bytes(key, _depth + 1)
-            total += measured_bytes(item, _depth + 1)
-        return total
-    if isinstance(value, (Sequence, frozenset, set)):
-        total = 56
-        for item in value:
-            total += measured_bytes(item, _depth + 1)
-        return total
-    inner = getattr(value, "__dict__", None)
-    if inner:
-        return 48 + measured_bytes(inner, _depth + 1)
-    return 64
-
-
-# ---------------------------------------------------------------------------
 # Memory governor
 # ---------------------------------------------------------------------------
 #: Pressure tiers, ordered.  ``maintain()`` classifies total governed bytes
@@ -233,67 +189,11 @@ TIER_CRITICAL = "critical"
 _TIER_LEVELS = {TIER_OK: 0, TIER_SOFT: 1, TIER_HARD: 2, TIER_CRITICAL: 3}
 
 
-class CacheAdapter(Protocol):
-    """What a cache must expose to be governed.
-
-    Each serving cache registers one adapter; the governor talks to caches
-    only through this surface, so new tiers join by implementing four
-    methods and a name.
-    """
-
-    name: str
-
-    def byte_size(self) -> int: ...
-
-    def entry_count(self) -> int: ...
-
-    def hit_count(self) -> int: ...
-
-    def evict_entries(self, n: int) -> int:
-        """Evict up to ``n`` cold entries; return bytes freed."""
-        ...
-
-    def flush(self) -> int:
-        """Drop everything; return bytes freed."""
-        ...
-
-
-class GovernedCache:
-    """A concrete :class:`CacheAdapter` binding one cache via callables.
-
-    The serving session registers one of these per cache tier; binding
-    through callables keeps the cache classes free of any governor
-    vocabulary beyond ``byte_size`` / ``evict_entries``.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        byte_size: Callable[[], int],
-        entry_count: Callable[[], int],
-        hit_count: Callable[[], int],
-        evict: Callable[[int], int],
-    ):
-        self.name = name
-        self._byte_size = byte_size
-        self._entry_count = entry_count
-        self._hit_count = hit_count
-        self._evict = evict
-
-    def byte_size(self) -> int:
-        return int(self._byte_size())
-
-    def entry_count(self) -> int:
-        return int(self._entry_count())
-
-    def hit_count(self) -> int:
-        return int(self._hit_count())
-
-    def evict_entries(self, n: int) -> int:
-        return int(self._evict(n))
-
-    def flush(self) -> int:
-        return self.evict_entries(self.entry_count())
+#: Pressure lines as fractions of the budget, and the share of the coldest
+#: cache's entries one soft/hard eviction pass drops.
+SOFT_FRACTION = 0.6
+HARD_FRACTION = 0.85
+EVICTION_FRACTION = 0.25
 
 
 class MemoryGovernor:
@@ -304,44 +204,36 @@ class MemoryGovernor:
     the decision trail through the metrics registry.  ``admit(nbytes)``
     gates new cache insertions — under *hard* or worse pressure (or when
     the candidate itself would blow the budget) admissions are rejected and
-    the cache simply computes without storing.
+    the cache simply computes without storing.  Every entry the governor
+    drops, by eviction or flush, counts as one of its cache's ``evictions``
+    and one ``governance.evictions``.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        soft_fraction: float = 0.6,
-        hard_fraction: float = 0.85,
-        metrics: "Any | None" = None,
-        eviction_fraction: float = 0.25,
-    ):
+    def __init__(self, budget_bytes: int, metrics: "Any | None" = None):
         if budget_bytes <= 0:
             raise ValueError("memory budget must be positive")
-        if not 0.0 < soft_fraction < hard_fraction <= 1.0:
-            raise ValueError("need 0 < soft_fraction < hard_fraction <= 1")
         self.budget_bytes = int(budget_bytes)
-        self.soft_fraction = soft_fraction
-        self.hard_fraction = hard_fraction
-        self.eviction_fraction = eviction_fraction
         self.metrics = metrics
-        self._adapters: "OrderedDict[str, CacheAdapter]" = OrderedDict()
+        self._caches: dict[str, LRUCache] = {}
         self.high_water_bytes = 0
         self.tier = TIER_OK
         if metrics is not None:
             metrics.gauge(names.GOVERNANCE_BUDGET_BYTES).set(self.budget_bytes)
 
     # -- registration ------------------------------------------------------
-    def register(self, adapter: CacheAdapter) -> None:
-        """Attach (or replace, by name) one governed cache."""
-        self._adapters[adapter.name] = adapter
+    def register(self, name: str, cache: LRUCache) -> None:
+        """Govern ``cache`` as ``name`` (replacing any cache of that name).
 
-    def adapters(self) -> tuple[CacheAdapter, ...]:
-        return tuple(self._adapters.values())
+        The cache measures what it already holds and, from now on, asks
+        :meth:`admit` before storing anything.
+        """
+        cache.governor = self
+        self._caches[name] = cache
 
     # -- measurement -------------------------------------------------------
     def total_bytes(self) -> int:
         """Sum of measured byte sizes across every governed cache."""
-        total = sum(a.byte_size() for a in self._adapters.values())
+        total = sum(cache.byte_size for cache in self._caches.values())
         if total > self.high_water_bytes:
             self.high_water_bytes = total
             if self.metrics is not None:
@@ -351,9 +243,9 @@ class MemoryGovernor:
     def _classify(self, total: int) -> str:
         if total > self.budget_bytes:
             return TIER_CRITICAL
-        if total > self.hard_fraction * self.budget_bytes:
+        if total > HARD_FRACTION * self.budget_bytes:
             return TIER_HARD
-        if total > self.soft_fraction * self.budget_bytes:
+        if total > SOFT_FRACTION * self.budget_bytes:
             return TIER_SOFT
         return TIER_OK
 
@@ -377,7 +269,7 @@ class MemoryGovernor:
     def maintain(self) -> str:
         """Measure, classify, and relieve pressure.  Returns the tier.
 
-        * ``soft``/``hard`` — evict from the coldest tier first (lowest
+        * ``soft``/``hard`` — evict from the coldest cache first (lowest
           hit-density: hits per governed byte), a fraction of its entries
           per round, until total drops back under the soft line or nothing
           more can be evicted.
@@ -386,29 +278,22 @@ class MemoryGovernor:
         total = self.total_bytes()
         tier = self._classify(total)
         if tier == TIER_CRITICAL:
-            for adapter in self._adapters.values():
-                freed = adapter.flush()
-                if freed:
-                    self._count(names.GOVERNANCE_EVICTED_BYTES, freed)
+            for cache in self._caches.values():
+                self._evict(cache, len(cache))
             self._count(names.GOVERNANCE_FLUSHES)
             total = self.total_bytes()
             tier = self._classify(total)
         elif tier in (TIER_SOFT, TIER_HARD):
-            soft_line = self.soft_fraction * self.budget_bytes
+            soft_line = SOFT_FRACTION * self.budget_bytes
             # Bounded passes: each pass evicts a chunk of the coldest
             # non-empty cache; stop when under the soft line or dry.
             for _ in range(32):
                 if total <= soft_line:
                     break
-                coldest = self._coldest_adapter()
+                coldest = self._coldest_cache()
                 if coldest is None:
                     break
-                count = max(1, int(coldest.entry_count() * self.eviction_fraction))
-                freed = coldest.evict_entries(count)
-                self._count(names.GOVERNANCE_EVICTIONS, count)
-                if freed:
-                    self._count(names.GOVERNANCE_EVICTED_BYTES, freed)
-                else:
+                if not self._evict(coldest, max(1, int(len(coldest) * EVICTION_FRACTION))):
                     break
                 total = self.total_bytes()
             tier = self._classify(total)
@@ -416,16 +301,24 @@ class MemoryGovernor:
         self._export(total, tier)
         return tier
 
-    def _coldest_adapter(self) -> CacheAdapter | None:
-        best: CacheAdapter | None = None
+    def _evict(self, cache: LRUCache, count: int) -> int:
+        """Evict ``count`` of ``cache``'s coldest entries, counted; bytes freed."""
+        freed = cache.evict_entries(count)
+        self._count(names.GOVERNANCE_EVICTIONS, count)
+        if freed:
+            self._count(names.GOVERNANCE_EVICTED_BYTES, freed)
+        return freed
+
+    def _coldest_cache(self) -> LRUCache | None:
+        best: LRUCache | None = None
         best_density = None
-        for adapter in self._adapters.values():
-            nbytes = adapter.byte_size()
-            if nbytes <= 0 or adapter.entry_count() <= 0:
+        for cache in self._caches.values():
+            nbytes = cache.byte_size
+            if nbytes <= 0 or len(cache) <= 0:
                 continue
-            density = adapter.hit_count() / nbytes
+            density = cache.statistics.hits / nbytes
             if best_density is None or density < best_density:
-                best, best_density = adapter, density
+                best, best_density = cache, density
         return best
 
     # -- metrics -----------------------------------------------------------
@@ -438,10 +331,8 @@ class MemoryGovernor:
             return
         self.metrics.gauge(names.GOVERNANCE_CACHE_BYTES).set(total)
         self.metrics.gauge(names.GOVERNANCE_PRESSURE_LEVEL).set(_TIER_LEVELS[tier])
-        for adapter in self._adapters.values():
-            self.metrics.gauge(names.governed_cache_gauge(adapter.name)).set(
-                adapter.byte_size()
-            )
+        for name, cache in self._caches.items():
+            self.metrics.gauge(names.governed_cache_gauge(name)).set(cache.byte_size)
 
 
 # ---------------------------------------------------------------------------

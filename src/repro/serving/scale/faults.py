@@ -24,8 +24,8 @@ described by ``(workload seed, fault seed)`` — the property the
 >>> injector = FaultInjector(seed=7).kill_each_shard_once(2, within_batches=3)
 >>> sorted((e.shard_id, e.kind) for e in injector.events)
 [(0, 'kill_at_batch'), (1, 'kill_at_batch')]
->>> FaultInjector(seed=7).kill_each_shard_once(2, within_batches=3).events \
-...     == injector.events
+>>> again = FaultInjector(seed=7).kill_each_shard_once(2, within_batches=3)
+>>> again.events == injector.events
 True
 """
 

@@ -14,20 +14,15 @@ import time
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
+from ..lru import LRUCache
 from ..obs import names
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..query.ast import Query
 from ..sql.engine import QueryResult
-from .cache import InferenceCache, PlanCache, ResultCache
+from .cache import InferenceCache
 from .executor import BatchExecutor
-from .governance import (
-    CancelToken,
-    Deadline,
-    GovernedCache,
-    MemoryGovernor,
-    resolve_cancel_token,
-)
+from .governance import CancelToken, Deadline, MemoryGovernor, resolve_cancel_token
 from .planner import QueryPlanner
 from .stats import BatchResult, QueryOutcome, ServingStatistics
 
@@ -100,9 +95,9 @@ class ServingSession:
         flush), sampled after every serve.  ``None`` (the default) leaves
         caches bounded only by their per-tier entry capacities.
 
-    The eliminated-factor cache behind BN point inference lives on the
-    fitted model's inference engine (128 factors, LRU) and is shared by every
-    session over that model.
+    Every tier is a :class:`~repro.lru.LRUCache`.  The mask, join-side and
+    eliminated-factor tiers belong to the fitted model and are shared by the
+    facade and every session over it.
     """
 
     def __init__(
@@ -114,8 +109,8 @@ class ServingSession:
         memory_budget_bytes: int | None = None,
     ):
         self._themis = themis
-        self._result_cache = ResultCache(result_cache_size)
-        self._plan_cache = PlanCache(plan_cache_size)
+        self._result_cache = LRUCache(result_cache_size)
+        self._plan_cache = LRUCache(plan_cache_size)
         self._trace = bool(trace)
         self._inference_cache: InferenceCache | None = None
         self._executor: BatchExecutor | None = None
@@ -128,7 +123,6 @@ class ServingSession:
         self.governor: MemoryGovernor | None = None
         if memory_budget_bytes is not None:
             self.governor = MemoryGovernor(memory_budget_bytes, metrics=self.metrics)
-            self._result_cache.governor = self.governor
 
     # ------------------------------------------------------------------
     # Model-generation tracking
@@ -153,8 +147,8 @@ class ServingSession:
         generation = self._themis.generation
         if self._executor is not None:
             self.statistics.record_invalidation()
-        self._result_cache.invalidate(generation)
-        self._plan_cache.invalidate()
+        self._result_cache.clear()
+        self._plan_cache.clear()
         if self._inference_cache is None:
             self._inference_cache = InferenceCache(
                 model.bayes_net_evaluator, generation=generation
@@ -178,62 +172,21 @@ class ServingSession:
             metrics=self.metrics,
         )
         self._generation = generation
-        self._register_governed_caches(model)
+        if self.governor is not None:
+            # A refit swaps the model's mask / join-side / factor caches.
+            for name, cache in self._governed_tiers().items():
+                self.governor.register(name, cache)
         return self._executor
 
-    def _register_governed_caches(self, model) -> None:
-        """(Re)bind every cache tier to the session's memory governor.
-
-        Called from :meth:`_ensure_current` on every executor rebuild — a
-        refit swaps the columnar engine (hence mask/join-side caches), so
-        the adapters must re-point at the live objects each generation.
-        """
-        if self.governor is None:
-            return
-        engine = model.sample_evaluator.engine
-        mask_cache = engine.mask_cache
-        join_cache = engine.executor.join_side_cache
-        inference = self._inference_cache
-        self._result_cache.governor = self.governor
-        mask_cache.governor = self.governor
-        join_cache.governor = self.governor
-        self.governor.register(
-            GovernedCache(
-                "result",
-                lambda: self._result_cache.byte_size,
-                lambda: len(self._result_cache),
-                lambda: self._result_cache.statistics.hits,
-                self._result_cache.evict_entries,
-            )
-        )
-        self.governor.register(
-            GovernedCache(
-                "mask",
-                lambda: mask_cache.byte_size,
-                lambda: len(mask_cache),
-                lambda: mask_cache.hits,
-                mask_cache.evict_entries,
-            )
-        )
-        self.governor.register(
-            GovernedCache(
-                "join_side",
-                lambda: join_cache.byte_size,
-                lambda: len(join_cache),
-                lambda: join_cache.hits,
-                join_cache.evict_entries,
-            )
-        )
-        if inference is not None:
-            self.governor.register(
-                GovernedCache(
-                    "inference",
-                    lambda: inference.byte_size,
-                    lambda: inference.engine.cached_factor_count,
-                    lambda: inference.statistics.hits,
-                    inference.evict_entries,
-                )
-            )
+    def _governed_tiers(self) -> dict[str, LRUCache]:
+        """Every cache tier but the plan cache, by governor name."""
+        tiers = {"result": self._result_cache}
+        if self._executor is not None:
+            engine = self._executor.model.sample_evaluator.engine
+            tiers["mask"] = engine.mask_cache.lru
+            tiers["join_side"] = engine.executor.join_side_cache
+            tiers["inference"] = self._inference_cache.engine.factors
+        return tiers
 
     def _maintain(self) -> None:
         if self.governor is not None:
@@ -327,12 +280,12 @@ class ServingSession:
     # Introspection and maintenance
     # ------------------------------------------------------------------
     @property
-    def result_cache(self) -> ResultCache:
+    def result_cache(self) -> LRUCache:
         """The tier-one result cache."""
         return self._result_cache
 
     @property
-    def plan_cache(self) -> PlanCache:
+    def plan_cache(self) -> LRUCache:
         """The LRU cache mapping raw SQL text to its planned form."""
         return self._plan_cache
 
@@ -343,13 +296,8 @@ class ServingSession:
 
     def clear_caches(self) -> None:
         """Drop every cache tier without touching the fitted model."""
-        self._result_cache.invalidate()
-        self._plan_cache.invalidate()
-        if self._inference_cache is not None and self._executor is not None:
-            self._inference_cache.invalidate(
-                self._executor.model.bayes_net_evaluator,
-                self._generation or 0,
-            )
+        for cache in (self._plan_cache, *self._governed_tiers().values()):
+            cache.clear()
 
     def cache_statistics(self, window: bool = False) -> dict[str, Any]:
         """Hit/miss snapshots of every cache tier, plus size-in-items counts.
@@ -384,8 +332,8 @@ class ServingSession:
         if self._executor is not None:
             engine = self._executor.model.sample_evaluator.engine
             stats["mask_cache"] = engine.mask_cache.statistics()
-            # statistics() already reports the side count as `cached_sides`.
-            stats["join_side_cache"] = engine.executor.join_side_cache.statistics()
+            sides = engine.executor.join_side_cache
+            stats["join_side_cache"] = {**sides.statistics.as_dict(), "cached_sides": len(sides)}
         self._sync_cache_gauges(stats)
         if window:
             return _window_view(stats, self._cache_window or {})

@@ -18,6 +18,7 @@ from repro.bayesnet import (
     group_by_signature,
     signature_of,
 )
+from repro.bayesnet import batched
 from repro.exceptions import BayesNetError
 from repro.query import PointQuery
 from worlds import build_sparse_fitted_themis
@@ -156,12 +157,13 @@ class TestFactorCache:
         assert engine.elimination_passes == passes
         assert engine.factor_cache_hits > 0
 
-    def test_capacity_is_lru_bounded(self, network):
-        engine = BatchedInference(network, factor_cache_capacity=2)
+    def test_capacity_is_lru_bounded(self, network, monkeypatch):
+        monkeypatch.setattr(batched, "FACTOR_CACHE_CAPACITY", 2)
+        engine = BatchedInference(network)
         engine.probability_batch(MIXED_BATCH)
         assert engine.cached_factor_count <= 2
-        with pytest.raises(ValueError):
-            BatchedInference(network, factor_cache_capacity=0)
+        signatures = {signature_of(a) for a in MIXED_BATCH}
+        assert engine.factors.statistics.evictions == len(signatures) - 2
 
     def test_invalidate_drops_factors_and_moves_generation(self, network):
         engine = BatchedInference(network)

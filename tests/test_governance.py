@@ -39,8 +39,10 @@ from repro.exceptions import (
     DeadlineExceededError,
     QueryCancelledError,
 )
+from repro.lru import LRUCache
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
+from repro.query import JoinGroupByQuery
 from repro.query.workload import MixedQueryWorkload
 from repro.serving.governance import (
     PRIORITY_BACKGROUND,
@@ -55,7 +57,6 @@ from repro.serving.governance import (
     CircuitBreaker,
     CircuitBreakerConfig,
     Deadline,
-    GovernedCache,
     MemoryGovernor,
     TokenBucket,
     measured_bytes,
@@ -190,81 +191,70 @@ class TestMeasuredBytes:
 # ---------------------------------------------------------------------------
 # Memory governor
 # ---------------------------------------------------------------------------
-class FakeCache:
-    """A governable cache whose entries are (nbytes, hits) pairs."""
-
-    def __init__(self, name: str, entries: list[int], hits: int = 0):
-        self.name = name
-        self._entries = list(entries)
-        self._hits = hits
-
-    def byte_size(self) -> int:
-        return sum(self._entries)
-
-    def entry_count(self) -> int:
-        return len(self._entries)
-
-    def hit_count(self) -> int:
-        return self._hits
-
-    def evict_entries(self, n: int) -> int:
-        victims, self._entries = self._entries[:n], self._entries[n:]
-        return sum(victims)
-
-    def flush(self) -> int:
-        return self.evict_entries(self.entry_count())
+def sized_cache(sizes: list[int], hits: int = 0) -> LRUCache:
+    """An ungoverned LRU holding one entry per size (each value is its own
+    byte size), looked up ``hits`` times."""
+    cache = LRUCache(16, size=lambda nbytes: nbytes)
+    for key, nbytes in enumerate(sizes):
+        cache.put(key, nbytes)
+    for _ in range(hits):
+        cache.get(0)
+    return cache
 
 
 class TestMemoryGovernor:
     def test_rejects_invalid_configuration(self):
         with pytest.raises(ValueError):
             MemoryGovernor(0)
-        with pytest.raises(ValueError):
-            MemoryGovernor(100, soft_fraction=0.9, hard_fraction=0.8)
 
     def test_tier_classification(self):
         governor = MemoryGovernor(1000)
-        cache = FakeCache("c", [])
-        governor.register(cache)
+        cache = sized_cache([])
+        governor.register("c", cache)
         assert governor.maintain() == TIER_OK
-        cache._entries = [650]
+        cache.put(0, 650)
         # 650 > 600 soft line, eviction drops the only entry.
         assert governor.maintain() in (TIER_SOFT, TIER_OK)
 
     def test_soft_pressure_evicts_coldest_by_hit_density(self):
-        governor = MemoryGovernor(1000, eviction_fraction=1.0)
-        hot = FakeCache("hot", [200], hits=1000)
-        cold = FakeCache("cold", [500], hits=1)
-        governor.register(hot)
-        governor.register(cold)
+        governor = MemoryGovernor(1000)
+        hot = sized_cache([200], hits=1000)
+        cold = sized_cache([500], hits=1)
+        governor.register("hot", hot)
+        governor.register("cold", cold)
         tier = governor.maintain()  # 700 > 600: soft pressure
         assert tier == TIER_OK
         # The cold cache was sacrificed; the hot one survived untouched.
-        assert cold.entry_count() == 0
-        assert hot.entry_count() == 1
+        assert len(cold) == 0
+        assert len(hot) == 1
 
     def test_critical_pressure_flushes_everything(self):
         metrics = MetricsRegistry()
         governor = MemoryGovernor(1000, metrics=metrics)
-        first = FakeCache("first", [800], hits=50)
-        second = FakeCache("second", [900], hits=50)
-        governor.register(first)
-        governor.register(second)
+        first = sized_cache([800], hits=50)
+        second = sized_cache([900], hits=50)
+        governor.register("first", first)
+        governor.register("second", second)
         governor.maintain()  # 1700 > 1000: critical
-        assert first.entry_count() == 0
-        assert second.entry_count() == 0
+        assert len(first) == 0
+        assert len(second) == 0
         assert metrics.counter(names.GOVERNANCE_FLUSHES).value == 1
         assert metrics.counter(names.GOVERNANCE_EVICTED_BYTES).value == 1700
+        # A flush evicts: both entries count, in the tiers and the governor.
+        assert metrics.counter(names.GOVERNANCE_EVICTIONS).value == 2
+        assert first.statistics.evictions == second.statistics.evictions == 1
 
     def test_hard_pressure_rejects_admissions(self):
         metrics = MetricsRegistry()
         governor = MemoryGovernor(1000, metrics=metrics)
         # A cache that refuses to shrink keeps the tier pinned at hard.
-        class Stuck(FakeCache):
+        class Stuck(LRUCache):
             def evict_entries(self, n: int) -> int:
                 return 0
 
-        governor.register(Stuck("stuck", [900], hits=5))
+        stuck = Stuck(4, size=lambda nbytes: nbytes)
+        stuck.put(0, 900)
+        governor.register("stuck", stuck)
         assert governor.maintain() == TIER_HARD
         assert governor.admit(10) is False
         assert metrics.counter(names.GOVERNANCE_CACHE_ADMISSION_REJECTIONS).value == 1
@@ -279,43 +269,24 @@ class TestMemoryGovernor:
     def test_high_water_and_gauges(self):
         metrics = MetricsRegistry()
         governor = MemoryGovernor(10_000, metrics=metrics)
-        cache = FakeCache("c", [300], hits=0)
-        governor.register(cache)
+        cache = sized_cache([300])
+        governor.register("c", cache)
         governor.maintain()
         assert governor.high_water_bytes == 300
         assert metrics.gauge(names.GOVERNANCE_BUDGET_BYTES).value == 10_000
         assert metrics.gauge(names.GOVERNANCE_CACHE_BYTES).value == 300
         assert metrics.gauge(names.governed_cache_gauge("c")).value == 300
         assert metrics.gauge(names.GOVERNANCE_PRESSURE_LEVEL).value == 0
-        cache._entries = []
+        cache.clear()
         governor.maintain()
         # High water is monotone even after the cache shrinks.
         assert governor.high_water_bytes == 300
 
     def test_register_replaces_by_name(self):
         governor = MemoryGovernor(1000)
-        governor.register(FakeCache("c", [100]))
-        governor.register(FakeCache("c", [200]))
-        assert len(governor.adapters()) == 1
+        governor.register("c", sized_cache([100]))
+        governor.register("c", sized_cache([200]))
         assert governor.total_bytes() == 200
-
-    def test_governed_cache_adapter_binds_callables(self):
-        state = {"evicted": 0}
-
-        def evict(n):
-            state["evicted"] += n
-            return 11 * n
-
-        adapter = GovernedCache(
-            "bound", byte_size=lambda: 44, entry_count=lambda: 4,
-            hit_count=lambda: 7, evict=evict,
-        )
-        assert adapter.byte_size() == 44
-        assert adapter.entry_count() == 4
-        assert adapter.hit_count() == 7
-        assert adapter.evict_entries(2) == 22
-        assert adapter.flush() == 44  # evicts entry_count() entries
-        assert state["evicted"] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +605,7 @@ class TestGovernedSession:
     def test_only_governed_inserts_are_measured(self, monkeypatch, themis, sweep_queries):
         """Nobody reads an ungoverned cache's byte size, so an ungoverned
         session never walks an answer to measure it."""
-        from repro.serving import governance
+        from repro import lru
 
         calls = []
 
@@ -642,7 +613,7 @@ class TestGovernedSession:
             calls.append(type(value).__name__)
             return measured_bytes(value, *args, **kwargs)
 
-        monkeypatch.setattr(governance, "measured_bytes", counting)
+        monkeypatch.setattr(lru, "measured_bytes", counting)
         session = themis.serve()
         produced = session.execute_batch(sweep_queries).results()
         assert session.execute(sweep_queries[0]) == produced[0]
@@ -669,9 +640,8 @@ class TestCacheInvariants:
         session.execute_batch(sweep_queries[:4])
         after = session.generation
         assert after is not None and after != before
-        # Every surviving cache is stamped with the new generation, and the
+        # The inference cache is stamped with the new generation, and the
         # result cache holds only entries written after the refit.
-        assert session.result_cache.generation == after
         assert session.inference_cache.generation == after
         assert 0 < len(session.result_cache.entries()) <= 4
 
@@ -690,6 +660,38 @@ class TestCacheInvariants:
         assert cache.byte_size == bytes_before
         # Recency order unchanged: peeks must not promote entries.
         assert [key for key, _ in cache.entries()] == order_before
+
+
+    def test_clear_caches_empties_every_tier(self, sweep_queries, expected):
+        themis = build_fitted_themis()
+        join = JoinGroupByQuery("A", "A", "B", "C")
+        queries = [*sweep_queries, join]
+        answers = [*expected, build_fitted_themis().query(join)]
+        session = themis.serve()
+        assert session.execute_batch(queries).results() == answers
+        session.clear_caches()
+        stats = session.cache_statistics()
+        assert stats["result_cache"]["entries"] == 0
+        assert stats["plan_cache"]["entries"] == 0
+        assert stats["mask_cache"]["cached_masks"] == 0
+        assert stats["join_side_cache"]["cached_sides"] == 0
+        assert stats["inference_cache"]["entries"]["factors"] == 0
+        assert session.execute_batch(queries).results() == answers
+
+    def test_every_tier_counts_the_governors_evictions(self, sweep_queries, expected):
+        """On a starved budget, far below every tier's capacity, each entry
+        the governor drops is one ``evictions`` in the tier it left."""
+        themis = build_fitted_themis()
+        session = themis.serve(memory_budget_bytes=16 * 1024)
+        for _ in range(2):
+            for start in range(0, len(sweep_queries), 4):
+                batch = session.execute_batch(sweep_queries[start : start + 4])
+                assert batch.results() == expected[start : start + 4]
+        stats = session.cache_statistics()
+        tiers = ("result_cache", "mask_cache", "join_side_cache", "inference_cache")
+        evicted = {tier: stats[tier]["evictions"] for tier in tiers}
+        assert sum(evicted.values()) == session.metrics.value(names.GOVERNANCE_EVICTIONS)
+        assert sum(1 for count in evicted.values() if count) > 1
 
 
 # ---------------------------------------------------------------------------

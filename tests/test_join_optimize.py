@@ -15,7 +15,6 @@ import pytest
 
 from repro.plan import (
     ColumnarExecutor,
-    JoinSideCache,
     OptimizerStats,
     PlanCompiler,
     fused_grouped_weight_totals,
@@ -177,7 +176,7 @@ class TestColumnarJoinBitIdentity:
         second = executor.execute_batch(queries, stats=stats)
         assert second == first
         assert stats.join_side_cache_hits > 0
-        assert executor.join_side_cache.statistics()["hits"] > 0
+        assert executor.join_side_cache.statistics.hits > 0
 
     def test_every_side_pairing_matches_per_plan_cold_and_warm(self, relation):
         # Four filtered sides over one join key, combined in every ordered
@@ -234,38 +233,6 @@ class TestColumnarJoinBitIdentity:
         results = executor.execute_batch(queries)
         assert results[0] == results[1]
         assert results[0] == ColumnarExecutor(relation).execute(queries[0])
-
-
-class TestJoinSideCache:
-    def test_lru_eviction_and_statistics(self):
-        cache = JoinSideCache(capacity=2)
-        cache.put(("g", "s1"), {("x",): 1.0})
-        cache.put(("g", "s2"), {("y",): 2.0})
-        assert cache.get(("g", "s1")) == {("x",): 1.0}  # promotes s1
-        cache.put(("g", "s3"), {("z",): 3.0})  # evicts s2
-        assert cache.get(("g", "s2")) is None
-        assert cache.get(("g", "s3")) == {("z",): 3.0}
-        stats = cache.statistics()
-        assert stats["hits"] == 2
-        assert stats["misses"] == 1
-        assert stats["cached_sides"] == 2
-
-    def test_entries_is_non_mutating(self):
-        cache = JoinSideCache(capacity=2)
-        cache.put(("g", "old"), {})
-        cache.put(("g", "new"), {})
-        assert cache.entries() == [("g", "old"), ("g", "new")]
-        # entries() must not promote: "old" is still first out.
-        cache.put(("g", "evictor"), {})
-        assert cache.get(("g", "old")) is None
-
-    def test_invalidate_drops_entries(self):
-        cache = JoinSideCache()
-        cache.put(("g", "s"), {})
-        cache.invalidate()
-        assert len(cache) == 0
-        with pytest.raises(ValueError):
-            JoinSideCache(capacity=0)
 
 
 class TestEvaluatorJoinBatches:
@@ -432,8 +399,8 @@ class TestCacheEntries:
 
     def test_result_cache_entries_snapshot(self):
         cache = ResultCache(capacity=4)
-        cache.store(("k1",), 1.0)
-        cache.store(("k2",), 2.0)
+        cache.put(("k1",), 1.0)
+        cache.put(("k2",), 2.0)
         before = cache.statistics.as_dict()
         assert cache.entries() == [(("k1",), 1.0), (("k2",), 2.0)]
         assert cache.statistics.as_dict() == before

@@ -40,6 +40,8 @@ from repro.query import (
 )
 from repro.query.workload import PointQueryWorkload
 from repro.schema import Attribute, Domain, Relation, Schema
+from repro.plan import kernels
+from repro.serving.governance import MemoryGovernor
 from repro.serving.planner import QueryPlanner
 from repro.sql.engine import QueryResult, WeightedQueryEngine
 from repro.sql.parser import parse_sql
@@ -454,12 +456,13 @@ class TestMaskCache:
         assert np.array_equal(cache.predicate_mask(a), a.mask(weighted_relation))
         # Predicates only: two entries, two masks' worth of bytes.
         assert len(cache) == 2 == cache.statistics()["cached_masks"]
-        assert cache.byte_size == 2 * (weighted_relation.n_rows + 96)
+        cache.lru.governor = MemoryGovernor(10**9)
+        assert cache.lru.byte_size == 2 * (weighted_relation.n_rows + 96)
         # One predicate is answered with the cached mask itself; none with None.
         assert cache.conjunction_mask((a,)) is cache.predicate_mask(a)
         assert cache.conjunction_mask(()) is None
 
-    def test_one_off_conjunctions_do_not_flood_the_cache(self):
+    def test_one_off_conjunctions_do_not_flood_the_cache(self, monkeypatch):
         """1,000 distinct two-predicate conjunctions over 100 distinct
         predicates, through a cache that holds 128 masks: every predicate is
         built once, because nothing but predicates competes for the room."""
@@ -474,7 +477,8 @@ class TestMaskCache:
         ys = [compiler.canonical_predicate(Predicate("Y", Comparison.GE, v)) for v in values]
         pairs = [(x, y) for x in xs for y in ys]
         picked = rng.choice(len(pairs), size=1000, replace=False)
-        cache = MaskCache(relation, capacity=128)
+        monkeypatch.setattr(kernels, "MASK_CACHE_CAPACITY", 128)
+        cache = MaskCache(relation)
         for index in picked:
             x, y = pairs[int(index)]
             assert np.array_equal(

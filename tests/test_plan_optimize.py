@@ -533,11 +533,11 @@ class TestLRUCachePeek:
 
     def test_result_cache_peek_is_stat_free(self):
         cache = ResultCache(capacity=4)
-        cache.store(("k",), 0.0)
+        cache.put(("k",), 0.0)
         before = cache.statistics.as_dict()
         assert cache.peek(("k",)) == 0.0
         assert cache.peek(("missing",)) is None
         assert cache.statistics.as_dict() == before
         # The counted path still counts.
-        assert cache.lookup(("k",)) == 0.0
+        assert cache.get(("k",)) == 0.0
         assert cache.statistics.hits == before["hits"] + 1

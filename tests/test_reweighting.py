@@ -240,3 +240,20 @@ def test_ipf_weights_always_non_negative(seed):
     )
     result = IPFReweighter(max_iterations=30).fit(sample, aggregates)
     assert np.all(result.weights >= 0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 7(b)")
+@pytest.mark.parametrize("sample_name", ["SCorners", "Corners"])
+def test_ipf_weights_do_not_depend_on_aggregate_order(sample_name):
+    """The aggregates disagree about their total over the sample's support,
+    so no weighting meets them all and the one IPF visits last wins: at
+    ROADMAP time reversing the seven aggregates moves the total weight from
+    3,625 to 4,000 on SCorners and from 2,989 to 4,000 on Corners."""
+    bundle = load_flights(n_rows=4000, seed=7, sample_fraction=0.1)
+    aggregates = build_aggregates(bundle, n_two_dimensional=2, seed=0)
+    sample = bundle.sample(sample_name)
+    forward = IPFReweighter(max_iterations=30).fit(sample, aggregates)
+    backward = IPFReweighter(max_iterations=30).fit(
+        sample, AggregateSet(reversed(list(aggregates)))
+    )
+    assert np.allclose(forward.weights, backward.weights)

@@ -29,6 +29,7 @@ from repro.plan import (
     partitioned_scalar_reduce,
 )
 from repro.schema import Attribute, Domain, Relation, Schema
+from repro.serving.governance import MemoryGovernor
 from worlds import build_correlated_population
 
 SCHEMA = Schema(
@@ -180,9 +181,10 @@ def test_the_selection_vector_is_never_cached():
     ]
     first = executor.execute_batch(queries)
     cache = executor.mask_cache
-    held = cache.byte_size
+    cache.lru.governor = MemoryGovernor(10**9)
+    held = cache.lru.byte_size
     assert len(cache) == 3  # A = 0, C = 1, A <= 1
     assert held == 3 * (relation.n_rows + 96)  # one bool per row per mask
     assert executor.execute_batch(queries) == first
-    assert cache.byte_size == held
+    assert cache.lru.byte_size == held
     assert len(cache) == 3

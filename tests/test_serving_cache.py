@@ -1,17 +1,12 @@
-"""Tests for the serving caches: LRU behaviour, tiers, and invalidation."""
+"""Tests for the caches: the one LRU class, its tiers, and invalidation."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.lru import LRUCache
 from repro.query import PointQuery
-from repro.serving import (
-    InferenceCache,
-    LRUCache,
-    PlanCache,
-    QueryPlanner,
-    ResultCache,
-)
+from repro.serving import InferenceCache, MemoryGovernor, PlanCache, QueryPlanner
 
 
 class TestLRUCache:
@@ -24,6 +19,7 @@ class TestLRUCache:
         cache.put("a", 1)
         assert cache.get("a") == 1
         assert cache.get("missing", default="d") == "d"
+        assert cache.get(("point", ())) is None
 
     def test_eviction_is_least_recently_used(self):
         cache = LRUCache(2)
@@ -61,34 +57,78 @@ class TestLRUCache:
         assert len(cache) == 0
         assert cache.statistics.hits == 1
 
+    def test_size_function_is_the_byte_rule_and_only_governed_inserts_pay_it(self):
+        measured = []
 
-class TestResultCache:
-    def test_lookup_miss_returns_none(self):
-        cache = ResultCache(4)
-        assert cache.lookup(("point", ())) is None
+        def size(totals):
+            measured.append(totals)
+            return 128 + 96 * len(totals)  # the join-side rule
 
-    def test_store_and_lookup(self):
-        cache = ResultCache(4)
-        cache.store(("point", (("A", 0),)), 42.0)
-        assert cache.lookup(("point", (("A", 0),))) == 42.0
+        cache = LRUCache(4, size=size)
+        cache.put("ungoverned", {("x",): 1.0})
+        assert measured == [] and cache.byte_size == 0
+        cache.governor = MemoryGovernor(10**6)
+        cache.put("governed", {("y",): 2.0, ("z",): 3.0})
+        assert cache.byte_size == (128 + 96) + (128 + 2 * 96)
+        cache.put("governed", {})  # an overwrite replaces the entry's bytes
+        assert cache.byte_size == (128 + 96) + 128
 
-    def test_capacity_evicts_oldest_plan(self):
-        cache = ResultCache(2)
-        for index in range(3):
-            cache.store(("point", index), float(index))
-        assert cache.lookup(("point", 0)) is None
-        assert cache.lookup(("point", 2)) == 2.0
+    def test_attaching_a_governor_measures_what_is_held(self):
+        cache = LRUCache(8, size=len)
+        for key in range(3):
+            cache.put(key, "x" * (key + 1))
+        governor = MemoryGovernor(10**6)
+        governor.register("strings", cache)
+        assert cache.governor is governor
+        assert cache.byte_size == 1 + 2 + 3 == governor.total_bytes()
+        cache.governor = None
+        assert cache.byte_size == 0
 
-    def test_invalidate_drops_entries_and_moves_generation(self):
-        cache = ResultCache(4, generation=1)
-        cache.store("key", 1.0)
-        cache.invalidate(generation=2)
-        assert cache.lookup("key") is None
-        assert cache.generation == 2
+    def test_rejected_admission_drops_the_stale_value(self):
+        cache = LRUCache(4, size=len)
+        cache.governor = MemoryGovernor(100)
+        cache.put("k", "old")
+        assert cache.byte_size == 3
+        cache.put("k", "x" * 101)  # larger than the whole budget: refused
+        assert "k" not in cache
+        assert cache.byte_size == 0
+        assert cache.get("k") is None
 
+    def test_evict_entries_counts_and_frees_bytes(self):
+        cache = LRUCache(8, size=lambda value: value)
+        for key, nbytes in enumerate([11, 22, 33, 44]):
+            cache.put(key, nbytes)
+        cache.governor = MemoryGovernor(10**6)
+        assert cache.evict_entries(2) == 11 + 22  # the two least recent
+        assert cache.statistics.evictions == 2
+        assert [key for key, _ in cache.entries()] == [2, 3]
+        assert cache.byte_size == 77
+        assert cache.evict_entries(10) == 77  # no more than it holds
+        assert cache.statistics.evictions == 4 and len(cache) == 0
 
-class TestPlanCache:
-    def test_roundtrip_and_invalidate(self, serving_themis):
+    def test_clear_drops_every_entry_and_its_bytes(self):
+        cache = LRUCache(4)
+        cache.governor = MemoryGovernor(10**6)
+        cache.put(("point", (("A", 0),)), 42.0)
+        assert cache.byte_size > 0
+        cache.clear()
+        assert cache.get(("point", (("A", 0),))) is None
+        assert len(cache) == 0 and cache.byte_size == 0
+
+    def test_join_side_totals_eviction_and_statistics(self):
+        cache = LRUCache(2)
+        cache.put(("g", "s1"), {("x",): 1.0})
+        cache.put(("g", "s2"), {("y",): 2.0})
+        assert cache.get(("g", "s1")) == {("x",): 1.0}  # promotes s1
+        cache.put(("g", "s3"), {("z",): 3.0})  # evicts s2
+        assert cache.get(("g", "s2")) is None
+        assert cache.get(("g", "s3")) == {("z",): 3.0}
+        assert cache.statistics.as_dict() == {
+            "hits": 2, "misses": 1, "evictions": 1, "hit_rate": 2 / 3,
+        }
+        assert len(cache) == 2
+
+    def test_sql_text_plan_roundtrip_and_clear(self, serving_themis):
         model = serving_themis.model
         planner = QueryPlanner(model.sample.schema, model)
         cache = PlanCache(8)
@@ -96,7 +136,7 @@ class TestPlanCache:
         assert cache.get(sql) is None
         cache.put(sql, planner.plan(sql))
         assert cache.get(sql).sql == sql
-        cache.invalidate()
+        cache.clear()
         assert cache.get(sql) is None
 
 
