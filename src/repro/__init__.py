@@ -56,7 +56,6 @@ from .schema import Attribute, Domain, Relation, Schema
 from .serving import (
     BatchExecutor,
     BatchResult,
-    QueryPlan,
     QueryPlanner,
     ServingSession,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "PlanCompiler",
     "PointQuery",
     "Predicate",
-    "QueryPlan",
     "QueryPlanner",
     "Relation",
     "ReweightedSampleEvaluator",

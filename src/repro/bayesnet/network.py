@@ -8,7 +8,7 @@ queries about tuples that do not appear in the sample.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import Any
 
 import numpy as np
@@ -189,15 +189,3 @@ class BayesianNetwork:
             probabilities = cpt.table[config, child_codes]
             total += float(np.sum(weights * np.log(np.maximum(probabilities, floor))))
         return total
-
-    def node_marginal(self, node: str) -> np.ndarray:
-        """Exact marginal distribution of one node (via its ancestors only)."""
-        from .inference import ExactInference
-
-        return ExactInference(self).marginal(node)
-
-    def probability_of(self, assignment: Mapping[str, Any]) -> float:
-        """Probability of a *partial* assignment via exact inference."""
-        from .inference import ExactInference
-
-        return ExactInference(self).probability(assignment)

@@ -37,7 +37,6 @@ from .model import ThemisModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..serving import BatchResult, ServingSession
-    from ..serving.planner import QueryPlan
 
 
 @dataclass
@@ -335,8 +334,8 @@ class Themis:
             self._planner_generation = self._generation
         return self._planner
 
-    def plan(self, statement: str | Query) -> "QueryPlan":
-        """Compile (and route) one SQL string or AST query without running it."""
+    def plan(self, statement: str | Query) -> LogicalPlan:
+        """Compile and route one SQL string or AST query without running it."""
         return self._current_planner().plan(statement)
 
     # ------------------------------------------------------------------
@@ -367,12 +366,12 @@ class Themis:
         (:meth:`HybridEvaluator.execute`).  Answers are identical to
         evaluating through the hybrid directly.
         """
-        return self.model.hybrid_evaluator.execute(self.plan(query).logical)
+        return self.model.hybrid_evaluator.execute(self.plan(query))
 
     def sql(self, statement: str) -> float | QueryResult:
         """Parse and answer a SQL statement with open-world semantics."""
         plan = self._current_planner().plan_sql(statement)
-        return self._model.hybrid_evaluator.execute(plan.logical)
+        return self._model.hybrid_evaluator.execute(plan)
 
     def query(
         self,
@@ -414,25 +413,23 @@ class Themis:
                 if token is not None:
                     token.poll()
                 with tracer.span("execute", route=plan.route):
-                    result = self.model.hybrid_evaluator.execute(
-                        plan.logical, tracer=tracer
-                    )
+                    result = self.model.hybrid_evaluator.execute(plan, tracer=tracer)
             return ExplainedResult(
-                result=result, plan=plan.logical, route=plan.route, trace=root
+                result=result, plan=plan, route=plan.route, trace=root
             )
         plan = self.plan(statement)
         if token is not None:
             token.poll()
-        result = self.model.hybrid_evaluator.execute(plan.logical)
+        result = self.model.hybrid_evaluator.execute(plan)
         if not explain:
             return result
         optimized = None
         if explain == "optimized":
             from ..plan import normalize_plan
 
-            optimized = normalize_plan(plan.logical)
+            optimized = normalize_plan(plan)
         return ExplainedResult(
-            result=result, plan=plan.logical, route=plan.route, optimized=optimized
+            result=result, plan=plan, route=plan.route, optimized=optimized
         )
 
     # ------------------------------------------------------------------

@@ -52,11 +52,6 @@ class DatasetBundle:
         """Ground-truth population aggregates for the given attribute sets."""
         return aggregates_from_population(self.population, attribute_sets)
 
-    def one_dimensional_aggregates(self, order: tuple[str, ...] | None = None) -> list:
-        """The 1D aggregate attribute sets in a chosen order (Fig. 7/8)."""
-        names = order if order is not None else self.aggregate_attributes
-        return [(name,) for name in names]
-
     def pruned_attribute_sets(
         self, dimension: int, budget: int, method: str = "t-cherry", seed: int | None = None
     ) -> list[tuple[str, ...]]:

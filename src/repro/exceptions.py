@@ -40,10 +40,6 @@ class ReweightingError(ThemisError):
     """Raised when a sample reweighting procedure cannot produce weights."""
 
 
-class ConvergenceWarning(UserWarning):
-    """Warning emitted when an iterative solver stops before convergence."""
-
-
 class BayesNetError(ThemisError):
     """Raised for structural or parametric problems in a Bayesian network."""
 

@@ -24,13 +24,12 @@ from ..core import (
     OpenWorldEvaluator,
     ReweightedSampleEvaluator,
 )
-from ..data import DatasetBundle, load_child, load_flights, load_imdb
+from ..data import DatasetBundle, load_child, load_flights
 from ..exceptions import ExperimentError
 from ..metrics import percent_difference
 from ..query import HitterKind, PointQueryWorkload, WorkloadQuery
 from ..reweighting import IPFReweighter, LinearRegressionReweighter, UniformReweighter
 from ..schema import Relation
-from ..sql.engine import WeightedQueryEngine
 from .config import ExperimentScale, SMALL_SCALE
 
 #: Canonical method names used across experiments.
@@ -323,11 +322,6 @@ def average_point_errors(
     """Mean percent difference per method over a workload."""
     errors = point_query_errors(evaluators, workload)
     return {name: float(np.mean(values)) if values else 0.0 for name, values in errors.items()}
-
-
-def group_by_truth(population: Relation, query) -> dict:
-    """Ground-truth GROUP BY answer computed over the population."""
-    return WeightedQueryEngine(population).group_by(query).as_dict()
 
 
 def default_flights_query_attribute_sets(

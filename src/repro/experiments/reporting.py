@@ -8,7 +8,7 @@ the paper's figure or table.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -107,12 +107,3 @@ class ExperimentResult:
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
 
-
-def summarize_errors_by(
-    rows: Iterable[Mapping[str, Any]], key: str, value: str
-) -> dict[Any, float]:
-    """Group rows by ``key`` and average the ``value`` column (small helper)."""
-    groups: dict[Any, list[float]] = {}
-    for row in rows:
-        groups.setdefault(row[key], []).append(float(row[value]))
-    return {group: sum(values) / len(values) for group, values in groups.items()}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 
-from ..bayesnet import GreedyHillClimbing, LearningMode, ParameterLearner, ThemisBayesNetLearner
+from ..bayesnet import GreedyHillClimbing, ParameterLearner
 from ..reweighting import IPFReweighter, LinearRegressionReweighter
 from .config import ExperimentScale, SMALL_SCALE
 from .harness import (
@@ -162,25 +162,6 @@ def run_solver_time(
             bb_parameter_seconds=parameter_seconds,
         )
     return result
-
-
-def learn_bb_once(
-    scale: ExperimentScale = SMALL_SCALE,
-    sample_name: str = "SR159",
-    n_two_dimensional: int = 4,
-) -> float:
-    """Helper used by benchmarks: one full BB learning pass, returning seconds."""
-    bundle = imdb_bundle(scale)
-    sample = bundle.sample(sample_name)
-    aggregates = build_aggregates(
-        bundle, n_two_dimensional=n_two_dimensional, seed=scale.seed
-    )
-    start = time.perf_counter()
-    learner = ThemisBayesNetLearner.from_mode(
-        LearningMode.BB, max_parents=scale.max_parents
-    )
-    learner.learn(sample, aggregates, population_size=bundle.population_size)
-    return time.perf_counter() - start
 
 
 def main() -> None:  # pragma: no cover - convenience entry point

@@ -109,10 +109,6 @@ class PlanCompiler:
         """Parse one SQL statement and compile the resulting AST."""
         return self._compile_ast(parse_sql(statement).query, sql=statement)
 
-    def canonical_key(self, query: Query) -> PlanKey:
-        """The canonical hashable key of a query (compiling if needed)."""
-        return self.compile(query).key
-
     def canonical_predicate(self, predicate: Predicate) -> CanonicalPredicate:
         """Bucketize one AST predicate into its canonical compiled form."""
         return self._canonical(predicate)

@@ -469,6 +469,15 @@ class LogicalPlan:
                 seen.setdefault(predicate.attribute, None)
         return tuple(seen)
 
+    @property
+    def needs_generated_samples(self) -> bool:
+        """Whether serving the plan touches the BN's forward-sampled relations."""
+        if self.group_keys:
+            return True  # the hybrid merges in BN groups from generated samples
+        # Group-less shapes touch the generated samples only when BN-routed;
+        # a BN-routed point plan is answered by exact inference.
+        return self.shape != SHAPE_POINT and self.route == ROUTE_BAYES_NET
+
     def explain(self) -> str:
         """A compact, printable rendering of the operator tree."""
         lines = [f"{self.shape} plan (route={self.root.choice or 'unresolved'})"]

@@ -27,11 +27,6 @@ class OneHotColumn:
     value: Any
     index: int
 
-    @property
-    def is_intercept(self) -> bool:
-        """Whether this column is the intercept column of ones."""
-        return self.attribute is None
-
 
 class OneHotEncoder:
     """One-hot encode a relation over a subset of its attributes.

@@ -223,11 +223,6 @@ class Relation:
         for index in range(self._n_rows):
             yield self.row(index)
 
-    def to_records(self) -> list[dict[str, Any]]:
-        """Materialize the relation as a list of dict records."""
-        names = self._schema.names
-        return [dict(zip(names, row)) for row in self.iter_rows()]
-
     def __repr__(self) -> str:
         return (
             f"Relation(n_rows={self._n_rows}, attributes={list(self.attribute_names)},"

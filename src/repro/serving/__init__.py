@@ -61,7 +61,6 @@ from .planner import (
     ROUTE_HYBRID,
     ROUTE_SAMPLE,
     PlanKey,
-    QueryPlan,
     QueryPlanner,
 )
 from .session import ServingSession
@@ -103,7 +102,6 @@ __all__ = [
     "PlanCache",
     "PlanKey",
     "QueryOutcome",
-    "QueryPlan",
     "QueryPlanner",
     "ResultCache",
     "ROUTE_BAYES_NET",

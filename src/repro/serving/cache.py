@@ -2,7 +2,7 @@
 
 Tier one is two :class:`~repro.lru.LRUCache` instances: the result cache maps
 canonical plan keys to final query answers, and the plan cache maps raw SQL
-text to its :class:`~repro.serving.planner.QueryPlan` (parsing and
+text to its routed :class:`~repro.plan.LogicalPlan` (parsing and
 bucketizing are cheap but not free at serving rates).  Tier two is
 :class:`InferenceCache`, shared by *all* queries of one session: it fronts
 the Bayesian network's batched inference engine (per-signature eliminated

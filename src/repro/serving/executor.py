@@ -7,13 +7,14 @@ evaluator, which batching routine for which shape — is decided by the
 plan's ``Route`` node and lives behind ``run`` in
 :mod:`repro.core.evaluators`.  One batch is::
 
-    compile      SQL/AST -> QueryPlan (plan cache), Route node stamped
-    route        the live, uncached, unique plans, partitioned by route
-    warm-samples the BN's K generated samples, materialized once
+    compile      SQL/AST -> routed LogicalPlan (plan cache)
+    route        the uncached, unique plans, partitioned by route
+    warm-samples the BN's K generated samples, materialized once (only
+                 when a plan about to run reads them)
     bn-dispatch  model.evaluator("bayes-net").run(plans)
     columnar     model.evaluator("sample").run(plans), then
                  model.evaluator("hybrid").run(plans)
-    cache-probe  look up / store / fan out, in group-signature order
+    cache-probe  look up / store / fan out, in submission order
 
 so BN-routed point plans share one batched exact-inference call (one
 variable-elimination pass per evidence signature), everything else the
@@ -46,7 +47,8 @@ from ..plan import LogicalPlan, OptimizerStats
 from ..query.ast import Query
 from ..sql.engine import QueryResult
 from .cache import InferenceCache
-from .planner import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE, QueryPlan, QueryPlanner
+from .governance import CancelToken
+from .planner import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE, QueryPlanner
 from .stats import BatchResult, QueryOutcome
 
 #: The dispatch stages of a batch and the routes each one serves, in order.
@@ -91,12 +93,12 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Planning (with the SQL-text plan cache)
     # ------------------------------------------------------------------
-    def plan(self, query: Query | str | QueryPlan) -> QueryPlan:
-        """Plan one query, reusing cached plans for repeated SQL text.
+    def plan(self, query: Query | str | LogicalPlan) -> LogicalPlan:
+        """Route one query, reusing cached plans for repeated SQL text.
 
-        A :class:`QueryPlan` this executor already made (the worker plans a
-        conversation's statements to verify their keys) is returned as is:
-        a statement is planned once per process.
+        A routed :class:`~repro.plan.LogicalPlan` this executor already made
+        (the worker plans a conversation's statements to verify their keys)
+        is returned as is: a statement is planned once per process.
         """
         if isinstance(query, str):
             cached = self._plan_cache.get(query)
@@ -105,7 +107,7 @@ class BatchExecutor:
             plan = self._planner.plan_sql(query)
             self._plan_cache.put(query, plan)
             return plan
-        if isinstance(query, QueryPlan):
+        if isinstance(query, LogicalPlan):
             return query
         return self._planner.plan(query)
 
@@ -113,7 +115,7 @@ class BatchExecutor:
     # Single-plan execution
     # ------------------------------------------------------------------
     def execute_plan(
-        self, plan: QueryPlan, tracer=NULL_TRACER
+        self, plan: LogicalPlan, tracer=NULL_TRACER
     ) -> tuple[float | QueryResult, bool]:
         """Serve one plan; returns ``(answer, came_from_result_cache)``.
 
@@ -134,7 +136,7 @@ class BatchExecutor:
         if plan.needs_generated_samples:
             self._inference_cache.warm_samples()
         with self._inference_cache.observed(tracer):
-            result = self._model.hybrid_evaluator.execute(plan.logical, tracer=tracer)
+            result = self._model.hybrid_evaluator.execute(plan, tracer=tracer)
         self._result_cache.put(plan.key, result)
         return result, False
 
@@ -142,31 +144,30 @@ class BatchExecutor:
     # Batch execution
     # ------------------------------------------------------------------
     def execute_batch(
-        self, queries: Sequence[Query | str], tracer=NULL_TRACER, cancel=None
+        self,
+        queries: Sequence[Query | str | LogicalPlan],
+        tracer=NULL_TRACER,
+        cancel: CancelToken | None = None,
     ) -> BatchResult:
-        """Plan, group, and serve a batch, returning answers in input order.
+        """Plan and serve a batch, returning answers in input order.
 
         One statement without ``cancel`` is served by :meth:`_execute_single`
         (the single-plan path) and the rest of this describes real batches.
 
-        ``cancel`` governs the batch cooperatively: a single
+        ``cancel`` governs the batch cooperatively: one
         :class:`~repro.serving.governance.CancelToken` covers the whole
         batch — polled at every stage boundary and threaded into the
         columnar schedule (per execution unit) and the batched BN dispatch
         (per evidence signature), so an expired deadline raises a typed
-        :class:`~repro.exceptions.DeadlineExceededError` mid-execution.  A
-        *sequence* of tokens (one per query, ``None`` for ungoverned slots)
-        instead cancels per query: fired tokens get error outcomes
-        (``QueryOutcome.cancelled``) while their fused siblings execute
-        normally and stay bit-identical to an uncancelled run.
+        :class:`~repro.exceptions.DeadlineExceededError` mid-execution.
 
-        The live plans the result cache cannot answer are collected once,
+        The plans the result cache cannot answer are collected once,
         deduplicated by plan key and partitioned by route; each partition is
         one ``run`` call on the evaluator its route names (see the module
-        docstring for the stages).  If any plan touches the BN's generated
-        samples they are materialized once up front and the cost is reported
-        separately as ``amortized_inference_seconds``; the BN-routed
-        dispatch is reported as ``bn_batch_seconds`` /
+        docstring for the stages).  If any of those plans touches the BN's
+        generated samples they are materialized once up front and the cost
+        is reported separately as ``amortized_inference_seconds``; the
+        BN-routed dispatch is reported as ``bn_batch_seconds`` /
         ``bn_elimination_passes``, the sample- and hybrid-routed dispatch
         as ``columnar_batch_seconds``, and the schedules' rewrite counters
         in ``optimizer``.
@@ -195,7 +196,7 @@ class BatchExecutor:
             batch.trace = root
         return batch
 
-    def _execute_single(self, query: Query | str | QueryPlan, tracer) -> BatchResult:
+    def _execute_single(self, query: Query | str | LogicalPlan, tracer) -> BatchResult:
         """A batch of one ungoverned statement is not a batch.
 
         It takes :meth:`execute_plan`, the path ``session.execute`` and
@@ -223,40 +224,12 @@ class BatchExecutor:
             optimizer=dict.fromkeys(names.OPTIMIZER_COUNTERS, 0),
         )
 
-    def _cancelled_outcome(self, index: int, plan: QueryPlan, token) -> QueryOutcome:
-        """An error outcome for one per-query token that already fired."""
-        try:
-            token.poll()
-            error: BaseException = QueryCancelledError("query cancelled")
-        except (DeadlineExceededError, QueryCancelledError) as fired:
-            error = fired
-        name = (
-            names.GOVERNANCE_DEADLINE_EXCEEDED
-            if isinstance(error, DeadlineExceededError)
-            else names.GOVERNANCE_CANCELLED
-        )
-        self._metrics.counter(name).inc()
-        return QueryOutcome(
-            index=index, plan=plan, result=None, error=error, cancelled=True
-        )
-
     def _execute_batch(
-        self, queries: Sequence[Query | str], tracer=NULL_TRACER, cancel=None
+        self,
+        queries: Sequence[Query | str | LogicalPlan],
+        tracer,
+        cancel: CancelToken | None,
     ) -> BatchResult:
-        # Normalize the cancellation argument: one token for the whole
-        # batch, or one (possibly None) token per query.
-        batch_token = None
-        per_query: Sequence | None = None
-        if cancel is not None:
-            if isinstance(cancel, (list, tuple)):
-                if len(cancel) != len(queries):
-                    raise ValueError(
-                        f"got {len(cancel)} cancel tokens for "
-                        f"{len(queries)} queries"
-                    )
-                per_query = cancel
-            else:
-                batch_token = cancel
         batch_start = time.perf_counter()
         stage_seconds = dict.fromkeys(names.BATCH_STAGES, 0.0)
         with tracer.span(names.STAGE_COMPILE, queries=len(queries)) as span:
@@ -268,39 +241,27 @@ class BatchExecutor:
                 span.count(plan_cache_hits=delta.hits, plan_cache_misses=delta.misses)
         stage_seconds[names.STAGE_COMPILE] = time.perf_counter() - batch_start
 
-        # Stage boundary: an expired batch deadline aborts before any
-        # dispatch work; fired per-query tokens drop out of the batch here
-        # (their fused siblings keep executing, results untouched).
-        if batch_token is not None:
-            batch_token.poll()
-        cancelled_outcomes: dict[int, QueryOutcome] = {}
-        if per_query is not None:
-            for index, token in enumerate(per_query):
-                if token is not None and token.cancelled:
-                    cancelled_outcomes[index] = self._cancelled_outcome(
-                        index, plans[index], token
-                    )
-        live = [
-            plan for index, plan in enumerate(plans) if index not in cancelled_outcomes
-        ]
+        # Stage boundary: an expired deadline aborts before any dispatch work.
+        if cancel is not None:
+            cancel.poll()
 
-        # The one partition of the batch: every live plan the result cache
-        # cannot answer, once per plan key, under the route its Route node
-        # carries.  (The probe order below groups plans by signature,
-        # preserving first-appearance order.)
+        # The one partition of the batch: every plan the result cache cannot
+        # answer, once per plan key, under the route its Route node carries.
         with tracer.span(names.STAGE_ROUTE):
-            grouped: dict[tuple, list[int]] = {}
-            for index, plan in enumerate(plans):
-                grouped.setdefault(plan.group_signature, []).append(index)
             pending: dict[str, dict[tuple, LogicalPlan]] = {}
-            for plan in live:
+            for plan in plans:
                 if self._result_cache.peek(plan.key) is None:
-                    pending.setdefault(plan.route, {}).setdefault(plan.key, plan.logical)
+                    pending.setdefault(plan.route, {}).setdefault(plan.key, plan)
 
-        # Amortized warm-up: materialize BN samples once for the whole batch.
-        if any(plan.needs_generated_samples for plan in live):
-            if batch_token is not None:
-                batch_token.poll()
+        # Amortized warm-up: materialize BN samples once for the whole batch,
+        # when a plan it is about to run reads them.
+        if any(
+            plan.needs_generated_samples
+            for family in pending.values()
+            for plan in family.values()
+        ):
+            if cancel is not None:
+                cancel.poll()
             warm_start = time.perf_counter()
             with tracer.span(names.STAGE_WARM_SAMPLES):
                 self._inference_cache.warm_samples()
@@ -323,13 +284,13 @@ class BatchExecutor:
             with tracer.span(stage, plans=n_plans) as span:
                 with self._inference_cache.observed(tracer) as bn_work:
                     for route, family in families:
-                        if batch_token is not None:
-                            batch_token.poll()
+                        if cancel is not None:
+                            cancel.poll()
                         answers = self._model.evaluator(route).run(
                             list(family.values()),
                             stats=optimizer_stats,
                             tracer=tracer,
-                            cancel=batch_token,
+                            cancel=cancel,
                         )
                         precomputed.update(
                             (key, (answer, stage)) for key, answer in zip(family, answers)
@@ -353,21 +314,17 @@ class BatchExecutor:
         # Probe: look up, store, fan out.  Every uncached plan was answered
         # above, so nothing is evaluated here unless this batch's own stores
         # evicted an answer between the peek and the lookup.
-        outcomes: list[QueryOutcome | None] = [None] * len(plans)
+        outcomes: list[QueryOutcome] = []
         served: dict[tuple, QueryOutcome] = {}
         probe_start = time.perf_counter()
         with tracer.span(names.STAGE_CACHE_PROBE, queries=len(plans)) as probe_span:
             if tracer.enabled:
                 result_stats = self._result_cache.statistics.snapshot()
-            for indices in grouped.values():
-                for index in indices:
-                    plan = plans[index]
-                    if index in cancelled_outcomes:
-                        outcomes[index] = cancelled_outcomes[index]
-                        continue
-                    first = served.get(plan.key)
-                    if first is not None:
-                        outcomes[index] = QueryOutcome(
+            for index, plan in enumerate(plans):
+                first = served.get(plan.key)
+                if first is not None:
+                    outcomes.append(
+                        QueryOutcome(
                             index=index,
                             plan=plan,
                             result=first.result,
@@ -375,37 +332,38 @@ class BatchExecutor:
                             from_result_cache=first.from_result_cache,
                             deduplicated=True,
                         )
-                        continue
-                    if plan.key in precomputed:
-                        # The dispatches bypassed execute_plan, so record the
-                        # result-cache miss they decided on (keeping hit-rate
-                        # statistics identical to per-plan execution).
-                        self._result_cache.get(plan.key)
-                        result, stage = precomputed[plan.key]
-                        self._result_cache.put(plan.key, result)
-                        outcome = QueryOutcome(
-                            index=index,
-                            plan=plan,
-                            result=result,
-                            seconds=stage_share[stage],
-                            from_result_cache=False,
-                            bn_batched=stage == names.STAGE_BN_DISPATCH,
-                            optimized=stage == names.STAGE_COLUMNAR,
-                        )
-                    else:
-                        if batch_token is not None:
-                            batch_token.poll()
-                        start = time.perf_counter()
-                        result, from_cache = self.execute_plan(plan)
-                        outcome = QueryOutcome(
-                            index=index,
-                            plan=plan,
-                            result=result,
-                            seconds=time.perf_counter() - start,
-                            from_result_cache=from_cache,
-                        )
-                    outcomes[index] = outcome
-                    served[plan.key] = outcome
+                    )
+                    continue
+                if plan.key in precomputed:
+                    # The dispatches bypassed execute_plan, so record the
+                    # result-cache miss they decided on (keeping hit-rate
+                    # statistics identical to per-plan execution).
+                    self._result_cache.get(plan.key)
+                    result, stage = precomputed[plan.key]
+                    self._result_cache.put(plan.key, result)
+                    outcome = QueryOutcome(
+                        index=index,
+                        plan=plan,
+                        result=result,
+                        seconds=stage_share[stage],
+                        from_result_cache=False,
+                        bn_batched=stage == names.STAGE_BN_DISPATCH,
+                        optimized=stage == names.STAGE_COLUMNAR,
+                    )
+                else:
+                    if cancel is not None:
+                        cancel.poll()
+                    start = time.perf_counter()
+                    result, from_cache = self.execute_plan(plan)
+                    outcome = QueryOutcome(
+                        index=index,
+                        plan=plan,
+                        result=result,
+                        seconds=time.perf_counter() - start,
+                        from_result_cache=from_cache,
+                    )
+                outcomes.append(outcome)
+                served[plan.key] = outcome
             if tracer.enabled:
                 delta = self._result_cache.statistics.since(result_stats)
                 probe_span.count(
@@ -429,9 +387,8 @@ class BatchExecutor:
         for stage, seconds in stage_seconds.items():
             self._metrics.histogram(names.stage_histogram(stage)).record(seconds)
 
-        assert all(outcome is not None for outcome in outcomes)
         return BatchResult(
-            outcomes=[outcome for outcome in outcomes if outcome is not None],
+            outcomes=outcomes,
             total_seconds=time.perf_counter() - batch_start,
             amortized_inference_seconds=stage_seconds[names.STAGE_WARM_SAMPLES],
             bn_batch_seconds=stage_seconds[names.STAGE_BN_DISPATCH],

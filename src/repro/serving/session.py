@@ -252,25 +252,23 @@ class ServingSession:
     def execute_batch(
         self,
         queries: Sequence[Query | str],
-        cancel=None,
+        cancel: CancelToken | None = None,
         deadline: "Deadline | float | None" = None,
     ) -> BatchResult:
         """Serve a batch of SQL strings and/or ASTs in submission order.
 
         A tracing session (``trace=True``) attaches the batch's span tree
         (compile → route → warm-samples → bn-dispatch → columnar units →
-        cache-probe) as ``batch.trace``.  ``cancel`` may be one
-        :class:`~repro.serving.governance.CancelToken` for the whole batch
-        (polled per execution chunk; an expired deadline raises) or a
-        per-query token sequence (fired tokens get error outcomes, their
-        fused siblings execute normally).
+        cache-probe) as ``batch.trace``.  ``cancel`` and ``deadline`` fold
+        into one :class:`~repro.serving.governance.CancelToken` for the
+        whole batch, polled per execution chunk: a cancelled token or an
+        expired deadline raises its typed error.
         """
-        if not isinstance(cancel, (list, tuple)):
-            cancel = resolve_cancel_token(cancel, deadline)
+        token = resolve_cancel_token(cancel, deadline)
         executor = self._ensure_current()
         tracer = Tracer() if self._trace else NULL_TRACER
         try:
-            batch = executor.execute_batch(queries, tracer=tracer, cancel=cancel)
+            batch = executor.execute_batch(queries, tracer=tracer, cancel=token)
         finally:
             self._maintain()
         self.statistics.record_batch(batch)
@@ -286,7 +284,7 @@ class ServingSession:
 
     @property
     def plan_cache(self) -> LRUCache:
-        """The LRU cache mapping raw SQL text to its planned form."""
+        """The LRU cache mapping raw SQL text to its routed logical plan."""
         return self._plan_cache
 
     @property

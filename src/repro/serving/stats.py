@@ -1,7 +1,8 @@
 """Result containers and statistics for the serving subsystem.
 
-Every served query produces a :class:`QueryOutcome` (the answer plus where it
-came from and what it cost); a batch bundles them into a :class:`BatchResult`
+Every served query produces a :class:`QueryOutcome` (the answer, the routed
+:class:`~repro.plan.LogicalPlan` it ran under, where the answer came from and
+what it cost); a batch bundles them into a :class:`BatchResult`
 with amortized timing; a session accumulates :class:`ServingStatistics`
 across batches.
 
@@ -20,9 +21,9 @@ from typing import Any
 
 from ..obs import names
 from ..obs.metrics import MetricsRegistry
-from ..query.ast import PointQuery
+from ..plan import LogicalPlan
+from ..plan.ir import ROUTE_BAYES_NET, SHAPE_POINT
 from ..sql.engine import QueryResult, TableResult
-from .planner import ROUTE_BAYES_NET, QueryPlan
 
 
 @dataclass
@@ -34,7 +35,8 @@ class QueryOutcome:
     index:
         Position of the query in the submitted batch.
     plan:
-        The plan the query executed under.
+        The routed :class:`~repro.plan.LogicalPlan` the query executed
+        under.
     result:
         The answer, identical to what ``Themis.query()`` returns.
     seconds:
@@ -57,25 +59,17 @@ class QueryOutcome:
     trace:
         The query's :class:`repro.obs.Span` tree when the serving session
         was tracing; ``None`` otherwise.
-    error:
-        The typed cancellation error when this query's token fired before
-        an answer was produced (``result`` is then ``None``).  Only
-        per-query cancellation sets this — batch-wide failures raise.
-    cancelled:
-        Whether this query was cancelled (``error`` holds the typed error).
     """
 
     index: int
-    plan: QueryPlan
-    result: float | QueryResult | TableResult | None
+    plan: LogicalPlan
+    result: float | QueryResult | TableResult
     seconds: float = 0.0
     from_result_cache: bool = False
     deduplicated: bool = False
     bn_batched: bool = False
     optimized: bool = False
     trace: Any = None
-    error: BaseException | None = None
-    cancelled: bool = False
 
     @property
     def route(self) -> str:
@@ -85,9 +79,7 @@ class QueryOutcome:
     @property
     def is_bn_point(self) -> bool:
         """Whether this is a BN-routed point query (the batchable shape)."""
-        return self.plan.route == ROUTE_BAYES_NET and isinstance(
-            self.plan.query, PointQuery
-        )
+        return self.plan.route == ROUTE_BAYES_NET and self.plan.shape == SHAPE_POINT
 
 
 @dataclass
@@ -126,16 +118,7 @@ class BatchResult:
         return iter(self.outcomes)
 
     def results(self) -> list[float | QueryResult | TableResult]:
-        """The per-query answers, in the order the queries were submitted.
-
-        Raises the first cancelled query's typed error — a caller that asked
-        for plain answers must not silently receive ``None`` in a slot whose
-        deadline expired.  Callers that want to handle per-query
-        cancellation inspect :attr:`outcomes` directly.
-        """
-        for outcome in self.outcomes:
-            if outcome.error is not None:
-                raise outcome.error
+        """The per-query answers, in the order the queries were submitted."""
         return [outcome.result for outcome in self.outcomes]
 
     @property

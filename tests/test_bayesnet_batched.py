@@ -85,14 +85,14 @@ class TestBitIdentity:
 
     def test_evaluator_run_matches_point(self, serving_themis):
         evaluator = serving_themis.model.bayes_net_evaluator
-        plans = [serving_themis.plan(PointQuery(a)).logical for a in MIXED_BATCH]
+        plans = [serving_themis.plan(PointQuery(a)) for a in MIXED_BATCH]
         assert evaluator.run(plans) == [evaluator.point(a) for a in MIXED_BATCH]
 
     def test_hybrid_run_routes_like_point(self, sparse_serving_themis):
         hybrid = sparse_serving_themis.model.hybrid_evaluator
         # Mix of in-sample tuples (sample route) and missing ones (BN route).
         batch = MIXED_BATCH + missing_assignments(sparse_serving_themis)
-        plans = [sparse_serving_themis.plan(PointQuery(a)).logical for a in batch]
+        plans = [sparse_serving_themis.plan(PointQuery(a)) for a in batch]
         assert {plan.route for plan in plans} == {"sample", "bayes-net"}
         assert hybrid.run(plans) == [hybrid.point(a) for a in batch]
 

@@ -1,10 +1,10 @@
 """A cold statement pays for each step once — and answers what it always did.
 
 The facade (``Themis.sql``), the serving session and the unrouted hybrid
-kernels must agree on every statement; what a plan derives on first read
-(``group_signature``, ``needs_generated_samples``) must equal what the
-planner used to compute eagerly at bind; and nothing a session keeps in its
-plan cache may hold a mask.
+kernels must agree on every statement; what a routed plan derives on read
+(``needs_generated_samples``) must equal what the planner used to compute
+eagerly at bind; and nothing a session keeps in its plan cache may hold a
+mask.
 """
 
 from __future__ import annotations
@@ -20,78 +20,67 @@ from repro.sql import parse_sql
 
 JOIN = JoinGroupByQuery(left_join="A", right_join="A", left_group="B", right_group="C")
 
-#: ``(statement, route, group_signature, needs_generated_samples)`` as the
-#: planner's eager ``_bind`` produced them on the sparse test world before
-#: the two became derived properties — one row per branch of the rule.
+#: ``(statement, route, needs_generated_samples)`` as the planner's eager
+#: bind produced them on the sparse test world before the flag became a
+#: derived property — one row per branch of the rule.
 EAGER_BINDINGS = {
     "point-in-sample": (
         "SELECT COUNT(*) FROM sample WHERE A = 0 AND B = 0",
         "sample",
-        ("point", ("A", "B")),
         False,
     ),
     "point-not-in-sample": (
         "SELECT COUNT(*) FROM sample WHERE A = 2 AND B = 0 AND C = 1",
         "bayes-net",
-        ("point", ("A", "B", "C")),
         False,
     ),
     "point-out-of-domain": (
         "SELECT COUNT(*) FROM sample WHERE A = 7",
         "bayes-net",
-        ("point", ("A",)),
         False,
     ),
     "scalar-on-sample": (
         "SELECT SUM(B) FROM sample WHERE A <= 1",
         "sample",
-        ("scalar", ("B", "A")),
         False,
     ),
     "scalar-on-network": (
         "SELECT SUM(B) FROM sample WHERE A = 2 AND B = 0 AND C = 1",
         "bayes-net",
-        ("scalar", ("B", "A", "C")),
         True,
     ),
-    "scalar-unfiltered": ("SELECT COUNT(*) FROM sample", "sample", ("scalar", ()), False),
+    "scalar-unfiltered": ("SELECT COUNT(*) FROM sample", "sample", False),
     "group-by-filtered": (
         "SELECT A, COUNT(*) FROM sample WHERE C = 1 GROUP BY A",
         "hybrid",
-        ("group-by", ("A",)),
         True,
     ),
     "group-by-two-keys": (
         "SELECT A, B, AVG(C) FROM sample GROUP BY A, B",
         "hybrid",
-        ("group-by", ("A", "B")),
         True,
     ),
     "table-grouped": (
         "SELECT A, COUNT(*) AS n, SUM(B) AS s FROM sample GROUP BY A ORDER BY n DESC LIMIT 2",
         "hybrid",
-        ("table", ("A",)),
         True,
     ),
     "table-groupless-on-sample": (
         "SELECT COUNT(*) AS n, AVG(B) AS m FROM sample WHERE A = 0",
         "sample",
-        ("table", ()),
         False,
     ),
     "table-groupless-on-network": (
         "SELECT COUNT(*) AS n, AVG(B) AS m FROM sample WHERE A = 2 AND B = 0 AND C = 1",
         "bayes-net",
-        ("table", ()),
         True,
     ),
     "table-groupless-unfiltered": (
         "SELECT COUNT(*) AS n, AVG(B) AS m FROM sample",
         "sample",
-        ("table", ()),
         False,
     ),
-    "join": (JOIN, "hybrid", ("join-group-by", ("B", "C")), True),
+    "join": (JOIN, "hybrid", True),
 }
 
 
@@ -126,43 +115,40 @@ def test_text_and_ast_compile_to_the_same_key(sparse_serving_themis, statements)
         plan = themis.plan(statement)
         from_ast = compiler.compile(parse_sql(statement).query)
         assert plan.key == from_ast.key
-        assert plan.sql == plan.logical.sql == statement and from_ast.sql is None
-        assert plan.logical.root.child == from_ast.root.child
+        assert plan.sql == statement and from_ast.sql is None
+        assert plan.root.child == from_ast.root.child
 
 
 @pytest.mark.parametrize(
-    "statement, route, signature, needs_samples",
+    "statement, route, needs_samples",
     EAGER_BINDINGS.values(),
     ids=EAGER_BINDINGS.keys(),
 )
 def test_derived_plan_properties_equal_the_eager_bind(
-    sparse_serving_themis, statement, route, signature, needs_samples
+    sparse_serving_themis, statement, route, needs_samples
 ):
     plan = sparse_serving_themis.plan(statement)
     assert plan.route == route
-    assert plan.group_signature == signature
     assert plan.needs_generated_samples is needs_samples
 
 
 @pytest.mark.parametrize(
-    "statement, signature",
+    "statement",
     [
-        ("SELECT SUM(B) FROM sample WHERE A = 2 AND B = 0 AND C = 1", ("scalar", ("B", "A", "C"))),
-        ("SELECT COUNT(*) FROM sample WHERE A >= 2 AND B = 0 AND C = 1", ("scalar", ("A", "B", "C"))),
+        "SELECT SUM(B) FROM sample WHERE A = 2 AND B = 0 AND C = 1",
+        "SELECT COUNT(*) FROM sample WHERE A >= 2 AND B = 0 AND C = 1",
     ],
     ids=["sum", "count"],
 )
-def test_served_network_scalar_needs_generated_samples(
-    sparse_serving_themis, statement, signature
-):
-    """The plan a session serves carries the planner's derived properties:
+def test_served_network_scalar_needs_generated_samples(sparse_serving_themis, statement):
+    """The plan a session serves is the planner's routed plan:
     a network-routed scalar is answered from the generated samples, and so
     is the groupless table over the same filter."""
     themis = sparse_serving_themis
     outcome = themis.serve().execute_with_outcome(statement)
     plan = outcome.plan
+    assert plan == themis.plan(statement)
     assert plan.route == "bayes-net"
-    assert plan.group_signature == signature
     assert plan.needs_generated_samples is True
     assert outcome.result == themis.query(statement)
     table = themis.serve().execute_with_outcome(
@@ -201,8 +187,7 @@ def test_no_array_is_reachable_from_a_cached_plan(sparse_serving_themis, stateme
     for statement in served:
         plan = session.plan_cache.get(statement)
         assert plan is not None and plan.sql == statement
-        plan.group_signature, plan.needs_generated_samples  # noqa: B018 - derive, then walk
         objects = list(_reachable(plan))
-        assert any(value is plan.logical.predicates for value in objects)  # the walk is deep
+        assert any(value is plan.predicates for value in objects)  # the walk is deep
         arrays = [value for value in objects if isinstance(value, np.ndarray)]
         assert not arrays, statement

@@ -163,7 +163,7 @@ class TestStackedPassEqualsTheLoop:
     def test_run_equals_the_per_sample_reference(self, themis):
         evaluator = themis.model.bayes_net_evaluator
         assert len(evaluator.generated_samples()) == evaluator.n_generated_samples
-        plans = [themis.plan(query).logical for query in FAMILY]
+        plans = [themis.plan(query) for query in FAMILY]
         assert evaluator.run(plans) == reference(evaluator, FAMILY)
         # Twice: the second run finds every mask cached.
         assert evaluator.run(plans) == reference(evaluator, FAMILY)
@@ -173,7 +173,7 @@ class TestStackedPassEqualsTheLoop:
         assert [evaluator.scalar(q) for q in SCALARS] == reference(evaluator, SCALARS)
         assert [evaluator.group_by(q) for q in GROUP_BYS] == reference(evaluator, GROUP_BYS)
         assert [evaluator.join_group_by(q) for q in JOINS] == reference(evaluator, JOINS)
-        tables = [themis.plan(sql).logical.query for sql in TABLES]
+        tables = [themis.plan(sql).query for sql in TABLES]
         assert [evaluator.analytic(q) for q in tables] == reference(evaluator, tables)
         assert [evaluator.execute(q) for q in FLAT] == reference(evaluator, FLAT)
 
@@ -206,14 +206,14 @@ class TestStackedPassEqualsTheLoop:
     def test_dispatches_saved_counts_plan_sample_pairs(self, themis):
         evaluator = themis.model.bayes_net_evaluator
         stats = OptimizerStats()
-        evaluator.run([themis.plan(query).logical for query in FLAT], stats=stats)
+        evaluator.run([themis.plan(query) for query in FLAT], stats=stats)
         k = evaluator.n_generated_samples
         assert stats.bn_sample_dispatches_saved == k * (len(FLAT) - 1)
         # The stacked schedule itself runs without stats, like the K
         # per-sample schedules before it: no optimizer counter moves.
         assert stats.batches == 0 and stats.plans_deduped == 0
         single = OptimizerStats()
-        evaluator.run([themis.plan(FLAT[0]).logical], stats=single)
+        evaluator.run([themis.plan(FLAT[0])], stats=single)
         assert single.bn_sample_dispatches_saved == 0
 
 
@@ -425,7 +425,7 @@ class TestServingOverTheStack:
         session.clear_caches()
         assert session.execute_batch(STATEMENTS).results() == singles  # warm masks only
         hybrid = themis.model.hybrid_evaluator
-        plans = [themis.plan(statement).logical for statement in STATEMENTS]
+        plans = [themis.plan(statement) for statement in STATEMENTS]
         assert hybrid.run(plans) == singles
 
     def test_refit_rebuilds_the_stack(self):
@@ -451,7 +451,7 @@ class TestServingOverTheStack:
         themis = fitted(3)
         assert {themis.plan(sql).route for sql in BN_ROUTED} == {"bayes-net"}
         evaluator = themis.model.bayes_net_evaluator
-        plans = [themis.plan(sql).logical for sql in BN_ROUTED]
+        plans = [themis.plan(sql) for sql in BN_ROUTED]
         token = CountingToken()
         evaluator.run(plans, cancel=token)
         assert token.polls == len(BN_ROUTED)  # one poll per schedule unit

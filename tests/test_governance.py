@@ -13,8 +13,8 @@ Unit layers (all clock-injected, fully deterministic):
 
 Integration layers (one shared fitted world):
 
-* cancelling one plan of a *fused* batch family leaves every sibling's
-  answer bit-identical to an ungoverned run;
+* one token governs a whole batch: a cancelled token, or an expired
+  deadline folded into it, raises its typed error;
 * an expired deadline surfaces mid-batch as ``DeadlineExceededError``
   through every entry point (``Themis.query``, session, batch);
 * a governed session under a starvation budget still answers exactly
@@ -495,34 +495,6 @@ class TestCircuitBreaker:
 # End-to-end: cancellation inside the executor
 # ---------------------------------------------------------------------------
 class TestSessionCancellation:
-    def test_cancelling_one_fused_plan_spares_its_siblings(
-        self, themis, sweep_queries, expected
-    ):
-        session = themis.serve()
-        session.clear_caches()
-        tokens = [CancelToken() for _ in sweep_queries]
-        victim = 3
-        tokens[victim].cancel(reason="test victim")
-        batch = session.execute_batch(sweep_queries, cancel=tokens)
-        for index, outcome in enumerate(batch.outcomes):
-            if index == victim:
-                assert outcome.cancelled
-                assert isinstance(outcome.error, QueryCancelledError)
-                assert outcome.result is None
-            else:
-                # Bit-identity: fused siblings of the cancelled plan (and
-                # everyone else) answer exactly as an ungoverned run.
-                assert not outcome.cancelled
-                assert outcome.result == expected[index]
-
-    def test_results_raises_the_cancelled_outcomes_error(self, themis, sweep_queries):
-        session = themis.serve()
-        tokens = [CancelToken() for _ in sweep_queries]
-        tokens[0].cancel()
-        batch = session.execute_batch(sweep_queries, cancel=tokens)
-        with pytest.raises(QueryCancelledError):
-            batch.results()
-
     def test_expired_batch_deadline_raises_mid_batch(self, themis, sweep_queries):
         session = themis.serve()
         session.clear_caches()
@@ -578,12 +550,21 @@ class TestSessionCancellation:
         with pytest.raises(DeadlineExceededError):
             themis.query(statement, deadline=Deadline.after(-1.0))
 
+    def test_token_and_deadline_fold_into_one_token(self, themis, sweep_queries):
+        """An explicit token without a deadline of its own takes the call's
+        ``deadline=``: an expired one still raises."""
+        session = themis.serve()
+        with pytest.raises(DeadlineExceededError):
+            session.execute_batch(sweep_queries, cancel=CancelToken(), deadline=-1.0)
+
     def test_cancellation_metrics(self, themis, sweep_queries):
         session = themis.serve()
-        tokens = [CancelToken() for _ in sweep_queries]
-        tokens[1].cancel()
-        session.execute_batch(sweep_queries, cancel=tokens)
-        assert session.metrics.counter(names.GOVERNANCE_CANCELLED).value >= 1
+        token = CancelToken()
+        token.cancel()
+        before = session.metrics.value(names.GOVERNANCE_CANCELLED)
+        with pytest.raises(QueryCancelledError):
+            session.execute_batch(sweep_queries, cancel=token)
+        assert session.metrics.value(names.GOVERNANCE_CANCELLED) == before + 1
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,7 @@ class TestEvaluatorJoinBatches:
     ]
 
     def _plans(self, themis):
-        return [themis.plan(query).logical for query in self.QUERIES]
+        return [themis.plan(query) for query in self.QUERIES]
 
     def test_bn_join_run_matches_per_query(self, serving_themis):
         evaluator = serving_themis.model.bayes_net_evaluator

@@ -451,7 +451,7 @@ class TestEvaluatorBatches:
             GroupByQuery(("A", "B"), predicates=(Predicate("C", Comparison.EQ, 1),)),
             GroupByQuery(("B",), predicates=(Predicate("C", Comparison.EQ, 1),)),
         ]
-        batched = hybrid.run([serving_themis.plan(query).logical for query in queries])
+        batched = hybrid.run([serving_themis.plan(query) for query in queries])
         for result, query in zip(batched, queries):
             assert result == hybrid.group_by(query)
 
@@ -464,7 +464,7 @@ class TestEvaluatorBatches:
             ScalarAggregateQuery(predicates=(Predicate("A", Comparison.LE, 1),)),
             PointQuery({"A": 1, "B": 2}),
         ]
-        batched = evaluator.run([serving_themis.plan(query).logical for query in queries])
+        batched = evaluator.run([serving_themis.plan(query) for query in queries])
         assert batched == [evaluator.execute(query) for query in queries]
 
     def test_sample_run_matches_per_query(self, serving_themis):
@@ -474,7 +474,7 @@ class TestEvaluatorBatches:
             ScalarAggregateQuery(predicates=(Predicate("A", Comparison.LE, 1),)),
             PointQuery({"A": 1, "B": 2}),
         ]
-        batched = evaluator.run([serving_themis.plan(query).logical for query in queries])
+        batched = evaluator.run([serving_themis.plan(query) for query in queries])
         assert batched == [evaluator.execute(query) for query in queries]
 
     def test_empty_batches(self, serving_themis):

@@ -90,7 +90,7 @@ class TestRoundTrip:
         executor = session._ensure_current()
         workload = MixedQueryWorkload(themis.sample, seed=23)
         for entry in workload.generate(n_point=4, n_scalar=4, n_group_by=4):
-            routed = executor.plan(entry.query).logical
+            routed = executor.plan(entry.query)
             assert routed.root.choice is not None
             rebuilt = plan_from_json(plan_to_json(routed), compiler)
             assert rebuilt.root.choice == routed.root.choice

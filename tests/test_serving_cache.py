@@ -179,7 +179,7 @@ class TestInferenceCache:
         self, serving_themis, inference_cache
     ):
         batch = [{"A": 0}, {"A": 1}, {"A": 2, "B": 0}, {"B": 0, "A": 1}]
-        plans = [serving_themis.plan(PointQuery(a)).logical for a in batch]
+        plans = [serving_themis.plan(PointQuery(a)) for a in batch]
         with inference_cache.observed() as work:
             answers = inference_cache.evaluator.run(plans)
         # One factor lookup per signature group ({A} and {A,B}), both cold.

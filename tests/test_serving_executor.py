@@ -19,6 +19,7 @@ from repro.query import (
     ScalarAggregateQuery,
 )
 from repro.exceptions import QueryCancelledError
+from repro.plan import LogicalPlan
 from repro.serving import BatchResult, ServingSession
 from repro.serving.governance import CancelToken
 from repro.sql.engine import QueryResult
@@ -194,6 +195,34 @@ class TestRouteShapeMatrix:
         assert batch.bn_batch_seconds > 0.0
 
 
+#: One statement per query shape; the join has no SQL form.
+ONE_PER_SHAPE = {
+    "point": "SELECT COUNT(*) FROM sample WHERE A = 0 AND B = 1",
+    "scalar": "SELECT AVG(B) FROM sample WHERE A = 1",
+    "group-by": "SELECT A, SUM(B) FROM sample WHERE C = 1 GROUP BY A",
+    "join-group-by": JoinGroupByQuery("A", "A", "B", "C"),
+    "table": "SELECT A, COUNT(*) AS n FROM sample GROUP BY A ORDER BY n DESC LIMIT 2",
+}
+
+
+@pytest.mark.parametrize("shape", ONE_PER_SHAPE)
+def test_every_door_serves_one_routed_plan(sparse_serving_themis, shape):
+    """The facade, its EXPLAIN, the session and a batch all hold the one
+    routed ``LogicalPlan`` of a statement."""
+    themis = sparse_serving_themis
+    statement = ONE_PER_SHAPE[shape]
+    session = themis.serve()
+    plans = [
+        themis.plan(statement),
+        themis.query(statement, explain=True).plan,
+        session.execute_with_outcome(statement).plan,
+        session.execute_batch([statement, WORKLOAD[0]]).outcomes[0].plan,
+    ]
+    assert all(isinstance(plan, LogicalPlan) and plan.is_routed for plan in plans)
+    assert all(plan == plans[0] for plan in plans)
+    assert plans[0].shape == shape
+
+
 class TestBatchAmortization:
     def test_equivalent_plans_deduplicate_within_batch(self, serving_themis):
         batch = serving_themis.serve().execute_batch(WORKLOAD)
@@ -208,12 +237,20 @@ class TestBatchAmortization:
         assert all(o.from_result_cache for o in warm)
         assert warm.cache_hits == len(WORKLOAD)
 
-    def test_group_signatures_batch_same_columns_together(self, serving_themis):
-        session = serving_themis.serve()
-        batch = session.execute_batch(WORKLOAD)
-        signatures = [o.plan.group_signature for o in batch]
-        assert signatures[0] != signatures[3]
-        assert batch.statistics()["n_queries"] == len(WORKLOAD)
+    def test_cached_batch_does_not_warm_the_generated_samples(self, fresh_serving_themis):
+        """A batch the result cache answers whole runs nothing, so it neither
+        warms the generated samples nor counts an inference-cache hit."""
+        session = fresh_serving_themis.serve()
+        statements = [
+            "SELECT A, COUNT(*) FROM sample GROUP BY A",
+            "SELECT COUNT(*) FROM sample WHERE A = 0",
+        ]
+        session.execute_batch(statements)
+        before = session.cache_statistics()["inference_cache"]
+        again = session.execute_batch(statements)
+        assert again.cache_hits == len(statements)
+        assert session.cache_statistics()["inference_cache"] == before
+        assert again.amortized_inference_seconds == 0.0
 
     def test_bn_samples_warm_once_per_batch(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()
