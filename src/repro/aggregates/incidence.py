@@ -151,6 +151,21 @@ class IncidenceSystem:
         """
         return np.nonzero(~self._occupied)[0]
 
+    def supported_totals(self) -> np.ndarray:
+        """Per aggregate, in aggregate order, the population count of its
+        occupied groups.
+
+        An aggregate whose supported total falls short of its full total has
+        population mass that no reweighting of the sample can reach; when the
+        aggregates' supported totals differ, no weighting meets them all.
+        """
+        index = np.asarray([row.aggregate_index for row in self.rows])
+        return np.bincount(
+            index[self._occupied],
+            weights=self.counts[self._occupied],
+            minlength=len(self._aggregates),
+        )
+
     def achieved(self, weights: np.ndarray) -> np.ndarray:
         """Per-constraint weighted member counts ``G w``."""
         weights = np.asarray(weights, dtype=float)

@@ -7,8 +7,9 @@ functions annotate them, ORDER BY permutes them, LIMIT truncates them.
 
 Every stage is deterministic and exact:
 
-* group rows enter in ascending encoded-group order (``np.unique`` order,
-  the same order :func:`~repro.plan.kernels.fused_group_reduce` emits);
+* group rows enter in ascending encoded-group order (packed-key group codes
+  (ascending code order), the same order
+  :func:`~repro.plan.kernels.fused_group_reduce` emits);
 * sorts are **stable** ``np.lexsort`` passes over numeric keys — group
   columns sort by their position in the attribute's ordered active domain
   (consistent with ordered predicates), aggregate and window columns by

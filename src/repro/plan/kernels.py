@@ -11,8 +11,9 @@ is *mask -> selection vector -> gather -> reduce*:
 * **selection** — a kernel call resolves its mask once to the sorted row ids
   it keeps (``mask.nonzero()[0]``, transient) and gathers bins, weights and
   each distinct measure through ``take(rows)``;
-* **group-by** — ``np.unique`` over the encoded key columns (memoized per
-  relation) plus ``np.bincount`` scatter-adds of the gathered weights;
+* **group-by** — packed-key group codes (ascending code order) over the
+  encoded key columns (memoized per relation) plus ``np.bincount``
+  scatter-adds of the gathered weights;
 * **scalar aggregates** — pairwise sums over the gathered weights, never
   materializing a filtered relation.
 
@@ -207,9 +208,10 @@ def group_reduce(
 ) -> dict[tuple[Any, ...], float]:
     """Masked weighted GROUP BY aggregate — the scatter-add kernel.
 
-    Group ids come from the relation's memoized ``group_codes`` (one
-    ``np.unique`` per (relation, key set), shared by every plan grouping
-    over the same columns); per-group totals are ``np.bincount``
+    Group ids come from the relation's memoized ``group_codes`` (packed-key
+    group codes (ascending code order), computed once per (relation, key
+    set) and shared by every plan grouping over the same columns);
+    per-group totals are ``np.bincount``
     scatter-adds over the selected rows.  Groups with no positive weight are
     dropped, matching the historical filtered-relation engine bit for bit.
 
@@ -312,9 +314,10 @@ def fused_group_columns(
     """The shared scatter-add pass behind every grouped evaluation.
 
     Returns ``(positive, codes, decoded, per_spec)``: the full-bin row
-    indexes of positive-weight groups, their encoded key rows (ascending
-    ``np.unique`` order, one row per surviving group), the decoded group
-    tuples in that same order, and one *full-bin* value array per spec.
+    indexes of positive-weight groups, their encoded key rows (packed-key
+    group codes (ascending code order), one row per surviving group), the
+    decoded group tuples in that same order, and one *full-bin* value array
+    per spec.
     Both :func:`fused_group_reduce` (dict-shaped results) and the analytic
     table pipeline index the same arrays, so the two result shapes can
     never disagree about a group's value.

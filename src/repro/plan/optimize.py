@@ -21,9 +21,10 @@ emits a :class:`PhysicalSchedule` that pays each piece of shared work once:
    different kinds over the same conjunction each AND their own
    (``masks_shared`` counts the references beyond the first either way).
 4. **Multi-query group-by fusion** — aggregates sharing a
-   ``(Scan, Filter, Group)`` prefix run in a single ``np.unique``/
-   ``np.bincount`` scatter-add pass with stacked reduction columns, decoding
-   the group tuples once for the whole family (``groupby_fusions``).
+   ``(Scan, Filter, Group)`` prefix run in a single pass over packed-key
+   group codes (ascending code order) and ``np.bincount`` scatter-adds with
+   stacked reduction columns, decoding the group tuples once for the whole
+   family (``groupby_fusions``).
 5. **Join-side fusion** — the batch's join plans share a deduplicated side
    table: plans referencing the same side (same key columns and normalized
    ``Scan``/``Filter``) compute its ``(join key, group)`` weight totals

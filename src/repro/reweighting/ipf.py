@@ -98,6 +98,10 @@ class IPFReweighter(Reweighter):
             if total > 0:
                 weights = weights * (population_size / total)
 
+        # Aggregates whose occupied groups add up to different totals cannot
+        # all be met: ``unsupported_mass`` is the most any of them drops.
+        supported = system.supported_totals()
+        totals = np.asarray([aggregate.total for aggregate in aggregates])
         return ReweightingResult(
             weights=weights,
             method=self.name,
@@ -108,5 +112,7 @@ class IPFReweighter(Reweighter):
                 "n_constraints": system.n_constraints,
                 "n_empty_constraints": int(len(system.empty_constraints())),
                 "tolerance": self._tolerance,
+                "supported_totals": supported.tolist(),
+                "unsupported_mass": float((totals - supported).max()),
             },
         )

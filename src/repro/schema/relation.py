@@ -233,8 +233,15 @@ class Relation:
     # Transformations
     # ------------------------------------------------------------------
     def with_weights(self, weights: Sequence[float]) -> "Relation":
-        """Return a copy of this relation carrying the given weight column."""
-        return Relation(self._schema, self._columns, np.asarray(weights, dtype=float))
+        """Return a copy of this relation carrying the given weight column.
+
+        The copy shares this relation's group-code memo: the columns are the
+        same immutable arrays, and group codes never depend on weights.
+        """
+        relation = Relation(self._schema, self._columns, np.asarray(weights, dtype=float))
+        relation._group_codes_cache = self._group_codes_cache
+        relation._group_tuples_cache = self._group_tuples_cache
+        return relation
 
     def without_weights(self) -> "Relation":
         """Return a copy of this relation without any weight column."""
@@ -310,13 +317,31 @@ class Relation:
 
         ``group_index[i]`` is the row index into ``unique_code_rows`` of tuple
         ``i``'s group.  ``unique_code_rows`` has one row per distinct group and
-        one column per attribute in ``names``.
+        one column per attribute in ``names``, in ascending (lexicographic)
+        code order.
+
+        Packed-key group codes (ascending code order): each row's codes fold
+        into one ``int64`` key, most significant attribute first, and one 1-D
+        ``np.unique`` over the keys finds the groups.  Codes lie in
+        ``[0, size)``, so key order is lexicographic row order.  When the next
+        fold could pass ``2**62`` the keys are first re-ranked densely, which
+        keeps their order.
 
         The result is memoized per attribute tuple: relations are immutable,
         and repeated GROUP BY queries over the same columns (the serving
         layer's batched workloads, the BN evaluator's stacked generated
-        samples) would otherwise recompute the same ``np.unique`` every time.  Callers
-        must treat the returned arrays as read-only.
+        samples) would otherwise recompute the same keys every time.  The
+        memo is shared with :meth:`with_weights` copies.  Callers must treat
+        the returned arrays as read-only.
+
+        >>> from repro.schema import Attribute, Schema, Relation
+        >>> schema = Schema([Attribute("a", ["x", "y"]), Attribute("b", [1, 2])])
+        >>> relation = Relation.from_rows(schema, [("y", 1), ("x", 2), ("y", 1)])
+        >>> group_index, unique_rows = relation.group_codes(["a", "b"])
+        >>> unique_rows.tolist()
+        [[0, 1], [1, 0]]
+        >>> group_index.tolist()
+        [1, 0, 1]
         """
         if not names:
             raise SchemaError("group_codes needs at least one attribute")
@@ -324,12 +349,22 @@ class Relation:
         cached = self._group_codes_cache.get(key)
         if cached is not None:
             return cached
-        stacked = np.stack([self.column(name) for name in names], axis=1)
-        if stacked.shape[0] == 0:
-            result = np.zeros(0, dtype=np.int64), stacked
-        else:
-            unique_rows, group_index = np.unique(stacked, axis=0, return_inverse=True)
-            result = group_index.astype(np.int64), unique_rows
+        columns = [self.column(name) for name in names]
+        packed = columns[0]
+        bound = self._schema[names[0]].size
+        for name, column in zip(names[1:], columns[1:]):
+            size = self._schema[name].size
+            if bound * size > 2**62:
+                _, packed = np.unique(packed, return_inverse=True)
+                bound = int(packed.max(initial=0)) + 1
+            packed = packed * size + column
+            bound *= size
+        # Without ``return_index`` the sort need not be stable (~2x faster);
+        # every row of a group carries the group's codes, so scatter them.
+        distinct, group_index = np.unique(packed, return_inverse=True)
+        unique_rows = np.empty((distinct.size, len(names)), dtype=np.int64)
+        unique_rows[group_index] = np.stack(columns, axis=1)
+        result = group_index.astype(np.int64, copy=False), unique_rows
         self._group_codes_cache[key] = result
         return result
 

@@ -10,8 +10,9 @@ Since the logical-plan IR landed, :class:`WeightedQueryEngine` is a thin
 facade over :class:`repro.plan.ColumnarExecutor`: queries are compiled once
 into :class:`~repro.plan.LogicalPlan` trees and executed by vectorized
 columnar kernels — cached boolean predicate masks combined with bitwise ops,
-``np.unique``/scatter-add group-bys, and masked weighted reductions — instead
-of materializing a filtered relation per query.  Answers are bit-identical
+packed-key group codes (ascending code order) with scatter-add group-bys,
+and masked weighted reductions — instead of materializing a filtered
+relation per query.  Answers are bit-identical
 to the historical filter-then-reduce implementation.
 """
 

@@ -45,6 +45,10 @@ per-group-per-configuration constraint builder, dict-walking count tables
 and row-at-a-time renormalization (:func:`linear_constraints_reference`,
 :func:`learn_parameters_reference`).  ``tests/test_fit_equivalence.py``
 asserts the index-list sweep and the array-built factor fit ``==`` them.
+
+A fifth reference is ``Relation.group_codes`` as one row-wise ``np.unique``
+over the stacked code columns (:func:`group_codes_reference`);
+``tests/test_schema_relation.py`` asserts the packed-key codes ``==`` it.
 """
 
 from __future__ import annotations
@@ -745,3 +749,16 @@ def learn_parameters_reference(
             theta = _normalize_rows_reference(np.clip(theta, 0.0, None))
         network.set_cpt(ConditionalProbabilityTable(node, parents, *sizes, table=theta))
     return {node: network.cpt(node).table for node in network.topological_order()}
+
+
+# ----------------------------------------------------------------------
+# Group codes by a row-wise sort (reference for the packed keys)
+# ----------------------------------------------------------------------
+def group_codes_reference(relation: Relation, names) -> tuple[np.ndarray, np.ndarray]:
+    """``Relation.group_codes`` as it was: one ``np.unique`` over the stacked
+    code rows, ``axis=0``."""
+    stacked = np.stack([relation.column(name) for name in names], axis=1)
+    if stacked.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64), stacked
+    unique_rows, group_index = np.unique(stacked, axis=0, return_inverse=True)
+    return group_index.astype(np.int64), unique_rows

@@ -180,6 +180,25 @@ class TestIPF:
         system = IncidenceSystem(biased_correlated_sample, correlated_aggregates)
         assert system.max_relative_violation(result.weights) < 0.05
 
+    def test_supported_totals_drop_a_missing_group(
+        self, correlated_population, biased_correlated_sample, correlated_aggregates
+    ):
+        """A population group the sample lacks leaves its aggregate's
+        supported total short by exactly that group's count."""
+        totals = [aggregate.total for aggregate in correlated_aggregates]
+        full = IncidenceSystem(biased_correlated_sample, correlated_aggregates)
+        assert full.supported_totals()[0] == totals[0]  # every A group is in the sample
+        kept = biased_correlated_sample.filter_mask(
+            biased_correlated_sample.column("A") != 2
+        )
+        supported = IncidenceSystem(kept, correlated_aggregates).supported_totals()
+        assert supported[0] == totals[0] - correlated_population.count({"A": 2})
+        result = IPFReweighter(max_iterations=5).fit(kept, correlated_aggregates)
+        assert result.diagnostics["supported_totals"] == supported.tolist()
+        assert result.diagnostics["unsupported_mass"] == max(
+            total - value for total, value in zip(totals, supported.tolist())
+        )
+
     def test_corrects_known_bias_better_than_uniform(
         self, correlated_population, biased_correlated_sample, correlated_aggregates
     ):

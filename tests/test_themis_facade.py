@@ -76,6 +76,16 @@ class TestFitting:
         total = fitted_themis.model.weighted_sample.total_weight()
         assert total == pytest.approx(4000.0, rel=0.15)
 
+    def test_refit_reuses_the_sample_group_codes(self, fitted_themis):
+        """The weighted sample shares the sample's group-code memo, so a
+        refit recomputes no GROUP BY key set the sample already holds."""
+        keys = ("A", "B")
+        fitted_themis.refit()
+        fitted_themis.sql("SELECT A, B, COUNT(*) FROM sample GROUP BY A, B")
+        weighted = fitted_themis.model.weighted_sample
+        assert weighted is not fitted_themis.sample
+        assert weighted.group_codes(keys) is fitted_themis.sample.group_codes(keys)
+
     def test_evaluator_lookup(self, fitted_themis):
         model = fitted_themis.model
         assert model.evaluator("hybrid") is model.hybrid_evaluator
