@@ -93,7 +93,7 @@ def main() -> None:
     print(
         f"second pass: {second_pass * 1000:6.1f} ms "
         f"({misses_warm} new masks — "
-        "every filter served from the (generation, predicate) cache)"
+        "every filter served from the per-predicate mask cache)"
     )
 
 

@@ -8,18 +8,21 @@ signature.  For each signature it eliminates every non-evidence variable once,
 keeps the resulting joint factor over the evidence variables, and answers all
 assignments with that signature by a single vectorized numpy gather into the
 factor's table.  Eliminated factors are cached across batches, keyed by
-``(generation, kept-variable set)``, so warm batches skip elimination
-entirely until the model is refitted.
+the kept-variable set, so warm batches skip elimination entirely.  An engine
+belongs to one fitted network: a refit builds a new network, hence a new
+engine with a cold cache, and nothing is ever invalidated in place.
 
 The per-query and batched paths share one implementation:
 ``ExactInference.probability()`` delegates to this engine with batch size 1,
 so batched answers are bit-identical to single-query answers by construction.
+The engine eliminates through an unlinked :class:`ExactInference` of its own,
+so no reference cycle keeps a dropped engine (or its factors) alive.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -27,10 +30,8 @@ from ..exceptions import BayesNetError
 from ..lru import LRUCache
 from ..obs.trace import NULL_TRACER
 from .factor import Factor
+from .inference import ExactInference
 from .network import BayesianNetwork
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .inference import ExactInference
 
 #: The evidence signature of an assignment: its variable names, sorted.
 Signature = tuple[str, ...]
@@ -79,30 +80,13 @@ class BatchedInference:
     ----------
     network:
         The Bayesian network to infer over.
-    inference:
-        The :class:`ExactInference` engine whose elimination routine this
-        engine shares.  Built from ``network`` when omitted; when built here,
-        the two engines are cross-linked so ``inference.probability()`` and
-        this engine use one factor cache.
-    generation:
-        The model generation the cache is valid for; see :meth:`invalidate`.
     """
 
-    def __init__(
-        self,
-        network: BayesianNetwork,
-        inference: "ExactInference | None" = None,
-        generation: int = 0,
-    ):
-        if inference is None:
-            from .inference import ExactInference
-
-            inference = ExactInference(network, batched=self)
+    def __init__(self, network: BayesianNetwork):
         self._network = network
-        self._inference = inference
-        #: Eliminated factors by ``(generation, kept-variable set)``.
+        self._inference = ExactInference(network)
+        #: Eliminated factors by kept-variable set.
         self.factors = LRUCache(FACTOR_CACHE_CAPACITY, size=_factor_bytes)
-        self._generation = int(generation)
         # Counters: how much elimination work was paid vs. amortized.
         self.elimination_passes = 0
         self.batches = 0
@@ -119,11 +103,6 @@ class BatchedInference:
     def network(self) -> BayesianNetwork:
         """The network the engine infers over."""
         return self._network
-
-    @property
-    def generation(self) -> int:
-        """The model generation the cached factors belong to."""
-        return self._generation
 
     @property
     def cached_factor_count(self) -> int:
@@ -164,11 +143,11 @@ class BatchedInference:
     def eliminated_factor(self, variables: Sequence[str]) -> Factor:
         """The joint factor over ``variables``, eliminating everything else.
 
-        The factor is cached under ``(generation, frozenset(variables))``;
-        elimination order is deterministic given the variable *set*, so any
-        ordering of ``variables`` returns the identical cached factor.
+        The factor is cached under ``frozenset(variables)``; elimination
+        order is deterministic given the variable *set*, so any ordering of
+        ``variables`` returns the identical cached factor.
         """
-        key = (self._generation, frozenset(variables))
+        key = frozenset(variables)
         factor = self.factors.get(key)
         if factor is None:
             self.elimination_passes += 1
@@ -176,19 +155,6 @@ class BatchedInference:
                 factor = self._inference.eliminate(keep=tuple(variables))
             self.factors.put(key, factor)
         return factor
-
-    def invalidate(self, generation: int | None = None) -> None:
-        """Drop every cached factor (and optionally move to a new generation).
-
-        Called when the network the engine was built over is refitted: the
-        cache key includes the generation, so even a stale entry could never
-        be returned, but dropping the table frees the memory immediately.
-        """
-        self.factors.clear()
-        if generation is not None:
-            self._generation = int(generation)
-        else:
-            self._generation += 1
 
     # ------------------------------------------------------------------
     # Batched queries

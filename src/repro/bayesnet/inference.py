@@ -9,7 +9,10 @@ Point-query answering delegates to :class:`~repro.bayesnet.batched.
 BatchedInference` with batch size 1, so the per-query and batched paths are
 one code path: both run the same elimination per evidence signature (cached
 across calls) and the same vectorized factor lookup, making batched answers
-bit-identical to single-query answers by construction.
+bit-identical to single-query answers by construction.  The batched engine
+eliminates through an :class:`ExactInference` of its own, so the two engines
+never point at each other and a dropped model is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
@@ -34,18 +37,11 @@ class ExactInference:
     ----------
     network:
         The network to infer over.
-    batched:
-        The :class:`~repro.bayesnet.batched.BatchedInference` engine point
-        queries delegate to.  Normally omitted — a cross-linked engine is
-        built lazily on first use — and only passed by ``BatchedInference``
-        itself so the pair shares one per-signature factor cache.
     """
 
-    def __init__(
-        self, network: BayesianNetwork, batched: "BatchedInference | None" = None
-    ):
+    def __init__(self, network: BayesianNetwork):
         self._network = network
-        self._batched = batched
+        self._batched: "BatchedInference | None" = None
 
     @property
     def network(self) -> BayesianNetwork:
@@ -54,15 +50,16 @@ class ExactInference:
 
     @property
     def batched(self) -> "BatchedInference":
-        """The batched engine sharing this engine's elimination routine.
+        """The batched engine point queries delegate to.
 
-        Built lazily; :meth:`probability` is served through it so repeated
-        queries with the same evidence signature reuse one eliminated factor.
+        Built lazily over the same network; :meth:`probability` is served
+        through it so repeated queries with the same evidence signature reuse
+        one eliminated factor.
         """
         if self._batched is None:
             from .batched import BatchedInference
 
-            self._batched = BatchedInference(self._network, inference=self)
+            self._batched = BatchedInference(self._network)
         return self._batched
 
     # ------------------------------------------------------------------
@@ -83,7 +80,7 @@ class ExactInference:
         """Exact marginal distribution vector of one node.
 
         Served from the batched engine's per-signature factor cache, so
-        repeated marginals of one node eliminate once per model generation.
+        repeated marginals of one node eliminate once per engine.
         """
         factor = self.batched.eliminated_factor((node,))
         table = factor.table if factor.attributes == (node,) else np.atleast_1d(

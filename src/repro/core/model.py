@@ -2,13 +2,21 @@
 
 A :class:`ThemisModel` bundles everything ``Themis.fit()`` produces: the
 reweighted sample, the learned Bayesian network, the evaluators built on top
-of them, and the diagnostics of each learning stage.  It is what queries are
-answered against (Sec. 3's ``Q(M(Γ, S)) ≈ Q(P)``).
+of them, the planner that routes against them, and the diagnostics of each
+learning stage.  It is what queries are answered against (Sec. 3's
+``Q(M(Γ, S)) ≈ Q(P)``).
+
+A model is one immutable snapshot.  Its caches (predicate masks, join
+sides, compiled plans, eliminated factors) hold values of this fit only and
+are never invalidated: a refit builds a new model and the facade swaps one
+reference.  Nothing the model owns points back at the model or at the
+facade, so a dropped model is freed by reference counting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..aggregates import AggregateSet
 from ..bayesnet import BayesNetLearningResult, BayesianNetwork
@@ -21,11 +29,19 @@ from .evaluators import (
     ReweightedSampleEvaluator,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..serving.planner import QueryPlanner
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class ThemisModel:
-    """Everything produced by fitting Themis to a sample and aggregates."""
+    """Everything produced by fitting Themis to a sample and aggregates.
 
+    ``generation`` is the snapshot's id: the facade's counter at the fit
+    that built it.
+    """
+
+    generation: int
     sample: Relation
     weighted_sample: Relation
     aggregates: AggregateSet
@@ -35,6 +51,7 @@ class ThemisModel:
     hybrid_evaluator: HybridEvaluator
     sample_evaluator: ReweightedSampleEvaluator
     bayes_net_evaluator: BayesNetEvaluator
+    planner: "QueryPlanner"
     timings: dict[str, float] = field(default_factory=dict)
 
     @property

@@ -144,8 +144,6 @@ class Themis:
         self._model: ThemisModel | None = None
         self._generation = 0
         self._serving_session: "ServingSession | None" = None
-        self._planner = None
-        self._planner_generation: int | None = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -191,18 +189,22 @@ class Themis:
     def generation(self) -> int:
         """A counter bumped by every ingestion call and every (re)fit.
 
-        Serving sessions compare it against the generation their caches were
-        built at and invalidate themselves when it moves.
+        A fitted model carries the value it was fitted at as its id
+        (:attr:`ThemisModel.generation`).
         """
         return self._generation
 
     @property
     def model(self) -> ThemisModel:
-        """The fitted model (fitting lazily if needed)."""
-        if self._model is None:
-            self.fit()
-        assert self._model is not None
-        return self._model
+        """The fitted model snapshot (fitting lazily if needed).
+
+        Read once per request: every answer comes from the one snapshot
+        this returned, whatever a concurrent refit swaps in meanwhile.
+        """
+        model = self._model
+        if model is None:
+            model = self.fit()
+        return model
 
     # ------------------------------------------------------------------
     # Fitting
@@ -261,8 +263,20 @@ class Themis:
         hybrid = HybridEvaluator(
             weighted_sample, bn_evaluator, sample_evaluator=sample_evaluator
         )
+        # The planner shares the engine's compiler (a query compiles once)
+        # and routes through the mask cache, not the model: nothing the
+        # model owns points back at it.
+        from ..serving.planner import QueryPlanner
 
-        self._model = ThemisModel(
+        planner = QueryPlanner(
+            sample.schema,
+            sample_evaluator.mask_cache,
+            compiler=sample_evaluator.engine.executor.compiler,
+        )
+
+        self._generation += 1
+        model = ThemisModel(
+            generation=self._generation,
             sample=sample,
             weighted_sample=weighted_sample,
             aggregates=aggregates,
@@ -272,18 +286,19 @@ class Themis:
             hybrid_evaluator=hybrid,
             sample_evaluator=sample_evaluator,
             bayes_net_evaluator=bn_evaluator,
+            planner=planner,
             timings=timings,
         )
-        self._generation += 1
-        return self._model
+        self._model = model
+        return model
 
     def refit(self) -> ThemisModel:
-        """Discard the current model and fit again from the registered inputs.
+        """Fit again from the registered inputs and swap the new model in.
 
-        Bumps :attr:`generation`, so every serving session (and its result,
-        plan, and inference caches) invalidates before the next query.
+        Requests already running finish on the snapshot they read; every
+        serving session rebuilds on the new model (dropping its result and
+        plan caches) before its next query.
         """
-        self._model = None
         return self.fit()
 
     def _prune(self, aggregates: AggregateSet, budget: int) -> AggregateSet:
@@ -313,30 +328,9 @@ class Themis:
     # ------------------------------------------------------------------
     # Planning (the facade's entry points compile-then-run)
     # ------------------------------------------------------------------
-    def _current_planner(self):
-        """The query planner bound to the current fitted model.
-
-        Rebuilt whenever the model generation moves, so routes always
-        reflect the live fitted sample.  While it stands, the model it was
-        built against is the fitted one (every ingestion and every fit moves
-        the generation), so a statement reaches the planner without going
-        through the lazily fitting :attr:`model` property.
-        """
-        if self._model is None or self._planner_generation != self._generation:
-            from ..serving.planner import QueryPlanner
-
-            model = self.model  # fitting lazily bumps the generation; read after
-            self._planner = QueryPlanner(
-                model.sample.schema,
-                model,
-                compiler=model.sample_evaluator.engine.executor.compiler,
-            )
-            self._planner_generation = self._generation
-        return self._planner
-
     def plan(self, statement: str | Query) -> LogicalPlan:
         """Compile and route one SQL string or AST query without running it."""
-        return self._current_planner().plan(statement)
+        return self.model.planner.plan(statement)
 
     # ------------------------------------------------------------------
     # Query answering
@@ -366,12 +360,13 @@ class Themis:
         (:meth:`HybridEvaluator.execute`).  Answers are identical to
         evaluating through the hybrid directly.
         """
-        return self.model.hybrid_evaluator.execute(self.plan(query))
+        model = self.model
+        return model.hybrid_evaluator.execute(model.planner.plan(query))
 
     def sql(self, statement: str) -> float | QueryResult:
         """Parse and answer a SQL statement with open-world semantics."""
-        plan = self._current_planner().plan_sql(statement)
-        return self._model.hybrid_evaluator.execute(plan)
+        model = self.model
+        return model.hybrid_evaluator.execute(model.planner.plan_sql(statement))
 
     def query(
         self,
@@ -402,25 +397,26 @@ class Themis:
             from ..serving.governance import resolve_cancel_token
 
             token = resolve_cancel_token(None, deadline)
+        model = self.model
         if explain == "analyze":
             from ..obs.trace import Tracer
 
             tracer = Tracer()
             with tracer.span("query") as root:
                 with tracer.span("compile"):
-                    plan = self.plan(statement)
+                    plan = model.planner.plan(statement)
                 root.set(route=plan.route, shape=plan.shape)
                 if token is not None:
                     token.poll()
                 with tracer.span("execute", route=plan.route):
-                    result = self.model.hybrid_evaluator.execute(plan, tracer=tracer)
+                    result = model.hybrid_evaluator.execute(plan, tracer=tracer)
             return ExplainedResult(
                 result=result, plan=plan, route=plan.route, trace=root
             )
-        plan = self.plan(statement)
+        plan = model.planner.plan(statement)
         if token is not None:
             token.poll()
-        result = self.model.hybrid_evaluator.execute(plan)
+        result = model.hybrid_evaluator.execute(plan)
         if not explain:
             return result
         optimized = None
@@ -462,7 +458,7 @@ class Themis:
         fuses group-by families into single scatter-add passes, and fuses
         join plans' shared sides — each distinct ``(join key, group)`` side
         computes its weight totals once per batch (and persists across
-        batches in the generation-keyed join-side cache), while hybrid
+        batches in the model's join-side cache), while hybrid
         join families pay one schedule over the stacked generated samples —
         without changing a single answer.
         """

@@ -3,8 +3,7 @@
 Result answers, SQL-text plans, compiled AST plans, predicate masks,
 join-side totals and eliminated network factors are each an
 :class:`LRUCache`; the owning layer adds only what is its own (the mask
-cache its relation and generation, the network engine elimination on a
-miss).  What they share lives here once: recency order, hit / miss /
+cache its relation, the network engine elimination on a miss).  What they share lives here once: recency order, hit / miss /
 eviction counting, byte accounting and admission.
 
 Byte accounting is governed-only.  Each cache names its entry-size function

@@ -7,14 +7,14 @@ consume the result.  Before this module existed the SQL engine, the
 evaluators, and the serving planner each re-derived canonical forms; now a
 query is compiled once and every layer shares the plan.
 
-Routing (the ``Route`` node's evaluator choice) is a separate, model-bound
-step — :func:`resolve_route` — because the same compiled plan is reused
-across refits while the routing decision depends on the fitted sample.
+Routing (the ``Route`` node's evaluator choice) is a separate step —
+:func:`resolve_route` — because it reads the fitted sample (through its
+predicate-mask cache) while compiling reads only the schema.  Each fitted
+model owns its compiler, so neither a compiled nor a routed plan outlives
+the model it was made for.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from ..exceptions import QueryError
 from ..lru import LRUCache
@@ -58,9 +58,7 @@ from .ir import (
     WindowOp,
     query_shape,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.model import ThemisModel
+from .kernels import MaskCache
 
 
 class PlanCompiler:
@@ -391,8 +389,12 @@ class PlanCompiler:
                 )
 
 
-def resolve_route(plan: LogicalPlan, model: "ThemisModel | None") -> LogicalPlan:
-    """Stamp the plan's ``Route`` node against one fitted model.
+def resolve_route(plan: LogicalPlan, masks: MaskCache | None) -> LogicalPlan:
+    """Stamp the plan's ``Route`` node against one fitted sample.
+
+    ``masks`` is the fitted weighted sample's predicate-mask cache: routing
+    reads only which predicates the sample satisfies, so it holds no
+    reference to the model itself.
 
     The rules mirror :class:`~repro.core.evaluators.HybridEvaluator` exactly,
     so a routed plan provably returns the hybrid's answer on the cheaper
@@ -402,17 +404,17 @@ def resolve_route(plan: LogicalPlan, model: "ThemisModel | None") -> LogicalPlan
     tables (multi-aggregate scalar selects) — the sample answers unless the
     filter is empty on it, in which case the BN's generated samples do;
     GROUP BY shapes always need the hybrid's sample-union-BN merge.  Without
-    a model every plan routes to ``"hybrid"``.
+    a mask cache every plan routes to ``"hybrid"``.
     """
     if plan.is_routed:
         return plan
-    if model is None:
+    if masks is None:
         return plan.with_route(ROUTE_HYBRID)
     shape = plan.shape
     if shape in (SHAPE_POINT, SHAPE_SCALAR) or (
         shape == SHAPE_TABLE and not plan.group_keys
     ):
-        mask = model.sample_evaluator.mask_cache.conjunction_mask(plan.predicates)
+        mask = masks.conjunction_mask(plan.predicates)
         if mask is None or bool(mask.any()):
             return plan.with_route(ROUTE_SAMPLE)
         return plan.with_route(ROUTE_BAYES_NET)

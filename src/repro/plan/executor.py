@@ -5,7 +5,9 @@
 Themis facade, and the serving batch executor all run their sample-path
 queries through these kernels — cached predicate masks, memoized group
 codes, one selection-vector gather per reduction — instead of materializing
-filtered relations per query.
+filtered relations per query.  Its mask and join-side caches hold values of
+its one immutable relation, so they need no invalidation: they live and die
+with the fitted model that owns the executor.
 """
 
 from __future__ import annotations
@@ -74,10 +76,10 @@ class ColumnarExecutor:
         shares its compiled-plan memo.
 
     The executor owns its predicate-mask cache (one per relation, shared by
-    every plan it runs) and its cross-batch join-side cache, whose keys
-    embed the mask cache's generation, so it invalidates with the masks
-    (``Themis.refit()`` builds a fresh executor, an in-place mask
-    invalidation moves the generation).
+    every plan it runs) and its cross-batch join-side cache, keyed by side
+    signature.  Both hold values of this relation only, and a relation never
+    changes: ``Themis.refit()`` builds a fresh executor over the newly
+    weighted sample, so neither cache is ever invalidated in place.
     """
 
     def __init__(self, relation: Relation, compiler: PlanCompiler | None = None):
@@ -102,12 +104,12 @@ class ColumnarExecutor:
 
     @property
     def mask_cache(self) -> MaskCache:
-        """The predicate-mask cache keyed by ``(generation, predicate)``."""
+        """The predicate-mask cache, keyed by canonical predicate."""
         return self._masks
 
     @property
     def join_side_cache(self) -> LRUCache:
-        """The cross-batch join-side totals, keyed ``(generation, side signature)``."""
+        """The cross-batch join-side totals, keyed by side signature."""
         return self._join_sides
 
     # ------------------------------------------------------------------
@@ -159,8 +161,7 @@ class ColumnarExecutor:
         ``(Scan, Filter, Group)`` prefix fuse into a single scatter-add
         pass, and join plans share a deduplicated side table whose
         ``(join key, group)`` weight totals compute through fused stacked
-        scatter-adds (carried across batches by the generation-keyed
-        join-side cache).  Answers are returned in submission order and are
+        scatter-adds (carried across batches by the join-side cache).  Answers are returned in submission order and are
         bit-identical to ``[self.execute(query) for query in queries]``, the
         single-plan loop the tests assert against.  ``stats`` (when given)
         accumulates the schedule's rewrite counters in place.  An enabled
@@ -300,7 +301,7 @@ class ColumnarExecutor:
         totals: list[dict | None] = [None] * len(schedule.join_sides)
         pending: dict[tuple[str, ...], list[int]] = {}
         for index, side in enumerate(schedule.join_sides):
-            cached = self._join_sides.get((self._masks.generation, side.signature))
+            cached = self._join_sides.get(side.signature)
             if cached is not None:
                 totals[index] = cached
                 if stats is not None:
@@ -316,10 +317,7 @@ class ColumnarExecutor:
                 indexes, fused_grouped_weight_totals(self._relation, keys, masks)
             ):
                 totals[index] = side_totals
-                self._join_sides.put(
-                    (self._masks.generation, schedule.join_sides[index].signature),
-                    side_totals,
-                )
+                self._join_sides.put(schedule.join_sides[index].signature, side_totals)
         assert all(entry is not None for entry in totals)
         return totals  # type: ignore[return-value]
 

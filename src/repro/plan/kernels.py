@@ -4,8 +4,8 @@ Execution of a compiled :class:`~repro.plan.ir.LogicalPlan` over a relation
 is *mask -> selection vector -> gather -> reduce*:
 
 * **predicate evaluation** — one boolean mask per canonical predicate,
-  cached by ``(generation, predicate)`` in :class:`MaskCache` (whose entries
-  are one :class:`~repro.lru.LRUCache`, like every cache in the system); a
+  cached by predicate in :class:`MaskCache` (whose entries are one
+  :class:`~repro.lru.LRUCache`, like every cache in the system); a
   conjunction is the bitwise AND of its predicates' cached masks, computed
   when asked for and not kept;
 * **selection** — a kernel call resolves its mask once to the sorted row ids
@@ -54,10 +54,9 @@ def _mask_bytes(mask: np.ndarray) -> int:
 class MaskCache:
     """Cached boolean predicate masks for one relation (LRU-capped).
 
-    Entries are keyed by ``(generation, predicate)`` — the canonical
-    predicate triple, plus the model generation so serving layers can carry
-    one cache across refits without ever serving a stale mask (relations are
-    immutable, so within a generation a mask can never go stale).  Only
+    Entries are keyed by the canonical predicate triple.  A cache belongs to
+    one relation, and relations are immutable, so a mask can never go stale:
+    a refit weights a new relation and builds a new cache.  Only
     single-predicate masks are cached: they are what a statement stream
     repeats, while its conjunctions are mostly one-offs that would push the
     repeating masks out to save an AND cheaper than a conjunction's cache
@@ -66,21 +65,15 @@ class MaskCache:
     not grow a long-lived session without limit.
     """
 
-    def __init__(self, relation: Relation, generation: int = 0):
+    def __init__(self, relation: Relation):
         self._relation = relation
-        self._generation = int(generation)
-        #: The masks by ``(generation, predicate key)``; what a governor governs.
+        #: The masks by predicate key; what a governor governs.
         self.lru = LRUCache(MASK_CACHE_CAPACITY, size=_mask_bytes)
 
     @property
     def relation(self) -> Relation:
         """The relation masks are evaluated over."""
         return self._relation
-
-    @property
-    def generation(self) -> int:
-        """The model generation baked into every cache key."""
-        return self._generation
 
     @property
     def hits(self) -> int:
@@ -97,11 +90,10 @@ class MaskCache:
 
     def predicate_mask(self, predicate: CanonicalPredicate) -> np.ndarray:
         """The cached boolean mask of one canonical predicate (read-only)."""
-        key = (self._generation, predicate.key)
-        mask = self.lru.get(key)
+        mask = self.lru.get(predicate.key)
         if mask is None:
             mask = predicate.mask(self._relation)
-            self.lru.put(key, mask)
+            self.lru.put(predicate.key, mask)
         return mask
 
     def conjunction_mask(
@@ -122,14 +114,6 @@ class MaskCache:
             for predicate in predicates[2:]:
                 mask &= self.predicate_mask(predicate)
         return mask
-
-    def invalidate(self, generation: int | None = None) -> None:
-        """Drop every mask (and optionally move to a new generation)."""
-        self.lru.clear()
-        if generation is not None:
-            self._generation = int(generation)
-        else:
-            self._generation += 1
 
     def statistics(self) -> dict[str, int | float]:
         """Hit/miss/eviction counters plus the number of cached masks."""

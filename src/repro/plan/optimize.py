@@ -30,8 +30,8 @@ emits a :class:`PhysicalSchedule` that pays each piece of shared work once:
    ``Scan``/``Filter``) compute its ``(join key, group)`` weight totals
    once, and distinct sides grouping over the same key columns stack into
    one fused scatter-add pass (``join_sides_fused``); the executor
-   additionally carries side totals *across* batches in a
-   generation-keyed :attr:`~repro.plan.ColumnarExecutor.join_side_cache`
+   additionally carries side totals *across* batches in its
+   signature-keyed :attr:`~repro.plan.ColumnarExecutor.join_side_cache`
    (``join_side_cache_hits``).
 
 Every rewrite is mask-preserving by construction (a dropped conjunct is
@@ -340,8 +340,8 @@ class JoinSideSpec:
     plans share a side when their sides' key columns and *normalized*
     filters coincide — the optimizer then schedules one side computation
     (one stacked scatter-add column) for both.  ``signature`` is the
-    hashable execution identity; prefixed with the mask-cache generation it
-    is also the cross-batch :attr:`~repro.plan.ColumnarExecutor.join_side_cache` key.
+    hashable execution identity and the cross-batch
+    :attr:`~repro.plan.ColumnarExecutor.join_side_cache` key.
     """
 
     keys: tuple[str, ...]

@@ -11,8 +11,11 @@ pass per evidence-variable set) and owns the warm-up of the network's
 forward-sampled relations — repeated BN work is paid once per fitted model
 rather than once per query.
 
-:class:`~repro.serving.session.ServingSession` drops all tiers whenever
-``Themis.refit()`` (or any ingestion call) bumps the model generation.
+The factors and samples belong to the fitted model, so they are never
+invalidated: when ``Themis.refit()`` (or any ingestion call) swaps in a new
+model, :class:`~repro.serving.session.ServingSession` drops its tier-one
+caches and fronts the new model's engine with a new :class:`InferenceCache`,
+carrying only the session's hit/miss counters over.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ class InferenceCache:
     cache already does that, keyed by canonical plan); what this tier holds
     is the expensive intermediate — the joint factor over each queried
     evidence-variable set, cached inside the evaluator's
-    :class:`~repro.bayesnet.BatchedInference` engine keyed by
-    ``(generation, kept-variable set)``.  A point query whose signature
+    :class:`~repro.bayesnet.BatchedInference` engine keyed by kept-variable
+    set.  A point query whose signature
     factor is already cached counts as a hit; one that pays a fresh variable
     elimination pass counts as a miss.
 
@@ -63,9 +66,7 @@ class InferenceCache:
     """
 
     evaluator: BayesNetEvaluator
-    generation: int = 0
     statistics: CacheStatistics = field(default_factory=CacheStatistics)
-    _samples_warm: bool = field(init=False, default=False, repr=False)
 
     @property
     def engine(self) -> "BatchedInference":
@@ -105,7 +106,7 @@ class InferenceCache:
     @property
     def samples_warm(self) -> bool:
         """Whether the generated samples have been materialized."""
-        return self._samples_warm or self.evaluator.has_generated_samples
+        return self.evaluator.has_generated_samples
 
     def warm_samples(self) -> list[Relation]:
         """Materialize (once) and return the BN's generated samples."""
@@ -113,24 +114,7 @@ class InferenceCache:
             self.statistics.hits += 1
         else:
             self.statistics.misses += 1
-        samples = self.evaluator.generated_samples()
-        self._samples_warm = True
-        return samples
-
-    def invalidate(self, evaluator: BayesNetEvaluator, generation: int) -> None:
-        """Rebind to a freshly fitted model, dropping all memoized state.
-
-        The per-signature factor cache moves with the evaluator: the old
-        engine's factors are dropped, and the new evaluator's engine is
-        stamped with the new generation (its cache keys embed it, so factors
-        from a previous fit can never answer a query against the new one).
-        """
-        old_engine = self.engine
-        self.evaluator = evaluator
-        self.generation = generation
-        old_engine.invalidate(generation)
-        self.engine.invalidate(generation)
-        self._samples_warm = False
+        return self.evaluator.generated_samples()
 
     def entries(self) -> dict[str, int | bool]:
         """Size-in-items snapshot of every memoized tier (non-mutating).

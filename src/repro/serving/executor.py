@@ -48,7 +48,7 @@ from ..query.ast import Query
 from ..sql.engine import QueryResult
 from .cache import InferenceCache
 from .governance import CancelToken
-from .planner import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE, QueryPlanner
+from .planner import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE
 from .stats import BatchResult, QueryOutcome
 
 #: The dispatch stages of a batch and the routes each one serves, in order.
@@ -59,19 +59,21 @@ _DISPATCH_STAGES = (
 
 
 class BatchExecutor:
-    """Execute planned queries against one fitted model with shared caches."""
+    """Execute planned queries against one fitted model with shared caches.
+
+    Everything it runs comes from ``model``: plans from ``model.planner``,
+    answers from the model's evaluators.  A new model gets a new executor.
+    """
 
     def __init__(
         self,
         model: ThemisModel,
-        planner: QueryPlanner,
         result_cache: LRUCache,
         inference_cache: InferenceCache,
         plan_cache: LRUCache,
         metrics: MetricsRegistry | None = None,
     ):
         self._model = model
-        self._planner = planner
         self._result_cache = result_cache
         self._inference_cache = inference_cache
         self._plan_cache = plan_cache
@@ -104,12 +106,12 @@ class BatchExecutor:
             cached = self._plan_cache.get(query)
             if cached is not None:
                 return cached
-            plan = self._planner.plan_sql(query)
+            plan = self._model.planner.plan_sql(query)
             self._plan_cache.put(query, plan)
             return plan
         if isinstance(query, LogicalPlan):
             return query
-        return self._planner.plan(query)
+        return self._model.planner.plan(query)
 
     # ------------------------------------------------------------------
     # Single-plan execution

@@ -5,8 +5,11 @@ anything is executed each query is *planned*.  The canonicalization —
 predicates bucketized into domain codes, the hashable plan key derived from
 the compiled operator tree — happens exactly once, in
 :class:`repro.plan.PlanCompiler`, and routing stamps the compiled plan's
-``Route`` node against the fitted model (:func:`repro.plan.resolve_route`)
-using the model's shared predicate-mask cache.  The routed
+``Route`` node against the fitted sample (:func:`repro.plan.resolve_route`)
+using its shared predicate-mask cache.  ``Themis.fit()`` builds one planner
+per fitted model (``ThemisModel.planner``) over that model's compiler and
+mask cache; the planner holds neither the model nor the facade, so a
+dropped model is freed by reference counting.  The routed
 :class:`~repro.plan.LogicalPlan` is the served plan: the session's plan
 cache, ``QueryOutcome.plan``, ``Themis.plan()`` and the worker's key check
 all hold that one value.
@@ -21,15 +24,10 @@ plan can never change the answer of the query it carries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..plan import LogicalPlan, PlanCompiler, PlanKey, resolve_route
+from ..plan import LogicalPlan, MaskCache, PlanCompiler, PlanKey, resolve_route
 from ..plan.ir import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE
 from ..query.ast import Query
 from ..schema import Schema
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.model import ThemisModel
 
 __all__ = [
     "PlanKey",
@@ -41,16 +39,16 @@ __all__ = [
 
 
 class QueryPlanner:
-    """Route compiled logical plans against one fitted model.
+    """Route compiled logical plans against one fitted sample.
 
     Parameters
     ----------
     schema:
         The sample schema; used to validate attributes and bucketize
         literals (inside the shared :class:`~repro.plan.PlanCompiler`).
-    model:
-        The fitted model routing decisions are made against.  Without a
-        model every plan routes to ``"hybrid"``.
+    masks:
+        The fitted weighted sample's predicate-mask cache routing decisions
+        read.  Without one every plan routes to ``"hybrid"``.
     compiler:
         An existing compiler to share.  Binding the planner to the model's
         engine compiler means a query compiles exactly once system-wide:
@@ -62,11 +60,11 @@ class QueryPlanner:
     def __init__(
         self,
         schema: Schema,
-        model: "ThemisModel | None" = None,
+        masks: MaskCache | None = None,
         compiler: PlanCompiler | None = None,
     ):
         self._compiler = compiler if compiler is not None else PlanCompiler(schema)
-        self._model = model
+        self._masks = masks
 
     @property
     def compiler(self) -> PlanCompiler:
@@ -77,8 +75,8 @@ class QueryPlanner:
         """Compile and route a query AST or a SQL string."""
         if isinstance(query, str):
             return self.plan_sql(query)
-        return resolve_route(self._compiler.compile(query), self._model)
+        return resolve_route(self._compiler.compile(query), self._masks)
 
     def plan_sql(self, statement: str) -> LogicalPlan:
         """Parse, compile and route one SQL statement."""
-        return resolve_route(self._compiler.compile_sql(statement), self._model)
+        return resolve_route(self._compiler.compile_sql(statement), self._masks)

@@ -524,14 +524,14 @@ class SupervisedWorkerPool:
         told apart, and so which the locks must pin):
 
         =====================  ================================================
-        batch x batch          commute: an answer is a function of (generation,
-                               statement), caches only memoise it.  Ordered per
+        batch x batch          commute: an answer is a function of (model
+                               snapshot, statement), caches only memoise it.  Ordered per
                                shard by lock arrival, free across shards.
         batch x describe/ping  commute (read-only).  The heartbeat skips a
                                shard whose lock is held — a conversation in
                                progress is proof enough of life.
-        batch x refit /        do **not** commute: the broadcast bumps the
-        add_aggregate          generation and empties the caches.  Serialised
+        batch x refit /        do **not** commute: the broadcast swaps in a
+        add_aggregate          new model, and its caches with it.  Serialised
                                *whole*: neither sends before it holds every one
                                of its locks, and neither lets go of a shard
                                before that shard has done its part, so on every
@@ -982,8 +982,8 @@ class SupervisedWorkerPool:
 
         Agreement is on the number of logged broadcasts each worker reports
         having applied (``describe()``'s ``"broadcasts"``), which is also
-        what is returned.  A worker's facade generation only keys its own
-        caches: the shard that served the first batch after an
+        what is returned.  A worker's facade generation is only its model's
+        id: the shard that served the first batch after an
         ``add_aggregate()`` fitted lazily and is one generation ahead.
         """
         run = self._runner()  # refuses before the parent changes, not after

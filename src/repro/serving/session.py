@@ -1,11 +1,14 @@
 """Serving sessions: a long-lived query interface over one Themis instance.
 
-A :class:`ServingSession` owns the planner, the two cache tiers, and the
-batch executor for one :class:`~repro.core.themis.Themis` facade.  It tracks
-the facade's model generation: any ingestion call or ``refit()`` bumps the
-generation, and the session transparently rebuilds its executor and drops
-every cache tier before serving the next query — a stale cache can never leak
-answers from a previous model.
+A :class:`ServingSession` owns the two cache tiers and the batch executor
+for one :class:`~repro.core.themis.Themis` facade.  Each request reads the
+facade's fitted model once, at entry, and is answered from that snapshot
+alone.  When the facade holds a different model object than the one the
+executor was built over (any ingestion call or ``refit()``), the session
+rebuilds its executor over the new model and drops its result and plan
+caches before serving — a stale cache can never leak answers from a
+previous model.  The mask, join-side and factor caches belong to the model,
+so they come and go with it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import time
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
-from ..lru import LRUCache
+from ..lru import CacheStatistics, LRUCache
 from ..obs import names
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -23,7 +26,6 @@ from ..sql.engine import QueryResult
 from .cache import InferenceCache
 from .executor import BatchExecutor
 from .governance import CancelToken, Deadline, MemoryGovernor, resolve_cancel_token
-from .planner import QueryPlanner
 from .stats import BatchResult, QueryOutcome, ServingStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,7 +42,6 @@ _GAUGE_KEYS = frozenset(
         "factors",
         "samples_warm",
         "capacity",
-        "generation",
     }
 )
 
@@ -114,7 +115,6 @@ class ServingSession:
         self._trace = bool(trace)
         self._inference_cache: InferenceCache | None = None
         self._executor: BatchExecutor | None = None
-        self._generation: int | None = None
         self._cache_window: dict[str, Any] | None = None
         #: One registry per session: the executor folds optimizer/BN/stage
         #: counters into it, and ``statistics`` reads them back as views.
@@ -125,7 +125,7 @@ class ServingSession:
             self.governor = MemoryGovernor(memory_budget_bytes, metrics=self.metrics)
 
     # ------------------------------------------------------------------
-    # Model-generation tracking
+    # The served model
     # ------------------------------------------------------------------
     @property
     def themis(self) -> "Themis":
@@ -134,46 +134,37 @@ class ServingSession:
 
     @property
     def generation(self) -> int | None:
-        """The model generation the caches were built against."""
-        return self._generation
+        """The id of the model the session serves (``None`` before first use)."""
+        return None if self._executor is None else self._executor.model.generation
 
     def _ensure_current(self) -> BatchExecutor:
-        """(Re)build the executor and invalidate caches on model changes."""
-        generation = self._themis.generation
-        if self._executor is not None and generation == self._generation:
-            return self._executor
+        """The executor over the facade's model, rebuilt when that changed.
+
+        The facade's model is read exactly once, so the executor is always
+        built over (and stamped by) one snapshot.
+        """
         model = self._themis.model
-        # Fitting inside .model bumps the generation; re-read it afterwards.
-        generation = self._themis.generation
-        if self._executor is not None:
+        executor = self._executor
+        if executor is not None and executor.model is model:
+            return executor
+        if executor is not None:
             self.statistics.record_invalidation()
         self._result_cache.clear()
         self._plan_cache.clear()
-        if self._inference_cache is None:
-            self._inference_cache = InferenceCache(
-                model.bayes_net_evaluator, generation=generation
-            )
-        else:
-            self._inference_cache.invalidate(model.bayes_net_evaluator, generation)
-        # Share the fitted engine's compiler so each query compiles once
-        # system-wide (the engine executes the plan the planner keyed and
-        # routed; AST queries share the compiler's memo).
-        planner = QueryPlanner(
-            model.sample.schema,
-            model,
-            compiler=model.sample_evaluator.engine.executor.compiler,
-        )
+        # The factors and samples are the model's; the hit/miss counters
+        # are the session's and carry over.
+        previous = self._inference_cache
+        statistics = CacheStatistics() if previous is None else previous.statistics
+        self._inference_cache = InferenceCache(model.bayes_net_evaluator, statistics)
         self._executor = BatchExecutor(
             model,
-            planner,
             self._result_cache,
             self._inference_cache,
             self._plan_cache,
             metrics=self.metrics,
         )
-        self._generation = generation
         if self.governor is not None:
-            # A refit swaps the model's mask / join-side / factor caches.
+            # A new model brings its own mask / join-side / factor caches.
             for name, cache in self._governed_tiers().items():
                 self.governor.register(name, cache)
         return self._executor

@@ -206,7 +206,7 @@ class ServingStatistics:
 
     @property
     def invalidations(self) -> int:
-        """Executor rebuilds forced by model-generation changes."""
+        """Executor rebuilds forced by a newly fitted model."""
         return self.metrics.value(names.INVALIDATIONS)
 
     @property
@@ -287,7 +287,7 @@ class ServingStatistics:
     # Recording
     # ------------------------------------------------------------------
     def record_invalidation(self) -> None:
-        """Count one executor rebuild (model generation moved)."""
+        """Count one executor rebuild (the facade swapped its model)."""
         self.metrics.counter(names.INVALIDATIONS).inc()
 
     def record_outcome(self, outcome: QueryOutcome) -> None:

@@ -165,15 +165,18 @@ class TestFactorCache:
         signatures = {signature_of(a) for a in MIXED_BATCH}
         assert engine.factors.statistics.evictions == len(signatures) - 2
 
-    def test_invalidate_drops_factors_and_moves_generation(self, network):
+    def test_each_engine_owns_its_factors(self, network):
+        """Factors are keyed by kept-variable set alone: an engine belongs
+        to one network, and a new engine (a refit's) starts cold."""
         engine = BatchedInference(network)
         engine.probability_batch([{"A": 0}])
-        assert engine.cached_factor_count == 1
-        engine.invalidate(generation=7)
-        assert engine.cached_factor_count == 0
-        assert engine.generation == 7
-        engine.probability_batch([{"A": 0}])
-        assert engine.elimination_passes == 2  # the factor was re-eliminated
+        assert [key for key, _ in engine.factors.entries()] == [frozenset({"A"})]
+        fresh = BatchedInference(network)
+        assert fresh.cached_factor_count == 0
+        assert fresh.probability_batch([{"A": 0}])[0] == engine.probability_batch(
+            [{"A": 0}]
+        )[0]
+        assert (engine.elimination_passes, fresh.elimination_passes) == (1, 1)
 
     def test_conditional_is_cached_and_bit_identical(self, sparse_serving_themis):
         bn = sparse_serving_themis.model.bayes_net_evaluator
@@ -301,23 +304,23 @@ class TestServingIntegration:
         assert batch.outcomes[1].result == 0.0
         assert batch.outcomes[0].result == sparse_serving_themis.point(in_domain)
 
-    def test_refit_invalidates_per_signature_factors(self, fresh_serving_themis):
+    def test_refit_serves_from_the_new_models_cold_engine(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()
         missing = missing_assignments(fresh_serving_themis)
         assert missing, "expected at least one out-of-sample assignment"
         queries = [PointQuery(a) for a in missing]
         before = session.execute_batch(queries)
-        engine = session.inference_cache.engine
-        assert engine.cached_factor_count > 0
-        old_generation = engine.generation
+        old_engine = session.inference_cache.engine
+        assert old_engine.cached_factor_count > 0
 
-        fresh_serving_themis.refit()
+        model = fresh_serving_themis.refit()
+        engine = model.bayes_net_evaluator.inference.batched
+        assert engine is not old_engine and engine.cached_factor_count == 0
         after = session.execute_batch(queries)
-        engine = session.inference_cache.engine
-        assert engine.generation != old_generation
+        assert session.inference_cache.engine is engine
         # Same inputs and seed: the refitted model answers identically, and
-        # the batch had to pay fresh elimination passes (no stale factors).
-        assert after.bn_elimination_passes > 0
+        # the batch paid the new engine's own elimination passes.
+        assert after.bn_elimination_passes == engine.elimination_passes > 0
         assert before.results() == after.results()
 
     def test_inference_cache_describe_exposes_engine_counters(self, serving_themis):

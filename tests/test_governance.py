@@ -19,7 +19,7 @@ Integration layers (one shared fitted world):
   through every entry point (``Themis.query``, session, batch);
 * a governed session under a starvation budget still answers exactly
   ``==`` an ungoverned oracle — eviction costs hits, never bits;
-* cache invariants: no stale-generation entry survives a refit, and
+* cache invariants: no stale entry survives a refit, and
   ``entries()``/``peek()`` stay stat-free with a governor attached;
 * a malformed socket ``deadline`` fails its own request before admission,
   so it takes no token from the well-formed ones;
@@ -611,19 +611,22 @@ class TestGovernedSession:
 # Cache invariants (S3)
 # ---------------------------------------------------------------------------
 class TestCacheInvariants:
-    def test_no_stale_generation_entry_survives_refit(self, sweep_queries):
+    def test_no_stale_entry_survives_refit(self, sweep_queries):
         themis = build_fitted_themis()
         session = themis.serve(memory_budget_bytes=10**9)
         session.execute_batch(sweep_queries)
         assert len(session.result_cache.entries()) > 0
         before = session.generation
-        themis.refit()
+        model = themis.refit()
         session.execute_batch(sweep_queries[:4])
-        after = session.generation
-        assert after is not None and after != before
-        # The inference cache is stamped with the new generation, and the
-        # result cache holds only entries written after the refit.
-        assert session.inference_cache.generation == after
+        assert session.generation == model.generation != before
+        # The session serves the new snapshot, whose caches the governor now
+        # governs, and the result cache holds only entries written after
+        # the refit.
+        assert session.inference_cache.evaluator is model.bayes_net_evaluator
+        engine = model.sample_evaluator.engine
+        assert engine.mask_cache.lru.governor is session.governor
+        assert engine.executor.join_side_cache.governor is session.governor
         assert 0 < len(session.result_cache.entries()) <= 4
 
     def test_entries_and_peek_stay_stat_free_under_governor(self, sweep_queries):

@@ -514,17 +514,21 @@ class TestMaskCache:
             root.counter_total("mask_misses"),
         )
 
-    def test_generation_invalidation(self, weighted_relation):
-        cache = MaskCache(weighted_relation, generation=3)
-        predicate = PlanCompiler(weighted_relation.schema).canonical_predicate(
+    def test_refit_brings_its_own_cold_mask_cache(self, fresh_serving_themis):
+        """Masks are keyed by predicate alone: a cache holds one fitted
+        sample's masks, and a refit's model starts a cache of its own."""
+        old = fresh_serving_themis.model.sample_evaluator.mask_cache
+        predicate = PlanCompiler(old.relation.schema).canonical_predicate(
             Predicate("A", Comparison.EQ, 0)
         )
-        cache.predicate_mask(predicate)
-        assert len(cache) == 1
-        cache.invalidate(generation=4)
-        assert len(cache) == 0
-        cache.predicate_mask(predicate)
-        assert cache.misses == 2  # recomputed under the new generation
+        mask = old.predicate_mask(predicate)
+        assert [key for key, _ in old.lru.entries()] == [predicate.key]
+        new = fresh_serving_themis.refit().sample_evaluator.mask_cache
+        assert new is not old and new.relation is not old.relation
+        assert len(new) == 0 and new.misses == 0
+        assert np.array_equal(new.predicate_mask(predicate), mask)
+        assert (new.hits, new.misses) == (0, 1)
+        assert old.predicate_mask(predicate) is mask  # the old snapshot is intact
 
     def test_executor_shares_masks_across_queries(self, weighted_relation):
         executor = ColumnarExecutor(weighted_relation)
@@ -634,7 +638,6 @@ class TestCanonicalPredicateMasks:
 class TestRoutingMatchesHybrid:
     def test_resolve_route_matches_planner(self, serving_themis):
         model = serving_themis.model
-        planner = QueryPlanner(model.sample.schema, model)
         compiler = PlanCompiler(model.sample.schema)
         queries = [
             PointQuery({"A": 0}),
@@ -647,8 +650,10 @@ class TestRoutingMatchesHybrid:
             ),
         ]
         for query in queries:
-            routed = resolve_route(compiler.compile(query), model)
-            assert routed.route == planner.plan(query).route
+            routed = resolve_route(
+                compiler.compile(query), model.sample_evaluator.mask_cache
+            )
+            assert routed.route == model.planner.plan(query).route
 
     def test_unrouted_plan_defaults_to_hybrid(self):
         compiler = PlanCompiler(build_correlated_population().schema)

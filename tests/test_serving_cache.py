@@ -1,4 +1,4 @@
-"""Tests for the caches: the one LRU class, its tiers, and invalidation."""
+"""Tests for the caches: the one LRU class, its tiers, and refits."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.lru import LRUCache
 from repro.query import PointQuery
-from repro.serving import InferenceCache, MemoryGovernor, PlanCache, QueryPlanner
+from repro.serving import InferenceCache, MemoryGovernor, PlanCache
 
 
 class TestLRUCache:
@@ -129,8 +129,7 @@ class TestLRUCache:
         assert len(cache) == 2
 
     def test_sql_text_plan_roundtrip_and_clear(self, serving_themis):
-        model = serving_themis.model
-        planner = QueryPlanner(model.sample.schema, model)
+        planner = serving_themis.model.planner
         cache = PlanCache(8)
         sql = "SELECT COUNT(*) FROM s WHERE A = 0"
         assert cache.get(sql) is None
@@ -142,13 +141,11 @@ class TestLRUCache:
 
 class TestInferenceCache:
     @pytest.fixture
-    def inference_cache(self, serving_themis):
-        cache = InferenceCache(serving_themis.model.bayes_net_evaluator)
-        # The factor cache lives on the model's shared inference engine and
-        # other tests may have warmed it; start cold so hit/miss counts are
+    def inference_cache(self, fresh_serving_themis):
+        # The factor cache lives on the model's shared inference engine: a
+        # facade of its own starts it cold, so hit/miss counts are
         # deterministic.
-        cache.engine.invalidate(cache.generation)
-        return cache
+        return InferenceCache(fresh_serving_themis.model.bayes_net_evaluator)
 
     @staticmethod
     def _observed_point(cache, assignment):
@@ -156,8 +153,8 @@ class TestInferenceCache:
         with cache.observed():
             return cache.evaluator.point(assignment)
 
-    def test_observed_point_matches_evaluator(self, serving_themis, inference_cache):
-        evaluator = serving_themis.model.bayes_net_evaluator
+    def test_observed_point_matches_evaluator(self, fresh_serving_themis, inference_cache):
+        evaluator = fresh_serving_themis.model.bayes_net_evaluator
         assignment = {"A": 1, "B": 2}
         assert self._observed_point(inference_cache, assignment) == evaluator.point(
             assignment
@@ -176,10 +173,10 @@ class TestInferenceCache:
         assert inference_cache.statistics.misses == 1
 
     def test_run_pays_one_elimination_per_signature(
-        self, serving_themis, inference_cache
+        self, fresh_serving_themis, inference_cache
     ):
         batch = [{"A": 0}, {"A": 1}, {"A": 2, "B": 0}, {"B": 0, "A": 1}]
-        plans = [serving_themis.plan(PointQuery(a)) for a in batch]
+        plans = [fresh_serving_themis.plan(PointQuery(a)) for a in batch]
         with inference_cache.observed() as work:
             answers = inference_cache.evaluator.run(plans)
         # One factor lookup per signature group ({A} and {A,B}), both cold.
@@ -206,16 +203,23 @@ class TestInferenceCache:
         again = inference_cache.warm_samples()
         assert [id(s) for s in samples] == [id(s) for s in again]
 
-    def test_invalidate_rebinds_and_resets(self, fresh_serving_themis):
-        cache = InferenceCache(fresh_serving_themis.model.bayes_net_evaluator)
-        self._observed_point(cache, {"A": 0})
-        cache.warm_samples()
-        new_model = fresh_serving_themis.refit()
-        cache.invalidate(new_model.bayes_net_evaluator, generation=99)
-        assert cache.generation == 99
-        assert not cache._samples_warm
-        assert cache.evaluator is new_model.bayes_net_evaluator
-        # Memoized state was dropped: next lookups are misses again.
-        before = cache.statistics.misses
-        self._observed_point(cache, {"A": 0})
-        assert cache.statistics.misses == before + 1
+    def test_refit_fronts_the_new_model_and_keeps_session_counters(
+        self, fresh_serving_themis
+    ):
+        session = fresh_serving_themis.serve()
+        group_bys = [
+            "SELECT A, COUNT(*) FROM sample GROUP BY A",
+            "SELECT B, COUNT(*) FROM sample GROUP BY B",
+        ]
+        session.execute_batch(group_bys)
+        old = session.inference_cache
+        assert (old.statistics.hits, old.statistics.misses) == (0, 1)
+        model = fresh_serving_themis.refit()
+        session.execute_batch(group_bys)
+        cache = session.inference_cache
+        # A new cache over the new model's evaluator, whose samples start
+        # cold; the hit/miss counters are the session's, across the refit.
+        assert cache is not old and cache.evaluator is model.bayes_net_evaluator
+        assert cache.statistics is old.statistics
+        assert (cache.statistics.hits, cache.statistics.misses) == (0, 2)
+        assert cache.samples_warm

@@ -25,13 +25,13 @@ from repro.sql.parser import parse_sql
 
 @pytest.fixture
 def planner(serving_themis):
-    model = serving_themis.model
-    return QueryPlanner(model.sample.schema, model)
+    """The fitted model's own planner."""
+    return serving_themis.model.planner
 
 
 @pytest.fixture
 def bare_planner(correlated_population):
-    """A planner with no model (routes everything to the hybrid)."""
+    """A planner with no mask cache (routes everything to the hybrid)."""
     return QueryPlanner(correlated_population.schema)
 
 
