@@ -6,6 +6,13 @@ sample tuple, where entry ``(r, c)`` is one iff tuple ``c`` belongs to the
 group described by row ``r``.  The stacked count vector ``y`` holds the
 population counts of each group.  The matrix is stored as one index list per
 row; the dense form exists only while a caller holds it.
+
+Alg. 1 (IPF) visits the rows one by one, but a tuple belongs to exactly one
+group of each aggregate, so the occupied rows of one aggregate ("cells")
+touch disjoint tuples: rescaling one cell changes no other cell's sum.  The
+cells of one aggregate can therefore be raked in one vectorized step, and
+:meth:`IncidenceSystem.aggregate_cells` lays each aggregate out for it
+(:class:`AggregateCells`).
 """
 
 from __future__ import annotations
@@ -28,6 +35,42 @@ class ConstraintRow:
     attributes: tuple[str, ...]
     values: tuple[Any, ...]
     count: float
+
+
+@dataclass(frozen=True, eq=False)
+class AggregateCells:
+    """One aggregate's occupied groups (cells), laid out for one raking step.
+
+    ``gather`` lists every cell's member rows end to end, each cell prefixed
+    by the index ``n_tuples``: the weights are read from a copy one slot
+    longer whose last slot holds ``-0.0``, and ``starts`` marks the
+    prefixes.  ``np.add.reduceat`` sums a segment as its first element plus
+    the pairwise sum of the rest, and ``-0.0 + x == x``, so
+    ``np.add.reduceat(padded[gather], starts)[j]`` is exactly
+    ``weights[rows_j].sum()``, the sum Alg. 1 takes cell by cell.  Without
+    the prefix the first member would sit outside the pairwise sum and the
+    last bits would move.
+
+    Attributes
+    ----------
+    counts:
+        The population count of each cell.
+    sizes:
+        The number of member rows of each cell.
+    gather:
+        The prefixed member rows, cell after cell.
+    starts:
+        Where each cell's segment (its prefix) starts in ``gather``.
+    cell_of_row:
+        Per sample row, its cell, or ``len(counts)`` for a row in no
+        occupied cell of this aggregate.
+    """
+
+    counts: np.ndarray
+    sizes: np.ndarray
+    gather: np.ndarray
+    starts: np.ndarray
+    cell_of_row: np.ndarray
 
 
 class IncidenceSystem:
@@ -76,8 +119,11 @@ class IncidenceSystem:
         ends = np.cumsum(sizes)
         self._member_rows = np.concatenate(members)
         self.members = np.split(self._member_rows, ends[:-1])
+        self._sizes = sizes
         self._occupied = sizes > 0
-        self._starts = (ends - sizes)[self._occupied]
+        self._first = ends - sizes
+        self._starts = self._first[self._occupied]
+        self._aggregate_of = np.asarray([row.aggregate_index for row in self.rows])
 
     @property
     def sample(self) -> Relation:
@@ -159,12 +205,43 @@ class IncidenceSystem:
         population mass that no reweighting of the sample can reach; when the
         aggregates' supported totals differ, no weighting meets them all.
         """
-        index = np.asarray([row.aggregate_index for row in self.rows])
         return np.bincount(
-            index[self._occupied],
+            self._aggregate_of[self._occupied],
             weights=self.counts[self._occupied],
             minlength=len(self._aggregates),
         )
+
+    def aggregate_cells(self) -> list[AggregateCells]:
+        """Per aggregate with an occupied group, in aggregate order, its
+        cells laid out for one raking step (:class:`AggregateCells`).
+
+        An aggregate's constraint rows are consecutive, so its members are
+        one slice of the end-to-end member lists; its empty groups hold no
+        row and are left out.
+        """
+        n_tuples = self.n_tuples
+        cells: list[AggregateCells] = []
+        for index in range(len(self._aggregates)):
+            occupied = np.flatnonzero(self._occupied & (self._aggregate_of == index))
+            if not occupied.size:
+                continue
+            sizes = self._sizes[occupied]
+            first = self._first[occupied]
+            rows = self._member_rows[first[0] : first[-1] + sizes[-1]]
+            offsets = first - first[0]
+            n_cells = occupied.size
+            cell_of_row = np.full(n_tuples, n_cells, dtype=np.intp)
+            cell_of_row[rows] = np.repeat(np.arange(n_cells), sizes)
+            cells.append(
+                AggregateCells(
+                    counts=self.counts[occupied],
+                    sizes=sizes,
+                    gather=np.insert(rows, offsets, n_tuples),
+                    starts=offsets + np.arange(n_cells),
+                    cell_of_row=cell_of_row,
+                )
+            )
+        return cells
 
     def achieved(self, weights: np.ndarray) -> np.ndarray:
         """Per-constraint weighted member counts ``G w``."""

@@ -7,9 +7,10 @@ learning stage.  It is what queries are answered against (Sec. 3's
 ``Q(M(Γ, S)) ≈ Q(P)``).
 
 A model is one immutable snapshot.  Its caches (predicate masks, join
-sides, compiled plans, eliminated factors) hold values of this fit only and
-are never invalidated: a refit builds a new model and the facade swaps one
-reference.  Nothing the model owns points back at the model or at the
+sides, the compile memo, eliminated factors) hold values of this fit only
+and are never invalidated: a refit builds a new model and the facade swaps
+one reference.  A serving session's routed plans are not the model's:
+they depend on the sample alone and outlive a refit of it.  Nothing the model owns points back at the model or at the
 facade, so a dropped model is freed by reference counting.
 """
 

@@ -296,8 +296,9 @@ class Themis:
         """Fit again from the registered inputs and swap the new model in.
 
         Requests already running finish on the snapshot they read; every
-        serving session rebuilds on the new model (dropping its result and
-        plan caches) before its next query.
+        serving session rebuilds on the new model (dropping its result
+        cache) before its next query.  The sample is the same, so a
+        session keeps its routed plans.
         """
         return self.fit()
 

@@ -8,6 +8,17 @@ exists the procedure converges to it; when the sample is missing tuples the
 aggregates require (Example 4.2), it oscillates and the final weights are an
 approximate reweighting — which the paper shows is still accurate for tuples
 that do exist in the sample.
+
+Alg. 1 rescales one constraint (one aggregate group) at a time.  The groups
+of one aggregate hold disjoint tuples, so within an aggregate no rescale
+changes another group's sum, and the sweep rakes one whole aggregate per
+numpy step instead: one gather and one ``np.add.reduceat`` give every
+group's weighted count, the closeness test, ratio and collapsed-group reset
+run over the groups at once, and one ``weights *= ratio[cell_of_row]``
+rescales the tuples (:class:`~repro.aggregates.incidence.AggregateCells`).
+Every group sum, ratio and product is the one the group-by-group sweep
+computes, so the weights are the same bit for bit; aggregates are still
+raked in order, one after the other.
 """
 
 from __future__ import annotations
@@ -65,38 +76,55 @@ class IPFReweighter(Reweighter):
             raise ReweightingError("IPF requires at least one aggregate")
         system = IncidenceSystem(sample, aggregates)
 
-        # ``np.isclose(achieved, target)`` with its default tolerances, spelled
-        # out so the comparison is scalar arithmetic inside the sweep.
-        constraints = [
-            (rows, target, 1e-8 + 1e-5 * abs(target))
-            for rows, target in zip(system.members, system.counts.tolist())
-            if rows.size  # a group with no sample tuple has nothing to rescale
+        # Per aggregate: its cells, ``np.isclose(achieved, target)``'s
+        # default tolerance and the weight a collapsed cell resets to.
+        steps = [
+            (
+                cells,
+                1e-8 + 1e-5 * np.abs(cells.counts),
+                np.where(cells.counts > 0, cells.counts / cells.sizes, 0.0),
+            )
+            for cells in system.aggregate_cells()
         ]
-        weights = np.full(sample.n_rows, self._initial_weight, dtype=float)
+        n_rows = sample.n_rows
+        # The weights plus the ``-0.0`` slot every cell's segment starts at.
+        padded = np.full(n_rows + 1, self._initial_weight, dtype=float)
+        padded[n_rows] = -0.0
+        weights = padded[:n_rows]
 
         converged = False
         iterations_used = 0
         for iteration in range(1, self._max_iterations + 1):
             iterations_used = iteration
-            for rows, target, closeness in constraints:
-                achieved = weights[rows].sum()
-                if achieved <= 0:
-                    # All participating weights collapsed to zero (can happen
-                    # when a previous constraint had target zero); reset them
-                    # evenly so this constraint can still be met.
-                    weights[rows] = target / rows.size if target > 0 else 0.0
-                elif abs(achieved - target) > closeness:
-                    weights[rows] *= target / achieved
+            for cells, closeness, reset in steps:
+                achieved = np.add.reduceat(padded[cells.gather], cells.starts)
+                # All of a cell's weights collapsed to zero (a previous
+                # constraint had target zero): reset them evenly so this
+                # constraint can still be met.
+                collapsed = achieved <= 0
+                far = ~collapsed & (np.abs(achieved - cells.counts) > closeness)
+                if far.any():
+                    # Rows of a close cell or of no cell are scaled by 1.0;
+                    # the last slot is the one ``cell_of_row`` gives the latter.
+                    ratio = np.ones(len(achieved) + 1)
+                    np.divide(cells.counts, achieved, out=ratio[:-1], where=far)
+                    weights *= ratio[cells.cell_of_row]
+                if collapsed.any():
+                    cell = cells.cell_of_row
+                    to_reset = np.append(collapsed, False)[cell]
+                    weights[to_reset] = reset[cell[to_reset]]
             violation = system.max_relative_violation(weights)
             if violation <= self._tolerance:
                 converged = True
                 break
 
+        weights = weights.copy()  # not a view that keeps the padded buffer
         if self._normalize:
             population_size = Reweighter._population_size(aggregates, self._n)
             total = weights.sum()
             if total > 0:
                 weights = weights * (population_size / total)
+                violation = system.max_relative_violation(weights)
 
         # Aggregates whose occupied groups add up to different totals cannot
         # all be met: ``unsupported_mass`` is the most any of them drops.
@@ -107,7 +135,7 @@ class IPFReweighter(Reweighter):
             method=self.name,
             converged=converged,
             n_iterations=iterations_used,
-            max_violation=system.max_relative_violation(weights),
+            max_violation=violation,
             diagnostics={
                 "n_constraints": system.n_constraints,
                 "n_empty_constraints": int(len(system.empty_constraints())),

@@ -7,8 +7,8 @@ into a reusable query service for high-throughput workloads:
   routing (reweighted sample / Bayesian network / hybrid);
 * :mod:`repro.serving.cache` — the result and plan caches (plain
   :class:`~repro.lru.LRUCache` instances) plus the shared BN inference
-  cache (per-signature eliminated factors), all invalidated when the model
-  is refitted;
+  cache (per-signature eliminated factors); a refit drops the results and
+  the inference cache, and the plans only when the sample changed;
 * :mod:`repro.serving.executor` — batched execution: the plans the result
   cache cannot answer are partitioned by route and each partition is one
   ``run`` call on its evaluator (:mod:`repro.core.evaluators` — BN-routed

@@ -13,9 +13,11 @@ rather than once per query.
 
 The factors and samples belong to the fitted model, so they are never
 invalidated: when ``Themis.refit()`` (or any ingestion call) swaps in a new
-model, :class:`~repro.serving.session.ServingSession` drops its tier-one
-caches and fronts the new model's engine with a new :class:`InferenceCache`,
-carrying only the session's hit/miss counters over.
+model, :class:`~repro.serving.session.ServingSession` drops its result
+cache and fronts the new model's engine with a new :class:`InferenceCache`,
+carrying only the session's hit/miss counters over.  Its plan cache is
+kept unless the new model was fitted over a different sample: a routed
+plan depends on the sample alone.
 """
 
 from __future__ import annotations

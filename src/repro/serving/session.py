@@ -5,10 +5,15 @@ for one :class:`~repro.core.themis.Themis` facade.  Each request reads the
 facade's fitted model once, at entry, and is answered from that snapshot
 alone.  When the facade holds a different model object than the one the
 executor was built over (any ingestion call or ``refit()``), the session
-rebuilds its executor over the new model and drops its result and plan
-caches before serving — a stale cache can never leak answers from a
-previous model.  The mask, join-side and factor caches belong to the model,
-so they come and go with it.
+rebuilds its executor over the new model and drops its result cache before
+serving — a stale cache can never leak answers from a previous model.  The
+SQL-text plan cache belongs to the loaded sample, not to the model: a
+routed plan reads only the statement, the schema and which sample rows
+satisfy its predicates, never the weights, the aggregates or the network.
+It survives a refit and an ``add_aggregate``, and is dropped only when the
+new model was fitted over a different sample (``load_sample``).  The mask,
+join-side and factor caches belong to the model, so they come and go with
+it.
 """
 
 from __future__ import annotations
@@ -149,8 +154,11 @@ class ServingSession:
             return executor
         if executor is not None:
             self.statistics.record_invalidation()
+            # Relations are immutable: the same sample routes every
+            # statement the same way, whatever the new weights are.
+            if model.sample is not executor.model.sample:
+                self._plan_cache.clear()
         self._result_cache.clear()
-        self._plan_cache.clear()
         # The factors and samples are the model's; the hit/miss counters
         # are the session's and carry over.
         previous = self._inference_cache

@@ -178,6 +178,35 @@ class TestIncidenceSystem:
             IncidenceSystem(paper_sample, AggregateSet())
 
 
+#: Segment lengths around numpy's pairwise-summation boundaries: a plain
+#: loop below 8 elements, eight accumulators and a remainder loop up to 128,
+#: halves beyond that; plus one long segment.
+SEGMENT_LENGTHS = [*range(1, 10), 127, 128, 129, 8191, 8192, 8193, 20_000]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e6])
+def test_negative_zero_prefixed_reduceat_is_the_segment_sum_bit_for_bit(scale):
+    """The primitive the raking step stands on (``AggregateCells``).
+
+    ``np.add.reduceat`` sums a segment as its first element plus the
+    pairwise sum of the rest, ``w[rows].sum()`` pairwise over all of it;
+    with a ``-0.0`` in front of every segment (``-0.0 + x == x``) the two
+    agree in every bit.  If a numpy release changes either rule, this test
+    fails first.
+    """
+    rng = np.random.default_rng(len(SEGMENT_LENGTHS))
+    n_rows = 2 * max(SEGMENT_LENGTHS)
+    weights = rng.random(n_rows) * scale + rng.random(n_rows) ** 9
+    padded = np.append(weights, -0.0)
+    segments = [rng.choice(n_rows, size, replace=False) for size in SEGMENT_LENGTHS]
+    sizes = np.asarray(SEGMENT_LENGTHS)
+    offsets = np.cumsum(sizes) - sizes
+    gather = np.insert(np.concatenate(segments), offsets, n_rows)
+    sums = np.add.reduceat(padded[gather], offsets + np.arange(len(sizes)))
+    expected = np.asarray([weights[rows].sum() for rows in segments])
+    assert sums.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     counts=st.lists(st.integers(0, 50), min_size=2, max_size=6),

@@ -4,7 +4,7 @@ The facade (``Themis.sql``), the serving session and the unrouted hybrid
 kernels must agree on every statement; what a routed plan derives on read
 (``needs_generated_samples``) must equal what the planner used to compute
 eagerly at bind; and nothing a session keeps in its plan cache may hold a
-mask.
+mask or a model, not even after the plan outlived a refit.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ from enum import Enum
 import numpy as np
 import pytest
 
+from repro.core import ThemisModel
 from repro.plan import PlanCompiler
 from repro.query import JoinGroupByQuery, MixedQueryWorkload
 from repro.sql import parse_sql
+from worlds import build_sparse_fitted_themis
 
 JOIN = JoinGroupByQuery(left_join="A", right_join="A", left_group="B", right_group="C")
 
@@ -191,3 +193,22 @@ def test_no_array_is_reachable_from_a_cached_plan(sparse_serving_themis, stateme
         assert any(value is plan.predicates for value in objects)  # the walk is deep
         arrays = [value for value in objects if isinstance(value, np.ndarray)]
         assert not arrays, statement
+
+
+def test_plans_that_survive_a_refit_reach_no_array_and_no_model(statements):
+    """A refit keeps the session's routed plans (same sample); what they hold
+    must then outlive the model they were routed on without pinning it."""
+    themis = build_sparse_fitted_themis()
+    session = themis.serve()
+    served = statements[::8]
+    session.execute_batch(served)
+    before = dict(session.plan_cache.entries())
+    themis.refit()
+    session.execute_batch(served)
+    assert dict(session.plan_cache.entries()) == before
+    for statement in served:
+        plan = session.plan_cache.peek(statement)
+        assert plan is before[statement]
+        objects = list(_reachable(plan))
+        assert any(value is plan.predicates for value in objects)
+        assert not [value for value in objects if isinstance(value, (np.ndarray, ThemisModel))]

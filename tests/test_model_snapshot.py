@@ -6,6 +6,8 @@ session rebuilds only when the facade holds a different model object, and the
 model's own caches (masks, join sides, factors) are never invalidated: they
 come and go with their model, which nothing but the facade and the sessions
 serving it refers to, so a dropped model is freed by reference counting.
+A session's routed plans belong to the loaded sample: they survive a refit
+and an ``add_aggregate``, and a new sample drops them.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.aggregates import AggregateQuery
 from repro.core import Themis
+from repro.lru import LRUCache
 from repro.query import PointQuery
 from repro.serving import QueryPlanner
 from repro.sql.parser import parse_sql
 from worlds import (
+    build_biased_correlated_sample,
     build_correlated_population,
     build_fitted_themis,
     build_sparse_fitted_themis,
@@ -41,6 +46,22 @@ def extra_aggregate() -> AggregateQuery:
 def oracle(model, statement: str):
     """The answer of one snapshot: its hybrid kernels on the parsed AST."""
     return model.hybrid_evaluator.execute(parse_sql(statement).query)
+
+
+#: One statement per route on the full sample: two scalars the sample
+#: answers (on the sparse sample the network answers them), and a GROUP BY
+#: the hybrid merges.
+ROUTED = [
+    STATEMENT,
+    "SELECT COUNT(*) FROM sample WHERE A = 2 AND B = 0",
+    "SELECT A, COUNT(*) FROM sample WHERE B <= 1 GROUP BY A",
+    "SELECT A, SUM(B) FROM sample WHERE C = 0 GROUP BY A",
+]
+
+
+def cached_plans(cache: LRUCache) -> dict:
+    """The cache's plans by SQL text, read without touching its counters."""
+    return dict(cache.entries())
 
 
 def refit_once_after(themis: Themis, monkeypatch, owner, name: str) -> None:
@@ -105,6 +126,58 @@ def test_refit_keeps_the_new_fits_factors():
     assert batch.bn_elimination_passes == 0
 
 
+@pytest.mark.parametrize("change", ["refit", "add_aggregate"])
+def test_routed_plans_survive_a_refit_of_the_same_sample(change):
+    """A refit changes the weights, an ``add_aggregate`` the aggregates and
+    the network too; neither reaches a routed plan, so the session serves
+    its seen statements without planning them again, and the new model's
+    answers are those of a facade fitted afresh on the same inputs."""
+    themis, fresh = build_fitted_themis(), build_fitted_themis()
+    session = themis.serve()
+    session.execute_batch(ROUTED)
+    for statement in ROUTED:
+        session.execute(statement)
+    plans = cached_plans(session.plan_cache)
+    assert list(plans) == ROUTED
+    if change == "refit":
+        themis.refit()
+    else:
+        for facade in (themis, fresh):
+            facade.add_aggregate(extra_aggregate())
+            facade.fit()
+    expected = [fresh.query(statement) for statement in ROUTED]
+    misses = session.plan_cache.statistics.misses
+
+    batch = session.execute_batch(ROUTED)
+    assert not any(outcome.from_result_cache for outcome in batch.outcomes)
+    assert batch.results() == expected
+    assert [session.execute(statement) for statement in ROUTED] == expected
+    assert session.plan_cache.statistics.misses == misses
+    survivors = cached_plans(session.plan_cache)
+    assert all(survivors[statement] is plans[statement] for statement in ROUTED)
+    assert session.generation == themis.model.generation
+
+
+def test_a_new_sample_drops_the_routed_plans():
+    """Routing reads which sample rows satisfy a plan's predicates: on a
+    sparser sample the two scalars route to the network, so the plans of
+    the old sample must go."""
+    themis = build_fitted_themis()
+    session = themis.serve()
+    session.execute_batch(ROUTED)
+    routes = [plan.route for plan in cached_plans(session.plan_cache).values()]
+    sparse = build_biased_correlated_sample(build_correlated_population()).take(np.arange(30))
+    themis.load_sample(sparse)
+    themis.fit()
+
+    unseen = "SELECT COUNT(*) FROM sample WHERE B = 2"
+    session.execute(unseen)
+    assert list(cached_plans(session.plan_cache)) == [unseen]
+    batch = session.execute_batch(ROUTED)
+    assert batch.results() == [themis.query(statement) for statement in ROUTED]
+    assert [outcome.plan.route for outcome in batch.outcomes] != routes
+
+
 def test_a_dropped_model_is_freed_by_reference_counting():
     statements = [
         PointQuery({"A": 1, "B": 0}),
@@ -123,10 +196,13 @@ def test_a_dropped_model_is_freed_by_reference_counting():
         masks = model.sample_evaluator.mask_cache.lru
         assert len(engine.factors) > 0 and len(masks) > 0
         refs = [weakref.ref(value) for value in (model, engine, engine.factors, masks)]
+        plans = cached_plans(session.plan_cache)
         del model, engine, masks
         themis.refit()
         session.execute(statements[1])
         assert [ref() for ref in refs] == [None] * len(refs)
+        # The session's plans outlived the model they were routed on.
+        assert cached_plans(session.plan_cache) == plans and plans
     finally:
         gc.enable()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import ipf_reference
 from repro.aggregates import AggregateQuery, AggregateSet, IncidenceSystem
 from repro.data import load_flights
 from repro.exceptions import ReweightingError
@@ -259,6 +261,85 @@ def test_ipf_weights_always_non_negative(seed):
     )
     result = IPFReweighter(max_iterations=30).fit(sample, aggregates)
     assert np.all(result.weights >= 0)
+
+
+RAKING_ATTRIBUTES = ("A", "B", "C")
+
+
+@st.composite
+def raking_worlds(draw):
+    """A small random sample and 1-3 aggregates over it.
+
+    Groups are drawn from every domain value plus ``"??"``, a value outside
+    the schema (code ``-1``), so a world holds groups the sample lacks and
+    groups no sample can hold; targets include zero, which collapses the
+    groups another aggregate shares tuples with (the reset branch).
+    """
+    sizes = [draw(st.integers(1, 4)) for _ in RAKING_ATTRIBUTES]
+    schema = Schema(
+        Attribute(name, Domain([f"{name.lower()}{code}" for code in range(size)]))
+        for name, size in zip(RAKING_ATTRIBUTES, sizes)
+    )
+    n_rows = draw(st.integers(1, 30))
+    sample = Relation(
+        schema,
+        {
+            name: np.asarray(
+                draw(st.lists(st.integers(0, size - 1), min_size=n_rows, max_size=n_rows)),
+                dtype=np.int64,
+            )
+            for name, size in zip(RAKING_ATTRIBUTES, sizes)
+        },
+    )
+    aggregates = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.permutations(RAKING_ATTRIBUTES))
+        attributes = tuple(order[: draw(st.integers(1, 3))])
+        groups = list(
+            itertools.product(*[[*schema[name].domain.values, "??"] for name in attributes])
+        )
+        chosen = draw(st.lists(st.sampled_from(groups), min_size=1, max_size=12, unique=True))
+        counts = draw(
+            st.lists(
+                st.sampled_from([0.0, 1.0, 3.0, 12.5]) | st.floats(0.0, 100.0),
+                min_size=len(chosen),
+                max_size=len(chosen),
+            )
+        )
+        aggregates.append(AggregateQuery(attributes, dict(zip(chosen, counts))))
+    return sample, AggregateSet(aggregates)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    world=raking_worlds(),
+    max_iterations=st.integers(1, 12),
+    tolerance=st.sampled_from([0.0, 1e-6, 1e-3]),
+)
+def test_raking_one_aggregate_per_step_equals_the_cell_by_cell_reference(
+    world, max_iterations, tolerance
+):
+    """IPF rakes each aggregate in one numpy step; Alg. 1 (``ipf_reference``)
+    rescales one group at a time.  The step is only sound because an
+    aggregate's occupied groups hold disjoint tuples: that is asserted
+    first, then the two are ``==``."""
+    sample, aggregates = world
+    system = IncidenceSystem(sample, aggregates)
+    aggregate_of = np.asarray([row.aggregate_index for row in system.rows])
+    for index in range(len(aggregates)):
+        rows = np.concatenate(
+            [system.members[constraint] for constraint in np.flatnonzero(aggregate_of == index)]
+        )
+        assert np.unique(rows).size == rows.size
+    result = IPFReweighter(max_iterations=max_iterations, tolerance=tolerance).fit(
+        sample, aggregates
+    )
+    weights, converged, n_iterations = ipf_reference(
+        sample, aggregates, max_iterations=max_iterations, tolerance=tolerance
+    )
+    assert result.weights.tolist() == weights.tolist()
+    assert (result.converged, result.n_iterations) == (converged, n_iterations)
+    assert result.max_violation == system.max_relative_violation(result.weights)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP 7(b)")
