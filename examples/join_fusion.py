@@ -91,7 +91,7 @@ def main() -> None:
     # Same join family again: the sides come out of the join-side cache
     # (the result cache already answers the repeated plans themselves, so
     # probe with fresh pairings that reuse the cached sides — two of them:
-    # a batch of one takes the single-plan path and runs no optimizer).
+    # a batch of one is a lone plan and runs no optimizer).
     fresh_joins = [
         JoinGroupByQuery(
             "fl_date", "fl_date", "origin_state", "dest_state",

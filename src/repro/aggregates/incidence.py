@@ -113,8 +113,9 @@ class IncidenceSystem:
         members, self.rows = self._build()
         self.counts = np.asarray([row.count for row in self.rows], dtype=float)
         # All member lists end to end, ``members`` as views into them, and
-        # where each occupied one starts: the segments ``np.add.reduceat``
-        # sums in :meth:`achieved`.
+        # where each occupied one starts.  :meth:`achieved` sums the same
+        # lists, each prefixed by a ``-0.0`` slot (``_gather``, segments at
+        # ``_gather_starts``), as :class:`AggregateCells` does.
         sizes = np.asarray([len(rows) for rows in members])
         ends = np.cumsum(sizes)
         self._member_rows = np.concatenate(members)
@@ -123,6 +124,8 @@ class IncidenceSystem:
         self._occupied = sizes > 0
         self._first = ends - sizes
         self._starts = self._first[self._occupied]
+        self._gather = np.insert(self._member_rows, self._starts, sample.n_rows)
+        self._gather_starts = self._starts + np.arange(self._starts.size)
         self._aggregate_of = np.asarray([row.aggregate_index for row in self.rows])
 
     @property
@@ -244,7 +247,12 @@ class IncidenceSystem:
         return cells
 
     def achieved(self, weights: np.ndarray) -> np.ndarray:
-        """Per-constraint weighted member counts ``G w``."""
+        """Per-constraint weighted member counts ``G w``.
+
+        Each is exactly ``weights[members].sum()`` (the ``-0.0``-prefixed
+        ``reduceat`` of :class:`AggregateCells`), so a convergence test on
+        them does not depend on a summation order left to BLAS.
+        """
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.n_tuples,):
             raise AggregateError(
@@ -252,8 +260,9 @@ class IncidenceSystem:
             )
         totals = np.zeros(self.n_constraints, dtype=float)
         if self._starts.size:
+            padded = np.append(weights, -0.0)
             totals[self._occupied] = np.add.reduceat(
-                weights[self._member_rows], self._starts
+                padded[self._gather], self._gather_starts
             )
         return totals
 

@@ -11,23 +11,19 @@ Three evaluators share one interface:
   when the queried tuple/group exists in the sample, the Bayesian network
   otherwise, and the union of both for GROUP BY queries.
 
-Each evaluator has two entry points and nothing else decides how a plan is
-served:
-
-* ``execute(query)`` — one query on the single-plan kernels
-  (``point`` / ``scalar`` / ``group_by`` / ``join_group_by`` / ``analytic``).
-  Given a *routed* :class:`~repro.plan.LogicalPlan`,
-  :meth:`HybridEvaluator.execute` hands it to the evaluator its ``Route``
-  node names; this is the one single-plan dispatch behind ``Themis.query``
-  and ``ServingSession.execute``.
-* ``run(plans)`` — the batched entry point: routed plans of any mix of
-  shapes in, answers in submission order out, ``==`` to ``execute`` per
-  plan.  The sample's ``run`` is the columnar engine's optimized schedule;
-  the network's ``run`` sends point plans through one batched inference
-  call and everything else through one optimized schedule over the ``K``
-  generated samples stacked into one relation (:class:`_GeneratedStack`); the
-  hybrid's ``run`` splits by ``plan.route``, delegates to the other two,
-  and for hybrid-routed plans runs both and merges.
+Each evaluator answers through one method of its own, ``run(plans)``:
+routed plans of any mix of shapes in, answers in submission order out.  A
+single query is a batch of one: ``execute(query)``, defined once on the
+base class, compiles an AST (the hybrid also stamps its ``Route`` node with
+:func:`repro.plan.resolve_route`, the one place its routing rule lives) and
+returns ``run([plan])[0]``.  The sample's ``run`` is the columnar engine's
+optimized schedule; the network's ``run`` sends point plans through one
+batched inference call and everything else through one optimized schedule
+over the ``K`` generated samples stacked into one relation
+(:class:`_GeneratedStack`); the hybrid's ``run`` splits by ``plan.route``,
+delegates to the other two, and for hybrid-routed plans runs both and
+merges.  A lone plan has nothing to share and pays no optimizer: it runs as
+a unit of its own (:func:`repro.plan.optimize.run_units`).
 
 **Combining answers.**  Two rules turn per-relation answers into one.
 On the network side a group survives only if it appears in *all* ``K``
@@ -55,7 +51,7 @@ pass would run, and :func:`_sample_means` reduces each survivor's ``K``
 values along the last axis of a C-contiguous array, which is the pairwise
 summation ``np.mean`` runs over a list of ``K`` floats (reducing ``(K, G)``
 over axis 0 accumulates row by row and differs once ``K >= 8``).  The loop
-itself lives on as the reference of ``tests/test_generated_stack.py``.
+itself lives on as the tests' reference (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -72,31 +68,26 @@ from ..exceptions import QueryError
 from ..obs.trace import NULL_TRACER
 from ..plan import (
     ROUTE_BAYES_NET,
-    ROUTE_HYBRID,
     ROUTE_SAMPLE,
-    SHAPE_GROUP_BY,
     SHAPE_POINT,
-    SHAPE_SCALAR,
     SHAPE_TABLE,
     ColumnarExecutor,
     LogicalPlan,
-    PhysicalSchedule,
     PlanCompiler,
     RowPartition,
-    ScheduleUnit,
     merge_join_sides,
     merged_table,
-    optimize_batch,
     partitioned_group_columns,
     partitioned_grouped_weight_totals,
     partitioned_scalar_reduce,
     query_shape,
+    resolve_route,
 )
-from ..plan.optimize import UNIT_JOIN, UNIT_SCALAR
+from ..plan.optimize import UNIT_GROUP_BY, UNIT_SCALAR, run_units
 from ..query.ast import (
     AnalyticQuery,
     GroupByQuery,
-    JoinGroupByQuery,
+    PointQuery,
     Query,
     ScalarAggregateQuery,
 )
@@ -110,24 +101,9 @@ class OpenWorldEvaluator:
     #: Name used in experiment reports.
     name: str = "evaluator"
 
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        """Estimated population count of tuples matching ``assignment``."""
-        raise NotImplementedError
-
-    def group_by(self, query: GroupByQuery) -> QueryResult:
-        """Estimated GROUP BY answer over the population."""
-        raise NotImplementedError
-
-    def scalar(self, query: ScalarAggregateQuery) -> float:
-        """Estimated filtered scalar aggregate over the population."""
-        raise NotImplementedError
-
-    def join_group_by(self, query: JoinGroupByQuery) -> QueryResult:
-        """Estimated self-join GROUP BY answer over the population."""
-        raise NotImplementedError
-
-    def analytic(self, query: "AnalyticQuery | LogicalPlan"):
-        """Estimated analytic (table-shaped) answer over the population."""
+    @property
+    def compiler(self) -> PlanCompiler:
+        """The compiler ASTs go through before :meth:`run`."""
         raise NotImplementedError
 
     def run(
@@ -140,23 +116,19 @@ class OpenWorldEvaluator:
     ) -> list:
         """Answer a batch of compiled plans, in submission order.
 
-        The one batched entry point: plans of any mix of shapes share
-        whatever work this evaluator can share, and every answer is ``==``
-        to :meth:`execute` on the same plan.  ``stats`` (an
-        :class:`~repro.plan.OptimizerStats`) accumulates rewrite counters in
-        place, an enabled ``tracer`` records the dispatch as spans, and
-        ``cancel`` (a :class:`~repro.serving.governance.CancelToken`) is
-        polled between units of shared work, so an expired deadline raises
-        mid-run with every cache left coherent.
+        The one entry point: plans of any mix of shapes share whatever work
+        this evaluator can share, and an answer does not depend on the batch
+        it ran in.  ``stats`` (an :class:`~repro.plan.OptimizerStats`)
+        accumulates rewrite counters in place, an enabled ``tracer`` records
+        the dispatch as spans, and ``cancel`` (a
+        :class:`~repro.serving.governance.CancelToken`) is polled between
+        units of shared work, so an expired deadline raises mid-run with
+        every cache left coherent.
         """
         raise NotImplementedError
 
-    def execute(self, query: "Query | LogicalPlan"):
-        """Answer one query on the single-plan kernels.
-
-        Dispatches on the query shape (one shared shape function, not
-        per-evaluator isinstance chains); a compiled plan is served through
-        the AST it was compiled from.
+    def execute(self, query: "Query | LogicalPlan", tracer=NULL_TRACER):
+        """Answer one query: a batch of one, ``run([plan])[0]``.
 
         Raises
         ------
@@ -164,18 +136,30 @@ class OpenWorldEvaluator:
             For unsupported query objects; the message names the offending
             query itself (type and repr), not just its type.
         """
+        return self.run([self._plan(query)], tracer=tracer)[0]
+
+    def point(self, assignment: Mapping[str, Any]) -> float:
+        """Estimated population count of tuples matching ``assignment``.
+
+        Kept for callers holding an assignment rather than an AST (the
+        experiment harness, fig 15, table 7).
+        """
+        return self.execute(PointQuery(assignment))
+
+    def group_by(self, query: GroupByQuery) -> QueryResult:
+        """Estimated GROUP BY answer over the population.
+
+        Kept only because the benchmark's ``probe_inference`` layer probe
+        calls it by name; use :meth:`execute`.
+        """
+        return self.execute(query)
+
+    def _plan(self, query: "Query | LogicalPlan") -> LogicalPlan:
+        """The plan :meth:`run` answers for ``query``."""
         if isinstance(query, LogicalPlan):
-            query = query.query
-        shape = query_shape(query)
-        if shape == SHAPE_POINT:
-            return self.point(query.as_dict())
-        if shape == SHAPE_GROUP_BY:
-            return self.group_by(query)
-        if shape == SHAPE_SCALAR:
-            return self.scalar(query)
-        if shape == SHAPE_TABLE:
-            return self.analytic(query)
-        return self.join_group_by(query)
+            return query
+        query_shape(query)  # names an unsupported object, SQL text included
+        return self.compiler.compile(query)
 
 
 class ReweightedSampleEvaluator(OpenWorldEvaluator):
@@ -200,27 +184,16 @@ class ReweightedSampleEvaluator(OpenWorldEvaluator):
         """The engine's predicate-mask cache (used by plan routing)."""
         return self._engine.mask_cache
 
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        return self._engine.point(assignment)
-
-    def group_by(self, query: GroupByQuery) -> QueryResult:
-        return self._engine.group_by(query)
-
-    def scalar(self, query: ScalarAggregateQuery) -> float:
-        return self._engine.scalar(query)
-
-    def join_group_by(self, query: JoinGroupByQuery) -> QueryResult:
-        return self._engine.join_group_by(query)
-
-    def analytic(self, query: "AnalyticQuery | LogicalPlan"):
-        """Analytic table straight from the columnar engine's fused pass."""
-        return self._engine.analytic(query)
+    @property
+    def compiler(self) -> PlanCompiler:
+        """The engine's compiler (shared with the planner)."""
+        return self._engine.executor.compiler
 
     def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
-        """One optimized columnar schedule over the weighted sample
+        """The columnar engine's batch over the weighted sample
         (:meth:`repro.plan.ColumnarExecutor.execute_batch`); ``cancel`` is
-        polled per schedule unit."""
-        return self._engine.execute_batch(
+        polled per execution unit."""
+        return self._engine.executor.execute_batch(
             plans, stats=stats, tracer=tracer, cancel=cancel
         )
 
@@ -305,76 +278,31 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         stack).
         """
         if self._generated_stack is None:
-            self._generated_stack = _GeneratedStack(
-                self.generated_samples(), self._compiler()
-            )
+            self._generated_stack = _GeneratedStack(self.generated_samples(), self.compiler)
         return self._generated_stack
 
-    def _compiler(self):
+    @property
+    def compiler(self) -> PlanCompiler:
         """The (cached) plan compiler over the network's schema, shared by
         table decomposition and the generated-sample stack."""
         if self._schema_compiler is None:
             self._schema_compiler = PlanCompiler(self._network.schema)
         return self._schema_compiler
 
-    # ------------------------------------------------------------------
-    # Single-plan kernels
-    # ------------------------------------------------------------------
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        """``n * Pr(X_1 = x_1, ..., X_d = x_d)`` by exact inference."""
-        probability = self._inference.probability_or_zero(dict(assignment))
-        return self._population_size * probability
-
-    def group_by(self, query: GroupByQuery) -> QueryResult:
-        """Average the per-group answers of ``K`` generated samples.
-
-        Only groups appearing in **all** ``K`` answers are returned, which is
-        the paper's guard against phantom groups.  A family of one through
-        the stacked pass (:meth:`_GeneratedStack.run`), like :meth:`scalar`
-        and :meth:`join_group_by`.
-        """
-        return self._stack().run([query])[0]
-
-    def scalar(self, query: ScalarAggregateQuery) -> float:
-        return self._stack().run([query])[0]
-
-    def join_group_by(self, query: JoinGroupByQuery) -> QueryResult:
-        return self._stack().run([query])[0]
-
-    def analytic(self, query: "AnalyticQuery | LogicalPlan"):
-        """Analytic table by per-aggregate decomposition over the network
-        (see :func:`_decomposed_table`)."""
-        plan = query if isinstance(query, LogicalPlan) else self._compiler().compile(query)
-        return _decomposed_table(self, plan, self._network.schema)
-
-    # ------------------------------------------------------------------
-    # The batched entry point
-    # ------------------------------------------------------------------
     def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
-        """Batched answering over the network, ``==`` to :meth:`execute` per plan.
+        """Answer plans from the network, each family paying its work once.
 
-        Plans fall into two families, each paying its shared work once:
-        point plans go through **one** batched exact-inference call (one
-        variable-elimination pass per evidence signature, ``cancel`` polled
-        between signatures); all other plans — scalars, group-bys, joins,
-        tables — go through one optimized schedule over the stacked
-        generated samples (:meth:`_run_sampled`).
+        Point plans go through **one** batched exact-inference call
+        (``n * Pr(X_1 = x_1, ..., X_d = x_d)``, one variable-elimination
+        pass per evidence signature, ``cancel`` polled between signatures);
+        all other plans — scalars, group-bys, joins, tables — go through
+        one optimized schedule over the stacked generated samples
+        (:meth:`_run_sampled`).
         """
-        families: dict[Callable, list[int]] = {}
-        for index, plan in enumerate(plans):
-            family = self._points if plan.shape == SHAPE_POINT else self._run_sampled
-            families.setdefault(family, []).append(index)
-        results: list = [None] * len(plans)
-        for family, indices in families.items():
-            answers = family(
-                [plans[index] for index in indices],
-                stats=stats,
-                tracer=tracer,
-                cancel=cancel,
-            )
-            for index, answer in zip(indices, answers):
-                results[index] = answer
-        return results
+        return _by_family(plans, self._family, stats, tracer, cancel)
+
+    def _family(self, plan: LogicalPlan) -> Callable:
+        return self._points if plan.shape == SHAPE_POINT else self._run_sampled
 
     def _points(self, plans, cancel=None, **_) -> list[float]:
         probabilities = self._inference.batched.probability_or_zero_batch(
@@ -393,12 +321,11 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         over the stacked samples (:meth:`_GeneratedStack.run`: fused
         group-by prefixes, shared masks and join sides, ``cancel`` polled
         per schedule unit).  Raw ASTs are passed down — the stack compiles
-        against the *network's* schema, exactly as the single-plan kernels
-        do.  ``stats.bn_sample_dispatches_saved`` counts the
-        ``K * (family - 1)`` per-``(plan, sample)`` executions the family
-        shares.
+        against the *network's* schema.  ``stats.bn_sample_dispatches_saved``
+        counts the ``K * (family - 1)`` per-``(plan, sample)`` executions the
+        family shares.
         """
-        flat, slices = _flatten_tables(plans, self._compiler().compile)
+        flat, slices = _flatten_tables(plans, self.compiler.compile)
         with tracer.span("bn-samples", samples=self._k, plans=len(flat)):
             answers = self._stack().run([plan.query for plan in flat], cancel=cancel)
         if stats is not None and len(flat) > 1:
@@ -426,61 +353,68 @@ class _GeneratedStack:
     def run(self, queries: Sequence[Query], cancel=None) -> list:
         """Consensus answers of scalar / GROUP BY / join queries over the
         ``K`` samples, in submission order: one compile per query, one
-        optimized schedule, ``cancel`` polled per schedule unit."""
+        optimized schedule (none for a lone query), ``cancel`` polled per
+        unit."""
         compile = self._executor.compiler.compile
-        schedule = optimize_batch([compile(query) for query in queries])
-        answers: list = [None] * len(schedule.slots)
-        for unit in schedule.units:
-            if cancel is not None:
-                cancel.poll()
-            self._run_unit(unit, schedule, answers)
-        return schedule.fan_out(answers)
+        return run_units([compile(query) for query in queries], self._run_unit, cancel=cancel)
 
-    def _run_unit(self, unit: ScheduleUnit, schedule: PhysicalSchedule, answers: list) -> None:
-        """Execute one schedule unit over all ``K`` samples at once."""
-        executor, partition = self._executor, self._partition
-        relation = executor.relation
-        plans = [schedule.slots[slot] for slot in unit.slots]
-        if unit.kind == UNIT_JOIN:
-            # Side totals and presence come from the (sample, group) bins;
-            # the merge stays per sample, on dicts in ascending group order.
-            sides = [
-                partitioned_grouped_weight_totals(
-                    relation,
-                    side.keys,
-                    [executor.mask_cache.conjunction_mask(side.predicates)],
-                    partition,
-                )[0]
-                for side in schedule.join_sides
-            ]
-            for slot, plan, (left, right) in zip(unit.slots, plans, unit.sides):
-                worlds = [merge_join_sides(*pair) for pair in zip(sides[left], sides[right])]
-                groups = [
-                    group
-                    for group in worlds[0]
-                    if all(group in world for world in worlds[1:])
-                ]
-                values = [[world[group] for world in worlds] for group in groups]
-                answers[slot] = QueryResult(
-                    plan.group_keys, dict(zip(groups, _sample_means(values)))
-                )
-            return
-        mask = executor.mask_cache.conjunction_mask(unit.predicates)
-        # Tables were flattened into their parts: one aggregate per plan.
-        specs = [executor.plan_specs(plan)[0] for plan in plans]
-        if unit.kind == UNIT_SCALAR:
-            values = partitioned_scalar_reduce(relation, mask, specs, partition)
-            for slot, mean in zip(unit.slots, _sample_means(values)):
-                answers[slot] = mean
-            return
+    def _run_unit(self, kind: str, plans: list[LogicalPlan], sides, pairs, *_) -> list:
+        """One unit's plans over all ``K`` samples (untraced, uncounted)."""
+        if kind == UNIT_SCALAR:
+            return self._run_scalar(plans)
+        if kind == UNIT_GROUP_BY:
+            return self._run_group_by(plans)
+        return self._run_join(plans, sides, pairs)
+
+    def _masked_specs(self, plans: list[LogicalPlan]):
+        """The unit's shared mask and its kernel specs, one per plan (tables
+        were flattened into their parts)."""
+        executor = self._executor
+        mask = executor.mask_cache.conjunction_mask(plans[0].predicates)
+        return mask, executor.unit_specs(plans)[0]
+
+    def _run_scalar(self, plans: list[LogicalPlan]) -> list:
+        mask, specs = self._masked_specs(plans)
+        return _sample_means(
+            partitioned_scalar_reduce(self._executor.relation, mask, specs, self._partition)
+        )
+
+    def _run_group_by(self, plans: list[LogicalPlan]) -> list:
+        relation = self._executor.relation
+        keys = plans[0].group_keys
+        mask, specs = self._masked_specs(plans)
         weight_totals, per_spec = partitioned_group_columns(
-            relation, unit.group_keys, mask, specs, partition
+            relation, keys, mask, specs, self._partition
         )
         survivors = np.flatnonzero((weight_totals > 0).all(axis=0))
-        groups = relation.group_tuples(unit.group_keys, survivors)
-        for slot, values in zip(unit.slots, per_spec):
-            means = _sample_means(values[:, survivors].T)
-            answers[slot] = QueryResult(unit.group_keys, dict(zip(groups, means)))
+        groups = relation.group_tuples(keys, survivors)
+        return [
+            QueryResult(keys, dict(zip(groups, _sample_means(values[:, survivors].T))))
+            for values in per_spec
+        ]
+
+    def _run_join(self, plans: list[LogicalPlan], sides, pairs) -> list:
+        # Side totals and presence come from the (sample, group) bins; the
+        # merge stays per sample, on dicts in ascending group order.
+        executor = self._executor
+        totals = [
+            partitioned_grouped_weight_totals(
+                executor.relation,
+                side.keys,
+                [executor.mask_cache.conjunction_mask(side.predicates)],
+                self._partition,
+            )[0]
+            for side in sides
+        ]
+        answers = []
+        for plan, (left, right) in zip(plans, pairs):
+            worlds = [merge_join_sides(*pair) for pair in zip(totals[left], totals[right])]
+            groups = [
+                group for group in worlds[0] if all(group in world for world in worlds[1:])
+            ]
+            values = [[world[group] for world in worlds] for group in groups]
+            answers.append(QueryResult(plan.group_keys, dict(zip(groups, _sample_means(values)))))
+        return answers
 
 
 def _sample_means(values) -> list[float]:
@@ -544,100 +478,35 @@ class HybridEvaluator(OpenWorldEvaluator):
         """The reweighted-sample component (shared engine and mask cache)."""
         return self._sample_evaluator
 
-    # ------------------------------------------------------------------
-    # Single-plan kernels
-    # ------------------------------------------------------------------
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        if self._sample_evaluator.sample.contains(assignment):
-            return self._sample_evaluator.point(assignment)
-        return self._bn_evaluator.point(assignment)
+    @property
+    def compiler(self) -> PlanCompiler:
+        """The sample evaluator's compiler (shared with the planner)."""
+        return self._sample_evaluator.compiler
 
-    def group_by(self, query: GroupByQuery) -> QueryResult:
-        sample_result = self._sample_evaluator.group_by(query)
-        bn_result = self._bn_evaluator.group_by(query)
-        return _merge_group_by(query.group_by, sample_result, bn_result)
+    def _plan(self, query: "Query | LogicalPlan") -> LogicalPlan:
+        """The plan with its ``Route`` node stamped against the sample."""
+        if isinstance(query, LogicalPlan) and query.is_routed:
+            return query
+        return resolve_route(super()._plan(query), self._sample_evaluator.mask_cache)
 
-    def scalar(self, query: ScalarAggregateQuery) -> float:
-        # Use the sample when any tuple satisfies the filters, otherwise the
-        # BN.  The compiled predicates' masks come from the shared cache, so
-        # when the query later executes it only ANDs them again.
-        if not query.predicates:
-            return self._sample_evaluator.scalar(query)
-        engine = self._sample_evaluator.engine
-        plan = engine.executor.compiler.compile(query)
-        mask = engine.mask_cache.conjunction_mask(plan.predicates)
-        if mask is None or mask.any():
-            return self._sample_evaluator.scalar(query)
-        return self._bn_evaluator.scalar(query)
-
-    def join_group_by(self, query: JoinGroupByQuery) -> QueryResult:
-        sample_result = self._sample_evaluator.join_group_by(query)
-        bn_result = self._bn_evaluator.join_group_by(query)
-        return _merge_group_by(
-            (query.left_group, query.right_group), sample_result, bn_result
-        )
-
-    def analytic(self, query: "AnalyticQuery | LogicalPlan"):
-        """Hybrid analytic table by per-aggregate decomposition: grouped
-        tables merge per aggregate like any GROUP BY, group-less tables
-        follow the hybrid :meth:`scalar` rule (see :func:`_decomposed_table`)."""
-        compiler = self._sample_evaluator.engine.executor.compiler
-        plan = query if isinstance(query, LogicalPlan) else compiler.compile(query)
-        return _decomposed_table(self, plan, self.sample.schema)
-
-    def execute(self, query: "Query | LogicalPlan", tracer=NULL_TRACER):
-        """The single-plan dispatch of the whole system.
-
-        A routed plan runs on the evaluator its ``Route`` node chose — the
-        routing rules are derived from this class's own kernels (see
-        :func:`repro.plan.resolve_route`), so the answer is identical to
-        running the query through the hybrid kernels and the route only
-        skips work they would have discarded.  Sample-routed plans execute
-        the compiled plan directly (no recompile); raw ASTs and unrouted
-        plans take the hybrid kernels.
-        """
-        route = query.route if isinstance(query, LogicalPlan) else None
-        if route == ROUTE_SAMPLE:
-            return self._sample_evaluator.engine.execute(query, tracer=tracer)
-        if route == ROUTE_BAYES_NET:
-            with tracer.span("bn-evaluate", shape=query.shape):
-                return self._bn_evaluator.execute(query)
-        with tracer.span("hybrid"):
-            return super().execute(query)
-
-    # ------------------------------------------------------------------
-    # The batched entry point
-    # ------------------------------------------------------------------
     def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
-        """Batched hybrid answering, ``==`` to :meth:`execute` per plan.
+        """Answer routed plans by their ``Route`` tag.
 
-        Plans split by their ``Route`` tag: sample-routed plans are one
-        :meth:`ReweightedSampleEvaluator.run`, network-routed plans one
-        :meth:`BayesNetEvaluator.run`, and hybrid-routed plans — GROUP BY,
-        join and grouped-table shapes, whose answer is the union of both
-        sides — run on both and merge (:meth:`_run_merged`).
+        Sample-routed plans are one :meth:`ReweightedSampleEvaluator.run`,
+        network-routed plans one :meth:`BayesNetEvaluator.run`, and
+        hybrid-routed plans — GROUP BY, join and grouped-table shapes, whose
+        answer is the union of both sides — run on both and merge
+        (:meth:`_run_merged`).  The rule choosing the route lives in
+        :func:`repro.plan.resolve_route` alone.
         """
-        runners = {
-            ROUTE_SAMPLE: self._sample_evaluator.run,
-            ROUTE_BAYES_NET: self._bn_evaluator.run,
-            ROUTE_HYBRID: self._run_merged,
-        }
-        routed: dict[str, list[int]] = {route: [] for route in runners}
-        for index, plan in enumerate(plans):
-            routed[plan.route].append(index)
-        results: list = [None] * len(plans)
-        for route, indices in routed.items():
-            if not indices:
-                continue
-            answers = runners[route](
-                [plans[index] for index in indices],
-                stats=stats,
-                tracer=tracer,
-                cancel=cancel,
-            )
-            for index, answer in zip(indices, answers):
-                results[index] = answer
-        return results
+        return _by_family(plans, self._family, stats, tracer, cancel)
+
+    def _family(self, plan: LogicalPlan) -> Callable:
+        if plan.route == ROUTE_SAMPLE:
+            return self._sample_evaluator.run
+        if plan.route == ROUTE_BAYES_NET:
+            return self._bn_evaluator.run
+        return self._run_merged
 
     def _run_merged(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
         """Both sides over one family, then the sample-union-BN merge.
@@ -650,8 +519,7 @@ class HybridEvaluator(OpenWorldEvaluator):
         merge by :func:`_merge_group_by`; table parts then zip back into
         group rows and run the HAVING / window / ORDER BY / LIMIT pipeline.
         """
-        compiler = self._sample_evaluator.engine.executor.compiler
-        flat, slices = _flatten_tables(plans, compiler.compile)
+        flat, slices = _flatten_tables(plans, self.compiler.compile)
         with tracer.span("sample-side", queries=len(flat)):
             sample_answers = self._sample_evaluator.run(
                 flat, stats=stats, tracer=tracer, cancel=cancel
@@ -664,6 +532,29 @@ class HybridEvaluator(OpenWorldEvaluator):
             for plan, sample_answer, bn_answer in zip(flat, sample_answers, bn_answers)
         ]
         return _assemble_tables(plans, slices, merged, self.sample.schema, stats)
+
+
+def _by_family(
+    plans: Sequence[LogicalPlan], family: Callable, stats, tracer, cancel
+) -> list:
+    """Answer plans family by family, in submission order.
+
+    ``family(plan)`` names the runner a plan belongs to; each runner answers
+    all of its plans in one call.  A lone plan goes straight to its runner.
+    """
+    if len(plans) == 1:
+        return family(plans[0])(plans, stats=stats, tracer=tracer, cancel=cancel)
+    members: dict[Callable, list[int]] = {}
+    for index, plan in enumerate(plans):
+        members.setdefault(family(plan), []).append(index)
+    results: list = [None] * len(plans)
+    for runner, indices in members.items():
+        answers = runner(
+            [plans[index] for index in indices], stats=stats, tracer=tracer, cancel=cancel
+        )
+        for index, answer in zip(indices, answers):
+            results[index] = answer
+    return results
 
 
 def _analytic_parts(query: AnalyticQuery) -> list[GroupByQuery | ScalarAggregateQuery]:
@@ -682,22 +573,6 @@ def _analytic_parts(query: AnalyticQuery) -> list[GroupByQuery | ScalarAggregate
         ScalarAggregateQuery(aggregate=spec, predicates=query.predicates)
         for spec in specs
     ]
-
-
-def _decomposed_table(evaluator: OpenWorldEvaluator, plan: LogicalPlan, schema):
-    """One analytic table through an evaluator's single-plan kernels.
-
-    Each SELECT-list aggregate runs as one legacy group-by (or scalar)
-    query through ``evaluator`` unchanged; the per-aggregate answers zip
-    back into group rows and the HAVING / window / ORDER BY / LIMIT
-    pipeline runs over them.
-    """
-    parts = _analytic_parts(plan.query)
-    if plan.group_keys:
-        per_spec = [evaluator.group_by(part).as_dict() for part in parts]
-    else:
-        per_spec = [{(): evaluator.scalar(part)} for part in parts]
-    return merged_table(plan, per_spec, schema)
 
 
 def _flatten_tables(plans, compile) -> tuple[list[LogicalPlan], list[slice]]:

@@ -10,7 +10,7 @@ population.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -18,12 +18,7 @@ from ..aggregates import AggregateQuery, AggregateSet, prune_aggregates
 from ..bayesnet import LearningMode, ThemisBayesNetLearner
 from ..exceptions import ThemisError
 from ..plan import LogicalPlan
-from ..query.ast import (
-    GroupByQuery,
-    JoinGroupByQuery,
-    Query,
-    ScalarAggregateQuery,
-)
+from ..query.ast import Query
 from ..reweighting import (
     IPFReweighter,
     LinearRegressionReweighter,
@@ -336,30 +331,12 @@ class Themis:
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        """Open-world point query: estimated population count of a tuple."""
-        return self.model.hybrid_evaluator.point(assignment)
-
-    def group_by(self, query: GroupByQuery) -> QueryResult:
-        """Open-world GROUP BY query."""
-        return self.model.hybrid_evaluator.group_by(query)
-
-    def scalar(self, query: ScalarAggregateQuery) -> float:
-        """Open-world filtered scalar aggregate."""
-        return self.model.hybrid_evaluator.scalar(query)
-
-    def join_group_by(self, query: JoinGroupByQuery) -> QueryResult:
-        """Open-world self-join GROUP BY query."""
-        return self.model.hybrid_evaluator.join_group_by(query)
-
     def execute(self, query: Query) -> float | QueryResult:
         """Open-world evaluation of any supported AST query.
 
         Compile-then-run: the query is compiled once into a logical plan
-        (canonical predicates, operator tree, evaluator route) and executed
-        by the routed evaluator's single-plan kernels
-        (:meth:`HybridEvaluator.execute`).  Answers are identical to
-        evaluating through the hybrid directly.
+        (canonical predicates, operator tree, evaluator route) and answered
+        as a batch of one (:meth:`HybridEvaluator.execute`).
         """
         model = self.model
         return model.hybrid_evaluator.execute(model.planner.plan(query))
@@ -388,10 +365,12 @@ class Themis:
         kernel/mask/cache counters — rendered by :meth:`ExplainedResult
         .explain_analyze`.
 
-        ``deadline`` (seconds) bounds the call cooperatively: the budget is
-        checked at the compile/execute boundaries and an expired one raises
-        a typed :class:`~repro.exceptions.DeadlineExceededError` (batch and
-        serving paths poll deeper, per execution chunk).
+        ``deadline`` (seconds) bounds the call cooperatively: the plan runs
+        as a batch of one (``run([plan], cancel=token)``), so the budget is
+        checked between compile and execute and then inside execution, at
+        every unit of shared work (a schedule unit, an evidence signature),
+        and an expired one raises a typed
+        :class:`~repro.exceptions.DeadlineExceededError`.
         """
         token = None
         if deadline is not None:
@@ -399,6 +378,7 @@ class Themis:
 
             token = resolve_cancel_token(None, deadline)
         model = self.model
+        evaluator = model.hybrid_evaluator
         if explain == "analyze":
             from ..obs.trace import Tracer
 
@@ -410,14 +390,14 @@ class Themis:
                 if token is not None:
                     token.poll()
                 with tracer.span("execute", route=plan.route):
-                    result = model.hybrid_evaluator.execute(plan, tracer=tracer)
+                    result = evaluator.run([plan], tracer=tracer, cancel=token)[0]
             return ExplainedResult(
                 result=result, plan=plan, route=plan.route, trace=root
             )
         plan = model.planner.plan(statement)
         if token is not None:
             token.poll()
-        result = model.hybrid_evaluator.execute(plan)
+        result = evaluator.run([plan], cancel=token)[0]
         if not explain:
             return result
         optimized = None

@@ -87,7 +87,7 @@ def run_table1(
         raw_value = raw_engine.scalar(query)
         aqp_value = aqp_engine.scalar(query)
         state_value = state_engine.scalar(query)
-        themis_value = themis.scalar(query)
+        themis_value = themis.query(query)
         result.add_row(
             state=state,
             true=true_value,

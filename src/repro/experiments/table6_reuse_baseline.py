@@ -70,7 +70,7 @@ def run_reuse_comparison(
         for pair in query_pairs:
             query = GroupByQuery(group_by=tuple(pair))
             truth = population_engine.group_by(query).as_dict()
-            hybrid_estimate = fitted["Hybrid"].group_by(query).as_dict()
+            hybrid_estimate = fitted["Hybrid"].execute(query).as_dict()
             reuse_estimate = reuse.group_by_count(pair).as_dict()
             hybrid_error = average_group_by_error(truth, hybrid_estimate)
             reuse_error = average_group_by_error(truth, reuse_estimate)

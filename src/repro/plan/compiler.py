@@ -135,6 +135,8 @@ class PlanCompiler:
         )
 
     def _compile_point(self, query: PointQuery) -> tuple[Aggregate, PlanKey]:
+        if not query.assignment:
+            raise QueryError("a point query needs at least one attribute-value pair")
         # The assignment is sorted by (distinct) attribute name, so the
         # key's pairs already are.
         predicates = tuple(

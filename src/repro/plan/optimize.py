@@ -40,6 +40,11 @@ which is why optimized execution is **bit-identical** to per-plan execution:
 the same reductions run on the same operands in the same order.  The
 rewrites never touch a plan's canonical :attr:`~repro.plan.ir.LogicalPlan.key`
 — result-cache identity is stable across optimization.
+
+:func:`run_units` is the one way a schedule executes: the executor supplies
+one method per unit kind (:func:`unit_kind`), and every unit of the schedule
+calls it.  A lone plan has nothing to share, so it builds no schedule and
+calls the same method as a unit of its own.
 """
 
 from __future__ import annotations
@@ -459,6 +464,123 @@ def _pipeline_signature(plan: LogicalPlan) -> tuple:
     return tuple(signature)
 
 
+def unit_kind(plan: LogicalPlan) -> str:
+    """The kind of execution unit a plan runs in.
+
+    Joins run in the join unit; group-bys and grouped tables in a group-by
+    unit, so a table's aggregates fuse with the plain group-bys over its
+    ``(Scan, Filter, Group)`` prefix; points, scalars and group-less tables
+    in a masked scalar-reduction unit.  Raises :class:`QueryError` for a
+    plan of any other shape.
+    """
+    shape = plan.shape
+    if shape == SHAPE_JOIN_GROUP_BY:
+        return UNIT_JOIN
+    if shape == SHAPE_GROUP_BY or (shape == SHAPE_TABLE and plan.group_keys):
+        return UNIT_GROUP_BY
+    if shape in (SHAPE_POINT, SHAPE_SCALAR, SHAPE_TABLE):
+        return UNIT_SCALAR
+    raise QueryError(f"unsupported plan shape {plan.shape!r}")
+
+
+def join_side_table(
+    plans: Sequence[LogicalPlan], stats: OptimizerStats | None = None
+) -> tuple[list[JoinSideSpec], tuple[tuple[int, int], ...]]:
+    """The distinct sides of some join plans, and each plan's ``(left,
+    right)`` indexes into them.
+
+    Two references share a side when the side's key columns and filter
+    coincide (a self-join over one filter computes one side), and distinct
+    sides over the same key columns stack into one fused pass.  ``stats``
+    counts the side passes this avoids in ``join_sides_fused``.
+    """
+    sides: list[JoinSideSpec] = []
+    index_of: dict[tuple, int] = {}
+    pairs = []
+    for plan in plans:
+        join = plan.join
+        pair = []
+        for node in (join.left, join.right):
+            spec = JoinSideSpec(node.keys, node.child.predicates)
+            index = index_of.setdefault(spec.signature, len(sides))
+            if index == len(sides):
+                sides.append(spec)
+            pair.append(index)
+        pairs.append((pair[0], pair[1]))
+    if stats is not None:
+        stats.join_sides_fused += 2 * len(plans) - len({spec.keys for spec in sides})
+    return sides, tuple(pairs)
+
+
+def run_units(
+    plans: Sequence[LogicalPlan],
+    run_unit,
+    stats: OptimizerStats | None = None,
+    tracer=NULL_TRACER,
+    cancel=None,
+) -> list:
+    """Answer plans unit by unit, in submission order.
+
+    ``run_unit(kind, plans, sides, pairs, stats, tracer)`` answers the plans
+    of one unit (``sides`` and ``pairs`` are the join unit's side table, see
+    :func:`join_side_table`).  A lone plan has nothing to share, so it is
+    a unit of its own and pays no :func:`optimize_batch`; a batch runs the
+    units of its optimized schedule and fans the answers out.  ``cancel``
+    is polled before every unit, so an expired deadline never leaves one
+    half done.  An enabled ``tracer`` records one ``unit:<kind>`` span per
+    scheduled unit, with one structural ``slot`` child per plan it runs
+    (inputs deduplicated onto a slot are ``fan-out`` grandchildren); a lone
+    plan's work (its ``mask`` span) nests directly under the caller's span.
+    """
+    if len(plans) == 1:
+        kind = unit_kind(plans[0])
+        if cancel is not None:
+            cancel.poll()
+        sides, pairs = join_side_table(plans, stats) if kind == UNIT_JOIN else ((), ())
+        return run_unit(kind, plans, sides, pairs, stats, tracer)
+    schedule = optimize_batch(plans, stats, tracer=tracer)
+    answers: list = [None] * len(schedule.slots)
+    for unit in schedule.units:
+        if cancel is not None:
+            cancel.poll()
+        with tracer.span(f"unit:{unit.kind}", slots=len(unit.slots)) as span:
+            unit_answers = run_unit(
+                unit.kind,
+                [schedule.slots[slot] for slot in unit.slots],
+                schedule.join_sides,
+                unit.sides,
+                stats,
+                tracer,
+            )
+            if tracer.enabled:
+                _annotate_unit_slots(span, unit, schedule)
+        for slot, answer in zip(unit.slots, unit_answers):
+            answers[slot] = answer
+    return schedule.fan_out(answers)
+
+
+def _annotate_unit_slots(span, unit: ScheduleUnit, schedule: PhysicalSchedule) -> None:
+    """Attach one structural ``slot`` child per scheduled plan in the unit.
+
+    Every input position the slot serves beyond its first appearance is a
+    ``fan-out`` grandchild, so the trace accounts for all submitted plans:
+    slot children + fan-out children == batch size, summed over units.
+    """
+    inputs_by_slot: dict[int, list[int]] = {}
+    for index, slot in enumerate(schedule.assignments):
+        inputs_by_slot.setdefault(slot, []).append(index)
+    for slot in unit.slots:
+        inputs = inputs_by_slot.get(slot, [])
+        child = span.child(
+            "slot",
+            slot=slot,
+            shape=schedule.slots[slot].shape,
+            input=inputs[0] if inputs else None,
+        )
+        for extra in inputs[1:]:
+            child.child("fan-out", input=extra)
+
+
 def optimize_batch(
     plans: Sequence[LogicalPlan],
     stats: OptimizerStats | None = None,
@@ -491,16 +613,7 @@ def _optimize_batch(
 
     slot_by_signature: dict[tuple, int] = {}
     for plan in schedule.plans:
-        if plan.shape == SHAPE_POINT and not plan.predicates:
-            raise QueryError("a point query needs at least one attribute-value pair")
-        if plan.shape not in (
-            SHAPE_POINT,
-            SHAPE_SCALAR,
-            SHAPE_GROUP_BY,
-            SHAPE_JOIN_GROUP_BY,
-            SHAPE_TABLE,
-        ):
-            raise QueryError(f"unsupported plan shape {plan.shape!r}")
+        unit_kind(plan)  # rejects what no unit can run
         normalized = normalize_plan(plan, schedule.stats)
         signature = _execution_signature(normalized)
         slot = slot_by_signature.get(signature)
@@ -518,89 +631,44 @@ def _optimize_batch(
     join_slots: list[int] = []
     families: dict[tuple, list[int]] = {}
     for index, plan in enumerate(schedule.slots):
-        if plan.shape == SHAPE_JOIN_GROUP_BY:
+        kind = unit_kind(plan)
+        if kind == UNIT_JOIN:
             join_slots.append(index)
-        elif plan.shape == SHAPE_GROUP_BY or (
-            plan.shape == SHAPE_TABLE and plan.group_keys
-        ):
-            # Prefix sharing extends to table plans: a grouped table joins
-            # the ``(Scan, Filter, Group)`` family of the plain group-bys
-            # over the same keys and normalized filter — the aggregates
-            # stack into one scatter-add pass and only the post-aggregate
-            # pipeline runs per table.
-            families.setdefault(
-                (
-                    UNIT_GROUP_BY,
-                    plan.group_keys,
-                    tuple(p.key for p in plan.predicates),
-                ),
-                [],
-            ).append(index)
-        else:
-            # Point/scalar plans and group-less tables share the masked
-            # scalar-reduction family.
-            families.setdefault(
-                (UNIT_SCALAR, tuple(p.key for p in plan.predicates)), []
-            ).append(index)
+            continue
+        # A family shares its kind, normalized filter and (for group-bys)
+        # keys; a scalar plan's group keys are empty.
+        predicate_keys = tuple(p.key for p in plan.predicates)
+        families.setdefault((kind, plan.group_keys, predicate_keys), []).append(index)
 
     mask_references: dict[tuple, int] = {}
-    for family_key, members in families.items():
-        first = schedule.slots[members[0]]
-        kind = family_key[0]
-        predicate_keys = tuple(p.key for p in first.predicates)
+    for (kind, group_keys, predicate_keys), members in families.items():
         if predicate_keys:
             mask_references[predicate_keys] = (
                 mask_references.get(predicate_keys, 0) + len(members)
             )
-        unit = ScheduleUnit(
-            kind,
-            tuple(members),
-            predicates=first.predicates,
-            group_keys=first.group_keys if kind == UNIT_GROUP_BY else (),
+        first = schedule.slots[members[0]]
+        schedule.units.append(
+            ScheduleUnit(kind, tuple(members), first.predicates, group_keys)
         )
         if kind == UNIT_GROUP_BY:
             schedule.stats.groupby_fusions += len(members) - 1
-        schedule.units.append(unit)
 
     # Join-side fusion: the batch's join slots become one unit referencing a
-    # deduplicated side table.  Plans sharing a side (same keys and
-    # normalized ``Scan``/``Filter``) point at one entry, and distinct sides
-    # grouping over the same key columns stack into one fused scatter-add
-    # pass at execution time.
+    # deduplicated side table; distinct sides grouping over the same key
+    # columns stack into one fused scatter-add pass at execution time.
     if join_slots:
-        side_by_signature: dict[tuple, int] = {}
-        side_refs: list[tuple[int, int]] = []
-        side_references = 0
-        for slot in join_slots:
-            join = schedule.slots[slot].join
-            pair = []
-            for side_node in (join.left, join.right):
-                spec = JoinSideSpec(side_node.keys, side_node.child.predicates)
-                side = side_by_signature.get(spec.signature)
-                if side is None:
-                    side = len(schedule.join_sides)
-                    schedule.join_sides.append(spec)
-                    side_by_signature[spec.signature] = side
-                    # Each distinct side evaluates its conjunction mask once;
-                    # duplicate references never reach the mask stage at all.
-                    if spec.signature[1]:
-                        mask_references[spec.signature[1]] = (
-                            mask_references.get(spec.signature[1], 0) + 1
-                        )
-                pair.append(side)
-                side_references += 1
-            side_refs.append((pair[0], pair[1]))
-        # Side passes avoided: references answered by an already-scheduled
-        # identical side, plus distinct sides beyond the first per stacked
-        # key-column pass.
-        distinct_sides = len(schedule.join_sides)
-        stacked_passes = len({spec.keys for spec in schedule.join_sides})
-        schedule.stats.join_sides_fused += (
-            (side_references - distinct_sides) + (distinct_sides - stacked_passes)
+        sides, pairs = join_side_table(
+            [schedule.slots[slot] for slot in join_slots], schedule.stats
         )
-        schedule.units.append(
-            ScheduleUnit(UNIT_JOIN, tuple(join_slots), sides=tuple(side_refs))
-        )
+        schedule.join_sides = sides
+        for spec in sides:
+            # Each distinct side evaluates its conjunction mask once;
+            # duplicate references never reach the mask stage at all.
+            if spec.signature[1]:
+                mask_references[spec.signature[1]] = (
+                    mask_references.get(spec.signature[1], 0) + 1
+                )
+        schedule.units.append(ScheduleUnit(UNIT_JOIN, tuple(join_slots), sides=pairs))
 
     schedule.stats.masks_shared = sum(
         count - 1 for count in mask_references.values() if count > 1

@@ -18,7 +18,9 @@ run over the groups at once, and one ``weights *= ratio[cell_of_row]``
 rescales the tuples (:class:`~repro.aggregates.incidence.AggregateCells`).
 Every group sum, ratio and product is the one the group-by-group sweep
 computes, so the weights are the same bit for bit; aggregates are still
-raked in order, one after the other.
+raked in order, one after the other.  A group whose weights collapsed to
+zero, or were raked down so far that its ratio overflows, is reset evenly
+to its target instead of rescaled.
 """
 
 from __future__ import annotations
@@ -107,7 +109,14 @@ class IPFReweighter(Reweighter):
                     # Rows of a close cell or of no cell are scaled by 1.0;
                     # the last slot is the one ``cell_of_row`` gives the latter.
                     ratio = np.ones(len(achieved) + 1)
-                    np.divide(cells.counts, achieved, out=ratio[:-1], where=far)
+                    with np.errstate(over="ignore"):
+                        np.divide(cells.counts, achieved, out=ratio[:-1], where=far)
+                    # A cell raked down to subnormal weights overflows its
+                    # ratio; like a collapsed cell, it is reset instead.
+                    overflowed = np.isinf(ratio[:-1])
+                    if overflowed.any():
+                        collapsed |= overflowed
+                        ratio[:-1][overflowed] = 1.0
                     weights *= ratio[cells.cell_of_row]
                 if collapsed.any():
                     cell = cells.cell_of_row

@@ -60,7 +60,7 @@ class InferenceCache:
     elimination pass counts as a miss.
 
     The factor cache deliberately lives on the *model's* engine, not on this
-    object: ``Themis.point()`` and every serving session over one fitted
+    object: ``Themis.query()`` and every serving session over one fitted
     model share a single cache, which is what makes the per-query and
     batched paths one (bit-identical) code path.  Consequently
     :meth:`describe`'s engine counters are engine-lifetime totals, while

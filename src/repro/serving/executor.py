@@ -23,13 +23,13 @@ samples, sample-routed plans share one optimized columnar schedule, hybrid
 families fuse on both sides, identical plans execute once and fan out, and
 answers land in the result cache for the next batch.
 
-Single queries (:meth:`BatchExecutor.execute_plan`) do not become batches of
-one: they run the single-plan kernels through
-:meth:`~repro.core.evaluators.HybridEvaluator.execute`, the same function
-behind ``Themis.query()`` — and ``execute_batch`` of one ungoverned statement
-takes that path too, on either side of a worker pipe.  ``run`` answers are
-``==`` to ``execute`` answers, so a batch returns bit-identical answers to
-issuing each query through ``Themis.query()``.
+Single queries (:meth:`BatchExecutor.execute_plan`) skip the stages: they
+call :meth:`~repro.core.evaluators.HybridEvaluator.execute`, the same batch
+of one (``run([plan])[0]``) behind ``Themis.query()`` — and
+``execute_batch`` of one ungoverned statement takes that path too, on either
+side of a worker pipe.  An answer does not depend on the batch it ran in, so
+a batch returns bit-identical answers to issuing each query through
+``Themis.query()``.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class BatchExecutor:
     ) -> tuple[float | QueryResult, bool]:
         """Serve one plan; returns ``(answer, came_from_result_cache)``.
 
-        A miss runs the single-plan kernels of the evaluator the plan's
+        A miss is answered as a batch of one by the evaluator the plan's
         ``Route`` node chose (:meth:`HybridEvaluator.execute`, the function
         behind ``Themis.query()``), with the network's work accounted to the
         inference cache.
@@ -154,7 +154,7 @@ class BatchExecutor:
         """Plan and serve a batch, returning answers in input order.
 
         One statement without ``cancel`` is served by :meth:`_execute_single`
-        (the single-plan path) and the rest of this describes real batches.
+        (no stages) and the rest of this describes real batches.
 
         ``cancel`` governs the batch cooperatively: one
         :class:`~repro.serving.governance.CancelToken` covers the whole
@@ -219,11 +219,13 @@ class BatchExecutor:
             result=result,
             seconds=seconds,
             from_result_cache=from_cache,
+            generation=self._model.generation,
         )
         return BatchResult(
             outcomes=[outcome],
             total_seconds=seconds,
             optimizer=dict.fromkeys(names.OPTIMIZER_COUNTERS, 0),
+            generation=self._model.generation,
         )
 
     def _execute_batch(
@@ -318,6 +320,7 @@ class BatchExecutor:
         # evicted an answer between the peek and the lookup.
         outcomes: list[QueryOutcome] = []
         served: dict[tuple, QueryOutcome] = {}
+        generation = self._model.generation
         probe_start = time.perf_counter()
         with tracer.span(names.STAGE_CACHE_PROBE, queries=len(plans)) as probe_span:
             if tracer.enabled:
@@ -333,6 +336,7 @@ class BatchExecutor:
                             seconds=0.0,
                             from_result_cache=first.from_result_cache,
                             deduplicated=True,
+                            generation=generation,
                         )
                     )
                     continue
@@ -351,6 +355,7 @@ class BatchExecutor:
                         from_result_cache=False,
                         bn_batched=stage == names.STAGE_BN_DISPATCH,
                         optimized=stage == names.STAGE_COLUMNAR,
+                        generation=generation,
                     )
                 else:
                     if cancel is not None:
@@ -363,6 +368,7 @@ class BatchExecutor:
                         result=result,
                         seconds=time.perf_counter() - start,
                         from_result_cache=from_cache,
+                        generation=generation,
                     )
                 outcomes.append(outcome)
                 served[plan.key] = outcome
@@ -397,4 +403,5 @@ class BatchExecutor:
             bn_elimination_passes=bn_passes,
             columnar_batch_seconds=stage_seconds[names.STAGE_COLUMNAR],
             optimizer=optimizer_view,
+            generation=generation,
         )

@@ -44,7 +44,7 @@ from .faults import FAULT_EXIT_CODE, FaultEvent, FaultInjector
 from .frontend import AsyncServingFrontend, serve_async
 from .microbatch import MicroBatcher
 from .pool import RequestOutcome, SupervisedWorkerPool
-from .shard import ShardRouter, stable_plan_hash
+from .shard import ShardRouter, stable_key_hash
 from .worker import WorkerSpec
 
 __all__ = [
@@ -58,5 +58,5 @@ __all__ = [
     "SupervisedWorkerPool",
     "WorkerSpec",
     "serve_async",
-    "stable_plan_hash",
+    "stable_key_hash",
 ]

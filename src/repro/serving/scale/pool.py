@@ -90,7 +90,7 @@ from ...plan import PlanCompiler, PlanKey
 from ...query.ast import Query
 from ..governance import CircuitBreaker, CircuitBreakerConfig
 from .faults import FaultInjector
-from .shard import ShardRouter, stable_plan_hash
+from .shard import ShardRouter, stable_key_hash
 from .worker import (
     CMD_ADD_AGGREGATE,
     CMD_BATCH,
@@ -795,7 +795,7 @@ class SupervisedWorkerPool:
         for index, query in enumerate(queries):
             try:
                 key = self._compiler.compile(query).key
-                routing[index] = (key, stable_plan_hash(key))
+                routing[index] = (key, stable_key_hash(key))
             except ThemisError as error:
                 fail([index], error)
         pending = list(routing)

@@ -4,7 +4,7 @@ Plan keys must land on the same shard in every process and every run —
 shard caches only stay hot if the router is a pure function of the key.
 Python's builtin ``hash()`` is salted per process (``PYTHONHASHSEED``), so
 the router hashes the key's **canonical wire encoding** with blake2b
-instead: :func:`stable_plan_hash` is process- and platform-stable.
+instead: :func:`stable_key_hash` is process- and platform-stable.
 
 The ring is a classic consistent hash with virtual nodes: each shard owns
 ``replicas`` points on a 64-bit circle and a key belongs to the first point
@@ -29,7 +29,7 @@ from ...plan.ir import PlanKey
 from ...plan.wire import encode_value
 
 
-def stable_plan_hash(key: PlanKey) -> int:
+def stable_key_hash(key: PlanKey) -> int:
     """A 64-bit hash of a canonical plan key, stable across processes.
 
     The key is first encoded with the wire value codec (tuples tagged, numpy
@@ -104,4 +104,4 @@ class ShardRouter:
         self, key: PlanKey, live: AbstractSet[int] | None = None
     ) -> int:
         """The shard owning one canonical plan key (see :meth:`shard_for_hash`)."""
-        return self.shard_for_hash(stable_plan_hash(key), live=live)
+        return self.shard_for_hash(stable_key_hash(key), live=live)

@@ -244,6 +244,7 @@ class ServingSession:
             seconds=time.perf_counter() - start,
             from_result_cache=from_cache,
             trace=root if self._trace else None,
+            generation=executor.model.generation,
         )
         self.statistics.record_outcome(outcome)
         return outcome

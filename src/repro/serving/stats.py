@@ -59,6 +59,9 @@ class QueryOutcome:
     trace:
         The query's :class:`repro.obs.Span` tree when the serving session
         was tracing; ``None`` otherwise.
+    generation:
+        The id of the fitted model snapshot that answered
+        (:attr:`repro.core.model.ThemisModel.generation`).
     """
 
     index: int
@@ -70,6 +73,7 @@ class QueryOutcome:
     bn_batched: bool = False
     optimized: bool = False
     trace: Any = None
+    generation: int | None = None
 
     @property
     def route(self) -> str:
@@ -110,6 +114,8 @@ class BatchResult:
     optimizer: dict[str, int] = field(default_factory=dict)
     #: The batch's :class:`repro.obs.Span` tree when traced; ``None`` otherwise.
     trace: Any = None
+    #: The id of the fitted model snapshot that answered every query in it.
+    generation: int | None = None
 
     def __len__(self) -> int:
         return len(self.outcomes)

@@ -23,9 +23,9 @@ from typing import Any
 
 from ..obs.trace import NULL_TRACER
 from ..query.ast import (
-    AnalyticQuery,
     GroupByQuery,
     JoinGroupByQuery,
+    PointQuery,
     Query,
     ScalarAggregateQuery,
 )
@@ -180,7 +180,7 @@ class WeightedQueryEngine:
         return self._executor.mask_cache
 
     # ------------------------------------------------------------------
-    # Execution (all shapes share the compiled-plan path)
+    # Execution (every shape is one call of the executor)
     # ------------------------------------------------------------------
     def execute(self, query: Query, tracer=NULL_TRACER) -> float | QueryResult:
         """Evaluate any supported query type (or compiled plan, or SQL)."""
@@ -202,44 +202,25 @@ class WeightedQueryEngine:
 
     def point(self, assignment: Mapping[str, Any]) -> float:
         """``SELECT SUM(weight) WHERE A1=v1 AND ...`` — the weighted COUNT(*)."""
-        return self._executor.point(assignment)
+        return self.execute(PointQuery(assignment))
 
     def scalar(self, query: ScalarAggregateQuery) -> float:
         """A filtered aggregate with no grouping, returned as a single number."""
-        return self._executor.scalar_plan(self._executor.compiler.compile(query))
+        return self.execute(query)
 
     def group_by(self, query: GroupByQuery) -> QueryResult:
         """Evaluate a filtered GROUP BY aggregate with weighted semantics."""
-        return self._executor.group_by_plan(self._executor.compiler.compile(query))
+        return self.execute(query)
 
     def analytic(self, query) -> TableResult:
         """Evaluate a table-shaped query (multi-aggregate / HAVING / windows /
-        ORDER BY / LIMIT) with weighted semantics.
+        ORDER BY / LIMIT): an :class:`~repro.query.AnalyticQuery` AST or an
+        already-compiled table-shaped plan."""
+        return self.execute(query)
 
-        Accepts an :class:`~repro.query.AnalyticQuery` AST or an
-        already-compiled table-shaped plan.
-        """
-        plan = (
-            query
-            if not isinstance(query, (AnalyticQuery, str))
-            else self._executor.compiler.compile(query)
-        )
-        return self._executor.table_plan(plan)
-
-    def join_group_by(
-        self, query: JoinGroupByQuery, other: Relation | None = None
-    ) -> QueryResult:
-        """Evaluate a weighted self-join (or join against ``other``) GROUP BY.
-
-        When ``other`` is given it gets its own executor over its *own*
-        schema, so right-side literals bucketize against that relation's
-        domains (which may code values differently than this one's).
-        """
-        from ..plan.executor import ColumnarExecutor
-
-        plan = self._executor.compiler.compile(query)
-        other_executor = ColumnarExecutor(other) if other is not None else None
-        return self._executor.join_plan(plan, other_executor)
+    def join_group_by(self, query: JoinGroupByQuery) -> QueryResult:
+        """Evaluate a weighted self-join GROUP BY."""
+        return self.execute(query)
 
 
 def answer_point_query(relation: Relation, assignment: Mapping[str, Any]) -> float:

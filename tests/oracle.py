@@ -49,6 +49,16 @@ asserts the index-list sweep and the array-built factor fit ``==`` them.
 A fifth reference is ``Relation.group_codes`` as one row-wise ``np.unique``
 over the stacked code columns (:func:`group_codes_reference`);
 ``tests/test_schema_relation.py`` asserts the packed-key codes ``==`` it.
+
+A sixth reference is Themis's hybrid rule written out over the others
+(:func:`hybrid_reference`): point, scalar and group-less table queries are
+answered by :class:`ReferenceEngine` over the weighted sample when any
+sample row matches, otherwise by exact inference (points) or
+:func:`network_reference`, the ``K``-world consensus; GROUP BY, join and
+grouped-table queries take the sample's groups with the sample's values and
+add the groups only the network found.  The self-join's sample side is
+:func:`join_reference`, row at a time.  ``tests/test_evaluators.py`` and the
+differential sweep assert every door of the system ``==`` it.
 """
 
 from __future__ import annotations
@@ -62,6 +72,7 @@ from repro.query import (
     AnalyticQuery,
     Comparison,
     GroupByQuery,
+    JoinGroupByQuery,
     PointQuery,
     Predicate,
     ScalarAggregateQuery,
@@ -466,6 +477,135 @@ def per_sample_consensus(samples: list[Relation], queries: list) -> list:
     return answers
 
 
+def network_reference(evaluator, queries: list) -> list:
+    """The network's answers to scalar / GROUP BY / join / table queries as
+    the per-sample loop: tables go through their per-aggregate parts."""
+    from dataclasses import replace
+
+    from repro.plan import PlanCompiler, merged_table
+
+    samples = evaluator.generated_samples()
+    schema = evaluator.network.schema
+    compiler = PlanCompiler(schema)
+    answers = []
+    for query in queries:
+        plan = compiler.compile(query)
+        if plan.shape != "table":
+            answers.extend(per_sample_consensus(samples, [plan.query]))
+            continue
+        specs = [replace(spec, alias=None) for spec in plan.query.aggregates]
+        if plan.group_keys:
+            parts = [
+                GroupByQuery(plan.query.group_by, spec, plan.query.predicates)
+                for spec in specs
+            ]
+            per_spec = [part.as_dict() for part in per_sample_consensus(samples, parts)]
+        else:
+            parts = [ScalarAggregateQuery(spec, plan.query.predicates) for spec in specs]
+            per_spec = [{(): part} for part in per_sample_consensus(samples, parts)]
+        answers.append(merged_table(plan, per_spec, schema))
+    return answers
+
+
+def join_reference(relation: Relation, query: JoinGroupByQuery) -> QueryResult:
+    """The weighted self-join GROUP BY COUNT, row at a time.
+
+    Each side's ``(join key, group)`` weight totals accumulate in row order
+    (matching zero-weight rows keep their group, at 0.0); the joined weight
+    of a pair of groups is ``sum w_i * w_j`` over the sides' matching join
+    keys, accumulated in ascending ``(join key, group)`` code order.
+    """
+    engine = ReferenceEngine(relation)
+
+    def side(join: str, group: str, predicates) -> list:
+        joins, groups = relation.column(join), relation.column(group)
+        totals: dict[tuple[int, int], float] = {}
+        for row in engine._matching_rows(predicates):
+            codes = (int(joins[row]), int(groups[row]))
+            totals[codes] = totals.get(codes, 0.0) + engine._weights[row]
+        join_domain, group_domain = (relation.schema[name].domain for name in (join, group))
+        return [
+            (join_domain.decode(j), group_domain.decode(g), weight)
+            for (j, g), weight in sorted(totals.items())
+        ]
+
+    left = side(query.left_join, query.left_group, query.left_predicates)
+    right = side(query.right_join, query.right_group, query.right_predicates)
+    joined: dict[tuple[Any, Any], float] = {}
+    for join_value, left_group, left_weight in left:
+        for other_value, right_group, right_weight in right:
+            if other_value == join_value:
+                key = (left_group, right_group)
+                joined[key] = joined.get(key, 0.0) + left_weight * right_weight
+    return QueryResult((query.left_group, query.right_group), joined)
+
+
+def hybrid_reference(model, queries: list) -> list:
+    """Themis's answers by the hybrid rule over the other references.
+
+    ``model`` is a fitted :class:`~repro.core.model.ThemisModel`; queries
+    are ASTs or SQL text.  Point, scalar and group-less table queries are
+    answered from the weighted sample when any of its rows matches the
+    filter, otherwise from the network: exact inference for points, the
+    ``K``-world consensus for the rest.  GROUP BY, join and grouped-table
+    queries keep the sample's groups and values and add the groups only
+    the network found, per aggregate for tables.
+    """
+    from dataclasses import replace
+
+    from repro.bayesnet import ExactInference
+    from repro.plan import PlanCompiler, merged_table
+
+    sample = model.weighted_sample
+    engine = ReferenceEngine(sample)
+    network = model.bayes_net_evaluator
+    inference = ExactInference(network.network)
+    compiler = PlanCompiler(sample.schema)
+
+    def union(sample_result: QueryResult, network_result: QueryResult) -> QueryResult:
+        merged = sample_result.as_dict()
+        for group, value in network_result:
+            merged.setdefault(group, value)
+        return QueryResult(sample_result.group_by, merged)
+
+    answers = []
+    for statement in queries:
+        plan = compiler.compile(statement)
+        query = plan.query
+        if isinstance(query, JoinGroupByQuery):
+            answers.append(
+                union(join_reference(sample, query), network_reference(network, [query])[0])
+            )
+        elif isinstance(query, GroupByQuery):
+            answers.append(
+                union(engine.execute(query), network_reference(network, [query])[0])
+            )
+        elif plan.group_keys:
+            parts = [
+                GroupByQuery(query.group_by, replace(spec, alias=None), query.predicates)
+                for spec in query.aggregates
+            ]
+            per_spec = [
+                union(engine.execute(part), network_part).as_dict()
+                for part, network_part in zip(parts, network_reference(network, parts))
+            ]
+            answers.append(merged_table(plan, per_spec, sample.schema))
+        else:
+            predicates = (
+                [Predicate(name, Comparison.EQ, value) for name, value in query.assignment]
+                if isinstance(query, PointQuery)
+                else query.predicates
+            )
+            if engine._matching_rows(predicates):
+                answers.append(engine.execute(query))
+            elif isinstance(query, PointQuery):
+                probability = inference.probability_or_zero(query.as_dict())
+                answers.append(float(network.population_size * probability))
+            else:
+                answers.append(network_reference(network, [query])[0])
+    return answers
+
+
 # ----------------------------------------------------------------------
 # The partitioned kernels by boolean fancy-indexing (reference for the
 # selection-vector gather)
@@ -588,8 +728,10 @@ def ipf_reference(
 ) -> tuple[np.ndarray, bool, int]:
     """Alg. 1 over boolean masks: ``(weights, converged, n_iterations)``.
 
-    The violation after each sweep is the BLAS mat-vec ``G w`` against
-    ``y``, one Python iteration per constraint.
+    The violation after each sweep takes each group's achieved count as
+    ``weights[mask].sum()``, one Python iteration per constraint.  The BLAS
+    mat-vec ``G w`` would leave its summation order, and so whether the
+    last bit meets ``tolerance=0.0``, to the library.
     """
     matrix, targets = dense_incidence(sample, aggregates)
     masks = [row.astype(bool) for row in matrix]
@@ -599,15 +741,20 @@ def ipf_reference(
             if not mask.any():
                 continue
             achieved = weights[mask].sum()
-            if achieved <= 0:
-                weights[mask] = target / mask.sum() if target > 0 else 0.0
-                continue
-            if not np.isclose(achieved, target):
-                weights[mask] *= target / achieved
+            if achieved > 0:
+                if np.isclose(achieved, target):
+                    continue
+                with np.errstate(over="ignore"):
+                    ratio = target / achieved
+                if not np.isinf(ratio):
+                    weights[mask] *= ratio
+                    continue
+            # Collapsed to zero, or so small that the ratio overflows.
+            weights[mask] = target / mask.sum() if target > 0 else 0.0
         violations = [
-            abs(value - target) / max(abs(target), 1.0)
-            for row, value, target in zip(matrix, matrix @ weights, targets)
-            if row.sum() != 0
+            abs(weights[mask].sum() - target) / max(abs(target), 1.0)
+            for mask, target in zip(masks, targets)
+            if mask.any()
         ]
         if (max(violations) if violations else 0.0) <= tolerance:
             return weights, True, iteration

@@ -207,6 +207,28 @@ def test_negative_zero_prefixed_reduceat_is_the_segment_sum_bit_for_bit(scale):
     assert sums.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
+def test_achieved_is_each_groups_member_sum_bit_for_bit():
+    """``G w`` is ``weights[members].sum()`` per group, in every bit, so
+    IPF's convergence test at ``tolerance=0.0`` reads the sums Alg. 1
+    takes (``tests/oracle.py::ipf_reference``); an empty group reads 0."""
+    sizes = [1, 5, 9, 127, 129, 8193]
+    schema = Schema([Attribute("A", Domain([f"a{code}" for code in range(len(sizes) + 1)]))])
+    rng = np.random.default_rng(7)
+    codes = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    sample = Relation(schema, {"A": codes})
+    system = IncidenceSystem(
+        sample,
+        AggregateSet(
+            [AggregateQuery(("A",), {(value,): 1.0 for value in schema["A"].domain.values})]
+        ),
+    )
+    weights = rng.random(sample.n_rows) * 1e3 + rng.random(sample.n_rows) ** 9
+    expected = np.asarray([weights[rows].sum() for rows in system.members])
+    assert [len(rows) for rows in system.members] == [*sizes, 0]
+    achieved = system.achieved(weights)
+    assert achieved.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     counts=st.lists(st.integers(0, 50), min_size=2, max_size=6),

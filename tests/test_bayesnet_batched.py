@@ -98,7 +98,7 @@ class TestBitIdentity:
 
     def test_themis_facade_batch_of_points(self, serving_themis):
         batch = serving_themis.execute_batch([PointQuery(a) for a in MIXED_BATCH])
-        assert batch.results() == [serving_themis.point(a) for a in MIXED_BATCH]
+        assert batch.results() == [serving_themis.query(PointQuery(a)) for a in MIXED_BATCH]
 
 
 class TestEdgeCases:
@@ -273,7 +273,7 @@ class TestServingIntegration:
         assert session.execute_batch(queries).bn_elimination_passes == 0
         for outcome, assignment in zip(batch, missing):
             assert outcome.bn_batched
-            assert outcome.result == themis.point(assignment)
+            assert outcome.result == themis.query(PointQuery(assignment))
 
     def test_single_query_serving_counts_as_single(self, sparse_serving_themis):
         missing = missing_assignments(sparse_serving_themis)[0]
@@ -302,7 +302,7 @@ class TestServingIntegration:
             [PointQuery(in_domain), PointQuery(out_of_domain)]
         )
         assert batch.outcomes[1].result == 0.0
-        assert batch.outcomes[0].result == sparse_serving_themis.point(in_domain)
+        assert batch.outcomes[0].result == sparse_serving_themis.query(PointQuery(in_domain))
 
     def test_refit_serves_from_the_new_models_cold_engine(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()

@@ -15,6 +15,7 @@ from repro.query import (
     AggregateSpec,
     Comparison,
     GroupByQuery,
+    JoinGroupByQuery,
     PointQuery,
     Predicate,
     ScalarAggregateQuery,
@@ -87,7 +88,7 @@ class TestBayesNetEvaluator:
 
     def test_scalar_query(self, fitted_components):
         _, bn_evaluator, n = fitted_components
-        value = bn_evaluator.scalar(
+        value = bn_evaluator.execute(
             ScalarAggregateQuery(predicates=(Predicate("A", Comparison.LE, 1),))
         )
         assert 0 < value < n * 1.2
@@ -144,7 +145,7 @@ class TestHybridEvaluator:
         query = ScalarAggregateQuery(
             predicates=(Predicate("A", Comparison.EQ, 99),)
         )
-        assert hybrid.scalar(query) == bn_evaluator.scalar(query)
+        assert hybrid.execute(query) == bn_evaluator.execute(query)
 
     def test_hybrid_more_accurate_than_sample_on_missing_tuples(
         self, fitted_components, correlated_population
@@ -212,3 +213,76 @@ class TestAnswerCombination:
         # network contributes only the group the sample never saw.
         assert merged == QueryResult(("g",), {("a",): 10.0, ("b",): 0.0, ("z",): 2.5})
         assert _merge_group_by(("g",), sample, QueryResult(("g",), {})) == sample
+
+
+# Every shape, with filters the sparse sample misses, so that on the sparse
+# world every route is taken: sample, network and the hybrid merge.
+HYBRID_STATEMENTS = [
+    PointQuery({"A": 0, "B": 0}),
+    PointQuery({"A": 2, "B": 2, "C": 1}),
+    PointQuery({"A": 1, "C": 0}),
+    PointQuery({"A": 99}),  # out of the domain
+    "SELECT COUNT(*) FROM sample WHERE A = 0",
+    "SELECT SUM(B) FROM sample WHERE A = 2 AND B = 2 AND C = 1",
+    "SELECT AVG(B) FROM sample WHERE C = 1 AND A IN (0, 2)",
+    "SELECT COUNT(*) FROM sample",
+    "SELECT A, COUNT(*) FROM sample GROUP BY A",
+    "SELECT B, C, AVG(B) FROM sample WHERE A = 2 GROUP BY B, C",
+    "SELECT A, B, C, SUM(B) FROM sample WHERE C = 1 GROUP BY A, B, C",
+    "SELECT COUNT(*) AS n, AVG(B) AS m FROM sample WHERE A <= 1",
+    "SELECT COUNT(*) AS n, SUM(C) AS s FROM sample WHERE A = 2 AND B = 2 AND C = 1",
+    "SELECT A, COUNT(*) AS n, SUM(B) AS s FROM sample GROUP BY A ORDER BY n DESC",
+    "SELECT B, C, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r "
+    "FROM sample WHERE A = 2 GROUP BY B, C HAVING n > 0 LIMIT 4",
+]
+HYBRID_JOINS = [
+    JoinGroupByQuery("A", "A", "B", "C"),
+    JoinGroupByQuery("B", "B", "A", "C", left_predicates=(Predicate("C", Comparison.EQ, 1),)),
+    JoinGroupByQuery("A", "A", "B", "C", (Predicate("A", Comparison.EQ, 2),)),
+]
+
+
+@pytest.mark.parametrize("world", ["serving_themis", "sparse_serving_themis"])
+class TestHybridEqualsTheReference:
+    """``HybridEvaluator.execute`` and ``.run`` == the hybrid rule written
+    out over the reference engines (``oracle.hybrid_reference``)."""
+
+    def test_execute_and_run_equal_the_reference(self, world, request):
+        from oracle import hybrid_reference
+
+        themis = request.getfixturevalue(world)
+        model = themis.model
+        hybrid = model.hybrid_evaluator
+        statements = HYBRID_STATEMENTS + HYBRID_JOINS
+        plans = [themis.plan(statement) for statement in statements]
+        expected = hybrid_reference(model, statements)
+        assert [hybrid.execute(plan.query) for plan in plans] == expected
+        assert hybrid.run(plans) == expected
+        assert [themis.query(statement) for statement in statements] == expected
+        routes = {plan.route for plan in plans}
+        if world == "sparse_serving_themis":
+            assert routes == {"sample", "bayes-net", "hybrid"}
+
+    def test_the_sides_differ_where_the_rule_decides(self, world, request):
+        """The reference is not vacuous: the merged GROUP BY adds groups the
+        sample lacks on the sparse world, and a network-routed point is
+        answered by inference, not by the (empty) sample."""
+        from oracle import ReferenceEngine, hybrid_reference
+
+        themis = request.getfixturevalue(world)
+        model = themis.model
+        query = GroupByQuery(group_by=("A", "B", "C"))
+        merged = hybrid_reference(model, [query])[0]
+        sample_only = ReferenceEngine(model.weighted_sample).execute(query)
+        assert sample_only.groups() <= merged.groups()
+        if world == "sparse_serving_themis":
+            assert sample_only.groups() < merged.groups()
+            missing = [
+                PointQuery({"A": a, "B": b, "C": c})
+                for a in (0, 1, 2)
+                for b in (0, 1, 2)
+                for c in (0, 1)
+                if not model.weighted_sample.contains({"A": a, "B": b, "C": c})
+            ]
+            assert missing and themis.plan(missing[0]).route == "bayes-net"
+            assert all(answer > 0.0 for answer in hybrid_reference(model, missing))

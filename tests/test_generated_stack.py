@@ -2,23 +2,21 @@
 
 ``BayesNetEvaluator`` answers GROUP BY, join, table and sampled scalar
 queries from its ``K`` forward-sampled relations stacked into one relation
-behind one executor.  The loop it replaced lives on here as the reference
-(``oracle.per_sample_consensus``: a fresh ``ColumnarExecutor`` per generated
-sample, one ``execute`` per ``(query, sample)`` pair, combined by
-``intersect_and_average`` or the plain mean), and every answer of the
-stacked pass must be ``==`` to it — exact floats, for ``K`` below and above
-the width (8) at which numpy's pairwise summation starts to differ from a
-sequential one.
+behind one executor.  The loop it replaced lives on as the reference
+(``oracle.network_reference`` over ``oracle.per_sample_consensus``: a fresh
+``ColumnarExecutor`` per generated sample, one ``execute`` per ``(query,
+sample)`` pair, combined by ``intersect_and_average`` or the plain mean),
+and every answer of the stacked pass must be ``==`` to it — exact floats,
+for ``K`` below and above the width (8) at which numpy's pairwise summation
+starts to differ from a sequential one.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from oracle import per_sample_consensus
+from oracle import network_reference as reference
 from repro.bayesnet import ForwardSampler
 from repro.core import Themis, ThemisConfig
 from repro.core.evaluators import BayesNetEvaluator, _sample_means
@@ -32,7 +30,6 @@ from repro.plan import (
     fused_group_columns,
     fused_grouped_weight_totals,
     fused_scalar_reduce,
-    merged_table,
     numeric_column,
     partitioned_group_columns,
     partitioned_grouped_weight_totals,
@@ -131,31 +128,6 @@ def themis(request) -> Themis:
     return fitted(request.param)
 
 
-def reference(evaluator: BayesNetEvaluator, queries: list) -> list:
-    """The per-sample loop's answers; tables go through their parts."""
-    samples = evaluator.generated_samples()
-    schema = evaluator.network.schema
-    compiler = PlanCompiler(schema)
-    answers = []
-    for query in queries:
-        plan = compiler.compile(query)
-        if plan.shape != "table":
-            answers.extend(per_sample_consensus(samples, [plan.query]))
-            continue
-        specs = [replace(spec, alias=None) for spec in plan.query.aggregates]
-        if plan.group_keys:
-            parts = [
-                GroupByQuery(plan.query.group_by, spec, plan.query.predicates)
-                for spec in specs
-            ]
-            per_spec = [part.as_dict() for part in per_sample_consensus(samples, parts)]
-        else:
-            parts = [ScalarAggregateQuery(spec, plan.query.predicates) for spec in specs]
-            per_spec = [{(): part} for part in per_sample_consensus(samples, parts)]
-        answers.append(merged_table(plan, per_spec, schema))
-    return answers
-
-
 # ---------------------------------------------------------------------------
 # The evaluator: batched and single-plan answers == the loop
 # ---------------------------------------------------------------------------
@@ -168,14 +140,11 @@ class TestStackedPassEqualsTheLoop:
         # Twice: the second run finds every mask cached.
         assert evaluator.run(plans) == reference(evaluator, FAMILY)
 
-    def test_single_plan_kernels_equal_the_reference(self, themis):
+    def test_execute_equals_the_reference(self, themis):
         evaluator = themis.model.bayes_net_evaluator
-        assert [evaluator.scalar(q) for q in SCALARS] == reference(evaluator, SCALARS)
-        assert [evaluator.group_by(q) for q in GROUP_BYS] == reference(evaluator, GROUP_BYS)
-        assert [evaluator.join_group_by(q) for q in JOINS] == reference(evaluator, JOINS)
         tables = [themis.plan(sql).query for sql in TABLES]
-        assert [evaluator.analytic(q) for q in tables] == reference(evaluator, tables)
-        assert [evaluator.execute(q) for q in FLAT] == reference(evaluator, FLAT)
+        for queries in (SCALARS, GROUP_BYS, JOINS, tables):
+            assert [evaluator.execute(q) for q in queries] == reference(evaluator, queries)
 
     def test_the_selections_are_not_all_trivial(self, themis):
         evaluator = themis.model.bayes_net_evaluator
@@ -189,7 +158,7 @@ class TestStackedPassEqualsTheLoop:
 
     def test_one_executor_over_one_stacked_relation(self, themis):
         evaluator = themis.model.bayes_net_evaluator
-        evaluator.group_by(GROUP_BYS[0])
+        evaluator.execute(GROUP_BYS[0])
         samples = evaluator.generated_samples()
         stack = evaluator._stack()
         assert stack is evaluator._stack()
@@ -242,7 +211,7 @@ class TestHandBuiltWorlds:
         return BayesNetEvaluator(network, population_size=10.0, n_generated_samples=3)
 
     def test_a_group_missing_from_one_sample_is_dropped(self, evaluator):
-        counts = evaluator.group_by(GroupByQuery(("A",)))
+        counts = evaluator.execute(GroupByQuery(("A",)))
         # A = 2 is absent from the second world, A = 1 has no positive weight
         # in the third: both are phantoms.  A = 0 averages 1.5, 2 and 3.
         assert counts.as_dict() == {(0,): float(np.mean([1.5, 2.0, 3.0]))}
@@ -252,9 +221,9 @@ class TestHandBuiltWorlds:
         # AVG(B) WHERE A = 1: the third world's selection weighs nothing, so
         # its AVG is the guarded 0.0 — and still one of the K operands.
         query = ScalarAggregateQuery(AVG_B, (eq("A", 1),))
-        assert evaluator.scalar(query) == float(np.mean([2.0, 1.0, 0.0]))
+        assert evaluator.execute(query) == float(np.mean([2.0, 1.0, 0.0]))
         grouped = GroupByQuery(("A",), AVG_B)
-        assert evaluator.group_by(grouped).as_dict() == {
+        assert evaluator.execute(grouped).as_dict() == {
             (0,): float(np.mean([(1.0 * 1 + 0.5 * 2) / 1.5, 0.0, 2.0]))
         }
         for q in (query, grouped):
@@ -263,7 +232,7 @@ class TestHandBuiltWorlds:
     def test_join_presence_keeps_zero_weight_groups(self, evaluator):
         # Join sides enumerate *present* groups, zero-weight ones included.
         query = JoinGroupByQuery("A", "A", "B", "C")
-        assert evaluator.join_group_by(query) == reference(evaluator, [query])[0]
+        assert evaluator.execute(query) == reference(evaluator, [query])[0]
         family = [query, GroupByQuery(("A",)), ScalarAggregateQuery(AVG_B, (eq("A", 1),))]
         plans = [PlanCompiler(evaluator.network.schema).compile(q) for q in family]
         assert evaluator.run(plans) == reference(evaluator, family)

@@ -42,7 +42,7 @@ from repro.exceptions import (
 from repro.lru import LRUCache
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
-from repro.query import JoinGroupByQuery
+from repro.query import JoinGroupByQuery, PointQuery
 from repro.query.workload import MixedQueryWorkload
 from repro.serving.governance import (
     PRIORITY_BACKGROUND,
@@ -549,6 +549,35 @@ class TestSessionCancellation:
         # ...an already-expired one raises before executing.
         with pytest.raises(DeadlineExceededError):
             themis.query(statement, deadline=Deadline.after(-1.0))
+
+    @pytest.mark.parametrize("route", ["sample", "bayes-net", "hybrid"])
+    def test_themis_query_deadline_is_polled_inside_execution(
+        self, route, sparse_serving_themis
+    ):
+        """A deadline that expires on its second poll -- after the
+        compile/execute boundary -- still raises: execution polls it too,
+        on every route."""
+        themis = sparse_serving_themis
+        sample = themis.model.weighted_sample
+        statements = {
+            "sample": "SELECT COUNT(*) FROM R WHERE A = 0",
+            "bayes-net": next(
+                PointQuery({"A": a, "B": b, "C": c})
+                for a in (0, 1, 2)
+                for b in (0, 1, 2)
+                for c in (0, 1)
+                if not sample.contains({"A": a, "B": b, "C": c})
+            ),
+            "hybrid": "SELECT A, COUNT(*) FROM R GROUP BY A",
+        }
+        statement = statements[route]
+        assert themis.plan(statement).route == route
+        for explain in (False, "analyze"):
+            reads = iter([0.0])
+            deadline = Deadline(1.0, budget=1.0, clock=lambda: next(reads, 10.0))
+            with pytest.raises(DeadlineExceededError):
+                themis.query(statement, explain=explain, deadline=deadline)
+        assert themis.query(statement, deadline=3600.0) == themis.query(statement)
 
     def test_token_and_deadline_fold_into_one_token(self, themis, sweep_queries):
         """An explicit token without a deadline of its own takes the call's

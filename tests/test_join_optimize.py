@@ -253,14 +253,14 @@ class TestEvaluatorJoinBatches:
         evaluator = serving_themis.model.bayes_net_evaluator
         batched = evaluator.run(self._plans(serving_themis))
         for result, query in zip(batched, self.QUERIES):
-            assert result == evaluator.join_group_by(query)
+            assert result == evaluator.execute(query)
 
     def test_hybrid_join_run_matches_per_query(self, serving_themis):
         hybrid = serving_themis.model.hybrid_evaluator
         stats = OptimizerStats()
         batched = hybrid.run(self._plans(serving_themis), stats=stats)
         for result, query in zip(batched, self.QUERIES):
-            assert result == hybrid.join_group_by(query)
+            assert result == hybrid.execute(query)
         k = serving_themis.model.bayes_net_evaluator.n_generated_samples
         assert stats.bn_sample_dispatches_saved == k * (len(self.QUERIES) - 1)
 

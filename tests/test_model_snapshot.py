@@ -20,12 +20,12 @@ import weakref
 import numpy as np
 import pytest
 
+from oracle import hybrid_reference
 from repro.aggregates import AggregateQuery
 from repro.core import Themis
 from repro.lru import LRUCache
 from repro.query import PointQuery
 from repro.serving import QueryPlanner
-from repro.sql.parser import parse_sql
 from worlds import (
     build_biased_correlated_sample,
     build_correlated_population,
@@ -44,8 +44,8 @@ def extra_aggregate() -> AggregateQuery:
 
 
 def oracle(model, statement: str):
-    """The answer of one snapshot: its hybrid kernels on the parsed AST."""
-    return model.hybrid_evaluator.execute(parse_sql(statement).query)
+    """The answer of one snapshot: the hybrid rule over the reference engines."""
+    return hybrid_reference(model, [statement])[0]
 
 
 #: One statement per route on the full sample: two scalars the sample
@@ -156,6 +156,31 @@ def test_routed_plans_survive_a_refit_of_the_same_sample(change):
     survivors = cached_plans(session.plan_cache)
     assert all(survivors[statement] is plans[statement] for statement in ROUTED)
     assert session.generation == themis.model.generation
+
+
+def test_outcomes_name_the_snapshot_that_answered():
+    """Each batch and each outcome carries the generation of the model that
+    answered it, so an answer can be checked against that snapshot alone."""
+    themis = build_fitted_themis()
+    session = themis.serve()
+    answered = []
+    for _ in range(2):
+        model = themis.model
+        expected = [themis.query(statement) for statement in ROUTED]
+        batches = [session.execute_batch(ROUTED), session.execute_batch(ROUTED[:1])]
+        outcome = session.execute_with_outcome(ROUTED[0])
+        for batch in batches:
+            assert batch.generation == model.generation
+            assert [o.generation for o in batch] == [model.generation] * len(batch)
+        assert outcome.generation == model.generation
+        assert batches[0].results() == expected
+        assert expected == [oracle(model, statement) for statement in ROUTED]
+        answered.append(batches[0])
+        themis.add_aggregate(extra_aggregate())
+        themis.refit()
+    first, second = answered
+    assert first.generation != second.generation
+    assert first.results() != second.results()
 
 
 def test_a_new_sample_drops_the_routed_plans():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import hybrid_reference
 from repro.core import OpenWorldEvaluator
 from repro.exceptions import QueryError
 from repro.plan import (
@@ -240,27 +241,6 @@ class TestBitIdentityWithLegacyEngine:
         for query in queries:
             assert new.join_group_by(query) == legacy.join_group_by(query)
 
-    def test_join_against_other_relation_uses_its_own_domains(self):
-        """Regression: right-side literals must bucketize against *other*'s
-        schema when it codes the same values differently than the left."""
-        left_schema = Schema(
-            [Attribute("j", Domain([0, 1])), Attribute("g", Domain(["x", "y"])),
-             Attribute("c", Domain(["SF", "NY"]))]
-        )
-        other_schema = Schema(
-            [Attribute("j", Domain([0, 1])), Attribute("g", Domain(["x", "y"])),
-             Attribute("c", Domain(["NY", "SF"]))]  # reversed coding of c
-        )
-        left = Relation.from_rows(left_schema, [(0, "x", "SF"), (1, "y", "NY")])
-        other = Relation.from_rows(other_schema, [(0, "x", "SF"), (1, "y", "NY")])
-        query = JoinGroupByQuery(
-            left_join="j", right_join="j", left_group="g", right_group="g",
-            right_predicates=(Predicate("c", Comparison.EQ, "SF"),),
-        )
-        result = WeightedQueryEngine(left).join_group_by(query, other=other)
-        # Only the j=0 rows have c='SF' on the right, so ('x','x') joins.
-        assert result.as_dict() == {("x", "x"): 1.0}
-
     def test_all_predicate_comparisons(self, weighted_relation, engines):
         new, legacy = engines
         comparisons = [
@@ -300,7 +280,8 @@ class TestBitIdentityWithLegacyEngine:
 
 
 class TestBitIdentityOnFittedModel:
-    """Compile-then-run entry points equal the hybrid evaluator exactly."""
+    """Compile-then-run entry points equal the hybrid evaluator exactly, and
+    both equal the hybrid rule over the reference engines."""
 
     def test_point_routing_identity(self, serving_themis, sparse_serving_themis):
         for themis in (serving_themis, sparse_serving_themis):
@@ -313,14 +294,20 @@ class TestBitIdentityOnFittedModel:
             ]
             # Include tuples certain to miss the sparse sample (BN route).
             queries += [PointQuery({"A": 2, "B": 2, "C": 1}), PointQuery({"A": 1, "C": 0})]
-            for query in queries:
-                assert themis.query(query) == hybrid.execute(query)
+            answers = [themis.query(query) for query in queries]
+            assert answers == [hybrid.execute(query) for query in queries]
+            assert answers == hybrid_reference(themis.model, queries)
 
     def test_scalar_and_group_by_routing_identity(self, serving_themis):
         hybrid = serving_themis.model.hybrid_evaluator
         workload = MixedQueryWorkload(serving_themis.model.weighted_sample, seed=6)
-        for entry in workload.scalar_queries(12) + workload.group_by_queries(12):
-            assert serving_themis.query(entry.query) == hybrid.execute(entry.query)
+        queries = [
+            entry.query
+            for entry in workload.scalar_queries(12) + workload.group_by_queries(12)
+        ]
+        answers = [serving_themis.query(query) for query in queries]
+        assert answers == [hybrid.execute(query) for query in queries]
+        assert answers == hybrid_reference(serving_themis.model, queries)
 
     def test_bn_routed_scalar_identity(self, sparse_serving_themis):
         # An out-of-sample conjunction: the scalar routes to the network.
@@ -333,17 +320,19 @@ class TestBitIdentityOnFittedModel:
         )
         plan = sparse_serving_themis.plan(query)
         hybrid = sparse_serving_themis.model.hybrid_evaluator
-        assert sparse_serving_themis.query(query) == hybrid.scalar(query)
+        assert sparse_serving_themis.query(query) == hybrid.execute(query)
+        assert hybrid.execute(query) == hybrid_reference(sparse_serving_themis.model, [query])[0]
         if plan.route == ROUTE_BAYES_NET:  # sample truly misses the conjunction
             bn = sparse_serving_themis.model.bayes_net_evaluator
-            assert sparse_serving_themis.query(query) == bn.scalar(query)
+            assert sparse_serving_themis.query(query) == bn.execute(query)
 
     def test_join_group_by_identity(self, serving_themis):
         query = JoinGroupByQuery(
             left_join="B", right_join="B", left_group="A", right_group="C"
         )
         hybrid = serving_themis.model.hybrid_evaluator
-        assert serving_themis.query(query) == hybrid.join_group_by(query)
+        assert serving_themis.query(query) == hybrid.execute(query)
+        assert hybrid.execute(query) == hybrid_reference(serving_themis.model, [query])[0]
 
     def test_sql_entry_point_identity(self, serving_themis):
         hybrid = serving_themis.model.hybrid_evaluator

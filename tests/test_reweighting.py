@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,31 @@ def test_ipf_weights_always_non_negative(seed):
     )
     result = IPFReweighter(max_iterations=30).fit(sample, aggregates)
     assert np.all(result.weights >= 0)
+
+
+def test_a_cell_whose_ratio_overflows_is_reset_like_a_collapsed_one():
+    """A subnormal target rakes its cell's weights down to ~5e-311; the next
+    aggregate's ratio over those rows, 12.5 / 1e-310, overflows.  The cell
+    is reset evenly instead of its weights turning ``inf`` (and ``nan`` on
+    the next sweep, ``inf * 0``)."""
+    schema = Schema([Attribute("A", Domain(["a0", "a1"])), Attribute("B", Domain(["b0", "b1"]))])
+    codes = np.asarray([0, 0, 1], dtype=np.int64)
+    sample = Relation(schema, {"A": codes, "B": codes.copy()})
+    aggregates = AggregateSet(
+        [
+            AggregateQuery(("A",), {("a0",): 1e-310, ("a1",): 1.0}),
+            AggregateQuery(("B",), {("b0",): 12.5, ("b1",): 1.0}),
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        first = IPFReweighter(max_iterations=1).fit(sample, aggregates)
+        result = IPFReweighter(max_iterations=5).fit(sample, aggregates)
+    assert first.weights.tolist() == [6.25, 6.25, 1.0]
+    assert np.isfinite(result.weights).all()
+    weights, converged, n_iterations = ipf_reference(sample, aggregates, max_iterations=5)
+    assert result.weights.tolist() == weights.tolist()
+    assert (result.converged, result.n_iterations) == (converged, n_iterations)
 
 
 RAKING_ATTRIBUTES = ("A", "B", "C")

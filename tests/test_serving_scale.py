@@ -57,7 +57,7 @@ from repro.serving.governance import (
 from repro.serving.scale import pool as pool_module
 from repro.serving.scale.faults import FaultInjector
 from repro.serving.scale.frontend import encode_result
-from repro.serving.scale.shard import stable_plan_hash
+from repro.serving.scale.shard import stable_key_hash
 
 from golden_plans import golden_queries
 from worlds import (
@@ -112,10 +112,10 @@ class TestShardRouter:
         # Process-stability tripwire: blake2b over the canonical encoding
         # must never depend on PYTHONHASHSEED or the process.  If this
         # moves, every cross-version shard assignment moves with it.
-        assert stable_plan_hash(("point", (("A", 1),))) == 0x10DB667397168BB3
+        assert stable_key_hash(("point", (("A", 1),))) == 0x10DB667397168BB3
 
     def test_consistent_resize_moves_few_keys(self):
-        hashes = [stable_plan_hash(("point", (("A", i), ("B", i % 3)))) for i in range(400)]
+        hashes = [stable_key_hash(("point", (("A", i), ("B", i % 3)))) for i in range(400)]
         before = ShardRouter(4)
         after = ShardRouter(5)
         moved = sum(
@@ -130,7 +130,7 @@ class TestShardRouter:
     def test_all_shards_reachable(self):
         router = ShardRouter(4)
         owners = {
-            router.shard_for_hash(stable_plan_hash(("point", (("A", i),))))
+            router.shard_for_hash(stable_key_hash(("point", (("A", i),))))
             for i in range(200)
         }
         assert owners == {0, 1, 2, 3}
@@ -343,13 +343,13 @@ class TestWhatCrossesThePipe:
         self, monkeypatch, themis, sweep_queries, expected
     ):
         hashed = []
-        stable_hash = pool_module.stable_plan_hash
+        stable_hash = pool_module.stable_key_hash
 
         def counting(key):
             hashed.append(key)
             return stable_hash(key)
 
-        monkeypatch.setattr(pool_module, "stable_plan_hash", counting)
+        monkeypatch.setattr(pool_module, "stable_key_hash", counting)
         kills = FaultInjector().kill_at_batch(0, at=1).kill_at_batch(1, at=1)
         with SupervisedWorkerPool(
             themis, n_workers=2, fault_injector=kills, backoff_base=0.01

@@ -12,9 +12,14 @@ tolerance):
 * the batch-aware optimizer (``engine.execute_batch``),
 
 and, for queries the generator can render to SQL text, the parser path as
-well.  ``SQL_DIFFERENTIAL_SWEEP`` scales the number of generated queries
-(the CI sweep step runs hundreds; the default keeps tier-1 fast).  Every
-assertion message carries the generator seed for replay.
+well.  The same statements then go through two doors of the open-world
+system — ``Themis.sql`` and ``ServingSession.execute_batch`` over a fitted
+model of a random population, with a ``refit()`` between two rounds — and
+every answer must be ``==`` the hybrid rule written out over the reference
+engines (``oracle.hybrid_reference``).  ``SQL_DIFFERENTIAL_SWEEP`` scales
+the number of generated queries (the CI sweep step runs hundreds; the
+default keeps tier-1 fast).  Every assertion message carries the generator
+seed for replay.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ import os
 import numpy as np
 
 from worlds import build_correlated_population, build_fitted_themis
-from oracle import ReferenceEngine
+from oracle import ReferenceEngine, hybrid_reference
 
 from repro.aggregates import AggregateQuery
+from repro.core import Themis, ThemisConfig
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
@@ -47,6 +53,7 @@ from repro.sql import WeightedQueryEngine
 #: Total number of generated queries; the CI sweep step raises this to 240.
 SWEEP = int(os.environ.get("SQL_DIFFERENTIAL_SWEEP", "42"))
 QUERIES_PER_RELATION = 6
+QUERIES_PER_WORLD = 12
 
 def pick(rng: np.random.Generator, options):
     """Choose one element without numpy dtype coercion (enums stay enums)."""
@@ -374,6 +381,71 @@ def test_differential_sweep():
     n_relations = max(1, SWEEP // QUERIES_PER_RELATION)
     for case in range(n_relations):
         _check_relation(seed=90_000 + case, n_queries=QUERIES_PER_RELATION)
+
+
+def build_random_world(rng: np.random.Generator) -> tuple[Themis, Relation]:
+    """A facade over a biased sample of a random population with the
+    generator's schema, and that population: the sample misses some tuples,
+    so statements reach the network as well as the sample."""
+    shape = build_random_relation(rng)
+    n_rows = 400
+    columns = {
+        attribute.name: rng.integers(0, attribute.size, size=n_rows)
+        for attribute in shape.schema
+    }
+    population = Relation(shape.schema, columns)
+    biased = (columns["state"] == 0) | (rng.random(n_rows) < 0.1)
+    themis = Themis(
+        ThemisConfig(
+            seed=int(rng.integers(1 << 30)),
+            ipf_max_iterations=20,
+            n_generated_samples=2,
+            generated_sample_size=150,
+        )
+    )
+    themis.load_sample(population.take(np.flatnonzero(biased)[:60]), name="t")
+    themis.add_aggregate(AggregateQuery.from_relation(population, ["state"]))
+    themis.add_aggregate(AggregateQuery.from_relation(population, ["carrier", "delay"]))
+    return themis, population
+
+
+def _check_doors(seed: int, n_queries: int) -> set[str]:
+    """Check one world's statements at both doors; returns the routes taken."""
+    rng = np.random.default_rng(seed)
+    themis, population = build_random_world(rng)
+    queries = [random_query(rng, population.schema) for _ in range(n_queries)]
+    # SQL text where the generator can render it, the AST otherwise.
+    statements = [render_sql(query) or query for query in queries]
+    session = themis.serve()
+    for round_ in ("fitted", "refit"):
+        model = themis.model
+        expected = hybrid_reference(model, statements)
+        facade = [
+            themis.sql(statement) if isinstance(statement, str) else themis.query(statement)
+            for statement in statements
+        ]
+        batch = session.execute_batch(statements)
+        assert batch.generation == model.generation
+        for index, want in enumerate(expected):
+            for door, got in (("Themis.sql", facade[index]), ("execute_batch", batch.results()[index])):
+                assert got == want, (
+                    f"seed={seed} ({round_}): {door} mismatch for {statements[index]!r}:"
+                    f"\n{got!r}\n!=\n{want!r}"
+                )
+        themis.add_aggregate(AggregateQuery.from_relation(population, ["state", "carrier"]))
+        themis.refit()
+    return {outcome.route for outcome in batch}
+
+
+def test_differential_doors():
+    """Random statements through ``Themis.sql`` and a serving session's
+    ``execute_batch``, before and after a refit, agree exactly with the
+    hybrid rule over the reference engines."""
+    n_worlds = max(1, SWEEP // QUERIES_PER_WORLD)
+    routes = set()
+    for case in range(n_worlds):
+        routes |= _check_doors(seed=95_000 + case, n_queries=QUERIES_PER_WORLD)
+    assert routes == {"sample", "bayes-net", "hybrid"}
 
 
 def test_differential_rich_pipeline_heavy():

@@ -11,7 +11,7 @@ from repro.data import load_flights
 from repro.exceptions import QueryError, ThemisError
 from repro.experiments import build_aggregates
 from repro.metrics import percent_difference
-from repro.query import GroupByQuery
+from repro.query import GroupByQuery, PointQuery
 from repro.schema import Relation
 
 
@@ -138,11 +138,11 @@ class TestFitting:
 class TestQuerying:
     def test_point_query_accuracy(self, fitted_themis, correlated_population):
         truth = correlated_population.count({"A": 2, "B": 2})
-        estimate = fitted_themis.point({"A": 2, "B": 2})
+        estimate = fitted_themis.query(PointQuery({"A": 2, "B": 2}))
         assert percent_difference(truth, estimate) < 60
 
     def test_group_by_covers_population_groups(self, fitted_themis, correlated_population):
-        result = fitted_themis.group_by(GroupByQuery(group_by=("A",)))
+        result = fitted_themis.query(GroupByQuery(group_by=("A",)))
         assert result.groups() == correlated_population.distinct(["A"])
 
     def test_sql_entry_point(self, fitted_themis, correlated_population):
@@ -203,5 +203,5 @@ class TestQuerying:
         themis.load_sample(biased_correlated_sample)
         themis.add_aggregates(correlated_aggregates)
         assert not themis.is_fitted
-        themis.point({"A": 0})
+        themis.query(PointQuery({"A": 0}))
         assert themis.is_fitted
