@@ -18,40 +18,23 @@ base class, compiles an AST (the hybrid also stamps its ``Route`` node with
 :func:`repro.plan.resolve_route`, the one place its routing rule lives) and
 returns ``run([plan])[0]``.  The sample's ``run`` is the columnar engine's
 optimized schedule; the network's ``run`` sends point plans through one
-batched inference call and everything else through one optimized schedule
-over the ``K`` generated samples stacked into one relation
-(:class:`_GeneratedStack`); the hybrid's ``run`` splits by ``plan.route``,
-delegates to the other two, and for hybrid-routed plans runs both and
-merges.  A lone plan has nothing to share and pays no optimizer: it runs as
-a unit of its own (:func:`repro.plan.optimize.run_units`).
+batched inference call and everything else, tables included, through one
+optimized schedule of a :class:`~repro.plan.ColumnarExecutor` over its
+``K`` generated samples, stacked into one relation of ``K`` parts; the
+hybrid's ``run`` splits by ``plan.route``, delegates to the other two, and
+for hybrid-routed plans runs both and merges.  A lone plan has nothing to
+share and pays no optimizer: it runs as a unit of its own
+(:func:`repro.plan.optimize.run_units`).
 
 **Combining answers.**  Two rules turn per-relation answers into one.
 On the network side a group survives only if it appears in *all* ``K``
 generated answers, and its value is the arithmetic mean of the ``K`` values
-— the paper's guard against phantom groups (Sec. 4.2.4).  In the vocabulary
-of consensus answers over probabilistic databases (Li & Deshpande, see
-PAPERS.md) the ``K`` samples are possible worlds: the kept groups are the
-intersection of the worlds' group sets (the set-valued consensus under
-symmetric difference, taken at threshold 1 instead of 1/2), and the mean is
-the value minimizing expected squared distance to the worlds' values.  On
-the hybrid side (:func:`_merge_group_by`) the sample's value wins for every
-group the sample has, and groups only the network found are added — the
-sample is trusted where it has support, the network fills in the open world.
-
-**The stacked pass.**  The ``K`` worlds are never looped over.  They are one
-relation with a per-row sample id, so a family of plans pays one compile,
-one optimized schedule and one conjunction mask per unit over the
-``K * size`` rows, and a GROUP BY unit one scatter-add per distinct measure
-over ``(sample, group)`` bins, reshaped ``(K, G)``: a group survives iff its
-weight total is positive in all ``K`` rows, and its value is the mean of its
-column.  The answers are bit-identical to the loop over ``K`` engines this
-replaced, by operand order rather than by luck — the partitioned kernels
-(:mod:`repro.plan.kernels`) give every sample exactly the additions its own
-pass would run, and :func:`_sample_means` reduces each survivor's ``K``
-values along the last axis of a C-contiguous array, which is the pairwise
-summation ``np.mean`` runs over a list of ``K`` floats (reducing ``(K, G)``
-over axis 0 accumulates row by row and differs once ``K >= 8``).  The loop
-itself lives on as the tests' reference (``tests/oracle.py``).
+— the paper's guard against phantom groups (Sec. 4.2.4), applied by the
+partitioned executor as a consensus over the ``K`` worlds (see
+:mod:`repro.plan.executor`).  On the hybrid side (:func:`_merge_group_by`)
+the sample's value wins for every group the sample has, and groups only the
+network found are added — the sample is trusted where it has support, the
+network fills in the open world.
 """
 
 from __future__ import annotations
@@ -75,22 +58,11 @@ from ..plan import (
     LogicalPlan,
     PlanCompiler,
     RowPartition,
-    merge_join_sides,
     merged_table,
-    partitioned_group_columns,
-    partitioned_grouped_weight_totals,
-    partitioned_scalar_reduce,
     query_shape,
     resolve_route,
 )
-from ..plan.optimize import UNIT_GROUP_BY, UNIT_SCALAR, run_units
-from ..query.ast import (
-    AnalyticQuery,
-    GroupByQuery,
-    PointQuery,
-    Query,
-    ScalarAggregateQuery,
-)
+from ..query.ast import AnalyticQuery, GroupByQuery, PointQuery, Query
 from ..schema import Relation
 from ..sql.engine import QueryResult, WeightedQueryEngine
 
@@ -224,6 +196,10 @@ class BayesNetEvaluator(OpenWorldEvaluator):
     ):
         if population_size <= 0:
             raise QueryError("population_size must be positive")
+        if n_generated_samples < 1:
+            raise QueryError(
+                f"n_generated_samples must be at least 1, got {n_generated_samples}"
+            )
         self._network = network
         self._inference = ExactInference(network)
         self._population_size = float(population_size)
@@ -231,7 +207,7 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         self._sample_size = int(generated_sample_size)
         self._rng = np.random.default_rng(seed)
         self._generated: list[Relation] | None = None
-        self._generated_stack: _GeneratedStack | None = None
+        self._generated_executor: ColumnarExecutor | None = None
         self._schema_compiler = None
         self.name = name
 
@@ -269,22 +245,29 @@ class BayesNetEvaluator(OpenWorldEvaluator):
             )
         return self._generated
 
-    def _stack(self) -> "_GeneratedStack":
+    def _executor(self) -> ColumnarExecutor:
         """The ``K`` generated samples stacked behind one executor.
 
-        Built on first use and kept for the evaluator's lifetime, so
-        repeated filtered queries against the generated samples pay each
-        predicate mask once (a refit builds a fresh evaluator, hence a fresh
-        stack).
+        Rows are stacked in sample order, so sample ``k`` is a contiguous
+        row range of the executor's :class:`~repro.plan.RowPartition` and
+        its partitioned units combine the ``K`` parts by consensus.  Built
+        on first use and kept for the evaluator's lifetime, so repeated
+        filtered queries pay each predicate mask once (a refit builds a
+        fresh evaluator, hence a fresh executor).
         """
-        if self._generated_stack is None:
-            self._generated_stack = _GeneratedStack(self.generated_samples(), self.compiler)
-        return self._generated_stack
+        if self._generated_executor is None:
+            samples = self.generated_samples()
+            self._generated_executor = ColumnarExecutor(
+                functools.reduce(Relation.concat, samples),
+                compiler=self.compiler,
+                partition=RowPartition.of_sizes([sample.n_rows for sample in samples]),
+            )
+        return self._generated_executor
 
     @property
     def compiler(self) -> PlanCompiler:
-        """The (cached) plan compiler over the network's schema, shared by
-        table decomposition and the generated-sample stack."""
+        """The (cached) plan compiler over the network's schema, shared with
+        the generated samples' executor."""
         if self._schema_compiler is None:
             self._schema_compiler = PlanCompiler(self._network.schema)
         return self._schema_compiler
@@ -316,117 +299,21 @@ class BayesNetEvaluator(OpenWorldEvaluator):
     def _run_sampled(self, plans, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
         """Answer plans from the ``K`` generated samples in one stacked pass.
 
-        Tables decompose into their per-aggregate parts, so the whole family
-        is scalars, group-bys and joins, served by one optimized schedule
-        over the stacked samples (:meth:`_GeneratedStack.run`: fused
-        group-by prefixes, shared masks and join sides, ``cancel`` polled
-        per schedule unit).  Raw ASTs are passed down — the stack compiles
+        One optimized schedule of the partitioned executor (fused group-by
+        prefixes, shared masks and join sides, ``cancel`` polled per
+        schedule unit), tables running their pipeline over the consensus
+        group rows.  Raw ASTs are passed down — the executor compiles
         against the *network's* schema.  ``stats.bn_sample_dispatches_saved``
         counts the ``K * (family - 1)`` per-``(plan, sample)`` executions the
         family shares.
         """
-        flat, slices = _flatten_tables(plans, self.compiler.compile)
-        with tracer.span("bn-samples", samples=self._k, plans=len(flat)):
-            answers = self._stack().run([plan.query for plan in flat], cancel=cancel)
-        if stats is not None and len(flat) > 1:
-            stats.bn_sample_dispatches_saved += self._k * (len(flat) - 1)
-        return _assemble_tables(plans, slices, answers, self._network.schema, stats)
-
-
-class _GeneratedStack:
-    """The ``K`` generated samples as one relation behind one executor.
-
-    Rows are stacked in sample order, so sample ``k`` is a contiguous row
-    range (:class:`~repro.plan.kernels.RowPartition`) and one
-    :class:`~repro.plan.ColumnarExecutor` — one compiler, one mask cache,
-    one numeric-column memo — serves all ``K`` worlds.  :meth:`run` is the
-    only way the network answers from its samples: single queries are
-    families of one.
-    """
-
-    def __init__(self, samples: list[Relation], compiler: PlanCompiler):
-        self._partition = RowPartition.of_sizes([sample.n_rows for sample in samples])
-        self._executor = ColumnarExecutor(
-            functools.reduce(Relation.concat, samples), compiler=compiler
-        )
-
-    def run(self, queries: Sequence[Query], cancel=None) -> list:
-        """Consensus answers of scalar / GROUP BY / join queries over the
-        ``K`` samples, in submission order: one compile per query, one
-        optimized schedule (none for a lone query), ``cancel`` polled per
-        unit."""
-        compile = self._executor.compiler.compile
-        return run_units([compile(query) for query in queries], self._run_unit, cancel=cancel)
-
-    def _run_unit(self, kind: str, plans: list[LogicalPlan], sides, pairs, *_) -> list:
-        """One unit's plans over all ``K`` samples (untraced, uncounted)."""
-        if kind == UNIT_SCALAR:
-            return self._run_scalar(plans)
-        if kind == UNIT_GROUP_BY:
-            return self._run_group_by(plans)
-        return self._run_join(plans, sides, pairs)
-
-    def _masked_specs(self, plans: list[LogicalPlan]):
-        """The unit's shared mask and its kernel specs, one per plan (tables
-        were flattened into their parts)."""
-        executor = self._executor
-        mask = executor.mask_cache.conjunction_mask(plans[0].predicates)
-        return mask, executor.unit_specs(plans)[0]
-
-    def _run_scalar(self, plans: list[LogicalPlan]) -> list:
-        mask, specs = self._masked_specs(plans)
-        return _sample_means(
-            partitioned_scalar_reduce(self._executor.relation, mask, specs, self._partition)
-        )
-
-    def _run_group_by(self, plans: list[LogicalPlan]) -> list:
-        relation = self._executor.relation
-        keys = plans[0].group_keys
-        mask, specs = self._masked_specs(plans)
-        weight_totals, per_spec = partitioned_group_columns(
-            relation, keys, mask, specs, self._partition
-        )
-        survivors = np.flatnonzero((weight_totals > 0).all(axis=0))
-        groups = relation.group_tuples(keys, survivors)
-        return [
-            QueryResult(keys, dict(zip(groups, _sample_means(values[:, survivors].T))))
-            for values in per_spec
-        ]
-
-    def _run_join(self, plans: list[LogicalPlan], sides, pairs) -> list:
-        # Side totals and presence come from the (sample, group) bins; the
-        # merge stays per sample, on dicts in ascending group order.
-        executor = self._executor
-        totals = [
-            partitioned_grouped_weight_totals(
-                executor.relation,
-                side.keys,
-                [executor.mask_cache.conjunction_mask(side.predicates)],
-                self._partition,
-            )[0]
-            for side in sides
-        ]
-        answers = []
-        for plan, (left, right) in zip(plans, pairs):
-            worlds = [merge_join_sides(*pair) for pair in zip(totals[left], totals[right])]
-            groups = [
-                group for group in worlds[0] if all(group in world for world in worlds[1:])
-            ]
-            values = [[world[group] for world in worlds] for group in groups]
-            answers.append(QueryResult(plan.group_keys, dict(zip(groups, _sample_means(values)))))
+        with tracer.span("bn-samples", samples=self._k, plans=len(plans)):
+            answers = self._executor().execute_batch(
+                [plan.query for plan in plans], cancel=cancel
+            )
+        if stats is not None and len(plans) > 1:
+            stats.bn_sample_dispatches_saved += self._k * (len(plans) - 1)
         return answers
-
-
-def _sample_means(values) -> list[float]:
-    """Row means of ``(n, K)`` values — each row one answer's ``K`` worlds.
-
-    Reduces along the last axis of a C-contiguous array: numpy then runs the
-    same pairwise summation over the same ``K`` operands as ``np.mean`` over
-    a list of the ``K`` values, which keeps the stacked pass bit-identical
-    to averaging per-sample answers.
-    """
-    rows = np.ascontiguousarray(values, dtype=float)
-    return rows.mean(axis=1).tolist() if rows.size else []
 
 
 class HybridEvaluator(OpenWorldEvaluator):
@@ -514,8 +401,8 @@ class HybridEvaluator(OpenWorldEvaluator):
         Grouped tables decompose into their per-aggregate GROUP BY parts
         *inside* the family, so table aggregates, plain group-bys and joins
         share one optimized schedule on the sample (fused prefixes, shared
-        masks and join sides; ``cancel`` polled per unit) and one per
-        generated sample on the network side.  Each plan's two answers
+        masks and join sides; ``cancel`` polled per unit) and one over the
+        ``K`` generated samples on the network side.  Each plan's two answers
         merge by :func:`_merge_group_by`; table parts then zip back into
         group rows and run the HAVING / window / ORDER BY / LIMIT pipeline.
         """
@@ -557,21 +444,18 @@ def _by_family(
     return results
 
 
-def _analytic_parts(query: AnalyticQuery) -> list[GroupByQuery | ScalarAggregateQuery]:
-    """The legacy per-aggregate queries an analytic query decomposes into.
+def _analytic_parts(query: AnalyticQuery) -> list[GroupByQuery]:
+    """The GROUP BY queries a grouped analytic query decomposes into, one
+    per aggregate (only grouped tables are routed to both sides).
 
     Aliases are stripped so equal aggregates compile to identical canonical
     plans and dedupe inside the batch optimizer.
     """
-    specs = [replace(spec, alias=None) for spec in query.aggregates]
-    if query.group_by:
-        return [
-            GroupByQuery(query.group_by, aggregate=spec, predicates=query.predicates)
-            for spec in specs
-        ]
     return [
-        ScalarAggregateQuery(aggregate=spec, predicates=query.predicates)
-        for spec in specs
+        GroupByQuery(
+            query.group_by, aggregate=replace(spec, alias=None), predicates=query.predicates
+        )
+        for spec in query.aggregates
     ]
 
 
@@ -609,10 +493,7 @@ def _assemble_tables(plans, slices, answers, schema, stats=None) -> list:
         if plan.shape != SHAPE_TABLE:
             results.append(answers[where.start])
             continue
-        if plan.group_keys:
-            per_spec = [answer.as_dict() for answer in answers[where]]
-        else:
-            per_spec = [{(): answer} for answer in answers[where]]
+        per_spec = [answer.as_dict() for answer in answers[where]]
         family = (plan.group_keys, tuple(predicate.key for predicate in plan.predicates))
         results.append(
             merged_table(

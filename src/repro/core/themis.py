@@ -440,7 +440,7 @@ class Themis:
         join plans' shared sides — each distinct ``(join key, group)`` side
         computes its weight totals once per batch (and persists across
         batches in the model's join-side cache), while hybrid
-        join families pay one schedule over the stacked generated samples —
+        join families pay one schedule over all ``K`` generated samples —
         without changing a single answer.
         """
         if self._serving_session is None:

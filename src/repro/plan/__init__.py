@@ -52,16 +52,11 @@ from .kernels import (
     MaskCache,
     RowPartition,
     fused_group_reduce,
-    fused_grouped_weight_totals,
-    fused_scalar_reduce,
-    group_reduce,
-    grouped_weight_totals,
     merge_join_sides,
     numeric_column,
     partitioned_group_columns,
     partitioned_grouped_weight_totals,
     partitioned_scalar_reduce,
-    scalar_reduce,
 )
 from .optimize import (
     JoinSideSpec,
@@ -126,10 +121,6 @@ __all__ = [
     "execute_table_pipeline",
     "fused_group_columns",
     "fused_group_reduce",
-    "fused_grouped_weight_totals",
-    "fused_scalar_reduce",
-    "group_reduce",
-    "grouped_weight_totals",
     "merge_join_sides",
     "merged_table",
     "normalize_plan",
@@ -143,7 +134,6 @@ __all__ = [
     "plan_to_json",
     "query_shape",
     "resolve_route",
-    "scalar_reduce",
     "serialize_node",
     "serialize_plan",
     "serialize_query",

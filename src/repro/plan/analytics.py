@@ -248,7 +248,7 @@ def merged_table(
 ) -> TableResult:
     """Build a table from per-aggregate group→value dicts and run the pipeline.
 
-    The hybrid and BN evaluators answer an analytic query by decomposing it
+    The hybrid evaluator answers a grouped analytic query by decomposing it
     into one legacy group-by per aggregate (reusing the fused sample/BN
     merge paths unchanged) and zipping the per-spec dicts back into group
     rows here.  Rows are ordered ascending by encoded group codes; group

@@ -8,6 +8,35 @@ codes, one selection-vector gather per reduction — instead of materializing
 filtered relations per query.  Its mask and join-side caches hold values of
 its one immutable relation, so they need no invalidation: they live and die
 with the fitted model that owns the executor.
+
+**The K worlds.**  The Bayesian network answers its sampled aggregates from
+``K`` forward-sampled relations (Sec. 4.2.4).  They are never looped over:
+they are one relation, stacked in sample order, behind one executor built
+with a :class:`~repro.plan.kernels.RowPartition` of the ``K`` sample sizes.
+A family of plans then pays one compile, one optimized schedule and one
+conjunction mask per unit over the ``K * size`` rows, and a GROUP BY unit
+one scatter-add per distinct measure over ``(sample, group)`` bins,
+reshaped ``(K, G)``.  The parts combine by the paper's rule: a group
+survives iff its weight total is positive in all ``K`` parts (a join group
+iff it is in all ``K`` merged worlds), and its value is the mean over the
+parts.  In the vocabulary of consensus answers over probabilistic databases
+(Li & Deshpande, see PAPERS.md) the ``K`` samples are possible worlds: the
+kept groups are the intersection of the worlds' group sets (the set-valued
+consensus under symmetric difference, taken at threshold 1 instead of 1/2),
+and the mean is the value minimizing expected squared distance to the
+worlds' values.  Tables run their HAVING / window / ORDER BY / LIMIT
+pipeline over the consensus group rows, as they do over the sample's.
+
+The answers are bit-identical to a loop over ``K`` per-sample executors, by
+operand order rather than by luck: the partitioned kernels
+(:mod:`repro.plan.kernels`) give every part exactly the additions its own
+pass would run, and :func:`_sample_means` reduces each survivor's ``K``
+values along the last axis of a C-contiguous array, which is the pairwise
+summation ``np.mean`` runs over a list of ``K`` floats (reducing ``(K, G)``
+over axis 0 accumulates row by row and differs once ``K >= 8``).  The loop
+itself lives on as the tests' reference (``tests/oracle.py``).  Without a
+partition (the weighted sample) the relation is its one part: each
+kernel's part ``0`` is the answer, and no mean is taken.
 """
 
 from __future__ import annotations
@@ -25,12 +54,12 @@ from .analytics import execute_table_pipeline
 from .ir import SHAPE_TABLE, LogicalPlan
 from .kernels import (
     MaskCache,
-    fused_group_columns,
-    fused_grouped_weight_totals,
-    fused_scalar_reduce,
-    group_values,
+    RowPartition,
     merge_join_sides,
     numeric_column,
+    partitioned_group_columns,
+    partitioned_grouped_weight_totals,
+    partitioned_scalar_reduce,
 )
 from .optimize import (
     UNIT_GROUP_BY,
@@ -44,10 +73,22 @@ from .optimize import (
 JOIN_SIDE_CACHE_CAPACITY = 256
 
 
-def _side_bytes(totals: dict) -> int:
+def _side_bytes(parts: list[dict]) -> int:
     # Flat estimate: key tuples are short and each entry is a (group tuple,
     # float) pair -- cheaper than a deep measure, monotone in the footprint.
-    return 128 + 96 * len(totals)
+    return 128 + 96 * sum(map(len, parts))
+
+
+def _sample_means(values) -> list[float]:
+    """Row means of ``(n, K)`` values, each row one answer's ``K`` parts.
+
+    Reduces along the last axis of a C-contiguous array: numpy then runs the
+    same pairwise summation over the same ``K`` operands as ``np.mean`` over
+    a list of the ``K`` values, which keeps the partitioned pass
+    bit-identical to averaging per-part answers.
+    """
+    rows = np.ascontiguousarray(values, dtype=float)
+    return rows.mean(axis=1).tolist() if rows.size else []
 
 
 class ColumnarExecutor:
@@ -61,6 +102,11 @@ class ColumnarExecutor:
         The plan compiler to use for raw ASTs/SQL; one is built over the
         relation's schema when omitted.  Sharing a compiler across executors
         shares its compiled-plan memo.
+    partition:
+        The row ranges of the stacked parts whose answers combine by
+        consensus (the module docstring's ``K`` worlds); built by the
+        Bayesian-network evaluator from its generated samples' sizes.
+        ``None``, the weighted sample, is one part.
 
     The executor owns its predicate-mask cache (one per relation, shared by
     every plan it runs) and its cross-batch join-side cache, keyed by side
@@ -69,8 +115,14 @@ class ColumnarExecutor:
     weighted sample, so neither cache is ever invalidated in place.
     """
 
-    def __init__(self, relation: Relation, compiler: PlanCompiler | None = None):
+    def __init__(
+        self,
+        relation: Relation,
+        compiler: PlanCompiler | None = None,
+        partition: RowPartition | None = None,
+    ):
         self._relation = relation
+        self._partition = partition
         self._compiler = compiler if compiler is not None else PlanCompiler(relation.schema)
         self._masks = MaskCache(relation)
         self._join_sides = LRUCache(JOIN_SIDE_CACHE_CAPACITY, size=_side_bytes)
@@ -152,11 +204,16 @@ class ColumnarExecutor:
         return self._run_join(plans, sides, pairs, stats)
 
     def _run_scalar(self, plans: list[LogicalPlan], tracer) -> list:
-        """A scalar unit: every reduction of its plans over one shared mask;
-        group-less tables wrap theirs as one-row tables."""
+        """A scalar unit: every reduction of its plans over one shared mask,
+        averaged over the parts; group-less tables wrap theirs as one-row
+        tables."""
         mask = self._shared_mask(plans[0].predicates, tracer)
         specs, ends = self.unit_specs(plans)
-        values = fused_scalar_reduce(self._relation, mask, specs)
+        per_spec = partitioned_scalar_reduce(self._relation, mask, specs, self._partition)
+        if self._partition is None:
+            values = [parts[0] for parts in per_spec]
+        else:
+            values = _sample_means(per_spec)
         answers = []
         start = 0
         for plan, end in zip(plans, ends):
@@ -169,17 +226,26 @@ class ColumnarExecutor:
 
     def _run_group_by(self, plans: list[LogicalPlan], stats, tracer) -> list:
         """A group-by unit: its plans' aggregates stacked into one
-        scatter-add pass over the shared ``(Scan, Filter, Group)`` prefix;
-        grouped tables then run their HAVING / window / ORDER BY / LIMIT
-        pipeline over the group rows."""
+        scatter-add pass over the shared ``(Scan, Filter, Group)`` prefix,
+        keeping the groups with positive weight in every part, each valued
+        by its mean over the parts; grouped tables then run their HAVING /
+        window / ORDER BY / LIMIT pipeline over the group rows."""
         from ..sql.engine import QueryResult
 
         group_keys = plans[0].group_keys
         mask = self._shared_mask(plans[0].predicates, tracer)
         specs, ends = self.unit_specs(plans)
-        positive, codes, decoded, per_spec = fused_group_columns(
-            self._relation, group_keys, mask, specs
+        weight_totals, per_spec = partitioned_group_columns(
+            self._relation, group_keys, mask, specs, self._partition
         )
+        if self._partition is None:
+            kept = np.nonzero(weight_totals[0] > 0)[0]
+            per_spec = [values[0][kept] for values in per_spec]
+        else:
+            kept = np.flatnonzero((weight_totals > 0).all(axis=0))
+            per_spec = [np.asarray(_sample_means(values[:, kept].T)) for values in per_spec]
+        codes = self._relation.group_codes(group_keys)[1][kept]
+        decoded = self._relation.group_tuples(group_keys, kept)
         # One window-permutation memo per unit: tables in it sharing a
         # partition family pay one argsort.
         sort_memo: dict = {}
@@ -194,32 +260,40 @@ class ColumnarExecutor:
                         plan,
                         codes,
                         decoded,
-                        [values[positive] for values in columns],
+                        columns,
                         sort_memo=sort_memo,
                         stats=stats,
                     )
                 )
             else:
-                answers.append(
-                    QueryResult(group_keys, group_values(decoded, positive, columns[0]))
-                )
+                answers.append(QueryResult(group_keys, dict(zip(decoded, columns[0].tolist()))))
         return answers
 
     def _run_join(self, plans: list[LogicalPlan], sides, pairs, stats) -> list:
         """The join unit: the side table's ``(join key, group)`` weight
-        totals, then one merge of two small tables per plan.
+        totals, then one merge of two small tables per plan and part.
 
         The joined weight of a pair of groups is ``sum_{i,j} w_i * w_j``
         over matching tuple pairs, the natural plug-in estimator for a
-        weighted sample.
+        weighted sample.  Over several parts a group survives iff every
+        part's merged world has it, and its value is the mean over them.
         """
         from ..sql.engine import QueryResult
 
         totals = self._join_side_totals(sides, stats)
-        return [
-            QueryResult(plan.group_keys, merge_join_sides(totals[left], totals[right]))
-            for plan, (left, right) in zip(plans, pairs)
-        ]
+        answers = []
+        for plan, (left, right) in zip(plans, pairs):
+            worlds = [merge_join_sides(*pair) for pair in zip(totals[left], totals[right])]
+            if self._partition is None:
+                merged = worlds[0]
+            else:
+                groups = [
+                    group for group in worlds[0] if all(group in world for world in worlds[1:])
+                ]
+                values = [[world[group] for world in worlds] for group in groups]
+                merged = dict(zip(groups, _sample_means(values)))
+            answers.append(QueryResult(plan.group_keys, merged))
+        return answers
 
     def _shared_mask(self, predicates, tracer=NULL_TRACER):
         """A unit's shared conjunction mask, traced with cache-delta counters."""
@@ -236,8 +310,9 @@ class ColumnarExecutor:
 
     def _join_side_totals(
         self, sides: Sequence[JoinSideSpec], stats: OptimizerStats | None
-    ) -> list[dict]:
-        """Resolve every join side's ``(join key, group)`` weight totals.
+    ) -> list[list[dict]]:
+        """Resolve every join side's ``(join key, group)`` weight totals, one
+        dict per part.
 
         Sides land in two tiers: the cross-batch :attr:`join_side_cache`
         (hit: zero work), then one fused stacked scatter-add pass per
@@ -245,7 +320,7 @@ class ColumnarExecutor:
         conjunction mask as a stacked reduction column), whose results are
         cached for the next batch.
         """
-        totals: list[dict | None] = [None] * len(sides)
+        totals: list[list[dict] | None] = [None] * len(sides)
         pending: dict[tuple[str, ...], list[int]] = {}
         for index, side in enumerate(sides):
             cached = self._join_sides.get(side.signature)
@@ -258,7 +333,8 @@ class ColumnarExecutor:
         for keys, indexes in pending.items():
             masks = [self._masks.conjunction_mask(sides[index].predicates) for index in indexes]
             for index, side_totals in zip(
-                indexes, fused_grouped_weight_totals(self._relation, keys, masks)
+                indexes,
+                partitioned_grouped_weight_totals(self._relation, keys, masks, self._partition),
             ):
                 totals[index] = side_totals
                 self._join_sides.put(sides[index].signature, side_totals)

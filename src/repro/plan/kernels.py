@@ -25,8 +25,10 @@ operands.
 The reductions come in a **partitioned** form (:class:`RowPartition`): the
 relation is several relations stacked in order — the Bayesian network's
 ``K`` generated samples — and one pass yields every part's answer, each
-bit-identical to running the kernel over that part alone.  The plain
-``fused_*`` kernels are the one-part case of the same functions.
+bit-identical to running the kernel over that part alone.  Without a
+partition the relation is one part: the weighted sample's executor takes
+each kernel's part ``0``, and :func:`fused_group_columns` is that case of
+:func:`partitioned_group_columns`.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class MaskCache:
 
 
 # ----------------------------------------------------------------------
-# Reduction kernels (shared by the executor and the evaluators)
+# Reduction kernels (the executor's, over one part or several)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RowPartition:
@@ -169,58 +171,8 @@ def numeric_column(relation: Relation, attribute: str) -> np.ndarray:
     return lookup[relation.column(attribute)]
 
 
-def scalar_reduce(
-    relation: Relation,
-    mask: np.ndarray | None,
-    function: str,
-    measure: np.ndarray | None,
-) -> float:
-    """Masked weighted COUNT/SUM/AVG over a relation — the scalar kernel.
-
-    The single-aggregate case of :func:`fused_scalar_reduce` (one code path,
-    so the per-plan and fused-batch executions can never diverge).
-    """
-    return fused_scalar_reduce(relation, mask, [(function, measure)])[0]
-
-
-def group_reduce(
-    relation: Relation,
-    keys: tuple[str, ...],
-    mask: np.ndarray | None,
-    function: str,
-    measure: np.ndarray | None,
-) -> dict[tuple[Any, ...], float]:
-    """Masked weighted GROUP BY aggregate — the scatter-add kernel.
-
-    Group ids come from the relation's memoized ``group_codes`` (packed-key
-    group codes (ascending code order), computed once per (relation, key
-    set) and shared by every plan grouping over the same columns);
-    per-group totals are ``np.bincount``
-    scatter-adds over the selected rows.  Groups with no positive weight are
-    dropped, matching the historical filtered-relation engine bit for bit.
-
-    The single-aggregate case of :func:`fused_group_reduce` (one code path,
-    so the per-plan and fused-batch executions can never diverge).
-    """
-    return fused_group_reduce(relation, keys, mask, [(function, measure)])[0]
-
-
 #: The one part of an unpartitioned relation: every (masked) row.
 _WHOLE = (slice(None),)
-
-
-def fused_scalar_reduce(
-    relation: Relation,
-    mask: np.ndarray | None,
-    specs: list[tuple[str, np.ndarray | None]],
-) -> list[float]:
-    """Several masked weighted scalar aggregates over **one** shared mask.
-
-    The one-part case of :func:`partitioned_scalar_reduce` (one code path,
-    so the sample-side and stacked generated-sample executions can never
-    diverge).
-    """
-    return [values[0] for values in partitioned_scalar_reduce(relation, mask, specs)]
 
 
 def partitioned_scalar_reduce(
@@ -235,7 +187,7 @@ def partitioned_scalar_reduce(
     decoded numeric column, ``None`` for COUNT).  The selection vector, the
     gathered weights, their per-part totals, each measure gather, and each
     weighted sum are computed once per distinct operand and shared across
-    the family — bit-identical to calling :func:`scalar_reduce` per spec.
+    the family — bit-identical to reducing each spec over its own gather.
 
     Parts are reduced as *contiguous slices* of the one gathered vector: a
     slice holds exactly the operands the part's own gather would, so
@@ -295,20 +247,14 @@ def fused_group_columns(
     mask: np.ndarray | None,
     specs: list[tuple[str, np.ndarray | None]],
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[Any, ...]], list[np.ndarray]]:
-    """The shared scatter-add pass behind every grouped evaluation.
+    """The one-part case of :func:`partitioned_group_columns`, resolved to
+    its positive-weight groups (as the executor's group-by unit resolves it).
 
     Returns ``(positive, codes, decoded, per_spec)``: the full-bin row
     indexes of positive-weight groups, their encoded key rows (packed-key
     group codes (ascending code order), one row per surviving group), the
     decoded group tuples in that same order, and one *full-bin* value array
     per spec.
-    Both :func:`fused_group_reduce` (dict-shaped results) and the analytic
-    table pipeline index the same arrays, so the two result shapes can
-    never disagree about a group's value.
-
-    The one-part case of :func:`partitioned_group_columns` (one code path,
-    so the sample-side and stacked generated-sample executions can never
-    diverge).
     """
     weight_totals, per_spec = partitioned_group_columns(relation, keys, mask, specs)
     positive = np.nonzero(weight_totals[0] > 0)[0]
@@ -398,49 +344,12 @@ def fused_group_reduce(
     gather, the masked weight scatter-add, and the per-group key decoding run
     **once** for the whole family; each member only adds its own stacked
     reduction column (one extra ``np.bincount`` per distinct measure).
-    Bit-identical to calling :func:`group_reduce` per spec: the shared
-    intermediates are the exact arrays each individual pass would compute.
+    Bit-identical to one pass per spec: the shared intermediates are the
+    exact arrays each individual pass would compute.  Groups with no
+    positive weight are dropped.
     """
     positive, _codes, decoded, per_spec = fused_group_columns(relation, keys, mask, specs)
-    return [group_values(decoded, positive, values) for values in per_spec]
-
-
-def group_values(
-    decoded: list[tuple[Any, ...]], positive: np.ndarray, values: np.ndarray
-) -> dict[tuple[Any, ...], float]:
-    """One spec's dict-shaped answer: surviving group tuple -> its value."""
-    return dict(zip(decoded, values[positive].tolist()))
-
-
-def grouped_weight_totals(
-    relation: Relation, keys: tuple[str, ...], mask: np.ndarray | None
-) -> dict[tuple[Any, ...], float]:
-    """Masked weighted value counts over ``keys`` — the join-side kernel.
-
-    Unlike :func:`group_reduce` this keeps zero-weight groups whose tuples
-    matched the mask (``Relation.value_counts`` semantics), because the join
-    merge enumerates *present* groups, not positive-weight ones.
-
-    The single-side case of :func:`fused_grouped_weight_totals` (one code
-    path, so per-plan and fused-batch join execution can never diverge).
-    """
-    return fused_grouped_weight_totals(relation, keys, (mask,))[0]
-
-
-def fused_grouped_weight_totals(
-    relation: Relation,
-    keys: tuple[str, ...],
-    masks: Sequence[np.ndarray | None],
-) -> list[dict[tuple[Any, ...], float]]:
-    """Several join sides' weight totals over **one** shared scatter-add pass.
-
-    The one-part case of :func:`partitioned_grouped_weight_totals` (one code
-    path, so the sample-side and stacked generated-sample join executions
-    can never diverge).
-    """
-    return [
-        parts[0] for parts in partitioned_grouped_weight_totals(relation, keys, masks)
-    ]
+    return [dict(zip(decoded, values[positive].tolist())) for values in per_spec]
 
 
 def partitioned_grouped_weight_totals(
@@ -455,10 +364,13 @@ def partitioned_grouped_weight_totals(
     over the same ``keys`` columns, so the group-code gather runs once and
     each side only adds its own stacked reduction columns (one weight
     bincount plus one presence bincount over ``(part, group)`` bins).
-    Bit-identical to calling :func:`grouped_weight_totals` per mask per
-    part: each part's totals and presence come from exactly the rows its
-    individual pass would add, in the same order, and present groups are
-    emitted in the same ascending group-row order.
+    Unlike :func:`partitioned_group_columns` this keeps zero-weight groups
+    whose tuples matched the mask (``Relation.value_counts`` semantics),
+    because the join merge enumerates *present* groups, not positive-weight
+    ones.  Bit-identical to one pass per mask per part: each part's totals
+    and presence come from exactly the rows its own pass would add, in the
+    same order, and present groups are emitted in ascending group-row
+    order.
     """
     bins, (n_parts, n_groups) = _part_group_bins(relation, keys, partition)
     n_bins = n_parts * n_groups

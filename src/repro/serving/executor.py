@@ -18,10 +18,11 @@ plan's ``Route`` node and lives behind ``run`` in
 
 so BN-routed point plans share one batched exact-inference call (one
 variable-elimination pass per evidence signature), everything else the
-network answers shares one optimized schedule over the stacked generated
-samples, sample-routed plans share one optimized columnar schedule, hybrid
-families fuse on both sides, identical plans execute once and fan out, and
-answers land in the result cache for the next batch.
+network answers, tables included, shares one optimized schedule over its
+generated samples (one relation of ``K`` parts), sample-routed plans share
+one optimized columnar schedule, hybrid families fuse on both sides,
+identical plans execute once and fan out, and answers land in the result
+cache for the next batch.
 
 Single queries (:meth:`BatchExecutor.execute_plan`) skip the stages: they
 call :meth:`~repro.core.evaluators.HybridEvaluator.execute`, the same batch

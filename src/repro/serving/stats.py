@@ -50,8 +50,8 @@ class QueryOutcome:
     bn_batched:
         Whether the answer came out of the batch's shared BN dispatch (the
         ``bn-dispatch`` stage: BN-routed plans — points share one
-        variable-elimination pass per evidence signature, everything else
-        one schedule over the stacked generated samples).
+        variable-elimination pass per evidence signature, everything else,
+        tables included, one schedule over the ``K`` generated samples).
     optimized:
         Whether the answer came out of the batch's optimized columnar
         dispatch (the ``columnar`` stage: sample-routed plans and fused
@@ -97,7 +97,7 @@ class BatchResult:
     amortized_inference_seconds: float = 0.0
     #: Seconds spent in the batch's BN dispatch (every BN-routed plan: one
     #: variable-elimination pass per evidence signature for points, one
-    #: schedule over the stacked generated samples for sampled aggregates).
+    #: schedule over the ``K`` generated samples for everything else).
     bn_batch_seconds: float = 0.0
     #: Variable-elimination passes the batched dispatch actually ran (a
     #: warm per-signature factor cache makes this zero).

@@ -148,7 +148,8 @@ class ReferenceEngine:
         return [lookup[int(code)] for code in self._relation.column(attribute)]
 
     # ------------------------------------------------------------------
-    # Scalar reductions (mirror the pairwise-sum contract of scalar_reduce)
+    # Scalar reductions (mirror the pairwise-sum contract of
+    # partitioned_scalar_reduce)
     # ------------------------------------------------------------------
     def _scalar(self, function: str, attribute: str | None, rows: list[int]) -> float:
         weights = np.asarray([self._weights[row] for row in rows], dtype=np.float64)

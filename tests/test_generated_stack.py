@@ -19,28 +19,29 @@ import pytest
 from oracle import network_reference as reference
 from repro.bayesnet import ForwardSampler
 from repro.core import Themis, ThemisConfig
-from repro.core.evaluators import BayesNetEvaluator, _sample_means
-from repro.exceptions import QueryCancelledError
+from repro.core.evaluators import BayesNetEvaluator
+from repro.exceptions import QueryCancelledError, QueryError
 from repro.obs import names
 from repro.plan import (
+    ColumnarExecutor,
     MaskCache,
     OptimizerStats,
     PlanCompiler,
     RowPartition,
     fused_group_columns,
-    fused_grouped_weight_totals,
-    fused_scalar_reduce,
     numeric_column,
     partitioned_group_columns,
     partitioned_grouped_weight_totals,
     partitioned_scalar_reduce,
 )
+from repro.plan.executor import _sample_means
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
     Comparison,
     GroupByQuery,
     JoinGroupByQuery,
+    PointQuery,
     Predicate,
     ScalarAggregateQuery,
 )
@@ -160,14 +161,14 @@ class TestStackedPassEqualsTheLoop:
         evaluator = themis.model.bayes_net_evaluator
         evaluator.execute(GROUP_BYS[0])
         samples = evaluator.generated_samples()
-        stack = evaluator._stack()
-        assert stack is evaluator._stack()
-        relation = stack._executor.relation
+        executor = evaluator._executor()
+        assert executor is evaluator._executor()
+        relation = executor.relation
         assert relation.n_rows == sum(sample.n_rows for sample in samples)
-        offsets = stack._partition.offsets
+        offsets = executor._partition.offsets
         for k, sample in enumerate(samples):
             rows = slice(offsets[k], offsets[k + 1])
-            assert (stack._partition.ids[rows] == k).all()
+            assert (executor._partition.ids[rows] == k).all()
             assert (relation.weights[rows] == sample.weights).all()
             for name in relation.attribute_names:
                 assert (relation.column(name)[rows] == sample.column(name)).all()
@@ -184,6 +185,47 @@ class TestStackedPassEqualsTheLoop:
         single = OptimizerStats()
         evaluator.run([themis.plan(FLAT[0])], stats=single)
         assert single.bn_sample_dispatches_saved == 0
+
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fit_refuses_fewer_than_one_generated_sample(self, k):
+        with pytest.raises(QueryError, match="n_generated_samples"):
+            fitted(k)
+
+
+class TestOnePartRule:
+    """One part under the consensus rule == no partition at all.
+
+    The weighted sample's executor has no partition and takes each
+    kernel's part ``0``; a partition of one part runs the consensus (every
+    part keeps the group, mean over the parts) and must not move an answer.
+    """
+
+    STATEMENTS = FAMILY + [
+        PointQuery({"A": 0, "B": 1, "C": 1}),
+        PointQuery({"A": 2, "B": 9, "C": 0}),  # out of the domain
+        "SELECT A, B, SUM(C) AS s, SUM(s) OVER (PARTITION BY A ORDER BY s) AS run "
+        "FROM R GROUP BY A, B",
+        "SELECT B, AVG(C) AS m, RANK() OVER (ORDER BY m DESC) AS r FROM R "
+        "WHERE A <= 1 GROUP BY B HAVING m > 0 LIMIT 2",
+    ]
+
+    def test_one_part_equals_no_partition(self):
+        population = build_correlated_population()
+        rng = np.random.default_rng(5)
+        weights = rng.random(population.n_rows) * 3
+        weights[population.column("A") == 2] = 0.0  # a present, weightless group
+        relation = population.with_weights(weights)
+        plain = ColumnarExecutor(relation)
+        one_part = ColumnarExecutor(
+            relation, partition=RowPartition.of_sizes([relation.n_rows])
+        )
+        answers = plain.execute_batch(self.STATEMENTS)
+        assert one_part.execute_batch(self.STATEMENTS) == answers
+        assert [one_part.execute(statement) for statement in self.STATEMENTS] == answers
+        by_statement = dict(zip(map(repr, self.STATEMENTS), answers))
+        assert (2,) not in by_statement[repr(GROUP_BYS[0])].as_dict()
+        assert any(group[0] == 2 for group in by_statement[repr(JOINS[0])].as_dict())
 
 
 class TestHandBuiltWorlds:
@@ -294,8 +336,10 @@ class TestPartitionedKernels:
             relation, self._masks(relation, predicates), self._specs(relation), partition
         )
         for k, part in enumerate(parts):
-            alone = fused_scalar_reduce(part, self._masks(part, predicates), self._specs(part))
-            assert [values[k] for values in together] == alone
+            alone = partitioned_scalar_reduce(
+                part, self._masks(part, predicates), self._specs(part)
+            )
+            assert [[values[k]] for values in together] == alone
 
     @pytest.mark.parametrize("predicates", PREDICATES)
     @pytest.mark.parametrize("keys", [("A",), ("B", "C")])
@@ -327,10 +371,10 @@ class TestPartitionedKernels:
             if not part.n_rows:
                 assert all(side[k] == {} for side in together)
                 continue
-            alone = fused_grouped_weight_totals(
+            alone = partitioned_grouped_weight_totals(
                 part, keys, [self._masks(part, p) for p in self.PREDICATES]
             )
-            for side, part_side in zip(together, alone):
+            for side, (part_side,) in zip(together, alone):
                 assert side[k] == part_side
                 assert list(side[k]) == list(part_side)  # the merge's iteration order
 
@@ -404,14 +448,14 @@ class TestServingOverTheStack:
         assert session.execute_batch(STATEMENTS).results() == [
             themis.query(statement) for statement in STATEMENTS
         ]
-        old_stack = before._stack()
+        old_executor = before._executor()
         themis.refit()
         after = themis.model.bayes_net_evaluator
         # A refit builds a fresh evaluator; nothing of the old stack — its
         # relation, its masks — is reachable from the new model.
         assert after is not before and not after.has_generated_samples
         answers = session.execute_batch(STATEMENTS).results()
-        assert after._stack() is not old_stack
+        assert after._executor() is not old_executor
         assert answers == [themis.query(statement) for statement in STATEMENTS]
         flat = [q for q in STATEMENTS if not isinstance(q, str)] + GROUP_BYS
         assert [after.execute(q) for q in flat] == reference(after, flat)
@@ -444,8 +488,8 @@ class TestServingOverTheStack:
         dispatch = batch.trace.find(names.STAGE_BN_DISPATCH)
         (span,) = dispatch.spans("bn-samples")
         assert span.attributes["samples"] == themis.model.bayes_net_evaluator.n_generated_samples
-        # Three scalars and the group-less table's two parts.
-        assert span.attributes["plans"] == 5
+        # Three scalars and the group-less table, which runs whole.
+        assert span.attributes["plans"] == 4
         # The hybrid families' network side is the same span, under columnar.
         columnar = batch.trace.find(names.STAGE_COLUMNAR)
         assert len(columnar.spans("bn-samples")) == 1

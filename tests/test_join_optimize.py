@@ -17,9 +17,8 @@ from repro.plan import (
     ColumnarExecutor,
     OptimizerStats,
     PlanCompiler,
-    fused_grouped_weight_totals,
-    grouped_weight_totals,
     optimize_batch,
+    partitioned_grouped_weight_totals,
 )
 from repro.plan.optimize import UNIT_JOIN
 from repro.query import (
@@ -88,15 +87,15 @@ class TestFusedJoinSideKernel:
             executor.mask_cache.conjunction_mask(plan.join.left.child.predicates),
             None,
         ]
-        fused = fused_grouped_weight_totals(relation, ("a", "b"), masks)
+        fused = partitioned_grouped_weight_totals(relation, ("a", "b"), masks)
         for mask, totals in zip(masks, fused):
-            assert totals == grouped_weight_totals(relation, ("a", "b"), mask)
+            assert totals == partitioned_grouped_weight_totals(relation, ("a", "b"), [mask])[0]
 
     def test_single_side_delegates_to_the_fused_kernel(self, relation):
         mask = relation.column("d") <= 1
-        alone = grouped_weight_totals(relation, ("a", "c"), mask)
-        (stacked,) = fused_grouped_weight_totals(relation, ("a", "c"), [mask])
-        assert alone == stacked
+        ((alone,),) = partitioned_grouped_weight_totals(relation, ("a", "c"), [mask])
+        (stacked,), _ = partitioned_grouped_weight_totals(relation, ("a", "c"), [mask, None])
+        assert alone and alone == stacked
 
 
 class TestJoinSideSharing:
