@@ -20,28 +20,26 @@ returns ``run([plan])[0]``.  The sample's ``run`` is the columnar engine's
 optimized schedule; the network's ``run`` sends point plans through one
 batched inference call and everything else, tables included, through one
 optimized schedule of a :class:`~repro.plan.ColumnarExecutor` over its
-``K`` generated samples, stacked into one relation of ``K`` parts; the
-hybrid's ``run`` splits by ``plan.route``, delegates to the other two, and
-for hybrid-routed plans runs both and merges.  A lone plan has nothing to
-share and pays no optimizer: it runs as a unit of its own
-(:func:`repro.plan.optimize.run_units`).
+``K`` generated samples, stacked into one relation; the hybrid's ``run``
+delegates by ``plan.route`` and runs hybrid-routed plans through one
+schedule over its own stack, the weighted sample followed by the ``K``
+generated samples.  A lone plan pays no optimizer: it runs as a unit of its
+own (:func:`repro.plan.optimize.run_units`).
 
-**Combining answers.**  Two rules turn per-relation answers into one.
-On the network side a group survives only if it appears in *all* ``K``
-generated answers, and its value is the arithmetic mean of the ``K`` values
-— the paper's guard against phantom groups (Sec. 4.2.4), applied by the
-partitioned executor as a consensus over the ``K`` worlds (see
-:mod:`repro.plan.executor`).  On the hybrid side (:func:`_merge_group_by`)
-the sample's value wins for every group the sample has, and groups only the
-network found are added — the sample is trusted where it has support, the
-network fills in the open world.
+**Combining answers.**  Both of the paper's rules are one combine step of
+the partitioned executor (:mod:`repro.plan.executor`): a group takes part
+0's value wherever part 0 has it, and otherwise survives only if *all*
+``K`` generated answers have it, valued by their mean — the guard against
+phantom groups (Sec. 4.2.4).  The network's stack leaves part 0 empty, so
+its answers are that consensus; the hybrid's puts the weighted sample
+there, so the sample is trusted where it has support and the network fills
+in the open world (Sec. 4.3).
 """
 
 from __future__ import annotations
 
-import functools
+import threading
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -53,16 +51,14 @@ from ..plan import (
     ROUTE_BAYES_NET,
     ROUTE_SAMPLE,
     SHAPE_POINT,
-    SHAPE_TABLE,
     ColumnarExecutor,
     LogicalPlan,
     PlanCompiler,
     RowPartition,
-    merged_table,
     query_shape,
     resolve_route,
 )
-from ..query.ast import AnalyticQuery, GroupByQuery, PointQuery, Query
+from ..query.ast import GroupByQuery, PointQuery, Query
 from ..schema import Relation
 from ..sql.engine import QueryResult, WeightedQueryEngine
 
@@ -206,9 +202,11 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         self._k = int(n_generated_samples)
         self._sample_size = int(generated_sample_size)
         self._rng = np.random.default_rng(seed)
+        # Guards the lazy worlds: two first users must not both draw them.
+        self._lock = threading.RLock()
         self._generated: list[Relation] | None = None
         self._generated_executor: ColumnarExecutor | None = None
-        self._schema_compiler = None
+        self._schema_compiler = PlanCompiler(network.schema)
         self.name = name
 
     @property
@@ -238,38 +236,39 @@ class BayesNetEvaluator(OpenWorldEvaluator):
 
     def generated_samples(self) -> list[Relation]:
         """The ``K`` forward-sampled relations, generating them on first use."""
-        if self._generated is None:
-            sampler = ForwardSampler(self._network, seed=self._rng)
-            self._generated = sampler.sample_many(
-                self._k, self._sample_size, population_size=self._population_size
-            )
-        return self._generated
+        with self._lock:
+            if self._generated is None:
+                sampler = ForwardSampler(self._network, seed=self._rng)
+                self._generated = sampler.sample_many(
+                    self._k, self._sample_size, population_size=self._population_size
+                )
+            return self._generated
+
+    @property
+    def stack(self) -> ColumnarExecutor | None:
+        """The generated samples' stacked executor, ``None`` before first use."""
+        return self._generated_executor
 
     def _executor(self) -> ColumnarExecutor:
-        """The ``K`` generated samples stacked behind one executor.
-
-        Rows are stacked in sample order, so sample ``k`` is a contiguous
-        row range of the executor's :class:`~repro.plan.RowPartition` and
-        its partitioned units combine the ``K`` parts by consensus.  Built
-        on first use and kept for the evaluator's lifetime, so repeated
-        filtered queries pay each predicate mask once (a refit builds a
-        fresh evaluator, hence a fresh executor).
-        """
-        if self._generated_executor is None:
-            samples = self.generated_samples()
-            self._generated_executor = ColumnarExecutor(
-                functools.reduce(Relation.concat, samples),
-                compiler=self.compiler,
-                partition=RowPartition.of_sizes([sample.n_rows for sample in samples]),
-            )
-        return self._generated_executor
+        """The ``K`` generated samples stacked behind one executor, one
+        concatenation per column: sample ``k`` is part ``k`` of its
+        :class:`~repro.plan.RowPartition` and part 0 is empty, so its units
+        answer by consensus.  Built once, on first use, and kept for the
+        evaluator's lifetime: repeated filters pay each mask once."""
+        with self._lock:
+            if self._generated_executor is None:
+                samples = self.generated_samples()
+                self._generated_executor = ColumnarExecutor(
+                    samples[0].concat(*samples[1:]),
+                    compiler=self.compiler,
+                    partition=RowPartition.of_sizes([0] + [sample.n_rows for sample in samples]),
+                )
+            return self._generated_executor
 
     @property
     def compiler(self) -> PlanCompiler:
-        """The (cached) plan compiler over the network's schema, shared with
-        the generated samples' executor."""
-        if self._schema_compiler is None:
-            self._schema_compiler = PlanCompiler(self._network.schema)
+        """The plan compiler over the network's schema, shared with the
+        generated samples' executor."""
         return self._schema_compiler
 
     def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
@@ -328,7 +327,8 @@ class HybridEvaluator(OpenWorldEvaluator):
     weighted_sample:
         The reweighted sample component.
     bayes_net_evaluator:
-        The probabilistic component.
+        The probabilistic component, over the sample's schema (another
+        schema raises :class:`~repro.exceptions.QueryError`).
     sample_evaluator:
         Optionally, an existing :class:`ReweightedSampleEvaluator` over
         ``weighted_sample`` to share — sharing the evaluator shares its
@@ -344,10 +344,18 @@ class HybridEvaluator(OpenWorldEvaluator):
         name: str = "hybrid",
         sample_evaluator: ReweightedSampleEvaluator | None = None,
     ):
+        network_schema = bayes_net_evaluator.network.schema
+        if network_schema != weighted_sample.schema:
+            raise QueryError(
+                f"the network's schema {list(network_schema)} is not the "
+                f"sample's schema {list(weighted_sample.schema)}"
+            )
         if sample_evaluator is None:
             sample_evaluator = ReweightedSampleEvaluator(weighted_sample)
         self._sample_evaluator = sample_evaluator
         self._bn_evaluator = bayes_net_evaluator
+        self._lock = threading.Lock()
+        self._stack: ColumnarExecutor | None = None
         self.name = name
 
     @property
@@ -366,6 +374,11 @@ class HybridEvaluator(OpenWorldEvaluator):
         return self._sample_evaluator
 
     @property
+    def stack(self) -> ColumnarExecutor | None:
+        """The sample-then-``K``-worlds executor, ``None`` before first use."""
+        return self._stack
+
+    @property
     def compiler(self) -> PlanCompiler:
         """The sample evaluator's compiler (shared with the planner)."""
         return self._sample_evaluator.compiler
@@ -382,9 +395,9 @@ class HybridEvaluator(OpenWorldEvaluator):
         Sample-routed plans are one :meth:`ReweightedSampleEvaluator.run`,
         network-routed plans one :meth:`BayesNetEvaluator.run`, and
         hybrid-routed plans — GROUP BY, join and grouped-table shapes, whose
-        answer is the union of both sides — run on both and merge
-        (:meth:`_run_merged`).  The rule choosing the route lives in
-        :func:`repro.plan.resolve_route` alone.
+        answer is the union of both sides — one schedule over the stacked
+        sample and generated samples (:meth:`_run_merged`).  The rule
+        choosing the route lives in :func:`repro.plan.resolve_route` alone.
         """
         return _by_family(plans, self._family, stats, tracer, cancel)
 
@@ -395,30 +408,31 @@ class HybridEvaluator(OpenWorldEvaluator):
             return self._bn_evaluator.run
         return self._run_merged
 
-    def _run_merged(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
-        """Both sides over one family, then the sample-union-BN merge.
+    def _executor(self) -> ColumnarExecutor:
+        """The network's stack with the weighted sample as its part 0
+        (:meth:`~repro.plan.ColumnarExecutor.with_first_part`), built once."""
+        with self._lock:
+            if self._stack is None:
+                self._stack = self._bn_evaluator._executor().with_first_part(
+                    self._sample_evaluator.engine.executor
+                )
+            return self._stack
 
-        Grouped tables decompose into their per-aggregate GROUP BY parts
-        *inside* the family, so table aggregates, plain group-bys and joins
-        share one optimized schedule on the sample (fused prefixes, shared
-        masks and join sides; ``cancel`` polled per unit) and one over the
-        ``K`` generated samples on the network side.  Each plan's two answers
-        merge by :func:`_merge_group_by`; table parts then zip back into
-        group rows and run the HAVING / window / ORDER BY / LIMIT pipeline.
-        """
-        flat, slices = _flatten_tables(plans, self.compiler.compile)
-        with tracer.span("sample-side", queries=len(flat)):
-            sample_answers = self._sample_evaluator.run(
-                flat, stats=stats, tracer=tracer, cancel=cancel
+    def _run_merged(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+        """One optimized schedule over the stacked sample and ``K`` generated
+        samples (fused prefixes, shared masks and join sides, ``cancel``
+        polled per unit), each unit combining the sample's part with the
+        worlds' consensus, grouped tables running their pipeline once over
+        the combined group rows; ``stats.bn_sample_dispatches_saved`` as in
+        :meth:`BayesNetEvaluator._run_sampled`."""
+        k = self._bn_evaluator.n_generated_samples
+        with tracer.span("bn-samples", samples=k, plans=len(plans)):
+            answers = self._executor().execute_batch(
+                plans, stats=stats, tracer=tracer, cancel=cancel
             )
-        bn_answers = self._bn_evaluator.run(
-            flat, stats=stats, tracer=tracer, cancel=cancel
-        )
-        merged = [
-            _merge_group_by(plan.group_keys, sample_answer, bn_answer)
-            for plan, sample_answer, bn_answer in zip(flat, sample_answers, bn_answers)
-        ]
-        return _assemble_tables(plans, slices, merged, self.sample.schema, stats)
+        if stats is not None and len(plans) > 1:
+            stats.bn_sample_dispatches_saved += k * (len(plans) - 1)
+        return answers
 
 
 def _by_family(
@@ -442,79 +456,4 @@ def _by_family(
         for index, answer in zip(indices, answers):
             results[index] = answer
     return results
-
-
-def _analytic_parts(query: AnalyticQuery) -> list[GroupByQuery]:
-    """The GROUP BY queries a grouped analytic query decomposes into, one
-    per aggregate (only grouped tables are routed to both sides).
-
-    Aliases are stripped so equal aggregates compile to identical canonical
-    plans and dedupe inside the batch optimizer.
-    """
-    return [
-        GroupByQuery(
-            query.group_by, aggregate=replace(spec, alias=None), predicates=query.predicates
-        )
-        for spec in query.aggregates
-    ]
-
-
-def _flatten_tables(plans, compile) -> tuple[list[LogicalPlan], list[slice]]:
-    """Replace every table plan by its compiled per-aggregate parts.
-
-    Returns the flat family plus, per input plan, the slice of the family
-    answering it (width 1 for every non-table plan).
-    """
-    flat: list[LogicalPlan] = []
-    slices: list[slice] = []
-    for plan in plans:
-        parts = (
-            [compile(part) for part in _analytic_parts(plan.query)]
-            if plan.shape == SHAPE_TABLE
-            else [plan]
-        )
-        slices.append(slice(len(flat), len(flat) + len(parts)))
-        flat.extend(parts)
-    return flat, slices
-
-
-def _assemble_tables(plans, slices, answers, schema, stats=None) -> list:
-    """Undo :func:`_flatten_tables` over the family's answers.
-
-    Non-table plans take their one answer; a table's per-aggregate answers
-    zip back into group rows (:func:`repro.plan.merged_table`).  Window
-    permutations are memoized per ``(group keys, predicates)`` family, so
-    tables differing only above the Group share one argsort (counted in
-    ``stats.window_sorts_shared``).
-    """
-    memos: dict[tuple, dict] = {}
-    results = []
-    for plan, where in zip(plans, slices):
-        if plan.shape != SHAPE_TABLE:
-            results.append(answers[where.start])
-            continue
-        per_spec = [answer.as_dict() for answer in answers[where]]
-        family = (plan.group_keys, tuple(predicate.key for predicate in plan.predicates))
-        results.append(
-            merged_table(
-                plan,
-                per_spec,
-                schema,
-                sort_memo=memos.setdefault(family, {}),
-                stats=stats,
-            )
-        )
-    return results
-
-
-def _merge_group_by(
-    group_by: tuple[str, ...], sample_result: QueryResult, bn_result: QueryResult
-) -> QueryResult:
-    """The hybrid merge: every sample group with the sample's value, plus
-    the groups only the network found with the network's value."""
-    merged = sample_result.as_dict()
-    for group, value in bn_result:
-        if group not in merged:
-            merged[group] = value
-    return QueryResult(group_by, merged)
 

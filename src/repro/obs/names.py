@@ -59,10 +59,19 @@ BN_FACTOR_CACHE_MISSES = "bn.factor_cache_misses"
 # ---------------------------------------------------------------------------
 # Cache gauges (synced from the cache statistics surfaces)
 # ---------------------------------------------------------------------------
-#: Cache hit/miss/entry gauges are ``cache.<tier>.<field>`` where tier is
-#: one of ``result``, ``plan``, ``inference``, ``mask``, ``join_side``.
+#: Cache hit/miss/entry gauges are ``cache.<tier>.<field>``; the ``bn_``
+#: tiers are the network stack's, ``hybrid_join_side`` the hybrid stack's.
 CACHE_PREFIX = "cache."
-CACHE_TIERS: tuple[str, ...] = ("result", "plan", "inference", "mask", "join_side")
+CACHE_TIERS: tuple[str, ...] = (
+    "result",
+    "plan",
+    "inference",
+    "mask",
+    "join_side",
+    "bn_mask",
+    "bn_join_side",
+    "hybrid_join_side",
+)
 
 # ---------------------------------------------------------------------------
 # Latency histograms

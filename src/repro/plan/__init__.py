@@ -46,7 +46,7 @@ from .ir import (
     WindowOp,
     query_shape,
 )
-from .analytics import execute_table_pipeline, merged_table
+from .analytics import execute_table_pipeline
 from .kernels import (
     fused_group_columns,
     MaskCache,
@@ -122,7 +122,6 @@ __all__ = [
     "fused_group_columns",
     "fused_group_reduce",
     "merge_join_sides",
-    "merged_table",
     "normalize_plan",
     "normalize_predicates",
     "numeric_column",

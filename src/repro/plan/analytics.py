@@ -71,9 +71,8 @@ def execute_table_pipeline(
         The compiled table-shaped plan (column indexes pre-resolved).
     codes:
         ``(n_rows, n_group)`` int array of *order codes* per group row —
-        domain positions for closed-world rows; the hybrid path may append
-        deterministic past-the-domain codes for BN-only group values.
-        Rows must arrive in ascending code order.
+        the group values' domain positions.  Rows must arrive in ascending
+        code order.
     decoded:
         The decoded group value tuples, aligned with ``codes``.
     agg_columns:
@@ -238,59 +237,3 @@ def execute_table_pipeline(
     assert plan.labels is not None
     return TableResult(plan.labels, rows, group_by=tuple(query.group_by))
 
-
-def merged_table(
-    plan: LogicalPlan,
-    per_spec_values: list[dict[tuple[Any, ...], float]],
-    schema,
-    sort_memo: dict | None = None,
-    stats=None,
-) -> TableResult:
-    """Build a table from per-aggregate group→value dicts and run the pipeline.
-
-    The hybrid evaluator answers a grouped analytic query by decomposing it
-    into one legacy group-by per aggregate (reusing the fused sample/BN
-    merge paths unchanged) and zipping the per-spec dicts back into group
-    rows here.  Rows are ordered ascending by encoded group codes; group
-    values outside the sample schema's domain (possible for BN-only groups)
-    get deterministic past-the-domain codes, ordered by ``repr``.
-    """
-    query = plan.query
-    group_by = tuple(query.group_by)
-    groups: dict[tuple[Any, ...], None] = {}
-    for values in per_spec_values:
-        for group in values:
-            groups.setdefault(group, None)
-    if not group_by:
-        ordered = [()]
-        codes = np.zeros((1, 0), dtype=np.int64)
-    else:
-        domains = [schema[name].domain for name in group_by]
-        fallback: list[dict[Any, int]] = []
-        for column, domain in enumerate(domains):
-            unknown = sorted(
-                {g[column] for g in groups if domain.code_of(g[column]) is None},
-                key=repr,
-            )
-            fallback.append(
-                {value: len(domain) + index for index, value in enumerate(unknown)}
-            )
-
-        def group_codes(group: tuple[Any, ...]) -> tuple[int, ...]:
-            out = []
-            for column, domain in enumerate(domains):
-                code = domain.code_of(group[column])
-                out.append(code if code is not None else fallback[column][group[column]])
-            return tuple(out)
-
-        ordered = sorted(groups, key=group_codes)
-        codes = np.asarray([group_codes(g) for g in ordered], dtype=np.int64).reshape(
-            len(ordered), len(group_by)
-        )
-    agg_columns = [
-        np.asarray([values.get(group, 0.0) for group in ordered], dtype=np.float64)
-        for values in per_spec_values
-    ]
-    return execute_table_pipeline(
-        plan, codes, list(ordered), agg_columns, sort_memo=sort_memo, stats=stats
-    )

@@ -10,28 +10,31 @@ its one immutable relation, so they need no invalidation: they live and die
 with the fitted model that owns the executor.
 
 **The K worlds.**  The Bayesian network answers its sampled aggregates from
-``K`` forward-sampled relations (Sec. 4.2.4).  They are never looped over:
-they are one relation, stacked in sample order, behind one executor built
-with a :class:`~repro.plan.kernels.RowPartition` of the ``K`` sample sizes.
-A family of plans then pays one compile, one optimized schedule and one
-conjunction mask per unit over the ``K * size`` rows, and a GROUP BY unit
-one scatter-add per distinct measure over ``(sample, group)`` bins,
-reshaped ``(K, G)``.  The parts combine by the paper's rule: a group
-survives iff its weight total is positive in all ``K`` parts (a join group
-iff it is in all ``K`` merged worlds), and its value is the mean over the
-parts.  In the vocabulary of consensus answers over probabilistic databases
-(Li & Deshpande, see PAPERS.md) the ``K`` samples are possible worlds: the
-kept groups are the intersection of the worlds' group sets (the set-valued
-consensus under symmetric difference, taken at threshold 1 instead of 1/2),
-and the mean is the value minimizing expected squared distance to the
-worlds' values.  Tables run their HAVING / window / ORDER BY / LIMIT
-pipeline over the consensus group rows, as they do over the sample's.
+``K`` forward-sampled relations (Sec. 4.2.4), stacked in sample order into
+one relation behind one executor whose
+:class:`~repro.plan.kernels.RowPartition` makes them parts ``1..K``.  A
+family of plans pays one compile, one optimized schedule and one
+conjunction mask per unit over the stacked rows, and a GROUP BY unit one
+scatter-add per distinct measure over ``(part, group)`` bins, reshaped
+``(K + 1, G)``.  Part 0 has precedence: the network's stack leaves it
+empty, the hybrid's puts the weighted sample there
+(:meth:`ColumnarExecutor.with_first_part`).  One rule combines the parts:
+a group takes part 0's value where part 0 has it (positive weight; for a
+join, presence in part 0's merged world), and otherwise survives iff all
+``K`` worlds have it, valued by its mean over them; scalars take the mean
+over parts ``1..K``.  In the vocabulary of consensus answers over
+probabilistic databases (Li & Deshpande, see PAPERS.md) the kept groups
+are the intersection of the worlds' group sets (the set-valued consensus
+at threshold 1 instead of 1/2), the mean minimizes expected squared
+distance to the worlds' values, and the sample is one more world that
+overrides them.  Tables run their HAVING / window / ORDER BY / LIMIT
+pipeline over the combined group rows.
 
-The answers are bit-identical to a loop over ``K`` per-sample executors, by
-operand order rather than by luck: the partitioned kernels
+The answers are bit-identical to a loop over per-part executors, by operand
+order rather than by luck: the partitioned kernels
 (:mod:`repro.plan.kernels`) give every part exactly the additions its own
-pass would run, and :func:`_sample_means` reduces each survivor's ``K``
-values along the last axis of a C-contiguous array, which is the pairwise
+pass would run, and :func:`_sample_means` reduces each group's ``K`` values
+along the last axis of a C-contiguous array, which is the pairwise
 summation ``np.mean`` runs over a list of ``K`` floats (reducing ``(K, G)``
 over axis 0 accumulates row by row and differs once ``K >= 8``).  The loop
 itself lives on as the tests' reference (``tests/oracle.py``).  Without a
@@ -55,6 +58,7 @@ from .ir import SHAPE_TABLE, LogicalPlan
 from .kernels import (
     MaskCache,
     RowPartition,
+    StackedMasks,
     merge_join_sides,
     numeric_column,
     partitioned_group_columns,
@@ -103,9 +107,9 @@ class ColumnarExecutor:
         relation's schema when omitted.  Sharing a compiler across executors
         shares its compiled-plan memo.
     partition:
-        The row ranges of the stacked parts whose answers combine by
-        consensus (the module docstring's ``K`` worlds); built by the
-        Bayesian-network evaluator from its generated samples' sizes.
+        The row ranges of the stacked parts whose answers combine by the
+        module docstring's rule (part 0, then the ``K`` worlds); built by
+        the Bayesian-network evaluator from its generated samples' sizes.
         ``None``, the weighted sample, is one part.
 
     The executor owns its predicate-mask cache (one per relation, shared by
@@ -213,7 +217,7 @@ class ColumnarExecutor:
         if self._partition is None:
             values = [parts[0] for parts in per_spec]
         else:
-            values = _sample_means(per_spec)
+            values = _sample_means([parts[1:] for parts in per_spec])
         answers = []
         start = 0
         for plan, end in zip(plans, ends):
@@ -227,9 +231,9 @@ class ColumnarExecutor:
     def _run_group_by(self, plans: list[LogicalPlan], stats, tracer) -> list:
         """A group-by unit: its plans' aggregates stacked into one
         scatter-add pass over the shared ``(Scan, Filter, Group)`` prefix,
-        keeping the groups with positive weight in every part, each valued
-        by its mean over the parts; grouped tables then run their HAVING /
-        window / ORDER BY / LIMIT pipeline over the group rows."""
+        the parts combined by the module docstring's rule; grouped tables
+        then run their HAVING / window / ORDER BY / LIMIT pipeline over the
+        group rows."""
         from ..sql.engine import QueryResult
 
         group_keys = plans[0].group_keys
@@ -242,8 +246,13 @@ class ColumnarExecutor:
             kept = np.nonzero(weight_totals[0] > 0)[0]
             per_spec = [values[0][kept] for values in per_spec]
         else:
-            kept = np.flatnonzero((weight_totals > 0).all(axis=0))
-            per_spec = [np.asarray(_sample_means(values[:, kept].T)) for values in per_spec]
+            own = weight_totals[0] > 0
+            kept = np.flatnonzero(own | (weight_totals[1:] > 0).all(axis=0))
+            own = own[kept]
+            per_spec = [
+                np.where(own, values[0, kept], _sample_means(values[1:, kept].T))
+                for values in per_spec
+            ]
         codes = self._relation.group_codes(group_keys)[1][kept]
         decoded = self._relation.group_tuples(group_keys, kept)
         # One window-permutation memo per unit: tables in it sharing a
@@ -275,8 +284,9 @@ class ColumnarExecutor:
 
         The joined weight of a pair of groups is ``sum_{i,j} w_i * w_j``
         over matching tuple pairs, the natural plug-in estimator for a
-        weighted sample.  Over several parts a group survives iff every
-        part's merged world has it, and its value is the mean over them.
+        weighted sample.  Over several parts, part 0's merged world comes
+        first, and a group it lacks survives iff every other part's merged
+        world has it, valued by the mean over them.
         """
         from ..sql.engine import QueryResult
 
@@ -287,13 +297,31 @@ class ColumnarExecutor:
             if self._partition is None:
                 merged = worlds[0]
             else:
+                own, first, *rest = worlds
                 groups = [
-                    group for group in worlds[0] if all(group in world for world in worlds[1:])
+                    group
+                    for group in first
+                    if group not in own and all(group in world for world in rest)
                 ]
-                values = [[world[group] for world in worlds] for group in groups]
-                merged = dict(zip(groups, _sample_means(values)))
+                values = [[world[group] for world in worlds[1:]] for group in groups]
+                merged = {**own, **dict(zip(groups, _sample_means(values)))}
             answers.append(QueryResult(plan.group_keys, merged))
         return answers
+
+    def with_first_part(self, first: "ColumnarExecutor") -> "ColumnarExecutor":
+        """This stack with ``first``'s relation as its (empty) part 0, one
+        concatenation per column.  It evaluates no predicate of its own —
+        its masks are ``first``'s cached ones followed by this executor's —
+        and compiles with ``first``'s compiler."""
+        sizes = np.diff(self._partition.offsets)
+        assert sizes[0] == 0, "part 0 of the stack must be empty"
+        stack = ColumnarExecutor(
+            first.relation.concat(self._relation),
+            compiler=first.compiler,
+            partition=RowPartition.of_sizes([first.relation.n_rows, *sizes[1:]]),
+        )
+        stack._masks = StackedMasks((first.mask_cache, self._masks))
+        return stack
 
     def _shared_mask(self, predicates, tracer=NULL_TRACER):
         """A unit's shared conjunction mask, traced with cache-delta counters."""

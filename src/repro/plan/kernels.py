@@ -126,6 +126,27 @@ class MaskCache:
         self.lru.statistics.reset()
 
 
+class StackedMasks:
+    """The masks of relations stacked in order: the parts' cached
+    conjunction masks, concatenated into a fresh array that is not kept."""
+
+    def __init__(self, caches: Sequence[MaskCache]):
+        self._caches = tuple(caches)
+
+    @property
+    def hits(self) -> int:
+        return sum(cache.hits for cache in self._caches)
+
+    @property
+    def misses(self) -> int:
+        return sum(cache.misses for cache in self._caches)
+
+    def conjunction_mask(self, predicates) -> np.ndarray | None:
+        if not predicates:
+            return None
+        return np.concatenate([cache.conjunction_mask(predicates) for cache in self._caches])
+
+
 # ----------------------------------------------------------------------
 # Reduction kernels (the executor's, over one part or several)
 # ----------------------------------------------------------------------

@@ -122,7 +122,7 @@ class OptimizerStats:
         :attr:`~repro.plan.ColumnarExecutor.join_side_cache` instead of recomputed.
     bn_sample_dispatches_saved:
         Per-``(plan, sample)`` executions avoided by serving a family
-        (hybrid GROUP BY / join / table parts, or BN-routed sampled
+        (hybrid GROUP BYs / joins / grouped tables, or BN-routed sampled
         aggregates) through one stacked schedule over the BN's ``K``
         generated samples — ``K * (family size - 1)`` per family.
     window_sorts_shared:

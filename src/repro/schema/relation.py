@@ -284,18 +284,22 @@ class Relation:
         """Restrict to rows matching an attribute-value assignment."""
         return self.filter_mask(self.mask_equal(assignment))
 
-    def concat(self, other: "Relation") -> "Relation":
-        """Append ``other``'s rows (schemas must match)."""
-        if other.schema != self._schema:
+    def concat(self, *others: "Relation") -> "Relation":
+        """Append the rows of ``others``, in order (schemas must match).
+
+        One ``np.concatenate`` per column, however many relations stack.
+        """
+        relations = (self, *others)
+        if any(other.schema != self._schema for other in others):
             raise SchemaError("cannot concatenate relations with different schemas")
         columns = {
-            name: np.concatenate([self._columns[name], other._columns[name]])
+            name: np.concatenate([relation._columns[name] for relation in relations])
             for name in self._schema.names
         }
-        if self._weights is None and other._weights is None:
+        if all(relation._weights is None for relation in relations):
             weights = None
         else:
-            weights = np.concatenate([self.weights, other.weights])
+            weights = np.concatenate([relation.weights for relation in relations])
         return Relation(self._schema, columns, weights)
 
     # ------------------------------------------------------------------

@@ -20,7 +20,8 @@ so BN-routed point plans share one batched exact-inference call (one
 variable-elimination pass per evidence signature), everything else the
 network answers, tables included, shares one optimized schedule over its
 generated samples (one relation of ``K`` parts), sample-routed plans share
-one optimized columnar schedule, hybrid families fuse on both sides,
+one optimized columnar schedule, hybrid families share one schedule over
+the sample stacked with the generated samples,
 identical plans execute once and fan out, and answers land in the result
 cache for the next batch.
 

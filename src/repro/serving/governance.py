@@ -230,6 +230,14 @@ class MemoryGovernor:
         cache.governor = self
         self._caches[name] = cache
 
+    def govern(self, caches: "dict[str, LRUCache]") -> None:
+        """Govern exactly ``caches``: :meth:`register` the new ones, let go
+        of the ones no longer named."""
+        for name, cache in caches.items():
+            if cache.governor is not self:
+                self.register(name, cache)
+        self._caches = dict(caches)
+
     # -- measurement -------------------------------------------------------
     def total_bytes(self) -> int:
         """Sum of measured byte sizes across every governed cache."""

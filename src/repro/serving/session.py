@@ -173,22 +173,31 @@ class ServingSession:
         )
         if self.governor is not None:
             # A new model brings its own mask / join-side / factor caches.
-            for name, cache in self._governed_tiers().items():
-                self.governor.register(name, cache)
+            self.governor.govern(self._governed_tiers())
         return self._executor
 
     def _governed_tiers(self) -> dict[str, LRUCache]:
-        """Every cache tier but the plan cache, by governor name."""
+        """Every cache tier but the plan cache, by governor name; the
+        network stacks' tiers once built (:meth:`_maintain` governs them)."""
         tiers = {"result": self._result_cache}
         if self._executor is not None:
-            engine = self._executor.model.sample_evaluator.engine
-            tiers["mask"] = engine.mask_cache.lru
-            tiers["join_side"] = engine.executor.join_side_cache
+            model = self._executor.model
+            executor = model.sample_evaluator.engine.executor
+            tiers["mask"] = executor.mask_cache.lru
+            tiers["join_side"] = executor.join_side_cache
             tiers["inference"] = self._inference_cache.engine.factors
+            network = model.bayes_net_evaluator.stack
+            if network is not None:
+                tiers["bn_mask"] = network.mask_cache.lru
+                tiers["bn_join_side"] = network.join_side_cache
+            hybrid = model.hybrid_evaluator.stack
+            if hybrid is not None:  # its masks are the other two's
+                tiers["hybrid_join_side"] = hybrid.join_side_cache
         return tiers
 
     def _maintain(self) -> None:
         if self.governor is not None:
+            self.governor.govern(self._governed_tiers())
             self.governor.maintain()
 
     # ------------------------------------------------------------------
@@ -327,11 +336,10 @@ class ServingSession:
                 **self._inference_cache.describe(),
                 "entries": self._inference_cache.entries(),
             }
-        if self._executor is not None:
-            engine = self._executor.model.sample_evaluator.engine
-            stats["mask_cache"] = engine.mask_cache.statistics()
-            sides = engine.executor.join_side_cache
-            stats["join_side_cache"] = {**sides.statistics.as_dict(), "cached_sides": len(sides)}
+        for name, cache in self._governed_tiers().items():
+            if name not in ("result", "inference"):  # the model's mask and side LRUs
+                size = "cached_masks" if name.endswith("mask") else "cached_sides"
+                stats[f"{name}_cache"] = {**cache.statistics.as_dict(), size: len(cache)}
         self._sync_cache_gauges(stats)
         if window:
             return _window_view(stats, self._cache_window or {})
@@ -348,17 +356,8 @@ class ServingSession:
 
     def _sync_cache_gauges(self, stats: dict[str, Any]) -> None:
         """Mirror the cache tiers' lifetime numbers into registry gauges."""
-        tiers = {
-            "result_cache": "result",
-            "plan_cache": "plan",
-            "inference_cache": "inference",
-            "mask_cache": "mask",
-            "join_side_cache": "join_side",
-        }
-        for key, tier in tiers.items():
-            tier_stats = stats.get(key)
-            if not tier_stats:
-                continue
+        for key, tier_stats in stats.items():
+            tier = key.removesuffix("_cache")
             for metric, value in tier_stats.items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     continue

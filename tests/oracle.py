@@ -56,7 +56,10 @@ answered by :class:`ReferenceEngine` over the weighted sample when any
 sample row matches, otherwise by exact inference (points) or
 :func:`network_reference`, the ``K``-world consensus; GROUP BY, join and
 grouped-table queries take the sample's groups with the sample's values and
-add the groups only the network found.  The self-join's sample side is
+add the groups only the network found — a table per aggregate, zipped back
+into group rows by :func:`merged_table` and run through the oracle's own
+list pipeline (:func:`analytic_pipeline`), so no table-assembly code is
+shared with the engine.  The self-join's sample side is
 :func:`join_reference`, row at a time.  ``tests/test_evaluators.py`` and the
 differential sweep assert every door of the system ``==`` it.
 """
@@ -259,7 +262,6 @@ class ReferenceEngine:
     def _analytic(self, query: AnalyticQuery) -> TableResult:
         rows = self._matching_rows(query.predicates)
         specs = query.aggregates
-        n_group = len(query.group_by)
         if query.group_by:
             codes, decoded, agg_columns = self._grouped(
                 tuple(query.group_by), specs, rows
@@ -270,174 +272,185 @@ class ReferenceEngine:
                 [self._scalar(spec.function.value, spec.attribute, rows)]
                 for spec in specs
             ]
+        return analytic_pipeline(query, codes, decoded, agg_columns)
 
-        def aggregate_column(target: str) -> int | None:
-            for index, spec in enumerate(specs):
-                if target == spec.label or target == spec.expression:
-                    return n_group + index
-            return None
 
-        def resolve(target: str, windows: bool) -> int:
-            if target in query.group_by:
-                return query.group_by.index(target)
-            column = aggregate_column(target)
-            if column is not None:
-                return column
-            if windows:
-                for index, window in enumerate(query.windows):
-                    if target == window.alias:
-                        return n_group + len(specs) + index
-            raise QueryError(f"oracle cannot resolve column {target!r}")
+def analytic_pipeline(query: AnalyticQuery, codes, decoded, agg_columns) -> TableResult:
+    """HAVING / window / ORDER BY / LIMIT over group rows, as lists.
 
-        # ``selection`` holds base-row indexes; window value lists are
-        # aligned with selection *positions*, mirroring the real pipeline.
-        selection = list(range(len(decoded)))
-        window_values: dict[int, list] = {}
+    ``codes`` are the rows' group codes (ascending), ``decoded`` their group
+    tuples and ``agg_columns`` one value list per aggregate, all aligned.
+    """
+    specs = query.aggregates
+    n_group = len(query.group_by)
 
-        def key_value(column: int, position: int) -> float:
-            base = selection[position]
-            if column < n_group:
-                return float(codes[base][column])
-            index = column - n_group
-            if index < len(specs):
-                return float(agg_columns[index][base])
-            return float(window_values[column][position])
+    def aggregate_column(target: str) -> int | None:
+        for index, spec in enumerate(specs):
+            if target == spec.label or target == spec.expression:
+                return n_group + index
+        return None
 
-        def sort_positions(
-            partition: tuple[int, ...], order: tuple[tuple[int, bool], ...]
-        ) -> list[int]:
-            def sort_key(position: int) -> tuple:
-                keys = [codes[selection[position]][column] for column in partition]
-                for column, descending in order:
-                    value = key_value(column, position)
-                    keys.append(-value if descending else value)
-                return tuple(keys)
+    def resolve(target: str, windows: bool) -> int:
+        if target in query.group_by:
+            return query.group_by.index(target)
+        column = aggregate_column(target)
+        if column is not None:
+            return column
+        if windows:
+            for index, window in enumerate(query.windows):
+                if target == window.alias:
+                    return n_group + len(specs) + index
+        raise QueryError(f"oracle cannot resolve column {target!r}")
 
-            return sorted(range(len(selection)), key=sort_key)
+    # ``selection`` holds base-row indexes; window value lists are
+    # aligned with selection *positions*, mirroring the real pipeline.
+    selection = list(range(len(decoded)))
+    window_values: dict[int, list] = {}
 
-        # HAVING
-        if query.having:
-            conditions = []
-            for condition in query.having:
-                column = aggregate_column(condition.target)
-                if column is None:
-                    raise QueryError(
-                        f"oracle cannot resolve HAVING target {condition.target!r}"
-                    )
-                conditions.append((column, condition.comparison, float(condition.value)))
+    def key_value(column: int, position: int) -> float:
+        base = selection[position]
+        if column < n_group:
+            return float(codes[base][column])
+        index = column - n_group
+        if index < len(specs):
+            return float(agg_columns[index][base])
+        return float(window_values[column][position])
 
-            def satisfies(position: int) -> bool:
-                for column, comparison, threshold in conditions:
-                    value = agg_columns[column - n_group][selection[position]]
-                    if comparison is Comparison.EQ:
-                        ok = value == threshold
-                    elif comparison is Comparison.NE:
-                        ok = value != threshold
-                    elif comparison is Comparison.LT:
-                        ok = value < threshold
-                    elif comparison is Comparison.LE:
-                        ok = value <= threshold
-                    elif comparison is Comparison.GT:
-                        ok = value > threshold
-                    elif comparison is Comparison.GE:
-                        ok = value >= threshold
-                    else:
-                        raise QueryError(f"unsupported HAVING comparison {comparison}")
-                    if not ok:
-                        return False
-                return True
+    def sort_positions(
+        partition: tuple[int, ...], order: tuple[tuple[int, bool], ...]
+    ) -> list[int]:
+        def sort_key(position: int) -> tuple:
+            keys = [codes[selection[position]][column] for column in partition]
+            for column, descending in order:
+                value = key_value(column, position)
+                keys.append(-value if descending else value)
+            return tuple(keys)
 
-            selection = [
-                selection[position]
-                for position in range(len(selection))
-                if satisfies(position)
-            ]
+        return sorted(range(len(selection)), key=sort_key)
 
-        # Window functions
-        for offset, window in enumerate(query.windows):
-            output = n_group + len(specs) + offset
-            partition = tuple(query.group_by.index(name) for name in window.partition_by)
-            order = tuple(
-                (resolve(key.target, windows=False), key.descending)
-                for key in window.order_by
-            )
-            permutation = sort_positions(partition, order)
-            values: list = [None] * len(selection)
-            if window.function.value == "rank":
-                previous_partition: Any = object()
-                partition_start = 0
-                rank = 1
-                previous_key: Any = None
-                for index, position in enumerate(permutation):
+    # HAVING
+    if query.having:
+        conditions = []
+        for condition in query.having:
+            column = aggregate_column(condition.target)
+            if column is None:
+                raise QueryError(
+                    f"oracle cannot resolve HAVING target {condition.target!r}"
+                )
+            conditions.append((column, condition.comparison, float(condition.value)))
+
+        def satisfies(position: int) -> bool:
+            for column, comparison, threshold in conditions:
+                value = agg_columns[column - n_group][selection[position]]
+                if comparison is Comparison.EQ:
+                    ok = value == threshold
+                elif comparison is Comparison.NE:
+                    ok = value != threshold
+                elif comparison is Comparison.LT:
+                    ok = value < threshold
+                elif comparison is Comparison.LE:
+                    ok = value <= threshold
+                elif comparison is Comparison.GT:
+                    ok = value > threshold
+                elif comparison is Comparison.GE:
+                    ok = value >= threshold
+                else:
+                    raise QueryError(f"unsupported HAVING comparison {comparison}")
+                if not ok:
+                    return False
+            return True
+
+        selection = [
+            selection[position]
+            for position in range(len(selection))
+            if satisfies(position)
+        ]
+
+    # Window functions
+    for offset, window in enumerate(query.windows):
+        output = n_group + len(specs) + offset
+        partition = tuple(query.group_by.index(name) for name in window.partition_by)
+        order = tuple(
+            (resolve(key.target, windows=False), key.descending)
+            for key in window.order_by
+        )
+        permutation = sort_positions(partition, order)
+        values: list = [None] * len(selection)
+        if window.function.value == "rank":
+            previous_partition: Any = object()
+            partition_start = 0
+            rank = 1
+            previous_key: Any = None
+            for index, position in enumerate(permutation):
+                base = selection[position]
+                part = tuple(codes[base][column] for column in partition)
+                order_key = tuple(
+                    key_value(column, position) for column, _ in order
+                )
+                if part != previous_partition:
+                    previous_partition = part
+                    partition_start = index
+                    rank = 1
+                    previous_key = order_key
+                elif order_key != previous_key:
+                    rank = index - partition_start + 1
+                    previous_key = order_key
+                values[position] = rank
+        else:
+            source = aggregate_column(window.target)
+            if source is None:
+                raise QueryError(
+                    f"oracle cannot resolve window source {window.target!r}"
+                )
+            source_column = agg_columns[source - n_group]
+            if window.order_by:
+                previous_partition = object()
+                accumulator = 0.0
+                for position in permutation:
                     base = selection[position]
                     part = tuple(codes[base][column] for column in partition)
-                    order_key = tuple(
-                        key_value(column, position) for column, _ in order
-                    )
                     if part != previous_partition:
                         previous_partition = part
-                        partition_start = index
-                        rank = 1
-                        previous_key = order_key
-                    elif order_key != previous_key:
-                        rank = index - partition_start + 1
-                        previous_key = order_key
-                    values[position] = rank
+                        accumulator = 0.0
+                    accumulator = accumulator + float(source_column[base])
+                    values[position] = accumulator
             else:
-                source = aggregate_column(window.target)
-                if source is None:
-                    raise QueryError(
-                        f"oracle cannot resolve window source {window.target!r}"
-                    )
-                source_column = agg_columns[source - n_group]
-                if window.order_by:
-                    previous_partition = object()
-                    accumulator = 0.0
-                    for position in permutation:
-                        base = selection[position]
-                        part = tuple(codes[base][column] for column in partition)
-                        if part != previous_partition:
-                            previous_partition = part
-                            accumulator = 0.0
-                        accumulator = accumulator + float(source_column[base])
-                        values[position] = accumulator
-                else:
-                    totals: dict[tuple, float] = {}
-                    for position in permutation:
-                        base = selection[position]
-                        part = tuple(codes[base][column] for column in partition)
-                        totals[part] = totals.get(part, 0.0) + float(source_column[base])
-                    for position in permutation:
-                        base = selection[position]
-                        part = tuple(codes[base][column] for column in partition)
-                        values[position] = totals[part]
-            window_values[output] = values
+                totals: dict[tuple, float] = {}
+                for position in permutation:
+                    base = selection[position]
+                    part = tuple(codes[base][column] for column in partition)
+                    totals[part] = totals.get(part, 0.0) + float(source_column[base])
+                for position in permutation:
+                    base = selection[position]
+                    part = tuple(codes[base][column] for column in partition)
+                    values[position] = totals[part]
+        window_values[output] = values
 
-        # ORDER BY
-        if query.order_by:
-            order = tuple(
-                (resolve(key.target, windows=True), key.descending)
-                for key in query.order_by
-            )
-            permutation = sort_positions((), order)
-            selection = [selection[position] for position in permutation]
-            for column, values in window_values.items():
-                window_values[column] = [values[position] for position in permutation]
+    # ORDER BY
+    if query.order_by:
+        order = tuple(
+            (resolve(key.target, windows=True), key.descending)
+            for key in query.order_by
+        )
+        permutation = sort_positions((), order)
+        selection = [selection[position] for position in permutation]
+        for column, values in window_values.items():
+            window_values[column] = [values[position] for position in permutation]
 
-        # LIMIT
-        if query.limit is not None:
-            selection = selection[: query.limit]
-            for column, values in window_values.items():
-                window_values[column] = values[: query.limit]
+    # LIMIT
+    if query.limit is not None:
+        selection = selection[: query.limit]
+        for column, values in window_values.items():
+            window_values[column] = values[: query.limit]
 
-        ordered_windows = [window_values[column] for column in sorted(window_values)]
-        out_rows = []
-        for position, base in enumerate(selection):
-            row = list(decoded[base])
-            row.extend(float(column[base]) for column in agg_columns)
-            row.extend(column[position] for column in ordered_windows)
-            out_rows.append(tuple(row))
-        return TableResult(query.labels, out_rows, group_by=tuple(query.group_by))
+    ordered_windows = [window_values[column] for column in sorted(window_values)]
+    out_rows = []
+    for position, base in enumerate(selection):
+        row = list(decoded[base])
+        row.extend(float(column[base]) for column in agg_columns)
+        row.extend(column[position] for column in ordered_windows)
+        out_rows.append(tuple(row))
+    return TableResult(query.labels, out_rows, group_by=tuple(query.group_by))
 
 
 # ----------------------------------------------------------------------
@@ -478,12 +491,52 @@ def per_sample_consensus(samples: list[Relation], queries: list) -> list:
     return answers
 
 
+def merged_table(
+    plan, per_spec_values: list[dict[tuple[Any, ...], float]], schema
+) -> TableResult:
+    """A table from per-aggregate group -> value dicts, through the list
+    pipeline (:func:`analytic_pipeline`).
+
+    The references answer a grouped table per aggregate and zip the
+    per-spec dicts back into group rows here.  Rows are ordered ascending by
+    encoded group codes; group values outside the schema's domain get
+    deterministic past-the-domain codes, ordered by ``repr``.
+    """
+    groups: dict[tuple[Any, ...], None] = {}
+    for values in per_spec_values:
+        for group in values:
+            groups.setdefault(group, None)
+    domains = [schema[name].domain for name in plan.query.group_by]
+    fallback: list[dict[Any, int]] = []
+    for column, domain in enumerate(domains):
+        unknown = sorted(
+            {group[column] for group in groups if domain.code_of(group[column]) is None},
+            key=repr,
+        )
+        fallback.append({value: len(domain) + index for index, value in enumerate(unknown)})
+
+    def group_codes(group: tuple[Any, ...]) -> tuple[int, ...]:
+        codes = (domain.code_of(value) for domain, value in zip(domains, group))
+        return tuple(
+            fallback[column][group[column]] if code is None else code
+            for column, code in enumerate(codes)
+        )
+
+    ordered = sorted(groups, key=group_codes) if domains else [()]
+    agg_columns = [
+        [values.get(group, 0.0) for group in ordered] for values in per_spec_values
+    ]
+    return analytic_pipeline(
+        plan.query, [group_codes(group) for group in ordered], ordered, agg_columns
+    )
+
+
 def network_reference(evaluator, queries: list) -> list:
     """The network's answers to scalar / GROUP BY / join / table queries as
     the per-sample loop: tables go through their per-aggregate parts."""
     from dataclasses import replace
 
-    from repro.plan import PlanCompiler, merged_table
+    from repro.plan import PlanCompiler
 
     samples = evaluator.generated_samples()
     schema = evaluator.network.schema
@@ -555,7 +608,7 @@ def hybrid_reference(model, queries: list) -> list:
     from dataclasses import replace
 
     from repro.bayesnet import ExactInference
-    from repro.plan import PlanCompiler, merged_table
+    from repro.plan import PlanCompiler
 
     sample = model.weighted_sample
     engine = ReferenceEngine(sample)

@@ -177,6 +177,19 @@ class TestHybridEvaluator:
         assert improvements == comparisons
 
 
+class TestHybridSchemas:
+    def test_a_network_over_another_schema_is_rejected_at_construction(
+        self, fitted_components
+    ):
+        weighted, bn_evaluator, _ = fitted_components
+        projected = weighted.project(["A", "B"])
+        with pytest.raises(QueryError) as excinfo:
+            HybridEvaluator(projected, bn_evaluator)
+        message = str(excinfo.value)
+        assert f"network's schema {list(bn_evaluator.network.schema)}" in message
+        assert f"sample's schema {list(projected.schema)}" in message
+
+
 class TestAnswerCombination:
     """The two rules that turn per-relation answers into one, on hand-built
     results (semantics written out in ``repro.core.evaluators``)."""
@@ -202,17 +215,53 @@ class TestAnswerCombination:
         assert _intersect_and_average(("g",), answers[:1]) == answers[0]
         assert _intersect_and_average(("g",), []) == QueryResult(("g",), {})
 
-    def test_merge_group_by_prefers_the_sample_and_adds_network_only_groups(self):
-        from repro.core.evaluators import _merge_group_by
+    def test_part_zero_wins_where_it_has_the_group_and_the_worlds_decide_elsewhere(self):
+        """The combine rule of a partitioned executor, on a hand-built stack
+        of a weighted sample (part 0) and ``K = 2`` generated worlds."""
+        from repro.plan import ColumnarExecutor, RowPartition
+        from repro.schema import Attribute, Relation, Schema
         from repro.sql.engine import QueryResult
 
-        sample = QueryResult(("g",), {("a",): 10.0, ("b",): 0.0})
-        network = QueryResult(("g",), {("a",): 99.0, ("b",): 5.0, ("z",): 2.5})
-        merged = _merge_group_by(("g",), sample, network)
-        # Shared groups keep the sample's value (even a zero one); the
-        # network contributes only the group the sample never saw.
-        assert merged == QueryResult(("g",), {("a",): 10.0, ("b",): 0.0, ("z",): 2.5})
-        assert _merge_group_by(("g",), sample, QueryResult(("g",), {})) == sample
+        schema = Schema([Attribute("g", ["a", "b", "c", "s", "z"]), Attribute("k", [0])])
+        parts = [
+            {"a": 10.0, "b": 0.0, "s": 0.0},  # the sample: b and s weigh nothing
+            {"a": 1.0, "b": 2.0, "z": 3.0, "c": 4.0},
+            {"a": 3.0, "b": 4.0, "z": 5.0},  # c is missing from this world
+        ]
+        rows = [(group, 0) for part in parts for group in part]
+        weights = [weight for part in parts for weight in part.values()]
+        stack = ColumnarExecutor(
+            Relation.from_rows(schema, rows, weights),
+            partition=RowPartition.of_sizes([len(part) for part in parts]),
+        )
+        sample, *worlds = parts
+
+        def consensus(value):
+            return float(np.mean([value(world) for world in worlds]))
+
+        # GROUP BY: "a" keeps the sample's value; "b", present in the sample
+        # with zero weight, falls to the consensus; "z", which only the
+        # network found, is kept because all K worlds have it, and "c",
+        # missing from one world, is a phantom.  "s" has no weight anywhere.
+        counts = stack.execute(GroupByQuery(("g",)))
+        assert counts == QueryResult(
+            ("g",),
+            {
+                ("a",): 10.0,
+                ("b",): consensus(lambda world: world["b"]),
+                ("z",): consensus(lambda world: world["z"]),
+            },
+        )
+        # Join: part 0's merged world holds every pair over {a, b, s}, at
+        # weight 0.0 off (a, a), and keeps them all — presence, not weight,
+        # decides for a join, so the pairs only the sample has survive too.
+        # Pairs with "z" come from the worlds; pairs with "c" are phantoms.
+        joined = stack.execute(JoinGroupByQuery("k", "k", "g", "g"))
+        expected = {(left, right): sample[left] * sample[right] for left in sample for right in sample}
+        for left, right in [("a", "z"), ("b", "z"), ("z", "a"), ("z", "b"), ("z", "z")]:
+            expected[(left, right)] = consensus(lambda world: world[left] * world[right])
+        assert joined == QueryResult(("g", "g"), expected)
+        assert joined.value(("s", "s"), default=-1.0) == 0.0
 
 
 # Every shape, with filters the sparse sample misses, so that on the sparse

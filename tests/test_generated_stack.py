@@ -166,7 +166,8 @@ class TestStackedPassEqualsTheLoop:
         relation = executor.relation
         assert relation.n_rows == sum(sample.n_rows for sample in samples)
         offsets = executor._partition.offsets
-        for k, sample in enumerate(samples):
+        assert offsets[0] == offsets[1] == 0  # part 0 is empty
+        for k, sample in enumerate(samples, start=1):
             rows = slice(offsets[k], offsets[k + 1])
             assert (executor._partition.ids[rows] == k).all()
             assert (relation.weights[rows] == sample.weights).all()
@@ -194,11 +195,12 @@ class TestStackedPassEqualsTheLoop:
 
 
 class TestOnePartRule:
-    """One part under the consensus rule == no partition at all.
+    """One world behind an empty part 0 == no partition at all.
 
     The weighted sample's executor has no partition and takes each
-    kernel's part ``0``; a partition of one part runs the consensus (every
-    part keeps the group, mean over the parts) and must not move an answer.
+    kernel's part ``0``; a partition of an empty part 0 and one world runs
+    the combine rule (part 0 has no group, so the consensus over the one
+    world decides, mean over one value) and must not move an answer.
     """
 
     STATEMENTS = FAMILY + [
@@ -210,7 +212,7 @@ class TestOnePartRule:
         "WHERE A <= 1 GROUP BY B HAVING m > 0 LIMIT 2",
     ]
 
-    def test_one_part_equals_no_partition(self):
+    def test_one_world_equals_no_partition(self):
         population = build_correlated_population()
         rng = np.random.default_rng(5)
         weights = rng.random(population.n_rows) * 3
@@ -218,7 +220,7 @@ class TestOnePartRule:
         relation = population.with_weights(weights)
         plain = ColumnarExecutor(relation)
         one_part = ColumnarExecutor(
-            relation, partition=RowPartition.of_sizes([relation.n_rows])
+            relation, partition=RowPartition.of_sizes([0, relation.n_rows])
         )
         answers = plain.execute_batch(self.STATEMENTS)
         assert one_part.execute_batch(self.STATEMENTS) == answers
@@ -490,6 +492,10 @@ class TestServingOverTheStack:
         assert span.attributes["samples"] == themis.model.bayes_net_evaluator.n_generated_samples
         # Three scalars and the group-less table, which runs whole.
         assert span.attributes["plans"] == 4
-        # The hybrid families' network side is the same span, under columnar.
+        # The hybrid family is one span under columnar: the sample is part 0
+        # of its stack, so no sample-side span runs beside it, and the
+        # stack's schedule nests inside.
         columnar = batch.trace.find(names.STAGE_COLUMNAR)
-        assert len(columnar.spans("bn-samples")) == 1
+        (hybrid,) = columnar.spans("bn-samples")
+        assert not columnar.spans("sample-side")
+        assert hybrid.spans("optimize")

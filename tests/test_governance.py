@@ -701,10 +701,35 @@ class TestCacheInvariants:
                 batch = session.execute_batch(sweep_queries[start : start + 4])
                 assert batch.results() == expected[start : start + 4]
         stats = session.cache_statistics()
-        tiers = ("result_cache", "mask_cache", "join_side_cache", "inference_cache")
+        # Every reported tier but the plan cache is governed, the network
+        # stacks' tiers included.
+        tiers = [tier for tier in stats if tier != "plan_cache"]
+        assert {"bn_mask_cache", "bn_join_side_cache", "hybrid_join_side_cache"} <= set(tiers)
         evicted = {tier: stats[tier]["evictions"] for tier in tiers}
         assert sum(evicted.values()) == session.metrics.value(names.GOVERNANCE_EVICTIONS)
         assert sum(1 for count in evicted.values() if count) > 1
+
+    def test_pressure_evicts_from_the_network_side_tiers(self):
+        """The network stack's masks are governed like the sample's: under a
+        starved budget the governor evicts them, and answers stay exact."""
+        statements = [
+            f"SELECT A, COUNT(*) FROM sample WHERE B = {b} AND C <= {c} GROUP BY A"
+            for b in range(3)
+            for c in range(2)
+        ]
+        expected = build_fitted_themis().execute_batch(statements).results()
+        themis = build_fitted_themis()
+        session = themis.serve(memory_budget_bytes=16 * 1024)
+        for statement, answer in zip(statements, expected):
+            assert session.execute(statement) == answer
+        network = themis.model.bayes_net_evaluator.stack
+        hybrid = themis.model.hybrid_evaluator.stack
+        assert network.mask_cache.lru.governor is session.governor
+        assert network.join_side_cache.governor is session.governor
+        assert hybrid.join_side_cache.governor is session.governor
+        stats = session.cache_statistics()
+        assert stats["bn_mask_cache"]["evictions"] > 0
+        assert session.metrics.value(names.cache_gauge("bn_mask", "evictions")) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -332,23 +332,23 @@ class TestServingJoinBatches:
             == batch.optimizer["join_side_cache_hits"]
             + second.optimizer["join_side_cache_hits"]
         )
+        # Hybrid joins run over the hybrid stack: its join-side cache holds
+        # the sides, and the sample's own stays empty.
         caches = session.cache_statistics()
-        assert caches["join_side_cache"]["cached_sides"] > 0
-        assert caches["join_side_cache"]["hits"] > 0
+        assert caches["hybrid_join_side_cache"]["cached_sides"] > 0
+        assert caches["hybrid_join_side_cache"]["hits"] > 0
+        assert caches["join_side_cache"]["cached_sides"] == 0
 
     def test_refit_invalidates_the_join_side_cache(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()
         before = session.execute_batch(self.WORKLOAD)
-        old_cache = (
-            fresh_serving_themis.model.sample_evaluator.engine.executor.join_side_cache
-        )
+        old_cache = fresh_serving_themis.model.hybrid_evaluator.stack.join_side_cache
         assert len(old_cache.entries()) > 0
         fresh_serving_themis.refit()
+        assert fresh_serving_themis.model.hybrid_evaluator.stack is None
         after = session.execute_batch(self.WORKLOAD)
-        new_cache = (
-            fresh_serving_themis.model.sample_evaluator.engine.executor.join_side_cache
-        )
-        # A refit rebuilds the executor: fresh cache object, no stale sides.
+        new_cache = fresh_serving_themis.model.hybrid_evaluator.stack.join_side_cache
+        # A refit rebuilds the stack: fresh cache object, no stale sides.
         assert new_cache is not old_cache
         singles = [fresh_serving_themis.query(query) for query in self.WORKLOAD]
         assert after.results() == singles

@@ -22,12 +22,13 @@ import pytest
 
 from oracle import hybrid_reference
 from repro.aggregates import AggregateQuery
-from repro.core import Themis
+from repro.core import Themis, ThemisConfig
 from repro.lru import LRUCache
 from repro.query import PointQuery
 from repro.serving import QueryPlanner
 from worlds import (
     build_biased_correlated_sample,
+    build_correlated_aggregates,
     build_correlated_population,
     build_fitted_themis,
     build_sparse_fitted_themis,
@@ -219,10 +220,11 @@ def test_a_dropped_model_is_freed_by_reference_counting():
         model = themis.model
         engine = model.bayes_net_evaluator.inference.batched
         masks = model.sample_evaluator.mask_cache.lru
-        assert len(engine.factors) > 0 and len(masks) > 0
-        refs = [weakref.ref(value) for value in (model, engine, engine.factors, masks)]
+        stacks = (model.bayes_net_evaluator.stack, model.hybrid_evaluator.stack)
+        assert len(engine.factors) > 0 and len(masks) > 0 and None not in stacks
+        refs = [weakref.ref(value) for value in (model, engine, engine.factors, masks, *stacks)]
         plans = cached_plans(session.plan_cache)
-        del model, engine, masks
+        del model, engine, masks, stacks
         themis.refit()
         session.execute(statements[1])
         assert [ref() for ref in refs] == [None] * len(refs)
@@ -276,3 +278,54 @@ def test_refits_on_a_second_thread_never_tear_an_answer():
     assert len(refits) >= 8
     assert session.execute_batch(statements).results() == expected
     assert session.generation == themis.model.generation == themis.generation
+
+
+def sparse_themis_with_wide_worlds() -> Themis:
+    """The sparse world, drawing ``K = 8`` worlds of 4,000 rows: the draw
+    takes long enough for a second thread to walk into it."""
+    population = build_correlated_population()
+    themis = Themis(
+        ThemisConfig(
+            seed=3, ipf_max_iterations=20, n_generated_samples=8, generated_sample_size=4000
+        )
+    )
+    themis.load_sample(build_biased_correlated_sample(population).take(np.arange(30)))
+    themis.add_aggregates(build_correlated_aggregates(population))
+    themis.fit()
+    return themis
+
+
+def test_a_freshly_fitted_model_draws_its_worlds_once():
+    """Two threads serve GROUP BYs right after ``fit()``: the ``K`` worlds
+    (and the stacks over them) are built lazily, from one shared generator,
+    so both threads must meet the same worlds — the ones a single thread
+    draws — or the answers depend on who came first.  The sparse sample
+    leaves most groups to the network, so the worlds show in every answer."""
+    statements = [
+        f"SELECT A, B, C, {aggregate} FROM sample WHERE B {comparison} {b} GROUP BY A, B, C"
+        for aggregate in ("COUNT(*)", "SUM(C)")
+        for comparison in ("=", "<=")
+        for b in range(3)
+    ] + [f"SELECT B, C, COUNT(*) FROM sample WHERE A = {a} GROUP BY B, C" for a in range(3)]
+    statements = statements[:20]
+    expected = [sparse_themis_with_wide_worlds().sql(statement) for statement in statements]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: hunt the race
+    try:
+        for _ in range(5):
+            themis = sparse_themis_with_wide_worlds()
+            barrier = threading.Barrier(2)
+            answers: list[list] = [[], []]
+
+            def serve(out: list) -> None:
+                barrier.wait()
+                out.extend(themis.sql(statement) for statement in statements)
+
+            threads = [threading.Thread(target=serve, args=(out,)) for out in answers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert answers == [expected, expected]
+    finally:
+        sys.setswitchinterval(interval)

@@ -70,7 +70,16 @@ class TestFrozenSurface:
             "columnar",
             "cache-probe",
         )
-        assert names.CACHE_TIERS == ("result", "plan", "inference", "mask", "join_side")
+        assert names.CACHE_TIERS == (
+            "result",
+            "plan",
+            "inference",
+            "mask",
+            "join_side",
+            "bn_mask",
+            "bn_join_side",
+            "hybrid_join_side",
+        )
 
     def test_name_helpers(self):
         assert names.route_counter("sample") == "serving.route.sample"
