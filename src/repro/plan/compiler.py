@@ -73,9 +73,10 @@ class PlanCompiler:
         Plans compiled from an AST are memoized per hashable query object
         (ASTs are frozen dataclasses), so re-executing the same query object
         — a table's parts recompiled by the BN evaluator — compiles once.
-        SQL text does not go through the memo: a fresh statement would pay
-        the AST's hash, an insert and an eviction to hit nothing, and a
-        repeated one is served by the serving layer's text-keyed plan cache.
+        SQL text does not go through this memo: its parse is memoized per
+        statement shape by :func:`~repro.sql.parse_sql` (statements that
+        differ only in their literals share it), and a repeated statement
+        is served by the serving layer's text-keyed plan cache.
     """
 
     def __init__(self, schema: Schema, cache_size: int = 256):

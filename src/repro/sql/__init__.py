@@ -7,7 +7,7 @@ from .engine import (
     WeightedQueryEngine,
     answer_point_query,
 )
-from .parser import ParsedQuery, parse_sql
+from .parser import ParsedQuery, parse_cache_info, parse_sql
 
 __all__ = [
     "Database",
@@ -16,5 +16,6 @@ __all__ = [
     "TableResult",
     "WeightedQueryEngine",
     "answer_point_query",
+    "parse_cache_info",
     "parse_sql",
 ]

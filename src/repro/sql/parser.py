@@ -22,14 +22,30 @@ only when a *rich* feature appears: two or more aggregates, HAVING, ORDER
 BY, LIMIT, a window expression, or an aggregate alias on a grouped query
 (the alias becomes the output column's label, which only a table-shaped
 result can surface).
+
+Parsing is two steps, shape then bind.  One ``findall`` pass turns the text
+into the statement's *shape* — its token texts, each string, int and float
+literal replaced by its kind — and the literal values.  Statements that
+differ only in their literals share a shape, and a bounded process-wide
+memo (:data:`PARSE_CACHE_SIZE` shapes, like ``re``'s cache of compiled
+patterns) maps a shape to what the grammar made of it: a template holding
+a slot where each literal goes, and no literal value.  Each statement binds
+its own values into the template through the AST construction and
+validation every parse runs.  A shape not in the memo runs the grammar
+once, over the tokens of that same pass; a statement that fails to parse is
+not memoized and raises from its own tokens, positions included.
+:func:`parse_cache_info` reports the memo.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import threading
 from typing import Any
 
 from ..exceptions import QueryError, SQLSyntaxError
+from ..lru import LRUCache
 from ..query.ast import (
     AggregateFunction,
     AggregateSpec,
@@ -45,12 +61,19 @@ from ..query.ast import (
     WindowSpec,
 )
 
+#: How many statement shapes the parse memo keeps (``re`` keeps 512
+#: compiled patterns).  A shape, key and template, takes 1.1-1.4 KB and
+#: holds syntax only, never a data value.
+PARSE_CACHE_SIZE = 512
+
 _AGGREGATES = {function.value: function for function in AggregateFunction}
 #: Comparison operators by spelling; ``IN`` is a keyword, not an operator token.
 _OPERATORS = {
     "<>": Comparison.NE,
     **{c.value: c for c in Comparison if c is not Comparison.IN},
 }
+#: The kind of every word that is not an identifier.
+_SYMBOLS = {**dict.fromkeys(_OPERATORS, "op"), **dict.fromkeys("(),;*-", "punct")}
 
 
 class ParsedQuery:
@@ -74,57 +97,100 @@ class ParsedQuery:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer: shape and literal values
 # ---------------------------------------------------------------------------
+#: One match per token: the blanks before it, then exactly one of a word
+#: (identifier, operator or punctuation), a string, float or int literal and
+#: a bad character.  ``findall`` gives each token as the tuple of these six
+#: groups; blanks at the end of the text match nothing.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-    (?P<string>'[^']*'|"[^"]*")
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9.]*)
-  | (?P<op><=|>=|!=|<>|=|<|>)
-  | (?P<punct>[(),;*\-])
-  | (?P<end>\Z)
-  | (?P<bad>.)
+    r"""(\s*)(?:
+    ([A-Za-z_][A-Za-z_0-9.]*|<=|>=|!=|<>|[=<>(),;*\-])
+  | ('[^']*'|"[^"]*")
+  | (\d+\.\d+)
+  | (\d+)
+  | (\S)
     )""",
     re.VERBOSE,
 )
+#: What stands for a literal of each kind in a shape: no word has these texts.
+_STRING, _FLOAT, _INT = "''", "0.0", "0"
 
 
-def _tokenize(sql: str) -> list[tuple]:
-    """All of a statement's tokens, the last one of kind ``"end"``.
+def _shape(sql: str) -> tuple[str, list[Any], list[tuple]]:
+    """A statement's shape, its literal values, and the ``findall`` tokens
+    both come from.
 
-    A token is the plain tuple ``(kind, text, position, word)``: ``kind``
-    names the alternative of ``_TOKEN_RE`` that matched, ``position`` is
-    where ``text`` starts, and ``word`` is the text lower-cased when it is an
-    identifier (what keywords are compared against), ``None`` otherwise.
+    The shape is the token texts joined by blanks, each literal replaced by
+    its kind's stand-in (no token holds a blank, so two token sequences never
+    join to one shape); the values are the literals in text order, a string
+    without its quotes, a number as ``int`` or ``float``.  Raises for a
+    statement that is not a ``str``, and for the first character no token
+    takes.
+    """
+    if not isinstance(sql, str):
+        raise SQLSyntaxError(
+            f"an SQL statement must be a str, got {type(sql).__name__}"
+        )
+    found = _TOKEN_RE.findall(sql)
+    shape: list[str] = []
+    values: list[Any] = []
+    # Bound once: this loop is most of what a memoized statement costs.
+    mark, keep = shape.append, values.append
+    for _, word, string, real, integer, _ in found:
+        if word:
+            mark(word)
+        elif string:
+            mark(_STRING)
+            keep(string[1:-1])
+        elif integer:
+            mark(_INT)
+            keep(int(integer))
+        elif real:
+            mark(_FLOAT)
+            keep(float(real))
+        else:
+            _tokens(sql, found)  # raises for the first bad character
+    return " ".join(shape), values, found
 
-    One ``match`` per token: the pattern skips leading blanks itself, matches
-    the end of input as a token, and never fails (what no other alternative
-    takes is one ``bad`` character, reported here).
+
+def _tokens(sql: str, found: list[tuple]) -> list[tuple]:
+    """The grammar's view of ``found``: one token per match, then one of kind
+    ``"end"``.
+
+    A token is the plain tuple ``(kind, text, position, tag)``: ``kind`` is
+    ``"string"``, ``"number"``, ``"ident"``, ``"op"`` or ``"punct"``,
+    ``position`` is where ``text`` starts, and ``tag`` is the text
+    lower-cased for an identifier (what keywords are compared against), the
+    literal's index among the statement's literals for a string or number,
+    ``None`` otherwise.
     """
     tokens: list[tuple] = []
-    match = _TOKEN_RE.match
-    position = 0
-    while True:
-        found = match(sql, position)
-        kind = found.lastgroup
-        text = found.group(kind)
-        position = found.end()
-        if kind == "ident":
-            tokens.append((kind, text, position - len(text), text.lower()))
-        elif kind == "end":
-            tokens.append((kind, text, position, None))
-            return tokens
-        elif kind == "bad":
-            position -= 1
-            if text in "'\"":
+    append = tokens.append
+    position = literals = 0
+    for blanks, word, string, real, integer, bad in found:
+        position += len(blanks)
+        if word:
+            kind = _SYMBOLS.get(word)
+            if kind is None:
+                append(("ident", word, position, word.lower()))
+            else:
+                append((kind, word, position, None))
+            position += len(word)
+        elif bad:
+            if bad in "'\"":
                 raise SQLSyntaxError(
                     f"unterminated string literal starting at position {position}: "
                     f"{sql[position:position + 20]!r}"
                 )
-            raise SQLSyntaxError(f"unexpected character {text!r} at position {position}")
+            raise SQLSyntaxError(f"unexpected character {bad!r} at position {position}")
         else:
-            tokens.append((kind, text, position - len(text), None))
+            text = string or real or integer
+            append(("string" if string else "number", text, position, literals))
+            literals += 1
+            position += len(text)
+    tokens.append(("end", "", len(sql), None))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +201,33 @@ def _strip_alias(name: str) -> str:
     return name.split(".")[-1].strip()
 
 
-class _SelectItem:
-    """One parsed select-list entry (column, aggregate, or window)."""
+class _Slot:
+    """Where a template takes the statement's ``index``-th literal, negated
+    when a ``-`` precedes it."""
 
-    __slots__ = ("column", "aggregate", "window")
+    __slots__ = ("index", "negate")
 
-    def __init__(self, column=None, aggregate=None, window=None):
-        self.column = column
-        self.aggregate = aggregate
-        self.window = window
+    def __init__(self, index: int, negate: bool = False):
+        self.index = index
+        self.negate = negate
+
+
+def _fill(literal: Any, values: list[Any]) -> Any:
+    """A template literal with ``values`` in its slots: a slot's value, a
+    tuple (an IN list) item by item, anything else (a bare word, ``TRUE``,
+    ``FALSE``) as it is."""
+    if literal.__class__ is _Slot:
+        value = values[literal.index]
+        return -value if literal.negate else value
+    if literal.__class__ is tuple:
+        return tuple([_fill(item, values) for item in literal])
+    return literal
 
 
 class _Parser:
-    def __init__(self, sql: str):
-        self._tokens = _tokenize(sql)
+    def __init__(self, tokens: list[tuple], values: list[Any]):
+        self._tokens = tokens
+        self._values = values
         self._index = 0
 
     # -- token helpers --------------------------------------------------
@@ -220,22 +299,23 @@ class _Parser:
 
     # -- literals -------------------------------------------------------
     def _literal(self) -> Any:
-        kind, text, position, word = self._advance()
-        if kind == "string":
-            return text[1:-1]
-        if kind == "number":
-            return self._number_value(text)
+        """A literal as the template holds it: a :class:`_Slot` for a string
+        or number, the value itself for a bare word, ``TRUE`` or ``FALSE``
+        (identifiers are part of the shape)."""
+        kind, text, position, tag = self._advance()
+        if kind == "string" or kind == "number":
+            return _Slot(tag)
         if text == "-":
-            kind, text, _, _ = self._advance()
+            kind, text, _, tag = self._advance()
             if kind != "number":
                 raise SQLSyntaxError(
                     f"expected a number after '-' at position {position}"
                 )
-            return -self._number_value(text)
+            return _Slot(tag, negate=True)
         if kind == "ident":
-            if word == "true":
+            if tag == "true":
                 return True
-            if word == "false":
+            if tag == "false":
                 return False
             # Bare-word literal (legacy behavior): WHERE state = CA.
             return text
@@ -244,75 +324,85 @@ class _Parser:
             f"at position {position}"
         )
 
-    @staticmethod
-    def _number_value(text: str) -> int | float:
-        return float(text) if "." in text else int(text)
-
     # -- grammar --------------------------------------------------------
-    def parse(self) -> ParsedQuery:
+    def parse(self) -> "_Template":
         self._expect_keyword("select")
-        items = self._select_list()
+        columns, aggregates, windows = self._select_list()
         self._expect_keyword("from")
         table = self._expect_ident("a table name")
 
-        predicates: tuple[Predicate, ...] = ()
+        predicates: tuple[tuple, ...] = ()
         group_by: tuple[str, ...] = ()
-        having: tuple[HavingPredicate, ...] = ()
+        having: tuple[tuple, ...] = ()
         order_by: tuple[OrderKey, ...] = ()
-        limit: int | None = None
-        explicit_group = False
+        limit: _Slot | None = None
 
         if self._take_keyword("where"):
             predicates = self._conjunction()
         if self._take_keyword("group"):
             self._expect_keyword("by")
             group_by = tuple(self._name_list())
-            explicit_group = True
+        elif columns:
+            # Plain-SQL convention used throughout the paper's Table 5: the
+            # non-aggregate select columns are the grouping columns.
+            group_by = columns
         if self._take_keyword("having"):
             having = self._having_list()
         if self._take_keyword("order"):
             self._expect_keyword("by")
             order_by = tuple(self._order_list())
         if self._take_keyword("limit"):
-            kind, text, position, _ = self._advance()
+            kind, text, position, tag = self._advance()
             if kind != "number" or "." in text:
                 raise SQLSyntaxError(
                     f"LIMIT expects an integer, found {text or 'end of input'!r} "
                     f"at position {position}"
                 )
-            limit = int(text)
+            limit = _Slot(tag)
         # Optional trailing semicolon, then nothing else.
         self._take_punct(";")
-        kind, text, position, word = self._peek()
+        kind, text, position, tag = self._peek()
         if kind != "end":
             hint = ""
-            if word in ("where", "group", "having", "order", "limit"):
+            if tag in ("where", "group", "having", "order", "limit"):
                 hint = f" (duplicate or misplaced {text.upper()} clause?)"
             raise SQLSyntaxError(
                 f"expected end of statement but found {text!r} "
                 f"at position {position}{hint}"
             )
 
-        return self._build(
-            table, items, predicates, group_by, explicit_group, having, order_by, limit
+        return _Template(
+            table, columns, aggregates, windows, predicates, group_by, having, order_by,
+            limit,
         )
 
-    def _select_list(self) -> list[_SelectItem]:
-        items = [self._select_item()]
-        while self._take_punct(","):
-            items.append(self._select_item())
-        return items
+    def _select_list(self) -> tuple[tuple, tuple, tuple]:
+        """The select list's plain columns, aggregates and windows."""
+        columns: list[str] = []
+        aggregates: list[AggregateSpec] = []
+        windows: list[WindowSpec] = []
+        while True:
+            item = self._select_item()
+            if item.__class__ is str:
+                columns.append(item)
+            elif item.__class__ is AggregateSpec:
+                aggregates.append(item)
+            else:
+                windows.append(item)
+            if not self._take_punct(","):
+                return tuple(columns), tuple(aggregates), tuple(windows)
 
-    def _select_item(self) -> _SelectItem:
+    def _select_item(self) -> str | AggregateSpec | WindowSpec:
+        """A plain column's name, an aggregate or a window."""
         if self._at_keyword("rank"):
             return self._window_item()
         if self._at_aggregate_call():
             return self._aggregate_or_window_item()
         name = self._expect_ident("a column name")
         self._maybe_alias()  # legacy behavior: plain-column aliases are dropped
-        return _SelectItem(column=_strip_alias(name))
+        return _strip_alias(name)
 
-    def _aggregate_or_window_item(self) -> _SelectItem:
+    def _aggregate_or_window_item(self) -> AggregateSpec | WindowSpec:
         function_name = self._advance()[3]
         self._expect_punct("(")
         argument: str | None
@@ -335,8 +425,8 @@ class _Parser:
         function = _AGGREGATES[function_name]
         # SUM(weight) is how reweighted samples express COUNT(*) (Sec. 4.1).
         if function is AggregateFunction.SUM and argument == "weight":
-            return _SelectItem(aggregate=AggregateSpec(AggregateFunction.COUNT, alias=alias))
-        return _SelectItem(aggregate=AggregateSpec(function, argument, alias=alias))
+            return AggregateSpec(AggregateFunction.COUNT, alias=alias)
+        return AggregateSpec(function, argument, alias=alias)
 
     def _aggregate_argument(self) -> str:
         """An aggregate's argument: a column name, or (for window SUMs over
@@ -345,7 +435,7 @@ class _Parser:
             return self._column_reference()
         return self._expect_ident("a column name")
 
-    def _window_item(self) -> _SelectItem:
+    def _window_item(self) -> WindowSpec:
         self._advance()  # RANK
         self._expect_punct("(")
         self._expect_punct(")")
@@ -353,7 +443,7 @@ class _Parser:
             raise SQLSyntaxError("RANK() requires an OVER (...) clause")
         return self._window_tail(WindowFunction.RANK, target=None)
 
-    def _window_tail(self, function: WindowFunction, target: str | None) -> _SelectItem:
+    def _window_tail(self, function: WindowFunction, target: str | None) -> WindowSpec:
         self._expect_keyword("over")
         self._expect_punct("(")
         partition: tuple[str, ...] = ()
@@ -371,14 +461,13 @@ class _Parser:
                 "window expressions need an AS alias naming their output column"
             )
         try:
-            window = WindowSpec(
+            return WindowSpec(
                 function, alias, target=target, partition_by=partition, order_by=order
             )
         except QueryError as error:
             # AST invariants (e.g. RANK() needs ORDER BY) surface as syntax
             # errors: the defect is in the statement, not the engine.
             raise SQLSyntaxError(str(error)) from error
-        return _SelectItem(window=window)
 
     def _maybe_alias(self) -> str | None:
         if self._take_keyword("as"):
@@ -422,30 +511,33 @@ class _Parser:
             self._take_keyword("asc")
         return OrderKey(target, descending=descending)
 
-    def _having_list(self) -> tuple[HavingPredicate, ...]:
+    def _having_list(self) -> tuple[tuple, ...]:
         conditions = [self._having_condition()]
         while self._take_keyword("and"):
             conditions.append(self._having_condition())
         return tuple(conditions)
 
-    def _having_condition(self) -> HavingPredicate:
+    def _having_condition(self) -> tuple:
         target = self._column_reference()
         comparison = self._expect_operator("in HAVING")
-        value = self._literal()
+        literal = self._literal()
+        # A literal's kind is part of the shape, so this statement's value
+        # decides for every statement of the shape.
+        value = _fill(literal, self._values)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SQLSyntaxError(
                 f"HAVING compares aggregate values and needs a numeric literal, "
                 f"got {value!r}"
             )
-        return HavingPredicate(target, comparison, float(value))
+        return (target, comparison, literal)
 
-    def _conjunction(self) -> tuple[Predicate, ...]:
+    def _conjunction(self) -> tuple[tuple, ...]:
         predicates = [self._condition()]
         while self._take_keyword("and"):
             predicates.append(self._condition())
         return tuple(predicates)
 
-    def _condition(self) -> Predicate:
+    def _condition(self) -> tuple:
         attribute = _strip_alias(self._expect_ident("an attribute name"))
         if self._take_keyword("in"):
             self._expect_punct("(")
@@ -457,32 +549,43 @@ class _Parser:
             while self._take_punct(","):
                 values.append(self._literal())
             self._expect_punct(")")
-            return Predicate(attribute, Comparison.IN, tuple(values))
+            return (attribute, Comparison.IN, tuple(values))
         comparison = self._expect_operator(f"after {attribute!r}")
-        return Predicate(attribute, comparison, self._literal())
+        return (attribute, comparison, self._literal())
 
-    # -- AST construction ----------------------------------------------
-    def _build(
+
+# ---------------------------------------------------------------------------
+# Template and AST construction
+# ---------------------------------------------------------------------------
+class _Template:
+    """What the grammar makes of one statement shape, with a :class:`_Slot`
+    where each literal goes.
+
+    A WHERE conjunct is ``(attribute, comparison, literal)``, a HAVING
+    condition ``(target, comparison, literal)``, and ``limit`` a slot or
+    ``None``.  Which AST type the shape becomes is decided here, once; the
+    aggregates, windows and ORDER BY keys are finished AST parts, shared by
+    every statement of the shape (they are immutable).
+    """
+
+    __slots__ = (
+        "table", "select_attributes", "group_by", "aggregates", "windows",
+        "predicates", "having", "order_by", "limit", "rich", "point",
+    )
+
+    def __init__(
         self,
         table: str,
-        items: list[_SelectItem],
-        predicates: tuple[Predicate, ...],
+        columns: tuple[str, ...],
+        aggregates: tuple[AggregateSpec, ...],
+        windows: tuple[WindowSpec, ...],
+        predicates: tuple[tuple, ...],
         group_by: tuple[str, ...],
-        explicit_group: bool,
-        having: tuple[HavingPredicate, ...],
+        having: tuple[tuple, ...],
         order_by: tuple[OrderKey, ...],
-        limit: int | None,
-    ) -> ParsedQuery:
-        columns = [item.column for item in items if item.column is not None]
-        aggregates = tuple(item.aggregate for item in items if item.aggregate is not None)
-        windows = tuple(item.window for item in items if item.window is not None)
-
-        if not explicit_group and columns:
-            # Plain-SQL convention used throughout the paper's Table 5: the
-            # non-aggregate select columns are the grouping columns.
-            group_by = tuple(columns)
-
-        rich = (
+        limit: _Slot | None,
+    ):
+        self.rich = (
             len(aggregates) > 1
             or bool(having)
             or bool(order_by)
@@ -490,56 +593,84 @@ class _Parser:
             or bool(windows)
             or (bool(group_by) and any(spec.alias for spec in aggregates))
         )
-
         if not aggregates:
             aggregates = (AggregateSpec(AggregateFunction.COUNT),)
-        first = aggregates[0]
+        # A point query fixes each attribute once: every conjunct is an
+        # equality on its own attribute.  ``a = 1 AND a = 2`` stays a
+        # scalar, which keeps both conjuncts.
+        self.point = (
+            not self.rich
+            and not group_by
+            and bool(predicates)
+            and aggregates[0].function is AggregateFunction.COUNT
+            and len({a for a, comparison, _ in predicates if comparison is Comparison.EQ})
+            == len(predicates)
+        )
+        self.table = table
+        self.select_attributes = columns
+        self.group_by = group_by
+        self.aggregates = aggregates
+        self.windows = windows
+        self.predicates = predicates
+        self.having = having
+        self.order_by = order_by
+        self.limit = limit
 
-        query: PointQuery | GroupByQuery | ScalarAggregateQuery | AnalyticQuery
+    def bind(self, values: list[Any]) -> ParsedQuery:
+        """The statement whose literals are ``values``, as a validated AST."""
+        first = self.aggregates[0]
+        if self.point:
+            # The assignment is all a point query keeps of its conjuncts.
+            query = PointQuery({
+                attribute: _fill(literal, values) for attribute, _, literal in self.predicates
+            })
+            return ParsedQuery(self.table, query, self.select_attributes, first)
+        predicates = tuple([
+            Predicate(attribute, comparison, _fill(literal, values))
+            for attribute, comparison, literal in self.predicates
+        ])
+        query: GroupByQuery | ScalarAggregateQuery | AnalyticQuery
         try:
-            if rich:
+            if self.rich:
                 query = AnalyticQuery(
-                    group_by=group_by,
-                    aggregates=aggregates,
+                    group_by=self.group_by,
+                    aggregates=self.aggregates,
                     predicates=predicates,
-                    having=having,
-                    windows=windows,
-                    order_by=order_by,
-                    limit=limit,
+                    having=tuple([
+                        HavingPredicate(target, comparison, float(_fill(literal, values)))
+                        for target, comparison, literal in self.having
+                    ]),
+                    windows=self.windows,
+                    order_by=self.order_by,
+                    limit=None if self.limit is None else values[self.limit.index],
                 )
-            elif group_by:
+            elif self.group_by:
                 query = GroupByQuery(
-                    group_by=group_by, aggregate=first, predicates=predicates
+                    group_by=self.group_by, aggregate=first, predicates=predicates
                 )
             else:
-                assignment = {
-                    predicate.attribute: predicate.value
-                    for predicate in predicates
-                    if predicate.comparison is Comparison.EQ
-                }
-                # A point query fixes each attribute once: the assignment is
-                # as long as the conjunction only when every conjunct is an
-                # equality on its own attribute.  ``a = 1 AND a = 2`` stays a
-                # scalar, which keeps both conjuncts.
-                if (
-                    predicates
-                    and len(assignment) == len(predicates)
-                    and first.function is AggregateFunction.COUNT
-                ):
-                    query = PointQuery(assignment)
-                else:
-                    query = ScalarAggregateQuery(aggregate=first, predicates=predicates)
-        except SQLSyntaxError:
-            raise
+                query = ScalarAggregateQuery(aggregate=first, predicates=predicates)
         except QueryError as error:
             raise SQLSyntaxError(f"invalid query: {error}") from error
+        return ParsedQuery(self.table, query, self.select_attributes, first)
 
-        return ParsedQuery(
-            table=table,
-            query=query,
-            select_attributes=tuple(columns),
-            aggregate=first,
-        )
+
+# ---------------------------------------------------------------------------
+# The shape memo
+# ---------------------------------------------------------------------------
+_TEMPLATES = LRUCache(PARSE_CACHE_SIZE)
+_TEMPLATES_LOCK = threading.Lock()
+
+
+def _new_lock_in_child() -> None:
+    # A thread of the parent may have held the lock when it forked; the
+    # child's copy would then never be released.
+    global _TEMPLATES_LOCK
+    _TEMPLATES_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lock_in_child)
 
 
 def parse_sql(sql: str) -> ParsedQuery:
@@ -548,7 +679,29 @@ def parse_sql(sql: str) -> ParsedQuery:
     Raises
     ------
     SQLSyntaxError
-        If the statement does not match the supported grammar.  Messages
-        name the offending token and its character position.
+        If the statement is not a ``str`` or does not match the supported
+        grammar.  Messages name the offending token and its character
+        position.
     """
-    return _Parser(sql).parse()
+    shape, values, found = _shape(sql)
+    with _TEMPLATES_LOCK:
+        template = _TEMPLATES.get(shape)
+    if template is not None:
+        return template.bind(values)
+    template = _Parser(_tokens(sql, found), values).parse()
+    parsed = template.bind(values)  # a statement that fails here is not memoized either
+    with _TEMPLATES_LOCK:
+        _TEMPLATES.put(shape, template)
+    return parsed
+
+
+def parse_cache_info() -> dict[str, int]:
+    """The parse memo's process-wide ``hits``, ``misses``, ``size`` (shapes
+    held) and ``capacity`` (:data:`PARSE_CACHE_SIZE`)."""
+    with _TEMPLATES_LOCK:
+        return {
+            "hits": _TEMPLATES.statistics.hits,
+            "misses": _TEMPLATES.statistics.misses,
+            "size": len(_TEMPLATES),
+            "capacity": _TEMPLATES.capacity,
+        }

@@ -204,11 +204,16 @@ def outcome(statement: str) -> dict[str, str]:
         return {"sql": statement, "error": str(error)}
 
 
+def render(records: list[dict[str, str]]) -> str:
+    """The golden file's text for ``records``."""
+    return json.dumps(records, indent=1, ensure_ascii=True) + "\n"
+
+
 def main() -> None:
     """Regenerate the golden file from the ``parse_sql`` on the path."""
     records = [outcome(statement) for statement in golden_statements()]
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(records, indent=1, ensure_ascii=True) + "\n")
+    GOLDEN_PATH.write_text(render(records))
     errors = sum("error" in record for record in records)
     print(f"wrote {GOLDEN_PATH}: {len(records)} statements, {errors} rejected")
 
