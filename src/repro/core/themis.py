@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any
 from ..aggregates import AggregateQuery, AggregateSet, prune_aggregates
 from ..bayesnet import LearningMode, ThemisBayesNetLearner
 from ..exceptions import ThemisError
+from ..lru import LRUCache
 from ..plan import LogicalPlan
 from ..query.ast import Query
 from ..reweighting import (
@@ -32,6 +33,49 @@ from .model import ThemisModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..serving import BatchResult, ServingSession
+
+#: Routed plans one loaded sample keeps: the smallest power of two above the
+#: distinct statements of every benchmark stream (2,548 facade, 2,896
+#: session batches, 585 open-world); at ~1.7 KB a routed plan, ~7 MB full.
+PLAN_CACHE_CAPACITY = 4096
+
+
+class SamplePlans:
+    """The loaded sample and the routed plans it keeps, swapped as one.
+
+    A routed plan reads the statement, the schema and which sample rows
+    satisfy its predicates — never the weights, the aggregates or the
+    network — so it belongs to the sample: a refit or an ``add_aggregate``
+    keeps these plans, and ``load_sample`` replaces the pair.  The facade
+    and every session over it plan through :meth:`plan`.  The model does
+    not own the cache: nothing the model owns may hold what outlives it.
+    """
+
+    __slots__ = ("sample", "cache")
+
+    def __init__(self, sample: Relation):
+        self.sample = sample
+        #: SQL text or hashable AST -> routed :class:`~repro.plan.LogicalPlan`.
+        self.cache = LRUCache(PLAN_CACHE_CAPACITY)
+
+    def plan(self, model: ThemisModel, statement: str | Query) -> LogicalPlan:
+        """The routed plan of ``statement`` on ``model``, planned once.
+
+        Only a model fitted over this very sample reads or fills the cache,
+        so a request that read its model before a ``load_sample`` plans on
+        its own and an old sample's plan never reaches the new sample's
+        cache.
+        """
+        if model.sample is not self.sample:
+            return model.planner.plan(statement)
+        try:
+            plan = self.cache.get(statement)
+        except TypeError:  # unhashable literal (e.g. a list inside IN)
+            return model.planner.plan(statement)
+        if plan is None:
+            plan = model.planner.plan(statement)
+            self.cache.put(statement, plan)
+        return plan
 
 
 @dataclass
@@ -133,7 +177,7 @@ class Themis:
                 raise ThemisError(f"unknown configuration option {key!r}")
             setattr(config, key, value)
         self.config = config
-        self._sample: Relation | None = None
+        self._sample_plans: SamplePlans | None = None
         self._sample_name = "sample"
         self._aggregates = AggregateSet()
         self._model: ThemisModel | None = None
@@ -144,10 +188,10 @@ class Themis:
     # Ingestion
     # ------------------------------------------------------------------
     def load_sample(self, sample: Relation, name: str = "sample") -> None:
-        """Register the biased sample relation ``S``."""
+        """Register the biased sample relation ``S`` (with no routed plans)."""
         if sample.n_rows == 0:
             raise ThemisError("cannot load an empty sample")
-        self._sample = sample
+        self._sample_plans = SamplePlans(sample)
         self._sample_name = name
         self._model = None
         self._generation += 1
@@ -166,9 +210,19 @@ class Themis:
     @property
     def sample(self) -> Relation:
         """The loaded sample (before reweighting)."""
-        if self._sample is None:
+        return self.sample_plans.sample
+
+    @property
+    def sample_plans(self) -> SamplePlans:
+        """The loaded sample with its routed-plan cache."""
+        if self._sample_plans is None:
             raise ThemisError("no sample loaded; call load_sample() first")
-        return self._sample
+        return self._sample_plans
+
+    @property
+    def plan_cache(self) -> LRUCache:
+        """The loaded sample's routed plans, shared by every session."""
+        return self.sample_plans.cache
 
     @property
     def aggregates(self) -> AggregateSet:
@@ -325,8 +379,15 @@ class Themis:
     # Planning (the facade's entry points compile-then-run)
     # ------------------------------------------------------------------
     def plan(self, statement: str | Query) -> LogicalPlan:
-        """Compile and route one SQL string or AST query without running it."""
-        return self.model.planner.plan(statement)
+        """Compile and route one SQL string or AST query without running it.
+
+        Each entry point reads the model first, then plans through the
+        loaded sample's cache (:meth:`SamplePlans.plan`): a statement seen
+        before on this sample, by the facade or any session, is not planned
+        again.
+        """
+        model = self.model
+        return self._sample_plans.plan(model, statement)
 
     # ------------------------------------------------------------------
     # Query answering
@@ -339,12 +400,16 @@ class Themis:
         as a batch of one (:meth:`HybridEvaluator.execute`).
         """
         model = self.model
-        return model.hybrid_evaluator.execute(model.planner.plan(query))
+        return model.hybrid_evaluator.execute(self._sample_plans.plan(model, query))
 
     def sql(self, statement: str) -> float | QueryResult:
         """Parse and answer a SQL statement with open-world semantics."""
         model = self.model
-        return model.hybrid_evaluator.execute(model.planner.plan_sql(statement))
+        if isinstance(statement, str):
+            plan = self._sample_plans.plan(model, statement)
+        else:  # the parser refuses it, naming its type
+            plan = model.planner.plan_sql(statement)
+        return model.hybrid_evaluator.execute(plan)
 
     def query(
         self,
@@ -385,7 +450,7 @@ class Themis:
             tracer = Tracer()
             with tracer.span("query") as root:
                 with tracer.span("compile"):
-                    plan = model.planner.plan(statement)
+                    plan = self._sample_plans.plan(model, statement)
                 root.set(route=plan.route, shape=plan.shape)
                 if token is not None:
                     token.poll()
@@ -394,7 +459,7 @@ class Themis:
             return ExplainedResult(
                 result=result, plan=plan, route=plan.route, trace=root
             )
-        plan = model.planner.plan(statement)
+        plan = self._sample_plans.plan(model, statement)
         if token is not None:
             token.poll()
         result = evaluator.run([plan], cancel=token)[0]

@@ -11,10 +11,18 @@ Byte accounting is governed-only.  Each cache names its entry-size function
 while a :class:`~repro.serving.governance.MemoryGovernor` is attached, and
 attaching one measures everything the cache already holds, so an ungoverned
 insert never pays a measurement and a governed ``byte_size`` is exact.
+
+Every cache is safe to share between threads: each holds one lock, and every
+method that reads or moves its entries runs under it.  The mask, join-side
+and factor caches are shared by the facade and every session over a model,
+and the facade's routed-plan cache by every session over a sample.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
@@ -136,7 +144,9 @@ class LRUCache:
         self._sizes: dict[Hashable, int] = {}
         self._bytes = 0
         self._governor: Any | None = None
+        self._lock = threading.Lock()
         self.statistics = CacheStatistics()
+        _CACHES.add(self)
 
     @property
     def governor(self) -> Any | None:
@@ -147,12 +157,13 @@ class LRUCache:
     def governor(self, governor: Any | None) -> None:
         # Attaching measures what the cache already holds, so byte_size is
         # exact however full the cache was; detaching forgets the sizes.
-        self._governor = governor
-        if governor is None:
-            self._sizes = {}
-        else:
-            self._sizes = {key: self._size(value) for key, value in self._entries.items()}
-        self._bytes = sum(self._sizes.values())
+        with self._lock:
+            self._governor = governor
+            if governor is None:
+                self._sizes = {}
+            else:
+                self._sizes = {key: self._size(value) for key, value in self._entries.items()}
+            self._bytes = sum(self._sizes.values())
 
     @property
     def byte_size(self) -> int:
@@ -173,17 +184,29 @@ class LRUCache:
         batch optimizer inspect the cache without perturbing eviction
         behaviour or hit-rate statistics.
         """
-        return self._entries.get(key, default)
+        # acquire / release, not ``with``: on this path and get's, the lock
+        # then costs half as much.
+        lock = self._lock
+        lock.acquire()
+        try:
+            return self._entries.get(key, default)
+        finally:
+            lock.release()
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Fetch ``key``, marking it most recently used."""
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            self.statistics.misses += 1
-            return default
-        self._entries.move_to_end(key)
-        self.statistics.hits += 1
-        return value
+        lock = self._lock
+        lock.acquire()
+        try:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                self.statistics.misses += 1
+                return default
+            self._entries.move_to_end(key)
+            self.statistics.hits += 1
+            return value
+        finally:
+            lock.release()
 
     def put(self, key: Hashable, value: Any) -> None:
         """Store ``key`` as the most recently used entry, evicting the least
@@ -192,29 +215,31 @@ class LRUCache:
         Any value already under ``key`` is dropped first, so a governor's
         refusal cannot leave an outdated memo behind.
         """
-        if self._entries.pop(key, _MISSING) is not _MISSING:
-            self._bytes -= self._sizes.pop(key, 0)
-        if self._governor is not None:
-            nbytes = self._size(value)
-            if not self._governor.admit(nbytes):
-                return
-            self._sizes[key] = nbytes
-            self._bytes += nbytes
-        self._entries[key] = value
-        if len(self._entries) > self.capacity:
-            # A full cache evicts on every insert: inline, not evict_entries(1).
-            oldest, _ = self._entries.popitem(last=False)
-            self._bytes -= self._sizes.pop(oldest, 0)
-            self.statistics.evictions += 1
+        with self._lock:
+            if self._entries.pop(key, _MISSING) is not _MISSING:
+                self._bytes -= self._sizes.pop(key, 0)
+            if self._governor is not None:
+                nbytes = self._size(value)
+                if not self._governor.admit(nbytes):
+                    return
+                self._sizes[key] = nbytes
+                self._bytes += nbytes
+            self._entries[key] = value
+            if len(self._entries) > self.capacity:
+                # A full cache evicts on every insert: inline, not evict_entries(1).
+                oldest, _ = self._entries.popitem(last=False)
+                self._bytes -= self._sizes.pop(oldest, 0)
+                self.statistics.evictions += 1
 
     def evict_entries(self, n: int) -> int:
         """Evict up to ``n`` least recently used entries; bytes freed."""
         freed = 0
-        for _ in range(min(n, len(self._entries))):
-            key, _ = self._entries.popitem(last=False)
-            freed += self._sizes.pop(key, 0)
-            self.statistics.evictions += 1
-        self._bytes -= freed
+        with self._lock:
+            for _ in range(min(n, len(self._entries))):
+                key, _ = self._entries.popitem(last=False)
+                freed += self._sizes.pop(key, 0)
+                self.statistics.evictions += 1
+            self._bytes -= freed
         return freed
 
     def entries(self) -> list[tuple[Hashable, Any]]:
@@ -224,10 +249,27 @@ class LRUCache:
         probe serving statistics use to watch cache growth without
         perturbing eviction order or hit rates.
         """
-        return list(self._entries.items())
+        with self._lock:
+            return list(self._entries.items())
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
-        self._entries.clear()
-        self._sizes.clear()
-        self._bytes = 0
+        with self._lock:
+            self._entries.clear()
+            self._sizes.clear()
+            self._bytes = 0
+
+
+#: Every live cache, so that a forked child can give each a fresh lock.
+_CACHES: "weakref.WeakSet[LRUCache]" = weakref.WeakSet()
+
+
+def _new_locks_in_child() -> None:
+    # A thread of the parent may have held a cache's lock when it forked;
+    # the child's copy would then never be released.
+    for cache in list(_CACHES):
+        cache._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_locks_in_child)

@@ -10,8 +10,8 @@ query is compiled once and every layer shares the plan.
 Routing (the ``Route`` node's evaluator choice) is a separate step —
 :func:`resolve_route` — because it reads the fitted sample (through its
 predicate-mask cache) while compiling reads only the schema.  Each fitted
-model owns its compiler, so neither a compiled nor a routed plan outlives
-the model it was made for.
+model owns its compiler; a routed plan holds neither, so the facade's
+routed-plan cache keeps it across refits of the same sample.
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ class PlanCompiler:
         SQL text does not go through this memo: its parse is memoized per
         statement shape by :func:`~repro.sql.parse_sql` (statements that
         differ only in their literals share it), and a repeated statement
-        is served by the serving layer's text-keyed plan cache.
+        is served by the facade's routed-plan cache
+        (:class:`~repro.core.themis.SamplePlans`), which the facade and
+        every serving session read.
     """
 
     def __init__(self, schema: Schema, cache_size: int = 256):

@@ -12,7 +12,6 @@ up to the population size ``n``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ..aggregates import AggregateSet, IncidenceSystem
 from ..exceptions import ReweightingError
@@ -79,6 +78,10 @@ class LinearRegressionReweighter(Reweighter):
         intercept_row[0] = float(sample.n_rows)
         design = np.vstack([design, intercept_row])
         targets = np.append(targets, float(sample.n_rows))
+
+        # Imported here: scipy costs ~40 MB per process, and only this
+        # reweighter (not the default IPF) needs it.
+        from scipy import optimize
 
         coefficients, residual_norm = optimize.nnls(design, targets)
         weights = design_sample @ coefficients

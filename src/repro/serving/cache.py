@@ -1,9 +1,9 @@
 """Two-tier serving caches: LRU result/plan caches and a shared inference cache.
 
-Tier one is two :class:`~repro.lru.LRUCache` instances: the result cache maps
-canonical plan keys to final query answers, and the plan cache maps raw SQL
-text to its routed :class:`~repro.plan.LogicalPlan` (parsing and
-bucketizing are cheap but not free at serving rates).  Tier two is
+Tier one is two :class:`~repro.lru.LRUCache` instances: the session's result
+cache maps canonical plan keys to final query answers, and the facade's plan
+cache maps SQL text or an AST to its routed :class:`~repro.plan.LogicalPlan`
+(parsing and bucketizing are cheap but not free at serving rates).  Tier two is
 :class:`InferenceCache`, shared by *all* queries of one session: it fronts
 the Bayesian network's batched inference engine (per-signature eliminated
 factors, so a whole batch of point queries pays one variable-elimination
@@ -15,9 +15,9 @@ The factors and samples belong to the fitted model, so they are never
 invalidated: when ``Themis.refit()`` (or any ingestion call) swaps in a new
 model, :class:`~repro.serving.session.ServingSession` drops its result
 cache and fronts the new model's engine with a new :class:`InferenceCache`,
-carrying only the session's hit/miss counters over.  Its plan cache is
-kept unless the new model was fitted over a different sample: a routed
-plan depends on the sample alone.
+carrying only the session's hit/miss counters over.  The plan cache is
+the facade's and is kept until ``load_sample``: a routed plan depends on
+the sample alone.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ..schema import Relation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bayesnet import BatchedInference
 
-#: The tier-one caches are plain LRUs: plan key -> answer, SQL text -> plan.
+#: The tier-one caches are plain LRUs: plan key -> answer, statement -> plan.
 ResultCache = PlanCache = LRUCache
 
 

@@ -7,7 +7,7 @@ evaluator, which batching routine for which shape — is decided by the
 plan's ``Route`` node and lives behind ``run`` in
 :mod:`repro.core.evaluators`.  One batch is::
 
-    compile      SQL/AST -> routed LogicalPlan (plan cache)
+    compile      SQL/AST -> routed LogicalPlan (the facade's plan cache)
     route        the uncached, unique plans, partitioned by route
     warm-samples the BN's K generated samples, materialized once (only
                  when a plan about to run reads them)
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from ..core.model import ThemisModel
 from ..exceptions import DeadlineExceededError, QueryCancelledError
@@ -53,6 +54,9 @@ from .governance import CancelToken
 from .planner import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE
 from .stats import BatchResult, QueryOutcome
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.themis import SamplePlans
+
 #: The dispatch stages of a batch and the routes each one serves, in order.
 _DISPATCH_STAGES = (
     (names.STAGE_BN_DISPATCH, (ROUTE_BAYES_NET,)),
@@ -63,8 +67,9 @@ _DISPATCH_STAGES = (
 class BatchExecutor:
     """Execute planned queries against one fitted model with shared caches.
 
-    Everything it runs comes from ``model``: plans from ``model.planner``,
-    answers from the model's evaluators.  A new model gets a new executor.
+    Everything it runs comes from ``model``: plans from ``model.planner``
+    through the facade's routed-plan cache (``sample_plans``), answers from
+    the model's evaluators.  A new model gets a new executor.
     """
 
     def __init__(
@@ -72,13 +77,13 @@ class BatchExecutor:
         model: ThemisModel,
         result_cache: LRUCache,
         inference_cache: InferenceCache,
-        plan_cache: LRUCache,
+        sample_plans: "SamplePlans",
         metrics: MetricsRegistry | None = None,
     ):
         self._model = model
         self._result_cache = result_cache
         self._inference_cache = inference_cache
-        self._plan_cache = plan_cache
+        self._sample_plans = sample_plans
         # The single accumulation point for optimizer/BN/stage counters; the
         # serving session passes its own registry so ServingStatistics reads
         # the very counters this executor writes.
@@ -95,25 +100,19 @@ class BatchExecutor:
         return self._metrics
 
     # ------------------------------------------------------------------
-    # Planning (with the SQL-text plan cache)
+    # Planning (with the facade's routed-plan cache)
     # ------------------------------------------------------------------
     def plan(self, query: Query | str | LogicalPlan) -> LogicalPlan:
-        """Route one query, reusing cached plans for repeated SQL text.
+        """Route one query, reusing the plan of a statement the facade or
+        any session already planned on this sample.
 
         A routed :class:`~repro.plan.LogicalPlan` this executor already made
         (the worker plans a conversation's statements to verify their keys)
         is returned as is: a statement is planned once per process.
         """
-        if isinstance(query, str):
-            cached = self._plan_cache.get(query)
-            if cached is not None:
-                return cached
-            plan = self._model.planner.plan_sql(query)
-            self._plan_cache.put(query, plan)
-            return plan
         if isinstance(query, LogicalPlan):
             return query
-        return self._model.planner.plan(query)
+        return self._sample_plans.plan(self._model, query)
 
     # ------------------------------------------------------------------
     # Single-plan execution
@@ -240,10 +239,10 @@ class BatchExecutor:
         stage_seconds = dict.fromkeys(names.BATCH_STAGES, 0.0)
         with tracer.span(names.STAGE_COMPILE, queries=len(queries)) as span:
             if tracer.enabled:
-                plan_stats = self._plan_cache.statistics.snapshot()
+                plan_stats = self._sample_plans.cache.statistics.snapshot()
             plans = [self.plan(query) for query in queries]
             if tracer.enabled:
-                delta = self._plan_cache.statistics.since(plan_stats)
+                delta = self._sample_plans.cache.statistics.since(plan_stats)
                 span.count(plan_cache_hits=delta.hits, plan_cache_misses=delta.misses)
         stage_seconds[names.STAGE_COMPILE] = time.perf_counter() - batch_start
 

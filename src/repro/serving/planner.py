@@ -10,7 +10,7 @@ using its shared predicate-mask cache.  ``Themis.fit()`` builds one planner
 per fitted model (``ThemisModel.planner``) over that model's compiler and
 mask cache; the planner holds neither the model nor the facade, so a
 dropped model is freed by reference counting.  The routed
-:class:`~repro.plan.LogicalPlan` is the served plan: the session's plan
+:class:`~repro.plan.LogicalPlan` is the served plan: the facade's plan
 cache, ``QueryOutcome.plan``, ``Themis.plan()`` and the worker's key check
 all hold that one value.
 

@@ -8,8 +8,8 @@ opens a session, and answers command messages over a pipe.
 
 A batch arrives as the statements exactly as they were submitted (SQL text
 or ASTs) plus the canonical key the sender compiled each one to.  The worker
-plans every statement through its **own** session — repeated SQL text hits
-the session's plan cache — and verifies every key against what this process
+plans every statement through its **own** session — a repeated statement
+hits its facade's plan cache — and verifies every key against what this process
 plans the same statement to *before executing anything*: schema drift
 between front-end and worker is a loud
 :class:`~repro.exceptions.WireFormatError`, never a silently split cache.
@@ -91,7 +91,7 @@ def _verified_plans(session: Any, requests: list[tuple]) -> list:
     a key the two sides disagree on (a statement this process cannot plan at
     all raises its own typed error from here, just as early).  The plans made
     here are the ones executed: a statement is planned once per process
-    (repeated SQL text through the session's plan cache).
+    (a repeated statement through the worker facade's plan cache).
     """
     executor = session._ensure_current()
     plans = []

@@ -7,13 +7,14 @@ alone.  When the facade holds a different model object than the one the
 executor was built over (any ingestion call or ``refit()``), the session
 rebuilds its executor over the new model and drops its result cache before
 serving — a stale cache can never leak answers from a previous model.  The
-SQL-text plan cache belongs to the loaded sample, not to the model: a
-routed plan reads only the statement, the schema and which sample rows
-satisfy its predicates, never the weights, the aggregates or the network.
-It survives a refit and an ``add_aggregate``, and is dropped only when the
-new model was fitted over a different sample (``load_sample``).  The mask,
-join-side and factor caches belong to the model, so they come and go with
-it.
+session plans through the facade's routed-plan cache
+(:class:`~repro.core.themis.SamplePlans`), which belongs to the loaded
+sample, not to the model: a routed plan reads only the statement, the
+schema and which sample rows satisfy its predicates, never the weights,
+the aggregates or the network.  It survives a refit and an
+``add_aggregate``, ``load_sample`` replaces it, and the facade and every
+session over it share it.  The mask, join-side and factor caches belong to
+the model, so they come and go with it.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ class ServingSession:
         The facade to serve from (fitted lazily on first query).
     result_cache_size:
         Capacity of the LRU result cache (plan-key -> answer).
-    plan_cache_size:
-        Capacity of the LRU SQL-text -> plan cache.
     trace:
         When true, every served query and batch carries a structured span
         tree (``outcome.trace`` / ``batch.trace``) recording where its
@@ -102,21 +101,20 @@ class ServingSession:
         caches bounded only by their per-tier entry capacities.
 
     Every tier is a :class:`~repro.lru.LRUCache`.  The mask, join-side and
-    eliminated-factor tiers belong to the fitted model and are shared by the
-    facade and every session over it.
+    eliminated-factor tiers belong to the fitted model and the plan cache to
+    the loaded sample; each is shared by the facade and every session over
+    it.
     """
 
     def __init__(
         self,
         themis: "Themis",
         result_cache_size: int = 256,
-        plan_cache_size: int = 512,
         trace: bool = False,
         memory_budget_bytes: int | None = None,
     ):
         self._themis = themis
         self._result_cache = LRUCache(result_cache_size)
-        self._plan_cache = LRUCache(plan_cache_size)
         self._trace = bool(trace)
         self._inference_cache: InferenceCache | None = None
         self._executor: BatchExecutor | None = None
@@ -154,10 +152,6 @@ class ServingSession:
             return executor
         if executor is not None:
             self.statistics.record_invalidation()
-            # Relations are immutable: the same sample routes every
-            # statement the same way, whatever the new weights are.
-            if model.sample is not executor.model.sample:
-                self._plan_cache.clear()
         self._result_cache.clear()
         # The factors and samples are the model's; the hit/miss counters
         # are the session's and carry over.
@@ -168,7 +162,7 @@ class ServingSession:
             model,
             self._result_cache,
             self._inference_cache,
-            self._plan_cache,
+            self._themis.sample_plans,
             metrics=self.metrics,
         )
         if self.governor is not None:
@@ -293,8 +287,9 @@ class ServingSession:
 
     @property
     def plan_cache(self) -> LRUCache:
-        """The LRU cache mapping raw SQL text to its routed logical plan."""
-        return self._plan_cache
+        """The facade's routed-plan cache (SQL text or AST -> plan) that the
+        session plans through; its counters include the facade's traffic."""
+        return self._themis.plan_cache
 
     @property
     def inference_cache(self) -> InferenceCache | None:
@@ -302,8 +297,12 @@ class ServingSession:
         return self._inference_cache
 
     def clear_caches(self) -> None:
-        """Drop every cache tier without touching the fitted model."""
-        for cache in (self._plan_cache, *self._governed_tiers().values()):
+        """Drop every cache tier without touching the fitted model.
+
+        The plan, mask, join-side and factor tiers are shared, so the facade
+        and every other session over it lose them too.
+        """
+        for cache in (self.plan_cache, *self._governed_tiers().values()):
             cache.clear()
 
     def cache_statistics(self, window: bool = False) -> dict[str, Any]:
@@ -321,15 +320,13 @@ class ServingSession:
         ``samples_warm``) stay current values.  Lifetime counters are never
         disturbed: windows are pure snapshot arithmetic.
         """
+        plan_cache = self.plan_cache
         stats = {
             "result_cache": {
                 **self._result_cache.statistics.as_dict(),
                 "entries": len(self._result_cache),
             },
-            "plan_cache": {
-                **self._plan_cache.statistics.as_dict(),
-                "entries": len(self._plan_cache),
-            },
+            "plan_cache": {**plan_cache.statistics.as_dict(), "entries": len(plan_cache)},
         }
         if self._inference_cache is not None:
             stats["inference_cache"] = {

@@ -39,9 +39,7 @@ not memoized and raises from its own tokens, positions included.
 
 from __future__ import annotations
 
-import os
 import re
-import threading
 from typing import Any
 
 from ..exceptions import QueryError, SQLSyntaxError
@@ -659,18 +657,6 @@ class _Template:
 # The shape memo
 # ---------------------------------------------------------------------------
 _TEMPLATES = LRUCache(PARSE_CACHE_SIZE)
-_TEMPLATES_LOCK = threading.Lock()
-
-
-def _new_lock_in_child() -> None:
-    # A thread of the parent may have held the lock when it forked; the
-    # child's copy would then never be released.
-    global _TEMPLATES_LOCK
-    _TEMPLATES_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_lock_in_child)
 
 
 def parse_sql(sql: str) -> ParsedQuery:
@@ -684,24 +670,21 @@ def parse_sql(sql: str) -> ParsedQuery:
         position.
     """
     shape, values, found = _shape(sql)
-    with _TEMPLATES_LOCK:
-        template = _TEMPLATES.get(shape)
+    template = _TEMPLATES.get(shape)
     if template is not None:
         return template.bind(values)
     template = _Parser(_tokens(sql, found), values).parse()
     parsed = template.bind(values)  # a statement that fails here is not memoized either
-    with _TEMPLATES_LOCK:
-        _TEMPLATES.put(shape, template)
+    _TEMPLATES.put(shape, template)
     return parsed
 
 
 def parse_cache_info() -> dict[str, int]:
     """The parse memo's process-wide ``hits``, ``misses``, ``size`` (shapes
     held) and ``capacity`` (:data:`PARSE_CACHE_SIZE`)."""
-    with _TEMPLATES_LOCK:
-        return {
-            "hits": _TEMPLATES.statistics.hits,
-            "misses": _TEMPLATES.statistics.misses,
-            "size": len(_TEMPLATES),
-            "capacity": _TEMPLATES.capacity,
-        }
+    return {
+        "hits": _TEMPLATES.statistics.hits,
+        "misses": _TEMPLATES.statistics.misses,
+        "size": len(_TEMPLATES),
+        "capacity": _TEMPLATES.capacity,
+    }

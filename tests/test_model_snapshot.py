@@ -6,8 +6,9 @@ session rebuilds only when the facade holds a different model object, and the
 model's own caches (masks, join sides, factors) are never invalidated: they
 come and go with their model, which nothing but the facade and the sessions
 serving it refers to, so a dropped model is freed by reference counting.
-A session's routed plans belong to the loaded sample: they survive a refit
-and an ``add_aggregate``, and a new sample drops them.
+Routed plans belong to the loaded sample: the facade and every session plan
+a statement once through the facade's cache, which survives a refit and an
+``add_aggregate`` and which a new sample replaces.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from oracle import hybrid_reference
 from repro.aggregates import AggregateQuery
 from repro.core import Themis, ThemisConfig
+from repro.core import themis as themis_module
 from repro.lru import LRUCache
 from repro.query import PointQuery
 from repro.serving import QueryPlanner
@@ -65,10 +67,9 @@ def cached_plans(cache: LRUCache) -> dict:
     return dict(cache.entries())
 
 
-def refit_once_after(themis: Themis, monkeypatch, owner, name: str) -> None:
-    """Make ``owner.name`` (a method or property) swap in a different fit
-    the first time it is called: an ``add_aggregate`` and ``fit`` land right
-    after the call has done its own work."""
+def run_once_after(monkeypatch, owner, name: str, action) -> None:
+    """Make ``owner.name`` (a method or property) run ``action()`` right
+    after the first call to it has done its own work."""
     original = getattr(owner, name)
     call = original.fget if isinstance(original, property) else original
     fired = []
@@ -77,13 +78,52 @@ def refit_once_after(themis: Themis, monkeypatch, owner, name: str) -> None:
         result = call(self, *args)
         if not fired:
             fired.append(True)
-            themis.add_aggregate(extra_aggregate())
-            themis.fit()
+            action()
         return result
 
     monkeypatch.setattr(
         owner, name, property(hooked) if isinstance(original, property) else hooked
     )
+
+
+def refit_once_after(themis: Themis, monkeypatch, owner, name: str) -> None:
+    """Make ``owner.name`` swap in a different fit the first time it is
+    called: an ``add_aggregate`` and ``fit`` land right after the call."""
+
+    def refit() -> None:
+        themis.add_aggregate(extra_aggregate())
+        themis.fit()
+
+    run_once_after(monkeypatch, owner, name, refit)
+
+
+def sparse_sample():
+    """A sample so sparse that the scalars of :data:`ROUTED` route to the
+    network instead of the sample."""
+    return build_biased_correlated_sample(build_correlated_population()).take(np.arange(30))
+
+
+#: The two doors a statement comes in by; both plan through one cache.
+DOORS = ["facade", "session"]
+
+
+def answering(themis: Themis, door: str):
+    """Answer statements through ``door``: the facade's ``sql``, or a
+    session's ``execute_batch`` and then ``execute`` (which must agree, and
+    which never answer from a result cache the model change dropped)."""
+    if door == "facade":
+        return lambda statements: [themis.sql(statement) for statement in statements]
+    session = themis.serve()
+    assert session.plan_cache is themis.plan_cache
+
+    def answer(statements):
+        batch = session.execute_batch(statements)
+        assert not any(outcome.from_result_cache for outcome in batch.outcomes)
+        assert batch.generation == themis.model.generation
+        assert [session.execute(statement) for statement in statements] == batch.results()
+        return batch.results()
+
+    return answer
 
 
 @pytest.mark.parametrize("entry", ["sql", "query"])
@@ -127,18 +167,18 @@ def test_refit_keeps_the_new_fits_factors():
     assert batch.bn_elimination_passes == 0
 
 
+@pytest.mark.parametrize("door", DOORS)
 @pytest.mark.parametrize("change", ["refit", "add_aggregate"])
-def test_routed_plans_survive_a_refit_of_the_same_sample(change):
+def test_routed_plans_survive_a_refit_of_the_same_sample(change, door):
     """A refit changes the weights, an ``add_aggregate`` the aggregates and
-    the network too; neither reaches a routed plan, so the session serves
-    its seen statements without planning them again, and the new model's
-    answers are those of a facade fitted afresh on the same inputs."""
+    the network too; neither reaches a routed plan, so the facade and its
+    sessions serve their seen statements without planning them again, and
+    the new model's answers are those of a facade fitted afresh on the same
+    inputs."""
     themis, fresh = build_fitted_themis(), build_fitted_themis()
-    session = themis.serve()
-    session.execute_batch(ROUTED)
-    for statement in ROUTED:
-        session.execute(statement)
-    plans = cached_plans(session.plan_cache)
+    answer = answering(themis, door)
+    answer(ROUTED)
+    plans = cached_plans(themis.plan_cache)
     assert list(plans) == ROUTED
     if change == "refit":
         themis.refit()
@@ -147,16 +187,12 @@ def test_routed_plans_survive_a_refit_of_the_same_sample(change):
             facade.add_aggregate(extra_aggregate())
             facade.fit()
     expected = [fresh.query(statement) for statement in ROUTED]
-    misses = session.plan_cache.statistics.misses
+    misses = themis.plan_cache.statistics.misses
 
-    batch = session.execute_batch(ROUTED)
-    assert not any(outcome.from_result_cache for outcome in batch.outcomes)
-    assert batch.results() == expected
-    assert [session.execute(statement) for statement in ROUTED] == expected
-    assert session.plan_cache.statistics.misses == misses
-    survivors = cached_plans(session.plan_cache)
+    assert answer(ROUTED) == expected
+    assert themis.plan_cache.statistics.misses == misses
+    survivors = cached_plans(themis.plan_cache)
     assert all(survivors[statement] is plans[statement] for statement in ROUTED)
-    assert session.generation == themis.model.generation
 
 
 def test_outcomes_name_the_snapshot_that_answered():
@@ -184,24 +220,103 @@ def test_outcomes_name_the_snapshot_that_answered():
     assert first.results() != second.results()
 
 
-def test_a_new_sample_drops_the_routed_plans():
+@pytest.mark.parametrize("door", DOORS)
+def test_a_new_sample_drops_the_routed_plans(door):
     """Routing reads which sample rows satisfy a plan's predicates: on a
     sparser sample the two scalars route to the network, so the plans of
     the old sample must go."""
     themis = build_fitted_themis()
-    session = themis.serve()
-    session.execute_batch(ROUTED)
-    routes = [plan.route for plan in cached_plans(session.plan_cache).values()]
-    sparse = build_biased_correlated_sample(build_correlated_population()).take(np.arange(30))
-    themis.load_sample(sparse)
+    answer = answering(themis, door)
+    answer(ROUTED)
+    routes = [plan.route for plan in cached_plans(themis.plan_cache).values()]
+    themis.load_sample(sparse_sample())
     themis.fit()
 
     unseen = "SELECT COUNT(*) FROM sample WHERE B = 2"
-    session.execute(unseen)
-    assert list(cached_plans(session.plan_cache)) == [unseen]
-    batch = session.execute_batch(ROUTED)
-    assert batch.results() == [themis.query(statement) for statement in ROUTED]
-    assert [outcome.plan.route for outcome in batch.outcomes] != routes
+    answer([unseen])
+    assert list(cached_plans(themis.plan_cache)) == [unseen]
+    assert answer(ROUTED) == [themis.query(statement) for statement in ROUTED]
+    assert [themis.plan(statement).route for statement in ROUTED] != routes
+
+
+def test_a_repeated_statement_is_planned_once_by_the_facade_and_every_session():
+    themis = build_fitted_themis()
+    statistics = themis.plan_cache.statistics
+
+    def counts_since(before):
+        delta = statistics.since(before)
+        return delta.misses, delta.hits
+
+    before = statistics.snapshot()
+    for _ in range(4):
+        themis.sql(STATEMENT)
+    assert counts_since(before) == (1, 3)
+    assert themis.plan(STATEMENT) is themis.plan(STATEMENT)
+
+    # Planned by the facade, a hit in a session; and the other way round.
+    session = themis.serve()
+    before = statistics.snapshot()
+    session.execute(STATEMENT)
+    assert counts_since(before) == (0, 1)
+    before = statistics.snapshot()
+    session.execute(ROUTED[1])
+    themis.sql(ROUTED[1])
+    themis.query(ROUTED[1])
+    assert counts_since(before) == (1, 2)
+    # An AST is a key too.
+    point = PointQuery({"A": 1, "B": 0})
+    before = statistics.snapshot()
+    themis.execute(point)
+    assert session.execute_batch([point, ROUTED[2]]).results() == [
+        themis.query(point),
+        themis.sql(ROUTED[2]),
+    ]
+    assert counts_since(before) == (2, 3)
+
+
+@pytest.mark.parametrize("door", DOORS)
+@pytest.mark.parametrize("moment", ["after the model read", "while planning"])
+def test_a_plan_routed_on_the_old_sample_stays_out_of_the_new_cache(
+    monkeypatch, door, moment
+):
+    """A ``load_sample`` lands in the middle of a request: the request
+    answers from the model it read, and the plan it routed on the old
+    sample never reaches the new sample's cache."""
+    themis = build_fitted_themis()
+    expected = oracle(themis.model, STATEMENT)
+    routed_on_the_old_sample = build_fitted_themis().plan(STATEMENT)
+    sparse = sparse_sample()
+    serve = themis.sql if door == "facade" else themis.serve().execute
+    load = lambda: themis.load_sample(sparse)  # noqa: E731
+    if moment == "after the model read":
+        run_once_after(monkeypatch, Themis, "model", load)
+    else:
+        run_once_after(monkeypatch, QueryPlanner, "plan_sql", load)
+    assert serve(STATEMENT) == expected
+    monkeypatch.undo()
+    assert themis.sample is sparse
+    assert len(themis.plan_cache) == 0
+    on_sparse = Themis(themis.config)
+    on_sparse.load_sample(sparse)
+    on_sparse.add_aggregates(themis.aggregates)
+    plan = themis.plan(STATEMENT)
+    assert plan == on_sparse.plan(STATEMENT)
+    assert plan.route != routed_on_the_old_sample.route
+
+
+def test_the_plan_cache_holds_at_most_its_capacity(monkeypatch):
+    themis = build_fitted_themis()
+    assert themis.plan_cache.capacity == themis_module.PLAN_CACHE_CAPACITY == 4096
+    monkeypatch.setattr(themis_module, "PLAN_CACHE_CAPACITY", 2)
+    themis = build_fitted_themis()
+    session = themis.serve()
+    session.execute_batch(ROUTED)
+    assert len(themis.plan_cache) == 2
+    for statement in ROUTED:
+        themis.sql(statement)
+        session.execute(statement)
+        assert len(themis.plan_cache) <= 2
+    assert list(cached_plans(themis.plan_cache)) == ROUTED[-2:]
 
 
 def test_a_dropped_model_is_freed_by_reference_counting():
@@ -216,20 +331,24 @@ def test_a_dropped_model_is_freed_by_reference_counting():
         themis = build_sparse_fitted_themis()
         session = themis.serve()
         session.execute_batch(statements)
-        themis.sql("SELECT COUNT(*) FROM sample WHERE B = 2")
+        planned_by_the_facade = "SELECT COUNT(*) FROM sample WHERE B = 2"
+        themis.sql(planned_by_the_facade)
         model = themis.model
         engine = model.bayes_net_evaluator.inference.batched
         masks = model.sample_evaluator.mask_cache.lru
         stacks = (model.bayes_net_evaluator.stack, model.hybrid_evaluator.stack)
         assert len(engine.factors) > 0 and len(masks) > 0 and None not in stacks
         refs = [weakref.ref(value) for value in (model, engine, engine.factors, masks, *stacks)]
-        plans = cached_plans(session.plan_cache)
+        plans = cached_plans(themis.plan_cache)
+        assert set(plans) == {*statements, planned_by_the_facade}
         del model, engine, masks, stacks
         themis.refit()
         session.execute(statements[1])
+        themis.sql(planned_by_the_facade)
         assert [ref() for ref in refs] == [None] * len(refs)
-        # The session's plans outlived the model they were routed on.
-        assert cached_plans(session.plan_cache) == plans and plans
+        # The plans, the facade's and the session's, outlived the model
+        # they were routed on.
+        assert cached_plans(themis.plan_cache) == plans
     finally:
         gc.enable()
 

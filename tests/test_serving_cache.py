@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import random
+import signal
+import sys
+import threading
+from dataclasses import dataclass
+
 import pytest
 
 from repro.lru import LRUCache
 from repro.query import PointQuery
 from repro.serving import InferenceCache, MemoryGovernor, PlanCache
+
+
+@dataclass(frozen=True)
+class HashedInPython:
+    """A cache key whose ``__hash__`` and ``__eq__`` are Python code."""
+
+    n: int
 
 
 class TestLRUCache:
@@ -114,6 +128,58 @@ class TestLRUCache:
         cache.clear()
         assert cache.get(("point", (("A", 0),))) is None
         assert len(cache) == 0 and cache.byte_size == 0
+
+    def test_threads_sharing_a_cache_never_raise(self):
+        """Four threads get and put over more keys than the cache holds, so
+        each one evicts what another has just found: a lookup and its
+        promotion must not be split by an eviction.  The keys hash in
+        Python, as an AST key does, so a thread can switch mid-lookup."""
+        cache = LRUCache(8)
+        rounds = 20_000
+        errors: list[BaseException] = []
+
+        def work(worker: int) -> None:
+            keys = random.Random(worker)
+            try:
+                for step in range(rounds):
+                    key = HashedInPython(keys.randrange(12))
+                    if cache.get(key) is None:
+                        cache.put(key, step)
+                    cache.peek(key)
+                    if step % 997 == 0:
+                        cache.evict_entries(2)
+                    if step % 4999 == 0:
+                        cache.clear()
+            except BaseException as error:  # pragma: no cover - the failure path
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,)) for worker in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= cache.capacity
+        # One count per lookup: a lost update would break this.
+        assert cache.statistics.lookups == 4 * rounds
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_does_not_inherit_a_held_lock(self):
+        cache = LRUCache(4)
+        cache.put("a", 1)
+        with cache._lock:  # as if another thread were inside the cache
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - the child
+                signal.alarm(10)  # a deadlocked child dies instead of hanging
+                os._exit(0 if cache.get("a") == 1 else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_join_side_totals_eviction_and_statistics(self):
         cache = LRUCache(2)

@@ -429,7 +429,6 @@ class TestServingSessionConstruction:
         assert themis.is_fitted
 
     def test_cache_capacities_are_configurable(self, serving_themis):
-        session = serving_themis.serve(result_cache_size=2, plan_cache_size=2)
+        session = serving_themis.serve(result_cache_size=2)
         session.execute_batch(WORKLOAD)
         assert len(session.result_cache) <= 2
-        assert len(session.plan_cache) <= 2

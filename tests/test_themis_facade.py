@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 import scipy.optimize
 
@@ -118,6 +122,26 @@ class TestFitting:
         report = themis.fit().bayes_net_result.parameter_report
         assert len(report.constrained_nodes) == 5
         assert set(report.projection_gaps) == set(report.constrained_nodes)
+
+    def test_importing_the_package_loads_no_scipy(self):
+        """scipy costs ~40 MB of every process that imports it; only the
+        LinReg reweighter and the ablation call it, and import it there."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import repro, repro.experiments, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert loaded.stdout.strip() == "[]"
 
     def test_unknown_reweighter_rejected(self, biased_correlated_sample, correlated_aggregates):
         themis = Themis(reweighter="bogus")
