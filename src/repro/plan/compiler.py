@@ -77,8 +77,9 @@ class PlanCompiler:
         statement shape by :func:`~repro.sql.parse_sql` (statements that
         differ only in their literals share it), and a repeated statement
         is served by the facade's routed-plan cache
-        (:class:`~repro.core.themis.SamplePlans`), which the facade and
-        every serving session read.
+        (:class:`~repro.core.themis.SamplePlans`), which the facade, every
+        serving session and the worker pool's parent (for its routing
+        keys) read.
     """
 
     def __init__(self, schema: Schema, cache_size: int = 256):

@@ -302,13 +302,10 @@ def partitioned_group_columns(
     same order — that group ``g`` holds in part ``k``; AVG's division is
     elementwise.
     """
-    bins, shape = _part_group_bins(relation, keys, partition)
+    rows = None if mask is None else mask.nonzero()[0]
+    bins, shape = _part_group_bins(relation, keys, partition, rows)
     n_bins = shape[0] * shape[1]
-    weights = relation.weights
-    rows = None
-    if mask is not None:
-        rows = mask.nonzero()[0]
-        bins, weights = bins.take(rows), weights.take(rows)
+    weights = relation.weights if rows is None else relation.weights.take(rows)
     weight_totals = np.bincount(bins, weights=weights, minlength=n_bins)
 
     weighted_sums: dict[int, np.ndarray] = {}
@@ -340,16 +337,26 @@ def partitioned_group_columns(
 
 
 def _part_group_bins(
-    relation: Relation, keys: tuple[str, ...], partition: RowPartition | None
+    relation: Relation,
+    keys: tuple[str, ...],
+    partition: RowPartition | None,
+    rows: np.ndarray | None,
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Every row's scatter-add bin ``part * n_groups + group`` over the
-    relation's memoized ``group_codes``, and the ``(n_parts, n_groups)``
-    shape of the bins."""
+    """The scatter-add bin ``part * n_groups + group`` of each selected row
+    (every row when ``rows`` is ``None``) over the relation's memoized
+    ``group_codes``, and the ``(n_parts, n_groups)`` shape of the bins.
+
+    Gathers the group and part ids at ``rows`` before combining them, so a
+    filter pays for its selected rows only; the bins are the same integers
+    in the same row order as gathering the combined bins."""
     group_index, unique_rows = relation.group_codes(keys)
     n_groups = unique_rows.shape[0]
+    if rows is not None:
+        group_index = group_index.take(rows)
     if partition is None:
         return group_index, (1, n_groups)
-    return partition.ids * n_groups + group_index, (partition.n_parts, n_groups)
+    ids = partition.ids if rows is None else partition.ids.take(rows)
+    return ids * n_groups + group_index, (partition.n_parts, n_groups)
 
 
 def fused_group_reduce(
@@ -382,9 +389,10 @@ def partitioned_grouped_weight_totals(
     """Join sides' ``(join key, group)`` weight totals, per side per part.
 
     The fusion kernel behind join-side fusion: every side in ``masks`` groups
-    over the same ``keys`` columns, so the group-code gather runs once and
-    each side only adds its own stacked reduction columns (one weight
-    bincount plus one presence bincount over ``(part, group)`` bins).
+    over the same ``keys`` columns, so the group codes are built once
+    (memoized) and each side only gathers its own rows' bins and adds its
+    own stacked reduction columns (one weight bincount plus one presence
+    bincount over ``(part, group)`` bins).
     Unlike :func:`partitioned_group_columns` this keeps zero-weight groups
     whose tuples matched the mask (``Relation.value_counts`` semantics),
     because the join merge enumerates *present* groups, not positive-weight
@@ -393,14 +401,15 @@ def partitioned_grouped_weight_totals(
     same order, and present groups are emitted in ascending group-row
     order.
     """
-    bins, (n_parts, n_groups) = _part_group_bins(relation, keys, partition)
-    n_bins = n_parts * n_groups
     all_weights = relation.weights
 
     per_side: list[list[dict[tuple[Any, ...], float]]] = []
     for mask in masks:
         rows = None if mask is None else mask.nonzero()[0]
-        side_bins = bins if rows is None else bins.take(rows)
+        side_bins, (n_parts, n_groups) = _part_group_bins(
+            relation, keys, partition, rows
+        )
+        n_bins = n_parts * n_groups
         weights = all_weights if rows is None else all_weights.take(rows)
         totals = np.bincount(side_bins, weights=weights, minlength=n_bins)
         present = np.flatnonzero(np.bincount(side_bins, minlength=n_bins))

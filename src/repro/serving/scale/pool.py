@@ -1,9 +1,11 @@
 """The worker pool: N supervised processes, each owning a slice of plan keys.
 
-:class:`SupervisedWorkerPool` is the scale tier's only pool.  It compiles
-every incoming query **once** in the parent process — for its canonical
-key, hashed once — and routes the statement, exactly as submitted, to the
-shard that consistently owns that key, so each worker's plan/result/mask/
+:class:`SupervisedWorkerPool` is the scale tier's only pool.  It plans
+every incoming query in the parent process through the parent facade's
+routed-plan cache (:meth:`Themis.plan`) — for its canonical key, hashed by
+a memoized :func:`stable_key_hash`, so a repeated statement costs one cache
+hit and one memo hit — and routes the statement, exactly as submitted, to
+the shard that consistently owns that key, so each worker's plan/result/mask/
 inference caches see a stable key range and stay hot across batches.  What
 crosses the pipe per request is the statement and the key; the worker plans
 the statement itself and refuses a key it does not reproduce.  Workers
@@ -86,7 +88,7 @@ from ...exceptions import (
 )
 from ...obs import names
 from ...obs.metrics import MetricsRegistry
-from ...plan import PlanCompiler, PlanKey
+from ...plan import LogicalPlan, PlanKey
 from ...query.ast import Query
 from ..governance import CircuitBreaker, CircuitBreakerConfig
 from .faults import FaultInjector
@@ -380,9 +382,14 @@ class SupervisedWorkerPool:
                 for shard_id in range(n_workers)
             }
         self.router = ShardRouter(n_workers)
-        # The parent compiles for the routing key only; workers plan the
-        # statement themselves and verify that key on the far side of the pipe.
-        self._compiler = PlanCompiler(themis.sample.schema)
+        # The parent plans for the routing key only, through its facade's
+        # routed-plan cache; workers plan the statement themselves and
+        # verify that key on the far side of the pipe.  Planning reads the
+        # facade's model, so the parent is fitted here and in
+        # add_aggregate, on the calling thread, never by a dispatch on the
+        # serving loop.
+        if not themis.is_fitted:
+            themis.fit()
         # The spec and context are kept so crashed shards respawn from the
         # same deterministic recipe the pool started from.
         self._spec = WorkerSpec.from_themis(themis)
@@ -759,10 +766,11 @@ class SupervisedWorkerPool:
         of the batch is done; a retried request settles on the round that
         answers it.
 
-        Compiles each query once for its canonical key and hashes that key
-        once (a statement that fails to compile fails only its own
-        outcome), then loops: route the still-pending requests over the
-        *live* shards (failover for keys whose home shard is down), send
+        Plans each query once through the parent facade's plan cache for
+        its canonical key and hashes that key once (a statement that fails
+        to plan — bad SQL, or a value that is not a query at all — fails
+        only its own outcome), then loops: route the still-pending requests
+        over the *live* shards (failover for keys whose home shard is down), send
         each shard its statements and their keys, converse with all of them
         concurrently, classify each shard's reply as it lands, back off, and
         go again — until everything is answered, the retry/deadline budget
@@ -794,7 +802,7 @@ class SupervisedWorkerPool:
         routing: dict[int, tuple[PlanKey, int]] = {}
         for index, query in enumerate(queries):
             try:
-                key = self._compiler.compile(query).key
+                key = self._themis.plan(query).key
                 routing[index] = (key, stable_key_hash(key))
             except ThemisError as error:
                 fail([index], error)
@@ -906,9 +914,10 @@ class SupervisedWorkerPool:
             if value:
                 self.metrics.counter(names.optimizer_counter(field_name)).inc(value)
 
-    def compile_batch(self, queries: Sequence[Query | str]) -> list[Any]:
-        """Compile every query (SQL text or AST) once, in submission order."""
-        return [self._compiler.compile(query) for query in queries]
+    def compile_batch(self, queries: Sequence[Query | str]) -> list[LogicalPlan]:
+        """The routed plan of every query (SQL text or AST), in submission
+        order, through the parent facade's plan cache (:meth:`Themis.plan`)."""
+        return [self._themis.plan(query) for query in queries]
 
     def _allowed_shards(self, live: set[int]) -> set[int]:
         """Live shards whose circuit breakers admit traffic right now.
@@ -966,6 +975,9 @@ class SupervisedWorkerPool:
         """Register one aggregate on the parent and every worker."""
         run = self._runner()  # refuses before the parent changes, not after
         self._themis.add_aggregate(aggregate)
+        # Fitted here, on the calling thread, as refit() does: a dispatch
+        # plans through the parent's model and must never fit it on the loop.
+        self._themis.fit()
         run(self._broadcast_logged(CMD_ADD_AGGREGATE, aggregate))
 
     def refit(self) -> int:

@@ -23,18 +23,26 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
+from functools import lru_cache
 from typing import AbstractSet
 
+from ...core.themis import PLAN_CACHE_CAPACITY
 from ...plan.ir import PlanKey
 from ...plan.wire import encode_value
 
 
+@lru_cache(maxsize=PLAN_CACHE_CAPACITY)
 def stable_key_hash(key: PlanKey) -> int:
     """A 64-bit hash of a canonical plan key, stable across processes.
 
     The key is first encoded with the wire value codec (tuples tagged, numpy
     scalars unwrapped) and rendered as canonical JSON, so equal keys hash
     equal regardless of which process — or which run — computes the hash.
+
+    Memoized, with the same bound as the facade's routed-plan cache: a
+    repeated statement's key is hashed once.  Keys that compare ``==`` share
+    one memo entry, hence one shard — as they share one result-cache entry
+    and pass the worker's key check for each other.
     """
     text = json.dumps(encode_value(key), sort_keys=True, separators=(",", ":"))
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()

@@ -17,6 +17,7 @@ an ``asyncio.Event`` gate — no sleeps, no budgets to out-wait.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import inspect
 import json
 import multiprocessing as mp
@@ -246,6 +247,46 @@ class TestWorkerPool:
         assert post == fresh
         assert between == fresh[:1]
 
+    def test_the_parent_is_never_fitted_by_a_dispatch(self, monkeypatch, sweep_queries):
+        """The parent plans through its facade's model, so an unfitted
+        parent is fitted by the constructor and by ``add_aggregate``, on the
+        calling thread — a dispatch on the serving loop never fits."""
+        population = build_correlated_population()
+        first = AggregateQuery.from_relation(population, ["A", "C"])
+        second = AggregateQuery.from_relation(population, ["C"])
+        parent = build_fitted_themis()
+        parent.add_aggregate(first)
+        assert not parent.is_fitted
+        fits_on_a_loop = []
+        fit = parent.fit
+
+        def counting():
+            # A dispatch runs on an event loop; the constructor and
+            # add_aggregate run on the calling thread, outside any loop.
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:
+                pass
+            else:
+                fits_on_a_loop.append(None)
+            return fit()
+
+        monkeypatch.setattr(parent, "fit", counting)
+        with SupervisedWorkerPool(parent, n_workers=2) as pool:
+            before = pool.execute_batch(sweep_queries)
+            pool.add_aggregate(second)
+            served = pool.execute_batch(sweep_queries)
+            again = dispatch_outcomes(pool, sweep_queries)
+        assert fits_on_a_loop == [], "a dispatch fitted the parent"
+        assert parent.is_fitted
+        oracle = build_fitted_themis()
+        oracle.add_aggregate(first)
+        assert before == oracle.execute_batch(sweep_queries).results()
+        oracle.add_aggregate(second)
+        fresh = oracle.execute_batch(sweep_queries).results()
+        assert served == fresh
+        assert [outcome.value for outcome in again] == fresh
+
     def test_dispatch_timeout_raises_overload_with_shard_id(self, themis):
         statement = "SELECT A, COUNT(*) FROM R GROUP BY A"
         # max_retries=0: a single attempt surfaces its own typed error
@@ -338,6 +379,35 @@ class TestWhatCrossesThePipe:
         assert sum(cache["misses"] for cache in plan_caches) == 1
         assert sum(cache["entries"] for cache in plan_caches) == 1
         assert sum(cache["hits"] for cache in plan_caches) >= 2
+
+    def test_the_parent_plans_and_hashes_a_repeated_statement_once(
+        self, monkeypatch, themis, sweep_queries, expected
+    ):
+        distinct_statements = len(set(sweep_queries))
+        distinct_keys = len({themis.plan(query).key for query in sweep_queries})
+        digests = []
+        blake2b = hashlib.blake2b
+
+        def counting(*args, **kwargs):
+            digests.append(args)
+            return blake2b(*args, **kwargs)
+
+        with SupervisedWorkerPool(themis, n_workers=2) as pool:
+            themis.plan_cache.clear()
+            stable_key_hash.cache_clear()
+            before = themis.plan_cache.statistics.snapshot()
+            monkeypatch.setattr(hashlib, "blake2b", counting)
+            assert pool.execute_batch(sweep_queries) == expected
+            first = themis.plan_cache.statistics.since(before)
+            assert pool.execute_batch(sweep_queries) == expected
+            both = themis.plan_cache.statistics.since(before)
+        monkeypatch.undo()
+        assert first.misses == distinct_statements
+        assert first.hits == len(sweep_queries) - distinct_statements
+        # The second pass planned nothing: every statement was a hit.
+        assert both.misses == first.misses
+        assert both.hits - first.hits == len(sweep_queries)
+        assert len(digests) == distinct_keys
 
     def test_each_key_is_hashed_once_per_call_even_across_a_retry(
         self, monkeypatch, themis, sweep_queries, expected
@@ -925,6 +995,46 @@ class TestAsyncFrontend:
         assert served == {
             "id": 9, "ok": True, "kind": "scalar", "value": oracle.query(scalar)
         }
+
+    def test_socket_wrong_typed_sql_fails_only_its_own_request(self, themis):
+        """The parent plans raw client values through its facade's plan
+        cache: a ``sql`` that is not a query at all gets its own error
+        reply, and the same connection goes on serving."""
+        scalar = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
+        oracle = build_fitted_themis()
+        wrong = [5, None, [1], {"a": 1}]
+
+        async def scenario():
+            async with AsyncServingFrontend(themis, n_workers=1) as frontend:
+                server = await serve_async(frontend, port=0)
+                port = server.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                responses = []
+                for request_id, value in enumerate(wrong):
+                    for request in (
+                        {"id": request_id, "sql": value},
+                        {"id": request_id, "sql": scalar},
+                    ):
+                        writer.write(json.dumps(request).encode() + b"\n")
+                        await writer.drain()
+                        responses.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+            return responses
+
+        responses = asyncio.run(scenario())
+        for request_id, value in enumerate(wrong):
+            refused, served = responses[2 * request_id : 2 * request_id + 2]
+            assert refused["id"] == request_id and refused["ok"] is False, value
+            assert "unsupported query type" in refused["error"]
+            assert served == {
+                "id": request_id,
+                "ok": True,
+                "kind": "scalar",
+                "value": oracle.query(scalar),
+            }
 
     def test_socket_survives_undecodable_and_oversized_lines(self, themis):
         scalar = "SELECT COUNT(*) FROM R WHERE A = 1 AND B = 0"
