@@ -86,10 +86,10 @@ def main() -> None:
         f"queries served:  {metrics.value(names.QUERIES_SERVED):.0f} "
         f"(registry) == {session.statistics.queries_served} (statistics view)"
     )
-    columnar = metrics.histogram(names.stage_histogram("columnar")).summary()
+    execute = metrics.histogram(names.stage_histogram(names.STAGE_EXECUTE)).summary()
     print(
-        f"columnar stage:  {columnar['count']} batches, "
-        f"p50 <= {columnar['p50'] * 1e3:.3f} ms"
+        f"execute stage:   {execute['count']} batches, "
+        f"p50 <= {execute['p50'] * 1e3:.3f} ms"
     )
 
     # -- JSONL export: flat, parent-linked spans for external tooling --

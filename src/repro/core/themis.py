@@ -10,7 +10,7 @@ population.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -32,7 +32,7 @@ from .evaluators import BayesNetEvaluator, HybridEvaluator, ReweightedSampleEval
 from .model import ThemisModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..serving import BatchResult, ServingSession
+    from ..serving import ServingSession
 
 #: Routed plans one loaded sample keeps: the smallest power of two above the
 #: distinct statements of every benchmark stream (2,548 facade, 2,896
@@ -182,7 +182,6 @@ class Themis:
         self._aggregates = AggregateSet()
         self._model: ThemisModel | None = None
         self._generation = 0
-        self._serving_session: "ServingSession | None" = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -480,7 +479,9 @@ class Themis:
     def serve(self, **session_options: Any) -> "ServingSession":
         """Open a new serving session: cached, batched query answering.
 
-        Keyword arguments are forwarded to
+        A batch is ``themis.serve().execute_batch(queries)``; keep the
+        session to keep its result cache warm across batches.  Keyword
+        arguments are forwarded to
         :class:`~repro.serving.session.ServingSession` (cache capacities,
         ``memory_budget_bytes``, and ``trace=True`` to attach a structured
         span tree to every outcome and batch).
@@ -488,26 +489,3 @@ class Themis:
         from ..serving import ServingSession
 
         return ServingSession(self, **session_options)
-
-    def execute_batch(
-        self, queries: Sequence[str | Query], deadline: float | None = None
-    ) -> "BatchResult":
-        """Serve a batch of SQL strings and/or ASTs through a shared session.
-
-        The session (and its caches) persists across calls and survives until
-        the model is refitted; answers are identical to issuing each query
-        through :meth:`query` one by one.  Within a batch, BN-routed point
-        plans are answered by one batched inference dispatch (one variable
-        elimination pass per evidence signature), BN generated samples are
-        materialized at most once, and the batch-aware plan optimizer
-        (on by default) dedups equivalent plans, shares predicate masks,
-        fuses group-by families into single scatter-add passes, and fuses
-        join plans' shared sides — each distinct ``(join key, group)`` side
-        computes its weight totals once per batch (and persists across
-        batches in the model's join-side cache), while hybrid
-        join families pay one schedule over all ``K`` generated samples —
-        without changing a single answer.
-        """
-        if self._serving_session is None:
-            self._serving_session = self.serve()
-        return self._serving_session.execute_batch(queries, deadline=deadline)

@@ -87,7 +87,7 @@ def run_fault_tolerance(
     # change a single bit of the answers).
     oracle = fit_facade()
     start = time.perf_counter()
-    expected = oracle.execute_batch(queries).results()
+    expected = oracle.serve().execute_batch(queries).results()
     oracle_seconds = time.perf_counter() - start
 
     # The schedule: every shard dies at least once somewhere in the first

@@ -26,9 +26,6 @@ TOTAL_SECONDS = "serving.total_seconds"
 INVALIDATIONS = "serving.invalidations"
 #: Per-route served-query counters are ``serving.route.<route-name>``.
 ROUTE_PREFIX = "serving.route."
-BN_POINTS_BATCHED = "serving.bn_points_batched"
-BN_POINTS_SINGLE = "serving.bn_points_single"
-PLANS_OPTIMIZED = "serving.plans_optimized"
 
 # ---------------------------------------------------------------------------
 # Batch-optimizer counters (mirrors of OptimizerStats fields)
@@ -52,6 +49,9 @@ OPTIMIZER_COUNTERS: tuple[str, ...] = (
 # ---------------------------------------------------------------------------
 # Bayesian-network engine counters
 # ---------------------------------------------------------------------------
+#: ``bn.<field>`` for each field of the work dict ``InferenceCache.observed``
+#: yields.
+BN_PREFIX = "bn."
 BN_ELIMINATION_PASSES = "bn.elimination_passes"
 BN_FACTOR_CACHE_HITS = "bn.factor_cache_hits"
 BN_FACTOR_CACHE_MISSES = "bn.factor_cache_misses"
@@ -83,21 +83,12 @@ STAGE_PREFIX = "latency.stage."
 
 # Span / stage names used by the serving batch trace.
 STAGE_COMPILE = "compile"
-STAGE_ROUTE = "route"
-STAGE_WARM_SAMPLES = "warm-samples"
-STAGE_BN_DISPATCH = "bn-dispatch"
-STAGE_OPTIMIZE = "optimize"
-STAGE_COLUMNAR = "columnar"
 STAGE_CACHE_PROBE = "cache-probe"
+STAGE_EXECUTE = "execute"
+STAGE_OPTIMIZE = "optimize"
 
 #: Stage names that get a ``latency.stage.*`` histogram per served batch.
-BATCH_STAGES: tuple[str, ...] = (
-    STAGE_COMPILE,
-    STAGE_WARM_SAMPLES,
-    STAGE_BN_DISPATCH,
-    STAGE_COLUMNAR,
-    STAGE_CACHE_PROBE,
-)
+BATCH_STAGES: tuple[str, ...] = (STAGE_COMPILE, STAGE_CACHE_PROBE, STAGE_EXECUTE)
 
 
 # ---------------------------------------------------------------------------

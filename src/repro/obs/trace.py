@@ -2,8 +2,8 @@
 
 A :class:`Tracer` hands out :class:`Span` context managers; nesting follows
 the runtime call structure, so one served batch produces one tree — compile,
-route, warm-samples, BN dispatch, optimize, columnar kernel units, cache
-probe — each node carrying its wall-clock seconds plus whatever counters the
+cache probe, and under execute the evaluators' optimize, generated-sample
+and kernel-unit spans — each node carrying its wall-clock seconds plus whatever counters the
 stage chose to attach (mask-cache hits, plans deduped, elimination passes).
 
 The disabled path is :data:`NULL_TRACER`: a singleton whose ``span()``

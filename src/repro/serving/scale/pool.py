@@ -384,12 +384,12 @@ class SupervisedWorkerPool:
         self.router = ShardRouter(n_workers)
         # The parent plans for the routing key only, through its facade's
         # routed-plan cache; workers plan the statement themselves and
-        # verify that key on the far side of the pipe.  Planning reads the
-        # facade's model, so the parent is fitted here and in
-        # add_aggregate, on the calling thread, never by a dispatch on the
-        # serving loop.
-        if not themis.is_fitted:
-            themis.fit()
+        # verify that key on the far side of the pipe.  It plans on the
+        # model it last fitted, here and in add_aggregate / refit on the
+        # calling thread: a routed plan depends on the sample alone, and a
+        # dispatch on the serving loop never reads (and so never fits) the
+        # facade's model while another thread changes it.
+        self._model = themis.model
         # The spec and context are kept so crashed shards respawn from the
         # same deterministic recipe the pool started from.
         self._spec = WorkerSpec.from_themis(themis)
@@ -802,7 +802,7 @@ class SupervisedWorkerPool:
         routing: dict[int, tuple[PlanKey, int]] = {}
         for index, query in enumerate(queries):
             try:
-                key = self._themis.plan(query).key
+                key = self._plan(query).key
                 routing[index] = (key, stable_key_hash(key))
             except ThemisError as error:
                 fail([index], error)
@@ -914,10 +914,14 @@ class SupervisedWorkerPool:
             if value:
                 self.metrics.counter(names.optimizer_counter(field_name)).inc(value)
 
+    def _plan(self, query: Query | str) -> LogicalPlan:
+        return self._themis.sample_plans.plan(self._model, query)
+
     def compile_batch(self, queries: Sequence[Query | str]) -> list[LogicalPlan]:
         """The routed plan of every query (SQL text or AST), in submission
-        order, through the parent facade's plan cache (:meth:`Themis.plan`)."""
-        return [self._themis.plan(query) for query in queries]
+        order, through the parent facade's plan cache
+        (:meth:`~repro.core.themis.SamplePlans.plan`)."""
+        return [self._plan(query) for query in queries]
 
     def _allowed_shards(self, live: set[int]) -> set[int]:
         """Live shards whose circuit breakers admit traffic right now.
@@ -975,9 +979,9 @@ class SupervisedWorkerPool:
         """Register one aggregate on the parent and every worker."""
         run = self._runner()  # refuses before the parent changes, not after
         self._themis.add_aggregate(aggregate)
-        # Fitted here, on the calling thread, as refit() does: a dispatch
-        # plans through the parent's model and must never fit it on the loop.
-        self._themis.fit()
+        # Fitted here, on the calling thread, as refit() does; dispatches
+        # keep planning on the previous model until the new one is in.
+        self._model = self._themis.fit()
         run(self._broadcast_logged(CMD_ADD_AGGREGATE, aggregate))
 
     def refit(self) -> int:
@@ -999,7 +1003,7 @@ class SupervisedWorkerPool:
         ``add_aggregate()`` fitted lazily and is one generation ahead.
         """
         run = self._runner()  # refuses before the parent changes, not after
-        self._themis.refit()
+        self._model = self._themis.refit()
         return run(self._refit_workers())
 
     async def _refit_workers(self) -> int:

@@ -14,10 +14,8 @@ plans the same statement to *before executing anything*: schema drift
 between front-end and worker is a loud
 :class:`~repro.exceptions.WireFormatError`, never a silently split cache.
 Execution then takes the plans just made through the session's normal
-``execute_batch`` — a conversation of one ungoverned statement the
-single-statement path, anything else the batch path — so shard caches, the
-batch optimizer, and the metrics registry all behave exactly as in-process
-serving.
+``execute_batch``, so shard caches, the batch optimizer, and the metrics
+registry all behave exactly as in-process serving.
 
 The message protocol is ``(command, seq, payload)`` requests answered by
 ``(seq, status, body)`` replies; ``seq`` echoes let the parent discard

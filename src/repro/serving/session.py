@@ -85,8 +85,8 @@ class ServingSession:
     trace:
         When true, every served query and batch carries a structured span
         tree (``outcome.trace`` / ``batch.trace``) recording where its
-        latency went — compile, route, BN dispatch, optimized kernel units,
-        cache probes — rendered by ``trace.render()`` and exportable as
+        latency went — compile, cache probe, the evaluators' schedules and
+        kernel units under execute — rendered by ``trace.render()`` and exportable as
         JSONL.  A fresh :class:`~repro.obs.Tracer` is built per call, so a
         long-lived tracing session never accumulates old trees.  Off by
         default: the untraced path runs against a shared no-op recorder
@@ -261,8 +261,8 @@ class ServingSession:
         """Serve a batch of SQL strings and/or ASTs in submission order.
 
         A tracing session (``trace=True``) attaches the batch's span tree
-        (compile → route → warm-samples → bn-dispatch → columnar units →
-        cache-probe) as ``batch.trace``.  ``cancel`` and ``deadline`` fold
+        (compile → cache-probe → execute, the evaluators' spans under
+        execute) as ``batch.trace``.  ``cancel`` and ``deadline`` fold
         into one :class:`~repro.serving.governance.CancelToken` for the
         whole batch, polled per execution chunk: a cancelled token or an
         expired deadline raises its typed error.

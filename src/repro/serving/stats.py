@@ -2,16 +2,13 @@
 
 Every served query produces a :class:`QueryOutcome` (the answer, the routed
 :class:`~repro.plan.LogicalPlan` it ran under, where the answer came from and
-what it cost); a batch bundles them into a :class:`BatchResult`
-with amortized timing; a session accumulates :class:`ServingStatistics`
-across batches.
+what it cost); a batch bundles them into a :class:`BatchResult`; a session
+accumulates :class:`ServingStatistics` across batches.
 
-Since the observability layer landed, :class:`ServingStatistics` is a *view*
-over one :class:`repro.obs.MetricsRegistry` — the same registry the batch
-executor folds its optimizer counters into — so the session-lifetime numbers
-and each batch's ``optimizer`` dict are, by construction, readings of the
-same counters (the old independently-accumulated copies could drift).  Every
-public field keeps its name, type, and bit-identical value.
+:class:`ServingStatistics` is a *view* over one
+:class:`repro.obs.MetricsRegistry` — the same registry the batch executor
+folds each batch's ``optimizer`` counters into — so the session-lifetime
+numbers are the sums of the per-batch ones.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from typing import Any
 from ..obs import names
 from ..obs.metrics import MetricsRegistry
 from ..plan import LogicalPlan
-from ..plan.ir import ROUTE_BAYES_NET, SHAPE_POINT
 from ..sql.engine import QueryResult, TableResult
 
 
@@ -40,22 +36,13 @@ class QueryOutcome:
     result:
         The answer, identical to what ``Themis.query()`` returns.
     seconds:
-        Wall-clock spent serving this query (0 for result-cache hits beyond
-        the lookup itself).
+        Wall-clock spent serving this query: in a batch, its share of the
+        ``execute`` stage (0 for result-cache hits and deduplicated plans).
     from_result_cache:
         Whether the answer came straight out of the result cache.
     deduplicated:
         Whether the answer was shared with an identical plan earlier in the
         same batch (executed once, fanned out).
-    bn_batched:
-        Whether the answer came out of the batch's shared BN dispatch (the
-        ``bn-dispatch`` stage: BN-routed plans — points share one
-        variable-elimination pass per evidence signature, everything else,
-        tables included, one schedule over the ``K`` generated samples).
-    optimized:
-        Whether the answer came out of the batch's optimized columnar
-        dispatch (the ``columnar`` stage: sample-routed plans and fused
-        hybrid families).
     trace:
         The query's :class:`repro.obs.Span` tree when the serving session
         was tracing; ``None`` otherwise.
@@ -70,8 +57,6 @@ class QueryOutcome:
     seconds: float = 0.0
     from_result_cache: bool = False
     deduplicated: bool = False
-    bn_batched: bool = False
-    optimized: bool = False
     trace: Any = None
     generation: int | None = None
 
@@ -80,11 +65,6 @@ class QueryOutcome:
         """The evaluator route the plan took."""
         return self.plan.route
 
-    @property
-    def is_bn_point(self) -> bool:
-        """Whether this is a BN-routed point query (the batchable shape)."""
-        return self.plan.route == ROUTE_BAYES_NET and self.plan.shape == SHAPE_POINT
-
 
 @dataclass
 class BatchResult:
@@ -92,25 +72,13 @@ class BatchResult:
 
     outcomes: list[QueryOutcome] = field(default_factory=list)
     total_seconds: float = 0.0
-    #: Seconds spent materializing BN generated samples, paid once and shared
-    #: by every plan in the batch that needed them.
-    amortized_inference_seconds: float = 0.0
-    #: Seconds spent in the batch's BN dispatch (every BN-routed plan: one
-    #: variable-elimination pass per evidence signature for points, one
-    #: schedule over the ``K`` generated samples for everything else).
-    bn_batch_seconds: float = 0.0
-    #: Variable-elimination passes the batched dispatch actually ran (a
+    #: Variable-elimination passes the batch's network work actually ran (a
     #: warm per-signature factor cache makes this zero).
     bn_elimination_passes: int = 0
-    #: Seconds spent in the batch's optimized columnar dispatch (the
-    #: rewritten schedule serving sample-routed plans and fused hybrid
-    #: GROUP BY families).
-    columnar_batch_seconds: float = 0.0
     #: Rewrite counters of the batch's optimizer schedules (plans deduped,
-    #: predicates pushed down, group-by fusions, masks shared).  Derived as
-    #: this batch's delta of the executor's ``optimizer.*`` registry
-    #: counters, so it can never drift from :class:`ServingStatistics` over
-    #: the same registry.
+    #: predicates pushed down, group-by fusions, masks shared), as
+    #: :meth:`repro.plan.OptimizerStats.as_dict` orders them; the executor
+    #: folds them into its ``optimizer.*`` registry counters.
     optimizer: dict[str, int] = field(default_factory=dict)
     #: The batch's :class:`repro.obs.Span` tree when traced; ``None`` otherwise.
     trace: Any = None
@@ -133,16 +101,6 @@ class BatchResult:
         return sum(1 for outcome in self.outcomes if outcome.from_result_cache)
 
     @property
-    def bn_batched_points(self) -> int:
-        """Queries answered by the shared batched BN inference dispatch."""
-        return sum(1 for outcome in self.outcomes if outcome.bn_batched)
-
-    @property
-    def optimized_plans(self) -> int:
-        """Queries answered by the batch's optimized columnar schedule."""
-        return sum(1 for outcome in self.outcomes if outcome.optimized)
-
-    @property
     def queries_per_second(self) -> float:
         """Batch throughput: queries served per second of batch wall-clock."""
         if self.total_seconds <= 0:
@@ -160,12 +118,7 @@ class BatchResult:
             "queries_per_second": self.queries_per_second,
             "result_cache_hits": self.cache_hits,
             "deduplicated": sum(1 for o in self.outcomes if o.deduplicated),
-            "amortized_inference_seconds": self.amortized_inference_seconds,
-            "bn_batched_points": self.bn_batched_points,
-            "bn_batch_seconds": self.bn_batch_seconds,
             "bn_elimination_passes": self.bn_elimination_passes,
-            "optimized_plans": self.optimized_plans,
-            "columnar_batch_seconds": self.columnar_batch_seconds,
             "optimizer": dict(self.optimizer),
             "routes": routes,
         }
@@ -174,19 +127,16 @@ class BatchResult:
 class ServingStatistics:
     """Session-lifetime counters: a live view over one metrics registry.
 
-    Every field the old accumulator exposed is preserved — same names, same
-    (bit-identical) values — but each is now a read of a named counter in
-    the shared :class:`~repro.obs.MetricsRegistry` (see
-    :mod:`repro.obs.names`).  The batch executor folds its optimizer
-    rewrite counters into the *same* registry and derives each
-    ``BatchResult.optimizer`` dict as that batch's counter delta, which is
-    what makes session-lifetime and per-batch optimizer numbers agree by
-    construction instead of by parallel bookkeeping.
+    Each field is a read of a named counter in the shared
+    :class:`~repro.obs.MetricsRegistry` (see :mod:`repro.obs.names`).  The
+    batch executor folds each batch's optimizer rewrite counters into the
+    *same* registry, so the session-lifetime optimizer numbers are the sums
+    of the batches' ``optimizer`` dicts.
 
     ``record_outcome`` / ``record_batch`` write the serving-side counters
-    (queries, routes, BN point dispatch) and feed the query/batch latency
-    histograms.  Optimizer counters are *not* folded here — the executor
-    that built the schedule already wrote them.
+    (queries, routes) and feed the query/batch latency histograms.
+    Optimizer counters are *not* folded here — the executor that built the
+    schedule already wrote them.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None):
@@ -219,21 +169,6 @@ class ServingStatistics:
     def route_counts(self) -> dict[str, int]:
         """Served queries per evaluator route, in first-served order."""
         return self.metrics.counters_with_prefix(names.ROUTE_PREFIX)
-
-    #: BN-routed point queries answered through the shared batched dispatch
-    #: vs. individually (single-query serving, or cache-refill stragglers).
-    @property
-    def bn_points_batched(self) -> int:
-        return self.metrics.value(names.BN_POINTS_BATCHED)
-
-    @property
-    def bn_points_single(self) -> int:
-        return self.metrics.value(names.BN_POINTS_SINGLE)
-
-    @property
-    def plans_optimized(self) -> int:
-        """Queries answered through optimized columnar schedules."""
-        return self.metrics.value(names.PLANS_OPTIMIZED)
 
     def _optimizer_counter(self, field_name: str) -> int:
         return self.metrics.value(names.optimizer_counter(field_name))
@@ -302,21 +237,14 @@ class ServingStatistics:
         self.metrics.counter(names.TOTAL_SECONDS).inc(outcome.seconds)
         self.metrics.counter(names.route_counter(outcome.route)).inc()
         self.metrics.histogram(names.QUERY_SECONDS).record(outcome.seconds)
-        if outcome.optimized:
-            self.metrics.counter(names.PLANS_OPTIMIZED).inc()
-        if outcome.is_bn_point and not outcome.from_result_cache and not outcome.deduplicated:
-            if outcome.bn_batched:
-                self.metrics.counter(names.BN_POINTS_BATCHED).inc()
-            else:
-                self.metrics.counter(names.BN_POINTS_SINGLE).inc()
 
     def record_batch(self, batch: BatchResult) -> None:
         """Fold one served batch into the counters.
 
         The batch's optimizer counters are deliberately *not* folded here:
         the executor that built the schedules already wrote them into the
-        shared registry (``batch.optimizer`` is its per-batch delta), and
-        folding the dict again would double-count.
+        shared registry, and folding ``batch.optimizer`` again would
+        double-count.
         """
         self.metrics.counter(names.BATCHES_SERVED).inc()
         self.metrics.histogram(names.BATCH_SECONDS).record(batch.total_seconds)
@@ -331,9 +259,6 @@ class ServingStatistics:
             "total_seconds": self.total_seconds,
             "invalidations": self.invalidations,
             "route_counts": dict(self.route_counts),
-            "bn_points_batched": self.bn_points_batched,
-            "bn_points_single": self.bn_points_single,
-            "plans_optimized": self.plans_optimized,
             "dispatch_retries": self.dispatch_retries,
             "optimizer": {
                 "plans_deduped": self.plans_deduped,

@@ -97,7 +97,7 @@ class TestBitIdentity:
         assert hybrid.run(plans) == [hybrid.point(a) for a in batch]
 
     def test_themis_facade_batch_of_points(self, serving_themis):
-        batch = serving_themis.execute_batch([PointQuery(a) for a in MIXED_BATCH])
+        batch = serving_themis.serve().execute_batch([PointQuery(a) for a in MIXED_BATCH])
         assert batch.results() == [serving_themis.query(PointQuery(a)) for a in MIXED_BATCH]
 
 
@@ -255,7 +255,7 @@ class TestServingIntegration:
             missing
         )
 
-    def test_batch_of_bn_points_is_dispatched_batched(self):
+    def test_batch_of_network_points_pays_one_pass_per_signature(self):
         # A facade of its own: the factor cache starts cold, so passes count.
         themis = build_sparse_fitted_themis()
         missing = missing_assignments(themis)
@@ -266,22 +266,11 @@ class TestServingIntegration:
         session = themis.serve()
         queries = [PointQuery(a) for a in missing]
         batch = session.execute_batch(queries)
-        assert batch.bn_batched_points == len(missing)
         assert batch.bn_elimination_passes == len(signatures)
-        assert batch.bn_batch_seconds >= 0.0
-        assert session.statistics.bn_points_batched == len(missing)
         assert session.execute_batch(queries).bn_elimination_passes == 0
         for outcome, assignment in zip(batch, missing):
-            assert outcome.bn_batched
+            assert outcome.route == "bayes-net"
             assert outcome.result == themis.query(PointQuery(assignment))
-
-    def test_single_query_serving_counts_as_single(self, sparse_serving_themis):
-        missing = missing_assignments(sparse_serving_themis)[0]
-        session = sparse_serving_themis.serve()
-        outcome = session.execute_with_outcome(PointQuery(missing))
-        assert outcome.is_bn_point
-        assert not outcome.bn_batched
-        assert session.statistics.bn_points_single == 1
 
     def test_batched_dispatch_counts_result_cache_misses(self, sparse_serving_themis):
         """The batched dispatch must not distort result-cache statistics."""

@@ -68,7 +68,7 @@ def sweep_queries(themis):
 @pytest.fixture(scope="module")
 def expected(sweep_queries):
     oracle = build_fitted_themis()
-    return oracle.execute_batch(sweep_queries).results()
+    return oracle.serve().execute_batch(sweep_queries).results()
 
 
 def _supervised(themis, injector=None, **kwargs):
@@ -236,7 +236,7 @@ class TestSupervisedRecovery:
         oracle = build_fitted_themis()
         oracle.add_aggregate(new_aggregate)
         oracle.refit()
-        assert post == oracle.execute_batch(sweep_queries).results()
+        assert post == oracle.serve().execute_batch(sweep_queries).results()
 
     def test_replacement_dying_in_replay_burns_another_credit(
         self, themis, sweep_queries, expected

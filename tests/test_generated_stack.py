@@ -485,17 +485,16 @@ class TestServingOverTheStack:
             themis.query(statement) for statement in STATEMENTS
         ]
 
-    def test_traced_batch_shows_bn_samples_under_bn_dispatch(self, themis):
+    def test_traced_batch_shows_bn_samples_under_execute(self, themis):
         batch = themis.serve(trace=True).execute_batch(BN_ROUTED + STATEMENTS[:4])
-        dispatch = batch.trace.find(names.STAGE_BN_DISPATCH)
-        (span,) = dispatch.spans("bn-samples")
-        assert span.attributes["samples"] == themis.model.bayes_net_evaluator.n_generated_samples
+        execute = batch.trace.find(names.STAGE_EXECUTE)
+        # One span for the network's family, one for the hybrid family.
+        network, hybrid = execute.spans("bn-samples")
+        k = themis.model.bayes_net_evaluator.n_generated_samples
+        assert network.attributes["samples"] == hybrid.attributes["samples"] == k
         # Three scalars and the group-less table, which runs whole.
-        assert span.attributes["plans"] == 4
-        # The hybrid family is one span under columnar: the sample is part 0
-        # of its stack, so no sample-side span runs beside it, and the
-        # stack's schedule nests inside.
-        columnar = batch.trace.find(names.STAGE_COLUMNAR)
-        (hybrid,) = columnar.spans("bn-samples")
-        assert not columnar.spans("sample-side")
+        assert network.attributes["plans"] == 4
+        # The sample is part 0 of the hybrid's stack, so no sample-side span
+        # runs beside it, and the stack's schedule nests inside.
+        assert not execute.spans("sample-side")
         assert hybrid.spans("optimize")

@@ -112,7 +112,7 @@ def sweep_queries(themis):
 @pytest.fixture(scope="module")
 def expected(sweep_queries):
     oracle = build_fitted_themis()
-    return oracle.execute_batch(sweep_queries).results()
+    return oracle.serve().execute_batch(sweep_queries).results()
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +717,7 @@ class TestCacheInvariants:
             for b in range(3)
             for c in range(2)
         ]
-        expected = build_fitted_themis().execute_batch(statements).results()
+        expected = build_fitted_themis().serve().execute_batch(statements).results()
         themis = build_fitted_themis()
         session = themis.serve(memory_budget_bytes=16 * 1024)
         for statement, answer in zip(statements, expected):

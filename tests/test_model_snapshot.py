@@ -163,7 +163,7 @@ def test_refit_keeps_the_new_fits_factors():
     assert themis.plan(point).route == "bayes-net"
     themis.query(point)  # caches the {A, B} factor on the new model's engine
     batch = session.execute_batch([point, PointQuery({"A": 1, "B": 1})])
-    assert batch.bn_batched_points == 2
+    assert batch.cache_hits == 0
     assert batch.bn_elimination_passes == 0
 
 

@@ -45,9 +45,6 @@ class TestFrozenSurface:
         assert names.TOTAL_SECONDS == "serving.total_seconds"
         assert names.INVALIDATIONS == "serving.invalidations"
         assert names.ROUTE_PREFIX == "serving.route."
-        assert names.BN_POINTS_BATCHED == "serving.bn_points_batched"
-        assert names.BN_POINTS_SINGLE == "serving.bn_points_single"
-        assert names.PLANS_OPTIMIZED == "serving.plans_optimized"
         assert names.OPTIMIZER_PREFIX == "optimizer."
         assert names.BN_ELIMINATION_PASSES == "bn.elimination_passes"
         assert names.BN_FACTOR_CACHE_HITS == "bn.factor_cache_hits"
@@ -63,13 +60,7 @@ class TestFrozenSurface:
         assert names.OPTIMIZER_COUNTERS == tuple(OptimizerStats().as_dict())
 
     def test_stage_and_tier_names_are_frozen(self):
-        assert names.BATCH_STAGES == (
-            "compile",
-            "warm-samples",
-            "bn-dispatch",
-            "columnar",
-            "cache-probe",
-        )
+        assert names.BATCH_STAGES == ("compile", "cache-probe", "execute")
         assert names.CACHE_TIERS == (
             "result",
             "plan",
@@ -304,8 +295,7 @@ class TestTracedServing:
         root = batch.trace
         assert root.name == "batch"
         child_names = [child.name for child in root.children]
-        for stage in (names.STAGE_COMPILE, names.STAGE_ROUTE, names.STAGE_CACHE_PROBE):
-            assert stage in child_names
+        assert child_names == list(names.BATCH_STAGES)
 
     def test_trace_counters_match_serving_statistics(self, fresh_serving_themis):
         """Acceptance: the span trees' cache counters equal the statistics."""
@@ -416,9 +406,6 @@ class TestCounterDrift:
         for field in names.OPTIMIZER_COUNTERS[2:]:  # the 8 public counters
             summed = sum(batch.optimizer[field] for batch in batches)
             assert getattr(stats, field) == summed, field
-
-        # plans_optimized likewise equals the per-batch outcome counts.
-        assert stats.plans_optimized == sum(b.optimized_plans for b in batches)
 
         # And as_dict round-trips the same numbers.
         as_dict = stats.as_dict()

@@ -67,6 +67,7 @@ class PoolMachine(RuleBasedStateMachine):
     def build(self):
         self.pool = SupervisedWorkerPool(build_fitted_themis(), n_workers=2)
         self.oracle = build_fitted_themis()
+        self.oracle_session = self.oracle.serve()
         self.broadcasts = 0
 
     def teardown(self):
@@ -85,7 +86,7 @@ class PoolMachine(RuleBasedStateMachine):
         assert isinstance(outcomes[bad].error, SQLSyntaxError)
         del statements[bad], outcomes[bad]
         assert all(outcome.ok for outcome in outcomes), outcomes
-        expected = self.oracle.execute_batch(statements).results()
+        expected = self.oracle_session.execute_batch(statements).results()
         assert [outcome.value for outcome in outcomes] == expected
 
     @rule()

@@ -90,7 +90,7 @@ def sweep_queries(themis):
 @pytest.fixture(scope="module")
 def expected(sweep_queries):
     oracle = build_fitted_themis()
-    return oracle.execute_batch(sweep_queries).results()
+    return oracle.serve().execute_batch(sweep_queries).results()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ class TestWorkerPool:
         oracle = build_fitted_themis()
         oracle.add_aggregate(new_aggregate)
         oracle.refit()
-        fresh = oracle.execute_batch(sweep_queries).results()
+        fresh = oracle.serve().execute_batch(sweep_queries).results()
         assert post == fresh, (
             f"post-refit sharded answers diverged from a fresh single-process "
             f"session (seed {SWEEP_SEED})"
@@ -243,12 +243,12 @@ class TestWorkerPool:
         oracle = build_fitted_themis()
         oracle.add_aggregate(new_aggregate)
         oracle.refit()
-        fresh = oracle.execute_batch(sweep_queries).results()
+        fresh = oracle.serve().execute_batch(sweep_queries).results()
         assert post == fresh
         assert between == fresh[:1]
 
     def test_the_parent_is_never_fitted_by_a_dispatch(self, monkeypatch, sweep_queries):
-        """The parent plans through its facade's model, so an unfitted
+        """The parent plans on the model it last fitted, so an unfitted
         parent is fitted by the constructor and by ``add_aggregate``, on the
         calling thread — a dispatch on the serving loop never fits."""
         population = build_correlated_population()
@@ -281,11 +281,63 @@ class TestWorkerPool:
         assert parent.is_fitted
         oracle = build_fitted_themis()
         oracle.add_aggregate(first)
-        assert before == oracle.execute_batch(sweep_queries).results()
+        assert before == oracle.serve().execute_batch(sweep_queries).results()
         oracle.add_aggregate(second)
-        fresh = oracle.execute_batch(sweep_queries).results()
+        fresh = oracle.serve().execute_batch(sweep_queries).results()
         assert served == fresh
         assert [outcome.value for outcome in again] == fresh
+
+    def test_an_add_aggregate_on_another_thread_never_fits_on_the_loop(
+        self, monkeypatch, sweep_queries, expected
+    ):
+        """``pool.add_aggregate`` from a helper thread while the serving
+        loop dispatches: the parent facade holds no model until the helper's
+        fit returns, and a dispatch in that window plans on the model the
+        pool last fitted instead of fitting one on the loop."""
+        second = AggregateQuery.from_relation(build_correlated_population(), ["C"])
+        parent = build_fitted_themis()
+        fitting, release = threading.Event(), threading.Event()
+        fits_on_a_loop = []
+        fit = parent.fit
+
+        def held():
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:  # the helper's fit waits inside the window
+                fitting.set()
+                release.wait(5)
+            else:
+                fits_on_a_loop.append(threading.current_thread().name)
+            return fit()
+
+        monkeypatch.setattr(parent, "fit", held)
+        statements = sweep_queries[:8]
+
+        async def serve(pool):
+            await pool.start()
+            helper = asyncio.ensure_future(asyncio.to_thread(pool.add_aggregate, second))
+            assert await asyncio.to_thread(fitting.wait, 5)
+            assert not parent.is_fitted
+            during = [None] * len(statements)
+            await pool.dispatch(statements, during.__setitem__)
+            release.set()
+            await helper
+            after = [None] * len(statements)
+            await pool.dispatch(statements, after.__setitem__)
+            return during, after
+
+        with SupervisedWorkerPool(parent, n_workers=2) as pool:
+            try:
+                during, after = asyncio.run(serve(pool))
+            finally:
+                release.set()
+        assert fits_on_a_loop == [], "a dispatch fitted the parent on the loop"
+        # The workers had not heard of the aggregate yet: the old answers.
+        assert [outcome.value for outcome in during] == expected[:8]
+        oracle = build_fitted_themis()
+        oracle.add_aggregate(second)
+        fresh = oracle.serve().execute_batch(statements).results()
+        assert [outcome.value for outcome in after] == fresh
 
     def test_dispatch_timeout_raises_overload_with_shard_id(self, themis):
         statement = "SELECT A, COUNT(*) FROM R GROUP BY A"

@@ -12,10 +12,12 @@ tolerance):
 * the batch-aware optimizer (``engine.execute_batch``),
 
 and, for queries the generator can render to SQL text, the parser path as
-well.  The same statements then go through two doors of the open-world
-system — ``Themis.sql`` and ``ServingSession.execute_batch`` over a fitted
-model of a random population, with a ``refit()`` between two rounds — and
-every answer must be ``==`` the hybrid rule written out over the reference
+well.  The same statements then go through the doors of the open-world
+system — ``Themis.sql``, ``ServingSession.execute`` one at a time, and
+``ServingSession.execute_batch`` whole and in random-sized batches with
+repeats through a result cache too small to hold them — over a fitted model
+of a random population, with a ``refit()`` between two rounds, and every
+answer must be ``==`` the hybrid rule written out over the reference
 engines (``oracle.hybrid_reference``).  ``SQL_DIFFERENTIAL_SWEEP`` scales
 the number of generated queries (the CI sweep step runs hundreds; the
 default keeps tier-1 fast).  Every assertion message carries the generator
@@ -409,14 +411,45 @@ def build_random_world(rng: np.random.Generator) -> tuple[Themis, Relation]:
     return themis, population
 
 
+def _check_small_cache_batches(
+    seed: int, round_: str, rng: np.random.Generator, session, statements, expected
+) -> None:
+    """Serve ``statements`` in random-sized batches with random repeats,
+    after warming ``session``'s small result cache with a random subset:
+    every answer is ``expected``'s, and each batch probes the cache once per
+    distinct plan key, with ``from_result_cache`` on exactly the hits."""
+    n = len(statements)
+    warm = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    session.execute_batch([statements[index] for index in warm])
+    stream = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, size=n // 2)]))
+    cache = session.result_cache.statistics
+    start = 0
+    while start < len(stream):
+        indices = stream[start : start + int(rng.integers(1, 9))]
+        start += len(indices)
+        before = cache.snapshot()
+        batch = session.execute_batch([statements[index] for index in indices])
+        probed = cache.since(before)
+        distinct = {outcome.plan.key for outcome in batch}
+        firsts = [outcome for outcome in batch if not outcome.deduplicated]
+        where = f"seed={seed} ({round_}): batch {[int(index) for index in indices]}"
+        assert probed.hits + probed.misses == len(distinct) == len(firsts), where
+        assert sum(outcome.from_result_cache for outcome in firsts) == probed.hits, where
+        for index, outcome in zip(indices, batch):
+            assert outcome.result == expected[index], (
+                f"{where}: small-cache batch mismatch for {statements[index]!r}:"
+                f"\n{outcome.result!r}\n!=\n{expected[index]!r}"
+            )
+
+
 def _check_doors(seed: int, n_queries: int) -> set[str]:
-    """Check one world's statements at both doors; returns the routes taken."""
+    """Check one world's statements at every door; returns the routes taken."""
     rng = np.random.default_rng(seed)
     themis, population = build_random_world(rng)
     queries = [random_query(rng, population.schema) for _ in range(n_queries)]
     # SQL text where the generator can render it, the AST otherwise.
     statements = [render_sql(query) or query for query in queries]
-    session = themis.serve()
+    session, single, small = themis.serve(), themis.serve(), themis.serve(result_cache_size=4)
     for round_ in ("fitted", "refit"):
         model = themis.model
         expected = hybrid_reference(model, statements)
@@ -424,23 +457,30 @@ def _check_doors(seed: int, n_queries: int) -> set[str]:
             themis.sql(statement) if isinstance(statement, str) else themis.query(statement)
             for statement in statements
         ]
+        one_by_one = [single.execute(statement) for statement in statements]
         batch = session.execute_batch(statements)
         assert batch.generation == model.generation
         for index, want in enumerate(expected):
-            for door, got in (("Themis.sql", facade[index]), ("execute_batch", batch.results()[index])):
+            for door, got in (
+                ("Themis.sql", facade[index]),
+                ("session.execute", one_by_one[index]),
+                ("execute_batch", batch.results()[index]),
+            ):
                 assert got == want, (
                     f"seed={seed} ({round_}): {door} mismatch for {statements[index]!r}:"
                     f"\n{got!r}\n!=\n{want!r}"
                 )
+        _check_small_cache_batches(seed, round_, rng, small, statements, expected)
         themis.add_aggregate(AggregateQuery.from_relation(population, ["state", "carrier"]))
         themis.refit()
     return {outcome.route for outcome in batch}
 
 
 def test_differential_doors():
-    """Random statements through ``Themis.sql`` and a serving session's
-    ``execute_batch``, before and after a refit, agree exactly with the
-    hybrid rule over the reference engines."""
+    """Random statements through ``Themis.sql``, a serving session's
+    ``execute`` and its ``execute_batch`` (whole, and in small batches with
+    repeats over a 4-entry result cache), before and after a refit, agree
+    exactly with the hybrid rule over the reference engines."""
     n_worlds = max(1, SWEEP // QUERIES_PER_WORLD)
     routes = set()
     for case in range(n_worlds):

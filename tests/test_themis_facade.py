@@ -193,7 +193,7 @@ class TestQuerying:
         assert fitted_themis.sql(statement) == 0.0
         assert fitted_themis.query(statement) == 0.0
         assert fitted_themis.serve().execute(statement) == 0.0
-        assert [o.result for o in fitted_themis.execute_batch([statement])] == [0.0]
+        assert [o.result for o in fitted_themis.serve().execute_batch([statement])] == [0.0]
 
     def test_repeated_equality_answers_what_the_single_one_does(self, fitted_themis):
         single = "SELECT COUNT(*) FROM sample WHERE A = 1"
