@@ -1,16 +1,16 @@
-"""Join fusion: serve a mixed join/non-join batch through the optimizer.
+"""Join sides: serve a mixed join/non-join batch and share sides across plans.
 
 Self-join GROUP BY queries (the paper's Table 5 Q6 shape) are the most
 expensive plans Themis serves: each one aggregates two *sides* into
 ``(join key, group)`` weight totals before merging them, and the hybrid
 evaluator needs the same answer from every one of the BN's ``K`` generated
 samples.  This example drives a serving batch that mixes join plans with
-ordinary GROUP BY/COUNT traffic and shows the join-aware batch optimizer at
-work: join plans sharing a side (even written with reordered or padded
-filters) compute its totals once, the side totals persist across batches in
-the join-side cache, and the BN side computes each side for all ``K``
-generated samples in one stacked scatter-add instead of once per plan per
-sample — all with answers bit-identical to serving each query alone.
+ordinary GROUP BY/COUNT traffic.  The batch runs plan by plan, and join
+plans sharing a side compute its totals once: the first plan to need a side
+stores it in the join-side cache, and every later plan — in this batch or a
+later one — reads it from there.  Each side is computed for all ``K``
+generated samples in one stacked scatter-add instead of once per sample,
+and every answer is bit-identical to serving the query alone.
 
 Run with:  python examples/join_fusion.py
 """
@@ -46,9 +46,10 @@ def main() -> None:
 
     # "Which destination markets pair with which origin markets on the same
     # day?" — self-joins on fl_date, grouped two ways, plus the dashboard's
-    # usual GROUP BY traffic.  The second and third joins share their sides
-    # with the first (one filter reordered, one padded with an implied
-    # bound), so the optimizer schedules each distinct side once.
+    # usual GROUP BY traffic.  The second join is the first with its filter
+    # reordered: the same canonical plan, answered once.  The third pads the
+    # filter with an implied bound (a plan of its own), and the fourth
+    # mirrors the first, so both reuse sides the first one computed.
     filters = (
         Predicate("elapsed_time", Comparison.LE, 4),
         Predicate("distance", Comparison.GE, 2),
@@ -86,12 +87,11 @@ def main() -> None:
         f"cold batch: {len(cold)} queries in {cold_seconds * 1000:.1f} ms "
         f"({cold.queries_per_second:,.0f} q/s)"
     )
-    print("optimizer counters:", cold.optimizer)
+    print("executor counters:", cold.optimizer)
 
     # Same join family again: the sides come out of the join-side cache
     # (the result cache already answers the repeated plans themselves, so
-    # probe with fresh pairings that reuse the cached sides — two of them:
-    # a batch of one is a lone plan and runs no optimizer).
+    # probe with fresh pairings that reuse the cached sides).
     fresh_joins = [
         JoinGroupByQuery(
             "fl_date", "fl_date", "origin_state", "dest_state",
@@ -110,10 +110,12 @@ def main() -> None:
     assert cold.results() == [themis.query(query) for query in workload]
     print("bit-identity vs the single-query loop: OK")
 
-    print("\nsession optimizer statistics:")
+    print("\nsession executor statistics:")
     for key, value in session.statistics.as_dict()["optimizer"].items():
         print(f"  {key}: {value}")
-    print("join-side cache:", session.cache_statistics()["join_side_cache"])
+    # Hybrid joins run over the sample stacked with the generated samples;
+    # that stack's join-side cache holds their sides.
+    print("join-side cache:", session.cache_statistics()["hybrid_join_side_cache"])
 
 
 if __name__ == "__main__":

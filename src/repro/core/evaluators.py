@@ -17,14 +17,14 @@ single query is a batch of one: ``execute(query)``, defined once on the
 base class, compiles an AST (the hybrid also stamps its ``Route`` node with
 :func:`repro.plan.resolve_route`, the one place its routing rule lives) and
 returns ``run([plan])[0]``.  The sample's ``run`` is the columnar engine's
-optimized schedule; the network's ``run`` sends point plans through one
-batched inference call and everything else, tables included, through one
-optimized schedule of a :class:`~repro.plan.ColumnarExecutor` over its
-``K`` generated samples, stacked into one relation; the hybrid's ``run``
-delegates by ``plan.route`` and runs hybrid-routed plans through one
-schedule over its own stack, the weighted sample followed by the ``K``
-generated samples.  A lone plan pays no optimizer: it runs as a unit of its
-own (:func:`repro.plan.optimize.run_units`).
+batch, one plan after another; the network's ``run`` sends point plans
+through one batched inference call and everything else, tables included,
+plan by plan through a :class:`~repro.plan.ColumnarExecutor` over its ``K``
+generated samples, stacked into one relation; the hybrid's ``run``
+delegates by ``plan.route`` and runs hybrid-routed plans over its own
+stack, the weighted sample followed by the ``K`` generated samples.  No
+batch builds an optimizer schedule: on served traffic there is nothing for
+one to share beyond the mask and join-side caches every plan reads.
 
 **Combining answers.**  Both of the paper's rules are one combine step of
 the partitioned executor (:mod:`repro.plan.executor`): a group takes part
@@ -87,11 +87,11 @@ class OpenWorldEvaluator:
         The one entry point: plans of any mix of shapes share whatever work
         this evaluator can share, and an answer does not depend on the batch
         it ran in.  ``stats`` (an :class:`~repro.plan.OptimizerStats`)
-        accumulates rewrite counters in place, an enabled ``tracer`` records
-        the dispatch as spans, and ``cancel`` (a
+        accumulates the executor's counters in place, an enabled ``tracer``
+        records the dispatch as spans, and ``cancel`` (a
         :class:`~repro.serving.governance.CancelToken`) is polled between
-        units of shared work, so an expired deadline raises mid-run with
-        every cache left coherent.
+        plans (and evidence signatures), so an expired deadline raises
+        mid-run with every cache left coherent.
         """
         raise NotImplementedError
 
@@ -160,7 +160,7 @@ class ReweightedSampleEvaluator(OpenWorldEvaluator):
     def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
         """The columnar engine's batch over the weighted sample
         (:meth:`repro.plan.ColumnarExecutor.execute_batch`); ``cancel`` is
-        polled per execution unit."""
+        polled per plan."""
         return self._engine.executor.execute_batch(
             plans, stats=stats, tracer=tracer, cancel=cancel
         )
@@ -277,9 +277,8 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         Point plans go through **one** batched exact-inference call
         (``n * Pr(X_1 = x_1, ..., X_d = x_d)``, one variable-elimination
         pass per evidence signature, ``cancel`` polled between signatures);
-        all other plans — scalars, group-bys, joins, tables — go through
-        one optimized schedule over the stacked generated samples
-        (:meth:`_run_sampled`).
+        all other plans — scalars, group-bys, joins, tables — run plan by
+        plan over the stacked generated samples (:meth:`_run_sampled`).
         """
         return _by_family(plans, self._family, stats, tracer, cancel)
 
@@ -296,23 +295,14 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         ]
 
     def _run_sampled(self, plans, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
-        """Answer plans from the ``K`` generated samples in one stacked pass.
-
-        One optimized schedule of the partitioned executor (fused group-by
-        prefixes, shared masks and join sides, ``cancel`` polled per
-        schedule unit), tables running their pipeline over the consensus
-        group rows.  Raw ASTs are passed down — the executor compiles
-        against the *network's* schema.  ``stats.bn_sample_dispatches_saved``
-        counts the ``K * (family - 1)`` per-``(plan, sample)`` executions the
-        family shares.
+        """Answer plans from the ``K`` generated samples, each plan one pass
+        over the stacked relation (``cancel`` polled per plan), tables
+        running their pipeline over the consensus group rows.  The routed
+        plans run as they are: the network's schema is the sample's, which
+        :class:`HybridEvaluator` enforces.
         """
         with tracer.span("bn-samples", samples=self._k, plans=len(plans)):
-            answers = self._executor().execute_batch(
-                [plan.query for plan in plans], cancel=cancel
-            )
-        if stats is not None and len(plans) > 1:
-            stats.bn_sample_dispatches_saved += self._k * (len(plans) - 1)
-        return answers
+            return self._executor().execute_batch(plans, cancel=cancel)
 
 
 class HybridEvaluator(OpenWorldEvaluator):
@@ -395,8 +385,8 @@ class HybridEvaluator(OpenWorldEvaluator):
         Sample-routed plans are one :meth:`ReweightedSampleEvaluator.run`,
         network-routed plans one :meth:`BayesNetEvaluator.run`, and
         hybrid-routed plans — GROUP BY, join and grouped-table shapes, whose
-        answer is the union of both sides — one schedule over the stacked
-        sample and generated samples (:meth:`_run_merged`).  The rule
+        answer is the union of both sides — run over the stacked sample and
+        generated samples (:meth:`_run_merged`).  The rule
         choosing the route lives in :func:`repro.plan.resolve_route` alone.
         """
         return _by_family(plans, self._family, stats, tracer, cancel)
@@ -419,20 +409,16 @@ class HybridEvaluator(OpenWorldEvaluator):
             return self._stack
 
     def _run_merged(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
-        """One optimized schedule over the stacked sample and ``K`` generated
-        samples (fused prefixes, shared masks and join sides, ``cancel``
-        polled per unit), each unit combining the sample's part with the
+        """Plan by plan over the stacked sample and ``K`` generated samples
+        (``cancel`` polled per plan, join sides shared through the stack's
+        join-side cache), each plan combining the sample's part with the
         worlds' consensus, grouped tables running their pipeline once over
-        the combined group rows; ``stats.bn_sample_dispatches_saved`` as in
-        :meth:`BayesNetEvaluator._run_sampled`."""
+        the combined group rows."""
         k = self._bn_evaluator.n_generated_samples
         with tracer.span("bn-samples", samples=k, plans=len(plans)):
-            answers = self._executor().execute_batch(
+            return self._executor().execute_batch(
                 plans, stats=stats, tracer=tracer, cancel=cancel
             )
-        if stats is not None and len(plans) > 1:
-            stats.bn_sample_dispatches_saved += k * (len(plans) - 1)
-        return answers
 
 
 def _by_family(
@@ -441,7 +427,9 @@ def _by_family(
     """Answer plans family by family, in submission order.
 
     ``family(plan)`` names the runner a plan belongs to; each runner answers
-    all of its plans in one call.  A lone plan goes straight to its runner.
+    all of its plans in one call, which is what lets the network's point
+    plans share one batched inference call.  A lone plan goes straight to
+    its runner.
     """
     if len(plans) == 1:
         return family(plans[0])(plans, stats=stats, tracer=tracer, cancel=cancel)

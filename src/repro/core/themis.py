@@ -122,19 +122,12 @@ class ExplainedResult:
     Returned by ``Themis.query(..., explain=True)``: ``result`` is exactly
     what ``query()`` would have returned on its own, ``plan`` is the
     compiled :class:`~repro.plan.LogicalPlan` (operator tree plus canonical
-    key), and ``route`` names the evaluator that served it.  With
-    ``explain="optimized"``, ``optimized`` additionally carries the
-    post-rewrite plan the batch optimizer would execute — its Filter
-    conjunctions (both sides' filters, for join plans) normalized
-    (tautologies dropped, redundant bounds tightened) while sharing the raw
-    plan's canonical key, since rewrites never change a plan's result-cache
-    identity.
+    key), and ``route`` names the evaluator that served it.
     """
 
     result: "float | QueryResult"
     plan: LogicalPlan
     route: str
-    optimized: LogicalPlan | None = None
     #: The executed span tree (:class:`repro.obs.Span`) when the query ran
     #: under ``explain="analyze"``; ``None`` otherwise.
     trace: Any = None
@@ -421,21 +414,21 @@ class Themis:
         With ``explain=True`` the answer comes back wrapped in an
         :class:`ExplainedResult` carrying the compiled
         :class:`~repro.plan.LogicalPlan` (operator tree, canonical key, and
-        resolved route) next to the result.  ``explain="optimized"``
-        additionally includes the batch optimizer's post-rewrite plan
-        (normalized predicates; same canonical key as the raw plan).
-        ``explain="analyze"`` *executes under a tracer* and attaches the
-        span tree as ``.trace`` — compile and execute stages with wall-time,
-        kernel/mask/cache counters — rendered by :meth:`ExplainedResult
-        .explain_analyze`.
+        resolved route) next to the result.  ``explain="analyze"``
+        *executes under a tracer* and attaches the span tree as ``.trace`` —
+        compile and execute stages with wall-time, kernel/mask/cache
+        counters — rendered by :meth:`ExplainedResult.explain_analyze`.
 
         ``deadline`` (seconds) bounds the call cooperatively: the plan runs
         as a batch of one (``run([plan], cancel=token)``), so the budget is
         checked between compile and execute and then inside execution, at
-        every unit of shared work (a schedule unit, an evidence signature),
+        every unit of work (a plan, an evidence signature),
         and an expired one raises a typed
-        :class:`~repro.exceptions.DeadlineExceededError`.
+        :class:`~repro.exceptions.DeadlineExceededError`.  Any other
+        ``explain`` value raises :class:`~repro.exceptions.ThemisError`.
         """
+        if explain not in (False, True, "analyze"):
+            raise ThemisError(f"unknown explain mode {explain!r}")
         token = None
         if deadline is not None:
             from ..serving.governance import resolve_cancel_token
@@ -464,14 +457,7 @@ class Themis:
         result = evaluator.run([plan], cancel=token)[0]
         if not explain:
             return result
-        optimized = None
-        if explain == "optimized":
-            from ..plan import normalize_plan
-
-            optimized = normalize_plan(plan)
-        return ExplainedResult(
-            result=result, plan=plan, route=plan.route, optimized=optimized
-        )
+        return ExplainedResult(result=result, plan=plan, route=plan.route)
 
     # ------------------------------------------------------------------
     # Serving

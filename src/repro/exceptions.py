@@ -64,8 +64,8 @@ class WireFormatError(ThemisError):
 class QueryCancelledError(ThemisError):
     """Raised when a query's cancellation token fired mid-execution.
 
-    Cooperative: executors poll the token at chunk boundaries (per schedule
-    unit, per evidence-signature group, per batch stage), so cancellation
+    Cooperative: executors poll the token at chunk boundaries (per plan,
+    per evidence-signature group, per batch stage), so cancellation
     lands between kernels and never leaves a cache or sibling result in a
     half-written state.  Terminal — retrying a cancelled request without a
     new token would be cancelled again.

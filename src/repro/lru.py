@@ -180,9 +180,9 @@ class LRUCache:
         """Non-mutating, stat-free probe: the cached value, or ``default``.
 
         Unlike :meth:`get`, peeking neither promotes the entry in the
-        recency order nor counts a hit/miss — it is how the executor and the
-        batch optimizer inspect the cache without perturbing eviction
-        behaviour or hit-rate statistics.
+        recency order nor counts a hit/miss — it is how a caller inspects
+        the cache without perturbing eviction behaviour or hit-rate
+        statistics.
         """
         # acquire / release, not ``with``: on this path and get's, the lock
         # then costs half as much.

@@ -1,8 +1,8 @@
 """Observability: structured tracing, metrics, and EXPLAIN ANALYZE.
 
 The system-wide measurement substrate: :class:`Tracer` produces per-request
-and per-batch span trees through every layer (compile → optimize → route →
-kernels → cache probe → BN elimination), and :class:`MetricsRegistry` is the
+and per-batch span trees through every layer (compile → cache probe →
+route → masks and kernels → BN elimination), and :class:`MetricsRegistry` is the
 single accumulation point for counters, gauges, and log-bucketed latency
 histograms.  ``repro.obs.names`` freezes the public metric names and bucket
 boundaries.

@@ -1,7 +1,7 @@
 """A process-local metrics registry: counters, gauges, latency histograms.
 
 One :class:`MetricsRegistry` per serving session is the single accumulation
-point for every counter the system emits — the optimizer rewrite counters,
+point for every counter the system emits — the executor counters,
 the BN engine counters, and the serving-layer route/cache counters all land
 here, and :class:`repro.serving.ServingStatistics` reads them back as views.
 Keeping one writer per counter family is what eliminates the old drift risk

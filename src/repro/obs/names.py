@@ -28,21 +28,15 @@ INVALIDATIONS = "serving.invalidations"
 ROUTE_PREFIX = "serving.route."
 
 # ---------------------------------------------------------------------------
-# Batch-optimizer counters (mirrors of OptimizerStats fields)
+# Executor counters (the OptimizerStats fields a served batch can move)
 # ---------------------------------------------------------------------------
-#: Optimizer rewrite counters are ``optimizer.<field>`` for each field of
-#: :class:`repro.plan.OptimizerStats`, in its ``as_dict()`` order.
+#: Executor counters are ``optimizer.<field>`` for each of these fields of
+#: :class:`repro.plan.OptimizerStats`, in its ``as_dict()`` order.  The
+#: other fields describe a batch schedule, which no served batch builds.
 OPTIMIZER_PREFIX = "optimizer."
 OPTIMIZER_COUNTERS: tuple[str, ...] = (
-    "batches",
-    "plans_in",
-    "plans_deduped",
-    "predicates_pushed_down",
-    "groupby_fusions",
-    "masks_shared",
     "join_sides_fused",
     "join_side_cache_hits",
-    "bn_sample_dispatches_saved",
     "window_sorts_shared",
 )
 
@@ -85,7 +79,6 @@ STAGE_PREFIX = "latency.stage."
 STAGE_COMPILE = "compile"
 STAGE_CACHE_PROBE = "cache-probe"
 STAGE_EXECUTE = "execute"
-STAGE_OPTIMIZE = "optimize"
 
 #: Stage names that get a ``latency.stage.*`` histogram per served batch.
 BATCH_STAGES: tuple[str, ...] = (STAGE_COMPILE, STAGE_CACHE_PROBE, STAGE_EXECUTE)
@@ -189,7 +182,7 @@ def route_counter(route: str) -> str:
 
 
 def optimizer_counter(field: str) -> str:
-    """The registry counter name for one optimizer rewrite counter."""
+    """The registry counter name for one executor counter."""
     return OPTIMIZER_PREFIX + field
 
 

@@ -2,9 +2,10 @@
 
 A :class:`Tracer` hands out :class:`Span` context managers; nesting follows
 the runtime call structure, so one served batch produces one tree — compile,
-cache probe, and under execute the evaluators' optimize, generated-sample
-and kernel-unit spans — each node carrying its wall-clock seconds plus whatever counters the
-stage chose to attach (mask-cache hits, plans deduped, elimination passes).
+cache probe, and under execute the evaluators' generated-sample and
+per-plan mask spans — each node carrying its wall-clock seconds plus
+whatever counters the stage chose to attach (mask-cache hits, result-cache
+hits, elimination passes).
 
 The disabled path is :data:`NULL_TRACER`: a singleton whose ``span()``
 returns a stateless no-op span, so instrumented code pays one attribute
@@ -73,8 +74,8 @@ class Span:
     def child(self, name: str, **attributes: Any) -> "Span":
         """Attach a completed zero-duration structural child.
 
-        Used for facts with tree shape but no independent wall time — plan
-        slots in a fused unit, deduplicated fan-out targets.
+        Used for facts with tree shape but no independent wall time — one
+        child per item a stage covers, recorded after the fact.
         """
         span = Span(name, self._tracer, attributes)
         span._end = span._start

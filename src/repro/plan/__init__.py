@@ -10,11 +10,11 @@ node — exactly once, and every executor consumes that plan:
   group-bys;
 * the serving :class:`~repro.serving.planner.QueryPlanner` derives its
   result-cache keys and evaluator routes from the compiled plan;
-* whole batches are rewritten by the batch-aware optimizer
-  (:mod:`repro.plan.optimize`): execution-equivalent plans dedup to one
-  slot, equivalent filters normalize to one cached mask, and aggregates
-  sharing a ``(Scan, Filter, Group)`` prefix fuse into one scatter-add
-  pass — bit-identical to per-plan execution.
+* a batch runs plan by plan, each plan a unit of its own that reads the
+  executor's mask and join-side caches; the batch-aware optimizer
+  (:mod:`repro.plan.optimize`, which dedups, normalizes filters and fuses
+  shared prefixes into a schedule) is off the served path and kept for the
+  benchmark's probe.
 """
 
 from .compiler import PlanCompiler, resolve_route

@@ -60,7 +60,6 @@ def execute_table_pipeline(
     codes: np.ndarray,
     decoded: list[tuple[Any, ...]],
     agg_columns: list[np.ndarray],
-    sort_memo: dict | None = None,
     stats=None,
 ) -> TableResult:
     """Run a table plan's post-aggregate pipeline over its group rows.
@@ -77,35 +76,24 @@ def execute_table_pipeline(
         The decoded group value tuples, aligned with ``codes``.
     agg_columns:
         One float array per aggregate spec, aligned with ``codes``.
-    sort_memo:
-        Optional per-family memo of window permutations; a hit skips the
-        ``np.lexsort`` and bumps ``stats.window_sorts_shared``.
     stats:
-        Optional :class:`~repro.plan.optimize.OptimizerStats`.
+        Optional :class:`~repro.plan.optimize.OptimizerStats`; a window
+        ordered like an earlier window of the plan reuses its permutation
+        and bumps ``stats.window_sorts_shared``.
     """
     query = plan.query
     n_group = len(query.group_by)
     n_aggregate = len(agg_columns)
     n_rows = len(decoded)
     codes = np.asarray(codes, dtype=np.int64).reshape(n_rows, n_group)
-    specs = plan.aggregate.specs
 
     selection = np.arange(n_rows, dtype=np.int64)
     # Window columns, keyed by global output-column index; each list is
     # aligned with the *positions* of ``selection`` (reindexed on sort/limit).
     window_columns: dict[int, list] = {}
-    having_signature: tuple = ()
-
-    def column_identity(column: int) -> tuple:
-        """Semantic identity of an output column, for cross-plan memo keys.
-
-        Positional indexes are not shareable across a fused family — two
-        plans can put different aggregates at the same index — so memo keys
-        name the group attribute or the ``(function, attribute)`` pair.
-        """
-        if column < n_group:
-            return ("group", query.group_by[column])
-        return ("agg",) + specs[column - n_group]
+    # Stable window permutations by (PARTITION BY, ORDER BY): every window
+    # of the plan sees the same rows, so equal keys mean equal permutations.
+    sort_memo: dict = {}
 
     def key_array(column: int) -> np.ndarray:
         """Numeric sort-key values of one output column over ``selection``."""
@@ -137,24 +125,13 @@ def execute_table_pipeline(
             window_columns[column] = [values[p] for p in permutation]
 
     def run_window(op: WindowOp, output_column: int) -> None:
-        memo_key = None
-        permutation = None
-        if sort_memo is not None:
-            memo_key = (
-                having_signature,
-                tuple(query.group_by[p] for p in op.partition),
-                tuple(
-                    (column_identity(column), descending)
-                    for column, descending in op.order
-                ),
-            )
-            permutation = sort_memo.get(memo_key)
-            if permutation is not None and stats is not None:
-                stats.window_sorts_shared += 1
+        memo_key = (op.partition, op.order)
+        permutation = sort_memo.get(memo_key)
         if permutation is None:
             permutation = stable_permutation(op.partition, op.order)
-            if sort_memo is not None:
-                sort_memo[memo_key] = permutation
+            sort_memo[memo_key] = permutation
+        elif stats is not None:
+            stats.window_sorts_shared += 1
         partition_columns = [codes[selection, p] for p in op.partition]
         order_columns = [key_array(column) for column, _ in op.order]
         values: list = [None] * selection.shape[0]
@@ -208,14 +185,6 @@ def execute_table_pipeline(
                 values = agg_columns[condition.column - n_group][selection]
                 keep &= _compare(values, condition.comparison, condition.value)
             selection = selection[keep]
-            having_signature = tuple(
-                (
-                    column_identity(condition.column),
-                    condition.comparison.value,
-                    condition.value,
-                )
-                for condition in node.conditions
-            )
         elif isinstance(node, Window):
             for offset, op in enumerate(node.ops):
                 run_window(op, n_group + n_aggregate + offset)

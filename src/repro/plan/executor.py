@@ -13,8 +13,7 @@ with the fitted model that owns the executor.
 ``K`` forward-sampled relations (Sec. 4.2.4), stacked in sample order into
 one relation behind one executor whose
 :class:`~repro.plan.kernels.RowPartition` makes them parts ``1..K``.  A
-family of plans pays one compile, one optimized schedule and one
-conjunction mask per unit over the stacked rows, and a GROUP BY unit one
+plan pays one conjunction mask over the stacked rows, and a GROUP BY one
 scatter-add per distinct measure over ``(part, group)`` bins, reshaped
 ``(K + 1, G)``.  Part 0 has precedence: the network's stack leaves it
 empty, the hybrid's puts the weighted sample there
@@ -70,7 +69,8 @@ from .optimize import (
     UNIT_SCALAR,
     JoinSideSpec,
     OptimizerStats,
-    run_units,
+    join_side_table,
+    unit_kind,
 )
 
 #: How many join sides' totals one executor keeps across batches.
@@ -170,77 +170,69 @@ class ColumnarExecutor:
         tracer=NULL_TRACER,
         cancel=None,
     ) -> list:
-        """Execute a batch of plans through the batch-aware optimizer.
+        """Execute a batch of plans, each as a unit of its own, in submission
+        order.
 
-        The batch is rewritten by :func:`repro.plan.optimize.optimize_batch`
-        — execution-equivalent plans run once and fan out, equivalent
-        filters collapse to one cached mask, aggregates sharing a
-        ``(Scan, Filter, Group)`` prefix fuse into a single scatter-add
-        pass, and join plans share a deduplicated side table whose
-        ``(join key, group)`` weight totals compute through fused stacked
-        scatter-adds (carried across batches by the join-side cache).  A
-        lone plan has nothing to share: it runs as a unit of its own, with
-        no schedule (:func:`repro.plan.optimize.run_units`).  Answers are
-        returned in submission order, and every rewrite preserves the
-        reductions' operands and order, so an answer does not depend on
-        the batch it ran in.  ``stats`` (when given) accumulates the
-        schedule's rewrite counters in place.  An enabled ``tracer``
-        records the optimize/unit span tree: one span per execution
-        unit with a ``mask`` child, plus one structural ``slot``
-        child per scheduled plan (deduplicated inputs appear as ``fan-out``
-        grandchildren).  ``cancel`` is an optional
+        Every plan pays its own conjunction mask (out of the mask cache) and
+        its own reduction pass; join plans resolve their sides through the
+        cross-batch :attr:`join_side_cache`, so a side one plan computed
+        answers the next plan's reference to it, in this batch or a later
+        one.  An answer therefore does not depend on the batch it ran in.
+        ``stats`` (when given) accumulates the counters a plan can move in
+        place (``join_sides_fused``, ``join_side_cache_hits``,
+        ``window_sorts_shared``).  An enabled ``tracer`` records each plan's
+        ``mask`` span under the caller's span.  ``cancel`` is an optional
         :class:`~repro.serving.governance.CancelToken` polled before every
-        execution unit; an expired deadline raises mid-batch without
-        corrupting sibling state.
+        plan; an expired deadline raises between plans without corrupting
+        sibling state.
         """
         plans = [
             query if isinstance(query, LogicalPlan) else self._compiler.compile(query)
             for query in queries
         ]
-        return run_units(plans, self._run_unit, stats, tracer, cancel)
+        answers = []
+        for plan in plans:
+            if cancel is not None:
+                cancel.poll()
+            answers.append(self._run_plan(plan, stats, tracer))
+        return answers
 
-    def _run_unit(self, kind: str, plans: list[LogicalPlan], sides, pairs, stats, tracer):
-        """Answer the plans of one execution unit (see :func:`run_units`)."""
+    def _run_plan(self, plan: LogicalPlan, stats, tracer):
+        """Answer one plan by its unit kind (:func:`repro.plan.optimize.unit_kind`)."""
+        kind = unit_kind(plan)
         if kind == UNIT_SCALAR:
-            return self._run_scalar(plans, tracer)
+            return self._run_scalar(plan, tracer)
         if kind == UNIT_GROUP_BY:
-            return self._run_group_by(plans, stats, tracer)
-        return self._run_join(plans, sides, pairs, stats)
+            return self._run_group_by(plan, stats, tracer)
+        return self._run_join(plan, stats)
 
-    def _run_scalar(self, plans: list[LogicalPlan], tracer) -> list:
-        """A scalar unit: every reduction of its plans over one shared mask,
-        averaged over the parts; group-less tables wrap theirs as one-row
-        tables."""
-        mask = self._shared_mask(plans[0].predicates, tracer)
-        specs, ends = self.unit_specs(plans)
-        per_spec = partitioned_scalar_reduce(self._relation, mask, specs, self._partition)
+    def _run_scalar(self, plan: LogicalPlan, tracer):
+        """Every reduction of a point, scalar or group-less table over its
+        mask, averaged over the parts; a table wraps its values as a one-row
+        table."""
+        mask = self._mask(plan.predicates, tracer)
+        per_spec = partitioned_scalar_reduce(
+            self._relation, mask, self.unit_specs(plan), self._partition
+        )
         if self._partition is None:
             values = [parts[0] for parts in per_spec]
         else:
             values = _sample_means([parts[1:] for parts in per_spec])
-        answers = []
-        start = 0
-        for plan, end in zip(plans, ends):
-            if plan.shape == SHAPE_TABLE:
-                answers.append(self._scalar_table(plan, values[start:end]))
-            else:
-                answers.append(values[start])
-            start = end
-        return answers
+        if plan.shape == SHAPE_TABLE:
+            return self._scalar_table(plan, values)
+        return values[0]
 
-    def _run_group_by(self, plans: list[LogicalPlan], stats, tracer) -> list:
-        """A group-by unit: its plans' aggregates stacked into one
-        scatter-add pass over the shared ``(Scan, Filter, Group)`` prefix,
-        the parts combined by the module docstring's rule; grouped tables
-        then run their HAVING / window / ORDER BY / LIMIT pipeline over the
-        group rows."""
+    def _run_group_by(self, plan: LogicalPlan, stats, tracer):
+        """A GROUP BY or grouped table: its aggregates stacked into one
+        scatter-add pass over its ``(Scan, Filter, Group)`` prefix, the parts
+        combined by the module docstring's rule; a grouped table then runs
+        its HAVING / window / ORDER BY / LIMIT pipeline over the group rows."""
         from ..sql.engine import QueryResult
 
-        group_keys = plans[0].group_keys
-        mask = self._shared_mask(plans[0].predicates, tracer)
-        specs, ends = self.unit_specs(plans)
+        group_keys = plan.group_keys
+        mask = self._mask(plan.predicates, tracer)
         weight_totals, per_spec = partitioned_group_columns(
-            self._relation, group_keys, mask, specs, self._partition
+            self._relation, group_keys, mask, self.unit_specs(plan), self._partition
         )
         if self._partition is None:
             kept = np.nonzero(weight_totals[0] > 0)[0]
@@ -253,34 +245,15 @@ class ColumnarExecutor:
                 np.where(own, values[0, kept], _sample_means(values[1:, kept].T))
                 for values in per_spec
             ]
-        codes = self._relation.group_codes(group_keys)[1][kept]
         decoded = self._relation.group_tuples(group_keys, kept)
-        # One window-permutation memo per unit: tables in it sharing a
-        # partition family pay one argsort.
-        sort_memo: dict = {}
-        answers = []
-        start = 0
-        for plan, end in zip(plans, ends):
-            columns = per_spec[start:end]
-            start = end
-            if plan.shape == SHAPE_TABLE:
-                answers.append(
-                    execute_table_pipeline(
-                        plan,
-                        codes,
-                        decoded,
-                        columns,
-                        sort_memo=sort_memo,
-                        stats=stats,
-                    )
-                )
-            else:
-                answers.append(QueryResult(group_keys, dict(zip(decoded, columns[0].tolist()))))
-        return answers
+        if plan.shape != SHAPE_TABLE:
+            return QueryResult(group_keys, dict(zip(decoded, per_spec[0].tolist())))
+        codes = self._relation.group_codes(group_keys)[1][kept]
+        return execute_table_pipeline(plan, codes, decoded, per_spec, stats=stats)
 
-    def _run_join(self, plans: list[LogicalPlan], sides, pairs, stats) -> list:
-        """The join unit: the side table's ``(join key, group)`` weight
-        totals, then one merge of two small tables per plan and part.
+    def _run_join(self, plan: LogicalPlan, stats):
+        """A join: its sides' ``(join key, group)`` weight totals, then one
+        merge of two small tables per part.
 
         The joined weight of a pair of groups is ``sum_{i,j} w_i * w_j``
         over matching tuple pairs, the natural plug-in estimator for a
@@ -290,23 +263,19 @@ class ColumnarExecutor:
         """
         from ..sql.engine import QueryResult
 
+        sides, ((left, right),) = join_side_table((plan,), stats)
         totals = self._join_side_totals(sides, stats)
-        answers = []
-        for plan, (left, right) in zip(plans, pairs):
-            worlds = [merge_join_sides(*pair) for pair in zip(totals[left], totals[right])]
-            if self._partition is None:
-                merged = worlds[0]
-            else:
-                own, first, *rest = worlds
-                groups = [
-                    group
-                    for group in first
-                    if group not in own and all(group in world for world in rest)
-                ]
-                values = [[world[group] for world in worlds[1:]] for group in groups]
-                merged = {**own, **dict(zip(groups, _sample_means(values)))}
-            answers.append(QueryResult(plan.group_keys, merged))
-        return answers
+        worlds = [merge_join_sides(*pair) for pair in zip(totals[left], totals[right])]
+        if self._partition is None:
+            return QueryResult(plan.group_keys, worlds[0])
+        own, first, *rest = worlds
+        groups = [
+            group
+            for group in first
+            if group not in own and all(group in world for world in rest)
+        ]
+        values = [[world[group] for world in worlds[1:]] for group in groups]
+        return QueryResult(plan.group_keys, {**own, **dict(zip(groups, _sample_means(values)))})
 
     def with_first_part(self, first: "ColumnarExecutor") -> "ColumnarExecutor":
         """This stack with ``first``'s relation as its (empty) part 0, one
@@ -323,8 +292,8 @@ class ColumnarExecutor:
         stack._masks = StackedMasks((first.mask_cache, self._masks))
         return stack
 
-    def _shared_mask(self, predicates, tracer=NULL_TRACER):
-        """A unit's shared conjunction mask, traced with cache-delta counters."""
+    def _mask(self, predicates, tracer=NULL_TRACER):
+        """A plan's conjunction mask, traced with cache-delta counters."""
         if not tracer.enabled:
             return self._masks.conjunction_mask(predicates)
         with tracer.span("mask", conjuncts=len(predicates)) as span:
@@ -339,14 +308,14 @@ class ColumnarExecutor:
     def _join_side_totals(
         self, sides: Sequence[JoinSideSpec], stats: OptimizerStats | None
     ) -> list[list[dict]]:
-        """Resolve every join side's ``(join key, group)`` weight totals, one
-        dict per part.
+        """Resolve a join plan's sides' ``(join key, group)`` weight totals,
+        one dict per part.
 
         Sides land in two tiers: the cross-batch :attr:`join_side_cache`
-        (hit: zero work), then one fused stacked scatter-add pass per
-        distinct key-column set for the misses (each side contributes its
-        conjunction mask as a stacked reduction column), whose results are
-        cached for the next batch.
+        (hit: zero work), then one stacked scatter-add pass per distinct
+        key-column set for the misses (each side contributes its conjunction
+        mask as a stacked reduction column, so two sides over the same key
+        columns share one pass), whose results are cached for the next plan.
         """
         totals: list[list[dict] | None] = [None] * len(sides)
         pending: dict[tuple[str, ...], list[int]] = {}
@@ -368,20 +337,13 @@ class ColumnarExecutor:
                 self._join_sides.put(sides[index].signature, side_totals)
         return totals  # type: ignore[return-value]
 
-    def unit_specs(self, plans: list[LogicalPlan]) -> tuple[list, list[int]]:
-        """The fused-kernel specs of a unit's plans, plan after plan, and the
-        index where each plan's run of specs ends."""
-        specs: list[tuple[str, np.ndarray | None]] = []
-        ends = []
-        for plan in plans:
-            # One ``(function, measure column)`` per SELECT-list aggregate.
-            for function, attribute in plan.aggregate.specs:
-                if function == "count":
-                    specs.append(("count", None))
-                else:
-                    specs.append((function, self._numeric_column(attribute)))
-            ends.append(len(specs))
-        return specs, ends
+    def unit_specs(self, plan: LogicalPlan) -> list[tuple[str, np.ndarray | None]]:
+        """The kernel specs of a plan: one ``(function, measure column)`` per
+        SELECT-list aggregate."""
+        return [
+            ("count", None) if function == "count" else (function, self._numeric_column(attribute))
+            for function, attribute in plan.aggregate.specs
+        ]
 
     def _scalar_table(self, plan: LogicalPlan, values):
         """Wrap group-less scalar reductions as a one-row table result."""

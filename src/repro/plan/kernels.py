@@ -433,9 +433,9 @@ def merge_join_sides(
 
     The joined weight of a pair of groups is ``sum_{i,j} w_i * w_j`` over
     matching tuple pairs — the natural plug-in estimator for a weighted
-    sample.  Shared by per-plan join execution and the fused join schedule,
-    so the two paths run the identical float operations in the identical
-    order.
+    sample.  Shared by the columnar executor and the tests' per-sample
+    reference, so the two run the identical float operations in the
+    identical order.
     """
     results: dict[tuple[Any, ...], float] = {}
     if not left_counts or not right_counts:

@@ -1,6 +1,6 @@
 """Batch-aware plan optimizer: rewrite a batch of compiled plans into a schedule.
 
-A serving batch routinely carries fifty variants of the same query — exact
+A batch can carry fifty variants of the same query — exact
 duplicates, the same WHERE clause padded with a redundant conjunct, a family
 of aggregates over one shared ``Scan -> Filter -> Group`` prefix.  Executing
 tree-by-tree pays the mask lookups, the group-code gathers, and the
@@ -41,10 +41,18 @@ the same reductions run on the same operands in the same order.  The
 rewrites never touch a plan's canonical :attr:`~repro.plan.ir.LogicalPlan.key`
 — result-cache identity is stable across optimization.
 
-:func:`run_units` is the one way a schedule executes: the executor supplies
-one method per unit kind (:func:`unit_kind`), and every unit of the schedule
-calls it.  A lone plan has nothing to share, so it builds no schedule and
-calls the same method as a unit of its own.
+**Off the served path.**  No served batch builds a schedule: the columnar
+executor runs every plan as a unit of its own
+(:meth:`repro.plan.ColumnarExecutor.execute_batch`), because on served
+traffic fusion found about one unit per plan and the schedule cost 17% of a
+batch.  :func:`optimize_batch`, :func:`normalize_plan` and
+:class:`PhysicalSchedule` are kept, bench-only, because the benchmark's
+``plan.optimize.*`` probe imports them; they go when that probe does
+(ROADMAP.md, the benchmark agenda).
+What the executor still takes from this module is per plan:
+:func:`unit_kind`, :func:`join_side_table` and :class:`JoinSideSpec`, and the
+:class:`OptimizerStats` counters a plan can move (``join_sides_fused``,
+``join_side_cache_hits``, ``window_sorts_shared``).
 """
 
 from __future__ import annotations
@@ -90,6 +98,12 @@ _LOWER = (Comparison.GE, Comparison.GT)
 class OptimizerStats:
     """Counters proving which rewrites fired on a batch (or a session).
 
+    :func:`optimize_batch` moves the schedule's fields, ``batches``
+    through ``join_sides_fused``.  Executing plans moves the last three,
+    ``join_sides_fused`` (per plan), ``join_side_cache_hits`` and
+    ``window_sorts_shared``: the counters a served batch reports
+    (``repro.obs.names.OPTIMIZER_COUNTERS``), since it runs no schedule.
+
     Attributes
     ----------
     batches:
@@ -114,22 +128,18 @@ class OptimizerStats:
         predicate masks again (an AND, not a predicate evaluation).
     join_sides_fused:
         Join-side scatter-add passes avoided by join-side fusion: side
-        references served by an already-scheduled identical side (same
-        ``Scan``/``Filter``/keys), plus distinct sides beyond the first
-        folded into a stacked fused pass over the same key columns.
+        references served by an identical side already in the side table
+        (same ``Scan``/``Filter``/keys), plus distinct sides beyond the
+        first folded into a stacked fused pass over the same key columns
+        (:func:`join_side_table`, per schedule or per plan).
     join_side_cache_hits:
-        Scheduled join sides answered by the cross-batch
-        :attr:`~repro.plan.ColumnarExecutor.join_side_cache` instead of recomputed.
-    bn_sample_dispatches_saved:
-        Per-``(plan, sample)`` executions avoided by serving a family
-        (hybrid GROUP BYs / joins / grouped tables, or BN-routed sampled
-        aggregates) through one stacked schedule over the BN's ``K``
-        generated samples — ``K * (family size - 1)`` per family.
+        Join sides answered by the cross-plan, cross-batch
+        :attr:`~repro.plan.ColumnarExecutor.join_side_cache` instead of
+        recomputed.
     window_sorts_shared:
-        Window ``np.lexsort`` permutations answered by a fused family's
-        shared sort memo instead of recomputed — table plans in one
-        ``(Scan, Filter, Group)`` family whose windows share a partition
-        family pay one argsort for the whole batch.
+        Window ``np.lexsort`` permutations answered by a table's sort memo
+        instead of recomputed: windows over one partition family and
+        ordering pay one argsort.
     """
 
     batches: int = 0
@@ -140,7 +150,6 @@ class OptimizerStats:
     masks_shared: int = 0
     join_sides_fused: int = 0
     join_side_cache_hits: int = 0
-    bn_sample_dispatches_saved: int = 0
     window_sorts_shared: int = 0
 
     def merge(self, other: "OptimizerStats") -> None:
@@ -153,7 +162,6 @@ class OptimizerStats:
         self.masks_shared += other.masks_shared
         self.join_sides_fused += other.join_sides_fused
         self.join_side_cache_hits += other.join_side_cache_hits
-        self.bn_sample_dispatches_saved += other.bn_sample_dispatches_saved
         self.window_sorts_shared += other.window_sorts_shared
 
     def as_dict(self) -> dict[str, int]:
@@ -167,7 +175,6 @@ class OptimizerStats:
             "masks_shared": self.masks_shared,
             "join_sides_fused": self.join_sides_fused,
             "join_side_cache_hits": self.join_side_cache_hits,
-            "bn_sample_dispatches_saved": self.bn_sample_dispatches_saved,
             "window_sorts_shared": self.window_sorts_shared,
         }
 
@@ -304,9 +311,11 @@ def normalize_plan(
 ) -> LogicalPlan:
     """A copy of ``plan`` with every Filter's conjunction normalized.
 
-    The canonical :attr:`~repro.plan.ir.LogicalPlan.key` is untouched —
-    normalization changes how the plan *executes*, never its result-cache
-    identity — and the original query AST rides along unchanged.
+    Bench-only, like :func:`optimize_batch`: nothing served executes a
+    normalized plan.  The canonical :attr:`~repro.plan.ir.LogicalPlan.key`
+    is untouched — normalization changes how the plan *executes*, never its
+    result-cache identity — and the original query AST rides along
+    unchanged.
     """
     aggregate = plan.aggregate
     child = aggregate.child
@@ -388,6 +397,7 @@ class PhysicalSchedule:
     execution; ``assignments[i]`` maps input plan ``i`` to its slot, so an
     executor runs every unit once and fans each slot's answer back out to
     the input positions.  ``units`` covers every slot exactly once.
+    Bench-only, like :func:`optimize_batch`.
     """
 
     plans: list[LogicalPlan]
@@ -512,75 +522,6 @@ def join_side_table(
     return sides, tuple(pairs)
 
 
-def run_units(
-    plans: Sequence[LogicalPlan],
-    run_unit,
-    stats: OptimizerStats | None = None,
-    tracer=NULL_TRACER,
-    cancel=None,
-) -> list:
-    """Answer plans unit by unit, in submission order.
-
-    ``run_unit(kind, plans, sides, pairs, stats, tracer)`` answers the plans
-    of one unit (``sides`` and ``pairs`` are the join unit's side table, see
-    :func:`join_side_table`).  A lone plan has nothing to share, so it is
-    a unit of its own and pays no :func:`optimize_batch`; a batch runs the
-    units of its optimized schedule and fans the answers out.  ``cancel``
-    is polled before every unit, so an expired deadline never leaves one
-    half done.  An enabled ``tracer`` records one ``unit:<kind>`` span per
-    scheduled unit, with one structural ``slot`` child per plan it runs
-    (inputs deduplicated onto a slot are ``fan-out`` grandchildren); a lone
-    plan's work (its ``mask`` span) nests directly under the caller's span.
-    """
-    if len(plans) == 1:
-        kind = unit_kind(plans[0])
-        if cancel is not None:
-            cancel.poll()
-        sides, pairs = join_side_table(plans, stats) if kind == UNIT_JOIN else ((), ())
-        return run_unit(kind, plans, sides, pairs, stats, tracer)
-    schedule = optimize_batch(plans, stats, tracer=tracer)
-    answers: list = [None] * len(schedule.slots)
-    for unit in schedule.units:
-        if cancel is not None:
-            cancel.poll()
-        with tracer.span(f"unit:{unit.kind}", slots=len(unit.slots)) as span:
-            unit_answers = run_unit(
-                unit.kind,
-                [schedule.slots[slot] for slot in unit.slots],
-                schedule.join_sides,
-                unit.sides,
-                stats,
-                tracer,
-            )
-            if tracer.enabled:
-                _annotate_unit_slots(span, unit, schedule)
-        for slot, answer in zip(unit.slots, unit_answers):
-            answers[slot] = answer
-    return schedule.fan_out(answers)
-
-
-def _annotate_unit_slots(span, unit: ScheduleUnit, schedule: PhysicalSchedule) -> None:
-    """Attach one structural ``slot`` child per scheduled plan in the unit.
-
-    Every input position the slot serves beyond its first appearance is a
-    ``fan-out`` grandchild, so the trace accounts for all submitted plans:
-    slot children + fan-out children == batch size, summed over units.
-    """
-    inputs_by_slot: dict[int, list[int]] = {}
-    for index, slot in enumerate(schedule.assignments):
-        inputs_by_slot.setdefault(slot, []).append(index)
-    for slot in unit.slots:
-        inputs = inputs_by_slot.get(slot, [])
-        child = span.child(
-            "slot",
-            slot=slot,
-            shape=schedule.slots[slot].shape,
-            input=inputs[0] if inputs else None,
-        )
-        for extra in inputs[1:]:
-            child.child("fan-out", input=extra)
-
-
 def optimize_batch(
     plans: Sequence[LogicalPlan],
     stats: OptimizerStats | None = None,
@@ -590,8 +531,9 @@ def optimize_batch(
 
     Applies, in order: predicate normalization per plan, execution-signature
     dedup (slot assignment), shared-filter grouping, and group-by fusion.
-    ``stats`` (when given) accumulates the schedule's counters in place —
-    the serving layer threads one session-lifetime object through here.
+    ``stats`` (when given) accumulates the schedule's counters in place.
+    Bench-only: no served batch builds a schedule, and it stays until the
+    benchmark's ``plan.optimize.*`` probe (which reads ``.slots``) goes.
     An enabled ``tracer`` records one ``optimize`` span carrying the
     schedule's rewrite counters.
     """

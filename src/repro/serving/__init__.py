@@ -11,12 +11,11 @@ into a reusable query service for high-throughput workloads:
   eliminated factors); a refit drops the results and the inference cache,
   and ``load_sample`` the plans;
 * :mod:`repro.serving.executor` — batched execution: the plans the result
-  cache cannot answer are partitioned by route and each partition is one
-  ``run`` call on its evaluator (:mod:`repro.core.evaluators` — BN-routed
-  point plans share one batched variable-elimination call, every schedule
-  is rewritten by the batch-aware plan optimizer :mod:`repro.plan.optimize`:
-  dedup, predicate normalization into shared masks, multi-query group-by
-  fusion), generated-sample inference is amortized, and answers are
+  cache cannot answer go to one ``hybrid_evaluator.run`` call, which sends
+  each route family to its evaluator (:mod:`repro.core.evaluators` —
+  BN-routed point plans share one batched variable-elimination call, every
+  other plan runs as a unit of its own over the model's cached masks and
+  join sides), generated-sample inference is amortized, and answers are
   bit-identical to the single-query loop;
 * :mod:`repro.serving.session` — the long-lived serving front-end returned by
   ``Themis.serve()``;

@@ -16,10 +16,11 @@ batch, a batch of one included, is::
 and then stores the new answers and fans every answer out in submission
 order.  Inside ``execute`` the hybrid evaluator sends each route family to
 its evaluator: BN-routed point plans share one variable-elimination pass per
-evidence signature, everything else the network answers shares one
-optimized schedule over its generated samples, sample-routed plans share one
-optimized columnar schedule, and hybrid families one schedule over the
-sample stacked with the generated samples.  Identical plans execute once.
+evidence signature; every other plan runs as a unit of its own, in
+submission order, over the network's generated samples, the weighted sample,
+or (hybrid families) the sample stacked with the generated samples, sharing
+masks and join sides through the model's caches.  Identical plans execute
+once.
 
 Single queries (:meth:`BatchExecutor.execute_plan`, the door behind
 ``ServingSession.execute``) call
@@ -72,7 +73,7 @@ class BatchExecutor:
         self._result_cache = result_cache
         self._inference_cache = inference_cache
         self._sample_plans = sample_plans
-        # The single accumulation point for optimizer/BN/stage counters; the
+        # The single accumulation point for executor/BN/stage counters; the
         # serving session passes its own registry so ServingStatistics reads
         # the very counters this executor writes.
         self._metrics = metrics if metrics is not None else MetricsRegistry()
@@ -150,15 +151,14 @@ class BatchExecutor:
         cannot answer is answered by one ``model.hybrid_evaluator.run`` call
         (see the module docstring for the stages), stored, and fanned out to
         every statement with its key.  ``QueryOutcome.seconds`` splits the
-        ``execute`` stage evenly over the plans it ran; the schedules'
-        rewrite counters are ``BatchResult.optimizer`` and the elimination
-        passes the network paid are ``bn_elimination_passes``.
+        ``execute`` stage evenly over the plans it ran; the executor
+        counters the plans moved are ``BatchResult.optimizer`` and the
+        elimination passes the network paid are ``bn_elimination_passes``.
 
         ``cancel`` governs the batch cooperatively: one
         :class:`~repro.serving.governance.CancelToken` covers the whole
         batch — polled after ``compile`` and after ``cache-probe`` and
-        threaded into the evaluators (per execution unit, per evidence
-        signature), so an expired deadline raises a typed
+        threaded into the evaluators (per plan, per evidence signature), so an expired deadline raises a typed
         :class:`~repro.exceptions.DeadlineExceededError` mid-execution.
 
         An enabled ``tracer`` wraps the batch in a ``batch`` span with one
@@ -259,7 +259,7 @@ class BatchExecutor:
             )
 
         # Only non-zero counters are folded into the registry.
-        optimizer = optimizer_stats.as_dict()
+        optimizer = {field: getattr(optimizer_stats, field) for field in names.OPTIMIZER_COUNTERS}
         for field, value in optimizer.items():
             if value:
                 self._metrics.counter(names.optimizer_counter(field)).inc(value)

@@ -5,7 +5,7 @@ Three cooperating mechanisms, one module:
 * **Deadlines and cooperative cancellation** — a :class:`Deadline` is a
   monotonic-clock budget; a :class:`CancelToken` wraps one (plus explicit
   ``cancel()`` calls) and is *polled* by executors at chunk boundaries
-  (per schedule unit, per evidence-signature group, per batch stage).  An
+  (per plan, per evidence-signature group, per batch stage).  An
   expired poll raises a typed
   :class:`~repro.exceptions.DeadlineExceededError` /
   :class:`~repro.exceptions.QueryCancelledError` mid-execution instead of
@@ -122,7 +122,7 @@ class CancelToken:
     A token is cancelled either explicitly (``cancel(reason)``) or
     implicitly by its :class:`Deadline` expiring.  ``poll()`` raises the
     matching typed error; ``cancelled`` checks without raising.  Tokens are
-    cheap enough to poll per schedule unit / per signature group.
+    cheap enough to poll per plan / per signature group.
     """
 
     __slots__ = ("deadline", "_reason", "_cancelled")

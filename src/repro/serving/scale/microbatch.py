@@ -1,7 +1,8 @@
 """Micro-batching: turn single-query arrivals into fusable batches.
 
-The batch optimizer only pays off when it sees several plans at once, but
-interactive clients send one query at a time.  The micro-batcher closes the
+A batch pays one pipe round trip per shard for all its plans, dedups
+repeated statements and lets the network's point plans share one batched
+inference call, but interactive clients send one query at a time.  The micro-batcher closes the
 gap by *natural batching*: a batch is everything pending at the moment a
 dispatch slot is free.  While fewer than ``max_inflight`` dispatches are
 out, an arrival goes to the worker pool in the event-loop turn it was read
@@ -14,8 +15,8 @@ out of reach of the arrivals it could have coalesced with — it waits until
 it has grown to that size or the bigger one is done.  Lone requests pass
 each other freely; under a backlog batch sizes hold instead of crumbling as
 answers come back shard by shard.  An idle tier adds no wait, a loaded one
-batches by itself (so concurrent traffic still exercises dedup, shared
-masks, and group-by fusion), and there is no timer to tune.
+batches by itself (so concurrent traffic still shares pipe hops, dedup
+and batched point inference), and there is no timer to tune.
 
 Backpressure is typed, never silent.  Without an admission controller a
 full queue rejects the submit with

@@ -14,7 +14,7 @@ plans the same statement to *before executing anything*: schema drift
 between front-end and worker is a loud
 :class:`~repro.exceptions.WireFormatError`, never a silently split cache.
 Execution then takes the plans just made through the session's normal
-``execute_batch``, so shard caches, the batch optimizer, and the metrics
+``execute_batch``, so shard caches, per-plan execution, and the metrics
 registry all behave exactly as in-process serving.
 
 The message protocol is ``(command, seq, payload)`` requests answered by

@@ -85,9 +85,9 @@ class ServingSession:
     trace:
         When true, every served query and batch carries a structured span
         tree (``outcome.trace`` / ``batch.trace``) recording where its
-        latency went — compile, cache probe, the evaluators' schedules and
-        kernel units under execute — rendered by ``trace.render()`` and exportable as
-        JSONL.  A fresh :class:`~repro.obs.Tracer` is built per call, so a
+        latency went — compile, cache probe, the evaluators' generated-sample
+        passes and per-plan masks under execute — rendered by
+        ``trace.render()`` and exportable as JSONL.  A fresh :class:`~repro.obs.Tracer` is built per call, so a
         long-lived tracing session never accumulates old trees.  Off by
         default: the untraced path runs against a shared no-op recorder
         whose overhead the ``obs`` benchmark bounds below 3%.
@@ -119,7 +119,7 @@ class ServingSession:
         self._inference_cache: InferenceCache | None = None
         self._executor: BatchExecutor | None = None
         self._cache_window: dict[str, Any] | None = None
-        #: One registry per session: the executor folds optimizer/BN/stage
+        #: One registry per session: the executor folds executor/BN/stage
         #: counters into it, and ``statistics`` reads them back as views.
         self.metrics = MetricsRegistry()
         self.statistics = ServingStatistics(self.metrics)

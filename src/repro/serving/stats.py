@@ -75,10 +75,10 @@ class BatchResult:
     #: Variable-elimination passes the batch's network work actually ran (a
     #: warm per-signature factor cache makes this zero).
     bn_elimination_passes: int = 0
-    #: Rewrite counters of the batch's optimizer schedules (plans deduped,
-    #: predicates pushed down, group-by fusions, masks shared), as
-    #: :meth:`repro.plan.OptimizerStats.as_dict` orders them; the executor
-    #: folds them into its ``optimizer.*`` registry counters.
+    #: The executor counters the batch moved (join sides fused, join-side
+    #: cache hits, window sorts shared), keyed by
+    #: :data:`repro.obs.names.OPTIMIZER_COUNTERS`; the executor folds them
+    #: into its ``optimizer.*`` registry counters.
     optimizer: dict[str, int] = field(default_factory=dict)
     #: The batch's :class:`repro.obs.Span` tree when traced; ``None`` otherwise.
     trace: Any = None
@@ -129,14 +129,14 @@ class ServingStatistics:
 
     Each field is a read of a named counter in the shared
     :class:`~repro.obs.MetricsRegistry` (see :mod:`repro.obs.names`).  The
-    batch executor folds each batch's optimizer rewrite counters into the
-    *same* registry, so the session-lifetime optimizer numbers are the sums
-    of the batches' ``optimizer`` dicts.
+    batch executor folds each batch's executor counters into the *same*
+    registry, so the session-lifetime ``optimizer`` numbers are the sums of
+    the batches' ``optimizer`` dicts.
 
     ``record_outcome`` / ``record_batch`` write the serving-side counters
     (queries, routes) and feed the query/batch latency histograms.
-    Optimizer counters are *not* folded here — the executor that built the
-    schedule already wrote them.
+    Executor counters are *not* folded here — the executor that moved them
+    already wrote them.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None):
@@ -173,30 +173,10 @@ class ServingStatistics:
     def _optimizer_counter(self, field_name: str) -> int:
         return self.metrics.value(names.optimizer_counter(field_name))
 
-    #: Session-lifetime optimizer rewrite counters (see
-    #: :class:`repro.plan.OptimizerStats`), read from the ``optimizer.*``
-    #: registry counters the batch executor folds each schedule into —
-    #: the counters benchmarks assert on to prove the rewrites fired.
-    @property
-    def plans_deduped(self) -> int:
-        return self._optimizer_counter("plans_deduped")
-
-    @property
-    def predicates_pushed_down(self) -> int:
-        return self._optimizer_counter("predicates_pushed_down")
-
-    @property
-    def groupby_fusions(self) -> int:
-        return self._optimizer_counter("groupby_fusions")
-
-    @property
-    def masks_shared(self) -> int:
-        return self._optimizer_counter("masks_shared")
-
-    #: Join rewrites: side scatter-add passes avoided by join-side fusion,
-    #: scheduled sides answered by the cross-batch join-side cache, and
-    #: per-generated-sample evaluator dispatches hybrid family batching
-    #: avoided.
+    #: Session-lifetime executor counters, read from the ``optimizer.*``
+    #: registry counters the batch executor folds each batch into: join
+    #: side passes shared between a plan's two sides, sides answered by the
+    #: cross-batch join-side cache, and window sorts shared within a table.
     @property
     def join_sides_fused(self) -> int:
         return self._optimizer_counter("join_sides_fused")
@@ -206,12 +186,8 @@ class ServingStatistics:
         return self._optimizer_counter("join_side_cache_hits")
 
     @property
-    def bn_sample_dispatches_saved(self) -> int:
-        return self._optimizer_counter("bn_sample_dispatches_saved")
-
-    @property
     def window_sorts_shared(self) -> int:
-        """Window ``argsort`` passes shared across a fused table family."""
+        """Window ``argsort`` passes shared between a table's windows."""
         return self._optimizer_counter("window_sorts_shared")
 
     @property
@@ -241,10 +217,9 @@ class ServingStatistics:
     def record_batch(self, batch: BatchResult) -> None:
         """Fold one served batch into the counters.
 
-        The batch's optimizer counters are deliberately *not* folded here:
-        the executor that built the schedules already wrote them into the
-        shared registry, and folding ``batch.optimizer`` again would
-        double-count.
+        The batch's executor counters are deliberately *not* folded here:
+        the executor already wrote them into the shared registry, and
+        folding ``batch.optimizer`` again would double-count.
         """
         self.metrics.counter(names.BATCHES_SERVED).inc()
         self.metrics.histogram(names.BATCH_SECONDS).record(batch.total_seconds)
@@ -261,13 +236,6 @@ class ServingStatistics:
             "route_counts": dict(self.route_counts),
             "dispatch_retries": self.dispatch_retries,
             "optimizer": {
-                "plans_deduped": self.plans_deduped,
-                "predicates_pushed_down": self.predicates_pushed_down,
-                "groupby_fusions": self.groupby_fusions,
-                "masks_shared": self.masks_shared,
-                "join_sides_fused": self.join_sides_fused,
-                "join_side_cache_hits": self.join_side_cache_hits,
-                "bn_sample_dispatches_saved": self.bn_sample_dispatches_saved,
-                "window_sorts_shared": self.window_sorts_shared,
+                field: self._optimizer_counter(field) for field in names.OPTIMIZER_COUNTERS
             },
         }

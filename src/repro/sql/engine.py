@@ -189,11 +189,11 @@ class WeightedQueryEngine:
     def execute_batch(
         self, queries, stats=None, tracer=NULL_TRACER, cancel=None
     ) -> list:
-        """Evaluate a batch through the batch-aware plan optimizer.
+        """Evaluate a batch, plan by plan.
 
         Answers come back in submission order and are bit-identical to
         calling :meth:`execute` per query.  ``cancel`` is an optional
-        cancellation token polled between execution units.  See
+        cancellation token polled before every plan.  See
         :meth:`repro.plan.ColumnarExecutor.execute_batch`.
         """
         return self._executor.execute_batch(

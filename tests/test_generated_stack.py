@@ -174,18 +174,14 @@ class TestStackedPassEqualsTheLoop:
             for name in relation.attribute_names:
                 assert (relation.column(name)[rows] == sample.column(name)).all()
 
-    def test_dispatches_saved_counts_plan_sample_pairs(self, themis):
+    def test_the_network_stack_moves_no_counter(self, themis):
         evaluator = themis.model.bayes_net_evaluator
         stats = OptimizerStats()
-        evaluator.run([themis.plan(query) for query in FLAT], stats=stats)
-        k = evaluator.n_generated_samples
-        assert stats.bn_sample_dispatches_saved == k * (len(FLAT) - 1)
-        # The stacked schedule itself runs without stats, like the K
-        # per-sample schedules before it: no optimizer counter moves.
-        assert stats.batches == 0 and stats.plans_deduped == 0
-        single = OptimizerStats()
-        evaluator.run([themis.plan(FLAT[0])], stats=single)
-        assert single.bn_sample_dispatches_saved == 0
+        answers = evaluator.run([themis.plan(query) for query in FLAT], stats=stats)
+        assert answers == reference(evaluator, FLAT)
+        # The stacked pass runs without stats, like the K per-sample passes
+        # before it: no counter moves.
+        assert stats == OptimizerStats()
 
 
     @pytest.mark.parametrize("k", [0, -1])
@@ -406,7 +402,7 @@ STATEMENTS = [
     "SELECT B, SUM(A) FROM R WHERE C = 1 GROUP BY B",  # duplicate
 ]
 #: Network-routed sampled aggregates only (``A = 1`` never occurs in the
-#: sparse sample): distinct filters, so distinct schedule units.
+#: sparse sample): distinct filters, so distinct masks.
 BN_ROUTED = [
     "SELECT AVG(B) FROM R WHERE A = 1",
     "SELECT SUM(C) FROM R WHERE A = 1 AND B <= 1",
@@ -462,20 +458,20 @@ class TestServingOverTheStack:
         flat = [q for q in STATEMENTS if not isinstance(q, str)] + GROUP_BYS
         assert [after.execute(q) for q in flat] == reference(after, flat)
 
-    def test_cancel_fires_between_schedule_units(self):
+    def test_cancel_fires_between_plans(self):
         themis = fitted(3)
         assert {themis.plan(sql).route for sql in BN_ROUTED} == {"bayes-net"}
         evaluator = themis.model.bayes_net_evaluator
         plans = [themis.plan(sql) for sql in BN_ROUTED]
         token = CountingToken()
         evaluator.run(plans, cancel=token)
-        assert token.polls == len(BN_ROUTED)  # one poll per schedule unit
+        assert token.polls == len(BN_ROUTED)  # one poll per plan
 
         session = themis.serve()
         counting = CountingToken()
         session.execute_batch(BN_ROUTED, cancel=counting)
         session.clear_caches()
-        # Fire in the middle of the family: at least one unit ran, at least
+        # Fire in the middle of the family: at least one plan ran, at least
         # one did not.
         with pytest.raises(QueryCancelledError):
             session.execute_batch(BN_ROUTED, cancel=CountingToken(fire_at=counting.polls - 2))
@@ -486,7 +482,9 @@ class TestServingOverTheStack:
         ]
 
     def test_traced_batch_shows_bn_samples_under_execute(self, themis):
-        batch = themis.serve(trace=True).execute_batch(BN_ROUTED + STATEMENTS[:4])
+        statements = BN_ROUTED + STATEMENTS[:4]
+        batch = themis.serve(trace=True).execute_batch(statements)
+        assert batch.results() == [themis.query(statement) for statement in statements]
         execute = batch.trace.find(names.STAGE_EXECUTE)
         # One span for the network's family, one for the hybrid family.
         network, hybrid = execute.spans("bn-samples")
@@ -495,6 +493,7 @@ class TestServingOverTheStack:
         # Three scalars and the group-less table, which runs whole.
         assert network.attributes["plans"] == 4
         # The sample is part 0 of the hybrid's stack, so no sample-side span
-        # runs beside it, and the stack's schedule nests inside.
+        # runs beside it; inside, each plan's mask, and no schedule.
         assert not execute.spans("sample-side")
-        assert hybrid.spans("optimize")
+        assert [child.name for child in hybrid.children] == ["mask"] * hybrid.attributes["plans"]
+        assert not network.children and not execute.spans("optimize")

@@ -504,8 +504,8 @@ class TestSessionCancellation:
         with pytest.raises(DeadlineExceededError):
             session.execute_batch(sweep_queries, cancel=token)
 
-    #: Hybrid-routed plans only: GROUP BYs over distinct keys (distinct
-    #: schedule units), a join, and a grouped table.
+    #: Hybrid-routed plans only: GROUP BYs over distinct keys, a join, and a
+    #: grouped table.
     ALL_HYBRID = [
         "SELECT A, COUNT(*) FROM R GROUP BY A",
         "SELECT B, SUM(A) FROM R WHERE C = 1 GROUP BY B",
@@ -526,13 +526,12 @@ class TestSessionCancellation:
             return token.polls
 
         # The token reaches the hybrid's run: polls grow with the family's
-        # schedule units (one per distinct GROUP BY key here), not only with
-        # the fixed stage boundaries.
+        # plans (one poll each), not only with the fixed stage boundaries.
         assert polls(self.ALL_HYBRID[:4]) > polls(self.ALL_HYBRID[:1])
         total = polls(self.ALL_HYBRID)
 
-        # Fire on the batch's last poll — before the last schedule unit of
-        # the network side's stacked pass, long after the sample side ran.
+        # Fire on the batch's last poll — before the last plan of the
+        # stacked pass, long after the first plans ran.
         session.clear_caches()
         with pytest.raises(error):
             session.execute_batch(

@@ -5,8 +5,8 @@ Covers four guarantees:
 * the metric-name and histogram-bucket surface is frozen (renames fail here);
 * spans, tracers, and the metrics registry behave as documented, and the
   null tracer is a true no-op;
-* traced batches account for every plan slot (deduped plans appear as
-  fan-out children) and the trace's counters agree with the registry;
+* a traced batch runs one ``mask`` span per plan and no schedule, and the
+  trace's counters agree with the registry;
 * serving counters can no longer drift: ``ServingStatistics`` and every
   ``BatchResult.optimizer`` dict are readings of one registry, and agree
   after mixed single/batch traffic with a mid-session refit.
@@ -20,6 +20,8 @@ import pytest
 
 from repro.obs import MetricsRegistry, Tracer, names
 from repro.obs.trace import NULL_TRACER
+from repro.plan import optimize_batch
+from repro.query import Comparison, JoinGroupByQuery, Predicate
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +56,16 @@ class TestFrozenSurface:
         assert names.BATCH_SECONDS == "latency.batch_seconds"
         assert names.STAGE_PREFIX == "latency.stage."
 
-    def test_optimizer_counters_match_optimizer_stats(self):
+    def test_optimizer_counters_are_the_served_optimizer_stats_fields(self):
         from repro.plan import OptimizerStats
 
-        assert names.OPTIMIZER_COUNTERS == tuple(OptimizerStats().as_dict())
+        assert names.OPTIMIZER_COUNTERS == (
+            "join_sides_fused",
+            "join_side_cache_hits",
+            "window_sorts_shared",
+        )
+        fields = tuple(OptimizerStats().as_dict())
+        assert names.OPTIMIZER_COUNTERS == tuple(f for f in fields if f in names.OPTIMIZER_COUNTERS)
 
     def test_stage_and_tier_names_are_frozen(self):
         assert names.BATCH_STAGES == ("compile", "cache-probe", "execute")
@@ -74,7 +82,7 @@ class TestFrozenSurface:
 
     def test_name_helpers(self):
         assert names.route_counter("sample") == "serving.route.sample"
-        assert names.optimizer_counter("masks_shared") == "optimizer.masks_shared"
+        assert names.optimizer_counter("join_sides_fused") == "optimizer.join_sides_fused"
         assert names.cache_gauge("result", "hits") == "cache.result.hits"
         assert names.stage_histogram("compile") == "latency.stage.compile"
 
@@ -280,6 +288,11 @@ WORKLOAD = [
     "SELECT COUNT(*) FROM sample WHERE A = 2 AND B = 2 AND C = 0",
 ]
 
+JOINS = [
+    JoinGroupByQuery("A", "A", "B", "C"),
+    JoinGroupByQuery("A", "A", "B", "C", left_predicates=(Predicate("B", Comparison.EQ, 1),)),
+]
+
 
 class TestTracedServing:
     def test_untraced_session_attaches_no_trees(self, fresh_serving_themis):
@@ -313,59 +326,37 @@ class TestTracedServing:
         assert warm.trace.counter_total("result_cache_hits") == len(WORKLOAD) - deduped
         assert cold.cache_hits == 0 and warm.cache_hits == len(WORKLOAD)
 
-    # -- Satellite 3: every plan slot is accounted for ------------------
-    def test_optimized_batch_accounts_for_every_slot(self, fresh_serving_themis):
-        # Run the whole workload through the columnar engine's optimized
-        # batch path directly: every query lands in a fused unit.
+    def test_batch_runs_one_mask_span_per_plan_and_no_schedule(self, fresh_serving_themis):
         engine = fresh_serving_themis.model.sample_evaluator.engine
         tracer = Tracer()
         answers = engine.execute_batch(WORKLOAD, tracer=tracer)
-        assert len(answers) == len(WORKLOAD)
-        unit_spans = [
-            span
-            for root in tracer.roots
-            for span in root.walk()
-            if span.name.startswith("unit:")
-        ]
-        slot_spans = [
-            child
-            for unit in unit_spans
-            for child in unit.children
-            if child.name == "slot"
-        ]
-        fan_out_spans = [
-            grandchild
-            for slot in slot_spans
-            for grandchild in slot.children
-            if grandchild.name == "fan-out"
-        ]
-        # Slots cover the schedule; slots + fan-outs cover the whole batch
-        # (deduped plans reappear as fan-out children of their slot).
-        assert len(slot_spans) + len(fan_out_spans) == len(WORKLOAD)
-        assert len(fan_out_spans) >= 1  # the reordered conjunction dedupes
+        assert answers == [engine.execute(sql) for sql in WORKLOAD]
+        spans = [span.name for root in tracer.roots for span in root.walk()]
+        assert spans == ["mask"] * len(WORKLOAD)
+        # A schedule of the same plans would dedup the reordered
+        # conjunction onto one slot; no served batch builds one.
+        schedule = optimize_batch([engine.executor.compiler.compile(sql) for sql in WORKLOAD])
+        assert len(schedule.assignments) == len(WORKLOAD)
+        assert len(schedule.slots) < len(WORKLOAD)
 
-    def test_optimize_span_counters_match_batch_optimizer(self, fresh_serving_themis):
+    def test_optimize_span_counters_match_the_schedule(self, fresh_serving_themis):
         session = fresh_serving_themis.serve(trace=True)
         batch = session.execute_batch(WORKLOAD)
-        optimize_spans = batch.trace.spans("optimize")
-        assert optimize_spans, "an optimized batch must record optimize spans"
-        # The optimize spans snapshot the schedule-build counters; the two
-        # execution-time counters (join-side cache hits, BN dispatches
-        # saved) accrue afterwards and are covered by the registry check.
-        build_time = tuple(
-            field
-            for field in names.OPTIMIZER_COUNTERS
-            if field not in ("join_side_cache_hits", "bn_sample_dispatches_saved")
-        )
-        for field in build_time:
-            span_total = sum(span.counters.get(field, 0) for span in optimize_spans)
-            assert span_total == batch.optimizer[field], field
-        # ... and the registry totals equal the batch delta on a fresh session.
+        assert batch.results() == [fresh_serving_themis.query(sql) for sql in WORKLOAD]
+        assert not batch.trace.spans("optimize")
+        # The registry totals equal the batch delta on a fresh session.
         for field in names.OPTIMIZER_COUNTERS:
             assert (
                 session.metrics.value(names.optimizer_counter(field))
                 == batch.optimizer[field]
             )
+        # optimize_batch's span snapshots its schedule's counters.
+        tracer = Tracer()
+        schedule = optimize_batch([outcome.plan for outcome in batch], tracer=tracer)
+        (span,) = [span for root in tracer.roots for span in root.walk()]
+        assert span.name == "optimize"
+        assert span.counters == schedule.stats.as_dict()
+        assert span.counters["plans_deduped"] >= 1
 
     def test_batch_stage_histograms_are_fed(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()
@@ -395,22 +386,26 @@ class TestCounterDrift:
         themis.refit()
         batches.append(session.execute_batch(WORKLOAD))
         session.execute_with_outcome(WORKLOAD[1])
+        # Two joins over one side: the second reads it from the join-side
+        # cache the first filled.
+        batches.append(session.execute_batch(JOINS))
 
         stats = session.statistics
         assert stats.invalidations == 1
         assert stats.batches_served == len(batches)
         assert stats.queries_served == sum(len(b) for b in batches) + 3
 
-        # The per-batch optimizer deltas must sum exactly to the
-        # session-lifetime optimizer counters: one registry, no drift.
-        for field in names.OPTIMIZER_COUNTERS[2:]:  # the 8 public counters
+        # The per-batch executor deltas must sum exactly to the
+        # session-lifetime counters: one registry, no drift.
+        assert sum(batch.optimizer["join_side_cache_hits"] for batch in batches) > 0
+        for field in names.OPTIMIZER_COUNTERS:
             summed = sum(batch.optimizer[field] for batch in batches)
             assert getattr(stats, field) == summed, field
 
         # And as_dict round-trips the same numbers.
         as_dict = stats.as_dict()
         assert as_dict["queries_served"] == stats.queries_served
-        assert as_dict["optimizer"]["masks_shared"] == stats.masks_shared
+        assert as_dict["optimizer"]["join_side_cache_hits"] == stats.join_side_cache_hits
 
     def test_single_and_batch_route_counters_share_registry(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()

@@ -1,10 +1,12 @@
-"""Tests for the batch-aware plan optimizer.
+"""Tests for the batch-aware plan optimizer and the per-plan batch path.
 
-The load-bearing guarantee: the optimizer's rewrites — dedup, predicate
-normalization and pushdown, shared masks, multi-query group-by fusion — are
+The optimizer's rewrites — dedup, predicate normalization and pushdown,
+shared masks, multi-query group-by fusion — are mask-preserving, and their
+counters prove they fire on direct :func:`optimize_batch` calls.  No served
+batch builds a schedule: a batch runs plan by plan, and its answers are
 **bit-identical** to per-plan execution at every layer (columnar executor,
-evaluators, serving batches), while the rewrite counters prove the rewrites
-actually fire.  Every equality below is exact (``==``), never a tolerance.
+evaluators, serving batches).  Every equality below is exact (``==``),
+never a tolerance.
 """
 
 from __future__ import annotations
@@ -254,12 +256,13 @@ class TestOptimizeBatch:
 
 class TestColumnarBitIdentity:
     def _assert_batches_match(self, relation, queries):
+        """The batch equals one-at-a-time execution; returns the counters a
+        schedule of the same plans would report."""
         reference_executor = ColumnarExecutor(relation)
         reference = [reference_executor.execute(query) for query in queries]
         executor = ColumnarExecutor(relation)
-        stats = OptimizerStats()
-        assert executor.execute_batch(queries, stats=stats) == reference
-        return stats
+        assert executor.execute_batch(queries) == reference
+        return optimize_batch([executor.compiler.compile(query) for query in queries]).stats
 
     def test_mixed_workload_with_duplicates(self, relation):
         workload = MixedQueryWorkload(relation, seed=3).generate(6, 6, 6)
@@ -396,15 +399,19 @@ class TestServingOptimized:
             assert left.result == right
             assert left.result == single
 
-    def test_optimizer_counters_reach_session_statistics(self, serving_themis):
+    def test_executor_counters_reach_session_statistics(self, serving_themis):
         session = serving_themis.serve()
         batch = session.execute_batch(self.WORKLOAD)
-        assert batch.optimizer["groupby_fusions"] > 0
-        assert batch.optimizer["masks_shared"] > 0
+        assert batch.results() == [serving_themis.query(sql) for sql in self.WORKLOAD]
         stats = session.statistics.as_dict()
-        assert stats["optimizer"]["groupby_fusions"] == batch.optimizer["groupby_fusions"]
+        assert stats["optimizer"] == batch.optimizer
         summary = batch.statistics()
         assert summary["optimizer"] == batch.optimizer
+        # The rewrites a schedule of the same plans would fire; no served
+        # batch builds one.
+        schedule = optimize_batch([serving_themis.plan(sql) for sql in self.WORKLOAD])
+        assert schedule.stats.groupby_fusions > 0
+        assert schedule.stats.masks_shared > 0
 
     def test_warm_batch_serves_from_the_result_cache(self, serving_themis):
         session = serving_themis.serve()
@@ -480,24 +487,21 @@ class TestEvaluatorBatches:
         assert serving_themis.model.sample_evaluator.run([]) == []
 
 
-class TestExplainOptimized:
-    def test_raw_and_optimized_plan_share_the_canonical_key(self, serving_themis):
-        explained = serving_themis.query(
-            "SELECT AVG(B) FROM sample WHERE A <= 1 AND A <= 2 AND C = 1",
-            explain="optimized",
-        )
-        assert explained.optimized is not None
-        assert explained.optimized.key == explained.plan.key
-        assert len(explained.optimized.predicates) < len(explained.plan.predicates)
-        assert explained.result == serving_themis.query(
-            "SELECT AVG(B) FROM sample WHERE A <= 1 AND A <= 2 AND C = 1"
-        )
+class TestNormalizedServedPlans:
+    def test_raw_and_normalized_plan_share_the_canonical_key(self, serving_themis):
+        sql = "SELECT AVG(B) FROM sample WHERE A <= 1 AND A <= 2 AND C = 1"
+        explained = serving_themis.query(sql, explain=True)
+        normalized = normalize_plan(explained.plan)
+        assert normalized.key == explained.plan.key
+        assert len(normalized.predicates) < len(explained.plan.predicates)
+        assert explained.result == serving_themis.query(sql)
 
-    def test_plain_explain_has_no_optimized_plan(self, serving_themis):
-        explained = serving_themis.query(
-            "SELECT COUNT(*) FROM sample WHERE A = 0", explain=True
-        )
-        assert explained.optimized is None
+    @pytest.mark.parametrize("mode", ["optimized", "analyse"])
+    def test_an_unknown_explain_mode_raises(self, serving_themis, mode):
+        from repro.exceptions import ThemisError
+
+        with pytest.raises(ThemisError, match="explain mode"):
+            serving_themis.query("SELECT COUNT(*) FROM sample WHERE A = 0", explain=mode)
 
 
 class TestLRUCachePeek:

@@ -376,21 +376,20 @@ class TestBatchOfOne:
         assert single.statistics.batches_served == 2
         assert single.statistics.queries_served == 2
 
-    def test_runs_no_optimizer_and_folds_no_optimizer_counters(self, serving_themis):
+    def test_folds_only_the_counters_its_plan_moves(self, serving_themis):
         session = serving_themis.serve()
         statement = "SELECT A, COUNT(*) FROM sample WHERE B <= 1 GROUP BY A"
-        # A lone plan has nothing to share: no schedule is built for it,
-        # so ``batches`` / ``plans_in`` stay put ...
         batch = session.execute_batch([statement])
+        assert batch.results() == [serving_themis.query(statement)]
         assert batch.optimizer == dict.fromkeys(names.OPTIMIZER_COUNTERS, 0)
         for counter in names.OPTIMIZER_COUNTERS:
             assert session.metrics.value(names.optimizer_counter(counter)) == 0
-        # ... and a real batch still moves them.
-        pair = session.execute_batch(
-            [statement.replace("<= 1", "<= 0"), statement.replace("<= 1", ">= 1")]
-        )
-        assert pair.optimizer["batches"] >= 1 and pair.optimizer["plans_in"] == 2
-        assert session.metrics.value(names.optimizer_counter("plans_in")) == 2
+        # A lone self-join computes its one shared side once.
+        self_join = JoinGroupByQuery("A", "A", "B", "B")
+        joined = session.execute_batch([self_join])
+        assert joined.results() == [serving_themis.query(self_join)]
+        assert joined.optimizer["join_sides_fused"] == 1
+        assert session.metrics.value(names.optimizer_counter("join_sides_fused")) == 1
 
     def test_a_governed_statement_still_polls_per_chunk(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()
@@ -406,6 +405,53 @@ class TestBatchOfOne:
                 [statement], cancel=_CountingToken(fire_at=counting.polls)
             )
         assert session.execute_batch([statement]).results() == answer
+
+
+class TestServedBatchesNeverSchedule:
+    """A served batch runs every plan as its own unit: no schedule, no
+    normalized plan, one cancel poll per plan."""
+
+    MIXED = [
+        PointQuery({"A": 0, "B": 1}),
+        "SELECT COUNT(*) FROM sample WHERE A = 1 AND B = 1",
+        "SELECT AVG(B) FROM sample WHERE C = 1",
+        "SELECT SUM(A) FROM sample WHERE B <= 1",
+        "SELECT A, COUNT(*) FROM sample GROUP BY A",
+        "SELECT B, AVG(A) FROM sample WHERE C = 1 GROUP BY B",
+        "SELECT A, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r "
+        "FROM sample GROUP BY A ORDER BY r",
+        "SELECT COUNT(*) AS n, AVG(C) AS m FROM sample WHERE B != 0",
+        # Two joins sharing their unfiltered right side.
+        JoinGroupByQuery("A", "A", "B", "C"),
+        JoinGroupByQuery("A", "A", "B", "C", left_predicates=(Predicate("B", Comparison.EQ, 1),)),
+    ]
+
+    def test_a_mixed_batch_runs_plan_by_plan(self, serving_themis, monkeypatch):
+        import repro.plan
+        import repro.plan.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a served batch built a schedule")
+
+        for module in (repro.plan, repro.plan.optimize):
+            monkeypatch.setattr(module, "optimize_batch", refuse)
+            monkeypatch.setattr(module, "normalize_plan", refuse)
+        plans = [serving_themis.plan(query) for query in self.MIXED]
+        assert len({plan.key for plan in plans}) == len(plans)
+        assert {plan.shape for plan in plans} == {
+            "point", "scalar", "group-by", "table", "join-group-by",
+        }  # fmt: skip
+        # In-sample points: no network evidence signature is polled.
+        assert {plan.route for plan in plans if plan.shape == "point"} == {"sample"}
+        session = serving_themis.serve()
+        session.clear_caches()  # the joins' sides start cold
+        token = _CountingToken()
+        batch = session.execute_batch(self.MIXED, cancel=token)
+        assert batch.results() == [serving_themis.query(query) for query in self.MIXED]
+        # After compile, after the cache probe, then before every plan.
+        assert token.polls == 2 + len(self.MIXED)
+        # The second join reads the side the first one computed.
+        assert batch.optimizer["join_side_cache_hits"] >= 1
 
 
 class TestServingSessionConstruction:

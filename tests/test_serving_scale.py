@@ -40,6 +40,7 @@ from repro.exceptions import (
 from repro.obs import names
 from repro.obs.metrics import MetricsRegistry
 from repro.plan import PlanCompiler
+from repro.query import JoinGroupByQuery
 from repro.query.workload import MixedQueryWorkload
 from repro.serving.scale import (
     AsyncServingFrontend,
@@ -182,8 +183,6 @@ class TestWorkerPool:
         assert snapshot["counters"][names.SCALE_POOL_BATCHES] == 1
         assert snapshot["gauges"][names.SCALE_SHARDS] == 2
         assert snapshot["histograms"][names.SCALE_DISPATCH_SECONDS]["count"] == 1
-        # worker optimizer counters folded into the parent registry
-        assert snapshot["counters"][names.optimizer_counter("batches")] >= 1
 
     def test_refit_mid_stream_with_warm_caches_matches_fresh_session(
         self, sweep_queries
@@ -1341,17 +1340,18 @@ class TestPipesOnTheEventLoop:
         assert answer == oracle.query(self.SCALAR)
         assert during == after_request == _serving_threads() == []
 
-    def test_one_statement_conversation_folds_no_optimizer_counters(self, themis):
+    def test_worker_counters_fold_into_the_parent_registry(self, themis):
         group_by = "SELECT A, COUNT(*) FROM R WHERE B <= 1 GROUP BY A"
+        fused = names.optimizer_counter("join_sides_fused")
         with SupervisedWorkerPool(themis, n_workers=1) as pool:
-            pool.execute_batch([group_by])
-            assert pool.metrics.value(names.optimizer_counter("batches")) == 0
-            assert pool.metrics.value(names.optimizer_counter("plans_in")) == 0
             pool.execute_batch(
-                [group_by.replace("<= 1", "<= 0"), group_by.replace("<= 1", ">= 1")]
+                [group_by, group_by.replace("<= 1", "<= 0"), group_by.replace("<= 1", ">= 1")]
             )
-            assert pool.metrics.value(names.optimizer_counter("batches")) >= 1
-            assert pool.metrics.value(names.optimizer_counter("plans_in")) == 2
+            for counter in names.OPTIMIZER_COUNTERS:
+                assert pool.metrics.value(names.optimizer_counter(counter)) == 0
+            # A self-join computes its one shared side once, in the worker.
+            pool.execute_batch([JoinGroupByQuery("A", "A", "B", "B")])
+            assert pool.metrics.value(fused) == 1
             assert pool.metrics.value(names.SCALE_POOL_BATCHES) == 2
 
     def test_close_leaves_no_process_task_or_loop_thread(self, themis):

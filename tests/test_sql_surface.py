@@ -5,8 +5,8 @@ query support:
 
 * SQL text ↔ AST round-trips: both compile to the same canonical plan key,
   and the key is stable across compiles and predicate orderings;
-* ``explain="optimized"`` keeps the canonical key through the batch
-  optimizer's rewrite, and ``explain="analyze"`` records a span tree;
+* a normalized plan keeps the canonical key through the optimizer's
+  rewrite, and ``explain="analyze"`` records a span tree;
 * serving batches answer table queries identically to per-query
   ``Themis.query`` — including from the result cache and after ``refit()``;
 * :class:`TableResult` / :class:`QueryResult` container behavior, the
@@ -22,7 +22,7 @@ import pytest
 
 from worlds import build_correlated_population
 
-from repro.plan import OptimizerStats
+from repro.plan import OptimizerStats, normalize_plan, optimize_batch
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
@@ -102,15 +102,14 @@ class TestRoundTrips:
         assert len(entries) == 9
         assert [entry.shape for entry in entries[-3:]] == ["table"] * 3
 
-    def test_explain_optimized_preserves_canonical_key(self, serving_themis):
+    def test_normalized_plan_preserves_canonical_key(self, serving_themis):
         sql = (
             "SELECT A, COUNT(*) AS n, AVG(B) AS mean FROM sample "
             "GROUP BY A HAVING n > 1 ORDER BY mean DESC LIMIT 2"
         )
-        explained = serving_themis.query(sql, explain="optimized")
+        explained = serving_themis.query(sql, explain=True)
         assert explained.plan.shape == "table"
-        assert explained.optimized is not None
-        assert explained.optimized.key == explained.plan.key
+        assert normalize_plan(explained.plan).key == explained.plan.key
         assert explained.result == serving_themis.query(sql)
 
     def test_explain_analyze_records_a_span_tree(self, serving_themis):
@@ -162,18 +161,21 @@ class TestServingTables:
         assert after.results() == [themis.query(sql) for sql in TABLE_SQL]
         assert after.results() != before
 
-    def test_window_sorts_shared_across_fused_table_plans(self, tiny_relation):
+    def test_window_sorts_shared_within_a_table(self, tiny_relation):
         engine = WeightedQueryEngine(tiny_relation)
         queries = [
-            "SELECT g, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r FROM t GROUP BY g",
+            "SELECT g, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r, "
+            "SUM(n) OVER (ORDER BY n DESC) AS running FROM t GROUP BY g",
             "SELECT g, SUM(x) AS t, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r "
             "FROM t GROUP BY g",
         ]
         stats = OptimizerStats()
-        optimized = engine.execute_batch(queries, stats=stats)
-        assert stats.window_sorts_shared >= 1
-        assert stats.groupby_fusions >= 1
-        assert optimized == [engine.execute(sql) for sql in queries]
+        batch = engine.execute_batch(queries, stats=stats)
+        # The first table's two windows share one ordering: one argsort.
+        assert stats.window_sorts_shared == 1
+        assert batch == [engine.execute(sql) for sql in queries]
+        schedule = optimize_batch([engine.executor.compiler.compile(sql) for sql in queries])
+        assert schedule.stats.groupby_fusions >= 1
 
     def test_filtered_dashboard_tables_dedup_and_share_masks(self, tiny_relation):
         engine = WeightedQueryEngine(tiny_relation)
@@ -184,11 +186,11 @@ class TestServingTables:
             "SELECT COUNT(*) AS n, AVG(x) AS m FROM t WHERE x > 1",
         ]
         filtered = filtered + filtered[:1]
-        stats = OptimizerStats()
-        optimized = WeightedQueryEngine(tiny_relation).execute_batch(filtered, stats=stats)
-        assert stats.plans_deduped >= 1
-        assert stats.masks_shared >= 1
-        assert optimized == [engine.execute(sql) for sql in filtered]
+        batch = WeightedQueryEngine(tiny_relation).execute_batch(filtered)
+        assert batch == [engine.execute(sql) for sql in filtered]
+        schedule = optimize_batch([engine.executor.compiler.compile(sql) for sql in filtered])
+        assert schedule.stats.plans_deduped >= 1
+        assert schedule.stats.masks_shared >= 1
 
 
 class TestTableResultBehavior:
