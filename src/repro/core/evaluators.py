@@ -23,8 +23,9 @@ plan by plan through a :class:`~repro.plan.ColumnarExecutor` over its ``K``
 generated samples, stacked into one relation; the hybrid's ``run``
 delegates by ``plan.route`` and runs hybrid-routed plans over its own
 stack, the weighted sample followed by the ``K`` generated samples.  No
-batch builds an optimizer schedule: on served traffic there is nothing for
-one to share beyond the mask and join-side caches every plan reads.
+batch builds an optimizer schedule or counts what it shared: on served
+traffic there is nothing to share beyond the mask and join-side caches
+every plan reads, and their statistics say what they answered.
 
 **Combining answers.**  Both of the paper's rules are one combine step of
 the partitioned executor (:mod:`repro.plan.executor`): a group takes part
@@ -78,7 +79,6 @@ class OpenWorldEvaluator:
         self,
         plans: Sequence[LogicalPlan],
         *,
-        stats=None,
         tracer=NULL_TRACER,
         cancel=None,
     ) -> list:
@@ -86,12 +86,10 @@ class OpenWorldEvaluator:
 
         The one entry point: plans of any mix of shapes share whatever work
         this evaluator can share, and an answer does not depend on the batch
-        it ran in.  ``stats`` (an :class:`~repro.plan.OptimizerStats`)
-        accumulates the executor's counters in place, an enabled ``tracer``
-        records the dispatch as spans, and ``cancel`` (a
-        :class:`~repro.serving.governance.CancelToken`) is polled between
-        plans (and evidence signatures), so an expired deadline raises
-        mid-run with every cache left coherent.
+        it ran in.  An enabled ``tracer`` records the dispatch as spans,
+        and ``cancel`` (a :class:`~repro.serving.governance.CancelToken`)
+        is polled between plans (and evidence signatures), so an expired
+        deadline raises mid-run with every cache left coherent.
         """
         raise NotImplementedError
 
@@ -157,13 +155,11 @@ class ReweightedSampleEvaluator(OpenWorldEvaluator):
         """The engine's compiler (shared with the planner)."""
         return self._engine.executor.compiler
 
-    def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+    def run(self, plans, *, tracer=NULL_TRACER, cancel=None) -> list:
         """The columnar engine's batch over the weighted sample
         (:meth:`repro.plan.ColumnarExecutor.execute_batch`); ``cancel`` is
         polled per plan."""
-        return self._engine.executor.execute_batch(
-            plans, stats=stats, tracer=tracer, cancel=cancel
-        )
+        return self._engine.executor.execute_batch(plans, tracer=tracer, cancel=cancel)
 
 
 class BayesNetEvaluator(OpenWorldEvaluator):
@@ -271,7 +267,7 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         generated samples' executor."""
         return self._schema_compiler
 
-    def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+    def run(self, plans, *, tracer=NULL_TRACER, cancel=None) -> list:
         """Answer plans from the network, each family paying its work once.
 
         Point plans go through **one** batched exact-inference call
@@ -280,7 +276,7 @@ class BayesNetEvaluator(OpenWorldEvaluator):
         all other plans — scalars, group-bys, joins, tables — run plan by
         plan over the stacked generated samples (:meth:`_run_sampled`).
         """
-        return _by_family(plans, self._family, stats, tracer, cancel)
+        return _by_family(plans, self._family, tracer, cancel)
 
     def _family(self, plan: LogicalPlan) -> Callable:
         return self._points if plan.shape == SHAPE_POINT else self._run_sampled
@@ -294,15 +290,16 @@ class BayesNetEvaluator(OpenWorldEvaluator):
             for probability in probabilities
         ]
 
-    def _run_sampled(self, plans, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+    def _run_sampled(self, plans, tracer=NULL_TRACER, cancel=None) -> list:
         """Answer plans from the ``K`` generated samples, each plan one pass
-        over the stacked relation (``cancel`` polled per plan), tables
-        running their pipeline over the consensus group rows.  The routed
-        plans run as they are: the network's schema is the sample's, which
+        over the stacked relation (``cancel`` polled per plan, a ``mask``
+        span per plan under ``bn-samples`` when traced), tables running
+        their pipeline over the consensus group rows.  The routed plans run
+        as they are: the network's schema is the sample's, which
         :class:`HybridEvaluator` enforces.
         """
         with tracer.span("bn-samples", samples=self._k, plans=len(plans)):
-            return self._executor().execute_batch(plans, cancel=cancel)
+            return self._executor().execute_batch(plans, tracer=tracer, cancel=cancel)
 
 
 class HybridEvaluator(OpenWorldEvaluator):
@@ -379,7 +376,7 @@ class HybridEvaluator(OpenWorldEvaluator):
             return query
         return resolve_route(super()._plan(query), self._sample_evaluator.mask_cache)
 
-    def run(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+    def run(self, plans, *, tracer=NULL_TRACER, cancel=None) -> list:
         """Answer routed plans by their ``Route`` tag.
 
         Sample-routed plans are one :meth:`ReweightedSampleEvaluator.run`,
@@ -389,7 +386,7 @@ class HybridEvaluator(OpenWorldEvaluator):
         generated samples (:meth:`_run_merged`).  The rule
         choosing the route lives in :func:`repro.plan.resolve_route` alone.
         """
-        return _by_family(plans, self._family, stats, tracer, cancel)
+        return _by_family(plans, self._family, tracer, cancel)
 
     def _family(self, plan: LogicalPlan) -> Callable:
         if plan.route == ROUTE_SAMPLE:
@@ -408,7 +405,7 @@ class HybridEvaluator(OpenWorldEvaluator):
                 )
             return self._stack
 
-    def _run_merged(self, plans, *, stats=None, tracer=NULL_TRACER, cancel=None) -> list:
+    def _run_merged(self, plans, *, tracer=NULL_TRACER, cancel=None) -> list:
         """Plan by plan over the stacked sample and ``K`` generated samples
         (``cancel`` polled per plan, join sides shared through the stack's
         join-side cache), each plan combining the sample's part with the
@@ -416,14 +413,10 @@ class HybridEvaluator(OpenWorldEvaluator):
         the combined group rows."""
         k = self._bn_evaluator.n_generated_samples
         with tracer.span("bn-samples", samples=k, plans=len(plans)):
-            return self._executor().execute_batch(
-                plans, stats=stats, tracer=tracer, cancel=cancel
-            )
+            return self._executor().execute_batch(plans, tracer=tracer, cancel=cancel)
 
 
-def _by_family(
-    plans: Sequence[LogicalPlan], family: Callable, stats, tracer, cancel
-) -> list:
+def _by_family(plans: Sequence[LogicalPlan], family: Callable, tracer, cancel) -> list:
     """Answer plans family by family, in submission order.
 
     ``family(plan)`` names the runner a plan belongs to; each runner answers
@@ -432,15 +425,13 @@ def _by_family(
     its runner.
     """
     if len(plans) == 1:
-        return family(plans[0])(plans, stats=stats, tracer=tracer, cancel=cancel)
+        return family(plans[0])(plans, tracer=tracer, cancel=cancel)
     members: dict[Callable, list[int]] = {}
     for index, plan in enumerate(plans):
         members.setdefault(family(plan), []).append(index)
     results: list = [None] * len(plans)
     for runner, indices in members.items():
-        answers = runner(
-            [plans[index] for index in indices], stats=stats, tracer=tracer, cancel=cancel
-        )
+        answers = runner([plans[index] for index in indices], tracer=tracer, cancel=cancel)
         for index, answer in zip(indices, answers):
             results[index] = answer
     return results

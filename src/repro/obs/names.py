@@ -28,19 +28,6 @@ INVALIDATIONS = "serving.invalidations"
 ROUTE_PREFIX = "serving.route."
 
 # ---------------------------------------------------------------------------
-# Executor counters (the OptimizerStats fields a served batch can move)
-# ---------------------------------------------------------------------------
-#: Executor counters are ``optimizer.<field>`` for each of these fields of
-#: :class:`repro.plan.OptimizerStats`, in its ``as_dict()`` order.  The
-#: other fields describe a batch schedule, which no served batch builds.
-OPTIMIZER_PREFIX = "optimizer."
-OPTIMIZER_COUNTERS: tuple[str, ...] = (
-    "join_sides_fused",
-    "join_side_cache_hits",
-    "window_sorts_shared",
-)
-
-# ---------------------------------------------------------------------------
 # Bayesian-network engine counters
 # ---------------------------------------------------------------------------
 #: ``bn.<field>`` for each field of the work dict ``InferenceCache.observed``
@@ -179,11 +166,6 @@ GOVERNANCE_CACHE_GAUGE_PREFIX = "governance.cache."
 def route_counter(route: str) -> str:
     """The registry counter name for one served route."""
     return ROUTE_PREFIX + route
-
-
-def optimizer_counter(field: str) -> str:
-    """The registry counter name for one executor counter."""
-    return OPTIMIZER_PREFIX + field
 
 
 def cache_gauge(tier: str, metric: str) -> str:

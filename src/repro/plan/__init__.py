@@ -11,14 +11,17 @@ node — exactly once, and every executor consumes that plan:
 * the serving :class:`~repro.serving.planner.QueryPlanner` derives its
   result-cache keys and evaluator routes from the compiled plan;
 * a batch runs plan by plan, each plan a unit of its own that reads the
-  executor's mask and join-side caches; the batch-aware optimizer
-  (:mod:`repro.plan.optimize`, which dedups, normalizes filters and fuses
-  shared prefixes into a schedule) is off the served path and kept for the
-  benchmark's probe.
+  executor's mask and join-side caches, whose statistics say what the
+  plans shared.
+
+The batch-aware optimizer (:mod:`repro.plan.optimize`, which dedups,
+normalizes filters and fuses shared prefixes into a schedule) is off the
+served path: a leaf this package re-exports for the benchmark's probe, and
+that no served module imports.
 """
 
 from .compiler import PlanCompiler, resolve_route
-from .executor import ColumnarExecutor
+from .executor import ColumnarExecutor, JoinSideSpec
 from .ir import (
     OUT_OF_DOMAIN,
     ROUTE_BAYES_NET,
@@ -59,7 +62,6 @@ from .kernels import (
     partitioned_scalar_reduce,
 )
 from .optimize import (
-    JoinSideSpec,
     OptimizerStats,
     PhysicalSchedule,
     ScheduleUnit,

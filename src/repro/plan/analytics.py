@@ -21,9 +21,9 @@ Every stage is deterministic and exact:
   and running sums are weighted-rank answers over the debiased sample, not
   raw sample counts.
 
-Window permutations are memoized per ``(HAVING signature, partition/order
-descriptor)``: the batch executor passes one memo per fused family, so
-plans that differ only above the Group share one argsort.
+Window permutations are memoized per ``(PARTITION BY, ORDER BY)`` within a
+plan: two windows of one table with the same ordering share one
+``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ def execute_table_pipeline(
     codes: np.ndarray,
     decoded: list[tuple[Any, ...]],
     agg_columns: list[np.ndarray],
-    stats=None,
 ) -> TableResult:
     """Run a table plan's post-aggregate pipeline over its group rows.
 
@@ -76,10 +75,6 @@ def execute_table_pipeline(
         The decoded group value tuples, aligned with ``codes``.
     agg_columns:
         One float array per aggregate spec, aligned with ``codes``.
-    stats:
-        Optional :class:`~repro.plan.optimize.OptimizerStats`; a window
-        ordered like an earlier window of the plan reuses its permutation
-        and bumps ``stats.window_sorts_shared``.
     """
     query = plan.query
     n_group = len(query.group_by)
@@ -130,8 +125,6 @@ def execute_table_pipeline(
         if permutation is None:
             permutation = stable_permutation(op.partition, op.order)
             sort_memo[memo_key] = permutation
-        elif stats is not None:
-            stats.window_sorts_shared += 1
         partition_columns = [codes[selection, p] for p in op.partition]
         order_columns = [key_array(column) for column, _ in op.order]
         values: list = [None] * selection.shape[0]

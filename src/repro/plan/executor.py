@@ -44,16 +44,26 @@ kernel's part ``0`` is the answer, and no mean is taken.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import QueryError
 from ..lru import LRUCache
 from ..obs.trace import NULL_TRACER
 from ..query.ast import Query
 from ..schema import Relation
 from .compiler import PlanCompiler
 from .analytics import execute_table_pipeline
-from .ir import SHAPE_TABLE, LogicalPlan
+from .ir import (
+    SHAPE_GROUP_BY,
+    SHAPE_JOIN_GROUP_BY,
+    SHAPE_POINT,
+    SHAPE_SCALAR,
+    SHAPE_TABLE,
+    CanonicalPredicate,
+    LogicalPlan,
+)
 from .kernels import (
     MaskCache,
     RowPartition,
@@ -64,17 +74,78 @@ from .kernels import (
     partitioned_grouped_weight_totals,
     partitioned_scalar_reduce,
 )
-from .optimize import (
-    UNIT_GROUP_BY,
-    UNIT_SCALAR,
-    JoinSideSpec,
-    OptimizerStats,
-    join_side_table,
-    unit_kind,
-)
 
 #: How many join sides' totals one executor keeps across batches.
 JOIN_SIDE_CACHE_CAPACITY = 256
+
+#: The execution-unit kinds a plan runs as (:func:`unit_kind`).
+UNIT_SCALAR = "scalar"
+UNIT_GROUP_BY = "group-by"
+UNIT_JOIN = "join"
+
+
+def unit_kind(plan: LogicalPlan) -> str:
+    """The kind of execution unit a plan runs in.
+
+    Joins run in the join unit; group-bys and grouped tables in a group-by
+    unit (one scatter-add pass over the ``(Scan, Filter, Group)`` prefix);
+    points, scalars and group-less tables in a masked scalar-reduction unit.
+    Raises :class:`QueryError` for a plan of any other shape.
+    """
+    shape = plan.shape
+    if shape == SHAPE_JOIN_GROUP_BY:
+        return UNIT_JOIN
+    if shape == SHAPE_GROUP_BY or (shape == SHAPE_TABLE and plan.group_keys):
+        return UNIT_GROUP_BY
+    if shape in (SHAPE_POINT, SHAPE_SCALAR, SHAPE_TABLE):
+        return UNIT_SCALAR
+    raise QueryError(f"unsupported plan shape {plan.shape!r}")
+
+
+@dataclass(frozen=True)
+class JoinSideSpec:
+    """One side of a join plan.
+
+    A *side* is the ``Group(Filter(Scan), (join key, group key))`` subtree a
+    join plan aggregates into ``(join key, group)`` weight totals.  Two
+    sides with equal key columns and filters are one side: a self-join over
+    one filter computes it once.  ``signature`` is the hashable execution
+    identity and the cross-batch
+    :attr:`~repro.plan.ColumnarExecutor.join_side_cache` key.
+    """
+
+    keys: tuple[str, ...]
+    predicates: tuple[CanonicalPredicate, ...]
+
+    @property
+    def signature(self) -> tuple:
+        """The side's hashable execution identity (keys + filter)."""
+        return (self.keys, tuple(p.key for p in self.predicates))
+
+
+def join_side_table(
+    plans: Sequence[LogicalPlan],
+) -> tuple[list[JoinSideSpec], tuple[tuple[int, int], ...]]:
+    """The distinct sides of some join plans, and each plan's ``(left,
+    right)`` indexes into them.
+
+    Two references share a side when the side's key columns and filter
+    coincide, so a self-join over one filter computes one side.
+    """
+    sides: list[JoinSideSpec] = []
+    index_of: dict[tuple, int] = {}
+    pairs = []
+    for plan in plans:
+        join = plan.join
+        pair = []
+        for node in (join.left, join.right):
+            spec = JoinSideSpec(node.keys, node.child.predicates)
+            index = index_of.setdefault(spec.signature, len(sides))
+            if index == len(sides):
+                sides.append(spec)
+            pair.append(index)
+        pairs.append((pair[0], pair[1]))
+    return sides, tuple(pairs)
 
 
 def _side_bytes(parts: list[dict]) -> int:
@@ -166,7 +237,6 @@ class ColumnarExecutor:
     def execute_batch(
         self,
         queries: "Sequence[LogicalPlan | Query | str]",
-        stats: OptimizerStats | None = None,
         tracer=NULL_TRACER,
         cancel=None,
     ) -> list:
@@ -178,10 +248,8 @@ class ColumnarExecutor:
         cross-batch :attr:`join_side_cache`, so a side one plan computed
         answers the next plan's reference to it, in this batch or a later
         one.  An answer therefore does not depend on the batch it ran in.
-        ``stats`` (when given) accumulates the counters a plan can move in
-        place (``join_sides_fused``, ``join_side_cache_hits``,
-        ``window_sorts_shared``).  An enabled ``tracer`` records each plan's
-        ``mask`` span under the caller's span.  ``cancel`` is an optional
+        An enabled ``tracer`` records each plan's ``mask`` span under the
+        caller's span.  ``cancel`` is an optional
         :class:`~repro.serving.governance.CancelToken` polled before every
         plan; an expired deadline raises between plans without corrupting
         sibling state.
@@ -194,17 +262,17 @@ class ColumnarExecutor:
         for plan in plans:
             if cancel is not None:
                 cancel.poll()
-            answers.append(self._run_plan(plan, stats, tracer))
+            answers.append(self._run_plan(plan, tracer))
         return answers
 
-    def _run_plan(self, plan: LogicalPlan, stats, tracer):
-        """Answer one plan by its unit kind (:func:`repro.plan.optimize.unit_kind`)."""
+    def _run_plan(self, plan: LogicalPlan, tracer):
+        """Answer one plan by its :func:`unit_kind`."""
         kind = unit_kind(plan)
         if kind == UNIT_SCALAR:
             return self._run_scalar(plan, tracer)
         if kind == UNIT_GROUP_BY:
-            return self._run_group_by(plan, stats, tracer)
-        return self._run_join(plan, stats)
+            return self._run_group_by(plan, tracer)
+        return self._run_join(plan)
 
     def _run_scalar(self, plan: LogicalPlan, tracer):
         """Every reduction of a point, scalar or group-less table over its
@@ -222,7 +290,7 @@ class ColumnarExecutor:
             return self._scalar_table(plan, values)
         return values[0]
 
-    def _run_group_by(self, plan: LogicalPlan, stats, tracer):
+    def _run_group_by(self, plan: LogicalPlan, tracer):
         """A GROUP BY or grouped table: its aggregates stacked into one
         scatter-add pass over its ``(Scan, Filter, Group)`` prefix, the parts
         combined by the module docstring's rule; a grouped table then runs
@@ -249,11 +317,12 @@ class ColumnarExecutor:
         if plan.shape != SHAPE_TABLE:
             return QueryResult(group_keys, dict(zip(decoded, per_spec[0].tolist())))
         codes = self._relation.group_codes(group_keys)[1][kept]
-        return execute_table_pipeline(plan, codes, decoded, per_spec, stats=stats)
+        return execute_table_pipeline(plan, codes, decoded, per_spec)
 
-    def _run_join(self, plan: LogicalPlan, stats):
+    def _run_join(self, plan: LogicalPlan):
         """A join: its sides' ``(join key, group)`` weight totals, then one
-        merge of two small tables per part.
+        merge of two small tables per part.  Two equal sides (a self-join
+        over one filter) are one side, computed once.
 
         The joined weight of a pair of groups is ``sum_{i,j} w_i * w_j``
         over matching tuple pairs, the natural plug-in estimator for a
@@ -263,8 +332,8 @@ class ColumnarExecutor:
         """
         from ..sql.engine import QueryResult
 
-        sides, ((left, right),) = join_side_table((plan,), stats)
-        totals = self._join_side_totals(sides, stats)
+        sides, ((left, right),) = join_side_table((plan,))
+        totals = self._join_side_totals(sides)
         worlds = [merge_join_sides(*pair) for pair in zip(totals[left], totals[right])]
         if self._partition is None:
             return QueryResult(plan.group_keys, worlds[0])
@@ -305,9 +374,7 @@ class ColumnarExecutor:
             )
         return mask
 
-    def _join_side_totals(
-        self, sides: Sequence[JoinSideSpec], stats: OptimizerStats | None
-    ) -> list[list[dict]]:
+    def _join_side_totals(self, sides: Sequence[JoinSideSpec]) -> list[list[dict]]:
         """Resolve a join plan's sides' ``(join key, group)`` weight totals,
         one dict per part.
 
@@ -323,8 +390,6 @@ class ColumnarExecutor:
             cached = self._join_sides.get(side.signature)
             if cached is not None:
                 totals[index] = cached
-                if stats is not None:
-                    stats.join_side_cache_hits += 1
             else:
                 pending.setdefault(side.keys, []).append(index)
         for keys, indexes in pending.items():

@@ -29,10 +29,7 @@ emits a :class:`PhysicalSchedule` that pays each piece of shared work once:
    table: plans referencing the same side (same key columns and normalized
    ``Scan``/``Filter``) compute its ``(join key, group)`` weight totals
    once, and distinct sides grouping over the same key columns stack into
-   one fused scatter-add pass (``join_sides_fused``); the executor
-   additionally carries side totals *across* batches in its
-   signature-keyed :attr:`~repro.plan.ColumnarExecutor.join_side_cache`
-   (``join_side_cache_hits``).
+   one fused scatter-add pass (``join_sides_fused``).
 
 Every rewrite is mask-preserving by construction (a dropped conjunct is
 implied by a kept one, so the AND of the masks is the same boolean array),
@@ -48,11 +45,11 @@ traffic fusion found about one unit per plan and the schedule cost 17% of a
 batch.  :func:`optimize_batch`, :func:`normalize_plan` and
 :class:`PhysicalSchedule` are kept, bench-only, because the benchmark's
 ``plan.optimize.*`` probe imports them; they go when that probe does
-(ROADMAP.md, the benchmark agenda).
-What the executor still takes from this module is per plan:
-:func:`unit_kind`, :func:`join_side_table` and :class:`JoinSideSpec`, and the
-:class:`OptimizerStats` counters a plan can move (``join_sides_fused``,
-``join_side_cache_hits``, ``window_sorts_shared``).
+(ROADMAP.md, the benchmark agenda).  This module is a leaf: it takes the
+per-plan vocabulary (:func:`~repro.plan.executor.unit_kind`, the ``UNIT_*``
+kinds, :class:`~repro.plan.executor.JoinSideSpec` and
+:func:`~repro.plan.executor.join_side_table`) from the executor, and no
+served module imports it.
 """
 
 from __future__ import annotations
@@ -61,15 +58,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from ..exceptions import QueryError
 from ..obs.trace import NULL_TRACER
 from ..query.ast import Comparison
 from .ir import (
     OUT_OF_DOMAIN,
     SHAPE_GROUP_BY,
     SHAPE_JOIN_GROUP_BY,
-    SHAPE_POINT,
-    SHAPE_SCALAR,
     SHAPE_TABLE,
     CanonicalPredicate,
     Filter,
@@ -83,11 +77,14 @@ from .ir import (
     pipeline_nodes,
     rebuild_root,
 )
-
-#: Execution-unit kinds a schedule can contain.
-UNIT_SCALAR = "scalar"
-UNIT_GROUP_BY = "group-by"
-UNIT_JOIN = "join"
+from .executor import (
+    UNIT_GROUP_BY,
+    UNIT_JOIN,
+    UNIT_SCALAR,
+    JoinSideSpec,
+    join_side_table,
+    unit_kind,
+)
 
 #: Ordered comparisons admitting an upper (lower) bound on the domain codes.
 _UPPER = (Comparison.LE, Comparison.LT)
@@ -96,13 +93,10 @@ _LOWER = (Comparison.GE, Comparison.GT)
 
 @dataclass
 class OptimizerStats:
-    """Counters proving which rewrites fired on a batch (or a session).
+    """Counters proving which rewrites fired on a schedule (or several).
 
-    :func:`optimize_batch` moves the schedule's fields, ``batches``
-    through ``join_sides_fused``.  Executing plans moves the last three,
-    ``join_sides_fused`` (per plan), ``join_side_cache_hits`` and
-    ``window_sorts_shared``: the counters a served batch reports
-    (``repro.obs.names.OPTIMIZER_COUNTERS``), since it runs no schedule.
+    :func:`optimize_batch` moves them; nothing served does, since no served
+    batch builds a schedule.
 
     Attributes
     ----------
@@ -131,15 +125,7 @@ class OptimizerStats:
         references served by an identical side already in the side table
         (same ``Scan``/``Filter``/keys), plus distinct sides beyond the
         first folded into a stacked fused pass over the same key columns
-        (:func:`join_side_table`, per schedule or per plan).
-    join_side_cache_hits:
-        Join sides answered by the cross-plan, cross-batch
-        :attr:`~repro.plan.ColumnarExecutor.join_side_cache` instead of
-        recomputed.
-    window_sorts_shared:
-        Window ``np.lexsort`` permutations answered by a table's sort memo
-        instead of recomputed: windows over one partition family and
-        ordering pay one argsort.
+        (:func:`~repro.plan.executor.join_side_table`).
     """
 
     batches: int = 0
@@ -149,8 +135,6 @@ class OptimizerStats:
     groupby_fusions: int = 0
     masks_shared: int = 0
     join_sides_fused: int = 0
-    join_side_cache_hits: int = 0
-    window_sorts_shared: int = 0
 
     def merge(self, other: "OptimizerStats") -> None:
         """Fold another stats object's counters into this one."""
@@ -161,8 +145,6 @@ class OptimizerStats:
         self.groupby_fusions += other.groupby_fusions
         self.masks_shared += other.masks_shared
         self.join_sides_fused += other.join_sides_fused
-        self.join_side_cache_hits += other.join_side_cache_hits
-        self.window_sorts_shared += other.window_sorts_shared
 
     def as_dict(self) -> dict[str, int]:
         """A plain-dict snapshot of every counter."""
@@ -174,8 +156,6 @@ class OptimizerStats:
             "groupby_fusions": self.groupby_fusions,
             "masks_shared": self.masks_shared,
             "join_sides_fused": self.join_sides_fused,
-            "join_side_cache_hits": self.join_side_cache_hits,
-            "window_sorts_shared": self.window_sorts_shared,
         }
 
 
@@ -346,28 +326,6 @@ def normalize_plan(
 # The physical schedule (rewrites 1, 3, 4)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class JoinSideSpec:
-    """One distinct join side a schedule's join plans reference.
-
-    A *side* is the ``Group(Filter(Scan), (join key, group key))`` subtree a
-    join plan aggregates into ``(join key, group)`` weight totals.  Two join
-    plans share a side when their sides' key columns and *normalized*
-    filters coincide — the optimizer then schedules one side computation
-    (one stacked scatter-add column) for both.  ``signature`` is the
-    hashable execution identity and the cross-batch
-    :attr:`~repro.plan.ColumnarExecutor.join_side_cache` key.
-    """
-
-    keys: tuple[str, ...]
-    predicates: tuple[CanonicalPredicate, ...]
-
-    @property
-    def signature(self) -> tuple:
-        """The side's hashable execution identity (keys + normalized filter)."""
-        return (self.keys, tuple(p.key for p in self.predicates))
-
-
-@dataclass(frozen=True)
 class ScheduleUnit:
     """One execution unit: a fused family of slots sharing a plan prefix.
 
@@ -474,54 +432,6 @@ def _pipeline_signature(plan: LogicalPlan) -> tuple:
     return tuple(signature)
 
 
-def unit_kind(plan: LogicalPlan) -> str:
-    """The kind of execution unit a plan runs in.
-
-    Joins run in the join unit; group-bys and grouped tables in a group-by
-    unit, so a table's aggregates fuse with the plain group-bys over its
-    ``(Scan, Filter, Group)`` prefix; points, scalars and group-less tables
-    in a masked scalar-reduction unit.  Raises :class:`QueryError` for a
-    plan of any other shape.
-    """
-    shape = plan.shape
-    if shape == SHAPE_JOIN_GROUP_BY:
-        return UNIT_JOIN
-    if shape == SHAPE_GROUP_BY or (shape == SHAPE_TABLE and plan.group_keys):
-        return UNIT_GROUP_BY
-    if shape in (SHAPE_POINT, SHAPE_SCALAR, SHAPE_TABLE):
-        return UNIT_SCALAR
-    raise QueryError(f"unsupported plan shape {plan.shape!r}")
-
-
-def join_side_table(
-    plans: Sequence[LogicalPlan], stats: OptimizerStats | None = None
-) -> tuple[list[JoinSideSpec], tuple[tuple[int, int], ...]]:
-    """The distinct sides of some join plans, and each plan's ``(left,
-    right)`` indexes into them.
-
-    Two references share a side when the side's key columns and filter
-    coincide (a self-join over one filter computes one side), and distinct
-    sides over the same key columns stack into one fused pass.  ``stats``
-    counts the side passes this avoids in ``join_sides_fused``.
-    """
-    sides: list[JoinSideSpec] = []
-    index_of: dict[tuple, int] = {}
-    pairs = []
-    for plan in plans:
-        join = plan.join
-        pair = []
-        for node in (join.left, join.right):
-            spec = JoinSideSpec(node.keys, node.child.predicates)
-            index = index_of.setdefault(spec.signature, len(sides))
-            if index == len(sides):
-                sides.append(spec)
-            pair.append(index)
-        pairs.append((pair[0], pair[1]))
-    if stats is not None:
-        stats.join_sides_fused += 2 * len(plans) - len({spec.keys for spec in sides})
-    return sides, tuple(pairs)
-
-
 def optimize_batch(
     plans: Sequence[LogicalPlan],
     stats: OptimizerStats | None = None,
@@ -599,10 +509,10 @@ def _optimize_batch(
     # deduplicated side table; distinct sides grouping over the same key
     # columns stack into one fused scatter-add pass at execution time.
     if join_slots:
-        sides, pairs = join_side_table(
-            [schedule.slots[slot] for slot in join_slots], schedule.stats
-        )
+        sides, pairs = join_side_table([schedule.slots[slot] for slot in join_slots])
         schedule.join_sides = sides
+        # Two references per join, one pass per distinct key-column set.
+        schedule.stats.join_sides_fused += 2 * len(pairs) - len({spec.keys for spec in sides})
         for spec in sides:
             # Each distinct side evaluates its conjunction mask once;
             # duplicate references never reach the mask stage at all.

@@ -20,7 +20,8 @@ evidence signature; every other plan runs as a unit of its own, in
 submission order, over the network's generated samples, the weighted sample,
 or (hybrid families) the sample stacked with the generated samples, sharing
 masks and join sides through the model's caches.  Identical plans execute
-once.
+once.  The batch counts nothing the caches already count: what the mask and
+join-side caches answered is in ``ServingSession.cache_statistics()``.
 
 Single queries (:meth:`BatchExecutor.execute_plan`, the door behind
 ``ServingSession.execute``) call
@@ -42,7 +43,7 @@ from ..lru import LRUCache
 from ..obs import names
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER
-from ..plan import LogicalPlan, OptimizerStats
+from ..plan import LogicalPlan
 from ..query.ast import Query
 from ..sql.engine import QueryResult
 from .cache import InferenceCache
@@ -151,9 +152,8 @@ class BatchExecutor:
         cannot answer is answered by one ``model.hybrid_evaluator.run`` call
         (see the module docstring for the stages), stored, and fanned out to
         every statement with its key.  ``QueryOutcome.seconds`` splits the
-        ``execute`` stage evenly over the plans it ran; the executor
-        counters the plans moved are ``BatchResult.optimizer`` and the
-        elimination passes the network paid are ``bn_elimination_passes``.
+        ``execute`` stage evenly over the plans it ran, and the elimination
+        passes the network paid are ``bn_elimination_passes``.
 
         ``cancel`` governs the batch cooperatively: one
         :class:`~repro.serving.governance.CancelToken` covers the whole
@@ -218,7 +218,6 @@ class BatchExecutor:
         if cancel is not None:
             cancel.poll()
 
-        optimizer_stats = OptimizerStats()
         bn_work = {}
         execute_seconds = share = 0.0
         if missing:
@@ -227,9 +226,7 @@ class BatchExecutor:
                 if any(plan.needs_generated_samples for plan in pending):
                     self._inference_cache.warm_samples()
                 with self._inference_cache.observed(tracer) as bn_work:
-                    fresh = self._model.hybrid_evaluator.run(
-                        pending, stats=optimizer_stats, tracer=tracer, cancel=cancel
-                    )
+                    fresh = self._model.hybrid_evaluator.run(pending, tracer=tracer, cancel=cancel)
                 if tracer.enabled:
                     span.count(**bn_work)
             execute_seconds = time.perf_counter() - execute_start
@@ -259,10 +256,6 @@ class BatchExecutor:
             )
 
         # Only non-zero counters are folded into the registry.
-        optimizer = {field: getattr(optimizer_stats, field) for field in names.OPTIMIZER_COUNTERS}
-        for field, value in optimizer.items():
-            if value:
-                self._metrics.counter(names.optimizer_counter(field)).inc(value)
         for field, value in bn_work.items():
             if value:
                 self._metrics.counter(names.BN_PREFIX + field).inc(value)
@@ -273,6 +266,5 @@ class BatchExecutor:
             outcomes=outcomes,
             total_seconds=time.perf_counter() - batch_start,
             bn_elimination_passes=bn_work.get("elimination_passes", 0),
-            optimizer=optimizer,
             generation=generation,
         )

@@ -834,7 +834,6 @@ class SupervisedWorkerPool:
             else:
                 for index, value in zip(indices, reply["results"]):
                     settle(index, RequestOutcome(ok=True, value=value))
-                self._fold_worker_stats(reply)
 
         while pending:
             if self._closed:
@@ -908,11 +907,6 @@ class SupervisedWorkerPool:
 
         self.metrics.counter(names.SCALE_POOL_BATCHES).inc(1)
         self._dispatch_seconds.record(time.perf_counter() - started)
-
-    def _fold_worker_stats(self, body: dict[str, Any]) -> None:
-        for field_name, value in body.get("optimizer", {}).items():
-            if value:
-                self.metrics.counter(names.optimizer_counter(field_name)).inc(value)
 
     def _plan(self, query: Query | str) -> LogicalPlan:
         return self._themis.sample_plans.plan(self._model, query)

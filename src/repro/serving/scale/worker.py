@@ -172,7 +172,6 @@ def worker_main(
                     "results": batch.results(),
                     "generation": session.generation,
                     "shard_id": shard_id,
-                    "optimizer": dict(batch.optimizer),
                     "cache_hits": batch.cache_hits,
                 }
                 if fault is not None and fault.kind == KIND_DELAY_REPLY:

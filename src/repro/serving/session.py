@@ -218,7 +218,8 @@ class ServingSession:
         — ``query`` → ``compile`` + ``execute`` — as ``outcome.trace``.
         ``cancel``/``deadline`` govern the query cooperatively; on the
         single-query path the token is polled at the compile/execute
-        boundaries (batches poll deeper, per execution chunk).
+        boundaries (batches poll deeper: before every plan and every
+        evidence signature).
         """
         token = resolve_cancel_token(cancel, deadline)
         executor = self._ensure_current()
@@ -264,8 +265,8 @@ class ServingSession:
         (compile → cache-probe → execute, the evaluators' spans under
         execute) as ``batch.trace``.  ``cancel`` and ``deadline`` fold
         into one :class:`~repro.serving.governance.CancelToken` for the
-        whole batch, polled per execution chunk: a cancelled token or an
-        expired deadline raises its typed error.
+        whole batch, polled before every plan and every evidence signature:
+        a cancelled token or an expired deadline raises its typed error.
         """
         token = resolve_cancel_token(cancel, deadline)
         executor = self._ensure_current()
@@ -300,8 +301,11 @@ class ServingSession:
         """Drop every cache tier without touching the fitted model.
 
         The plan, mask, join-side and factor tiers are shared, so the facade
-        and every other session over it lose them too.
+        and every other session over it lose them too.  The session binds
+        to the facade's current model first, so a fresh session clears that
+        model's tiers as well.
         """
+        self._ensure_current()
         for cache in (self.plan_cache, *self._governed_tiers().values()):
             cache.clear()
 
@@ -346,9 +350,12 @@ class ServingSession:
         """Start a new reporting window for ``cache_statistics(window=True)``.
 
         Takes a snapshot of every tier's lifetime counters; subsequent
-        window reads subtract it.  Nothing is mutated — ``entries()`` /
-        ``peek()`` probes and the lifetime statistics are untouched.
+        window reads subtract it.  The session binds to the facade's current
+        model first, so a fresh session's window covers that model's mask,
+        join-side and factor tiers too.  Nothing is mutated — ``entries()``
+        / ``peek()`` probes and the lifetime statistics are untouched.
         """
+        self._ensure_current()
         self._cache_window = self.cache_statistics()
 
     def _sync_cache_gauges(self, stats: dict[str, Any]) -> None:

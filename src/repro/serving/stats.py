@@ -7,8 +7,10 @@ accumulates :class:`ServingStatistics` across batches.
 
 :class:`ServingStatistics` is a *view* over one
 :class:`repro.obs.MetricsRegistry` — the same registry the batch executor
-folds each batch's ``optimizer`` counters into — so the session-lifetime
-numbers are the sums of the per-batch ones.
+writes its stage histograms and network counters into — so the
+session-lifetime numbers are the sums of the per-batch ones.  What the
+caches shared between plans (mask, join-side, result hits) is read from the
+caches themselves, ``ServingSession.cache_statistics()``.
 """
 
 from __future__ import annotations
@@ -75,11 +77,6 @@ class BatchResult:
     #: Variable-elimination passes the batch's network work actually ran (a
     #: warm per-signature factor cache makes this zero).
     bn_elimination_passes: int = 0
-    #: The executor counters the batch moved (join sides fused, join-side
-    #: cache hits, window sorts shared), keyed by
-    #: :data:`repro.obs.names.OPTIMIZER_COUNTERS`; the executor folds them
-    #: into its ``optimizer.*`` registry counters.
-    optimizer: dict[str, int] = field(default_factory=dict)
     #: The batch's :class:`repro.obs.Span` tree when traced; ``None`` otherwise.
     trace: Any = None
     #: The id of the fitted model snapshot that answered every query in it.
@@ -119,7 +116,6 @@ class BatchResult:
             "result_cache_hits": self.cache_hits,
             "deduplicated": sum(1 for o in self.outcomes if o.deduplicated),
             "bn_elimination_passes": self.bn_elimination_passes,
-            "optimizer": dict(self.optimizer),
             "routes": routes,
         }
 
@@ -128,15 +124,9 @@ class ServingStatistics:
     """Session-lifetime counters: a live view over one metrics registry.
 
     Each field is a read of a named counter in the shared
-    :class:`~repro.obs.MetricsRegistry` (see :mod:`repro.obs.names`).  The
-    batch executor folds each batch's executor counters into the *same*
-    registry, so the session-lifetime ``optimizer`` numbers are the sums of
-    the batches' ``optimizer`` dicts.
-
+    :class:`~repro.obs.MetricsRegistry` (see :mod:`repro.obs.names`).
     ``record_outcome`` / ``record_batch`` write the serving-side counters
     (queries, routes) and feed the query/batch latency histograms.
-    Executor counters are *not* folded here — the executor that moved them
-    already wrote them.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None):
@@ -170,36 +160,6 @@ class ServingStatistics:
         """Served queries per evaluator route, in first-served order."""
         return self.metrics.counters_with_prefix(names.ROUTE_PREFIX)
 
-    def _optimizer_counter(self, field_name: str) -> int:
-        return self.metrics.value(names.optimizer_counter(field_name))
-
-    #: Session-lifetime executor counters, read from the ``optimizer.*``
-    #: registry counters the batch executor folds each batch into: join
-    #: side passes shared between a plan's two sides, sides answered by the
-    #: cross-batch join-side cache, and window sorts shared within a table.
-    @property
-    def join_sides_fused(self) -> int:
-        return self._optimizer_counter("join_sides_fused")
-
-    @property
-    def join_side_cache_hits(self) -> int:
-        return self._optimizer_counter("join_side_cache_hits")
-
-    @property
-    def window_sorts_shared(self) -> int:
-        """Window ``argsort`` passes shared between a table's windows."""
-        return self._optimizer_counter("window_sorts_shared")
-
-    @property
-    def dispatch_retries(self) -> int:
-        """Requests re-dispatched after a retryable serving failure.
-
-        Written by the scale tier's one retry loop (the worker pool's);
-        always 0 for in-process sessions, which have no crash/timeout retry
-        path.
-        """
-        return self.metrics.value(names.SCALE_FAULT_RETRIES)
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
@@ -215,12 +175,7 @@ class ServingStatistics:
         self.metrics.histogram(names.QUERY_SECONDS).record(outcome.seconds)
 
     def record_batch(self, batch: BatchResult) -> None:
-        """Fold one served batch into the counters.
-
-        The batch's executor counters are deliberately *not* folded here:
-        the executor already wrote them into the shared registry, and
-        folding ``batch.optimizer`` again would double-count.
-        """
+        """Fold one served batch into the counters."""
         self.metrics.counter(names.BATCHES_SERVED).inc()
         self.metrics.histogram(names.BATCH_SECONDS).record(batch.total_seconds)
         for outcome in batch.outcomes:
@@ -234,8 +189,4 @@ class ServingStatistics:
             "total_seconds": self.total_seconds,
             "invalidations": self.invalidations,
             "route_counts": dict(self.route_counts),
-            "dispatch_retries": self.dispatch_retries,
-            "optimizer": {
-                field: self._optimizer_counter(field) for field in names.OPTIMIZER_COUNTERS
-            },
         }

@@ -186,9 +186,7 @@ class WeightedQueryEngine:
         """Evaluate any supported query type (or compiled plan, or SQL)."""
         return self._executor.execute(query, tracer=tracer)
 
-    def execute_batch(
-        self, queries, stats=None, tracer=NULL_TRACER, cancel=None
-    ) -> list:
+    def execute_batch(self, queries, tracer=NULL_TRACER, cancel=None) -> list:
         """Evaluate a batch, plan by plan.
 
         Answers come back in submission order and are bit-identical to
@@ -196,9 +194,7 @@ class WeightedQueryEngine:
         cancellation token polled before every plan.  See
         :meth:`repro.plan.ColumnarExecutor.execute_batch`.
         """
-        return self._executor.execute_batch(
-            queries, stats=stats, tracer=tracer, cancel=cancel
-        )
+        return self._executor.execute_batch(queries, tracer=tracer, cancel=cancel)
 
     def point(self, assignment: Mapping[str, Any]) -> float:
         """``SELECT SUM(weight) WHERE A1=v1 AND ...`` — the weighted COUNT(*)."""

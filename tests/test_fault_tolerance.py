@@ -42,7 +42,6 @@ from repro.serving.scale import (
     SupervisedWorkerPool,
 )
 from repro.serving.scale.pool import _LIVE_POOLS
-from repro.serving.stats import ServingStatistics
 
 from worlds import (
     build_correlated_population,
@@ -626,4 +625,3 @@ class TestSupervisedFrontend:
         assert counters[names.shard_counter(0)] == 3
         assert counters[names.SCALE_DISPATCHES] == 1
         assert counters[names.SCALE_FAULT_RETRIES] == 2
-        assert ServingStatistics(metrics).dispatch_retries == 2

@@ -4,8 +4,9 @@ The load-bearing guarantee: a batch of join plans, run plan by plan with
 each plan's sides resolved through the cross-batch join-side cache (a side
 one plan computed answers the next plan's reference to it), is
 **bit-identical** to per-plan execution at every layer (columnar executor,
-evaluators, serving batches — including after a mid-session refit).  The
-join-side fusion counters of a schedule are asserted on direct
+evaluators, serving batches — including after a mid-session refit).  What
+the sides shared is read where it happens: the join-side caches' hits and
+entries.  The join-side fusion counters of a schedule are asserted on direct
 :func:`optimize_batch` calls, which no served batch makes.  Every equality
 below is exact (``==``), never a tolerance.
 """
@@ -17,7 +18,6 @@ import pytest
 
 from repro.plan import (
     ColumnarExecutor,
-    OptimizerStats,
     PlanCompiler,
     normalize_plan,
     optimize_batch,
@@ -163,13 +163,11 @@ class TestColumnarJoinBitIdentity:
     def test_join_batch_matches_per_plan(self, relation):
         queries = self._queries()
         reference = [ColumnarExecutor(relation).execute(q) for q in queries]
-        stats = OptimizerStats()
         executor = ColumnarExecutor(relation)
-        assert executor.execute_batch(queries, stats=stats) == reference
+        assert executor.execute_batch(queries) == reference
         # A cold executor: every hit is a side an earlier plan of this batch
         # computed.
-        assert stats.join_side_cache_hits > 0
-        assert stats.join_sides_fused == 1  # the self-join's one shared side
+        assert executor.join_side_cache.statistics.hits > 0
         schedule = optimize_batch([executor.compiler.compile(q) for q in queries])
         assert schedule.stats.join_sides_fused > 0
         assert schedule.stats.plans_deduped > 0
@@ -178,11 +176,23 @@ class TestColumnarJoinBitIdentity:
         queries = self._queries()
         executor = ColumnarExecutor(relation)
         first = executor.execute_batch(queries)
-        stats = OptimizerStats()
-        second = executor.execute_batch(queries, stats=stats)
+        before = executor.join_side_cache.statistics.snapshot()
+        second = executor.execute_batch(queries)
         assert second == first
-        assert stats.join_side_cache_hits > 0
-        assert executor.join_side_cache.statistics.hits > 0
+        # Every side the second batch references was computed by the first.
+        delta = executor.join_side_cache.statistics.since(before)
+        assert delta.hits > 0 and delta.misses == 0
+
+    def test_a_self_join_computes_its_one_side_once(self, relation):
+        executor = ColumnarExecutor(relation)
+        self_join = executor.execute(join_query("b", "b"))
+        assert self_join == ColumnarExecutor(relation).execute(join_query("b", "b"))
+        # Both sides are (join key, b) under no filter: one lookup and one
+        # entry, not two.
+        statistics = executor.join_side_cache.statistics
+        assert (statistics.lookups, len(executor.join_side_cache)) == (1, 1)
+        executor.execute(join_query("b", "c"))
+        assert (statistics.lookups, len(executor.join_side_cache)) == (3, 2)
 
     def test_every_side_pairing_matches_per_plan_cold_and_warm(self, relation):
         # Four filtered sides over one join key, combined in every ordered
@@ -224,11 +234,14 @@ class TestColumnarJoinBitIdentity:
         reference = ColumnarExecutor(relation)
         per_plan = [reference.execute(query) for query in queries]
         executor = ColumnarExecutor(relation)
-        cold_stats, warm_stats = OptimizerStats(), OptimizerStats()
-        assert executor.execute_batch(queries, stats=cold_stats) == per_plan
-        assert executor.execute_batch(queries, stats=warm_stats) == per_plan
-        assert cold_stats.join_sides_fused > 0  # pairings over one group key
-        assert warm_stats.join_side_cache_hits > cold_stats.join_side_cache_hits > 0
+        statistics = executor.join_side_cache.statistics
+        assert executor.execute_batch(queries) == per_plan
+        cold = statistics.snapshot()
+        assert executor.execute_batch(queries) == per_plan
+        warm = statistics.since(cold)
+        # Cold, each side is computed once and then hit; warm, every
+        # reference is a hit.
+        assert warm.hits > cold.hits > 0 and warm.misses == 0
         schedule = optimize_batch([executor.compiler.compile(q) for q in queries])
         assert schedule.stats.join_sides_fused > 0
         assert schedule.stats.plans_deduped >= 2 * len(queries) // 3
@@ -264,13 +277,19 @@ class TestEvaluatorJoinBatches:
 
     def test_hybrid_join_run_matches_per_query(self, serving_themis):
         hybrid = serving_themis.model.hybrid_evaluator
-        stats = OptimizerStats()
-        batched = hybrid.run(self._plans(serving_themis), stats=stats)
+        plans = self._plans(serving_themis)
+        hybrid.run(plans[:1])  # builds the stack
+        hybrid.stack.join_side_cache.clear()
+        statistics = hybrid.stack.join_side_cache.statistics
+        before = statistics.snapshot()
+        batched = hybrid.run(plans)
+        # Three distinct sides, each computed once: the second plan reuses
+        # the first's unfiltered (A, C) side, and the third reuses that side
+        # and the second's filtered (A, B) side.
+        window = statistics.since(before)
+        assert (window.hits, window.misses) == (3, 3)
         for result, query in zip(batched, self.QUERIES):
             assert result == hybrid.execute(query)
-        # The second and third plans each reuse an unfiltered side of the
-        # first, whatever the stack's cache held before.
-        assert stats.join_side_cache_hits >= 2
 
 
 class TestServingJoinBatches:
@@ -303,12 +322,16 @@ class TestServingJoinBatches:
             assert left.result == right
             assert left.result == single
 
-    def test_join_counters_reach_batch_and_session_statistics(self, serving_themis):
+    def test_join_side_hits_reach_the_session_cache_statistics(self, serving_themis):
         session = serving_themis.serve()
+        session.clear_caches()  # the hits below are this batch's own reuse
+        session.reset_cache_window()
         batch = session.execute_batch(self.WORKLOAD)
+        # Read before the facade's reference answers share the same tiers:
+        # the second and third joins each reuse the first's unfiltered side.
+        first = session.cache_statistics(window=True)["hybrid_join_side_cache"]["hits"]
+        assert first == 2
         assert batch.results() == [serving_themis.query(query) for query in self.WORKLOAD]
-        assert batch.optimizer["join_side_cache_hits"] > 0
-        assert session.statistics.as_dict()["optimizer"] == batch.optimizer
         # Join-side fusion is a schedule's rewrite; no served batch builds one.
         schedule = optimize_batch([serving_themis.plan(query) for query in self.WORKLOAD])
         assert schedule.stats.join_sides_fused > 0
@@ -326,17 +349,10 @@ class TestServingJoinBatches:
         other = JoinGroupByQuery(
             "A", "A", "B", "C", right_predicates=(Predicate("B", Comparison.EQ, 1),)
         )
-        second = session.execute_batch([fresh, other])
-        assert second.optimizer["join_side_cache_hits"] > 0
-        # Session-lifetime counters fold in every batch this session served
-        # (the model's engine-level cache may already be warm from earlier
-        # sessions over the same fitted model, so the first batch can hit
-        # too).
-        assert (
-            session.statistics.as_dict()["optimizer"]["join_side_cache_hits"]
-            == batch.optimizer["join_side_cache_hits"]
-            + second.optimizer["join_side_cache_hits"]
-        )
+        session.reset_cache_window()
+        session.execute_batch([fresh, other])
+        window = session.cache_statistics(window=True)["hybrid_join_side_cache"]
+        assert window["hits"] > 0
         # Hybrid joins run over the hybrid stack: its join-side cache holds
         # the sides, and the sample's own stays empty.
         caches = session.cache_statistics()
@@ -362,9 +378,13 @@ class TestServingJoinBatches:
     def test_warm_join_batch_serves_from_the_result_cache(self, serving_themis):
         session = serving_themis.serve()
         session.execute_batch(self.WORKLOAD)
+        session.reset_cache_window()
         warm = session.execute_batch(self.WORKLOAD)
         assert warm.cache_hits == len(self.WORKLOAD)
-        assert not any(warm.optimizer.values())
+        # Nothing ran, so no join side was looked up.
+        window = session.cache_statistics(window=True)
+        assert window["hybrid_join_side_cache"]["hits"] == 0
+        assert window["hybrid_join_side_cache"]["misses"] == 0
 
 
 class TestNormalizedJoinPlan:

@@ -7,9 +7,9 @@ Covers four guarantees:
   null tracer is a true no-op;
 * a traced batch runs one ``mask`` span per plan and no schedule, and the
   trace's counters agree with the registry;
-* serving counters can no longer drift: ``ServingStatistics`` and every
-  ``BatchResult.optimizer`` dict are readings of one registry, and agree
-  after mixed single/batch traffic with a mid-session refit.
+* serving counters can no longer drift: ``ServingStatistics`` and the
+  cache gauges are readings of one registry, and agree after mixed
+  single/batch traffic with a mid-session refit.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class TestFrozenSurface:
         assert names.TOTAL_SECONDS == "serving.total_seconds"
         assert names.INVALIDATIONS == "serving.invalidations"
         assert names.ROUTE_PREFIX == "serving.route."
-        assert names.OPTIMIZER_PREFIX == "optimizer."
         assert names.BN_ELIMINATION_PASSES == "bn.elimination_passes"
         assert names.BN_FACTOR_CACHE_HITS == "bn.factor_cache_hits"
         assert names.BN_FACTOR_CACHE_MISSES == "bn.factor_cache_misses"
@@ -55,17 +54,6 @@ class TestFrozenSurface:
         assert names.QUERY_SECONDS == "latency.query_seconds"
         assert names.BATCH_SECONDS == "latency.batch_seconds"
         assert names.STAGE_PREFIX == "latency.stage."
-
-    def test_optimizer_counters_are_the_served_optimizer_stats_fields(self):
-        from repro.plan import OptimizerStats
-
-        assert names.OPTIMIZER_COUNTERS == (
-            "join_sides_fused",
-            "join_side_cache_hits",
-            "window_sorts_shared",
-        )
-        fields = tuple(OptimizerStats().as_dict())
-        assert names.OPTIMIZER_COUNTERS == tuple(f for f in fields if f in names.OPTIMIZER_COUNTERS)
 
     def test_stage_and_tier_names_are_frozen(self):
         assert names.BATCH_STAGES == ("compile", "cache-probe", "execute")
@@ -82,7 +70,6 @@ class TestFrozenSurface:
 
     def test_name_helpers(self):
         assert names.route_counter("sample") == "serving.route.sample"
-        assert names.optimizer_counter("join_sides_fused") == "optimizer.join_sides_fused"
         assert names.cache_gauge("result", "hits") == "cache.result.hits"
         assert names.stage_histogram("compile") == "latency.stage.compile"
 
@@ -344,12 +331,6 @@ class TestTracedServing:
         batch = session.execute_batch(WORKLOAD)
         assert batch.results() == [fresh_serving_themis.query(sql) for sql in WORKLOAD]
         assert not batch.trace.spans("optimize")
-        # The registry totals equal the batch delta on a fresh session.
-        for field in names.OPTIMIZER_COUNTERS:
-            assert (
-                session.metrics.value(names.optimizer_counter(field))
-                == batch.optimizer[field]
-            )
         # optimize_batch's span snapshots its schedule's counters.
         tracer = Tracer()
         schedule = optimize_batch([outcome.plan for outcome in batch], tracer=tracer)
@@ -395,17 +376,16 @@ class TestCounterDrift:
         assert stats.batches_served == len(batches)
         assert stats.queries_served == sum(len(b) for b in batches) + 3
 
-        # The per-batch executor deltas must sum exactly to the
-        # session-lifetime counters: one registry, no drift.
-        assert sum(batch.optimizer["join_side_cache_hits"] for batch in batches) > 0
-        for field in names.OPTIMIZER_COUNTERS:
-            summed = sum(batch.optimizer[field] for batch in batches)
-            assert getattr(stats, field) == summed, field
+        # The join-side hit the second join made is the refitted stack's
+        # cache's own, and its gauge mirrors it into the same registry.
+        hits = session.cache_statistics()["hybrid_join_side_cache"]["hits"]
+        assert hits > 0
+        assert session.metrics.value(names.cache_gauge("hybrid_join_side", "hits")) == hits
 
         # And as_dict round-trips the same numbers.
         as_dict = stats.as_dict()
         assert as_dict["queries_served"] == stats.queries_served
-        assert as_dict["optimizer"]["join_side_cache_hits"] == stats.join_side_cache_hits
+        assert as_dict["batches_served"] == stats.batches_served
 
     def test_single_and_batch_route_counters_share_registry(self, fresh_serving_themis):
         session = fresh_serving_themis.serve()

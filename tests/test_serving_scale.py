@@ -1205,13 +1205,18 @@ class TestPipesOnTheEventLoop:
         pool = SupervisedWorkerPool(
             build_fitted_themis(), n_workers=2, fault_injector=lag
         )
-        fold = pool._fold_worker_stats
+        converse = pool._converse
 
-        def recording(body):
-            seen.append((body["shard_id"], body["generation"]))
-            fold(body)
+        async def recording(workers, command, payload_for, timeout, on_reply=None):
+            def replied(worker, reply):
+                if on_reply is not None:
+                    on_reply(worker, reply)
+                if command == pool_module.CMD_BATCH and isinstance(reply, dict):
+                    seen.append((reply["shard_id"], reply["generation"]))
 
-        monkeypatch.setattr(pool, "_fold_worker_stats", recording)
+            return await converse(workers, command, payload_for, timeout, replied)
+
+        monkeypatch.setattr(pool, "_converse", recording)
 
         def mutate():
             # Blocking refits from another thread run on the serving loop,
@@ -1340,18 +1345,27 @@ class TestPipesOnTheEventLoop:
         assert answer == oracle.query(self.SCALAR)
         assert during == after_request == _serving_threads() == []
 
-    def test_worker_counters_fold_into_the_parent_registry(self, themis):
+    def test_worker_join_side_tiers_show_through_describe(self, themis):
         group_by = "SELECT A, COUNT(*) FROM R WHERE B <= 1 GROUP BY A"
-        fused = names.optimizer_counter("join_sides_fused")
+
+        def side_lookups_and_entries(pool):
+            (shard,) = pool.describe()
+            tiers = [
+                stats for tier, stats in shard["cache"].items() if tier.endswith("join_side_cache")
+            ]
+            return (
+                sum(stats["hits"] + stats["misses"] for stats in tiers),
+                sum(stats["cached_sides"] for stats in tiers),
+            )
+
         with SupervisedWorkerPool(themis, n_workers=1) as pool:
             pool.execute_batch(
                 [group_by, group_by.replace("<= 1", "<= 0"), group_by.replace("<= 1", ">= 1")]
             )
-            for counter in names.OPTIMIZER_COUNTERS:
-                assert pool.metrics.value(names.optimizer_counter(counter)) == 0
+            assert side_lookups_and_entries(pool) == (0, 0)
             # A self-join computes its one shared side once, in the worker.
             pool.execute_batch([JoinGroupByQuery("A", "A", "B", "B")])
-            assert pool.metrics.value(fused) == 1
+            assert side_lookups_and_entries(pool) == (1, 1)
             assert pool.metrics.value(names.SCALE_POOL_BATCHES) == 2
 
     def test_close_leaves_no_process_task_or_loop_thread(self, themis):

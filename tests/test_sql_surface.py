@@ -22,7 +22,8 @@ import pytest
 
 from worlds import build_correlated_population
 
-from repro.plan import OptimizerStats, normalize_plan, optimize_batch
+import repro.plan.analytics
+from repro.plan import normalize_plan, optimize_batch
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
@@ -161,7 +162,7 @@ class TestServingTables:
         assert after.results() == [themis.query(sql) for sql in TABLE_SQL]
         assert after.results() != before
 
-    def test_window_sorts_shared_within_a_table(self, tiny_relation):
+    def test_window_sorts_shared_within_a_table(self, tiny_relation, monkeypatch):
         engine = WeightedQueryEngine(tiny_relation)
         queries = [
             "SELECT g, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r, "
@@ -169,11 +170,23 @@ class TestServingTables:
             "SELECT g, SUM(x) AS t, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r "
             "FROM t GROUP BY g",
         ]
-        stats = OptimizerStats()
-        batch = engine.execute_batch(queries, stats=stats)
-        # The first table's two windows share one ordering: one argsort.
-        assert stats.window_sorts_shared == 1
-        assert batch == [engine.execute(sql) for sql in queries]
+        reference = [engine.execute(sql) for sql in queries]
+        lexsorts = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def lexsort(self, keys):
+                lexsorts.append(len(keys))
+                return np.lexsort(keys)
+
+        monkeypatch.setattr(repro.plan.analytics, "np", CountingNumpy())
+        # The first table's two windows share one ordering: one lexsort.
+        assert engine.execute(queries[0]) == reference[0]
+        assert len(lexsorts) == 1
+        assert engine.execute_batch(queries) == reference
+        assert len(lexsorts) == 3
         schedule = optimize_batch([engine.executor.compiler.compile(sql) for sql in queries])
         assert schedule.stats.groupby_fusions >= 1
 
