@@ -189,13 +189,15 @@ def execute_table_pipeline(
             for column, values in window_columns.items():
                 window_columns[column] = values[:count]
 
-    ordered_windows = [window_columns[c] for c in sorted(window_columns)]
-    rows = []
-    for position, base in enumerate(selection):
-        row = list(decoded[base])
-        row.extend(float(column[base]) for column in agg_columns)
-        row.extend(column[position] for column in ordered_windows)
-        rows.append(tuple(row))
+    # Column-wise: one ``tolist()`` per aggregate column, then one tuple per
+    # row (``tolist`` yields the same Python floats as ``float(value)``).
+    value_columns = [column[selection].tolist() for column in agg_columns]
+    value_columns += [window_columns[c] for c in sorted(window_columns)]
+    keys = [decoded[base] for base in selection.tolist()]
+    if value_columns:
+        rows = [key + values for key, values in zip(keys, zip(*value_columns))]
+    else:
+        rows = keys
     assert plan.labels is not None
     return TableResult(plan.labels, rows, group_by=tuple(query.group_by))
 

@@ -32,8 +32,8 @@ pipeline over the combined group rows.
 The answers are bit-identical to a loop over per-part executors, by operand
 order rather than by luck: the partitioned kernels
 (:mod:`repro.plan.kernels`) give every part exactly the additions its own
-pass would run, and :func:`_sample_means` reduces each group's ``K`` values
-along the last axis of a C-contiguous array, which is the pairwise
+pass would run, and :func:`_sample_mean_array` reduces each group's ``K``
+values along the last axis of a C-contiguous array, which is the pairwise
 summation ``np.mean`` runs over a list of ``K`` floats (reducing ``(K, G)``
 over axis 0 accumulates row by row and differs once ``K >= 8``).  The loop
 itself lives on as the tests' reference (``tests/oracle.py``).  Without a
@@ -154,7 +154,7 @@ def _side_bytes(parts: list[dict]) -> int:
     return 128 + 96 * sum(map(len, parts))
 
 
-def _sample_means(values) -> list[float]:
+def _sample_mean_array(values) -> np.ndarray:
     """Row means of ``(n, K)`` values, each row one answer's ``K`` parts.
 
     Reduces along the last axis of a C-contiguous array: numpy then runs the
@@ -163,7 +163,12 @@ def _sample_means(values) -> list[float]:
     bit-identical to averaging per-part answers.
     """
     rows = np.ascontiguousarray(values, dtype=float)
-    return rows.mean(axis=1).tolist() if rows.size else []
+    return rows.mean(axis=1) if rows.size else np.zeros(0)
+
+
+def _sample_means(values) -> list[float]:
+    """:func:`_sample_mean_array` as a list of floats."""
+    return _sample_mean_array(values).tolist()
 
 
 class ColumnarExecutor:
@@ -310,7 +315,7 @@ class ColumnarExecutor:
             kept = np.flatnonzero(own | (weight_totals[1:] > 0).all(axis=0))
             own = own[kept]
             per_spec = [
-                np.where(own, values[0, kept], _sample_means(values[1:, kept].T))
+                np.where(own, values[0, kept], _sample_mean_array(values[1:, kept].T))
                 for values in per_spec
             ]
         decoded = self._relation.group_tuples(group_keys, kept)

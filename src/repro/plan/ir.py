@@ -98,7 +98,10 @@ class CanonicalPredicate:
         original predicate: the bucketized form pre-computes exactly the
         codes/thresholds that method derives before comparing columns.
         ``IN`` is one gather through :meth:`code_mask` — membership decided
-        once per domain code, not once per tuple.
+        once per domain code, not once per tuple.  The served path builds
+        ``IN`` masks as ORs of cached equality masks
+        (:meth:`repro.plan.kernels.MaskCache.predicate_mask`); this gather
+        stays their reference.
         """
         column = relation.column(self.attribute)
         if self.comparison is Comparison.IN:

@@ -5,9 +5,13 @@ is *mask -> selection vector -> gather -> reduce*:
 
 * **predicate evaluation** — one boolean mask per canonical predicate,
   cached by predicate in :class:`MaskCache` (whose entries are one
-  :class:`~repro.lru.LRUCache`, like every cache in the system); a
-  conjunction is the bitwise AND of its predicates' cached masks, computed
-  when asked for and not kept;
+  :class:`~repro.lru.LRUCache`, like every cache in the system), except
+  ``IN``: its mask is the bitwise OR of its in-domain codes' cached
+  equality masks (one bitmap per value, as a text index keeps one postings
+  list per term), so the cache holds at most one mask per domain value
+  plus the ordered predicates' masks.  A conjunction is the bitwise AND of
+  its predicates' masks.  ORs and ANDs are computed when asked for and not
+  kept;
 * **selection** — a kernel call resolves its mask once to the sorted row ids
   it keeps (``mask.nonzero()[0]``, transient) and gathers bins, weights and
   each distinct measure through ``take(rows)``;
@@ -41,6 +45,7 @@ import numpy as np
 
 from ..exceptions import QueryError
 from ..lru import LRUCache
+from ..query.ast import Comparison
 from ..schema import Relation
 from .ir import CanonicalPredicate
 
@@ -62,9 +67,13 @@ class MaskCache:
     single-predicate masks are cached: they are what a statement stream
     repeats, while its conjunctions are mostly one-offs that would push the
     repeating masks out to save an AND cheaper than a conjunction's cache
-    key.  The masks live in :attr:`lru`, bounded like every other cache:
-    each mask costs ``n_rows`` bytes, and a diverse predicate stream must
-    not grow a long-lived session without limit.
+    key.  An ``IN`` predicate is not cached either: its buckets are as
+    diverse as conjunctions, so it is the OR of its admitted codes'
+    equality masks, each cached under the ``(attribute, "=", code)`` key an
+    ``=`` predicate on that code has, and each lookup counts in
+    :attr:`hits` / :attr:`misses`.  The masks live in :attr:`lru`, bounded
+    like every other cache: each mask costs ``n_rows`` bytes, and a diverse
+    predicate stream must not grow a long-lived session without limit.
     """
 
     def __init__(self, relation: Relation):
@@ -91,11 +100,40 @@ class MaskCache:
         return len(self.lru)
 
     def predicate_mask(self, predicate: CanonicalPredicate) -> np.ndarray:
-        """The cached boolean mask of one canonical predicate (read-only)."""
-        mask = self.lru.get(predicate.key)
+        """The boolean mask of one canonical predicate (read-only).
+
+        Bit-identical to ``predicate.mask(relation)``.  An ``IN`` answers
+        with the OR of its codes' cached equality masks (codes outside the
+        domain admit no row): one code's mask itself, several ORed into a
+        fresh array that is not kept, none an all-false array.
+        """
+        if predicate.comparison is not Comparison.IN:
+            mask = self.lru.get(predicate.key)
+            if mask is None:
+                mask = predicate.mask(self._relation)
+                self.lru.put(predicate.key, mask)
+            return mask
+        attribute = predicate.attribute
+        size = self._relation.schema[attribute].size
+        codes = [code for code in predicate.bucket if code < size]
+        if not codes:
+            return np.zeros(self._relation.n_rows, dtype=bool)
+        mask = self._equality_mask(attribute, codes[0])
+        if len(codes) > 1:
+            mask = mask | self._equality_mask(attribute, codes[1])
+            for code in codes[2:]:
+                mask |= self._equality_mask(attribute, code)
+        return mask
+
+    def _equality_mask(self, attribute: str, code: int) -> np.ndarray:
+        """The cached mask of ``attribute = code``, under that predicate's key
+        (``"="`` is ``Comparison.EQ.value``, spelled out: an enum member's
+        ``.value`` costs as much as the dictionary lookup)."""
+        key = (attribute, "=", code)
+        mask = self.lru.get(key)
         if mask is None:
-            mask = predicate.mask(self._relation)
-            self.lru.put(predicate.key, mask)
+            mask = self._relation.column(attribute) == code
+            self.lru.put(key, mask)
         return mask
 
     def conjunction_mask(
@@ -196,6 +234,15 @@ def numeric_column(relation: Relation, attribute: str) -> np.ndarray:
 _WHOLE = (slice(None),)
 
 
+def _part_bounds(partition: RowPartition, rows: np.ndarray | None) -> list[int]:
+    """The ``n_parts + 1`` boundaries of the parts' contiguous slices of the
+    selected rows (``rows`` sorted, every row when ``None``): part ``k``'s
+    selected rows are ``rows[bounds[k]:bounds[k + 1]]``."""
+    if rows is None:
+        return partition.offsets.tolist()
+    return np.searchsorted(rows, partition.offsets).tolist()
+
+
 def partitioned_scalar_reduce(
     relation: Relation,
     mask: np.ndarray | None,
@@ -221,10 +268,7 @@ def partitioned_scalar_reduce(
     if partition is None:
         slices = _WHOLE
     else:
-        bounds = partition.offsets
-        if rows is not None:
-            bounds = np.searchsorted(rows, bounds)
-        bounds = bounds.tolist()
+        bounds = _part_bounds(partition, rows)
         slices = [slice(low, high) for low, high in zip(bounds, bounds[1:])]
     totals: list[float] | None = None
     weighted_sums: dict[int, list[float]] = {}
@@ -343,20 +387,26 @@ def _part_group_bins(
     rows: np.ndarray | None,
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """The scatter-add bin ``part * n_groups + group`` of each selected row
-    (every row when ``rows`` is ``None``) over the relation's memoized
+    (``rows`` sorted, every row when ``None``) over the relation's memoized
     ``group_codes``, and the ``(n_parts, n_groups)`` shape of the bins.
 
-    Gathers the group and part ids at ``rows`` before combining them, so a
-    filter pays for its selected rows only; the bins are the same integers
-    in the same row order as gathering the combined bins."""
+    Gathers the group ids at ``rows`` once, so a filter pays for its
+    selected rows only, then adds ``k * n_groups`` in place over part
+    ``k``'s contiguous slice of them (:func:`_part_bounds`) instead of
+    gathering a part id per row: the bins are the same integers in the
+    same row order as ``partition.ids * n_groups + group_index`` gathered
+    at ``rows``."""
     group_index, unique_rows = relation.group_codes(keys)
     n_groups = unique_rows.shape[0]
-    if rows is not None:
-        group_index = group_index.take(rows)
     if partition is None:
-        return group_index, (1, n_groups)
-    ids = partition.ids if rows is None else partition.ids.take(rows)
-    return ids * n_groups + group_index, (partition.n_parts, n_groups)
+        bins = group_index if rows is None else group_index.take(rows)
+        return bins, (1, n_groups)
+    # A copy when every row is selected: the memoized codes are read-only.
+    bins = group_index.copy() if rows is None else group_index.take(rows)
+    bounds = _part_bounds(partition, rows)
+    for part in range(1, partition.n_parts):
+        bins[bounds[part] : bounds[part + 1]] += part * n_groups
+    return bins, (partition.n_parts, n_groups)
 
 
 def fused_group_reduce(

@@ -23,6 +23,7 @@ from repro.plan import (
     ROUTE_BAYES_NET,
     ROUTE_HYBRID,
     ROUTE_SAMPLE,
+    CanonicalPredicate,
     ColumnarExecutor,
     MaskCache,
     PlanCompiler,
@@ -411,7 +412,72 @@ class TestRoundTripCanonicalKeys:
         assert compiler.compile(reordered).key == compiler.compile(query).key
 
 
+#: Two relations over one 6-value attribute, stacked by ``StackedMasks``.
+_IN_SCHEMA = Schema([Attribute("X", Domain(list(range(6))))])
+_IN_RELATIONS = [
+    Relation(_IN_SCHEMA, {"X": np.random.default_rng(seed).integers(0, 6, size=n)})
+    for seed, n in ((3, 150), (4, 90))
+]
+#: ``IN`` buckets as the compiler leaves them (sorted distinct codes), drawn
+#: empty, single, whole-domain, and with codes at or above the domain size.
+_IN_BUCKETS = st.one_of(
+    st.just(()),
+    st.integers(0, 7).map(lambda code: (code,)),
+    st.just(tuple(range(6))),
+    st.sets(st.integers(0, 8), max_size=8).map(lambda codes: tuple(sorted(codes))),
+)
+
+
 class TestMaskCache:
+    @settings(max_examples=100, deadline=None)
+    @given(buckets=st.lists(_IN_BUCKETS, min_size=1, max_size=6))
+    def test_in_masks_equal_the_predicates_own_mask(self, buckets):
+        """An ``IN`` mask, the OR of cached equality masks, == the
+        predicate's own gather, through one cache and through a stack; the
+        ORs leave the cached equality masks as they were."""
+        caches = [MaskCache(relation) for relation in _IN_RELATIONS]
+        stacked = kernels.StackedMasks(caches)
+        for bucket in buckets:
+            predicate = CanonicalPredicate("X", Comparison.IN, bucket)
+            for cache, relation in zip(caches, _IN_RELATIONS):
+                mask = cache.predicate_mask(predicate)
+                assert mask.dtype == bool and np.array_equal(mask, predicate.mask(relation))
+            assert np.array_equal(
+                stacked.conjunction_mask((predicate,)),
+                np.concatenate([predicate.mask(relation) for relation in _IN_RELATIONS]),
+            )
+        for cache, relation in zip(caches, _IN_RELATIONS):
+            for (attribute, operator, code), mask in cache.lru.entries():
+                assert (attribute, operator) == ("X", "=")
+                assert np.array_equal(mask, relation.column("X") == code)
+
+    def test_in_predicates_cache_only_equality_masks(self):
+        """200 distinct ``IN`` predicates on one 50-value attribute cache no
+        ``IN`` key and at most one equality mask per domain value; every
+        admitted code is one lookup, a code an ``=`` predicate shares."""
+        values = list(range(50))
+        schema = Schema([Attribute("X", Domain(values))])
+        rng = np.random.default_rng(17)
+        relation = Relation(schema, {"X": rng.integers(0, 50, size=400)})
+        compiler = PlanCompiler(schema)
+        buckets = set()
+        while len(buckets) < 200:
+            size = int(rng.integers(2, 8))
+            buckets.add(tuple(sorted(rng.choice(50, size=size, replace=False).tolist())))
+        cache = MaskCache(relation)
+        for bucket in sorted(buckets):
+            predicate = compiler.canonical_predicate(Predicate("X", Comparison.IN, bucket))
+            assert predicate.bucket == bucket
+            assert np.array_equal(cache.predicate_mask(predicate), predicate.mask(relation))
+        keys = [key for key, _ in cache.lru.entries()]
+        assert not [key for key in keys if key[1] == Comparison.IN.value]
+        assert cache.statistics()["cached_masks"] == len(keys) <= 50
+        assert cache.hits + cache.misses == sum(len(bucket) for bucket in buckets)
+        assert cache.misses == len(keys)
+        equal = compiler.canonical_predicate(Predicate("X", Comparison.EQ, keys[0][2]))
+        assert cache.predicate_mask(equal) is cache.lru.get(equal.key)
+        assert cache.misses == len(keys)  # the ``=`` predicate hit the shared mask
+
     def test_warm_lookup_hits(self, weighted_relation):
         cache = MaskCache(weighted_relation)
         predicate = PlanCompiler(weighted_relation.schema).canonical_predicate(

@@ -10,12 +10,15 @@ in the same order.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    _part_group_bins_reference,
     partitioned_group_columns_reference,
     partitioned_grouped_weight_totals_reference,
     partitioned_scalar_reduce_reference,
@@ -28,6 +31,7 @@ from repro.plan import (
     partitioned_grouped_weight_totals,
     partitioned_scalar_reduce,
 )
+from repro.plan.kernels import _part_group_bins
 from repro.schema import Attribute, Domain, Relation, Schema
 from repro.serving.governance import MemoryGovernor
 from worlds import build_correlated_population
@@ -140,6 +144,24 @@ class TestNamedCases:
     @pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
     def test_matches_the_reference(self, mask, partition):
         assert_kernels_match(_relation(self.ROWS), [mask, None], partition)
+
+    @pytest.mark.parametrize("partition", PARTITIONS.values(), ids=PARTITIONS.keys())
+    @pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
+    def test_part_bins_come_from_the_part_offsets(self, mask, partition):
+        """The bins == the reference's ``part id * n_groups + group``
+        gathered at the selected rows, from a partition without part ids;
+        the memoized group codes stay as they were."""
+        relation = _relation(self.ROWS)
+        rows = None if mask is None else mask.nonzero()[0]
+        offsets_only = None if partition is None else replace(partition, ids=None)
+        for keys in KEY_SETS:
+            group_index = relation.group_codes(keys)[0].copy()
+            bins, shape = _part_group_bins(relation, keys, offsets_only, rows)
+            want, want_shape = _part_group_bins_reference(relation, keys, partition)
+            assert shape == want_shape
+            assert bins.dtype == want.dtype
+            assert bins.tolist() == (want if rows is None else want[rows]).tolist()
+            assert np.array_equal(relation.group_codes(keys)[0], group_index)
 
     def test_avg_over_a_zero_weight_group_is_zero_not_nan(self):
         relation = _relation(self.ROWS)
