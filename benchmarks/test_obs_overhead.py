@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.plan import ColumnarExecutor
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
@@ -37,7 +38,6 @@ from repro.query import (
     ScalarAggregateQuery,
 )
 from repro.schema import Attribute, Domain, Relation, Schema
-from repro.sql.engine import WeightedQueryEngine
 
 pytestmark = pytest.mark.timing
 
@@ -104,7 +104,7 @@ def _warm_workload():
     """A warmed columnar engine plus the query mix it will serve."""
     relation = _relation()
     queries = _queries(relation, 24)
-    engine = WeightedQueryEngine(relation)
+    engine = ColumnarExecutor(relation)
     for query in queries:  # warm masks/group tables: time steady-state serving
         engine.execute(query)
     return engine, queries

@@ -94,7 +94,7 @@ def main() -> None:
 
     # -- JSONL export: flat, parent-linked spans for external tooling --
     tracer = Tracer()
-    model.sample_evaluator.engine.execute_batch(workload, tracer=tracer)
+    model.sample_evaluator.executor.execute_batch(workload, tracer=tracer)
     buffer = io.StringIO()
     n_rows = tracer.export_jsonl(buffer)
     print(f"exported {n_rows} spans as JSONL "

@@ -65,7 +65,7 @@ def main() -> None:
     print()
 
     # -- the mask cache: repeated filters cost masks only once --
-    engine = model.sample_evaluator.engine
+    executor = model.sample_evaluator.executor
     workload = [
         "SELECT AVG(elapsed_time) FROM flights "
         "WHERE dest_state IN ('NY', 'WA') AND elapsed_time <= 90",
@@ -73,18 +73,18 @@ def main() -> None:
         "WHERE dest_state IN ('CA', 'FL') GROUP BY fl_date",
         "SELECT COUNT(*) FROM flights WHERE elapsed_time >= 180 AND fl_date <= '04'",
     ]
-    misses_start = engine.mask_cache.misses
+    misses_start = executor.mask_cache.misses
     start = time.perf_counter()
     for query in workload:
         themis.query(query)
     first_pass = time.perf_counter() - start
-    misses_cold = engine.mask_cache.misses - misses_start
+    misses_cold = executor.mask_cache.misses - misses_start
 
     start = time.perf_counter()
     for query in workload:
         themis.query(query)
     second_pass = time.perf_counter() - start
-    misses_warm = engine.mask_cache.misses - misses_start - misses_cold
+    misses_warm = executor.mask_cache.misses - misses_start - misses_cold
 
     print(
         f"first pass:  {first_pass * 1000:6.1f} ms "

@@ -14,16 +14,15 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import Themis, ThemisConfig, parse_sql, percent_difference
+from repro import ColumnarExecutor, Themis, ThemisConfig, percent_difference
 from repro.aggregates import aggregates_from_population
 from repro.data import CORNER_STATES, biased_sample, generate_flights_population
-from repro.sql.engine import WeightedQueryEngine
 
 
 def main() -> None:
     # --- 1. The (normally unavailable) population -------------------------
     population = generate_flights_population(n_rows=20_000, seed=7)
-    population_engine = WeightedQueryEngine(population)
+    population_truth = ColumnarExecutor(population)
 
     # --- 2. A biased sample: 90% of rows come from four hub states --------
     sample = biased_sample(
@@ -61,7 +60,7 @@ def main() -> None:
     ]
     for sql in queries:
         estimate = themis.sql(sql)
-        truth = population_engine.execute(parse_sql(sql).query)
+        truth = population_truth.execute(sql)
         print("\n" + sql)
         if hasattr(estimate, "as_dict"):
             shown = sorted(estimate.as_dict().items())[:5]

@@ -19,6 +19,7 @@ from repro.core import ReweightedSampleEvaluator
 from repro.experiments import SMALL_SCALE, build_aggregates, fit_methods, flights_bundle
 from repro.experiments.reporting import format_table
 from repro.metrics import percent_difference
+from repro.query import PointQuery
 
 
 def main() -> None:
@@ -48,7 +49,7 @@ def main() -> None:
         truth = bundle.population.count({"origin_state": state})
         row = {"origin_state": state, "true count": truth}
         for method in ("AQP", "IPF", "Hybrid"):
-            estimate = fitted[method].point({"origin_state": state})
+            estimate = fitted[method].execute(PointQuery({"origin_state": state}))
             row[method] = round(estimate, 1)
             row[f"{method} err"] = round(percent_difference(truth, estimate), 1)
         rows.append(row)

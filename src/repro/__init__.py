@@ -56,10 +56,9 @@ from .schema import Attribute, Domain, Relation, Schema
 from .serving import (
     BatchExecutor,
     BatchResult,
-    QueryPlanner,
     ServingSession,
 )
-from .sql import Database, parse_sql
+from .sql import parse_sql
 
 __version__ = "1.0.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "BayesNetEvaluator",
     "BayesianNetwork",
     "ColumnarExecutor",
-    "Database",
     "Domain",
     "ExactInference",
     "ExplainedResult",
@@ -90,7 +88,6 @@ __all__ = [
     "PlanCompiler",
     "PointQuery",
     "Predicate",
-    "QueryPlanner",
     "Relation",
     "ReweightedSampleEvaluator",
     "ScalarAggregateQuery",

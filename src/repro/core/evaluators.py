@@ -16,8 +16,9 @@ routed plans of any mix of shapes in, answers in submission order out.  A
 single query is a batch of one: ``execute(query)``, defined once on the
 base class, compiles an AST (the hybrid also stamps its ``Route`` node with
 :func:`repro.plan.resolve_route`, the one place its routing rule lives) and
-returns ``run([plan])[0]``.  The sample's ``run`` is the columnar engine's
-batch, one plan after another; the network's ``run`` sends point plans
+returns ``run([plan])[0]``.  No evaluator has a door per query shape.  The
+sample's ``run`` is its :class:`~repro.plan.ColumnarExecutor`'s batch, one
+plan after another; the network's ``run`` sends point plans
 through one batched inference call and everything else, tables included,
 plan by plan through a :class:`~repro.plan.ColumnarExecutor` over its ``K``
 generated samples, stacked into one relation; the hybrid's ``run``
@@ -40,8 +41,7 @@ in the open world (Sec. 4.3).
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Mapping, Sequence
-from typing import Any
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -59,9 +59,9 @@ from ..plan import (
     query_shape,
     resolve_route,
 )
-from ..query.ast import GroupByQuery, PointQuery, Query
+from ..query.ast import GroupByQuery, Query
 from ..schema import Relation
-from ..sql.engine import QueryResult, WeightedQueryEngine
+from ..sql.engine import QueryResult
 
 
 class OpenWorldEvaluator:
@@ -104,14 +104,6 @@ class OpenWorldEvaluator:
         """
         return self.run([self._plan(query)], tracer=tracer)[0]
 
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        """Estimated population count of tuples matching ``assignment``.
-
-        Kept for callers holding an assignment rather than an AST (the
-        experiment harness, fig 15, table 7).
-        """
-        return self.execute(PointQuery(assignment))
-
     def group_by(self, query: GroupByQuery) -> QueryResult:
         """Estimated GROUP BY answer over the population.
 
@@ -132,34 +124,32 @@ class ReweightedSampleEvaluator(OpenWorldEvaluator):
     """Answer every query from a weighted sample (AQP / LinReg / IPF)."""
 
     def __init__(self, weighted_sample: Relation, name: str = "reweighted-sample"):
-        self._engine = WeightedQueryEngine(weighted_sample)
+        #: The columnar executor over the weighted sample, shared with the
+        #: hybrid evaluator's stack (as its part 0).
+        self.executor = ColumnarExecutor(weighted_sample)
         self.name = name
 
     @property
     def sample(self) -> Relation:
         """The weighted sample queries run against."""
-        return self._engine.relation
-
-    @property
-    def engine(self) -> WeightedQueryEngine:
-        """The columnar weighted engine (shared with the hybrid evaluator)."""
-        return self._engine
+        return self.executor.relation
 
     @property
     def mask_cache(self):
-        """The engine's predicate-mask cache (used by plan routing)."""
-        return self._engine.mask_cache
+        """The executor's predicate-mask cache (used by plan routing)."""
+        return self.executor.mask_cache
 
     @property
     def compiler(self) -> PlanCompiler:
-        """The engine's compiler (shared with the planner)."""
-        return self._engine.executor.compiler
+        """The executor's compiler (:meth:`repro.core.ThemisModel.plan`
+        compiles through it)."""
+        return self.executor.compiler
 
     def run(self, plans, *, tracer=NULL_TRACER, cancel=None) -> list:
-        """The columnar engine's batch over the weighted sample
+        """The executor's batch over the weighted sample
         (:meth:`repro.plan.ColumnarExecutor.execute_batch`); ``cancel`` is
         polled per plan."""
-        return self._engine.executor.execute_batch(plans, tracer=tracer, cancel=cancel)
+        return self.executor.execute_batch(plans, tracer=tracer, cancel=cancel)
 
 
 class BayesNetEvaluator(OpenWorldEvaluator):
@@ -319,7 +309,7 @@ class HybridEvaluator(OpenWorldEvaluator):
     sample_evaluator:
         Optionally, an existing :class:`ReweightedSampleEvaluator` over
         ``weighted_sample`` to share — sharing the evaluator shares its
-        columnar engine and predicate-mask cache with every other consumer
+        columnar executor and predicate-mask cache with every other consumer
         of the fitted model (one mask per predicate per model, not per
         evaluator).
     """
@@ -357,7 +347,7 @@ class HybridEvaluator(OpenWorldEvaluator):
 
     @property
     def sample_evaluator(self) -> ReweightedSampleEvaluator:
-        """The reweighted-sample component (shared engine and mask cache)."""
+        """The reweighted-sample component (shared executor and mask cache)."""
         return self._sample_evaluator
 
     @property
@@ -367,7 +357,7 @@ class HybridEvaluator(OpenWorldEvaluator):
 
     @property
     def compiler(self) -> PlanCompiler:
-        """The sample evaluator's compiler (shared with the planner)."""
+        """The sample evaluator's compiler."""
         return self._sample_evaluator.compiler
 
     def _plan(self, query: "Query | LogicalPlan") -> LogicalPlan:
@@ -401,7 +391,7 @@ class HybridEvaluator(OpenWorldEvaluator):
         with self._lock:
             if self._stack is None:
                 self._stack = self._bn_evaluator._executor().with_first_part(
-                    self._sample_evaluator.engine.executor
+                    self._sample_evaluator.executor
                 )
             return self._stack
 

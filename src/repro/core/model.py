@@ -1,10 +1,11 @@
 """The fitted Themis model ``M(Γ, S)``.
 
 A :class:`ThemisModel` bundles everything ``Themis.fit()`` produces: the
-reweighted sample, the learned Bayesian network, the evaluators built on top
-of them, the planner that routes against them, and the diagnostics of each
-learning stage.  It is what queries are answered against (Sec. 3's
-``Q(M(Γ, S)) ≈ Q(P)``).
+reweighted sample, the learned Bayesian network, the three evaluators built
+on top of them (Sec. 4.1-4.3), and the diagnostics of each learning stage.
+It is what queries are answered against (Sec. 3's ``Q(M(Γ, S)) ≈ Q(P)``):
+:meth:`ThemisModel.plan` compiles and routes a statement against the
+weighted sample, and the hybrid evaluator answers the routed plan.
 
 A model is one immutable snapshot.  Its caches (predicate masks, join
 sides, the compile memo, eliminated factors) hold values of this fit only
@@ -17,10 +18,11 @@ facade, so a dropped model is freed by reference counting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..aggregates import AggregateSet
 from ..bayesnet import BayesNetLearningResult, BayesianNetwork
+from ..plan import LogicalPlan, resolve_route
+from ..query.ast import Query
 from ..reweighting import ReweightingResult
 from ..schema import Relation
 from .evaluators import (
@@ -29,9 +31,6 @@ from .evaluators import (
     OpenWorldEvaluator,
     ReweightedSampleEvaluator,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..serving.planner import QueryPlanner
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,13 +51,18 @@ class ThemisModel:
     hybrid_evaluator: HybridEvaluator
     sample_evaluator: ReweightedSampleEvaluator
     bayes_net_evaluator: BayesNetEvaluator
-    planner: "QueryPlanner"
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def network(self) -> BayesianNetwork:
         """The learned Bayesian network."""
         return self.bayes_net_result.network
+
+    def plan(self, statement: str | Query) -> LogicalPlan:
+        """Compile a SQL string or AST once and stamp its ``Route`` node
+        against the weighted sample's predicate masks."""
+        evaluator = self.sample_evaluator
+        return resolve_route(evaluator.compiler.compile(statement), evaluator.mask_cache)
 
     def evaluator(self, kind: str = "hybrid") -> OpenWorldEvaluator:
         """Fetch one of the fitted evaluators.

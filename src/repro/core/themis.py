@@ -28,6 +28,7 @@ from ..reweighting import (
 )
 from ..schema import Relation
 from ..sql.engine import QueryResult
+from ..sql.parser import parse_sql
 from .evaluators import BayesNetEvaluator, HybridEvaluator, ReweightedSampleEvaluator
 from .model import ThemisModel
 
@@ -67,13 +68,13 @@ class SamplePlans:
         cache.
         """
         if model.sample is not self.sample:
-            return model.planner.plan(statement)
+            return model.plan(statement)
         try:
             plan = self.cache.get(statement)
         except TypeError:  # unhashable literal (e.g. a list inside IN)
-            return model.planner.plan(statement)
+            return model.plan(statement)
         if plan is None:
-            plan = model.planner.plan(statement)
+            plan = model.plan(statement)
             self.cache.put(statement, plan)
         return plan
 
@@ -298,21 +299,11 @@ class Themis:
         sample_evaluator = ReweightedSampleEvaluator(
             weighted_sample, name=reweighting_result.method
         )
-        # The hybrid shares the sample evaluator (hence its columnar engine
-        # and predicate-mask cache): one mask per predicate per fitted model,
-        # no matter which evaluator a plan routes to.
+        # The hybrid shares the sample evaluator (hence its columnar
+        # executor and predicate-mask cache): one mask per predicate per
+        # fitted model, no matter which evaluator a plan routes to.
         hybrid = HybridEvaluator(
             weighted_sample, bn_evaluator, sample_evaluator=sample_evaluator
-        )
-        # The planner shares the engine's compiler (a query compiles once)
-        # and routes through the mask cache, not the model: nothing the
-        # model owns points back at it.
-        from ..serving.planner import QueryPlanner
-
-        planner = QueryPlanner(
-            sample.schema,
-            sample_evaluator.mask_cache,
-            compiler=sample_evaluator.engine.executor.compiler,
         )
 
         self._generation += 1
@@ -327,7 +318,6 @@ class Themis:
             hybrid_evaluator=hybrid,
             sample_evaluator=sample_evaluator,
             bayes_net_evaluator=bn_evaluator,
-            planner=planner,
             timings=timings,
         )
         self._model = model
@@ -384,24 +374,12 @@ class Themis:
     # ------------------------------------------------------------------
     # Query answering
     # ------------------------------------------------------------------
-    def execute(self, query: Query) -> float | QueryResult:
-        """Open-world evaluation of any supported AST query.
-
-        Compile-then-run: the query is compiled once into a logical plan
-        (canonical predicates, operator tree, evaluator route) and answered
-        as a batch of one (:meth:`HybridEvaluator.execute`).
-        """
-        model = self.model
-        return model.hybrid_evaluator.execute(self._sample_plans.plan(model, query))
-
     def sql(self, statement: str) -> float | QueryResult:
         """Parse and answer a SQL statement with open-world semantics."""
         model = self.model
-        if isinstance(statement, str):
-            plan = self._sample_plans.plan(model, statement)
-        else:  # the parser refuses it, naming its type
-            plan = model.planner.plan_sql(statement)
-        return model.hybrid_evaluator.execute(plan)
+        if not isinstance(statement, str):
+            parse_sql(statement)  # refuses it, naming its type
+        return model.hybrid_evaluator.execute(self._sample_plans.plan(model, statement))
 
     def query(
         self,

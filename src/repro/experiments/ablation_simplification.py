@@ -186,11 +186,3 @@ def run_simplification_ablation(
         ),
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_simplification_ablation().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -184,11 +184,3 @@ def run_fault_tolerance(
         coherent_generation=True,
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_fault_tolerance().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -77,11 +77,3 @@ def run_bn_modes(
                     avg_percent_difference=error,
                 )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_bn_modes().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

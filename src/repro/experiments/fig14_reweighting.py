@@ -77,11 +77,3 @@ def run_reweighting_comparison(
                 p75=summary.p75,
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_reweighting_comparison().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

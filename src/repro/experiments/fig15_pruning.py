@@ -49,7 +49,7 @@ def optimal_error(bundle, workload, scale: ExperimentScale) -> float:
         seed=scale.seed,
     )
     errors = [
-        percent_difference(item.true_value, evaluator.point(item.query.as_dict()))
+        percent_difference(item.true_value, evaluator.execute(item.query))
         for item in workload
     ]
     return float(np.mean(errors)) if errors else 0.0
@@ -107,11 +107,3 @@ def run_pruning(
                     avg_percent_difference=error,
                 )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_pruning().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -88,11 +88,3 @@ def run_time_accuracy(
                 avg_percent_difference=averages[method],
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_time_accuracy().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -159,14 +159,3 @@ def median_improvement_heavy(table4: ExperimentResult) -> float:
         if np.isfinite(row["improvement_p50"])
     ]
     return float(np.mean(values)) if values else 0.0
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    overall = run_overall_accuracy("flights")
-    print(overall.render())
-    print()
-    print(run_table4_improvement(overall=overall).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

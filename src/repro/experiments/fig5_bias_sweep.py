@@ -73,11 +73,3 @@ def run_bias_sweep(
         for method, error in averages.items():
             result.add_row(bias=bias, method=method, avg_percent_difference=error)
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_bias_sweep().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -17,6 +17,7 @@ from typing import Any
 
 from ..data import CORNER_STATES, biased_sample
 from ..metrics import average_group_by_error
+from ..plan import ColumnarExecutor
 from ..query import (
     AggregateFunction,
     AggregateSpec,
@@ -25,7 +26,6 @@ from ..query import (
     JoinGroupByQuery,
     Predicate,
 )
-from ..sql.engine import WeightedQueryEngine
 from .config import ExperimentScale, SMALL_SCALE
 from .harness import DEFAULT_METHODS, build_aggregates, fit_methods, flights_bundle
 from .reporting import ExperimentResult
@@ -85,7 +85,7 @@ def run_sql_queries(
         bundle, n_two_dimensional=n_two_dimensional, seed=scale.seed
     )
     queries = table5_queries()
-    population_engine = WeightedQueryEngine(bundle.population)
+    population = ColumnarExecutor(bundle.population)
 
     result = ExperimentResult(
         experiment_id="figure-6",
@@ -113,7 +113,7 @@ def run_sql_queries(
             methods=methods,
         )
         for query_name, query in queries.items():
-            truth = population_engine.execute(query).as_dict()
+            truth = population.execute(query).as_dict()
             for method, evaluator in fitted.evaluators.items():
                 estimate = evaluator.execute(query).as_dict()
                 error = average_group_by_error(truth, estimate)
@@ -126,11 +126,3 @@ def run_sql_queries(
                     n_estimated_groups=len(estimate),
                 )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_sql_queries().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -93,11 +93,3 @@ def run_1d_sweep(
                         avg_percent_difference=error,
                     )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_1d_sweep("flights").render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -134,11 +134,3 @@ def reference_hybrid_error_with_2d(
         methods=("Hybrid",),
     )
     return average_point_errors(fitted.evaluators, workload)["Hybrid"]
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_nd_sweep("flights", 2).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -370,11 +370,3 @@ def run_governance(
         within_budget=True,
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_governance().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -308,9 +308,8 @@ def point_query_errors(
     """Percent differences of every method on every workload query."""
     errors: dict[str, list[float]] = {name: [] for name in evaluators}
     for item in workload:
-        assignment = item.query.as_dict()
         for name, evaluator in evaluators.items():
-            estimate = evaluator.point(assignment)
+            estimate = evaluator.execute(item.query)
             errors[name].append(percent_difference(item.true_value, estimate))
     return errors
 

@@ -11,11 +11,11 @@ returning a non-zero answer for a state (ME) missing from the sample.
 from __future__ import annotations
 
 from ..aggregates import aggregates_from_population
-from ..core import ReweightedSampleEvaluator, Themis, ThemisConfig
+from ..core import Themis, ThemisConfig
 from ..metrics import percent_difference
+from ..plan import ColumnarExecutor
 from ..query import AggregateFunction, AggregateSpec, Comparison, Predicate, ScalarAggregateQuery
 from ..reweighting import IPFReweighter, UniformReweighter
-from ..sql.engine import WeightedQueryEngine
 from .config import ExperimentScale, SMALL_SCALE
 from .harness import flights_bundle
 from .reporting import ExperimentResult
@@ -48,15 +48,15 @@ def run_table1(
         [("origin_state",), ("elapsed_time",), ("origin_state", "elapsed_time")],
     )
 
-    raw_engine = WeightedQueryEngine(sample)
+    raw = ColumnarExecutor(sample)
     aqp_sample = UniformReweighter(population_size=population_size).reweight(
         sample, state_aggregate
     )
-    aqp_engine = WeightedQueryEngine(aqp_sample)
+    aqp = ColumnarExecutor(aqp_sample)
     state_sample = IPFReweighter(max_iterations=scale.ipf_max_iterations).reweight(
         sample, state_aggregate
     )
-    state_engine = WeightedQueryEngine(state_sample)
+    us_state = ColumnarExecutor(state_sample)
 
     themis = Themis(
         ThemisConfig(
@@ -80,13 +80,13 @@ def run_table1(
         ),
         parameters={"sample": "Corners", "population_rows": population.n_rows},
     )
-    population_engine = WeightedQueryEngine(population)
+    truth = ColumnarExecutor(population)
     for state in states:
         query = _short_flight_query(state)
-        true_value = population_engine.scalar(query)
-        raw_value = raw_engine.scalar(query)
-        aqp_value = aqp_engine.scalar(query)
-        state_value = state_engine.scalar(query)
+        true_value = truth.execute(query)
+        raw_value = raw.execute(query)
+        aqp_value = aqp.execute(query)
+        state_value = us_state.execute(query)
         themis_value = themis.query(query)
         result.add_row(
             state=state,
@@ -99,11 +99,3 @@ def run_table1(
             aqp_error=percent_difference(true_value, aqp_value),
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_table1().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

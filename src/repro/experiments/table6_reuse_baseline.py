@@ -20,8 +20,8 @@ from ..aggregates import aggregates_from_population
 from ..baselines import ConditionalReuseBaseline
 from ..data import CORNER_STATES, biased_sample
 from ..metrics import average_group_by_error
+from ..plan import ColumnarExecutor
 from ..query import GroupByQuery
-from ..sql.engine import WeightedQueryEngine
 from .config import ExperimentScale, SMALL_SCALE
 from .harness import fit_methods, flights_bundle
 from .reporting import ExperimentResult
@@ -37,7 +37,7 @@ def run_reuse_comparison(
 ) -> ExperimentResult:
     """Error ratio of hybrid vs the reuse baseline per bias and attribute pair."""
     bundle = flights_bundle(scale)
-    population_engine = WeightedQueryEngine(bundle.population)
+    population = ColumnarExecutor(bundle.population)
     aggregates = aggregates_from_population(bundle.population, [("origin_state",)])
 
     result = ExperimentResult(
@@ -69,7 +69,7 @@ def run_reuse_comparison(
         )
         for pair in query_pairs:
             query = GroupByQuery(group_by=tuple(pair))
-            truth = population_engine.group_by(query).as_dict()
+            truth = population.execute(query).as_dict()
             hybrid_estimate = fitted["Hybrid"].execute(query).as_dict()
             reuse_estimate = reuse.group_by_count(pair).as_dict()
             hybrid_error = average_group_by_error(truth, hybrid_estimate)
@@ -83,11 +83,3 @@ def run_reuse_comparison(
                 error_ratio=ratio,
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_reuse_comparison().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -74,7 +74,7 @@ def run_query_execution_time(
     for method, evaluator in fitted.evaluators.items():
         start = time.perf_counter()
         for item in workload:
-            evaluator.point(item.query.as_dict())
+            evaluator.execute(item.query)
         elapsed = time.perf_counter() - start
         label = "RW" if method == "IPF" else method
         result.add_row(
@@ -162,13 +162,3 @@ def run_solver_time(
             bb_parameter_seconds=parameter_seconds,
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - convenience entry point
-    print(run_query_execution_time().render())
-    print()
-    print(run_solver_time().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -5,11 +5,11 @@ compiler canonicalizes an AST (or SQL text) into a :class:`LogicalPlan` —
 a ``Scan -> Filter -> [Group ->] Aggregate`` operator tree under a ``Route``
 node — exactly once, and every executor consumes that plan:
 
-* the columnar :class:`ColumnarExecutor` (behind ``WeightedQueryEngine``)
-  runs sample-side plans with cached predicate masks and scatter-add
-  group-bys;
-* the serving :class:`~repro.serving.planner.QueryPlanner` derives its
-  result-cache keys and evaluator routes from the compiled plan;
+* the columnar :class:`ColumnarExecutor`, which every evaluator holds,
+  runs plans with cached predicate masks and scatter-add group-bys;
+* :meth:`repro.core.ThemisModel.plan` stamps the compiled plan's route
+  (:func:`resolve_route`), and the serving layer keys its result cache on
+  the plan's key;
 * a batch runs plan by plan, each plan a unit of its own that reads the
   executor's mask and join-side caches, whose statistics say what the
   plans shared.

@@ -2,8 +2,8 @@
 
 This is the **one** canonicalization in the system: predicates are
 bucketized into domain codes here, the plan key is derived from the compiled
-operator tree here, and both the weighted engine and the serving planner
-consume the result.  Before this module existed the SQL engine, the
+operator tree here, and both the router (:func:`resolve_route`) and every
+executor consume the result.  Before this module existed the SQL engine, the
 evaluators, and the serving planner each re-derived canonical forms; now a
 query is compiled once and every layer shares the plan.
 

@@ -1,13 +1,15 @@
 """Execute compiled logical plans over one relation with columnar kernels.
 
-:class:`ColumnarExecutor` is the sample-side backend of the whole system:
-``WeightedQueryEngine`` delegates to it, which means the evaluators, the
-Themis facade, and the serving batch executor all run their sample-path
-queries through these kernels — cached predicate masks, memoized group
-codes, one selection-vector gather per reduction — instead of materializing
-filtered relations per query.  Its mask and join-side caches hold values of
-its one immutable relation, so they need no invalidation: they live and die
-with the fitted model that owns the executor.
+:class:`ColumnarExecutor` is the execution backend of the whole system:
+every evaluator holds one (the reweighted-sample evaluator over the weighted
+sample, the network and the hybrid over their stacks), so the Themis facade
+and the serving batch executor run every plan but the network's points
+(which exact inference answers) through these kernels — cached predicate
+masks, memoized group codes, one selection-vector gather per reduction —
+instead of materializing filtered relations per query.  Its mask and
+join-side caches hold values of its one immutable relation, so they need no
+invalidation: they live and die with the fitted model that owns the
+executor.
 
 **The K worlds.**  The Bayesian network answers its sampled aggregates from
 ``K`` forward-sampled relations (Sec. 4.2.4), stacked in sample order into
@@ -53,6 +55,7 @@ from ..lru import LRUCache
 from ..obs.trace import NULL_TRACER
 from ..query.ast import Query
 from ..schema import Relation
+from ..sql.engine import QueryResult
 from .compiler import PlanCompiler
 from .analytics import execute_table_pipeline
 from .ir import (
@@ -300,8 +303,6 @@ class ColumnarExecutor:
         scatter-add pass over its ``(Scan, Filter, Group)`` prefix, the parts
         combined by the module docstring's rule; a grouped table then runs
         its HAVING / window / ORDER BY / LIMIT pipeline over the group rows."""
-        from ..sql.engine import QueryResult
-
         group_keys = plan.group_keys
         mask = self._mask(plan.predicates, tracer)
         weight_totals, per_spec = partitioned_group_columns(
@@ -335,8 +336,6 @@ class ColumnarExecutor:
         first, and a group it lacks survives iff every other part's merged
         world has it, valued by the mean over them.
         """
-        from ..sql.engine import QueryResult
-
         sides, ((left, right),) = join_side_table((plan,))
         totals = self._join_side_totals(sides)
         worlds = [merge_join_sides(*pair) for pair in zip(totals[left], totals[right])]

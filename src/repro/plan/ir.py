@@ -13,7 +13,7 @@ A plan is compiled **once** (see :mod:`repro.plan.compiler`): predicates are
 canonicalized into hashable :class:`CanonicalPredicate` triples with literals
 bucketized into domain codes, and the plan's :attr:`LogicalPlan.key` — the
 serving result-cache key — is derived directly from the operator tree, so the
-planner and the engine can never disagree about what a query means.
+router and the executors can never disagree about what a query means.
 Execution is vectorized columnar kernels over the compiled predicates (see
 :mod:`repro.plan.kernels`); the original AST rides along untouched for
 callers that still want it.
@@ -43,7 +43,7 @@ from ..schema import Relation
 #: historical sentinel so result-cache keys are stable across versions).
 OUT_OF_DOMAIN = "<oov>"
 
-#: Evaluator routes a plan can take (shared with ``repro.serving.planner``).
+#: Evaluator routes a plan can take (re-exported by ``repro.serving``).
 ROUTE_SAMPLE = "sample"
 ROUTE_BAYES_NET = "bayes-net"
 ROUTE_HYBRID = "hybrid"

@@ -1,10 +1,11 @@
-"""Query serving: planner, result/plan/inference caches, batched execution.
+"""Query serving: result/plan/inference caches, batched execution.
 
 This subsystem turns the one-shot :class:`~repro.core.themis.Themis` facade
-into a reusable query service for high-throughput workloads:
+into a reusable query service for high-throughput workloads.  Statements
+are planned by the fitted model (:meth:`repro.core.ThemisModel.plan`:
+canonical, hashable plan keys and evaluator routing) and kept in the
+facade's routed-plan cache.  The modules:
 
-* :mod:`repro.serving.planner` — canonical, hashable plan keys and evaluator
-  routing (reweighted sample / Bayesian network / hybrid);
 * :mod:`repro.serving.cache` — the result and plan caches (plain
   :class:`~repro.lru.LRUCache` instances; the plan cache is the facade's,
   one per loaded sample) plus the shared BN inference cache (per-signature
@@ -41,6 +42,7 @@ into a reusable query service for high-throughput workloads:
   circuit breaking (:class:`~repro.serving.governance.CircuitBreaker`).
 """
 
+from ..plan import ROUTE_BAYES_NET, ROUTE_HYBRID, ROUTE_SAMPLE, PlanKey
 from .cache import CacheStatistics, InferenceCache, LRUCache, PlanCache, ResultCache
 from .executor import BatchExecutor
 from .governance import (
@@ -55,13 +57,6 @@ from .governance import (
     MemoryGovernor,
     TokenBucket,
     measured_bytes,
-)
-from .planner import (
-    ROUTE_BAYES_NET,
-    ROUTE_HYBRID,
-    ROUTE_SAMPLE,
-    PlanKey,
-    QueryPlanner,
 )
 from .session import ServingSession
 from .stats import BatchResult, QueryOutcome, ServingStatistics
@@ -102,7 +97,6 @@ __all__ = [
     "PlanCache",
     "PlanKey",
     "QueryOutcome",
-    "QueryPlanner",
     "ResultCache",
     "ROUTE_BAYES_NET",
     "ROUTE_HYBRID",

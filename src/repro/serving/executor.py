@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class BatchExecutor:
     """Execute planned queries against one fitted model with shared caches.
 
-    Everything it runs comes from ``model``: plans from ``model.planner``
+    Everything it runs comes from ``model``: plans from ``model.plan``
     through the facade's routed-plan cache (``sample_plans``), answers from
     the model's evaluators.  A new model gets a new executor.
     """

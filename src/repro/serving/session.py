@@ -176,7 +176,7 @@ class ServingSession:
         tiers = {"result": self._result_cache}
         if self._executor is not None:
             model = self._executor.model
-            executor = model.sample_evaluator.engine.executor
+            executor = model.sample_evaluator.executor
             tiers["mask"] = executor.mask_cache.lru
             tiers["join_side"] = executor.join_side_cache
             tiers["inference"] = self._inference_cache.engine.factors

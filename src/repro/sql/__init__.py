@@ -1,21 +1,12 @@
-"""Closed-world SQL substrate: parser, weighted execution engine, catalog."""
+"""Closed-world SQL substrate: the parser and the weighted result types."""
 
-from .database import Database
-from .engine import (
-    QueryResult,
-    TableResult,
-    WeightedQueryEngine,
-    answer_point_query,
-)
+from .engine import QueryResult, TableResult
 from .parser import ParsedQuery, parse_cache_info, parse_sql
 
 __all__ = [
-    "Database",
     "ParsedQuery",
     "QueryResult",
     "TableResult",
-    "WeightedQueryEngine",
-    "answer_point_query",
     "parse_cache_info",
     "parse_sql",
 ]

@@ -1,34 +1,24 @@
-"""Weighted query execution over relations.
+"""Result types of weighted query execution, and the benchmark's old engine.
 
-This is the reproduction's stand-in for the Postgres instance used by the
-paper's prototype: point queries, filtered GROUP BY aggregates, and the
-self-join query of Table 5 are evaluated directly over the (reweighted)
-in-memory relations.  ``COUNT(*)`` is evaluated as ``SUM(weight)`` exactly as
-Sec. 4.1 describes.
+The paper's prototype answers queries over the reweighted samples stored in
+Postgres; here the plan layer's :class:`repro.plan.ColumnarExecutor` runs
+them over in-memory relations, ``COUNT(*)`` evaluated as ``SUM(weight)``
+exactly as Sec. 4.1 describes.  This module holds the answers' types:
+:class:`QueryResult` (an unordered group -> value mapping) and
+:class:`TableResult` (an ordered, labelled table).
 
-Since the logical-plan IR landed, :class:`WeightedQueryEngine` is a thin
-facade over :class:`repro.plan.ColumnarExecutor`: queries are compiled once
-into :class:`~repro.plan.LogicalPlan` trees and executed by vectorized
-columnar kernels — cached boolean predicate masks combined with bitwise ops,
-packed-key group codes (ascending code order) with scatter-add group-bys,
-and masked weighted reductions — instead of materializing a filtered
-relation per query.  Answers are bit-identical
-to the historical filter-then-reduce implementation.
+:class:`WeightedQueryEngine` survives only because the benchmark's traced
+replay (``bench/layers.py``) imports it to name a span layer.  It is a
+leaf: no module of the package imports it, and the evaluators hold their
+:class:`~repro.plan.ColumnarExecutor` directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Any
 
 from ..obs.trace import NULL_TRACER
-from ..query.ast import (
-    GroupByQuery,
-    JoinGroupByQuery,
-    PointQuery,
-    Query,
-    ScalarAggregateQuery,
-)
+from ..query.ast import Query
 from ..schema import Relation
 
 
@@ -149,76 +139,19 @@ class TableResult:
 
 
 class WeightedQueryEngine:
-    """Evaluate queries against a weighted relation via the plan IR.
+    """A relation's :class:`~repro.plan.ColumnarExecutor` behind the two
+    methods the benchmark's span layer wraps (see the module docstring)."""
 
-    Every query — AST object, compiled plan, or SQL text — is compiled into
-    a :class:`~repro.plan.LogicalPlan` and executed by the relation-bound
-    :class:`~repro.plan.ColumnarExecutor`; the engine keeps no query logic
-    of its own anymore.
-    """
-
-    def __init__(self, relation: Relation, executor=None):
+    def __init__(self, relation: Relation):
         from ..plan.executor import ColumnarExecutor
 
-        self._executor = (
-            executor if executor is not None else ColumnarExecutor(relation)
-        )
+        self._executor = ColumnarExecutor(relation)
 
-    @property
-    def relation(self) -> Relation:
-        """The relation queries run against."""
-        return self._executor.relation
-
-    @property
-    def executor(self):
-        """The columnar plan executor behind this engine."""
-        return self._executor
-
-    @property
-    def mask_cache(self):
-        """The engine's predicate-mask cache (shared with the planner)."""
-        return self._executor.mask_cache
-
-    # ------------------------------------------------------------------
-    # Execution (every shape is one call of the executor)
-    # ------------------------------------------------------------------
     def execute(self, query: Query, tracer=NULL_TRACER) -> float | QueryResult:
         """Evaluate any supported query type (or compiled plan, or SQL)."""
         return self._executor.execute(query, tracer=tracer)
 
     def execute_batch(self, queries, tracer=NULL_TRACER, cancel=None) -> list:
-        """Evaluate a batch, plan by plan.
-
-        Answers come back in submission order and are bit-identical to
-        calling :meth:`execute` per query.  ``cancel`` is an optional
-        cancellation token polled before every plan.  See
-        :meth:`repro.plan.ColumnarExecutor.execute_batch`.
-        """
+        """Evaluate a batch, plan by plan, in submission order
+        (:meth:`repro.plan.ColumnarExecutor.execute_batch`)."""
         return self._executor.execute_batch(queries, tracer=tracer, cancel=cancel)
-
-    def point(self, assignment: Mapping[str, Any]) -> float:
-        """``SELECT SUM(weight) WHERE A1=v1 AND ...`` — the weighted COUNT(*)."""
-        return self.execute(PointQuery(assignment))
-
-    def scalar(self, query: ScalarAggregateQuery) -> float:
-        """A filtered aggregate with no grouping, returned as a single number."""
-        return self.execute(query)
-
-    def group_by(self, query: GroupByQuery) -> QueryResult:
-        """Evaluate a filtered GROUP BY aggregate with weighted semantics."""
-        return self.execute(query)
-
-    def analytic(self, query) -> TableResult:
-        """Evaluate a table-shaped query (multi-aggregate / HAVING / windows /
-        ORDER BY / LIMIT): an :class:`~repro.query.AnalyticQuery` AST or an
-        already-compiled table-shaped plan."""
-        return self.execute(query)
-
-    def join_group_by(self, query: JoinGroupByQuery) -> QueryResult:
-        """Evaluate a weighted self-join GROUP BY."""
-        return self.execute(query)
-
-
-def answer_point_query(relation: Relation, assignment: Mapping[str, Any]) -> float:
-    """Convenience function: weighted point-query answer over a relation."""
-    return WeightedQueryEngine(relation).point(assignment)

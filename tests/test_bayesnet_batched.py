@@ -86,7 +86,7 @@ class TestBitIdentity:
     def test_evaluator_run_matches_point(self, serving_themis):
         evaluator = serving_themis.model.bayes_net_evaluator
         plans = [serving_themis.plan(PointQuery(a)) for a in MIXED_BATCH]
-        assert evaluator.run(plans) == [evaluator.point(a) for a in MIXED_BATCH]
+        assert evaluator.run(plans) == [evaluator.execute(PointQuery(a)) for a in MIXED_BATCH]
 
     def test_hybrid_run_routes_like_point(self, sparse_serving_themis):
         hybrid = sparse_serving_themis.model.hybrid_evaluator
@@ -94,7 +94,7 @@ class TestBitIdentity:
         batch = MIXED_BATCH + missing_assignments(sparse_serving_themis)
         plans = [sparse_serving_themis.plan(PointQuery(a)) for a in batch]
         assert {plan.route for plan in plans} == {"sample", "bayes-net"}
-        assert hybrid.run(plans) == [hybrid.point(a) for a in batch]
+        assert hybrid.run(plans) == [hybrid.execute(PointQuery(a)) for a in batch]
 
     def test_themis_facade_batch_of_points(self, serving_themis):
         batch = serving_themis.serve().execute_batch([PointQuery(a) for a in MIXED_BATCH])

@@ -10,6 +10,7 @@ from repro.bayesnet import LearningMode, ThemisBayesNetLearner
 from repro.core import BayesNetEvaluator, HybridEvaluator, ReweightedSampleEvaluator
 from repro.exceptions import QueryError
 from repro.metrics import percent_difference
+from repro.plan import ColumnarExecutor
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
@@ -21,7 +22,6 @@ from repro.query import (
     ScalarAggregateQuery,
 )
 from repro.reweighting import IPFReweighter
-from repro.sql.engine import WeightedQueryEngine
 
 
 @pytest.fixture
@@ -45,13 +45,14 @@ class TestReweightedSampleEvaluator:
     def test_point_matches_engine(self, fitted_components):
         weighted, _, _ = fitted_components
         evaluator = ReweightedSampleEvaluator(weighted)
-        engine = WeightedQueryEngine(weighted)
-        assert evaluator.point({"A": 0}) == engine.point({"A": 0})
+        query = PointQuery({"A": 0})
+        assert evaluator.execute(query) == ColumnarExecutor(weighted).execute(query)
 
     def test_execute_dispatch(self, fitted_components):
         weighted, _, _ = fitted_components
         evaluator = ReweightedSampleEvaluator(weighted)
-        assert evaluator.execute(PointQuery({"A": 0})) == evaluator.point({"A": 0})
+        query = PointQuery({"A": 0})
+        assert evaluator.execute(query) == evaluator.run([evaluator.compiler.compile(query)])[0]
         result = evaluator.execute(GroupByQuery(group_by=("A",)))
         assert len(result) >= 1
 
@@ -67,13 +68,13 @@ class TestReweightedSampleEvaluator:
 class TestBayesNetEvaluator:
     def test_point_is_population_scaled_probability(self, fitted_components, correlated_population):
         _, bn_evaluator, n = fitted_components
-        estimate = bn_evaluator.point({"A": 1})
+        estimate = bn_evaluator.execute(PointQuery({"A": 1}))
         truth = correlated_population.count({"A": 1})
         assert percent_difference(truth, estimate) < 25
 
     def test_point_out_of_domain_is_zero(self, fitted_components):
         _, bn_evaluator, _ = fitted_components
-        assert bn_evaluator.point({"A": 99}) == 0.0
+        assert bn_evaluator.execute(PointQuery({"A": 99})) == 0.0
 
     def test_group_by_total_close_to_population(self, fitted_components, correlated_population):
         _, bn_evaluator, n = fitted_components
@@ -103,8 +104,8 @@ class TestHybridEvaluator:
     def test_point_uses_sample_when_tuple_present(self, fitted_components):
         weighted, bn_evaluator, _ = fitted_components
         hybrid = HybridEvaluator(weighted, bn_evaluator)
-        sample_answer = ReweightedSampleEvaluator(weighted).point({"A": 0, "B": 0})
-        assert hybrid.point({"A": 0, "B": 0}) == sample_answer
+        sample_answer = ReweightedSampleEvaluator(weighted).execute(PointQuery({"A": 0, "B": 0}))
+        assert hybrid.execute(PointQuery({"A": 0, "B": 0})) == sample_answer
 
     def test_point_falls_back_to_bn_for_missing_tuple(self, fitted_components):
         weighted, bn_evaluator, _ = fitted_components
@@ -120,7 +121,7 @@ class TestHybridEvaluator:
                         break
         if missing is None:
             pytest.skip("sample covers the full domain for this seed")
-        assert hybrid.point(missing) == bn_evaluator.point(missing)
+        assert hybrid.execute(PointQuery(missing)) == bn_evaluator.execute(PointQuery(missing))
 
     def test_group_by_union_includes_bn_only_groups(self, fitted_components):
         weighted, bn_evaluator, _ = fitted_components
@@ -166,9 +167,9 @@ class TestHybridEvaluator:
                     if truth == 0:
                         continue
                     comparisons += 1
-                    hybrid_error = percent_difference(truth, hybrid.point(assignment))
+                    hybrid_error = percent_difference(truth, hybrid.execute(PointQuery(assignment)))
                     sample_error = percent_difference(
-                        truth, sample_evaluator.point(assignment)
+                        truth, sample_evaluator.execute(PointQuery(assignment))
                     )
                     if hybrid_error <= sample_error:
                         improvements += 1

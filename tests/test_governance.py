@@ -652,9 +652,9 @@ class TestCacheInvariants:
         # governs, and the result cache holds only entries written after
         # the refit.
         assert session.inference_cache.evaluator is model.bayes_net_evaluator
-        engine = model.sample_evaluator.engine
-        assert engine.mask_cache.lru.governor is session.governor
-        assert engine.executor.join_side_cache.governor is session.governor
+        executor = model.sample_evaluator.executor
+        assert executor.mask_cache.lru.governor is session.governor
+        assert executor.join_side_cache.governor is session.governor
         assert 0 < len(session.result_cache.entries()) <= 4
 
     def test_entries_and_peek_stay_stat_free_under_governor(self, sweep_queries):

@@ -23,11 +23,10 @@ import pytest
 
 from oracle import hybrid_reference
 from repro.aggregates import AggregateQuery
-from repro.core import Themis, ThemisConfig
+from repro.core import Themis, ThemisConfig, ThemisModel
 from repro.core import themis as themis_module
 from repro.lru import LRUCache
 from repro.query import PointQuery
-from repro.serving import QueryPlanner
 from worlds import (
     build_biased_correlated_sample,
     build_correlated_aggregates,
@@ -130,7 +129,7 @@ def answering(themis: Themis, door: str):
 def test_facade_answers_from_the_snapshot_read_at_entry(monkeypatch, entry):
     themis = build_fitted_themis()
     snapshot = themis.model
-    refit_once_after(themis, monkeypatch, QueryPlanner, "plan_sql")
+    refit_once_after(themis, monkeypatch, ThemisModel, "plan")
     answer = getattr(themis, entry)(STATEMENT)
     assert themis.model is not snapshot  # the refit landed after routing
     assert oracle(themis.model, STATEMENT) != oracle(snapshot, STATEMENT)
@@ -266,7 +265,7 @@ def test_a_repeated_statement_is_planned_once_by_the_facade_and_every_session():
     # An AST is a key too.
     point = PointQuery({"A": 1, "B": 0})
     before = statistics.snapshot()
-    themis.execute(point)
+    themis.query(point)
     assert session.execute_batch([point, ROUTED[2]]).results() == [
         themis.query(point),
         themis.sql(ROUTED[2]),
@@ -291,7 +290,7 @@ def test_a_plan_routed_on_the_old_sample_stays_out_of_the_new_cache(
     if moment == "after the model read":
         run_once_after(monkeypatch, Themis, "model", load)
     else:
-        run_once_after(monkeypatch, QueryPlanner, "plan_sql", load)
+        run_once_after(monkeypatch, ThemisModel, "plan", load)
     assert serve(STATEMENT) == expected
     monkeypatch.undo()
     assert themis.sample is sparse

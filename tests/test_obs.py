@@ -314,15 +314,15 @@ class TestTracedServing:
         assert cold.cache_hits == 0 and warm.cache_hits == len(WORKLOAD)
 
     def test_batch_runs_one_mask_span_per_plan_and_no_schedule(self, fresh_serving_themis):
-        engine = fresh_serving_themis.model.sample_evaluator.engine
+        executor = fresh_serving_themis.model.sample_evaluator.executor
         tracer = Tracer()
-        answers = engine.execute_batch(WORKLOAD, tracer=tracer)
-        assert answers == [engine.execute(sql) for sql in WORKLOAD]
+        answers = executor.execute_batch(WORKLOAD, tracer=tracer)
+        assert answers == [executor.execute(sql) for sql in WORKLOAD]
         spans = [span.name for root in tracer.roots for span in root.walk()]
         assert spans == ["mask"] * len(WORKLOAD)
         # A schedule of the same plans would dedup the reordered
         # conjunction onto one slot; no served batch builds one.
-        schedule = optimize_batch([engine.executor.compiler.compile(sql) for sql in WORKLOAD])
+        schedule = optimize_batch([executor.compiler.compile(sql) for sql in WORKLOAD])
         assert len(schedule.assignments) == len(WORKLOAD)
         assert len(schedule.slots) < len(WORKLOAD)
 
@@ -450,12 +450,12 @@ class TestCacheWindows:
         )
 
     def test_reset_statistics_on_kernel_caches(self, fresh_serving_themis):
-        engine = fresh_serving_themis.model.sample_evaluator.engine
-        engine.execute(WORKLOAD[0])
-        assert engine.mask_cache.hits + engine.mask_cache.misses > 0
-        cached = engine.mask_cache.statistics()["cached_masks"]
+        executor = fresh_serving_themis.model.sample_evaluator.executor
+        executor.execute(WORKLOAD[0])
+        assert executor.mask_cache.hits + executor.mask_cache.misses > 0
+        cached = executor.mask_cache.statistics()["cached_masks"]
         assert cached > 0
-        engine.mask_cache.reset_statistics()
-        assert engine.mask_cache.hits == 0 and engine.mask_cache.misses == 0
+        executor.mask_cache.reset_statistics()
+        assert executor.mask_cache.hits == 0 and executor.mask_cache.misses == 0
         # Entries survive: only the counters reset.
-        assert engine.mask_cache.statistics()["cached_masks"] == cached
+        assert executor.mask_cache.statistics()["cached_masks"] == cached

@@ -44,8 +44,7 @@ from repro.query.workload import PointQueryWorkload
 from repro.schema import Attribute, Domain, Relation, Schema
 from repro.plan import kernels
 from repro.serving.governance import MemoryGovernor
-from repro.serving.planner import QueryPlanner
-from repro.sql.engine import QueryResult, WeightedQueryEngine
+from repro.sql.engine import QueryResult
 from repro.sql.parser import parse_sql
 
 
@@ -181,7 +180,7 @@ def weighted_relation() -> Relation:
 @pytest.fixture(scope="module")
 def engines(weighted_relation):
     return (
-        WeightedQueryEngine(weighted_relation),
+        ColumnarExecutor(weighted_relation),
         LegacyWeightedQueryEngine(weighted_relation),
     )
 
@@ -195,11 +194,11 @@ class TestBitIdentityWithLegacyEngine:
         for attributes in (("A",), ("A", "B"), ("A", "B", "C")):
             for entry in workload.generate(attributes, "random", 20):
                 assignment = entry.query.as_dict()
-                assert new.point(assignment) == legacy.point(assignment)
+                assert new.execute(PointQuery(assignment)) == legacy.point(assignment)
 
     def test_out_of_domain_point_is_zero(self, engines):
         new, legacy = engines
-        assert new.point({"A": 99}) == legacy.point({"A": 99}) == 0.0
+        assert new.execute(PointQuery({"A": 99})) == legacy.point({"A": 99}) == 0.0
 
     def test_scalar_queries(self, weighted_relation, engines):
         new, legacy = engines
@@ -207,7 +206,7 @@ class TestBitIdentityWithLegacyEngine:
         entries = workload.scalar_queries(30, n_predicates=2)
         assert entries
         for entry in entries:
-            assert new.scalar(entry.query) == legacy.scalar(entry.query)
+            assert new.execute(entry.query) == legacy.scalar(entry.query)
 
     def test_group_by_queries(self, weighted_relation, engines):
         new, legacy = engines
@@ -215,7 +214,7 @@ class TestBitIdentityWithLegacyEngine:
         entries = workload.group_by_queries(30, n_predicates=1)
         assert entries
         for entry in entries:
-            assert new.group_by(entry.query) == legacy.group_by(entry.query)
+            assert new.execute(entry.query) == legacy.group_by(entry.query)
 
     def test_join_group_by_queries(self, weighted_relation, engines):
         new, legacy = engines
@@ -240,7 +239,7 @@ class TestBitIdentityWithLegacyEngine:
             ),
         ]
         for query in queries:
-            assert new.join_group_by(query) == legacy.join_group_by(query)
+            assert new.execute(query) == legacy.join_group_by(query)
 
     def test_all_predicate_comparisons(self, weighted_relation, engines):
         new, legacy = engines
@@ -260,14 +259,14 @@ class TestBitIdentityWithLegacyEngine:
         ]
         for predicate in comparisons:
             query = ScalarAggregateQuery(predicates=(predicate,))
-            assert new.scalar(query) == legacy.scalar(query)
+            assert new.execute(query) == legacy.scalar(query)
 
     def test_zero_weight_groups_dropped_identically(self, weighted_relation):
         zeroed = weighted_relation.with_weights(
             np.where(weighted_relation.column("A") == 0, 0.0, weighted_relation.weights)
         )
         query = GroupByQuery(group_by=("A",))
-        assert WeightedQueryEngine(zeroed).group_by(query) == LegacyWeightedQueryEngine(
+        assert ColumnarExecutor(zeroed).execute(query) == LegacyWeightedQueryEngine(
             zeroed
         ).group_by(query)
 
@@ -275,9 +274,9 @@ class TestBitIdentityWithLegacyEngine:
         empty = weighted_relation.filter_mask(
             np.zeros(weighted_relation.n_rows, dtype=bool)
         )
-        new, legacy = WeightedQueryEngine(empty), LegacyWeightedQueryEngine(empty)
+        new, legacy = ColumnarExecutor(empty), LegacyWeightedQueryEngine(empty)
         query = GroupByQuery(group_by=("A", "B"))
-        assert new.group_by(query) == legacy.group_by(query) == QueryResult(("A", "B"), {})
+        assert new.execute(query) == legacy.group_by(query) == QueryResult(("A", "B"), {})
 
 
 class TestBitIdentityOnFittedModel:
@@ -388,10 +387,10 @@ class TestRoundTripCanonicalKeys:
 
     def test_planner_key_is_the_compiled_key(self, workload):
         schema = build_correlated_population().schema
-        planner = QueryPlanner(schema)
-        compiler = PlanCompiler(schema)
+        first, second = PlanCompiler(schema), PlanCompiler(schema)
         for entry in workload:
-            assert planner.plan(entry.query).key == compiler.compile(entry.query).key
+            routed = resolve_route(first.compile(entry.query), None)
+            assert routed.key == second.compile(entry.query).key
 
     def test_join_key_round_trip(self, compiler):
         query = JoinGroupByQuery(
@@ -587,18 +586,16 @@ class TestMaskCache:
 
     def test_executor_shares_masks_across_queries(self, weighted_relation):
         executor = ColumnarExecutor(weighted_relation)
-        engine = WeightedQueryEngine(weighted_relation, executor=executor)
         predicate = Predicate("A", Comparison.LE, 1)
-        engine.scalar(ScalarAggregateQuery(predicates=(predicate,)))
+        executor.execute(ScalarAggregateQuery(predicates=(predicate,)))
         misses_after_first = executor.mask_cache.misses
         assert misses_after_first > 0
-        engine.group_by(GroupByQuery(group_by=("B",), predicates=(predicate,)))
+        executor.execute(GroupByQuery(group_by=("B",), predicates=(predicate,)))
         assert executor.mask_cache.misses == misses_after_first  # pure hits
 
     def test_conjunction_mix_builds_masks_cold_and_none_warm(self, weighted_relation):
         # A multi-conjunct mix builds its masks once; its replay builds none.
         executor = ColumnarExecutor(weighted_relation)
-        engine = WeightedQueryEngine(weighted_relation, executor=executor)
         conjuncts = (
             Predicate("A", Comparison.IN, (0, 2)),
             Predicate("B", Comparison.LE, 1),
@@ -613,10 +610,10 @@ class TestMaskCache:
             GroupByQuery(group_by=("A",), predicates=conjuncts[:2]),
             GroupByQuery(group_by=("A", "B"), predicates=conjuncts[::-1]),
         ]
-        cold = [engine.execute(query) for query in queries]
+        cold = [executor.execute(query) for query in queries]
         cold_misses = executor.mask_cache.misses
         assert cold_misses > 0
-        assert [engine.execute(query) for query in queries] == cold
+        assert [executor.execute(query) for query in queries] == cold
         assert executor.mask_cache.misses == cold_misses
 
 
@@ -708,7 +705,7 @@ class TestRoutingMatchesHybrid:
             routed = resolve_route(
                 compiler.compile(query), model.sample_evaluator.mask_cache
             )
-            assert routed.route == model.planner.plan(query).route
+            assert routed.route == model.plan(query).route
 
     def test_unrouted_plan_defaults_to_hybrid(self):
         compiler = PlanCompiler(build_correlated_population().schema)

@@ -11,13 +11,9 @@ never a tolerance.
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import repro
 from repro.plan import (
     ColumnarExecutor,
     OptimizerStats,
@@ -543,49 +539,3 @@ class TestLRUCachePeek:
         # The counted path still counts.
         assert cache.get(("k",)) == 0.0
         assert cache.statistics.hits == before["hits"] + 1
-
-
-def _imported_modules(path: Path, module: str):
-    """The dotted names ``path`` (module ``module``) imports, with relative
-    imports resolved and ``from X import name`` yielding both ``X`` and
-    ``X.name``."""
-    package = module.split(".") if path.name == "__init__.py" else module.split(".")[:-1]
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else []
-            source = ".".join(base + ([node.module] if node.module else []))
-            yield source
-            yield from (f"{source}.{alias.name}" for alias in node.names)
-
-
-class TestOptimizerIsALeaf:
-    ALLOWED = {"repro.plan", "repro.plan.optimize"}
-
-    def test_no_served_module_imports_the_optimizer(self):
-        root = Path(repro.__file__).parent
-        # The names ``repro.plan`` re-exports from the optimizer are the
-        # optimizer too: ``from repro.plan import optimize_batch`` counts.
-        package = ast.parse((root / "plan" / "__init__.py").read_text())
-        reexported = {
-            f"repro.plan.{alias.asname or alias.name}"
-            for node in ast.walk(package)
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "optimize"
-            for alias in node.names
-        }
-        assert "repro.plan.optimize_batch" in reexported
-        importers = []
-        for path in sorted(root.rglob("*.py")):
-            parts = path.relative_to(root.parent).with_suffix("").parts
-            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-            if module in self.ALLOWED:
-                continue
-            if any(
-                name == "repro.plan.optimize"
-                or name.startswith("repro.plan.optimize.")
-                or name in reexported
-                for name in _imported_modules(path, module)
-            ):
-                importers.append(module)
-        assert importers == []

@@ -14,7 +14,7 @@ import pytest
 from repro.aggregates import AggregateQuery, AggregateSet
 from repro.core import Themis, ThemisConfig
 from repro.metrics import percent_difference
-from repro.query import GroupByQuery
+from repro.query import GroupByQuery, PointQuery
 from repro.reweighting import IPFReweighter
 
 
@@ -83,17 +83,18 @@ class TestEndToEndInvariants:
     def test_point_answers_are_non_negative(self, model):
         for a in (0, 1, 2):
             for b in (0, 1, 2):
-                assert model.hybrid_evaluator.point({"A": a, "B": b}) >= 0.0
+                assert model.hybrid_evaluator.execute(PointQuery({"A": a, "B": b})) >= 0.0
 
     def test_point_answers_bounded_by_population(self, model):
         for a in (0, 1, 2):
-            assert model.hybrid_evaluator.point({"A": a}) <= model.population_size * 1.05
+            estimate = model.hybrid_evaluator.execute(PointQuery({"A": a}))
+            assert estimate <= model.population_size * 1.05
 
     def test_aggregate_marginals_respected_by_hybrid(self, model, correlated_population):
         """Answers for the aggregate-covered attribute A are close to the truth."""
         for a in (0, 1, 2):
             truth = correlated_population.count({"A": a})
-            estimate = model.hybrid_evaluator.point({"A": a})
+            estimate = model.hybrid_evaluator.execute(PointQuery({"A": a}))
             assert percent_difference(truth, estimate) < 30
 
     def test_bn_and_sample_evaluators_agree_on_total_mass(self, model):

@@ -195,11 +195,11 @@ class TestLRUCache:
         assert len(cache) == 2
 
     def test_sql_text_plan_roundtrip_and_clear(self, serving_themis):
-        planner = serving_themis.model.planner
+        model = serving_themis.model
         cache = PlanCache(8)
         sql = "SELECT COUNT(*) FROM s WHERE A = 0"
         assert cache.get(sql) is None
-        cache.put(sql, planner.plan(sql))
+        cache.put(sql, model.plan(sql))
         assert cache.get(sql).sql == sql
         cache.clear()
         assert cache.get(sql) is None
@@ -217,13 +217,13 @@ class TestInferenceCache:
     def _observed_point(cache, assignment):
         """One point answer with its network work accounted to ``cache``."""
         with cache.observed():
-            return cache.evaluator.point(assignment)
+            return cache.evaluator.execute(PointQuery(assignment))
 
     def test_observed_point_matches_evaluator(self, fresh_serving_themis, inference_cache):
         evaluator = fresh_serving_themis.model.bayes_net_evaluator
         assignment = {"A": 1, "B": 2}
-        assert self._observed_point(inference_cache, assignment) == evaluator.point(
-            assignment
+        assert self._observed_point(inference_cache, assignment) == evaluator.execute(
+            PointQuery(assignment)
         )
 
     def test_point_signature_factor_is_memoized(self, inference_cache):
@@ -254,7 +254,7 @@ class TestInferenceCache:
         assert inference_cache.statistics.misses == 2
         assert inference_cache.statistics.hits == 0
         # Work outside an observed block is not this cache's.
-        assert answers == [inference_cache.evaluator.point(a) for a in batch]
+        assert answers == [inference_cache.evaluator.execute(PointQuery(a)) for a in batch]
         assert inference_cache.statistics.hits == 0
         # The same batch again touches both factors without re-eliminating.
         with inference_cache.observed() as work:

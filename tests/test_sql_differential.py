@@ -8,8 +8,8 @@ answered three ways and every answer must be **exactly** equal (``==``, no
 tolerance):
 
 * the row-at-a-time reference engine (``tests/oracle.py``),
-* the per-plan columnar path (``engine.execute``, one query at a time),
-* the batch-aware optimizer (``engine.execute_batch``),
+* the per-plan columnar path (``executor.execute``, one query at a time),
+* the batch path (``executor.execute_batch``),
 
 and, for queries the generator can render to SQL text, the parser path as
 well.  The same statements then go through the doors of the open-world
@@ -35,6 +35,7 @@ from oracle import ReferenceEngine, hybrid_reference
 
 from repro.aggregates import AggregateQuery
 from repro.core import Themis, ThemisConfig
+from repro.plan import ColumnarExecutor
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
@@ -50,7 +51,6 @@ from repro.query import (
     WindowSpec,
 )
 from repro.schema import Attribute, Domain, Relation, Schema
-from repro.sql import WeightedQueryEngine
 
 #: Total number of generated queries; the CI sweep step raises this to 240.
 SWEEP = int(os.environ.get("SQL_DIFFERENTIAL_SWEEP", "42"))
@@ -355,22 +355,22 @@ def _check_relation(seed: int, n_queries: int) -> None:
     relation = build_random_relation(rng)
     queries = [random_query(rng, relation.schema) for _ in range(n_queries)]
     oracle = ReferenceEngine(relation)
-    engine = WeightedQueryEngine(relation)
+    executor = ColumnarExecutor(relation)
     expected = [oracle.execute(query) for query in queries]
 
     for query, want in zip(queries, expected):
-        got = engine.execute(query)
+        got = executor.execute(query)
         assert got == want, (
             f"seed={seed}: per-plan mismatch for {query!r}:\n{got!r}\n!=\n{want!r}"
         )
         sql = render_sql(query)
         if sql is not None:
-            via_sql = engine.execute(sql)
+            via_sql = executor.execute(sql)
             assert via_sql == want, (
                 f"seed={seed}: SQL-path mismatch for {sql!r}:\n{via_sql!r}\n!=\n{want!r}"
             )
 
-    answers = engine.execute_batch(queries)
+    answers = executor.execute_batch(queries)
     for index, (got, want) in enumerate(zip(answers, expected)):
         assert got == want, (
             f"seed={seed}: batch mismatch at #{index} "
@@ -493,13 +493,13 @@ def test_differential_rich_pipeline_heavy():
     rng = np.random.default_rng(77_001)
     relation = build_random_relation(rng)
     oracle = ReferenceEngine(relation)
-    engine = WeightedQueryEngine(relation)
+    executor = ColumnarExecutor(relation)
     queries = [random_analytic(rng, relation.schema) for _ in range(max(8, SWEEP // 5))]
     expected = [oracle.execute(query) for query in queries]
     for query, want in zip(queries, expected):
-        got = engine.execute(query)
+        got = executor.execute(query)
         assert got == want, f"seed=77001: {query!r}:\n{got!r}\n!=\n{want!r}"
-    optimized = engine.execute_batch(queries)
+    optimized = executor.execute_batch(queries)
     for index, (got, want) in enumerate(zip(optimized, expected)):
         assert got == want, (
             f"seed=77001: optimized batch mismatch at #{index} for "
@@ -550,12 +550,12 @@ def test_differential_survives_refit():
     def check(model, label):
         weighted = model.weighted_sample
         oracle = ReferenceEngine(weighted)
-        engine = model.sample_evaluator.engine
+        executor = model.sample_evaluator.executor
         expected = [oracle.execute(query) for query in queries]
         for query, want in zip(queries, expected):
-            got = engine.execute(query)
+            got = executor.execute(query)
             assert got == want, f"{label}: {query!r}:\n{got!r}\n!=\n{want!r}"
-        optimized = engine.execute_batch(queries)
+        optimized = executor.execute_batch(queries)
         assert optimized == expected, f"{label}: optimized batch diverged"
         return weighted.weights.copy()
 

@@ -1,10 +1,11 @@
-"""Tests for the weighted query engine and the in-memory database."""
+"""Tests for weighted query execution over one relation (``ColumnarExecutor``)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import QueryError
+from repro.plan import ColumnarExecutor
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
@@ -16,7 +17,6 @@ from repro.query import (
     ScalarAggregateQuery,
 )
 from repro.schema import Attribute, Domain, Relation, Schema
-from repro.sql import Database, WeightedQueryEngine, answer_point_query
 
 
 @pytest.fixture
@@ -45,23 +45,23 @@ def flights(schema) -> Relation:
 
 class TestPointQueries:
     def test_point_sums_weights(self, flights):
-        engine = WeightedQueryEngine(flights)
-        assert engine.point({"origin": "CA"}) == 5.0
-        assert engine.point({"origin": "CA", "dest": "NY"}) == 2.0
+        executor = ColumnarExecutor(flights)
+        assert executor.execute(PointQuery({"origin": "CA"})) == 5.0
+        assert executor.execute(PointQuery({"origin": "CA", "dest": "NY"})) == 2.0
 
     def test_point_missing_tuple_is_zero(self, flights):
-        assert WeightedQueryEngine(flights).point({"origin": "WA", "dest": "NY"}) == 0.0
+        assert ColumnarExecutor(flights).execute(PointQuery({"origin": "WA", "dest": "NY"})) == 0.0
 
     def test_point_requires_assignment(self, flights):
         with pytest.raises(QueryError):
-            WeightedQueryEngine(flights).point({})
+            ColumnarExecutor(flights).execute(PointQuery({}))
 
-    def test_answer_point_query_helper(self, flights):
-        assert answer_point_query(flights, {"dest": "CA"}) == 3.0
+    def test_point_over_another_attribute(self, flights):
+        assert ColumnarExecutor(flights).execute(PointQuery({"dest": "CA"})) == 3.0
 
     def test_execute_dispatch_point(self, flights):
-        engine = WeightedQueryEngine(flights)
-        assert engine.execute(PointQuery({"origin": "NY"})) == 4.0
+        executor = ColumnarExecutor(flights)
+        assert executor.execute(PointQuery({"origin": "NY"})) == 4.0
 
 
 class TestScalarQueries:
@@ -69,7 +69,7 @@ class TestScalarQueries:
         query = ScalarAggregateQuery(
             predicates=(Predicate("minutes", Comparison.LE, 60),)
         )
-        assert WeightedQueryEngine(flights).scalar(query) == 7.0
+        assert ColumnarExecutor(flights).execute(query) == 7.0
 
     def test_weighted_average(self, flights):
         query = ScalarAggregateQuery(
@@ -77,27 +77,27 @@ class TestScalarQueries:
             predicates=(Predicate("origin", Comparison.EQ, "CA"),),
         )
         expected = (2 * 120 + 2 * 60 + 1 * 30) / 5
-        assert WeightedQueryEngine(flights).scalar(query) == pytest.approx(expected)
+        assert ColumnarExecutor(flights).execute(query) == pytest.approx(expected)
 
     def test_sum_aggregate(self, flights):
         query = ScalarAggregateQuery(
             aggregate=AggregateSpec(AggregateFunction.SUM, "minutes")
         )
         expected = 2 * 120 + 2 * 60 + 30 + 120 + 3 * 30 + 60
-        assert WeightedQueryEngine(flights).scalar(query) == expected
+        assert ColumnarExecutor(flights).execute(query) == expected
 
     def test_empty_filter_result(self, flights):
         query = ScalarAggregateQuery(
             aggregate=AggregateSpec(AggregateFunction.AVG, "minutes"),
             predicates=(Predicate("origin", Comparison.EQ, "TX"),),
         )
-        assert WeightedQueryEngine(flights).scalar(query) == 0.0
+        assert ColumnarExecutor(flights).execute(query) == 0.0
 
 
 class TestGroupByQueries:
     def test_weighted_counts_per_group(self, flights):
         query = GroupByQuery(group_by=("origin",))
-        result = WeightedQueryEngine(flights).group_by(query)
+        result = ColumnarExecutor(flights).execute(query)
         assert result.value(("CA",)) == 5.0
         assert result.value(("NY",)) == 4.0
         assert result.value(("WA",)) == 1.0
@@ -108,7 +108,7 @@ class TestGroupByQueries:
             aggregate=AggregateSpec(AggregateFunction.AVG, "minutes"),
             predicates=(Predicate("dest", Comparison.EQ, "CA"),),
         )
-        result = WeightedQueryEngine(flights).group_by(query)
+        result = ColumnarExecutor(flights).execute(query)
         assert result.value(("CA",)) == 30.0
         assert result.value(("NY",)) == 120.0
         assert ("WA",) in result
@@ -117,18 +117,18 @@ class TestGroupByQueries:
         relation = Relation.from_rows(
             schema, [("CA", "NY", 30), ("NY", "CA", 60)], weights=[0.0, 1.0]
         )
-        result = WeightedQueryEngine(relation).group_by(GroupByQuery(group_by=("origin",)))
+        result = ColumnarExecutor(relation).execute(GroupByQuery(group_by=("origin",)))
         assert ("CA",) not in result
         assert result.value(("NY",)) == 1.0
 
     def test_empty_relation(self, schema):
-        result = WeightedQueryEngine(Relation.empty(schema)).group_by(
+        result = ColumnarExecutor(Relation.empty(schema)).execute(
             GroupByQuery(group_by=("origin",))
         )
         assert len(result) == 0
 
     def test_result_helpers(self, flights):
-        result = WeightedQueryEngine(flights).group_by(GroupByQuery(group_by=("dest",)))
+        result = ColumnarExecutor(flights).execute(GroupByQuery(group_by=("dest",)))
         assert result.groups() == {("CA",), ("NY",), ("WA",)}
         assert result.value(("XX",), default=-1.0) == -1.0
         assert len(result.as_dict()) == 3
@@ -139,7 +139,7 @@ class TestGroupByQueries:
             aggregate=AggregateSpec(AggregateFunction.AVG, "origin"),
         )
         with pytest.raises(QueryError):
-            WeightedQueryEngine(flights).group_by(query)
+            ColumnarExecutor(flights).execute(query)
 
 
 class TestJoinQueries:
@@ -151,7 +151,7 @@ class TestJoinQueries:
             right_group="dest",
             left_predicates=(Predicate("dest", Comparison.IN, ("CA",)),),
         )
-        result = WeightedQueryEngine(flights).join_group_by(query)
+        result = ColumnarExecutor(flights).execute(query)
         # Left tuples with dest=CA: CA->CA (w=1), NY->CA (w=1), WA->CA (w=1).
         # They join with right tuples having origin=CA (weights 2, 2, 1).
         assert result.value(("CA", "NY")) == 1 * 2
@@ -166,47 +166,5 @@ class TestJoinQueries:
             right_group="dest",
             left_predicates=(Predicate("dest", Comparison.EQ, "TX"),),
         )
-        result = WeightedQueryEngine(flights).join_group_by(query)
+        result = ColumnarExecutor(flights).execute(query)
         assert len(result) == 0
-
-
-class TestDatabase:
-    def test_create_and_query_table(self, flights):
-        database = Database()
-        database.create_table("flights", flights)
-        assert "flights" in database
-        assert database.point("flights", {"origin": "CA"}) == 5.0
-
-    def test_duplicate_table_rejected_unless_replace(self, flights):
-        database = Database()
-        database.create_table("flights", flights)
-        with pytest.raises(QueryError):
-            database.create_table("flights", flights)
-        database.create_table("flights", flights, replace=True)
-
-    def test_drop_table(self, flights):
-        database = Database()
-        database.create_table("flights", flights)
-        database.drop_table("flights")
-        with pytest.raises(QueryError):
-            database.table("flights")
-
-    def test_execute_sql(self, flights):
-        database = Database()
-        database.create_table("flights", flights)
-        value = database.execute_sql(
-            "SELECT COUNT(*) FROM flights WHERE origin = 'CA' AND dest = 'NY'"
-        )
-        assert value == 2.0
-
-    def test_execute_sql_group_by(self, flights):
-        database = Database()
-        database.create_table("flights", flights)
-        result = database.execute_sql(
-            "SELECT origin, COUNT(*) FROM flights GROUP BY origin"
-        )
-        assert result.value(("CA",)) == 5.0
-
-    def test_unknown_table_rejected(self):
-        with pytest.raises(QueryError):
-            Database().execute_sql("SELECT COUNT(*) FROM nope WHERE a = 1")

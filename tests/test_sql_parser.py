@@ -267,14 +267,14 @@ class TestMalformedStatements:
         """Name resolution is the compiler's job; its error lists columns."""
         from repro.exceptions import QueryError
         from repro.schema import Attribute, Domain, Relation, Schema
-        from repro.sql import WeightedQueryEngine
+        from repro.plan import ColumnarExecutor
 
         relation = Relation(
             Schema([Attribute("a", Domain(["x", "y"]))]), {"a": [0, 1]}
         )
         parsed = parse_sql("SELECT a, COUNT(*) AS n FROM t GROUP BY a ORDER BY zz")
         with pytest.raises(QueryError) as excinfo:
-            WeightedQueryEngine(relation).execute(parsed.query)
+            ColumnarExecutor(relation).execute(parsed.query)
         message = str(excinfo.value)
         assert "zz" in message and "available columns" in message
 

@@ -23,7 +23,7 @@ import pytest
 from worlds import build_correlated_population
 
 import repro.plan.analytics
-from repro.plan import normalize_plan, optimize_batch
+from repro.plan import ColumnarExecutor, normalize_plan, optimize_batch
 from repro.query import (
     AggregateFunction,
     AggregateSpec,
@@ -33,7 +33,7 @@ from repro.query import (
     Predicate,
 )
 from repro.schema import Attribute, Domain, Relation, Schema
-from repro.sql import WeightedQueryEngine, parse_sql
+from repro.sql import parse_sql
 from repro.sql.engine import QueryResult, TableResult
 
 
@@ -64,17 +64,17 @@ class TestRoundTrips:
         entries = workload.analytic_queries(10)
         assert len(entries) == 10
         assert all(entry.shape == "table" for entry in entries)
-        engine = WeightedQueryEngine(population)
-        compiler = engine.executor.compiler
+        executor = ColumnarExecutor(population)
+        compiler = executor.compiler
         for entry in entries:
             from_sql = compiler.compile(parse_sql(entry.sql).query)
             from_ast = compiler.compile(entry.query)
             assert from_sql.key == from_ast.key, entry.sql
             assert from_sql.shape == "table"
-            assert engine.execute(entry.sql) == engine.execute(entry.query), entry.sql
+            assert executor.execute(entry.sql) == executor.execute(entry.query), entry.sql
 
     def test_plan_key_is_stable_and_predicate_order_insensitive(self, tiny_relation):
-        compiler = WeightedQueryEngine(tiny_relation).executor.compiler
+        compiler = ColumnarExecutor(tiny_relation).compiler
         predicates = (
             Predicate("g", Comparison.NE, "d"),
             Predicate("x", Comparison.LE, 2.0),
@@ -163,14 +163,14 @@ class TestServingTables:
         assert after.results() != before
 
     def test_window_sorts_shared_within_a_table(self, tiny_relation, monkeypatch):
-        engine = WeightedQueryEngine(tiny_relation)
+        executor = ColumnarExecutor(tiny_relation)
         queries = [
             "SELECT g, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r, "
             "SUM(n) OVER (ORDER BY n DESC) AS running FROM t GROUP BY g",
             "SELECT g, SUM(x) AS t, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r "
             "FROM t GROUP BY g",
         ]
-        reference = [engine.execute(sql) for sql in queries]
+        reference = [executor.execute(sql) for sql in queries]
         lexsorts = []
 
         class CountingNumpy:
@@ -183,15 +183,15 @@ class TestServingTables:
 
         monkeypatch.setattr(repro.plan.analytics, "np", CountingNumpy())
         # The first table's two windows share one ordering: one lexsort.
-        assert engine.execute(queries[0]) == reference[0]
+        assert executor.execute(queries[0]) == reference[0]
         assert len(lexsorts) == 1
-        assert engine.execute_batch(queries) == reference
+        assert executor.execute_batch(queries) == reference
         assert len(lexsorts) == 3
-        schedule = optimize_batch([engine.executor.compiler.compile(sql) for sql in queries])
+        schedule = optimize_batch([executor.compiler.compile(sql) for sql in queries])
         assert schedule.stats.groupby_fusions >= 1
 
     def test_filtered_dashboard_tables_dedup_and_share_masks(self, tiny_relation):
-        engine = WeightedQueryEngine(tiny_relation)
+        executor = ColumnarExecutor(tiny_relation)
         filtered = [
             "SELECT g, COUNT(*) AS n, SUM(x) AS t FROM t WHERE x > 1 GROUP BY g "
             "ORDER BY n DESC LIMIT 2",
@@ -199,9 +199,9 @@ class TestServingTables:
             "SELECT COUNT(*) AS n, AVG(x) AS m FROM t WHERE x > 1",
         ]
         filtered = filtered + filtered[:1]
-        batch = WeightedQueryEngine(tiny_relation).execute_batch(filtered)
-        assert batch == [engine.execute(sql) for sql in filtered]
-        schedule = optimize_batch([engine.executor.compiler.compile(sql) for sql in filtered])
+        batch = ColumnarExecutor(tiny_relation).execute_batch(filtered)
+        assert batch == [executor.execute(sql) for sql in filtered]
+        schedule = optimize_batch([executor.compiler.compile(sql) for sql in filtered])
         assert schedule.stats.plans_deduped >= 1
         assert schedule.stats.masks_shared >= 1
 
@@ -234,8 +234,8 @@ class TestTableResultBehavior:
         assert (table != 42) is True
 
     def test_aliases_surface_in_columns(self, tiny_relation):
-        engine = WeightedQueryEngine(tiny_relation)
-        table = engine.execute(
+        executor = ColumnarExecutor(tiny_relation)
+        table = executor.execute(
             "SELECT g, COUNT(*) AS flights, SUM(x) AS total FROM t GROUP BY g"
         )
         assert table.columns == ("g", "flights", "total")
@@ -260,7 +260,7 @@ class TestHandComputedPipeline:
     """
 
     def test_multi_aggregate_rows(self, tiny_relation):
-        table = WeightedQueryEngine(tiny_relation).execute(
+        table = ColumnarExecutor(tiny_relation).execute(
             "SELECT g, COUNT(*) AS n, SUM(x) AS t FROM t GROUP BY g"
         )
         assert table.rows == (
@@ -271,19 +271,19 @@ class TestHandComputedPipeline:
         )
 
     def test_having_filters_group_rows(self, tiny_relation):
-        table = WeightedQueryEngine(tiny_relation).execute(
+        table = ColumnarExecutor(tiny_relation).execute(
             "SELECT g, COUNT(*) AS n FROM t GROUP BY g HAVING n > 1"
         )
         assert table.rows == (("a", 3.0), ("b", 1.5), ("c", 1.5))
 
     def test_order_by_desc_limit(self, tiny_relation):
-        table = WeightedQueryEngine(tiny_relation).execute(
+        table = ColumnarExecutor(tiny_relation).execute(
             "SELECT g, COUNT(*) AS n FROM t GROUP BY g ORDER BY n DESC LIMIT 2"
         )
         assert table.rows == (("a", 3.0), ("b", 1.5))
 
     def test_rank_peers_share_rank_with_gaps(self, tiny_relation):
-        table = WeightedQueryEngine(tiny_relation).execute(
+        table = ColumnarExecutor(tiny_relation).execute(
             "SELECT g, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r "
             "FROM t GROUP BY g ORDER BY r, g"
         )
@@ -296,20 +296,20 @@ class TestHandComputedPipeline:
         )
 
     def test_running_sum_accumulates_in_order(self, tiny_relation):
-        table = WeightedQueryEngine(tiny_relation).execute(
+        table = ColumnarExecutor(tiny_relation).execute(
             "SELECT g, COUNT(*) AS n, SUM(n) OVER (ORDER BY g) AS running "
             "FROM t GROUP BY g"
         )
         assert table.column("running") == [3.0, 4.5, 6.0, 6.5]
 
     def test_partition_total_sum_without_order(self, tiny_relation):
-        table = WeightedQueryEngine(tiny_relation).execute(
+        table = ColumnarExecutor(tiny_relation).execute(
             "SELECT g, SUM(x) AS t, SUM(t) OVER () AS grand FROM t GROUP BY g"
         )
         assert table.column("grand") == [13.5, 13.5, 13.5, 13.5]
 
     def test_groupless_multi_aggregate_single_row(self, tiny_relation):
-        table = WeightedQueryEngine(tiny_relation).execute(
+        table = ColumnarExecutor(tiny_relation).execute(
             "SELECT COUNT(*) AS n, SUM(x) AS t FROM t"
         )
         assert table.columns == ("n", "t")
@@ -317,7 +317,7 @@ class TestHandComputedPipeline:
 
     def test_pipeline_applies_in_fixed_order(self, tiny_relation):
         """HAVING runs before windows: ranks are computed over survivors."""
-        table = WeightedQueryEngine(tiny_relation).execute(
+        table = ColumnarExecutor(tiny_relation).execute(
             "SELECT g, COUNT(*) AS n, RANK() OVER (ORDER BY n DESC) AS r "
             "FROM t GROUP BY g HAVING n > 1 ORDER BY r, g"
         )
