@@ -56,6 +56,18 @@ class TestReweightedSampleEvaluator:
         result = evaluator.execute(GroupByQuery(group_by=("A",)))
         assert len(result) >= 1
 
+    def test_masks_and_compiler_are_the_executors(self, fitted_components):
+        # The evaluator holds no caches of its own: routing reads the very
+        # masks and compiler its executor answers with.
+        weighted, _, _ = fitted_components
+        evaluator = ReweightedSampleEvaluator(weighted)
+        executor = evaluator.executor
+        assert evaluator.mask_cache is executor.mask_cache
+        assert evaluator.compiler is executor.compiler
+        assert evaluator.sample is executor.relation is weighted
+        query = ScalarAggregateQuery(predicates=(Predicate("A", Comparison.EQ, 0),))
+        assert evaluator.execute(query) == executor.execute(query)
+
     def test_unknown_query_type_rejected(self, fitted_components):
         weighted, _, _ = fitted_components
         with pytest.raises(QueryError) as excinfo:

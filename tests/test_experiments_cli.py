@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
 
+import repro.experiments
 from repro.experiments.cli import (
+    _build_registry,
     available_experiments,
     build_parser,
     main,
     resolve_scale,
 )
 from repro.experiments.config import PAPER_SCALE, SMALL_SCALE, TINY_SCALE
+
+#: The modules that run an experiment: the package minus the runner and the
+#: shared scaffolding it and the experiments use.
+EXPERIMENT_MODULES = sorted(
+    path
+    for path in Path(repro.experiments.__file__).parent.glob("*.py")
+    if path.stem not in {"__init__", "__main__", "cli", "config", "harness", "reporting"}
+)
 
 
 class TestRegistry:
@@ -22,6 +36,32 @@ class TestRegistry:
             + ["table6", "table7", "table8", "ablation", "fault_tolerance", "governance"]
         )
         assert available_experiments() == expected  # 22 names
+
+    def test_every_experiment_module_is_registered(self):
+        # The registry is the one entry point: each experiment module is
+        # imported by ``_build_registry``, and none runs as a script.
+        imported = {
+            node.module
+            for node in ast.walk(ast.parse(inspect.getsource(_build_registry)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+        experiments = {path.stem for path in EXPERIMENT_MODULES}
+        assert imported == experiments
+
+    @pytest.mark.parametrize("path", EXPERIMENT_MODULES, ids=lambda path: path.stem)
+    def test_experiment_module_has_no_entry_point_of_its_own(self, path):
+        tree = ast.parse(path.read_text())
+        functions = {
+            node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+        assert "main" not in functions
+        assert "__main__" not in {
+            node.value
+            for statement in tree.body
+            if isinstance(statement, ast.If)
+            for node in ast.walk(statement.test)
+            if isinstance(node, ast.Constant)
+        }
 
     def test_resolve_scale_names(self):
         assert resolve_scale("tiny") is TINY_SCALE

@@ -151,3 +151,13 @@ class TestPlanningSurface:
     def test_unknown_attribute_rejected(self, model):
         with pytest.raises(QueryError):
             model.plan(PointQuery({"bogus": 1}))
+
+    def test_plan_compiles_and_routes_on_the_sample_masks(self, model):
+        sample = model.sample_evaluator
+        for statement in (
+            "SELECT COUNT(*) FROM s WHERE A = 0 AND B = 1",
+            PointQuery({"A": 0}),
+            GroupByQuery(group_by=("A",)),
+        ):
+            expected = resolve_route(sample.compiler.compile(statement), sample.mask_cache)
+            assert model.plan(statement) == expected

@@ -168,3 +168,32 @@ class TestJoinQueries:
         )
         result = ColumnarExecutor(flights).execute(query)
         assert len(result) == 0
+
+
+class TestSQLText:
+    """The executor compiles SQL text over its own relation; the ``FROM``
+    name is not looked up."""
+
+    def test_execute_sql(self, flights):
+        value = ColumnarExecutor(flights).execute(
+            "SELECT COUNT(*) FROM flights WHERE origin = 'CA' AND dest = 'NY'"
+        )
+        assert value == 2.0
+
+    def test_execute_sql_group_by(self, flights):
+        result = ColumnarExecutor(flights).execute(
+            "SELECT origin, COUNT(*) FROM flights GROUP BY origin"
+        )
+        assert result.value(("CA",)) == 5.0
+        assert result.value(("NY",)) == 4.0
+
+    def test_execute_sql_weighted_average(self, flights):
+        value = ColumnarExecutor(flights).execute(
+            "SELECT AVG(minutes) FROM flights WHERE origin = 'CA'"
+        )
+        # (2 * 120 + 2 * 60 + 1 * 30) / (2 + 2 + 1)
+        assert value == pytest.approx(78.0)
+
+    def test_unknown_attribute_rejected(self, flights):
+        with pytest.raises(QueryError, match="bogus"):
+            ColumnarExecutor(flights).execute("SELECT COUNT(*) FROM flights WHERE bogus = 1")
