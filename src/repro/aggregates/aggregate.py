@@ -36,7 +36,7 @@ class AggregateQuery:
     (1, 10.0)
     """
 
-    __slots__ = ("_attributes", "_groups")
+    __slots__ = ("_attributes", "_groups", "_encoded")
 
     def __init__(
         self,
@@ -64,6 +64,7 @@ class AggregateQuery:
             raise AggregateError("an aggregate needs at least one group")
         self._attributes = attributes
         self._groups = cleaned
+        self._encoded: tuple[Schema, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -142,15 +143,27 @@ class AggregateQuery:
         Column ``p`` holds the code of the group's value for
         ``attributes[p]`` in ``schema``'s domain, or ``-1`` when the value is
         outside it (a population group the schema cannot express).
+
+        The aggregate is immutable, so the codes are memoized for the last
+        schema asked for (by identity): a fit encodes every aggregate many
+        times over one schema (the incidence system, the structure search's
+        family counts, each constrained factor), and pays the walk over the
+        groups once.  The array is read-only, shared by every caller.
         """
+        memo = self._encoded
+        if memo is not None and memo[0] is schema:
+            return memo[1]
         domains = [schema[name].domain for name in self._attributes]
-        return np.asarray(
+        codes = np.asarray(
             [
                 [domain.code_of(value, -1) for domain, value in zip(domains, values)]
                 for values in self._groups
             ],
             dtype=np.int64,
         )
+        codes.flags.writeable = False
+        self._encoded = schema, codes
+        return codes
 
     def count_for(self, values: Sequence[Any]) -> float:
         """Count of one group, zero if the group is absent from the report."""

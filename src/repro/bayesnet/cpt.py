@@ -230,17 +230,20 @@ class ConditionalProbabilityTable:
     ) -> np.ndarray:
         """Joint counts of ``(parents, child)`` from an aggregate covering them.
 
-        The aggregate is marginalized onto the family; groups with a value
+        The aggregate is marginalized onto the family: its groups are
+        scattered onto their family cells straight from its (memoized)
+        codes, adding up in group order as
+        :meth:`AggregateQuery.marginalize` would.  Groups with a family value
         outside the schema's domains are dropped.
         """
         family = [*parents, child]
-        marginal = aggregate.marginalize(family)
-        codes = marginal.encode(schema)
+        positions = [aggregate.attributes.index(name) for name in family]
+        codes = aggregate.encode(schema)[:, positions]
         known = (codes >= 0).all(axis=1)
         sizes = [schema[name].size for name in family]
         totals = np.bincount(
             np.ravel_multi_index(tuple(codes[known].T), sizes),
-            weights=marginal.counts()[known],
+            weights=aggregate.counts()[known],
             minlength=int(np.prod(sizes)),
         )
         return totals.reshape(-1, sizes[-1])

@@ -20,11 +20,12 @@ fitted on one path:
    the rows it has mass for follow in closed form (the "direct equality
    constraints" of Sec. 6.9);
 3. the remaining aggregates are met by *iterative scaling*: sweep over the
-   linear constraints, multiply the cells of each by ``target / achieved``,
-   renormalize the rows, repeat until no scale moves by more than ``1e-8``
-   (or 50 sweeps).  This is IPF on the factor — the I-projection of the
-   sample estimate onto the constraint set, i.e. the closest distribution in
-   KL divergence that reproduces the aggregates.  How far it got is reported
+   linear constraints, multiply the cells of each by ``target / achieved``
+   (one aggregate's groups at a time), renormalize the rows, repeat until
+   no scale moves by more than ``1e-8`` (or 50 sweeps).  This is IPF on the
+   factor — the I-projection of the sample estimate onto the constraint
+   set, i.e. the closest distribution in KL divergence that reproduces the
+   aggregates.  How far it got is reported
    per node in :class:`ParameterLearningReport`.
 
 There is deliberately no general constrained-likelihood solver in front of
@@ -215,15 +216,14 @@ class ParameterLearner:
             theta = normalize_rows(joint, fallback=theta)
             report.closed_form_nodes.append(node)
 
-        rows, targets = self._linear_constraints(
-            [agg for agg in constraints if agg is not full_family],
-            node,
-            parents,
-            schema,
-            parent_marginal,
-            population_size,
-        )
-        theta, sweeps, gap = self._iterative_scaling(theta, rows, targets)
+        blocks = [
+            self._linear_constraints(
+                [aggregate], node, parents, schema, parent_marginal, population_size
+            )
+            for aggregate in constraints
+            if aggregate is not full_family
+        ]
+        theta, sweeps, gap = self._iterative_scaling(theta, blocks)
         report.projection_sweeps[node] = sweeps
         report.projection_gaps[node] = gap
 
@@ -277,38 +277,60 @@ class ParameterLearner:
     @staticmethod
     def _iterative_scaling(
         theta0: np.ndarray,
-        constraint_rows: np.ndarray,
-        constraint_targets: np.ndarray,
+        blocks: list[tuple[np.ndarray, np.ndarray]],
         n_sweeps: int = 50,
         tolerance: float = 1e-8,
     ) -> tuple[np.ndarray, int, float]:
         """Rescale θ entries per constraint, renormalize rows, repeat.
+
+        ``blocks`` holds one ``(rows, targets)`` linear system per aggregate,
+        as :meth:`_linear_constraints` builds it.  The groups of one
+        aggregate differ in the code of at least one family attribute, so
+        they constrain disjoint θ cells and rescaling one leaves every other
+        group's achieved mass as it was: a sweep rescales a whole aggregate
+        in one step (the aggregates still in order, one after the other),
+        and the table is the one a constraint-at-a-time sweep leaves, bit
+        for bit.  Each group's achieved mass stays its own ``row @ θ`` dot
+        product: a mat-vec over the aggregate's rows would sum in another
+        order and move the last bits.
 
         Returns the fitted table, the sweeps used and the largest relative
         gap the table leaves on any constraint.  Slightly inconsistent
         constraints end in a compromise and a gap that says so.
         """
         theta = np.array(theta0, dtype=float, copy=True)
-        if constraint_rows.shape[0] == 0:
+        blocks = [(rows, targets) for rows, targets in blocks if rows.shape[0]]
+        if not blocks:
             return theta, 0, 0.0
-        masks = constraint_rows.reshape(-1, *theta.shape) > 0
-        targets = constraint_targets.tolist()
-        for sweeps in range(1, n_sweeps + 1):
-            max_gap = 0.0
-            for mask, row, target in zip(masks, constraint_rows, targets):
-                achieved = float(row @ theta.reshape(-1))
-                if achieved <= 0:
-                    if target > 0:
-                        # Give the constrained cells a small uniform mass so the
-                        # constraint can be approached on the next sweep.
-                        theta[mask] = np.maximum(theta[mask], 1e-6)
-                    continue
-                scale = target / achieved
-                max_gap = max(max_gap, abs(scale - 1.0))
-                theta[mask] *= scale
-            theta = normalize_rows(np.clip(theta, 0.0, None))
-            if max_gap <= tolerance:
-                break
+        steps = []
+        for rows, targets in blocks:
+            # The cells each group constrains, listed group by group.
+            group, cell = np.nonzero(rows > 0)
+            steps.append((rows, targets, targets > 0, group, cell))
+        # A group with next to no mass overflows its scale to inf, as a
+        # Python float division would, instead of warning.
+        with np.errstate(over="ignore"):
+            for sweeps in range(1, n_sweeps + 1):
+                max_gap = 0.0
+                for rows, targets, positive, group, cell in steps:
+                    flat = theta.reshape(-1)
+                    achieved = np.array([row @ flat for row in rows])
+                    scaled = achieved > 0
+                    scale = np.divide(targets, achieved, out=np.ones_like(achieved), where=scaled)
+                    if scaled.any():
+                        max_gap = max(max_gap, float(np.abs(scale[scaled] - 1.0).max()))
+                    flat[cell] *= scale[group]
+                    bump = positive & ~scaled
+                    if bump.any():
+                        # Give a positive-target group with no mass a small
+                        # uniform mass so it can be approached next sweep.
+                        bumped = cell[bump[group]]
+                        flat[bumped] = np.maximum(flat[bumped], 1e-6)
+                theta = normalize_rows(np.clip(theta, 0.0, None))
+                if max_gap <= tolerance:
+                    break
+        constraint_rows = np.vstack([rows for rows, _ in blocks])
+        constraint_targets = np.concatenate([targets for _, targets in blocks])
         achieved = constraint_rows @ theta.reshape(-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             gaps = np.where(

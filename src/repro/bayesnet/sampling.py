@@ -3,6 +3,16 @@
 GROUP BY queries are answered by generating ``K`` representative samples from
 the learned network, uniformly scaling each up to the population size, and
 averaging the per-group answers across the ``K`` samples (Sec. 4.2.4).
+
+Each node costs one draw of ``n_rows`` uniforms, whatever its number of
+parent configurations.  The draws go to the rows in stable
+parent-configuration order, and each row's code is the number of entries of
+its configuration's CDF at or below its draw.  That is what a loop of one
+``Generator.choice(child_size, size=count, p=row)`` per configuration in
+ascending order computes (``cumsum``, divide by the last entry, ``random``,
+``searchsorted(side="right")``), reading the same uniforms from the stream,
+so the codes and the generator's state afterwards are the loop's, bit for
+bit; ``tests/test_forward_sampling.py`` checks them against that loop.
 """
 
 from __future__ import annotations
@@ -29,26 +39,12 @@ class ForwardSampler:
         columns: dict[str, np.ndarray] = {}
         for node in network.topological_order():
             cpt = network.cpt(node)
-            if not cpt.parents:
-                distribution = cpt.table[0]
-                columns[node] = self._rng.choice(
-                    cpt.child_size, size=n_rows, p=self._safe(distribution)
-                )
-                continue
             config = np.zeros(n_rows, dtype=np.int64)
             for parent, size in zip(cpt.parents, cpt.parent_sizes):
                 config = config * size + columns[parent]
-            codes = np.empty(n_rows, dtype=np.int64)
-            # Sample rows grouped by parent configuration so each distinct
-            # configuration costs one vectorized choice() call.
-            unique_configs, inverse = np.unique(config, return_inverse=True)
-            for position, configuration in enumerate(unique_configs):
-                mask = inverse == position
-                distribution = self._safe(cpt.table[configuration])
-                codes[mask] = self._rng.choice(
-                    cpt.child_size, size=int(mask.sum()), p=distribution
-                )
-            columns[node] = codes
+            draws = np.empty(n_rows)
+            draws[np.argsort(config, kind="stable")] = self._rng.random(n_rows)
+            columns[node] = _count_at_or_below(self._cdf(cpt.table), config, draws)
         return columns
 
     def sample_relation(self, n_rows: int, population_size: float | None = None) -> Relation:
@@ -72,10 +68,38 @@ class ForwardSampler:
         return [self.sample_relation(n_rows, population_size) for _ in range(n_samples)]
 
     @staticmethod
-    def _safe(distribution: np.ndarray) -> np.ndarray:
-        """Clip tiny negatives from approximate solvers and renormalize."""
-        distribution = np.clip(np.asarray(distribution, dtype=float), 0.0, None)
-        total = distribution.sum()
-        if total <= 0:
-            return np.full(distribution.shape, 1.0 / distribution.shape[0])
-        return distribution / total
+    def _cdf(table: np.ndarray) -> np.ndarray:
+        """Per-configuration CDFs of a CPT table, as ``Generator.choice`` builds
+        them: tiny negatives from approximate solvers clipped, each row
+        renormalized (uniform when it has no mass), cumulated and divided by
+        its last entry."""
+        distribution = np.clip(np.asarray(table, dtype=float), 0.0, None)
+        totals = distribution.sum(axis=1, keepdims=True)
+        empty = totals <= 0
+        distribution = np.where(
+            empty, 1.0 / table.shape[1], distribution / np.where(empty, 1.0, totals)
+        )
+        cdf = np.cumsum(distribution, axis=1)
+        cdf /= cdf[:, -1:]
+        return cdf
+
+
+def _count_at_or_below(cdf: np.ndarray, config: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``count(cdf[config[i]] <= draws[i])`` for every row ``i``.
+
+    A binary search over each row's (non-decreasing) CDF, all rows per numpy
+    step: ``log2(child_size) + 1`` steps, none wider than the rows, where
+    comparing against whole CDF rows would take ``n_rows * child_size``
+    cells.  It equals ``searchsorted(side="right")`` on the row.
+    """
+    size = cdf.shape[1]
+    flat = cdf.reshape(-1)
+    base = config * size - 1
+    count = np.zeros(config.shape[0], dtype=np.int64)
+    step = 1 << (size.bit_length() - 1)
+    while step:
+        probe = count + step
+        below = (probe <= size) & (flat.take(base + np.minimum(probe, size)) <= draws)
+        count += step * below
+        step >>= 1
+    return count

@@ -37,7 +37,8 @@ class ExperimentScale:
 #: Fast configuration used by the test-suite and the benchmark harness.
 SMALL_SCALE = ExperimentScale()
 
-#: A configuration closer to the paper's sizes (minutes per experiment).
+#: A configuration closer to the paper's sizes (1-7 s per experiment; the 20
+#: paper experiments take under a minute together on a 2-core host).
 PAPER_SCALE = ExperimentScale(
     flights_rows=400_000,
     imdb_rows=200_000,

@@ -96,36 +96,37 @@ class IPFReweighter(Reweighter):
 
         converged = False
         iterations_used = 0
-        for iteration in range(1, self._max_iterations + 1):
-            iterations_used = iteration
-            for cells, closeness, reset in steps:
-                achieved = np.add.reduceat(padded[cells.gather], cells.starts)
-                # All of a cell's weights collapsed to zero (a previous
-                # constraint had target zero): reset them evenly so this
-                # constraint can still be met.
-                collapsed = achieved <= 0
-                far = ~collapsed & (np.abs(achieved - cells.counts) > closeness)
-                if far.any():
-                    # Rows of a close cell or of no cell are scaled by 1.0;
-                    # the last slot is the one ``cell_of_row`` gives the latter.
-                    ratio = np.ones(len(achieved) + 1)
-                    with np.errstate(over="ignore"):
+        # A ratio may overflow (see below): that is handled, not warned about.
+        with np.errstate(over="ignore"):
+            for iteration in range(1, self._max_iterations + 1):
+                iterations_used = iteration
+                for cells, closeness, reset in steps:
+                    achieved = np.add.reduceat(padded.take(cells.gather), cells.starts)
+                    # All of a cell's weights collapsed to zero (a previous
+                    # constraint had target zero): reset them evenly so this
+                    # constraint can still be met.
+                    collapsed = achieved <= 0
+                    far = ~collapsed & (np.abs(achieved - cells.counts) > closeness)
+                    if far.any():
+                        # Rows of a close cell or of no cell are scaled by 1.0;
+                        # the last slot is the one ``cell_of_row`` gives the latter.
+                        ratio = np.ones(len(achieved) + 1)
                         np.divide(cells.counts, achieved, out=ratio[:-1], where=far)
-                    # A cell raked down to subnormal weights overflows its
-                    # ratio; like a collapsed cell, it is reset instead.
-                    overflowed = np.isinf(ratio[:-1])
-                    if overflowed.any():
-                        collapsed |= overflowed
-                        ratio[:-1][overflowed] = 1.0
-                    weights *= ratio[cells.cell_of_row]
-                if collapsed.any():
-                    cell = cells.cell_of_row
-                    to_reset = np.append(collapsed, False)[cell]
-                    weights[to_reset] = reset[cell[to_reset]]
-            violation = system.max_relative_violation(weights)
-            if violation <= self._tolerance:
-                converged = True
-                break
+                        # A cell raked down to subnormal weights overflows its
+                        # ratio; like a collapsed cell, it is reset instead.
+                        overflowed = np.isinf(ratio[:-1])
+                        if overflowed.any():
+                            collapsed |= overflowed
+                            ratio[:-1][overflowed] = 1.0
+                        weights *= ratio.take(cells.cell_of_row)
+                    if collapsed.any():
+                        cell = cells.cell_of_row
+                        to_reset = np.append(collapsed, False)[cell]
+                        weights[to_reset] = reset[cell[to_reset]]
+                violation = system.max_relative_violation(weights)
+                if violation <= self._tolerance:
+                    converged = True
+                    break
 
         weights = weights.copy()  # not a view that keeps the padded buffer
         if self._normalize:

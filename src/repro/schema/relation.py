@@ -325,11 +325,21 @@ class Relation:
         code order.
 
         Packed-key group codes (ascending code order): each row's codes fold
-        into one ``int64`` key, most significant attribute first, and one 1-D
-        ``np.unique`` over the keys finds the groups.  Codes lie in
-        ``[0, size)``, so key order is lexicographic row order.  When the next
-        fold could pass ``2**62`` the keys are first re-ranked densely, which
-        keeps their order.
+        into one ``int64`` key, most significant attribute first.  Codes lie
+        in ``[0, size)``, so key order is lexicographic row order.  When the
+        next fold could pass ``2**62`` the keys are first re-ranked densely,
+        which keeps their order.  The groups are then found one of two ways,
+        by the key space's ``bound`` (the product of the domain sizes, or the
+        re-ranked count times the sizes still to fold):
+
+        * ``bound <= 4 * n_rows + 1024`` (the key space is not much wider
+          than the relation): one ``np.bincount`` over the keys marks the
+          keys present, and the running count of present keys below each
+          key is its group, so no sort runs;
+        * wider key spaces: one 1-D ``np.unique`` over the keys.
+
+        Both give the groups in ascending key order, so the result does not
+        depend on the branch.
 
         The result is memoized per attribute tuple: relations are immutable,
         and repeated GROUP BY queries over the same columns (the serving
@@ -363,10 +373,16 @@ class Relation:
                 bound = int(packed.max(initial=0)) + 1
             packed = packed * size + column
             bound *= size
-        # Without ``return_index`` the sort need not be stable (~2x faster);
-        # every row of a group carries the group's codes, so scatter them.
-        distinct, group_index = np.unique(packed, return_inverse=True)
-        unique_rows = np.empty((distinct.size, len(names)), dtype=np.int64)
+        if bound <= 4 * self._n_rows + 1024:
+            present = np.bincount(packed, minlength=bound) > 0
+            n_groups = int(np.count_nonzero(present))
+            group_index = (np.cumsum(present) - 1)[packed]
+        else:
+            # Without ``return_index`` the sort need not be stable (~2x faster).
+            distinct, group_index = np.unique(packed, return_inverse=True)
+            n_groups = distinct.size
+        # Every row of a group carries the group's codes, so scatter them.
+        unique_rows = np.empty((n_groups, len(names)), dtype=np.int64)
         unique_rows[group_index] = np.stack(columns, axis=1)
         result = group_index.astype(np.int64, copy=False), unique_rows
         self._group_codes_cache[key] = result

@@ -49,6 +49,10 @@ asserts the index-list sweep and the array-built factor fit ``==`` them.
 A fifth reference is ``Relation.group_codes`` as one row-wise ``np.unique``
 over the stacked code columns (:func:`group_codes_reference`);
 ``tests/test_schema_relation.py`` asserts the packed-key codes ``==`` it.
+Beside it, forward sampling as one ``Generator.choice`` per parent
+configuration (:func:`forward_sample_reference`);
+``tests/test_forward_sampling.py`` asserts ``ForwardSampler.sample_codes``
+draws the same codes and leaves the generator in the same state.
 
 A sixth reference is Themis's hybrid rule written out over the others
 (:func:`hybrid_reference`): point, scalar and group-less table queries are
@@ -963,3 +967,43 @@ def group_codes_reference(relation: Relation, names) -> tuple[np.ndarray, np.nda
         return np.zeros(0, dtype=np.int64), stacked
     unique_rows, group_index = np.unique(stacked, axis=0, return_inverse=True)
     return group_index.astype(np.int64), unique_rows
+
+
+# ----------------------------------------------------------------------
+# Forward sampling, one choice() per configuration (reference for the sampler)
+# ----------------------------------------------------------------------
+def _safe_reference(distribution: np.ndarray) -> np.ndarray:
+    distribution = np.clip(np.asarray(distribution, dtype=float), 0.0, None)
+    total = distribution.sum()
+    if total <= 0:
+        return np.full(distribution.shape, 1.0 / distribution.shape[0])
+    return distribution / total
+
+
+def forward_sample_reference(network, rng: np.random.Generator, n_rows: int) -> dict:
+    """Ancestral sampling as ``ForwardSampler.sample_codes`` used to do it:
+    per node in topological order, the rows grouped by parent configuration
+    (``np.unique``) and one ``rng.choice`` per configuration, in ascending
+    order, over the clipped and renormalized CPT row."""
+    columns: dict[str, np.ndarray] = {}
+    for node in network.topological_order():
+        cpt = network.cpt(node)
+        if not cpt.parents:
+            columns[node] = rng.choice(
+                cpt.child_size, size=n_rows, p=_safe_reference(cpt.table[0])
+            )
+            continue
+        config = np.zeros(n_rows, dtype=np.int64)
+        for parent, size in zip(cpt.parents, cpt.parent_sizes):
+            config = config * size + columns[parent]
+        codes = np.empty(n_rows, dtype=np.int64)
+        unique_configs, inverse = np.unique(config, return_inverse=True)
+        for position, configuration in enumerate(unique_configs):
+            mask = inverse == position
+            codes[mask] = rng.choice(
+                cpt.child_size,
+                size=int(mask.sum()),
+                p=_safe_reference(cpt.table[configuration]),
+            )
+        columns[node] = codes
+    return columns

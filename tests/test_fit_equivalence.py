@@ -158,6 +158,54 @@ def test_collapsed_group_is_reset():
 
 
 # ----------------------------------------------------------------------
+# Iterative scaling's branches, each on a factor built to take it
+# ----------------------------------------------------------------------
+def test_scaling_bumps_a_massless_group_inside_a_multi_group_aggregate():
+    # The full-family (A, B) aggregate has no b1, so B's closed form leaves
+    # every b1 cell at zero; the (B,) aggregate's b1 group then has nothing
+    # to scale (achieved 0 < target) and takes the 1e-6 bump, while its b0
+    # and b2 groups are rescaled in the same aggregate step.
+    schema = Schema(
+        [Attribute("A", Domain(["a0", "a1"])), Attribute("B", Domain(["b0", "b1", "b2"]))]
+    )
+    sample = Relation.from_rows(
+        schema, [("a0", "b0"), ("a0", "b1"), ("a1", "b2"), ("a1", "b0"), ("a0", "b2")]
+    )
+    aggregates = AggregateSet(
+        [
+            AggregateQuery(
+                ("A", "B"),
+                {("a0", "b0"): 30.0, ("a0", "b2"): 10.0, ("a1", "b0"): 20.0, ("a1", "b2"): 40.0},
+            ),
+            AggregateQuery(("B",), {("b0",): 50.0, ("b1",): 10.0, ("b2",): 40.0}),
+        ]
+    )
+    graph = DirectedAcyclicGraph(["A", "B"], [("A", "B")])
+    network, report = ParameterLearner().learn(graph, schema, sample, aggregates)
+    assert report.closed_form_nodes == ["B"] and report.projection_sweeps["B"] > 1
+    assert (network.cpt("B").table[:, 1] > 0).all()  # only the bump gives b1 mass
+    assert_cpts_equal_reference(network, sample, aggregates)
+
+
+def test_scaling_sweeps_two_partial_family_aggregates_on_one_family():
+    # C has parents A and B and no aggregate over all three: (A, C), (B, C)
+    # and (C,) each constrain part of the family, scaled one after another.
+    population = build_correlated_population()
+    sample = build_biased_correlated_sample(population)
+    aggregates = AggregateSet(
+        [
+            AggregateQuery.from_relation(population, attributes)
+            for attributes in (["A"], ["A", "C"], ["B", "C"], ["C"])
+        ]
+    )
+    graph = DirectedAcyclicGraph(["A", "B", "C"], [("A", "C"), ("B", "C")])
+    network, report = ParameterLearner().learn(graph, sample.schema, sample, aggregates)
+    assert "C" in report.constrained_nodes and "C" not in report.closed_form_nodes
+    assert report.projection_sweeps["C"] > 1
+    assert_cpts_equal_reference(network, sample, aggregates)
+
+
+# ----------------------------------------------------------------------
 # The incidence system against the dense matrix it no longer stores
 # ----------------------------------------------------------------------
 def test_members_are_the_dense_rows(flights):

@@ -368,7 +368,7 @@ def test_raking_one_aggregate_per_step_equals_the_cell_by_cell_reference(
     assert result.max_violation == system.max_relative_violation(result.weights)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 7(b)")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 @pytest.mark.parametrize("sample_name", ["SCorners", "Corners"])
 def test_ipf_weights_do_not_depend_on_aggregate_order(sample_name):
     """The aggregates disagree about their total over the sample's support,

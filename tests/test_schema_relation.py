@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,23 +199,56 @@ def _assert_group_codes_match_reference(relation: Relation, names) -> None:
     assert (unique_rows == expected_rows).all()
 
 
-@settings(max_examples=60, deadline=None)
+def _sizes_of_bound(data, bound: int) -> list[int]:
+    """1 to 4 domain sizes whose product is ``bound``, in a drawn order."""
+    sizes, rest = [], bound
+    for _ in range(data.draw(st.integers(0, 3))):
+        divisors = [d for d in range(2, 13) if rest % d == 0]
+        if not divisors:
+            break
+        sizes.append(data.draw(st.sampled_from(divisors)))
+        rest //= sizes[-1]
+    return data.draw(st.permutations([*sizes, rest]))
+
+
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_packed_group_codes_equal_the_row_wise_reference(data):
-    """Property: packed-key group codes ``==`` one row-wise ``np.unique``,
-    for 1 to 4 attributes over random domains, in any attribute order."""
-    sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    """Property: packed-key group codes ``==`` one row-wise ``np.unique``.
+
+    Key spaces are drawn below the dense threshold (``4 * n_rows + 1024``),
+    exactly at it and above it, split over 1 to 4 attributes in any order,
+    plus small random domains grouped by any attribute prefix; ``n_rows``
+    may be 0.  Below and at the threshold no sort runs; above it, one
+    ``np.unique`` over the packed keys does."""
     n_rows = data.draw(st.integers(0, 60))
+    threshold = 4 * n_rows + 1024
+    mode = data.draw(st.sampled_from(["below", "at", "above", "small domains"]))
+    if mode == "small domains":
+        sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    else:
+        bound = {
+            "below": threshold - data.draw(st.integers(1, threshold - 1)),
+            "at": threshold,
+            "above": threshold + data.draw(st.integers(1, 2000)),
+        }[mode]
+        sizes = _sizes_of_bound(data, bound)
     schema = Schema([Attribute(f"a{i}", range(size)) for i, size in enumerate(sizes)])
-    columns = {
-        name: data.draw(
-            st.lists(st.integers(0, size - 1), min_size=n_rows, max_size=n_rows)
-        )
-        for name, size in zip(schema.names, sizes)
-    }
-    relation = Relation(schema, columns)
+    # Rows repeat from a small pool, so groups hold several rows.
+    pool = data.draw(
+        st.lists(st.tuples(*(st.integers(0, size - 1) for size in sizes)), min_size=1, max_size=8)
+    )
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    columns = np.array(rows, dtype=np.int64).reshape(n_rows, len(sizes)).T
+    relation = Relation(schema, dict(zip(schema.names, columns)))
     names = data.draw(st.permutations(schema.names))
-    _assert_group_codes_match_reference(relation, names[: data.draw(st.integers(1, len(names)))])
+    if mode == "small domains":
+        names = names[: data.draw(st.integers(1, len(names)))]
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        relation.group_codes(names)
+    if mode != "small domains":
+        assert unique.call_count == (mode == "above")
+    _assert_group_codes_match_reference(relation, names)
 
 
 def test_packed_group_codes_of_the_empty_relation(small_schema):
