@@ -7,8 +7,7 @@ commonly used pieces of the public API; subpackages hold the substrates:
 * :mod:`repro.schema` — attributes, domains, relations, one-hot encodings;
 * :mod:`repro.aggregates` — population aggregates ``Γ``, incidence systems,
   information-theoretic pruning;
-* :mod:`repro.reweighting` — uniform / Horvitz-Thompson / LinReg / IPF
-  sample reweighters;
+* :mod:`repro.reweighting` — uniform / LinReg / IPF sample reweighters;
 * :mod:`repro.bayesnet` — Bayesian networks, structure and constrained
   parameter learning, exact inference, forward sampling;
 * :mod:`repro.sql` and :mod:`repro.query` — the weighted SQL substrate;
@@ -47,7 +46,6 @@ from .obs import MetricsRegistry, Span, Tracer
 from .plan import ColumnarExecutor, LogicalPlan, MaskCache, PlanCompiler
 from .query import GroupByQuery, PointQuery, Predicate, ScalarAggregateQuery
 from .reweighting import (
-    HorvitzThompsonReweighter,
     IPFReweighter,
     LinearRegressionReweighter,
     UniformReweighter,
@@ -77,7 +75,6 @@ __all__ = [
     "ExplainedResult",
     "ForwardSampler",
     "GroupByQuery",
-    "HorvitzThompsonReweighter",
     "HybridEvaluator",
     "IPFReweighter",
     "LearningMode",

@@ -112,7 +112,12 @@ def load_flights(n_rows: int = 50_000, seed: int = 7, sample_fraction: float = 0
     )
 
 
-def load_imdb(n_rows: int = 40_000, seed: int = 11, sample_fraction: float = 0.1) -> DatasetBundle:
+def load_imdb(
+    n_rows: int = 40_000,
+    seed: int = 11,
+    sample_fraction: float = 0.1,
+    n_names: int = 2_000,
+) -> DatasetBundle:
     """The IMDB population and its four biased samples (Sec. 6.2).
 
     * ``Unif`` — uniform 10% sample;
@@ -120,7 +125,7 @@ def load_imdb(n_rows: int = 40_000, seed: int = 11, sample_fraction: float = 0.1
     * ``SR159`` — 90% of rows from movies rated 1, 5, or 9 (supported);
     * ``R159`` — 100% of rows from movies rated 1, 5, or 9 (unsupported).
     """
-    population = generate_imdb_population(n_rows=n_rows, seed=seed)
+    population = generate_imdb_population(n_rows=n_rows, n_names=n_names, seed=seed)
     samples = {
         "Unif": uniform_sample(population, sample_fraction, seed=seed + 1),
         "GB": biased_sample(

@@ -3,10 +3,10 @@
 Every experiment exposes a ``run_*`` function taking an
 :class:`~repro.experiments.config.ExperimentScale` and returning an
 :class:`~repro.experiments.reporting.ExperimentResult`: the paper's tables
-and figures, the simplification ablation, and the two chaos replays of the
-scale tier (``fault_tolerance``, ``governance``).  The benchmarks under
-``benchmarks/`` call these functions and ``python -m repro.experiments``
-prints them.  Speed is not measured here: that is ``python3 -m bench``.
+and figures and the simplification ablation.  Every method they compare is
+fitted by :meth:`Themis.fit`.  The benchmarks under ``benchmarks/`` call
+these functions and ``python -m repro.experiments`` prints them.  Speed is
+not measured here: that is ``python3 -m bench``.
 """
 
 from .ablation_simplification import run_simplification_ablation
@@ -27,7 +27,6 @@ from .fig16_time_accuracy import run_time_accuracy
 from .harness import (
     BN_MODES,
     DEFAULT_METHODS,
-    available_cores,
     build_aggregates,
     child_bundle,
     clear_dataset_cache,
@@ -38,6 +37,7 @@ from .harness import (
     one_dimensional_order,
     point_query_errors,
     point_query_workload,
+    themis_config,
 )
 from .reporting import ExperimentResult, format_table
 from .table1_motivating import run_table1
@@ -52,7 +52,6 @@ __all__ = [
     "PAPER_SCALE",
     "SMALL_SCALE",
     "TINY_SCALE",
-    "available_cores",
     "build_aggregates",
     "child_bundle",
     "clear_dataset_cache",
@@ -82,4 +81,5 @@ __all__ = [
     "run_table4_improvement",
     "run_time_accuracy",
     "table5_queries",
+    "themis_config",
 ]

@@ -42,9 +42,7 @@ def _build_registry() -> None:
     from .fig13_bn_modes import run_bn_modes
     from .fig14_reweighting import run_reweighting_comparison
     from .fig15_pruning import run_pruning
-    from .fault_tolerance import run_fault_tolerance
     from .fig16_time_accuracy import run_time_accuracy
-    from .governance import run_governance
     from .table1_motivating import run_table1
     from .table6_reuse_baseline import run_reuse_comparison
     from .table7_table8_timing import run_query_execution_time, run_solver_time
@@ -69,8 +67,6 @@ def _build_registry() -> None:
     _register("table7", lambda scale: run_query_execution_time(scale))
     _register("table8", lambda scale: run_solver_time(scale))
     _register("ablation", lambda scale: run_simplification_ablation(scale))
-    _register("fault_tolerance", lambda scale: run_fault_tolerance(scale))
-    _register("governance", lambda scale: run_governance(scale))
 
 
 def available_experiments() -> list[str]:

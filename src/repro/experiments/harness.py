@@ -2,33 +2,24 @@
 
 The harness builds datasets (cached per scale), assembles aggregate sets in
 the paper's configurations (1D orders, pruned 2D/3D sets), fits the compared
-methods (AQP / LinReg / IPF / the five BN modes / Hybrid), and runs point
-query workloads measuring percent difference against the ground-truth
-population.
+methods (AQP / LinReg / IPF / the five BN modes / Hybrid) through
+:meth:`Themis.fit`, and runs point query workloads measuring percent
+difference against the ground-truth population.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..aggregates import AggregateSet, aggregates_from_population
-from ..bayesnet import LearningMode, ThemisBayesNetLearner
-from ..core import (
-    BayesNetEvaluator,
-    HybridEvaluator,
-    OpenWorldEvaluator,
-    ReweightedSampleEvaluator,
-)
-from ..data import DatasetBundle, load_child, load_flights
+from ..core import OpenWorldEvaluator, Themis, ThemisConfig, ThemisModel
+from ..data import DatasetBundle, load_child, load_flights, load_imdb
 from ..exceptions import ExperimentError
 from ..metrics import percent_difference
 from ..query import HitterKind, PointQueryWorkload, WorkloadQuery
-from ..reweighting import IPFReweighter, LinearRegressionReweighter, UniformReweighter
 from ..schema import Relation
 from .config import ExperimentScale, SMALL_SCALE
 
@@ -62,44 +53,11 @@ def imdb_bundle(scale: ExperimentScale = SMALL_SCALE) -> DatasetBundle:
     """The IMDB dataset bundle for a scale (cached)."""
     key = ("imdb", scale.imdb_rows, scale.imdb_names, scale.sample_fraction, scale.seed)
     if key not in _DATASET_CACHE:
-        from ..data.imdb import generate_imdb_population
-        from ..data.registry import DatasetBundle as Bundle
-        from ..data.samplers import biased_sample, uniform_sample
-        from ..data.imdb import IMDB_AGGREGATE_ATTRIBUTES
-
-        population = generate_imdb_population(
-            n_rows=scale.imdb_rows, n_names=scale.imdb_names, seed=11 + scale.seed
-        )
-        samples = {
-            "Unif": uniform_sample(population, scale.sample_fraction, seed=12 + scale.seed),
-            "GB": biased_sample(
-                population,
-                {"movie_country": "GB"},
-                fraction=scale.sample_fraction,
-                bias=0.9,
-                seed=13 + scale.seed,
-            ),
-            "SR159": biased_sample(
-                population,
-                {"rating": [1, 5, 9]},
-                fraction=scale.sample_fraction,
-                bias=0.9,
-                seed=14 + scale.seed,
-            ),
-            "R159": biased_sample(
-                population,
-                {"rating": [1, 5, 9]},
-                fraction=scale.sample_fraction,
-                bias=1.0,
-                seed=15 + scale.seed,
-            ),
-        }
-        _DATASET_CACHE[key] = Bundle(
-            name="imdb",
-            population=population,
-            samples=samples,
-            aggregate_attributes=tuple(IMDB_AGGREGATE_ATTRIBUTES),
+        _DATASET_CACHE[key] = load_imdb(
+            n_rows=scale.imdb_rows,
+            n_names=scale.imdb_names,
             seed=11 + scale.seed,
+            sample_fraction=scale.sample_fraction,
         )
     return _DATASET_CACHE[key]
 
@@ -194,13 +152,41 @@ def build_aggregates(
 # ----------------------------------------------------------------------
 # Method fitting
 # ----------------------------------------------------------------------
+#: The ``(reweighter, bn_mode)`` of the fitted model each method reads its
+#: evaluator from.  The BN modes pair with the uniform reweighter, so a call
+#: asking only for BN modes never runs IPF.
+_MODEL_KEYS: dict[str, tuple[str, str]] = {
+    AQP: ("uniform", "BB"),
+    LINREG: ("linreg", "BB"),
+    IPF: ("ipf", "BB"),
+    HYBRID: ("ipf", "BB"),
+    **{mode: ("uniform", mode) for mode in BN_MODES},
+}
+
+
+def themis_config(scale: ExperimentScale, **overrides) -> ThemisConfig:
+    """The :class:`ThemisConfig` an experiment scale stands for.
+
+    ``overrides`` replace single fields (``reweighter``, ``bn_mode``,
+    ``population_size``, ...); the seed defaults to ``scale.seed``.
+    """
+    settings = dict(
+        max_parents=scale.max_parents,
+        n_generated_samples=scale.n_generated_samples,
+        generated_sample_size=scale.generated_sample_size,
+        ipf_max_iterations=scale.ipf_max_iterations,
+        seed=scale.seed,
+    )
+    settings.update(overrides)
+    return ThemisConfig(**settings)
+
+
 @dataclass
 class FittedMethods:
     """Evaluators for each requested method, plus fit-time diagnostics."""
 
     evaluators: dict[str, OpenWorldEvaluator]
     fit_seconds: dict[str, float] = field(default_factory=dict)
-    weighted_samples: dict[str, Relation] = field(default_factory=dict)
 
     def __getitem__(self, method: str) -> OpenWorldEvaluator:
         return self.evaluators[method]
@@ -221,68 +207,49 @@ def fit_methods(
     """Fit the requested methods on one sample + aggregate configuration.
 
     ``methods`` may contain ``AQP``, ``LinReg``, ``IPF``, any of the BN modes
-    (``SS``, ``SB``, ``BS``, ``AB``, ``BB``), and ``Hybrid`` (which reuses the
-    IPF weights and the BB network, fitting them on demand).
+    (``SS``, ``SB``, ``BS``, ``AB``, ``BB``), and ``Hybrid``.  Each method is
+    an evaluator of a model fitted by :meth:`Themis.fit` (one model per
+    ``(reweighter, bn_mode)``, shared within the call): the reweighted
+    sample for AQP / LinReg / IPF, the network for a BN mode, and the
+    model's hybrid for ``Hybrid``.  ``fit_seconds`` holds the model's
+    reweighting time, learning time, or (for ``Hybrid``) both.
     """
+    unknown = [method for method in methods if method not in _MODEL_KEYS]
+    if unknown:
+        raise ExperimentError(f"unknown method {unknown[0]!r}")
     seed = scale.seed if seed is None else seed
+    models: dict[tuple[str, str], ThemisModel] = {}
     evaluators: dict[str, OpenWorldEvaluator] = {}
     fit_seconds: dict[str, float] = {}
-    weighted_samples: dict[str, Relation] = {}
-    bn_evaluators: dict[str, BayesNetEvaluator] = {}
-
-    def reweighted(name: str) -> Relation:
-        if name in weighted_samples:
-            return weighted_samples[name]
-        start = time.perf_counter()
-        if name == AQP:
-            reweighter = UniformReweighter(population_size=population_size)
-        elif name == LINREG:
-            reweighter = LinearRegressionReweighter(population_size=population_size)
-        elif name == IPF:
-            reweighter = IPFReweighter(max_iterations=scale.ipf_max_iterations)
-        else:
-            raise ExperimentError(f"unknown reweighting method {name!r}")
-        weighted = reweighter.reweight(sample, aggregates)
-        fit_seconds[name] = time.perf_counter() - start
-        weighted_samples[name] = weighted
-        return weighted
-
-    def bayes_net(mode: str) -> BayesNetEvaluator:
-        if mode in bn_evaluators:
-            return bn_evaluators[mode]
-        start = time.perf_counter()
-        learner = ThemisBayesNetLearner.from_mode(
-            LearningMode(mode), max_parents=scale.max_parents
-        )
-        result = learner.learn(sample, aggregates, population_size=population_size)
-        fit_seconds[mode] = time.perf_counter() - start
-        evaluator = BayesNetEvaluator(
-            result.network,
-            population_size=population_size,
-            n_generated_samples=scale.n_generated_samples,
-            generated_sample_size=scale.generated_sample_size,
-            seed=seed,
-            name=mode,
-        )
-        bn_evaluators[mode] = evaluator
-        return evaluator
-
     for method in methods:
-        if method in (AQP, LINREG, IPF):
-            evaluators[method] = ReweightedSampleEvaluator(reweighted(method), name=method)
-        elif method in BN_MODES:
-            evaluators[method] = bayes_net(method)
+        key = _MODEL_KEYS[method]
+        if key not in models:
+            reweighter, bn_mode = key
+            themis = Themis(
+                themis_config(
+                    scale,
+                    reweighter=reweighter,
+                    bn_mode=bn_mode,
+                    population_size=population_size,
+                    seed=seed,
+                )
+            )
+            themis.load_sample(sample)
+            themis.add_aggregates(aggregates)
+            models[key] = themis.fit()
+        model = models[key]
+        reweighting = model.timings["reweighting"]
+        learning = model.timings["bayes_net_learning"]
+        if method in BN_MODES:
+            evaluators[method] = model.bayes_net_evaluator
+            fit_seconds[method] = learning
         elif method == HYBRID:
-            start = time.perf_counter()
-            weighted = reweighted(IPF)
-            bn_evaluator = bayes_net("BB")
-            evaluators[method] = HybridEvaluator(weighted, bn_evaluator, name=HYBRID)
-            fit_seconds[HYBRID] = time.perf_counter() - start
+            evaluators[method] = model.hybrid_evaluator
+            fit_seconds[method] = reweighting + learning
         else:
-            raise ExperimentError(f"unknown method {method!r}")
-    return FittedMethods(
-        evaluators=evaluators, fit_seconds=fit_seconds, weighted_samples=weighted_samples
-    )
+            evaluators[method] = model.sample_evaluator
+            fit_seconds[method] = reweighting
+    return FittedMethods(evaluators=evaluators, fit_seconds=fit_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +296,3 @@ def default_flights_query_attribute_sets(
     """Random attribute sets used for "random point query" experiments."""
     generator = PointQueryWorkload(bundle.population, seed=seed)
     return generator.random_attribute_sets(sizes, n_sets)
-
-
-def available_cores() -> int:
-    """CPU cores this process may schedule on (the chaos experiments record it)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1

@@ -11,13 +11,13 @@ returning a non-zero answer for a state (ME) missing from the sample.
 from __future__ import annotations
 
 from ..aggregates import aggregates_from_population
-from ..core import Themis, ThemisConfig
+from ..core import Themis
 from ..metrics import percent_difference
 from ..plan import ColumnarExecutor
 from ..query import AggregateFunction, AggregateSpec, Comparison, Predicate, ScalarAggregateQuery
 from ..reweighting import IPFReweighter, UniformReweighter
 from .config import ExperimentScale, SMALL_SCALE
-from .harness import flights_bundle
+from .harness import flights_bundle, themis_config
 from .reporting import ExperimentResult
 
 
@@ -58,14 +58,7 @@ def run_table1(
     )
     us_state = ColumnarExecutor(state_sample)
 
-    themis = Themis(
-        ThemisConfig(
-            seed=scale.seed,
-            ipf_max_iterations=scale.ipf_max_iterations,
-            n_generated_samples=scale.n_generated_samples,
-            generated_sample_size=scale.generated_sample_size,
-        )
-    )
+    themis = Themis(themis_config(scale, population_size=population_size))
     themis.load_sample(sample)
     themis.add_aggregates(richer_aggregates)
     themis.fit()

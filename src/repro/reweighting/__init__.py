@@ -1,18 +1,16 @@
 """Sample reweighting techniques (Sec. 4.1).
 
-Four reweighters share one interface: the default-AQP uniform baseline, the
-oracle Horvitz-Thompson estimator, the constrained linear-regression
-technique, and Iterative Proportional Fitting.
+Three reweighters share one interface: the default-AQP uniform baseline,
+the constrained linear-regression technique, and Iterative Proportional
+Fitting.
 """
 
 from .base import Reweighter, ReweightingResult
-from .horvitz_thompson import HorvitzThompsonReweighter
 from .ipf import IPFReweighter
 from .linreg import LinearRegressionReweighter
 from .uniform import UniformReweighter
 
 __all__ = [
-    "HorvitzThompsonReweighter",
     "IPFReweighter",
     "LinearRegressionReweighter",
     "Reweighter",

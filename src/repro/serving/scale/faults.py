@@ -18,8 +18,9 @@ respawn, and a double-kill of the same shard is two events at incarnations
 
 Seeding: :meth:`FaultInjector.kill_each_shard_once` derives per-shard kill
 points from a ``random.Random(seed)`` stream, so a chaos run is fully
-described by ``(workload seed, fault seed)`` — the property the
-``fault_tolerance`` experiment's exact-``==`` oracle check rests on.
+described by ``(workload seed, fault seed)`` — the property the chaos
+replay's exact-``==`` oracle check rests on (``pytest
+benchmarks/test_fault_tolerance_smoke.py -s``).
 
 >>> injector = FaultInjector(seed=7).kill_each_shard_once(2, within_batches=3)
 >>> sorted((e.shard_id, e.kind) for e in injector.events)

@@ -6,9 +6,12 @@ determinism) and the paper's coarsest qualitative claims, not exact numbers.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core import Themis
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     TINY_SCALE,
@@ -18,6 +21,7 @@ from repro.experiments import (
     fit_methods,
     flights_bundle,
     format_table,
+    imdb_bundle,
     one_dimensional_order,
     point_query_errors,
     point_query_workload,
@@ -36,9 +40,42 @@ from repro.experiments import (
     run_table1,
     run_table4_improvement,
     run_time_accuracy,
+    themis_config,
 )
+from repro.reweighting import (
+    IPFReweighter,
+    LinearRegressionReweighter,
+    UniformReweighter,
+)
+from repro.sql import parse_sql
 
 SCALE = TINY_SCALE
+
+#: sha256 over the TINY-scale IMDB population and its four samples (every
+#: column's domain, dtype and codes), as the harness's own loader built them
+#: before it called ``load_imdb``.
+TINY_IMDB_SHA256 = "fce2dc91f252039026d65cf944110812dfe9ed8c1409f16618d7b5d71a81fd60"
+
+#: SQL over the flights sample: scalar, point and GROUP BY shapes, one of
+#: them on a state the biased sample may lack.
+HYBRID_SQL = (
+    "SELECT COUNT(*) FROM flights WHERE origin_state = 'CA' AND distance <= 3",
+    "SELECT COUNT(*) FROM flights WHERE origin_state = 'ME'",
+    "SELECT AVG(distance) FROM flights WHERE dest_state = 'NY'",
+    "SELECT dest_state, COUNT(*) FROM flights WHERE elapsed_time < 4 GROUP BY dest_state",
+    "SELECT origin_state, SUM(distance) FROM flights GROUP BY origin_state",
+)
+
+
+def _digest_relation(digest, relation) -> None:
+    for attribute in relation.schema:
+        digest.update(attribute.name.encode())
+        digest.update(repr(attribute.domain.values).encode())
+        column = np.ascontiguousarray(relation.column(attribute.name))
+        digest.update(column.dtype.str.encode())
+        digest.update(column.tobytes())
+    if relation.has_weights:
+        digest.update(np.ascontiguousarray(relation.weights).tobytes())
 
 
 class TestHarness:
@@ -93,6 +130,111 @@ class TestHarness:
                 scale=SCALE,
                 methods=("Bogus",),
             )
+
+
+class TestOneFitPath:
+    """``fit_methods`` fits through ``Themis.fit`` and nothing else."""
+
+    @pytest.fixture
+    def inputs(self):
+        bundle = flights_bundle(SCALE)
+        aggregates = build_aggregates(bundle, n_two_dimensional=2, seed=SCALE.seed)
+        return bundle, bundle.sample("SCorners"), aggregates
+
+    def test_hybrid_is_the_facades_hybrid(self, inputs):
+        bundle, sample, aggregates = inputs
+        fitted = fit_methods(
+            sample,
+            aggregates,
+            population_size=bundle.population_size,
+            scale=SCALE,
+            methods=("Hybrid",),
+        )
+        themis = Themis(themis_config(SCALE, population_size=bundle.population_size))
+        themis.load_sample(sample, name="flights")
+        themis.add_aggregates(aggregates)
+        facade = themis.fit().hybrid_evaluator
+        workload = point_query_workload(
+            bundle, [("origin_state", "dest_state"), ("fl_date", "distance")], "heavy", 6
+        ) + point_query_workload(bundle, [("origin_state", "elapsed_time")], "light", 6)
+        for item in workload:
+            assert fitted["Hybrid"].execute(item.query) == facade.execute(item.query)
+        for statement in HYBRID_SQL:
+            query = parse_sql(statement).query
+            assert fitted["Hybrid"].execute(query) == facade.execute(query)
+            assert fitted["Hybrid"].execute(query) == themis.sql(statement)
+
+    def test_reweighted_samples_are_the_reweighters_own(self, inputs):
+        bundle, sample, aggregates = inputs
+        population_size = bundle.population_size
+        fitted = fit_methods(
+            sample,
+            aggregates,
+            population_size=population_size,
+            scale=SCALE,
+            methods=("AQP", "LinReg", "IPF"),
+        )
+        reweighters = {
+            "AQP": UniformReweighter(population_size=population_size),
+            "LinReg": LinearRegressionReweighter(population_size=population_size),
+            "IPF": IPFReweighter(max_iterations=SCALE.ipf_max_iterations),
+        }
+        for method, reweighter in reweighters.items():
+            expected = reweighter.reweight(sample, aggregates)
+            assert np.array_equal(fitted[method].sample.weights, expected.weights)
+
+    def test_bn_modes_alone_never_run_ipf(self, inputs, monkeypatch):
+        bundle, sample, aggregates = inputs
+        calls = []
+        fit = IPFReweighter.fit
+
+        def counting_fit(self, *args, **kwargs):
+            calls.append(self)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(IPFReweighter, "fit", counting_fit)
+        fitted = fit_methods(
+            sample,
+            aggregates,
+            population_size=bundle.population_size,
+            scale=SCALE,
+            methods=("SS", "SB", "BS", "AB", "BB"),
+        )
+        assert fitted.methods() == ["SS", "SB", "BS", "AB", "BB"]
+        assert calls == []
+        fit_methods(
+            sample,
+            aggregates,
+            population_size=bundle.population_size,
+            scale=SCALE,
+            methods=("BB", "IPF", "Hybrid"),
+        )
+        assert len(calls) == 1  # IPF and Hybrid share one model
+
+    def test_unknown_method_fails_before_any_fit(self, inputs, monkeypatch):
+        bundle, sample, aggregates = inputs
+        fits = []
+        monkeypatch.setattr(Themis, "fit", lambda self: fits.append(self))
+        with pytest.raises(ExperimentError, match="Bogus"):
+            fit_methods(
+                sample,
+                aggregates,
+                population_size=bundle.population_size,
+                scale=SCALE,
+                methods=("AQP", "Bogus"),
+            )
+        assert fits == []
+
+    def test_imdb_bundle_is_pinned(self):
+        bundle = imdb_bundle(SCALE)
+        digest = hashlib.sha256()
+        _digest_relation(digest, bundle.population)
+        for name in ("Unif", "GB", "SR159", "R159"):
+            digest.update(name.encode())
+            _digest_relation(digest, bundle.sample(name))
+        assert digest.hexdigest() == TINY_IMDB_SHA256
+        assert bundle.seed == 11 + SCALE.seed
+        assert sorted(bundle.samples) == ["GB", "R159", "SR159", "Unif"]
 
 
 class TestReporting:

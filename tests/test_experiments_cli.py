@@ -29,13 +29,13 @@ EXPERIMENT_MODULES = sorted(
 
 class TestRegistry:
     def test_every_paper_artifact_has_an_entry(self):
-        # The paper's tables and figures, the ablation and the chaos replays.
+        # The paper's tables and figures and the ablation.
         expected = (
             ["table1", "fig3", "fig4", "table4"]
             + [f"fig{i}" for i in range(5, 17)]
-            + ["table6", "table7", "table8", "ablation", "fault_tolerance", "governance"]
+            + ["table6", "table7", "table8", "ablation"]
         )
-        assert available_experiments() == expected  # 22 names
+        assert available_experiments() == expected  # 20 names
 
     def test_every_experiment_module_is_registered(self):
         # The registry is the one entry point: each experiment module is

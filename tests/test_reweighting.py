@@ -17,7 +17,6 @@ from repro.data import load_flights
 from repro.exceptions import ReweightingError
 from repro.experiments import build_aggregates
 from repro.reweighting import (
-    HorvitzThompsonReweighter,
     IPFReweighter,
     LinearRegressionReweighter,
     UniformReweighter,
@@ -48,44 +47,6 @@ class TestUniformReweighter:
         weighted = UniformReweighter().reweight(paper_sample, paper_aggregates)
         assert weighted.has_weights
         assert weighted.total_weight() == pytest.approx(10.0)
-
-
-class TestHorvitzThompson:
-    def test_inverse_probability_weights(self, paper_sample, paper_aggregates):
-        probabilities = [0.5, 0.5, 0.25, 0.1]
-        result = HorvitzThompsonReweighter(probabilities).fit(
-            paper_sample, paper_aggregates
-        )
-        assert np.allclose(result.weights, [2.0, 2.0, 4.0, 10.0])
-
-    def test_normalization(self, paper_sample, paper_aggregates):
-        result = HorvitzThompsonReweighter([0.5] * 4, normalize_to=10.0).fit(
-            paper_sample, paper_aggregates
-        )
-        assert result.total_weight == pytest.approx(10.0)
-
-    def test_mapping_probabilities(self, paper_sample, paper_aggregates):
-        probabilities = {row: 0.4 for row in paper_sample.iter_rows()}
-        result = HorvitzThompsonReweighter(probabilities).fit(
-            paper_sample, paper_aggregates
-        )
-        assert np.allclose(result.weights, 2.5)
-
-    def test_callable_probabilities(self, paper_sample, paper_aggregates):
-        result = HorvitzThompsonReweighter(lambda row: 0.2).fit(
-            paper_sample, paper_aggregates
-        )
-        assert np.allclose(result.weights, 5.0)
-
-    def test_invalid_probability_rejected(self, paper_sample, paper_aggregates):
-        with pytest.raises(ReweightingError):
-            HorvitzThompsonReweighter([0.0, 0.5, 0.5, 0.5]).fit(
-                paper_sample, paper_aggregates
-            )
-
-    def test_wrong_length_rejected(self, paper_sample, paper_aggregates):
-        with pytest.raises(ReweightingError):
-            HorvitzThompsonReweighter([0.5, 0.5]).fit(paper_sample, paper_aggregates)
 
 
 class TestLinearRegression:
