@@ -175,6 +175,20 @@ class TestRegistry:
             "runtime",
         )
 
+    def test_load_imdb_n_names(self):
+        # The name domain follows n_names (default 2,000, as the generator's),
+        # and the population is the generator's own.
+        bundle = load_imdb(n_rows=1500, n_names=40, seed=3)
+        population = bundle.population
+        assert len(population.schema["name"].domain.values) == 40
+        expected = generate_imdb_population(n_rows=1500, n_names=40, seed=3)
+        for attribute in population.schema:
+            assert np.array_equal(
+                population.column(attribute.name), expected.column(attribute.name)
+            )
+        default = load_imdb(n_rows=1500, seed=3).population
+        assert len(default.schema["name"].domain.values) == 2000
+
     def test_load_child_bundle_has_true_network(self):
         bundle = load_child(n_rows=1500, seed=1)
         assert "true_network" in bundle.extra

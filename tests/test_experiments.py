@@ -84,6 +84,9 @@ class TestHarness:
         second = flights_bundle(SCALE)
         assert first is second
 
+    def test_imdb_bundle_cached(self):
+        assert imdb_bundle(SCALE) is imdb_bundle(SCALE)
+
     def test_dataset_bundle_by_name(self):
         assert dataset_bundle("flights", SCALE).name == "flights"
         with pytest.raises(ExperimentError):
@@ -210,6 +213,48 @@ class TestOneFitPath:
             methods=("BB", "IPF", "Hybrid"),
         )
         assert len(calls) == 1  # IPF and Hybrid share one model
+
+    def test_themis_config_maps_the_scale(self):
+        config = themis_config(SCALE)
+        assert config.max_parents == SCALE.max_parents
+        assert config.n_generated_samples == SCALE.n_generated_samples
+        assert config.generated_sample_size == SCALE.generated_sample_size
+        assert config.ipf_max_iterations == SCALE.ipf_max_iterations
+        assert config.seed == SCALE.seed
+        overridden = themis_config(
+            SCALE, reweighter="linreg", bn_mode="SS", population_size=123.0, seed=7
+        )
+        assert overridden.reweighter == "linreg"
+        assert overridden.bn_mode == "SS"
+        assert overridden.population_size == 123.0
+        assert overridden.seed == 7
+        assert overridden.max_parents == SCALE.max_parents
+
+    def test_fit_seconds_are_the_models_timings(self, inputs, monkeypatch):
+        bundle, sample, aggregates = inputs
+        models = []
+        original_fit = Themis.fit
+
+        def recording_fit(self):
+            model = original_fit(self)
+            models.append(model)
+            return model
+
+        monkeypatch.setattr(Themis, "fit", recording_fit)
+        fitted = fit_methods(
+            sample,
+            aggregates,
+            population_size=bundle.population_size,
+            scale=SCALE,
+            methods=("IPF", "Hybrid", "SB"),
+        )
+        assert len(models) == 2  # ("ipf", "BB") and ("uniform", "SB")
+        ipf_model, sb_model = models
+        reweighting = ipf_model.timings["reweighting"]
+        learning = ipf_model.timings["bayes_net_learning"]
+        assert fitted.fit_seconds["IPF"] == reweighting
+        assert fitted.fit_seconds["Hybrid"] == reweighting + learning
+        assert fitted.fit_seconds["SB"] == sb_model.timings["bayes_net_learning"]
 
     def test_unknown_method_fails_before_any_fit(self, inputs, monkeypatch):
         bundle, sample, aggregates = inputs

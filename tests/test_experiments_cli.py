@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -36,6 +37,12 @@ class TestRegistry:
             + ["table6", "table7", "table8", "ablation"]
         )
         assert available_experiments() == expected  # 20 names
+
+    @pytest.mark.parametrize("name", ["fault_tolerance", "governance"])
+    def test_chaos_replays_are_smokes_not_experiments(self, name):
+        # The scale tier's chaos replays live in benchmarks/test_*_smoke.py.
+        assert name not in available_experiments()
+        assert importlib.util.find_spec(f"repro.experiments.{name}") is None
 
     def test_every_experiment_module_is_registered(self):
         # The registry is the one entry point: each experiment module is
